@@ -37,9 +37,12 @@ def _default_digits() -> int:
     if raw is None:
         return roots.DEFAULT_DIGITS
     try:
-        return int(raw)
+        digits = int(raw)
     except ValueError:
         raise UsageError(f"CFINITE_DIGITS must be an integer, got {raw!r}")
+    if digits < 1:
+        raise UsageError(f"CFINITE_DIGITS must be >= 1, got {digits}")
+    return digits
 
 
 def _read_seq(text: str) -> CFiniteSeq:
@@ -450,8 +453,11 @@ def main(argv=None) -> int:
         # argparse exits 2 on usage errors already; keep that contract
         return exc.code if exc.code else 0
     try:
-        if getattr(args, "digits", "absent") is None:
-            args.digits = _default_digits()
+        if hasattr(args, "digits"):
+            if args.digits is None:
+                args.digits = _default_digits()
+            elif args.digits < 1:
+                raise UsageError(f"--digits must be >= 1, got {args.digits}")
         return args.run(args)
     except (UsageError, corpus.UnknownSequenceError, corpus.ArityMismatchError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 
@@ -24,6 +25,18 @@ def _as_fraction(x) -> Fraction:
     if isinstance(x, Fraction):
         return x
     return Fraction(x)
+
+
+def content(values) -> Fraction:
+    """The positive rational c for which values / c are coprime integers.
+
+    All-zero (or empty) input has content 1.
+    """
+    values = [_as_fraction(v) for v in values]
+    num = gcd(*(v.numerator for v in values))
+    if num == 0:
+        return Fraction(1)
+    return Fraction(num, lcm(*(v.denominator for v in values)))
 
 
 class Polynomial:
@@ -126,16 +139,10 @@ class Polynomial:
         """Integer-content-1 version with positive leading coefficient."""
         if self.is_zero():
             return self
-        from math import gcd, lcm
-
-        den = lcm(*(c.denominator for c in self.coeffs))
-        ints = [int(c * den) for c in self.coeffs]
-        g = 0
-        for v in ints:
-            g = gcd(g, v)
-        if ints[-1] < 0:
-            g = -g
-        return Polynomial(Fraction(v, g) for v in ints)
+        c = content(self.coeffs)
+        if self.coeffs[-1] < 0:
+            c = -c
+        return self.scale(1 / c)
 
     def __repr__(self):
         return f"Polynomial({list(self.coeffs)!r})"
@@ -243,42 +250,28 @@ def eval_terms(seq: CFiniteSeq, N: int) -> list:
 
 
 def eval_at(seq: CFiniteSeq, n: int):
-    """Single term a(n) by companion-matrix binary powering.
+    """Single term a(n) by Fiduccia's method.
 
-    Cost is O(L^3 log n) coefficient operations, so large n is cheap as
-    long as the terms themselves stay printable.
+    The shift operator annihilates the sequence through char_poly(), so
+    with r(z) = z^n mod char_poly() we get a(n) = sum_i r_i a(i).  r is
+    found by binary powering with Polynomial products and remainders:
+    O(L^2 log n) coefficient operations, so large n is cheap as long as
+    the terms themselves stay printable.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
     L = seq.order
     if n < L:
         return seq.init[n]
-    # companion matrix acting on the state (a(k), ..., a(k+L-1))
-    comp = [[Fraction(0)] * L for _ in range(L)]
-    for i in range(L - 1):
-        comp[i][i + 1] = Fraction(1)
-    for i in range(L):
-        comp[L - 1][i] = seq.rec[L - 1 - i]
-
-    def mat_mul(A, B):
-        return [
-            [sum(A[i][k] * B[k][j] for k in range(L)) for j in range(L)]
-            for i in range(L)
-        ]
-
-    def mat_vec(A, v):
-        return [sum(A[i][k] * v[k] for k in range(L)) for i in range(L)]
-
-    power = n - (L - 1)
-    state = list(seq.init)
-    base = comp
-    while power:
-        if power & 1:
-            state = mat_vec(base, state)
-        power >>= 1
-        if power:
-            base = mat_mul(base, base)
-    return state[L - 1]
+    modulus = seq.char_poly()
+    r, base = Polynomial([1]), Polynomial([0, 1]) % modulus
+    while n:
+        if n & 1:
+            r = (r * base) % modulus
+        n >>= 1
+        if n:
+            base = (base * base) % modulus
+    return sum((r[i] * seq.init[i] for i in range(L)), Fraction(0))
 
 
 def shift(seq: CFiniteSeq, k: int) -> CFiniteSeq:
@@ -335,7 +328,11 @@ _SEQ_RE = re.compile(
 
 
 def parse_rational(text: str) -> Fraction:
-    return Fraction(text.strip().replace(" ", ""))
+    """A rational literal like ``-3/4``; ValueError on bad input, x/0 included."""
+    try:
+        return Fraction(text.strip().replace(" ", ""))
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text.strip()!r}") from None
 
 
 def parse_seq(text: str) -> CFiniteSeq:

@@ -21,7 +21,7 @@ from math import log2
 import mpmath
 
 from . import guess, roots
-from .core import CFiniteSeq, eval_terms, minimize
+from .core import CFiniteSeq, eval_terms
 
 PRACTICAL_WIDTH_LIMIT = 10
 
@@ -158,7 +158,7 @@ def dimer_product_report(
     below 2^m are common (the minimal recurrence sheds factors), in which
     case the report simply tests fewer order-2 factors.
     """
-    seq = minimize(dimer_seq(m, weights))
+    seq = dimer_seq(m, weights)
     order = seq.order
     if order == 1:
         return DimerProductReport(

@@ -24,12 +24,11 @@ import itertools
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
 
 import mpmath
 
 from . import guess
-from .core import CFiniteSeq, eval_terms, minimize, scale
+from .core import CFiniteSeq, content, eval_terms, minimize, scale
 from .linalg import solve
 from .roots import DEFAULT_DIGITS, OrderMismatchError, char_roots
 
@@ -117,22 +116,19 @@ def _right_init_system(left_terms, right_rec, target):
     """
     L2 = len(right_rec)
     n_eq = len(target)
-    # weights[n][j] = coefficient of init[j] in right(n)
-    weights = [[Fraction(int(i == j)) for j in range(L2)] for i in range(L2)]
-    for n in range(L2, n_eq):
-        weights.append(
-            [
-                sum(right_rec[i] * weights[n - 1 - i][j] for i in range(L2))
-                for j in range(L2)
-            ]
-        )
+    # units[j][n] = coefficient of init[j] in right(n): the terms of the
+    # right recurrence started from the j-th unit vector
+    units = [
+        eval_terms(CFiniteSeq([int(i == j) for i in range(L2)], right_rec), n_eq)
+        for j in range(L2)
+    ]
     rows, rhs = [], []
     for n in range(n_eq):
         if left_terms[n] == 0:
             if target[n] != 0:
                 return None
             continue
-        rows.append([left_terms[n] * w for w in weights[n]])
+        rows.append([left_terms[n] * u[n] for u in units])
         rhs.append(target[n])
     if not rows:
         return None
@@ -298,14 +294,6 @@ def _match_grid(roots, col, row, tol, scale_abs):
     return grid
 
 
-def _elementary_symmetric(values):
-    """e_0..e_n of the given values."""
-    es = [mpmath.mpc(1)]
-    for v in values:
-        es = [es[0]] + [es[k] + v * es[k - 1] for k in range(1, len(es))] + [v * es[-1]]
-    return es
-
-
 def _extract_factors(original, m, grid, roots, coefs, L1, L2, digits, tol):
     alphas = [roots[grid[i][0]] for i in range(L1)]
     betas = [roots[grid[0][j]] / roots[grid[0][0]] for j in range(L2)]
@@ -318,8 +306,10 @@ def _extract_factors(original, m, grid, roots, coefs, L1, L2, digits, tol):
             if abs(C[i][j] * C[0][0] - C[i][0] * C[0][j]) > tol * max(1, cscale**2):
                 return None
 
-    # gauge: pick s with s^k = 1/e_k(alpha) for the first nonzero e_k
-    es = _elementary_symmetric(alphas)
+    # gauge: pick s with s^k = 1/e_k(alpha) for the first nonzero e_k;
+    # e_k is (-1)^k times the z^(L1-k) coefficient of prod (z - alpha_i)
+    poly = _poly_from_roots(alphas)
+    es = [(-1) ** k * poly[L1 - k] for k in range(L1 + 1)]
     escale = max(abs(e) for e in es)
     k = next(
         (k for k in range(1, L1 + 1) if abs(es[k]) > tol * max(1, escale)), None
@@ -391,6 +381,8 @@ def factorize_integer(
     Raises BudgetExhausted when `budget` seconds pass before the space is
     exhausted; that is a different outcome than a completed "not found".
     """
+    if bound < 1:
+        raise ValueError(f"bound must be >= 1, got {bound}")
     deadline = time.monotonic() + budget
     n_terms = 2 * L1 * L2 + 4
     head = eval_terms(seq, max(n_terms, 50))
@@ -486,13 +478,10 @@ def _normalize_integer_pair(left, right):
         left, right = _apply_gauge(left, Fraction(-1)), _apply_gauge(right, Fraction(-1))
         notes.append("sign gauge lambda = -1")
     terms = eval_terms(left, 2 * left.order + 4)
-    g = 0
-    for t in terms:
-        g = gcd(g, int(t))
-    first = next((t for t in terms if t != 0), 1)
-    if first < 0:
+    g = content(terms)
+    if next((t for t in terms if t != 0), 1) < 0:
         g = -g
-    if g not in (0, 1):
-        left, right = scale(left, Fraction(1, g)), scale(right, g)
+    if g != 1:
+        left, right = scale(left, 1 / g), scale(right, g)
         notes.append(f"left factor divided by content {g}")
     return left, right, "; ".join(notes) or "already canonical"

@@ -16,6 +16,7 @@ from .core import (
     Rational,
     eval_terms,
     format_poly,
+    parse_rational,
     poly_gcd,
 )
 
@@ -140,7 +141,7 @@ def parse_poly(text: str) -> Polynomial:
         if m.group("var2"):
             v, e, c = m.group("var2"), m.group("exp2"), Fraction(1)
         else:
-            c = Fraction(m.group("coef"))
+            c = parse_rational(m.group("coef"))
             v, e = m.group("var1"), m.group("exp1")
         if v is not None:
             if varname is None:

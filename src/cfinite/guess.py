@@ -19,10 +19,10 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb, gcd, lcm
+from math import comb
 
 from . import linalg
-from .core import CFiniteSeq, Rational, eval_terms, format_rational, minimize
+from .core import CFiniteSeq, Rational, content, eval_terms, format_rational
 from .gf import RationalGF, taylor
 
 
@@ -34,7 +34,6 @@ class InvariantViolation(AssertionError):
 class GuessConfig:
     max_order: int
     safety_terms: int = 4
-    verify_extra: int = 10
 
     def __post_init__(self):
         if self.max_order < 1:
@@ -66,6 +65,10 @@ def guess_rec(terms, cfg: GuessConfig):
     0), so any returned recurrence fits all terms by construction.  The
     search is capped so at least `safety_terms` equations remain beyond
     the 2L terms that barely determine an order-L fit.
+
+    The fit is already what `minimize` would return: a lower-order form of
+    the same sequence (after cancelling a generating-function gcd) would
+    fit the same terms and have been found first.
     """
     terms = [Fraction(t) for t in terms]
     if len(terms) < 4:
@@ -80,12 +83,16 @@ def guess_rec(terms, cfg: GuessConfig):
         cand = CFiniteSeq(terms[:L], sol)
         if eval_terms(cand, len(terms)) != terms:
             raise InvariantViolation("full-system solution failed verification")
-        return minimize(cand)
+        return cand
     return None
 
 
-def _guess_at_bound(terms, bound: int, what: str) -> CFiniteSeq:
-    found = guess_rec(terms, GuessConfig(max_order=bound))
+def _close(what: str, bound: int, make) -> CFiniteSeq:
+    """Closure-op driver: guess at order <= bound from make(2 * bound + 4) terms.
+
+    Theory guarantees a fit, so finding none raises InvariantViolation.
+    """
+    found = guess_rec(make(2 * bound + 4), GuessConfig(max_order=bound))
     if found is None:
         raise InvariantViolation(
             f"{what}: no recurrence of order <= {bound} fits, "
@@ -96,38 +103,39 @@ def _guess_at_bound(terms, bound: int, what: str) -> CFiniteSeq:
 
 def add(s1: CFiniteSeq, s2: CFiniteSeq) -> CFiniteSeq:
     """Termwise sum; order at most L1 + L2."""
-    bound = s1.order + s2.order
-    n = 2 * bound + 4
-    t1, t2 = eval_terms(s1, n), eval_terms(s2, n)
-    return _guess_at_bound([a + b for a, b in zip(t1, t2)], bound, "add")
+    return _close(
+        "add",
+        s1.order + s2.order,
+        lambda n: [a + b for a, b in zip(eval_terms(s1, n), eval_terms(s2, n))],
+    )
 
 
 def mul(s1: CFiniteSeq, s2: CFiniteSeq) -> CFiniteSeq:
     """Hadamard (termwise) product; order at most L1 * L2."""
-    bound = s1.order * s2.order
-    n = 2 * bound + 4
-    t1, t2 = eval_terms(s1, n), eval_terms(s2, n)
-    return _guess_at_bound([a * b for a, b in zip(t1, t2)], bound, "mul")
+    return _close(
+        "mul",
+        s1.order * s2.order,
+        lambda n: [a * b for a, b in zip(eval_terms(s1, n), eval_terms(s2, n))],
+    )
 
 
 def binomial_transform(s: CFiniteSeq) -> CFiniteSeq:
     """n -> sum_k C(n,k) s(k); preserves the order bound L."""
-    bound = s.order
-    n = 2 * bound + 4
-    base = eval_terms(s, n)
-    transformed = [
-        sum(comb(m, k) * base[k] for k in range(m + 1)) for m in range(n)
-    ]
-    return _guess_at_bound(transformed, bound, "binomial_transform")
+
+    def make(n):
+        base = eval_terms(s, n)
+        return [sum(comb(m, k) * base[k] for k in range(m + 1)) for m in range(n)]
+
+    return _close("binomial_transform", s.order, make)
 
 
 def partial_sums(s: CFiniteSeq) -> CFiniteSeq:
     """n -> sum_{k<=n} s(k); order at most L + 1."""
-    bound = s.order + 1
-    n = 2 * bound + 4
-    base = eval_terms(s, n)
-    sums = list(itertools.accumulate(base))
-    return _guess_at_bound(sums, bound, "partial_sums")
+    return _close(
+        "partial_sums",
+        s.order + 1,
+        lambda n: list(itertools.accumulate(eval_terms(s, n))),
+    )
 
 
 def subsequence(s: CFiniteSeq, step: int, offset: int = 0) -> CFiniteSeq:
@@ -136,11 +144,11 @@ def subsequence(s: CFiniteSeq, step: int, offset: int = 0) -> CFiniteSeq:
         raise ValueError("step must be >= 1")
     if offset < 0:
         raise ValueError("offset must be >= 0")
-    bound = s.order
-    count = 2 * bound + 4
-    base = eval_terms(s, step * (count - 1) + offset + 1)
-    sampled = [base[step * k + offset] for k in range(count)]
-    return _guess_at_bound(sampled, bound, "subsequence")
+    return _close(
+        "subsequence",
+        s.order,
+        lambda n: eval_terms(s, step * (n - 1) + offset + 1)[offset::step],
+    )
 
 
 def prove_equal(s1: CFiniteSeq, s2: CFiniteSeq, verify_extra: int = 10) -> ProofCertificate:
@@ -276,20 +284,15 @@ def guess_nlr(terms, order: int, degree: int):
                     v *= x**e
             row.append(v)
         rows.append(row)
-    free = linalg.free_columns(rows)
-    if not free:
+    basis = linalg.nullspace(rows)
+    if not basis:
         return None
-    vec = linalg.kernel_vector_for_column(rows, free[-1])
+    vec = basis[-1]
     # normalize: integer content 1, first nonzero positive
-    den = lcm(*(c.denominator for c in vec))
-    ints = [int(c * den) for c in vec]
-    g = 0
-    for v in ints:
-        g = gcd(g, v)
-    first = next(v for v in ints if v)
-    if first < 0:
-        g = -g
-    ints = [v // g for v in ints]
+    c = content(vec)
+    if next(v for v in vec if v) < 0:
+        c = -c
+    ints = [int(v / c) for v in vec]
     relation = PolyRelation(order, degree, tuple(monos), tuple(ints))
     for n in range(order, len(terms)):
         if relation.evaluate(terms[n - order : n + 1]) != 0:

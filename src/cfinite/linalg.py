@@ -61,27 +61,24 @@ def solve(A, b):
     return x
 
 
-def kernel_vector_for_column(A, col):
-    """Kernel vector with a 1 in position `col`, if that column is free.
+def nullspace(A):
+    """Basis of {x : A x = 0}, one vector per free (non-pivot) column.
 
-    Returns None when `col` is a pivot column (no such kernel vector in the
-    standard basis of the nullspace).
+    Vectors come in column order; the one for free column f has a 1 in
+    position f and 0 in every other free position.  One rref in total.
     """
-    red, pivots = rref(A)
-    if col in pivots:
-        return None
-    n = len(A[0]) if A else 0
-    v = [Fraction(0)] * n
-    v[col] = Fraction(1)
-    for r, c in enumerate(pivots):
-        v[c] = -red[r][col]
-    return v
-
-
-def free_columns(A):
-    """Indices of non-pivot columns of A."""
     if not A:
         return []
-    _, pivots = rref(A)
+    red, pivots = rref(A)
+    n = len(A[0])
     piv = set(pivots)
-    return [c for c in range(len(A[0])) if c not in piv]
+    basis = []
+    for f in range(n):
+        if f in piv:
+            continue
+        v = [Fraction(0)] * n
+        v[f] = Fraction(1)
+        for r, c in enumerate(pivots):
+            v[c] = -red[r][f]
+        basis.append(v)
+    return basis

@@ -69,6 +69,22 @@ def gaussian_solve(rows, rhs):
     return x
 
 
+def rank(rows):
+    """Rank over Q by forward elimination (no back substitution, no scaling)."""
+    m = [[Fraction(v) for v in row] for row in rows]
+    r = 0
+    for c in range(len(m[0]) if m else 0):
+        pr = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
+        if pr is None:
+            continue
+        m[r], m[pr] = m[pr], m[r]
+        for i in range(r + 1, len(m)):
+            f = m[i][c] / m[r][c]
+            m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        r += 1
+    return r
+
+
 def brute_force_guess(terms, max_order):
     """Smallest-order recurrence fitting all terms, or None.
 

@@ -220,6 +220,48 @@ class TestVerifyIdentity:
         assert "VERIFIED" in out
 
 
+class TestBadInput:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("terms", "[[1/0],[1]]", "5"),
+            ("gf", "(1/0)/(1-z)"),
+            ("gf", "(1)/(1/0-z)"),
+            ("guess", "1,2,1/0,4,5"),
+            ("seq", "geometric", "1/0"),
+            ("dimer", "--width", "2", "--hweight", "1/0"),
+        ],
+        ids=["terms", "gf-num", "gf-den", "guess", "seq", "dimer"],
+    )
+    def test_zero_denominator_exit_2(self, capsys, argv):
+        code, _, err = run(capsys, *argv)
+        assert code == 2
+        assert "error:" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("isprod", "[[0, 1, 2, 10], [2, 7, 2, -1]]", "--orders", "2,2"),
+            ("factor", "[[0, 1, 2, 10], [2, 7, 2, -1]]", "--orders", "2,2"),
+            ("dimer", "--width", "4", "--report-product"),
+        ],
+        ids=["isprod", "factor", "dimer"],
+    )
+    @pytest.mark.parametrize("digits", ["0", "-5"])
+    def test_digits_below_one_exit_2(self, capsys, argv, digits):
+        code, _, err = run(capsys, *argv, "--digits", digits)
+        assert code == 2
+        assert "--digits" in err
+
+    def test_factor_bound_below_one_exit_2(self, capsys):
+        code, _, err = run(
+            capsys, "factor", "[[0, 1, 2, 10], [2, 7, 2, -1]]",
+            "--orders", "2,2", "--mode", "integer", "--bound", "-1",
+        )
+        assert code == 2
+        assert "bound" in err
+
+
 class TestEnvironment:
     def test_digits_env_var(self, capsys, monkeypatch):
         monkeypatch.setenv("CFINITE_DIGITS", "60")
@@ -235,6 +277,15 @@ class TestEnvironment:
             capsys, "isprod", "[[0, 1, 2, 10], [2, 7, 2, -1]]", "--orders", "2,2"
         )
         assert code == 2
+
+    @pytest.mark.parametrize("raw", ["0", "-3"])
+    def test_env_digits_below_one_exit_2(self, capsys, monkeypatch, raw):
+        monkeypatch.setenv("CFINITE_DIGITS", raw)
+        code, _, err = run(
+            capsys, "isprod", "[[0, 1, 2, 10], [2, 7, 2, -1]]", "--orders", "2,2"
+        )
+        assert code == 2
+        assert "CFINITE_DIGITS" in err
 
     def test_unknown_verb_exit_2(self, capsys):
         code = main(["frobnicate"])

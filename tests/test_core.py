@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from cfinite.core import (
     CFiniteSeq,
     Polynomial,
+    content,
     eval_at,
     eval_terms,
     format_poly,
@@ -27,6 +29,9 @@ FIB = CFiniteSeq([0, 1], [1, 1])
 small_fracs = st.fractions(
     min_value=-10, max_value=10, max_denominator=6
 )
+
+
+tiny_fracs = st.fractions(min_value=-3, max_value=3, max_denominator=3)
 
 
 class TestPolynomial:
@@ -62,6 +67,21 @@ class TestPolynomial:
         assert p.monic().coeffs == (Fraction(1, 3), 1)
         assert p.primitive().coeffs == (1, 3)
         assert Polynomial([-2, -4]).primitive().coeffs == (1, 2)
+
+    def test_content(self):
+        assert content([Fraction(1, 2), Fraction(3, 4)]) == Fraction(1, 4)
+        assert content([0, -6, 9]) == 3
+        assert content([0, 0]) == 1
+        assert content([]) == 1
+
+    @given(st.lists(small_fracs, min_size=1, max_size=6))
+    def test_content_leaves_coprime_integers(self, values):
+        c = content(values)
+        assert c > 0
+        scaled = [v / c for v in values]
+        assert all(s.denominator == 1 for s in scaled)
+        if any(values):
+            assert gcd(*(int(s) for s in scaled)) == 1
 
     def test_gcd_common_factor(self):
         a = Polynomial([-1, 0, 1])  # (z-1)(z+1)
@@ -101,7 +121,7 @@ class TestCFiniteSeq:
         assert parse_seq(" [ [0,1] , [ 1 , 1 ] ] ") == FIB
 
     def test_parse_rejects_garbage(self):
-        for bad in ("", "[0,1]", "[[0,1]]", "[[0,1],[1,1],[2]]", "fib"):
+        for bad in ("", "[0,1]", "[[0,1]]", "[[0,1],[1,1],[2]]", "fib", "[[1/0],[1]]"):
             with pytest.raises(ValueError):
                 parse_seq(bad)
 
@@ -137,6 +157,22 @@ class TestCFiniteSeq:
         terms = eval_terms(FIB, 60)
         for n in (0, 1, 5, 30, 59):
             assert eval_at(FIB, n) == terms[n]
+
+    @given(
+        st.lists(tiny_fracs, min_size=1, max_size=8),
+        st.lists(tiny_fracs, min_size=1, max_size=8),
+        st.integers(min_value=300, max_value=900),
+        st.booleans(),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_eval_at_far_index_matches_oracle(self, init, rec, n, zero_tail):
+        L = min(len(init), len(rec))
+        init, rec = init[:L], rec[:L]
+        if zero_tail:
+            rec[-1] = Fraction(0)
+        s = CFiniteSeq(init, rec)
+        truth = oracles.recurrence_terms(init, rec, n + 1)
+        assert eval_at(s, n) == truth[n] == eval_terms(s, n + 1)[n]
 
     def test_eval_at_large_index(self):
         # F(200), a 42-digit number computed via binary powering

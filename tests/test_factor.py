@@ -147,6 +147,11 @@ class TestFactorizeInteger:
         with pytest.raises(ValueError):
             factorize_integer(prod, 2, 2, bound=2)
 
+    @pytest.mark.parametrize("bound", [0, -1])
+    def test_bound_below_one_rejected(self, bound):
+        with pytest.raises(ValueError, match="bound"):
+            factorize_integer(mul(FIB, PELL), 2, 2, bound=bound)
+
     def test_budget_exhaustion_raises(self):
         prod = mul(FIB, PELL)
         with pytest.raises(BudgetExhausted):

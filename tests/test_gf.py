@@ -113,7 +113,7 @@ class TestTextFormats:
         assert parse_poly("0") == Polynomial()
 
     def test_parse_poly_rejects(self):
-        for bad in ("", "z**2", "1 +", "q^2"):
+        for bad in ("", "z**2", "1 +", "q^2", "1 - 1/0*z"):
             with pytest.raises(ValueError):
                 parse_poly(bad)
 

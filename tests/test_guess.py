@@ -91,6 +91,32 @@ class TestGuessRec:
             assert eval_terms(found, 16) == terms
 
 
+@st.composite
+def rational_recurrences(draw, max_order=6):
+    """(init, rec) with rational entries; often c_L = 0 or sparse init."""
+    fracs = st.fractions(min_value=-5, max_value=5, max_denominator=4)
+    L = draw(st.integers(min_value=1, max_value=max_order))
+    rec = draw(st.lists(fracs, min_size=L, max_size=L))
+    if draw(st.booleans()):
+        rec[-1] = Fraction(0)
+    sparse = st.one_of(st.just(Fraction(0)), fracs)
+    init = draw(st.lists(sparse, min_size=L, max_size=L))
+    return init, rec
+
+
+class TestGuessRecIsMinimal:
+    @given(rational_recurrences(), st.integers(min_value=0, max_value=6))
+    @settings(max_examples=200, deadline=None)
+    def test_minimize_is_identity_on_guesses(self, seq, extra):
+        init, rec = seq
+        terms = oracles.recurrence_terms(init, rec, 2 * len(rec) + 4 + extra)
+        found = guess_rec(terms, GuessConfig(max_order=8))
+        assert found is not None and found.order <= len(rec)
+        assert minimize(found) == found
+        oracle_init, oracle_rec = oracles.brute_force_guess(terms, 8)
+        assert found == CFiniteSeq(oracle_init, oracle_rec)
+
+
 class TestClosureOps:
     def test_fib_plus_lucas(self):
         assert add(FIB, LUCAS) == CFiniteSeq([2, 2], [1, 1])
