@@ -1,12 +1,16 @@
 """Recurrence guessing and everything built on top of it.
 
-The guessing strategy is plain undetermined coefficients: postulate an
-order, set up the exact linear system the terms impose, solve over Q, and
-only accept a recurrence that every supplied term satisfies.  Closure
-operations (sum, Hadamard product, binomial transform, partial sums,
-subsequences) generate enough terms for their theoretical order bound and
-then guess; a guessing failure at the bound means an arithmetic bug, never
-a mathematical possibility, and raises InvariantViolation.
+guess_rec finds the shortest recurrence of the supplied terms with one
+exact Berlekamp-Massey pass over Q (Massey 1969): O(N L) rational
+operations for N terms and order L, no linear system, no order search.
+The order is capped so that N >= 2L + safety_terms; with N >= 2L the
+shortest recurrence of N terms is unique, so the answer does not depend
+on the algorithm that finds it.  Every supplied term is re-checked against
+the result before it is returned.  Closure operations (sum, Hadamard
+product, binomial transform, partial sums, subsequences) generate enough
+terms for their theoretical order bound and then guess; a guessing failure
+at the bound means an arithmetic bug, never a mathematical possibility,
+and raises InvariantViolation.
 
 Equality of two sequences is decidable by a finite check: the difference
 satisfies a recurrence of order at most L1 + L2, so that many matching
@@ -57,34 +61,72 @@ class ProofCertificate:
         )
 
 
-def guess_rec(terms, cfg: GuessConfig):
-    """Minimal-order recurrence fitting every supplied term, or None.
+def _berlekamp_massey(terms, max_l):
+    """Linear complexity L and connection polynomial of `terms`, or None.
 
-    Orders are tried ascending; for each candidate order L the full exact
-    system over all available indices is solved (free variables pinned to
-    0), so any returned recurrence fits all terms by construction.  The
-    search is capped so at least `safety_terms` equations remain beyond
-    the 2L terms that barely determine an order-L fit.
+    The connection polynomial C = [1, C_1, ..., C_L] (trailing zeros
+    possible) satisfies sum_i C_i a(n - i) = 0 for every L <= n < N.
+    Returns None as soon as L exceeds max_l; L never decreases.
+    """
+    C, B = [Fraction(1)], [Fraction(1)]  # current; before the last length change
+    L, m, b = 0, 1, Fraction(1)
+    for n, t in enumerate(terms):
+        d = t
+        for i in range(1, len(C)):
+            d += C[i] * terms[n - i]
+        if not d:
+            m += 1
+            continue
+        q = d / b
+        prev = C
+        C = C + [Fraction(0)] * (len(B) + m - len(C))
+        for i, x in enumerate(B):
+            C[i + m] -= q * x
+        if 2 * L <= n:
+            L = n + 1 - L
+            if L > max_l:
+                return None
+            B, b, m = prev, d, 1
+        else:
+            m += 1
+    return L, C
+
+
+def guess_rec(terms, cfg: GuessConfig):
+    """Shortest recurrence fitting every supplied term, or None.
+
+    One Berlekamp-Massey pass gives the linear complexity L of all N
+    terms: the least L with a(n) = c_1 a(n-1) + ... + c_L a(n-L) for every
+    L <= n < N.  L is capped by max_l = min(max_order, (N - safety_terms)
+    // 2), which keeps at least `safety_terms` equations beyond the 2L
+    terms that barely determine an order-L fit; above the cap (or when the
+    cap is below 1) the answer is None.  Because N >= 2L, the shortest
+    recurrence is unique, so this is also the recurrence an order-by-order
+    search of the full linear systems would find first.  c_L = 0 is kept
+    (rec is padded with zeros up to L), and all-zero terms give [[0], [0]].
+    The result is checked against every supplied term; a mismatch is a bug
+    and raises InvariantViolation.
 
     The fit is already what `minimize` would return: a lower-order form of
     the same sequence (after cancelling a generating-function gcd) would
-    fit the same terms and have been found first.
+    fit the same terms with a smaller L.
     """
     terms = [Fraction(t) for t in terms]
     if len(terms) < 4:
         raise ValueError("need at least 4 terms to guess")
     max_l = min(cfg.max_order, (len(terms) - cfg.safety_terms) // 2)
-    for L in range(1, max_l + 1):
-        A = [[terms[n - 1 - i] for i in range(L)] for n in range(L, len(terms))]
-        b = [terms[n] for n in range(L, len(terms))]
-        sol = linalg.solve(A, b)
-        if sol is None:
-            continue
-        cand = CFiniteSeq(terms[:L], sol)
-        if eval_terms(cand, len(terms)) != terms:
-            raise InvariantViolation("full-system solution failed verification")
-        return cand
-    return None
+    if max_l < 1:
+        return None
+    found = _berlekamp_massey(terms, max_l)
+    if found is None:
+        return None
+    L, C = found
+    L = max(1, L)  # all-zero terms: [[0], [0]]
+    rec = [-c for c in C[1 : L + 1]]
+    cand = CFiniteSeq(terms[:L], rec + [Fraction(0)] * (L - len(rec)))
+    if eval_terms(cand, len(terms)) != terms:
+        raise InvariantViolation("Berlekamp-Massey recurrence failed verification")
+    return cand
 
 
 def _close(what: str, bound: int, make) -> CFiniteSeq:
@@ -219,6 +261,8 @@ class PolyRelation:
     def __str__(self):
         parts = []
         for exps, c in zip(self.support, self.coefficients):
+            if not c:
+                continue
             factors = []
             for i in range(len(exps) - 1, -1, -1):
                 e = exps[i]

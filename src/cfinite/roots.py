@@ -129,15 +129,19 @@ def char_roots(
 ) -> BinetForm:
     """Roots of z^L - c_1 z^(L-1) - ... - c_L to `digits` decimal digits.
 
-    The input should already be minimal; a zero trailing coefficient means
-    z = 0 is a root and the caller is told to minimize/deflate instead.
-    With `with_coefficients` the Vandermonde system for the Binet
-    coefficients is solved as well (simple roots only).
+    The input should already be minimal.  A zero trailing coefficient means
+    z = 0 is a root, which has no Binet term, so it is a ValueError.  Even
+    a minimal recurrence keeps that root when the sequence has a transient
+    start (e.g. it is eventually 0).  With `with_coefficients` the
+    Vandermonde system for the Binet coefficients is solved as well
+    (simple roots only).
     """
     if seq.rec[-1] == 0:
         raise ValueError(
-            "trailing recurrence coefficient is 0 (zero characteristic root); "
-            "minimize the sequence first"
+            "trailing recurrence coefficient is 0, so z = 0 is a "
+            "characteristic root, which root-based methods cannot handle; "
+            "minimizing removes it unless the sequence has a transient start "
+            "(e.g. it is eventually 0)"
         )
     L = seq.order
     with mpmath.workdps(digits + 20):

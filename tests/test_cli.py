@@ -167,6 +167,27 @@ class TestAnalysis:
         assert code == 0
         assert out.endswith("= 0")
 
+    def test_nlr_skips_zero_coefficients(self, capsys):
+        terms = [0, 1]
+        while len(terms) < 30:
+            terms.append(terms[-1] + terms[-2])
+        argv = ("nlr", ",".join(map(str, terms)), "--order", "2", "--degree", "2")
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert out == "a(n) - a(n-1) - a(n-2) = 0"
+        code, out, _ = run(capsys, "--json", *argv)
+        assert code == 0
+        assert json.loads(out)["text"] == "a(n) - a(n-1) - a(n-2) = 0"
+
+    @pytest.mark.parametrize("verb", ["isprod", "factor"])
+    def test_intrinsic_zero_root_exit_2(self, capsys, verb):
+        # 1, 2, 3, 1, 0, 0, ...: already minimal, z = 0 stays a root
+        code, _, err = run(capsys, verb, "[[1,2,3,1],[0,0,0,0]]", "--orders", "2,2")
+        assert code == 2
+        assert "z = 0 is a characteristic root" in err
+        assert "transient start" in err
+        assert "minimize the sequence first" not in err
+
 
 class TestDimerCLI:
     def test_terms(self, capsys):

@@ -49,8 +49,7 @@ class TestGuessRec:
 
     def test_constant_zero(self):
         found = guess_rec([0] * 8, GuessConfig(max_order=2))
-        assert found is not None
-        assert eval_terms(found, 10) == [0] * 10
+        assert found == CFiniteSeq([0], [0])
 
     def test_returns_minimal_order(self):
         # terms of an order-2 sequence must never come back at order 3
@@ -85,10 +84,19 @@ class TestGuessRec:
             terms = oracles.recurrence_terms(init, rec, 16)
             found = guess_rec(terms, GuessConfig(max_order=5))
             oracle = oracles.brute_force_guess(terms, 5)
-            assert found is not None and oracle is not None
-            # same minimal order, and both reproduce the data
-            assert found.order <= len(oracle[1])
-            assert eval_terms(found, 16) == terms
+            assert oracle is not None
+            assert found == CFiniteSeq(*oracle)
+
+    def test_order_25_product_against_oracle(self):
+        # mul of two order-5 sequences: generic order 25 from 54 terms
+        s1 = CFiniteSeq([1, 2, 0, -1, 1], [1, -2, 3, 1, 1])
+        s2 = CFiniteSeq([0, 1, 1, 3, 2], [2, 1, -1, 1, -1])
+        found = mul(s1, s2)
+        t1 = oracles.recurrence_terms(s1.init, s1.rec, 54)
+        t2 = oracles.recurrence_terms(s2.init, s2.rec, 54)
+        oracle = oracles.brute_force_guess([a * b for a, b in zip(t1, t2)], 25)
+        assert found.order == 25
+        assert found == CFiniteSeq(*oracle)
 
 
 @st.composite
@@ -104,7 +112,44 @@ def rational_recurrences(draw, max_order=6):
     return init, rec
 
 
+@st.composite
+def guess_inputs(draw):
+    """(terms, cfg): recurrence terms, one perturbed term, or all zeros."""
+    init, rec = draw(rational_recurrences())
+    n = draw(st.integers(min_value=4, max_value=2 * len(rec) + 8))
+    terms = oracles.recurrence_terms(init, rec, n)
+    kind = draw(st.sampled_from(["exact", "perturbed", "zero"]))
+    if kind == "perturbed":
+        k = draw(st.integers(min_value=0, max_value=n - 1))
+        terms[k] += draw(st.sampled_from([Fraction(1), Fraction(-2, 3)]))
+    elif kind == "zero":
+        terms = [Fraction(0)] * n
+    cfg = GuessConfig(
+        max_order=draw(st.integers(min_value=1, max_value=9)),
+        safety_terms=draw(st.integers(min_value=0, max_value=6)),
+    )
+    return terms, cfg
+
+
 class TestGuessRecIsMinimal:
+    @given(guess_inputs())
+    @settings(max_examples=300, deadline=None)
+    def test_equals_brute_force_oracle(self, case):
+        terms, cfg = case
+        # the order cap leaves safety_terms equations beyond 2L terms
+        max_l = min(cfg.max_order, (len(terms) - cfg.safety_terms) // 2)
+        oracle = oracles.brute_force_guess(terms, max_l)
+        found = guess_rec(terms, cfg)
+        if oracle is None:
+            assert found is None
+        else:
+            assert found == CFiniteSeq(*oracle)
+
+    def test_trailing_zero_coefficient_kept(self):
+        # 1, 2, 3, 0, 0, ...: linear complexity 3 with c_3 = 0
+        found = guess_rec([1, 2, 3] + [0] * 7, GuessConfig(max_order=4))
+        assert found == CFiniteSeq([1, 2, 3], [0, 0, 0])
+
     @given(rational_recurrences(), st.integers(min_value=0, max_value=6))
     @settings(max_examples=200, deadline=None)
     def test_minimize_is_identity_on_guesses(self, seq, extra):
@@ -280,9 +325,16 @@ class TestGuessNLR:
 
     def test_str_rendering(self):
         rel = guess_nlr(eval_terms(FIB, 80), order=2, degree=4)
-        text = str(rel)
-        assert text.endswith("= 0")
-        assert "a(n)" in text and "a(n-2)" in text
+        # (F(n)^2 - F(n)F(n-1) - F(n-1)^2)^2 = 1: a(n-2) has only zero
+        # coefficients, so it is not printed
+        assert str(rel) == (
+            "a(n)^4 - 2*a(n)^3*a(n-1) - a(n)^2*a(n-1)^2 + 2*a(n)*a(n-1)^3 "
+            "+ a(n-1)^4 - 1 = 0"
+        )
+
+    def test_str_skips_zero_coefficients(self):
+        rel = guess_nlr(eval_terms(FIB, 30), order=2, degree=2)
+        assert str(rel) == "a(n) - a(n-1) - a(n-2) = 0"
 
 
 class TestParametricIdentities:
