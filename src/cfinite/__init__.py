@@ -35,7 +35,6 @@ from .roots import (
     is_prod,
     is_prod_g,
     prod_indicator,
-    ratio_profile,
 )
 from .factor import FactorPair, factorize_integer, factorize_roots
 from .dimers import (
@@ -81,7 +80,6 @@ __all__ = [
     "prod_indicator",
     "prove_equal",
     "r_to_c",
-    "ratio_profile",
     "scale",
     "shift",
     "subsequence",

@@ -30,11 +30,7 @@ import mpmath
 from . import guess
 from .core import CFiniteSeq, content, eval_terms, minimize, scale
 from .linalg import solve
-from .roots import DEFAULT_DIGITS, OrderMismatchError, char_roots
-
-
-class PrecisionError(ArithmeticError):
-    """Rational reconstruction failed at every precision on the retry ladder."""
+from .roots import DEFAULT_DIGITS, OrderMismatchError, PrecisionError, char_roots
 
 
 class BudgetExhausted(RuntimeError):

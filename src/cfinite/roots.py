@@ -1,21 +1,26 @@
-"""Characteristic-root analysis and the empirical product test.
+"""Characteristic-root analysis and the product test.
 
 A sequence of order L generically has a Binet form sum C_i alpha_i^n over
 the L roots of its characteristic polynomial.  If the sequence is a
 termwise product, its root set is the Cartesian product of the factors'
 root sets, and the multiset of the L^2 pairwise root ratios then shows a
 telltale repetition pattern.  prod_indicator computes that pattern
-combinatorially for generic factors; ratio_profile measures it on
-high-precision numerical roots; is_prod / is_prod_g compare the two.
+combinatorially for generic factors; is_prod / is_prod_g measure it
+exactly, as the root multiplicities of the polynomial whose roots are the
+ratios (power sums, Newton's identities, Yun's square-free decomposition),
+and compare the two.
 
-The verdicts match the source semantics of this style of test: a "yes" is
-an empirical proof (exact to the working precision), a "no" is definitive
-only generically.  Diagnostics always carry both profiles.
+A "yes" means the observed profile matches or coarsens the generic one;
+only a factor certificate (factorize_roots, factorize_integer) proves
+that the sequence is a product.  A "no" is definitive only generically.
+Diagnostics always carry both profiles.  Floating point is confined to
+char_roots, which feeds factorize_roots.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -23,7 +28,7 @@ from typing import Optional
 
 import mpmath
 
-from .core import CFiniteSeq, eval_terms, minimize
+from .core import CFiniteSeq, Polynomial, eval_terms, minimize, poly_gcd
 
 DEFAULT_DIGITS = 100
 
@@ -35,7 +40,11 @@ class OrderMismatchError(ValueError):
 
 
 class DegenerateRootsError(ArithmeticError):
-    """Near-multiple characteristic roots; profile tests are unreliable."""
+    """Multiple (or, numerically, near-multiple) characteristic roots."""
+
+
+class PrecisionError(ArithmeticError):
+    """A numeric result could not be certified at the working precision."""
 
 
 @dataclass(frozen=True)
@@ -72,6 +81,13 @@ def _to_mpf(x: Fraction):
     return mpmath.mpf(x.numerator) / mpmath.mpf(x.denominator)
 
 
+def _horner(cs, z):
+    acc = mpmath.mpc(0)
+    for c in reversed(cs):
+        acc = acc * z + c
+    return acc
+
+
 def _aberth(coeffs, digits):
     """All roots of a monic polynomial by simultaneous Aberth iteration.
 
@@ -81,13 +97,6 @@ def _aberth(coeffs, digits):
     """
     L = len(coeffs) - 1
     deriv = [k * coeffs[k] for k in range(1, L + 1)]
-
-    def horner(cs, z):
-        acc = mpmath.mpc(0)
-        for c in reversed(cs):
-            acc = acc * z + c
-        return acc
-
     cauchy = 1 + max(abs(c) for c in coeffs[:-1])
     rng = random.Random(_JITTER_SEED)
     zs = [
@@ -102,8 +111,8 @@ def _aberth(coeffs, digits):
         new = list(zs)
         for i in range(L):
             z = zs[i]
-            pz = horner(coeffs, z)
-            dpz = horner(deriv, z)
+            pz = _horner(coeffs, z)
+            dpz = _horner(deriv, z)
             if dpz == 0:
                 new[i] = z + eps
                 converged = False
@@ -124,6 +133,17 @@ def _aberth(coeffs, digits):
     return zs
 
 
+def _require_nonzero_roots(seq: CFiniteSeq):
+    """ValueError if z = 0 is a characteristic root (c_L = 0)."""
+    if seq.rec[-1] == 0:
+        raise ValueError(
+            "trailing recurrence coefficient is 0, so z = 0 is a "
+            "characteristic root, which root-based methods cannot handle; "
+            "minimizing removes it unless the sequence has a transient start "
+            "(e.g. it is eventually 0)"
+        )
+
+
 def char_roots(
     seq: CFiniteSeq, digits: int = DEFAULT_DIGITS, with_coefficients: bool = False
 ) -> BinetForm:
@@ -136,13 +156,7 @@ def char_roots(
     Vandermonde system for the Binet coefficients is solved as well
     (simple roots only).
     """
-    if seq.rec[-1] == 0:
-        raise ValueError(
-            "trailing recurrence coefficient is 0, so z = 0 is a "
-            "characteristic root, which root-based methods cannot handle; "
-            "minimizing removes it unless the sequence has a transient start "
-            "(e.g. it is eventually 0)"
-        )
+    _require_nonzero_roots(seq)
     L = seq.order
     with mpmath.workdps(digits + 20):
         coeffs = [-_to_mpf(c) for c in reversed(seq.rec)] + [mpmath.mpf(1)]
@@ -153,15 +167,9 @@ def char_roots(
         height = 1 + max(abs(c) for c in coeffs[:-1])
         limit = mpmath.mpf(10) ** (-(digits - 10)) * height
 
-        def horner(z):
-            acc = mpmath.mpc(0)
-            for c in reversed(coeffs):
-                acc = acc * z + c
-            return acc
-
         for z in zs:
-            if abs(horner(z)) > limit:
-                raise ArithmeticError(
+            if abs(_horner(coeffs, z)) > limit:
+                raise PrecisionError(
                     f"root residual exceeds tolerance at {digits} digits"
                 )
 
@@ -190,11 +198,11 @@ def char_roots(
             cs = tuple(sol[i] for i in range(L))
             # the Binet form must reproduce the sequence it came from
             check = eval_terms(seq, 2 * L)
-            rel_tol = mpmath.mpf(10) ** (-digits // 2)
+            tol = mpmath.mpf(10) ** (-digits // 2)
             for n, want in enumerate(check):
                 got = sum(cs[i] * zs[i] ** n for i in range(L))
-                if abs(got - _to_mpf(want)) > rel_tol * (1 + abs(_to_mpf(want))):
-                    raise ArithmeticError(
+                if abs(got - _to_mpf(want)) > tol * (1 + abs(_to_mpf(want))):
+                    raise PrecisionError(
                         "Binet form fails to reproduce the sequence terms"
                     )
         return BinetForm(
@@ -216,70 +224,16 @@ def prod_indicator(orders) -> RepetitionProfile:
     orders = list(orders)
     if not orders or any(m < 1 for m in orders):
         raise ValueError("orders must be a nonempty list of counts >= 1")
-    per_factor = []
-    for m in orders:
-        options = [("canc", m)]
-        options += [((i, k), 1) for i in range(m) for k in range(m) if i != k]
-        per_factor.append(options)
-    mults = []
-    for combo in itertools.product(*per_factor):
-        size = 1
-        for _, s in combo:
-            size *= s
-        mults.append(size)
-    return RepetitionProfile(tuple(mults))
-
-
-def ratio_profile(bf: BinetForm, rel_tol=None, allow_degenerate=False) -> RepetitionProfile:
-    """Cluster the L^2 pairwise root ratios; return sorted class sizes.
-
-    Single-linkage with relative tolerance (default 10^(-digits/2)); the
-    ratios are sorted by (real, imaginary) first, so the clustering is
-    deterministic for a given root set.
-    """
-    if bf.near_multiple and not allow_degenerate:
-        raise DegenerateRootsError(
-            "near-multiple roots: the ratio profile is unreliable"
-        )
-    with mpmath.workdps(bf.precision_digits + 20):
-        if rel_tol is None:
-            rel_tol = mpmath.mpf(10) ** (-bf.precision_digits // 2)
-        else:
-            rel_tol = mpmath.mpf(rel_tol)
-        small = mpmath.mpf(10) ** (-bf.precision_digits // 2)
-        if any(abs(z) < small for z in bf.roots):
-            raise ValueError("root magnitude below tolerance; cannot form ratios")
-        ratios = [a / b for a in bf.roots for b in bf.roots]
-        ratios.sort(key=lambda z: (mpmath.re(z), mpmath.im(z)))
-        n = len(ratios)
-        parent = list(range(n))
-
-        def find(i):
-            while parent[i] != i:
-                parent[i] = parent[parent[i]]
-                i = parent[i]
-            return i
-
-        for i in range(n):
-            for j in range(i + 1, n):
-                if abs(ratios[i] - ratios[j]) <= rel_tol * max(
-                    abs(ratios[i]), abs(ratios[j])
-                ):
-                    ri, rj = find(i), find(j)
-                    if ri != rj:
-                        parent[ri] = rj
-        sizes = {}
-        for i in range(n):
-            r = find(i)
-            sizes[r] = sizes.get(r, 0) + 1
-        return RepetitionProfile(tuple(sizes.values()))
+    # per factor: the cancelled slot (size m) or one of m^2 - m index pairs
+    per_factor = [[m] + [1] * (m * m - m) for m in orders]
+    return RepetitionProfile(tuple(map(math.prod, itertools.product(*per_factor))))
 
 
 def _is_coarsening(observed, generic):
     """Can ``observed`` be obtained by merging classes of ``generic``?
 
-    For a genuine product, equal symbolic root ratios force equal numeric
-    ratios, so every numeric ratio class is a union of generic symbolic
+    For a genuine product, equal symbolic root ratios force equal actual
+    ratios, so every observed ratio class is a union of generic symbolic
     classes.  Extra multiplicative coincidences among the factor roots
     (e.g. both +1 and -1 occurring) therefore coarsen the generic profile
     but never refine it.  Backtracking over the class-size multisets; the
@@ -327,34 +281,84 @@ class ProductVerdict:
         )
 
 
-def is_prod_g(seq: CFiniteSeq, orders, digits: int = DEFAULT_DIGITS) -> ProductVerdict:
-    """Empirical product test against an arbitrary list of factor orders.
+def _derivative(f: Polynomial) -> Polynomial:
+    return Polynomial(k * f[k] for k in range(1, f.degree + 1))
 
-    "YES" means the observed ratio profile matches the generic profile of
+
+def _power_sums(rec, K) -> list:
+    """Power sums p(0..K) of the roots of z^L - c_1 z^(L-1) - ... - c_L.
+
+    Newton's identities give p(1..L); past L they are the recurrence itself.
+    """
+    L, p = len(rec), [Fraction(len(rec))]
+    for k in range(1, K + 1):
+        s = sum(rec[i] * p[k - 1 - i] for i in range(min(k - 1, L)))
+        p.append(s + k * rec[k - 1] if k <= L else s)
+    return p
+
+
+def _ratio_poly(rec) -> Polynomial:
+    """Monic polynomial whose roots are the L^2 - L ratios gamma_i / gamma_j, i != j.
+
+    The recurrence run backwards (c_L != 0) has the roots 1 / gamma_i, so
+    p(k) p(-k) - L is the k-th power sum of the off-diagonal ratios, and
+    Newton's identities, solved for the coefficients, give the polynomial.
+    """
+    L, N = len(rec), len(rec) ** 2 - len(rec)
+    backwards = [-c / rec[-1] for c in rec[-2::-1]] + [1 / rec[-1]]
+    q = [x * y - L for x, y in zip(_power_sums(rec, N), _power_sums(backwards, N))]
+    a = []  # the polynomial is z^N - a_1 z^(N-1) - ... - a_N
+    for k in range(1, N + 1):
+        a.append((q[k] - sum(a[i] * q[k - 1 - i] for i in range(k - 1))) / k)
+    return Polynomial([-x for x in reversed(a)] + [1])
+
+
+def _root_multiplicities(f: Polynomial) -> list:
+    """Multiplicity of each distinct complex root of f, by Yun's algorithm."""
+    df = _derivative(f)
+    g = poly_gcd(f, df)
+    c = f // g
+    d = df // g - _derivative(c)
+    mults, k = [], 1
+    while c.degree > 0:
+        a = poly_gcd(c, d)
+        c = c // a
+        d = d // a - _derivative(c)
+        mults += [k] * a.degree
+        k += 1
+    return mults
+
+
+def is_prod_g(seq: CFiniteSeq, orders, digits: int = DEFAULT_DIGITS) -> ProductVerdict:
+    """Product test against an arbitrary list of factor orders.
+
+    "YES" means the exact ratio profile matches the generic profile of
     such a product, either exactly or as a merge-coarsening of it (a true
-    product can only coarsen the generic profile, never refine it).  "NO"
-    is generic-only evidence; the diagnostics carry both profiles for
-    inspection, and the note records non-exact matches.
+    product can only coarsen the generic profile, never refine it); only
+    a factor certificate proves that the sequence is a product.  "NO" is
+    generic-only evidence; the note records non-exact matches.  Multiple
+    characteristic roots raise DegenerateRootsError.  `digits` is only
+    echoed in the verdict: no floating point is involved.
     """
     orders = tuple(orders)
     m = minimize(seq)
-    expected_order = 1
-    for o in orders:
-        expected_order *= o
-    if m.order != expected_order:
+    if m.order != math.prod(orders):
         raise OrderMismatchError(
-            f"minimal order {m.order} != product of orders {expected_order}"
+            f"minimal order {m.order} != product of orders {math.prod(orders)}"
         )
-    bf = char_roots(m, digits)
-    observed = ratio_profile(bf)
+    _require_nonzero_roots(m)
+    P = m.char_poly()
+    if poly_gcd(P, _derivative(P)).degree > 0:
+        raise DegenerateRootsError(
+            "multiple characteristic roots: the ratio profile is undefined"
+        )
+    # the L diagonal ratios are 1, and no other ratio is, the roots being distinct
+    observed = RepetitionProfile((m.order, *_root_multiplicities(_ratio_poly(m.rec))))
     expected = prod_indicator(orders)
-    if observed == expected:
-        is_product, note = True, ""
-    elif _is_coarsening(observed.multiplicities, expected.multiplicities):
-        is_product = True
+    is_product = _is_coarsening(observed.multiplicities, expected.multiplicities)
+    note = ""
+    if is_product and observed != expected:
         note = "degenerate match: observed profile coarsens the generic one"
-    else:
-        is_product, note = False, ""
     return ProductVerdict(
         is_product=is_product,
         orders=orders,

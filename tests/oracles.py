@@ -2,12 +2,14 @@
 
 Everything here is deliberately written from scratch with the most naive
 algorithm available (direct recursion, dense Gaussian elimination over
-Fractions, exhaustive backtracking) so a bug in the package cannot hide
-behind shared code.
+Fractions, exhaustive backtracking, numeric clustering of root ratios) so
+a bug in the package cannot hide behind shared code.
 """
 
 from fractions import Fraction
 from math import comb
+
+import mpmath
 
 
 def recurrence_terms(init, rec, n):
@@ -178,6 +180,47 @@ def weighted_tilings(m, n, h, v):
         return total
 
     return rec()
+
+
+def ratio_profile(bf, rel_tol=None, allow_degenerate=False):
+    """Sorted class sizes of the L^2 pairwise root ratios, clustered numerically.
+
+    `bf` carries numerical roots (`roots`), their precision
+    (`precision_digits`) and a near-multiple flag (`near_multiple`), as
+    `cfinite.roots.char_roots` returns them.  Single-linkage clustering
+    with relative tolerance (default 10^(-digits/2)) over the ratios
+    sorted by (real, imaginary); O(L^4).  ArithmeticError on near-multiple
+    roots unless `allow_degenerate`, ValueError on a root too close to 0.
+    """
+    if bf.near_multiple and not allow_degenerate:
+        raise ArithmeticError("near-multiple roots: the ratio profile is unreliable")
+    with mpmath.workdps(bf.precision_digits + 20):
+        small = mpmath.mpf(10) ** (-bf.precision_digits // 2)
+        rel_tol = small if rel_tol is None else mpmath.mpf(rel_tol)
+        if any(abs(z) < small for z in bf.roots):
+            raise ValueError("root magnitude below tolerance; cannot form ratios")
+        ratios = [a / b for a in bf.roots for b in bf.roots]
+        ratios.sort(key=lambda z: (mpmath.re(z), mpmath.im(z)))
+        n = len(ratios)
+        parent = list(range(n))
+
+        def find(i):
+            while parent[i] != i:
+                parent[i] = parent[parent[i]]
+                i = parent[i]
+            return i
+
+        for i in range(n):
+            for j in range(i + 1, n):
+                if abs(ratios[i] - ratios[j]) <= rel_tol * max(
+                    abs(ratios[i]), abs(ratios[j])
+                ):
+                    parent[find(i)] = find(j)
+        sizes = {}
+        for i in range(n):
+            r = find(i)
+            sizes[r] = sizes.get(r, 0) + 1
+        return tuple(sorted(sizes.values()))
 
 
 def random_sequence(rng, max_order=6, value_range=(-5, 5), rational=False):

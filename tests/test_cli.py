@@ -3,6 +3,8 @@ import json
 import pytest
 
 from cfinite.cli import main
+from cfinite.core import CFiniteSeq, format_seq
+from cfinite.guess import mul
 
 
 def run(capsys, *argv):
@@ -178,6 +180,27 @@ class TestAnalysis:
         code, out, _ = run(capsys, "--json", *argv)
         assert code == 0
         assert json.loads(out)["text"] == "a(n) - a(n-1) - a(n-2) = 0"
+
+    # a factor coefficient near 10^24, times Fibonacci
+    BIG_PRODUCT = format_seq(
+        mul(CFiniteSeq([1, 2], [999999000001 * 1000000000039, 1]), CFiniteSeq([0, 1], [1, 1]))
+    )
+
+    def test_isprod_huge_coefficients_yes(self, capsys):
+        code, out, _ = run(
+            capsys, "isprod", self.BIG_PRODUCT, "--orders", "2,2", "--digits", "50"
+        )
+        assert code == 0
+        assert out.startswith("YES")
+
+    def test_factor_precision_error_exit_2(self, capsys):
+        # the numeric root finder cannot certify these roots at 50 digits
+        code, out, err = run(
+            capsys, "factor", self.BIG_PRODUCT, "--orders", "2,2", "--digits", "50"
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: root residual exceeds tolerance")
 
     @pytest.mark.parametrize("verb", ["isprod", "factor"])
     def test_intrinsic_zero_root_exit_2(self, capsys, verb):

@@ -7,12 +7,14 @@ import pytest
 from cfinite.core import CFiniteSeq, eval_terms
 from cfinite.factor import (
     BudgetExhausted,
+    PrecisionError,
     _mpf_to_fraction,
     _reconstruct,
     factorize_integer,
     factorize_roots,
 )
 from cfinite.guess import mul, prove_equal
+from cfinite import roots
 from cfinite.roots import OrderMismatchError
 from cfinite import corpus
 
@@ -194,3 +196,18 @@ def test_factor_pair_ordering():
         pair.right.rec,
         pair.right.init,
     )
+
+
+def test_precision_error_is_shared_with_roots():
+    assert PrecisionError is roots.PrecisionError
+    assert issubclass(PrecisionError, ArithmeticError)
+
+
+def test_uncertified_roots_raise_precision_error():
+    # a factor coefficient near 10^24: the residual check fails at 50 digits
+    big = mul(
+        CFiniteSeq([1, 2], [999999000001 * 1000000000039, 1]),
+        CFiniteSeq([0, 1], [1, 1]),
+    )
+    with pytest.raises(PrecisionError, match="root residual"):
+        factorize_roots(big, 2, 2, digits=50)

@@ -1,22 +1,24 @@
+import math
 import random
 from fractions import Fraction
 
 import mpmath
 import pytest
 
-from cfinite.core import CFiniteSeq, eval_terms
-from cfinite.guess import mul
+from cfinite.core import CFiniteSeq, Polynomial, eval_terms, minimize
+from cfinite.guess import GuessConfig, guess_rec, mul
 from cfinite.roots import (
     BinetForm,
     DegenerateRootsError,
     OrderMismatchError,
     RepetitionProfile,
     _is_coarsening,
+    _ratio_poly,
+    _root_multiplicities,
     char_roots,
     is_prod,
     is_prod_g,
     prod_indicator,
-    ratio_profile,
 )
 from cfinite import corpus
 
@@ -24,6 +26,10 @@ import oracles
 
 FIB = corpus.lookup("fibonacci")
 PELL = corpus.lookup("pell")
+# factor coefficient 999999000001 * 1000000000039, times Fibonacci
+BIG_PRODUCT = mul(
+    CFiniteSeq([1, 2], [999999000001 * 1000000000039, 1]), CFiniteSeq([0, 1], [1, 1])
+)
 
 
 class TestCharRoots:
@@ -115,24 +121,128 @@ class TestProdIndicator:
 
 
 class TestRatioProfile:
+    """The numeric clustering oracle on its own."""
+
     def test_fibonacci_profile(self):
         bf = char_roots(FIB, 100)
-        assert str(ratio_profile(bf)) == "[1, 1, 2]"
+        assert oracles.ratio_profile(bf) == (1, 1, 2)
 
     def test_geometric_profile(self):
         bf = char_roots(corpus.lookup("geometric", [3]), 50)
-        assert ratio_profile(bf).multiplicities == (1,)
+        assert oracles.ratio_profile(bf) == (1,)
 
     def test_degenerate_rejected(self):
         s = CFiniteSeq([0, 1], [2, -1])  # double root at 1
         bf = char_roots(s, 50)
-        with pytest.raises(DegenerateRootsError):
-            ratio_profile(bf)
+        with pytest.raises(ArithmeticError):
+            oracles.ratio_profile(bf)
 
     def test_zero_root_rejected(self):
         s = CFiniteSeq([1, 0], [0, 0])
-        with pytest.raises((ValueError, DegenerateRootsError)):
-            ratio_profile(char_roots(s, 50))
+        with pytest.raises((ValueError, ArithmeticError)):
+            oracles.ratio_profile(char_roots(s, 50))
+
+
+def _observed(seq):
+    """The exact profile of a minimal sequence, through the public test."""
+    return is_prod_g(seq, (seq.order,)).observed.multiplicities
+
+
+def _random_factor(rng, L):
+    return CFiniteSeq(
+        [rng.randint(1, 5) for _ in range(L)],
+        [rng.randint(-4, 4) for _ in range(L - 1)] + [rng.choice([1, -1, 2, -3, 3])],
+    )
+
+
+def _unit_root_factor(rng, L=2):
+    # a(n) = a(n-2) has the roots +1 and -1
+    return CFiniteSeq([rng.randint(1, 3), rng.choice([-2, 2, 3])], [0, 1])
+
+
+def _random_product(rng, shape, first=_random_factor):
+    """A full-order product of random factors with simple roots.
+
+    `first(rng, L)` draws the first factor, `_random_factor` the others.
+    """
+    while True:
+        prod = first(rng, shape[0])
+        for L in shape[1:]:
+            prod = mul(prod, _random_factor(rng, L))
+        if prod.order != math.prod(shape):
+            continue
+        try:
+            _observed(prod)
+        except DegenerateRootsError:
+            continue
+        return prod
+
+
+def _four_geometric_sum(rng):
+    bases = rng.sample([2, 3, 5, 7, 11, 13], 4)
+    weights = [rng.choice([-3, -2, -1, 1, 2, 3]) for _ in bases]
+    terms = [sum(w * b**n for w, b in zip(weights, bases)) for n in range(12)]
+    return guess_rec(terms, GuessConfig(max_order=4))
+
+
+class TestExactProfile:
+    """The exact profile of is_prod_g against the numeric oracle."""
+
+    def test_fibonacci_ratio_poly(self):
+        # the ratios -phi^2 and -1/phi^2 are the roots of z^2 + 3z + 1
+        assert _ratio_poly(FIB.rec) == Polynomial([1, 3, 1])
+
+    def test_root_multiplicities(self):
+        # (z - 1)^2 (z + 2)^3 (z - 3)
+        a, b, c = Polynomial([-1, 1]), Polynomial([2, 1]), Polynomial([-3, 1])
+        f = a * a * b * b * b * c
+        assert sorted(_root_multiplicities(f)) == [1, 2, 3]
+        assert _root_multiplicities(Polynomial([1])) == []
+
+    def test_random_simple_root_sequences(self):
+        rng = random.Random(2718)
+        checked = 0
+        for _ in range(120):
+            init, rec = oracles.random_sequence(rng, max_order=6, rational=True)
+            m = minimize(CFiniteSeq(init, rec))
+            if m.rec[-1] == 0:
+                continue
+            try:
+                exact = _observed(m)
+            except DegenerateRootsError:
+                continue
+            assert exact == oracles.ratio_profile(char_roots(m, 50)), m
+            checked += 1
+        assert checked >= 100
+
+    @pytest.mark.parametrize("shape", [(2, 2), (2, 3), (3, 3), (2, 2, 2)])
+    def test_products_of_each_shape(self, shape):
+        rng = random.Random(str(shape))
+        for _ in range(3):
+            prod = _random_product(rng, shape)
+            verdict = is_prod_g(prod, shape)
+            assert verdict.is_product, (prod, verdict)
+            want = oracles.ratio_profile(char_roots(prod, 50))
+            assert verdict.observed.multiplicities == want, prod
+
+    def test_unit_root_products_coarsen(self):
+        rng = random.Random(1729)
+        for _ in range(3):
+            prod = _random_product(rng, (2, 2), first=_unit_root_factor)
+            verdict = is_prod_g(prod, (2, 2))
+            assert verdict.is_product and verdict.note, (prod, verdict)
+            assert verdict.observed != verdict.expected
+            want = oracles.ratio_profile(char_roots(prod, 50))
+            assert verdict.observed.multiplicities == want, prod
+
+    def test_four_geometric_sums(self):
+        rng = random.Random(1618)
+        for _ in range(4):
+            s = _four_geometric_sum(rng)
+            verdict = is_prod_g(s, (2, 2))
+            assert not verdict.is_product
+            want = oracles.ratio_profile(char_roots(s, 50))
+            assert verdict.observed.multiplicities == want, s
 
 
 class TestCoarsening:
@@ -197,6 +307,30 @@ class TestIsProd:
         prod = mul(FIB, PELL)
         for d in (50, 100, 200):
             assert is_prod(prod, 2, 2, digits=d).is_product
+
+    def test_huge_coefficient_product_yes(self):
+        # a factor coefficient near 10^24 defeats the numeric root residual
+        # check at any working precision; the exact profile does not care
+        verdict = is_prod_g(BIG_PRODUCT, (2, 2), 50)
+        assert verdict.is_product
+        assert verdict.observed == verdict.expected
+
+    @pytest.mark.parametrize("digits", [50, 100])
+    def test_close_distinct_roots_yes(self, digits):
+        # roots 2 and 2 + 10^-30: distinct, closer than numeric precision sees
+        eps = Fraction(1, 10**30)
+        s = CFiniteSeq([1, 1], [4 + eps, -2 * (2 + eps)])
+        verdict = is_prod_g(s, (2,), digits)
+        assert verdict.is_product
+        assert verdict.observed.multiplicities == (1, 1, 2)
+
+    @pytest.mark.parametrize("digits", [1, 10, 50, 100, 200])
+    def test_repeated_roots_degenerate_at_every_digits(self, digits):
+        # (z - 2)^2 times a Fibonacci-like factor: exactly repeated roots
+        prod = mul(CFiniteSeq([1, 1], [4, -4]), CFiniteSeq([1, 1], [1, 1]))
+        assert prod.order == 4
+        with pytest.raises(DegenerateRootsError):
+            is_prod_g(prod, (2, 2), digits)
 
     def test_battery_50_constructed_products(self):
         """Products of random order 2/3 factors must all test positive."""
