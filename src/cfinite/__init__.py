@@ -66,6 +66,8 @@ __all__ = [
     "dimer_terms",
     "eval_at",
     "eval_terms",
+    "factorize_integer",
+    "factorize_roots",
     "format_seq",
     "guess_nlr",
     "guess_rec",

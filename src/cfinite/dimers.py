@@ -4,8 +4,9 @@ Rows have m cells; the state between two consecutive rows is the set of
 cells covered by a vertical domino protruding into the next row, encoded
 as a bitmask.  A row transition fills every non-protruded cell either by a
 horizontal domino (weight h per domino) or by starting a new vertical
-domino (weight v, counted once, at the start).  Powers of the resulting
-2^m x 2^m matrix enumerate tilings of the whole strip.
+domino (weight v, counted once, at the start).  The 2^m x 2^m transfer
+matrix is kept as its list of transitions, 985 of 65,536 cells at width 8;
+a sparse row vector of Python ints is pushed through it.
 
 kasteleyn_count evaluates the classical closed-form double product in
 high-precision floating point and rounds; it serves as an independent
@@ -16,64 +17,66 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import log2
+from math import lcm, log2
 
 import mpmath
 
 from . import guess, roots
-from .core import CFiniteSeq, eval_terms
+from .core import CFiniteSeq
 
 PRACTICAL_WIDTH_LIMIT = 10
 
 
-@dataclass(frozen=True)
-class TransferMatrix:
-    width: int
-    entries: tuple  # 2^m x 2^m, rows of tuples of Fraction
-    weights: tuple  # (horizontal, vertical)
+def _transitions(m: int) -> list:
+    """Every row transition of width m once: (state, next, h count, v count)."""
+    out = []
 
-
-def transfer_matrix(m: int, weights=(1, 1)) -> TransferMatrix:
-    if not 1 <= m <= PRACTICAL_WIDTH_LIMIT:
-        raise ValueError(f"width must be between 1 and {PRACTICAL_WIDTH_LIMIT}")
-    h, v = (Fraction(w) for w in weights)
-    size = 1 << m
-    rows = [[Fraction(0)] * size for _ in range(size)]
-
-    def fill(col, occupied, protrude, weight, state):
+    def fill(col, occupied, protrude, nh, nv, state):
         # `occupied` marks cells of the current row already covered
         if col == m:
-            rows[state][protrude] += weight
+            out.append((state, protrude, nh, nv))
             return
         if occupied >> col & 1:
-            fill(col + 1, occupied, protrude, weight, state)
+            fill(col + 1, occupied, protrude, nh, nv, state)
             return
         # vertical domino into the next row
-        fill(col + 1, occupied, protrude | (1 << col), weight * v, state)
+        fill(col + 1, occupied, protrude | (1 << col), nh, nv + 1, state)
         # horizontal domino with the right neighbor
         if col + 1 < m and not (occupied >> (col + 1) & 1):
-            fill(col + 2, occupied, protrude, weight * h, state)
+            fill(col + 2, occupied, protrude, nh + 1, nv, state)
 
-    for state in range(size):
-        fill(0, state, 0, Fraction(1), state)
-    return TransferMatrix(m, tuple(tuple(r) for r in rows), (h, v))
+    for state in range(1 << m):
+        fill(0, state, 0, 0, 0, state)
+    return out
+
+
+def _check_width(m: int):
+    if not 1 <= m <= PRACTICAL_WIDTH_LIMIT:
+        raise ValueError(f"width must be between 1 and {PRACTICAL_WIDTH_LIMIT}")
 
 
 def dimer_terms(m: int, N: int, weights=(1, 1)) -> list:
     """Weighted tiling counts of the m x n grid for n = 1..N, exact."""
+    _check_width(m)
     if N < 1:
         raise ValueError("N must be >= 1")
-    tm = transfer_matrix(m, weights)
-    size = 1 << m
-    # iterate the row vector e_0^T * M^n and read component 0
-    vec = list(tm.entries[0])
-    out = [vec[0]]
-    for _ in range(N - 1):
-        vec = [
-            sum(vec[s] * tm.entries[s][t] for s in range(size) if vec[s])
-            for t in range(size)
-        ]
-        out.append(vec[0])
+    h, v = (Fraction(w) for w in weights)
+    # integer weights d*h, d*v: a step from s to t lays (m - |s| + |t|) / 2
+    # dominoes, so every path from the empty state back to it over n rows
+    # lays m*n/2 of them and its count is scaled by d^(m*n/2)
+    d = lcm(h.denominator, v.denominator)
+    hd, vd = int(h * d), int(v * d)
+    steps = [(s, t, hd**nh * vd**nv) for s, t, nh, nv in _transitions(m)]
+    # iterate the row vector e_0^T * M^n over ints and read component 0
+    vec, out = {0: 1}, []
+    for n in range(1, N + 1):
+        nxt = {}
+        for s, t, w in steps:
+            x = vec.get(s)
+            if x and w:
+                nxt[t] = nxt.get(t, 0) + x * w
+        vec = nxt
+        out.append(Fraction(vec.get(0, 0), d ** (m * n // 2)))
     return out
 
 
@@ -83,21 +86,17 @@ def dimer_seq(m: int, weights=(1, 1)) -> CFiniteSeq:
     Even widths index straight: a(n) = count(m, n+1).  Odd widths have
     every odd-area count equal to 0, so the even-index subsequence
     a(n) = count(m, 2n+2) is returned instead, keeping the minimality
-    analysis meaningful.
+    analysis meaningful.  Either sequence has order at most 2^m, the size
+    of the transfer matrix.
     """
-    bound = 1 << m
-    count = 2 * bound + 8
-    if m % 2 == 0:
-        terms = dimer_terms(m, count, weights)
-    else:
-        raw = dimer_terms(m, 2 * count, weights)
-        terms = [raw[2 * k + 1] for k in range(count)]
-    found = guess.guess_rec(terms, guess.GuessConfig(max_order=bound))
-    if found is None:
-        raise guess.InvariantViolation(
-            f"width-{m} strip counts admit no recurrence of order <= {bound}"
-        )
-    return found
+    _check_width(m)
+
+    def make(n):
+        if m % 2 == 0:
+            return dimer_terms(m, n, weights)
+        return dimer_terms(m, 2 * n, weights)[1::2]
+
+    return guess._close(f"width-{m} strip counts", 1 << m, make)
 
 
 def kasteleyn_count(m: int, n: int) -> int:
@@ -160,24 +159,18 @@ def dimer_product_report(
     """
     seq = dimer_seq(m, weights)
     order = seq.order
+
+    def report(*rest):
+        return DimerProductReport(m, tuple(weights), seq, order, *rest)
+
     if order == 1:
-        return DimerProductReport(
-            m, tuple(weights), seq, order, (), None, False,
-            "order 1; nothing to factor",
-        )
+        return report((), None, False, "order 1; nothing to factor")
     k = log2(order)
     if k != int(k):
-        return DimerProductReport(
-            m, tuple(weights), seq, order, (), None, False,
-            f"minimal order {order} is not a power of 2",
-        )
+        return report((), None, False, f"minimal order {order} is not a power of 2")
     factor_orders = (2,) * int(k)
     try:
         verdict = roots.is_prod_g(seq, factor_orders, digits)
     except roots.DegenerateRootsError as exc:
-        return DimerProductReport(
-            m, tuple(weights), seq, order, factor_orders, None, False, str(exc)
-        )
-    return DimerProductReport(
-        m, tuple(weights), seq, order, factor_orders, verdict, True, ""
-    )
+        return report(factor_orders, None, False, str(exc))
+    return report(factor_orders, verdict, True, "")

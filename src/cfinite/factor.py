@@ -178,12 +178,12 @@ def _gauge_scale(rec) -> Fraction:
                 den //= p
             exps.append(ceil(Fraction(-v, i)))
         lam *= Fraction(p) ** max(exps)
-    for i, c in enumerate(rec, start=1):
-        if i % 2 and c != 0:
-            if lam**i * c < 0:
-                lam = -lam
-            break
-    return lam
+    return -lam if _sign_flipped(rec) else lam
+
+
+def _sign_flipped(rec) -> bool:
+    """Whether the gauge lambda is negative: the first nonzero c_i at odd i is."""
+    return next((c for c in rec[0::2] if c), 0) < 0
 
 
 def _apply_gauge(seq: CFiniteSeq, lam: Fraction) -> CFiniteSeq:
@@ -468,9 +468,8 @@ def _cofactor(original, cand, u, target, L2):
 def _normalize_integer_pair(left, right):
     """Sign gauge, content 1, positive first nonzero term (integers kept)."""
     notes = []
-    lam = _gauge_scale(left.rec)
     # only the sign part of the gauge preserves integrality
-    if lam < 0:
+    if _sign_flipped(left.rec):
         left, right = _apply_gauge(left, Fraction(-1)), _apply_gauge(right, Fraction(-1))
         notes.append("sign gauge lambda = -1")
     terms = eval_terms(left, 2 * left.order + 4)

@@ -13,8 +13,6 @@ from fractions import Fraction
 from .core import (
     CFiniteSeq,
     Polynomial,
-    Rational,
-    eval_terms,
     format_poly,
     parse_rational,
     poly_gcd,

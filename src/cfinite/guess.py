@@ -21,13 +21,13 @@ returns a certificate recording the bound.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
 from . import linalg
-from .core import CFiniteSeq, Rational, content, eval_terms, format_rational
-from .gf import RationalGF, taylor
+from .core import CFiniteSeq, content, eval_terms, format_rational
+from .gf import taylor
 
 
 class InvariantViolation(AssertionError):

@@ -31,6 +31,9 @@ import mpmath
 from .core import CFiniteSeq, Polynomial, eval_terms, minimize, poly_gcd
 
 DEFAULT_DIGITS = 100
+# largest product L of factor orders prod_indicator accepts; its profile
+# classifies the L^2 root ratios, which this caps at 2^20
+PROFILE_ORDER_LIMIT = 1024
 
 _JITTER_SEED = 20110716
 
@@ -224,6 +227,9 @@ def prod_indicator(orders) -> RepetitionProfile:
     orders = list(orders)
     if not orders or any(m < 1 for m in orders):
         raise ValueError("orders must be a nonempty list of counts >= 1")
+    total = math.prod(orders)
+    if total > PROFILE_ORDER_LIMIT:
+        raise ValueError(f"product of orders {total} exceeds {PROFILE_ORDER_LIMIT}")
     # per factor: the cancelled slot (size m) or one of m^2 - m index pairs
     per_factor = [[m] + [1] * (m * m - m) for m in orders]
     return RepetitionProfile(tuple(map(math.prod, itertools.product(*per_factor))))

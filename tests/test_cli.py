@@ -1,6 +1,13 @@
+import contextlib
+import io
 import json
+import time
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from cfinite import corpus
 
 from cfinite.cli import main
 from cfinite.core import CFiniteSeq, format_seq
@@ -116,6 +123,14 @@ class TestAnalysis:
         code, out, _ = run(capsys, "indicator", "2", "2")
         assert code == 0
         assert out == "[1, 1, 1, 1, 2, 2, 2, 2, 4]"
+
+    def test_indicator_too_large_exit_2_promptly(self, capsys):
+        # 1000 x 1000 would classify 10^12 ratios; refused before any work
+        start = time.perf_counter()
+        code, _, err = run(capsys, "indicator", "1000", "1000")
+        assert code == 2
+        assert "exceeds 1024" in err
+        assert time.perf_counter() - start < 1.0
 
     def test_isprod_yes(self, capsys):
         code, out, _ = run(
@@ -349,3 +364,135 @@ def test_console_script_installed():
     )
     assert got.returncode == 0
     assert got.stdout.strip() == "[[0, 1], [1, 1]]"
+
+
+# --- fuzzing ------------------------------------------------------------------
+# Random literals, verbs and flags; every draw is small enough that no case
+# can run long: orders <= 6, widths <= 12 (product reports up to width 6 and
+# above the width limit), --digits <= 200, and integer factoring with
+# --bound <= 2 and --budget <= 1.
+
+_number = st.fractions(min_value=-20, max_value=20, max_denominator=5).map(str)
+_junk = st.text(alphabet="[],/-+*0123456789 zt", max_size=10)
+_term = st.one_of(_number, _number, _number, _junk)
+_small = st.integers(-2, 6).map(str)
+
+
+def _spoil(draw, items):
+    """Mostly the items as drawn; sometimes one of them replaced by junk."""
+    if items and draw(st.integers(0, 7)) == 0:
+        items[draw(st.integers(0, len(items) - 1))] = draw(_junk)
+    return items
+
+
+@st.composite
+def _seq_literal(draw):
+    """(literal, order): junk, a random sequence, or a product of two."""
+    kind = draw(st.integers(0, 9))
+    if kind == 0:
+        return draw(_junk), 0
+    if kind <= 2:
+        a = draw(st.lists(st.integers(-3, 3), min_size=4, max_size=4))
+        r = draw(st.integers(1, 3))
+        b = draw(st.lists(st.integers(-3, 3), min_size=2 * r, max_size=2 * r))
+        product = mul(CFiniteSeq(a[:2], a[2:]), CFiniteSeq(b[:r], b[r:]))
+        return format_seq(product), product.order
+    order = draw(st.integers(0, 6))
+    extra = draw(st.integers(0, 7)) == 0  # a recurrence one too long
+    init = draw(st.lists(_number, min_size=order, max_size=order))
+    rec = draw(st.lists(_number, min_size=order + extra, max_size=order + extra))
+    text = f"[[{', '.join(init)}], [{', '.join(_spoil(draw, rec))}]]"
+    return text, order
+
+
+@st.composite
+def _term_list(draw, max_size=16):
+    return ",".join(_spoil(draw, draw(st.lists(_number, max_size=max_size))))
+
+
+@st.composite
+def _gf_literal(draw):
+    def poly():
+        coeffs = _spoil(draw, draw(st.lists(_number, max_size=4)))
+        return " + ".join(f"{c}*z^{k}" for k, c in enumerate(coeffs))
+
+    return f"({poly()})/({poly()})"
+
+
+def _orders(draw, order):
+    """Most often a split of the sequence's order into two factors."""
+    splits = [(a, order // a) for a in range(2, order) if order % a == 0]
+    if splits and draw(st.booleans()):
+        return "%d,%d" % draw(st.sampled_from(splits))
+    return ",".join(draw(st.lists(_small, min_size=1, max_size=3)))
+
+
+@st.composite
+def _argv(draw):
+    verb = draw(
+        st.sampled_from(
+            ["guess", "terms", "add", "mul", "bt", "psum", "subseq", "gf", "prove",
+             "nlr", "indicator", "isprod", "factor", "dimer", "seq",
+             "verify-identity"]
+        )
+    )
+    seq = _seq_literal().map(lambda pair: pair[0])
+    pos, opts = [], []  # positional arguments; options
+    if verb == "guess":
+        pos += [draw(_term_list())]
+        opts += ["--max-order", draw(_small)]
+    elif verb == "terms":
+        pos += [draw(seq), str(draw(st.integers(-2, 40)))]
+    elif verb in ("add", "mul", "prove"):
+        pos += [draw(seq), draw(seq)]
+    elif verb in ("bt", "psum"):
+        pos += [draw(seq)]
+    elif verb == "subseq":
+        pos += [draw(seq), draw(_small), str(draw(st.integers(-2, 10)))]
+    elif verb == "gf":
+        pos += [draw(st.one_of(seq, _gf_literal(), _junk))]
+    elif verb == "nlr":
+        pos += [draw(_term_list(40))]
+        opts += ["--order", str(draw(st.integers(-1, 3)))]
+        opts += ["--degree", str(draw(st.integers(-1, 3)))]
+    elif verb == "indicator":
+        pos += draw(st.lists(_small, min_size=0, max_size=3))
+    elif verb in ("isprod", "factor"):
+        text, order = draw(_seq_literal())
+        pos += [text]
+        opts += ["--orders", _orders(draw, order)]
+        if verb == "factor" and draw(st.booleans()):
+            opts += [
+                "--mode", "integer",
+                "--bound", str(draw(st.integers(-1, 2))),
+                "--budget", str(draw(st.floats(-1, 1))),
+            ]
+    elif verb == "dimer":
+        width = draw(st.integers(-1, 12))
+        opts += ["--width", str(width), "--terms", str(draw(st.integers(-2, 30)))]
+        opts += ["--hweight", draw(_term), "--vweight", draw(_term)]
+        # the product test of weighted widths 7-10 takes seconds; not drawn
+        if (width <= 6 or width > 10) and draw(st.booleans()):
+            opts += ["--report-product"]
+    elif verb == "seq":
+        pos += [draw(st.sampled_from(corpus.names()))]
+        pos += draw(st.lists(_term, max_size=2))
+    else:
+        pos += [draw(st.sampled_from(["shapiro", "ekhad"]))]
+        opts += ["--terms", str(draw(st.integers(-2, 8)))]
+    if verb in ("isprod", "factor", "dimer") and draw(st.booleans()):
+        opts += ["--digits", str(draw(st.integers(-1, 200)))]
+    # "--" lets positionals such as -3,4 through; without it argparse
+    # reads them as options
+    dashes = ["--"] if pos and draw(st.integers(0, 3)) else []
+    flag = ["--json"] if draw(st.booleans()) else []
+    return flag + [verb] + opts + dashes + pos
+
+
+@settings(max_examples=250, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(_argv())
+def test_fuzz_exit_codes(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2, 3), (argv, code)

@@ -8,8 +8,8 @@ from cfinite.dimers import (
     dimer_product_report,
     dimer_seq,
     dimer_terms,
+    _transitions,
     kasteleyn_count,
-    transfer_matrix,
 )
 
 import oracles
@@ -44,6 +44,16 @@ class TestDimerTerms:
             for n in range(1, 6):
                 assert counts[n - 1] == oracles.weighted_tilings(m, n, v, h), (m, n)
 
+    def test_integer_weights_against_exhaustive(self):
+        # integral weights take the int path; the oracle swaps h and v
+        for h, v in [(2, 3), (3, 1), (-2, 5)]:
+            for m in (2, 3, 4):
+                counts = dimer_terms(m, 12 // m, weights=(h, v))
+                for n in range(1, 12 // m + 1):
+                    expected = oracles.weighted_tilings(m, n, v, h)
+                    assert counts[n - 1] == expected, (h, v, m, n)
+                    assert type(counts[n - 1]) is Fraction
+
     def test_vertical_only_weights(self):
         # v = 0 kills dominoes lying along the strip; width 2 then has
         # exactly one tiling per length (a stack of across-width dominoes)
@@ -63,15 +73,51 @@ class TestDimerTerms:
             dimer_terms(11, 3)  # above the practical limit
 
 
+def dense_transfer_matrix(m, weights=(1, 1)):
+    """The 2^m x 2^m transfer matrix, built from the transition list."""
+    h, v = (Fraction(w) for w in weights)
+    rows = [[Fraction(0)] * (1 << m) for _ in range(1 << m)]
+    for s, t, nh, nv in _transitions(m):
+        rows[s][t] += h**nh * v**nv
+    return rows
+
+
 class TestTransferMatrix:
     def test_width_two_matrix_size(self):
-        tm = transfer_matrix(2)
-        assert len(tm.entries) == 4
-        assert all(len(row) == 4 for row in tm.entries)
+        rows = dense_transfer_matrix(2)
+        assert len(rows) == 4
+        assert all(len(row) == 4 for row in rows)
 
     def test_entries_nonnegative_integers(self):
-        tm = transfer_matrix(3)
-        assert all(v >= 0 and v.denominator == 1 for row in tm.entries for v in row)
+        rows = dense_transfer_matrix(3)
+        assert all(v >= 0 and v.denominator == 1 for row in rows for v in row)
+
+    def test_transitions_only_between_disjoint_states(self):
+        # a cell covered by a protruding domino cannot start a new one
+        for m in range(1, 9):
+            rows = dense_transfer_matrix(m)
+            for s, row in enumerate(rows):
+                for t, x in enumerate(row):
+                    assert x == 0 or s & t == 0, (m, s, t)
+
+    def test_each_transition_once(self):
+        for m in range(1, 9):
+            pairs = [(s, t) for s, t, _, _ in _transitions(m)]
+            assert len(pairs) == len(set(pairs)), m
+
+    def test_dense_powers_match_terms(self):
+        # e_0^T M^n [0] with the dense matrix equals the sparse iteration
+        for m, weights in [(3, (Fraction(2, 3), Fraction(5, 7))), (4, (3, 2))]:
+            rows = dense_transfer_matrix(m, weights)
+            vec = rows[0]
+            direct = [vec[0]]
+            for _ in range(7):
+                vec = [
+                    sum(vec[s] * rows[s][t] for s in range(len(rows)))
+                    for t in range(len(rows))
+                ]
+                direct.append(vec[0])
+            assert dimer_terms(m, 8, weights) == direct, (m, weights)
 
 
 class TestDimerSeq:
@@ -100,8 +146,24 @@ class TestDimerSeq:
         direct = dimer_terms(5, 12)
         assert eval_terms(s, 6) == [direct[2 * k + 1] for k in range(6)]
 
+    @pytest.mark.parametrize("m", [-1, 0, 11])
+    def test_width_validated(self, m):
+        with pytest.raises(ValueError, match="width must be between 1 and 10"):
+            dimer_seq(m)
+
     def test_width_six_minimal_order_8(self):
         assert dimer_seq(6).order == 8
+
+    def test_width_seven_minimal_order_8(self):
+        s = dimer_seq(7)
+        assert s.order == 8
+        direct = dimer_terms(7, 40)
+        assert eval_terms(s, 20) == [direct[2 * k + 1] for k in range(20)]
+
+    def test_width_eight_minimal_order_16(self):
+        s = dimer_seq(8)
+        assert s.order == 16
+        assert eval_terms(s, 40) == dimer_terms(8, 40)
 
 
 class TestKasteleyn:

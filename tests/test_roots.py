@@ -11,6 +11,7 @@ from cfinite.roots import (
     BinetForm,
     DegenerateRootsError,
     OrderMismatchError,
+    PROFILE_ORDER_LIMIT,
     RepetitionProfile,
     _is_coarsening,
     _ratio_poly,
@@ -113,6 +114,14 @@ class TestProdIndicator:
         for m in range(1, 5):
             for n in range(1, 5):
                 assert prod_indicator((m, n)) == prod_indicator((n, m))
+
+    def test_order_limit(self):
+        # the profile classifies L^2 ratios; L is capped so that stays <= 2^20
+        assert PROFILE_ORDER_LIMIT == 1024
+        assert prod_indicator((2,) * 10).total == 2**20
+        for orders in [(2,) * 11, (1025,), (1000, 1000)]:
+            with pytest.raises(ValueError, match="exceeds 1024"):
+                prod_indicator(orders)
 
     def test_single_factor_is_generic(self):
         # one generic factor: L^2 - L off-diagonal singletons plus the
