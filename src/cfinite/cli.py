@@ -447,6 +447,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
+    # no option starts with a digit, so "-1,1" or "-1/2" is a value; a leading
+    # space stops argparse reading it as an option (the parsers strip it)
+    argv = sys.argv[1:] if argv is None else argv
+    argv = [" " + a if a[:1] == "-" and a[1:2].isdigit() else a for a in argv]
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

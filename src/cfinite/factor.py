@@ -1,21 +1,16 @@
 """Actual factorization of C-finite sequences into termwise products.
 
-Two routes:
+The two routes differ only in how they find the factor recurrences.
+factorize_roots reads them off an L1 x L2 grid of characteristic roots
+(gamma_ij = alpha_i * beta_j): floating point only finds the grid and a
+gauge that makes both recurrences rational, and rational reconstruction
+recovers them.  factorize_integer searches integer left factors with
+bounded coefficients, screens them by divisibility and guesses the
+cofactor's recurrence from the quotient.
 
-* factorize_roots - reconstructs the factors from the structure of the
-  characteristic roots.  If the sequence is a product, its roots arrange
-  into an L1 x L2 grid of rank 1 (gamma_ij = alpha_i * beta_j).  The grid
-  is searched numerically at high precision, the scaling gauge is fixed so
-  the factor polynomials have rational coefficients (recovered by rational
-  reconstruction), initial terms are solved exactly, and the candidate is
-  accepted only after an exact equality proof.
-
-* factorize_integer - brute force over integer candidate factors with
-  bounded coefficients, divisibility screening, and the same exact final
-  verification.
-
-Nothing is ever reported on numerical evidence alone: every returned pair
-carries a verified equality certificate.
+Both then take the initial terms from one exact rank-1 solve (_split) and
+return a pair only with a verified equality certificate (_certified):
+nothing is ever reported on numerical evidence alone.
 """
 
 from __future__ import annotations
@@ -30,7 +25,13 @@ import mpmath
 from . import guess
 from .core import CFiniteSeq, content, eval_terms, minimize, scale
 from .linalg import solve
-from .roots import DEFAULT_DIGITS, OrderMismatchError, PrecisionError, char_roots
+from .roots import (
+    DEFAULT_DIGITS,
+    OrderMismatchError,
+    PrecisionError,
+    _require_simple_roots,
+    char_roots,
+)
 
 
 class BudgetExhausted(RuntimeError):
@@ -56,14 +57,51 @@ class FactorPair:
         )
 
 
-def _seq_sort_key(s: CFiniteSeq):
-    return (s.order, s.rec, s.init)
+def _unit_terms(rec, n_terms):
+    """The terms of rec started from each unit vector of initial terms."""
+    units = ([int(i == j) for i in range(len(rec))] for j in range(len(rec)))
+    return [eval_terms(CFiniteSeq(e, rec), n_terms) for e in units]
 
 
-def _ordered_pair(left, right, normalization, certificate) -> FactorPair:
-    if _seq_sort_key(right) < _seq_sort_key(left):
+def _split(m, left_rec, right_rec):
+    """Initial terms (x, y) with m = (x, left_rec) * (y, right_rec).
+
+    With u_k, v_l the unit-initial-term sequences of the two recurrences,
+    any such product is sum M_kl u_k(n) v_l(n) with M = x y^T.  If m lies in
+    the span of the u_k v_l at all, its minimal order L1 * L2 makes them a
+    basis, so M is the unique solution of one exact linear system, and m
+    splits over these recurrences exactly when M has rank 1.  Returns None
+    when the system is inconsistent (the recurrences are not m's factor
+    recurrences) and False when M has rank 0 or > 1 (m is no product over
+    them).  x is scaled so its first nonzero entry is 1.
+    """
+    L1, L2 = len(left_rec), len(right_rec)
+    n_terms = 2 * L1 * L2 + 4
+    us, vs = _unit_terms(left_rec, n_terms), _unit_terms(right_rec, n_terms)
+    rows = [[u[n] * v[n] for u in us for v in vs] for n in range(n_terms)]
+    flat = solve(rows, eval_terms(m, n_terms))
+    if flat is None:
+        return None
+    if not any(flat):
+        return False
+    M = [flat[k * L2 : (k + 1) * L2] for k in range(L1)]
+    y = next(row for row in M if any(row))
+    j0 = next(j for j, v in enumerate(y) if v)
+    x = [row[j0] / y[j0] for row in M]
+    if any(M[k][j] != x[k] * y[j] for k in range(L1) for j in range(L2)):
+        return False
+    return x, y
+
+
+def _certified(original, left, right, normalize):
+    """The normalized pair, ordered, with its equality proof; None if unproved."""
+    left, right, note = normalize(left, right)
+    cert = guess.prove_equal(guess.mul(left, right), original)
+    if not cert.verified:
+        return None
+    if (right.order, right.rec, right.init) < (left.order, left.rec, left.init):
         left, right = right, left
-    return FactorPair(left, right, normalization, certificate)
+    return FactorPair(left, right, note, cert)
 
 
 def _mpf_to_fraction(x) -> Fraction:
@@ -101,34 +139,6 @@ def _rec_from_monic(coeffs):
     """Recurrence coefficients c_1..c_L from monic ascending coefficients."""
     L = len(coeffs) - 1
     return [-coeffs[L - i] for i in range(1, L + 1)]
-
-
-def _right_init_system(left_terms, right_rec, target):
-    """Solve for right-factor initial terms from left(n)*right(n) = target(n).
-
-    right(n) is linear in the unknown initial terms, so each product
-    equation is linear too; positions where the left factor vanishes just
-    demand target(n) = 0.
-    """
-    L2 = len(right_rec)
-    n_eq = len(target)
-    # units[j][n] = coefficient of init[j] in right(n): the terms of the
-    # right recurrence started from the j-th unit vector
-    units = [
-        eval_terms(CFiniteSeq([int(i == j) for i in range(L2)], right_rec), n_eq)
-        for j in range(L2)
-    ]
-    rows, rhs = [], []
-    for n in range(n_eq):
-        if left_terms[n] == 0:
-            if target[n] != 0:
-                return None
-            continue
-        rows.append([left_terms[n] * u[n] for u in units])
-        rhs.append(target[n])
-    if not rows:
-        return None
-    return solve(rows, rhs)
 
 
 def _factorize_small(n: int):
@@ -211,59 +221,52 @@ def _normalize_rational_pair(left, right):
 def factorize_roots(seq: CFiniteSeq, L1: int, L2: int, digits: int = DEFAULT_DIGITS):
     """Factor into an order-L1 times an order-L2 sequence, or None.
 
-    Tries a precision ladder (digits, 2x, 4x) when rational reconstruction
-    fails; returns None only when no root grid of rank 1 exists, raises
-    PrecisionError when a grid exists but could not be pinned down
-    rationally even at the top of the ladder.
+    Tries a precision ladder (digits, 2x, 4x) while some root grid is
+    unresolved: its factor recurrences could not be reconstructed
+    rationally, or they do not span the sequence.  Returns None when no
+    grid is left unresolved and none splits (the exact coefficient matrix
+    of _split has rank other than 1), and raises PrecisionError when a grid
+    is still unresolved at the top of the ladder.
     """
     m = minimize(seq)
     if m.order != L1 * L2:
         raise OrderMismatchError(
             f"minimal order {m.order} != {L1} * {L2}; cannot factor at these orders"
         )
-    saw_grid = False
+    _require_simple_roots(m)
     for d in (digits, 2 * digits, 4 * digits):
-        found, saw = _factorize_roots_at(seq, m, L1, L2, d)
-        saw_grid = saw_grid or saw
+        found, unresolved = _factorize_roots_at(seq, m, L1, L2, d)
         if found is not None:
             return found
-        if not saw:
+        if not unresolved:
             return None
-    if saw_grid:
-        raise PrecisionError(
-            "a consistent root grid exists but rational reconstruction failed "
-            f"even at {4 * digits} digits"
-        )
-    return None
+    raise PrecisionError(
+        "a consistent root grid exists but rational reconstruction failed "
+        f"even at {4 * digits} digits"
+    )
 
 
 def _factorize_roots_at(original, m, L1, L2, digits):
     L = L1 * L2
-    bf = char_roots(m, digits, with_coefficients=True)
+    roots = list(char_roots(m, digits).roots)
     with mpmath.workdps(digits + 20):
         tol = mpmath.mpf(10) ** (-digits // 2)
-        roots = list(bf.roots)
-        coefs = list(bf.coefficients)
-        saw_grid = False
-        scale_abs = max(abs(z) for z in roots)
-
+        unresolved = False
         rest = list(range(1, L))
         for col in itertools.combinations(rest, L1 - 1):
             after_col = [i for i in rest if i not in col]
             for row in itertools.combinations(after_col, L2 - 1):
-                grid = _match_grid(roots, col, row, tol, scale_abs)
+                grid = _match_grid(roots, col, row, tol)
                 if grid is None:
                     continue
-                saw_grid = True
-                pair = _extract_factors(
-                    original, m, grid, roots, coefs, L1, L2, digits, tol
-                )
-                if pair is not None:
+                pair = _extract_factors(original, m, grid, roots, L1, L2, digits, tol)
+                if pair:
                     return pair, True
-        return None, saw_grid
+                unresolved = unresolved or pair is None
+        return None, unresolved
 
 
-def _match_grid(roots, col, row, tol, scale_abs):
+def _match_grid(roots, col, row, tol):
     """Index grid with gamma_ij = gamma_i0 * gamma_0j / gamma_00, or None."""
     L1, L2 = len(col) + 1, len(row) + 1
     grid = [[None] * L2 for _ in range(L1)]
@@ -290,17 +293,10 @@ def _match_grid(roots, col, row, tol, scale_abs):
     return grid
 
 
-def _extract_factors(original, m, grid, roots, coefs, L1, L2, digits, tol):
+def _extract_factors(original, m, grid, roots, L1, L2, digits, tol):
+    """The pair from one root grid; None if unresolved, False if it splits nothing."""
     alphas = [roots[grid[i][0]] for i in range(L1)]
     betas = [roots[grid[0][j]] / roots[grid[0][0]] for j in range(L2)]
-
-    # Binet coefficients must be rank 1 on the same grid
-    C = [[coefs[grid[i][j]] for j in range(L2)] for i in range(L1)]
-    cscale = max(abs(C[i][j]) for i in range(L1) for j in range(L2))
-    for i in range(L1):
-        for j in range(L2):
-            if abs(C[i][j] * C[0][0] - C[i][0] * C[0][j]) > tol * max(1, cscale**2):
-                return None
 
     # gauge: pick s with s^k = 1/e_k(alpha) for the first nonzero e_k;
     # e_k is (-1)^k times the z^(L1-k) coefficient of prod (z - alpha_i)
@@ -315,49 +311,29 @@ def _extract_factors(original, m, grid, roots, coefs, L1, L2, digits, tol):
     s0 = es[k] ** (mpmath.mpf(-1) / k)
     for branch in range(k):
         s = s0 * mpmath.exp(2j * mpmath.pi * branch / k)
-        pair = _try_gauge(original, m, alphas, betas, C, s, L1, L2, digits, tol)
+        pair = _try_gauge(original, m, alphas, betas, s, digits)
+        # the rank of M does not depend on the gauge, so False settles the grid
         if pair is not None:
             return pair
     return None
 
 
-def _try_gauge(original, m, alphas, betas, C, s, L1, L2, digits, tol):
+def _try_gauge(original, m, alphas, betas, s, digits):
+    """The pair in gauge s; None if unresolved, False if it splits nothing.
+
+    Unresolved: the recurrences are not rational, or they do not span m.
+    """
     left_poly = _poly_from_roots([s * a for a in alphas])
     right_poly = _poly_from_roots([b / s for b in betas])
     left_rec = [_reconstruct(c, digits) for c in _rec_from_monic(left_poly)]
     right_rec = [_reconstruct(c, digits) for c in _rec_from_monic(right_poly)]
     if any(c is None for c in left_rec) or any(c is None for c in right_rec):
         return None
-
-    # left initial terms: Binet sum in the column gauge, rescaled so the
-    # first nonzero term is 1, then reconstructed rationally
-    u_star = [
-        sum(C[i][0] * (s * alphas[i]) ** n for i in range(L1)) for n in range(L1)
-    ]
-    uscale = max(abs(u) for u in u_star)
-    if uscale == 0:
-        return None
-    n0 = next(n for n in range(L1) if abs(u_star[n]) > tol * uscale)
-    left_init = [_reconstruct(u / u_star[n0], digits) for u in u_star]
-    if any(d is None for d in left_init):
-        return None
-    left = CFiniteSeq(left_init, left_rec)
-
-    n_terms = 2 * L1 * L2 + 4
-    target = eval_terms(m, n_terms)
-    right_init = _right_init_system(eval_terms(left, n_terms), right_rec, target)
-    if right_init is None:
-        return None
-    right = CFiniteSeq(right_init, right_rec)
-
-    cert = guess.prove_equal(guess.mul(left, right), original)
-    if not cert.verified:
-        return None
-    left, right, note = _normalize_rational_pair(left, right)
-    cert = guess.prove_equal(guess.mul(left, right), original)
-    if not cert.verified:
-        return None
-    return _ordered_pair(left, right, note, cert)
+    split = _split(m, left_rec, right_rec)
+    if not split:
+        return split
+    left, right = CFiniteSeq(split[0], left_rec), CFiniteSeq(split[1], right_rec)
+    return _certified(original, left, right, _normalize_rational_pair)
 
 
 def factorize_integer(
@@ -412,7 +388,7 @@ def factorize_integer(
                 continue
             if stats is not None:
                 stats["screened"] += 1
-            pair = _cofactor(seq, cand, u, target, L2)
+            pair = _cofactor(seq, m, cand, u, target, L2)
             if pair is not None:
                 return pair
     return None
@@ -443,7 +419,7 @@ def _longest_run(u):
     return best
 
 
-def _cofactor(original, cand, u, target, L2):
+def _cofactor(original, m, cand, u, target, L2):
     start, length = _longest_run(u)
     if length < 2 * L2 + 4:
         return None
@@ -451,18 +427,14 @@ def _cofactor(original, cand, u, target, L2):
     run = guess.guess_rec(quotient, guess.GuessConfig(max_order=L2))
     if run is None:
         return None
-    right_init = _right_init_system(u, list(run.rec), [Fraction(t) for t in target])
-    if right_init is None:
+    split = _split(m, cand.rec, run.rec)
+    if not split:
         return None
-    right = CFiniteSeq(right_init, run.rec)
-    cert = guess.prove_equal(guess.mul(cand, right), original)
-    if not cert.verified:
-        return None
-    left, right, note = _normalize_integer_pair(cand, right)
-    cert = guess.prove_equal(guess.mul(left, right), original)
-    if not cert.verified:
-        return None
-    return _ordered_pair(left, right, note, cert)
+    # _split scales x to a first nonzero entry of 1; scale it back to cand
+    kappa = next(d for d in cand.init if d)
+    left = CFiniteSeq([kappa * d for d in split[0]], cand.rec)
+    right = CFiniteSeq([d / kappa for d in split[1]], run.rec)
+    return _certified(original, left, right, _normalize_integer_pair)
 
 
 def _normalize_integer_pair(left, right):

@@ -97,10 +97,14 @@ def taylor(gf: RationalGF, N: int) -> list:
         raise ValueError("N must be >= 0")
     out = []
     d0 = gf.den[0]
+    # only the nonzero d_j cost work, so sparse denominators stay cheap
+    tail = [(j, d) for j, d in enumerate(gf.den.coeffs) if j and d]
     for n in range(N):
         acc = gf.num[n]
-        for j in range(1, min(n, gf.den.degree) + 1):
-            acc -= gf.den[j] * out[n - j]
+        for j, d in tail:
+            if j > n:
+                break
+            acc -= d * out[n - j]
         out.append(acc / d0)
     return out
 

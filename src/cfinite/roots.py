@@ -1,10 +1,10 @@
 """Characteristic-root analysis and the product test.
 
-A sequence of order L generically has a Binet form sum C_i alpha_i^n over
-the L roots of its characteristic polynomial.  If the sequence is a
-termwise product, its root set is the Cartesian product of the factors'
-root sets, and the multiset of the L^2 pairwise root ratios then shows a
-telltale repetition pattern.  prod_indicator computes that pattern
+A sequence of order L with distinct characteristic roots alpha_i has a
+Binet form sum C_i alpha_i^n.  If the sequence is a termwise product, its
+root set is the Cartesian product of the factors' root sets, and the
+multiset of the L^2 pairwise root ratios then shows a telltale
+repetition pattern.  prod_indicator computes that pattern
 combinatorially for generic factors; is_prod / is_prod_g measure it
 exactly, as the root multiplicities of the polynomial whose roots are the
 ratios (power sums, Newton's identities, Yun's square-free decomposition),
@@ -13,8 +13,11 @@ and compare the two.
 A "yes" means the observed profile matches or coarsens the generic one;
 only a factor certificate (factorize_roots, factorize_integer) proves
 that the sequence is a product.  A "no" is definitive only generically.
-Diagnostics always carry both profiles.  Floating point is confined to
-char_roots, which feeds factorize_roots.
+Diagnostics always carry both profiles.  Repeated roots are detected
+exactly (gcd(P, P') not constant, _require_simple_roots) for both the
+product test and factorize_roots.  Floating point is confined to
+char_roots, which gives factorize_roots its root grid; the Binet
+coefficients are never computed.
 """
 
 from __future__ import annotations
@@ -24,11 +27,10 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
 
 import mpmath
 
-from .core import CFiniteSeq, Polynomial, eval_terms, minimize, poly_gcd
+from .core import CFiniteSeq, Polynomial, minimize, poly_gcd
 
 DEFAULT_DIGITS = 100
 # largest product L of factor orders prod_indicator accepts; its profile
@@ -43,7 +45,7 @@ class OrderMismatchError(ValueError):
 
 
 class DegenerateRootsError(ArithmeticError):
-    """Multiple (or, numerically, near-multiple) characteristic roots."""
+    """Multiple characteristic roots (found exactly, by gcd(P, P'))."""
 
 
 class PrecisionError(ArithmeticError):
@@ -52,10 +54,9 @@ class PrecisionError(ArithmeticError):
 
 @dataclass(frozen=True)
 class BinetForm:
-    """High-precision characteristic roots, optionally with Binet coefficients."""
+    """High-precision characteristic roots, with a near-multiple-root flag."""
 
     roots: tuple
-    coefficients: Optional[tuple]
     precision_digits: int
     near_multiple: bool
 
@@ -147,17 +148,25 @@ def _require_nonzero_roots(seq: CFiniteSeq):
         )
 
 
-def char_roots(
-    seq: CFiniteSeq, digits: int = DEFAULT_DIGITS, with_coefficients: bool = False
-) -> BinetForm:
+def _require_simple_roots(m: CFiniteSeq):
+    """ValueError for a root z = 0; DegenerateRootsError for a repeated root."""
+    _require_nonzero_roots(m)
+    P = m.char_poly()
+    if poly_gcd(P, _derivative(P)).degree > 0:
+        raise DegenerateRootsError(
+            "multiple characteristic roots: the ratio profile is undefined"
+        )
+
+
+def char_roots(seq: CFiniteSeq, digits: int = DEFAULT_DIGITS) -> BinetForm:
     """Roots of z^L - c_1 z^(L-1) - ... - c_L to `digits` decimal digits.
 
     The input should already be minimal.  A zero trailing coefficient means
     z = 0 is a root, which has no Binet term, so it is a ValueError.  Even
     a minimal recurrence keeps that root when the sequence has a transient
-    start (e.g. it is eventually 0).  With `with_coefficients` the
-    Vandermonde system for the Binet coefficients is solved as well
-    (simple roots only).
+    start (e.g. it is eventually 0).  `near_multiple` flags roots closer
+    than the precision can separate; it is a numeric hint, while
+    _require_simple_roots decides multiplicity exactly.
     """
     _require_nonzero_roots(seq)
     L = seq.order
@@ -185,35 +194,7 @@ def char_roots(
             for i in range(L)
             for j in range(i + 1, L)
         )
-
-        cs = None
-        if with_coefficients:
-            if near:
-                raise DegenerateRootsError(
-                    "near-multiple roots: Binet coefficients are ill-defined"
-                )
-            V = mpmath.matrix(L, L)
-            for n in range(L):
-                for i in range(L):
-                    V[n, i] = zs[i] ** n
-            rhs = mpmath.matrix([_to_mpf(d) for d in seq.init])
-            sol = mpmath.lu_solve(V, rhs)
-            cs = tuple(sol[i] for i in range(L))
-            # the Binet form must reproduce the sequence it came from
-            check = eval_terms(seq, 2 * L)
-            tol = mpmath.mpf(10) ** (-digits // 2)
-            for n, want in enumerate(check):
-                got = sum(cs[i] * zs[i] ** n for i in range(L))
-                if abs(got - _to_mpf(want)) > tol * (1 + abs(_to_mpf(want))):
-                    raise PrecisionError(
-                        "Binet form fails to reproduce the sequence terms"
-                    )
-        return BinetForm(
-            roots=tuple(zs),
-            coefficients=cs,
-            precision_digits=digits,
-            near_multiple=near,
-        )
+        return BinetForm(roots=tuple(zs), precision_digits=digits, near_multiple=near)
 
 
 def prod_indicator(orders) -> RepetitionProfile:
@@ -352,12 +333,7 @@ def is_prod_g(seq: CFiniteSeq, orders, digits: int = DEFAULT_DIGITS) -> ProductV
         raise OrderMismatchError(
             f"minimal order {m.order} != product of orders {math.prod(orders)}"
         )
-    _require_nonzero_roots(m)
-    P = m.char_poly()
-    if poly_gcd(P, _derivative(P)).degree > 0:
-        raise DegenerateRootsError(
-            "multiple characteristic roots: the ratio profile is undefined"
-        )
+    _require_simple_roots(m)
     # the L diagonal ratios are 1, and no other ratio is, the roots being distinct
     observed = RepetitionProfile((m.order, *_root_multiplicities(_ratio_poly(m.rec))))
     expected = prod_indicator(orders)

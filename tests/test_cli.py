@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from cfinite import corpus
 
 from cfinite.cli import main
-from cfinite.core import CFiniteSeq, format_seq
+from cfinite.core import CFiniteSeq, format_seq, parse_seq
 from cfinite.guess import mul
 
 
@@ -95,6 +95,14 @@ class TestGF:
         code, out, _ = run(capsys, "--json", "gf", "[[0,1],[1,1]]")
         data = json.loads(out)
         assert data["denominator"] == ["1", "-1", "-1"]
+
+    def test_sparse_denominator_is_fast(self, capsys):
+        # the series division must skip the 2,999 zero coefficients of 1 - z^3000
+        start = time.perf_counter()
+        code, out, _ = run(capsys, "gf", "(1)/(1-z^3000)")
+        assert code == 0
+        assert time.perf_counter() - start < 1.0
+        assert parse_seq(out).rec == (0,) * 2999 + (1,)
 
 
 class TestProve:
@@ -312,6 +320,24 @@ class TestBadInput:
         assert code == 2
         assert "--digits" in err
 
+    @pytest.mark.parametrize(
+        "argv, want",
+        [
+            (("guess", "-1,1,-1,1,-1,1"), "[[-1], [-1]]"),
+            (("seq", "geometric", "-1/2"), "[[1], [-1/2]]"),
+            (("dimer", "--width", "2", "--hweight", "-1/2", "--terms", "3"),
+             "-1/2, 5/4, -9/8"),
+        ],
+        ids=["guess", "seq", "dimer"],
+    )
+    def test_negative_first_literal_is_a_value(self, capsys, argv, want):
+        assert run(capsys, *argv)[:2] == (0, want)
+
+    def test_negative_digits_still_rejected(self, capsys):
+        code, _, err = run(capsys, "isprod", "[[0,1],[1,1]]", "--orders", "2", "--digits", "-3")
+        assert code == 2
+        assert "--digits must be >= 1" in err
+
     def test_factor_bound_below_one_exit_2(self, capsys):
         code, _, err = run(
             capsys, "factor", "[[0, 1, 2, 10], [2, 7, 2, -1]]",
@@ -482,8 +508,7 @@ def _argv(draw):
         opts += ["--terms", str(draw(st.integers(-2, 8)))]
     if verb in ("isprod", "factor", "dimer") and draw(st.booleans()):
         opts += ["--digits", str(draw(st.integers(-1, 200)))]
-    # "--" lets positionals such as -3,4 through; without it argparse
-    # reads them as options
+    # positionals such as -3,4 are values with or without "--"
     dashes = ["--"] if pos and draw(st.integers(0, 3)) else []
     flag = ["--json"] if draw(st.booleans()) else []
     return flag + [verb] + opts + dashes + pos

@@ -4,24 +4,27 @@ from fractions import Fraction
 import mpmath
 import pytest
 
-from cfinite.core import CFiniteSeq, eval_terms
+from cfinite.core import CFiniteSeq, eval_terms, shift
+from cfinite import factor
 from cfinite.factor import (
     BudgetExhausted,
     PrecisionError,
     _mpf_to_fraction,
     _reconstruct,
+    _split,
     factorize_integer,
     factorize_roots,
 )
-from cfinite.guess import mul, prove_equal
+from cfinite.guess import add, mul, prove_equal
 from cfinite import roots
-from cfinite.roots import OrderMismatchError
+from cfinite.roots import DegenerateRootsError, OrderMismatchError
 from cfinite import corpus
 
 import oracles
 
 FIB = corpus.lookup("fibonacci")
 PELL = corpus.lookup("pell")
+LUCAS = corpus.lookup("lucas")
 
 
 def assert_valid_factorization(pair, target, n=60):
@@ -126,6 +129,62 @@ class TestFactorizeRoots:
             assert pair is not None, (s1, s2)
             assert_valid_factorization(pair, prod)
             done += 1
+
+
+def _random_factor(rng, order):
+    def draw():
+        return Fraction(rng.randint(-5, 5), rng.randint(1, 3))
+
+    init = [draw() for _ in range(order)]
+    last = Fraction(rng.choice([1, -2, 3]), rng.randint(1, 2))
+    rec = [draw() for _ in range(order - 1)] + [last]
+    return CFiniteSeq(init if any(init) else [1] + init[1:], rec)
+
+
+class TestSplit:
+    def test_random_products_split_exactly(self):
+        rng = random.Random(161803)
+        done = 0
+        while done < 30:
+            a = _random_factor(rng, rng.randint(1, 3))
+            b = _random_factor(rng, rng.randint(1, 3))
+            prod = mul(a, b)
+            if prod.order != a.order * b.order:
+                continue
+            x, y = _split(prod, a.rec, b.rec)
+            # x is proportional to a.init, with first nonzero entry 1
+            assert next(v for v in x if v) == 1
+            assert all(p * q == r * t for p, t in zip(x, a.init) for r, q in zip(x, a.init))
+            left = eval_terms(CFiniteSeq(x, a.rec), 60)
+            right = eval_terms(CFiniteSeq(y, b.rec), 60)
+            assert [u * v for u, v in zip(left, right)] == eval_terms(prod, 60)
+            done += 1
+
+    def test_rank_two_grid_is_no_product(self):
+        # the roots form a 2x2 grid, but the coefficient matrix has rank 2
+        s = add(mul(FIB, PELL), mul(LUCAS, shift(PELL, 1)))
+        assert s.order == 4
+        assert _split(s, FIB.rec, PELL.rec) is False
+        assert factorize_roots(s, 2, 2) is None
+
+    def test_repeated_roots_refused_before_root_finding(self, monkeypatch):
+        def no_roots(*args):
+            raise AssertionError("char_roots must not run on repeated roots")
+
+        monkeypatch.setattr(factor, "char_roots", no_roots)
+        with pytest.raises(DegenerateRootsError):
+            factorize_roots(mul(CFiniteSeq([1, 1], [4, -4]), FIB), 2, 2)
+
+    def test_close_distinct_roots_not_degenerate(self):
+        # roots 2 and 2 + 10^-30 are distinct; the factor recurrence needs a
+        # denominator of 10^30, beyond rational reconstruction
+        eps = Fraction(1, 10**30)
+        s = mul(CFiniteSeq([1, 1], [4 + eps, -2 * (2 + eps)]), FIB)
+        try:
+            pair = factorize_roots(s, 2, 2, digits=50)
+        except PrecisionError:
+            return
+        assert_valid_factorization(pair, s)
 
 
 class TestFactorizeInteger:

@@ -56,17 +56,6 @@ class TestCharRoots:
         bf = char_roots(s, 50)
         assert sorted(round(float(mpmath.im(z)), 6) for z in bf.roots) == [-1.0, 1.0]
 
-    def test_binet_coefficients_reproduce_terms(self):
-        s = CFiniteSeq([3, 1, 4], [2, 1, -2])
-        bf = char_roots(s, 80, with_coefficients=True)
-        terms = eval_terms(s, 12)
-        with mpmath.workdps(80):
-            for n in range(12):
-                val = sum(
-                    c * r**n for c, r in zip(bf.coefficients, bf.roots)
-                )
-                assert abs(val - mpmath.mpf(terms[n].numerator) / terms[n].denominator) < mpmath.mpf(10) ** -40
-
     def test_near_multiple_flagged(self):
         # (z - 1)^2: a(n) = 2a(n-1) - a(n-2)
         s = CFiniteSeq([0, 1], [2, -1])

@@ -49,3 +49,63 @@ def test_no_unused_imports_in_package():
         for path in sorted(SRC.glob("*.py"))
     }
     assert {name: dead for name, dead in found.items() if dead} == {}
+
+
+def private_definitions(tree):
+    """(line, name) of every module-level private function or class."""
+    return [
+        (node.lineno, node.name)
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and node.name.startswith("_")
+        and not node.name.startswith("__")
+    ]
+
+
+def referenced_names(trees):
+    """Every name read or imported anywhere in the given modules."""
+    names = set()
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, ast.alias):
+                names.add(node.name)
+    return names
+
+
+def dead_helpers(trees):
+    """{module: [(line, name)]} of private helpers no module refers to."""
+    used = referenced_names(trees.values())
+    found = {
+        module: [(line, name) for line, name in private_definitions(tree) if name not in used]
+        for module, tree in trees.items()
+    }
+    return {module: dead for module, dead in found.items() if dead}
+
+
+def test_checker_flags_dead_helpers():
+    trees = {
+        "a": ast.parse(
+            "def _used(): pass\n"
+            "def _dead(): pass\n"
+            "class _Unused: pass\n"
+            "def public(): return _used()\n"
+            "def __getattr__(name): pass\n"
+        ),
+        "b": ast.parse(
+            "from a import _imported\n"
+            "import a\n"
+            "def _via_attribute(): pass\n"
+            "a._via_attribute()\n"
+        ),
+        "c": ast.parse("def _imported(): pass\n"),
+    }
+    assert dead_helpers(trees) == {"a": [(2, "_dead"), (3, "_Unused")]}
+
+
+def test_no_dead_helpers_in_package():
+    trees = {path.name: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    assert dead_helpers(trees) == {}
