@@ -28,14 +28,7 @@ from .guess import (
     subsequence,
     verify_parametric_identity,
 )
-from .roots import (
-    BinetForm,
-    RepetitionProfile,
-    char_roots,
-    is_prod,
-    is_prod_g,
-    prod_indicator,
-)
+from .roots import RepetitionProfile, is_prod, is_prod_g, prod_indicator
 from .factor import FactorPair, factorize_integer, factorize_roots
 from .dimers import (
     dimer_product_report,
@@ -54,13 +47,11 @@ __all__ = [
     "InvariantViolation",
     "PolyRelation",
     "ProofCertificate",
-    "BinetForm",
     "RepetitionProfile",
     "FactorPair",
     "add",
     "binomial_transform",
     "c_to_r",
-    "char_roots",
     "dimer_product_report",
     "dimer_seq",
     "dimer_terms",

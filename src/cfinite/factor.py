@@ -11,11 +11,17 @@ cofactor's recurrence from the quotient.
 Both then take the initial terms from one exact rank-1 solve (_split) and
 return a pair only with a verified equality certificate (_certified):
 nothing is ever reported on numerical evidence alone.
+
+This module holds the package's whole numeric precision policy for
+factoring: the Aberth root finder and its residual guard (_char_roots),
+the precision ladder of factorize_roots, the grid and gauge tolerances,
+and the reconstruction denominator bound, which grows with the precision.
 """
 
 from __future__ import annotations
 
 import itertools
+import random
 import time
 from dataclasses import dataclass
 from fractions import Fraction
@@ -30,7 +36,6 @@ from .roots import (
     OrderMismatchError,
     PrecisionError,
     _require_simple_roots,
-    char_roots,
 )
 
 
@@ -38,7 +43,7 @@ class BudgetExhausted(RuntimeError):
     """The brute-force search ran out of time before exhausting its space."""
 
 
-RECONSTRUCT_DEN_BOUND = 10**6
+_JITTER_SEED = 20110716
 
 
 @dataclass(frozen=True)
@@ -112,13 +117,20 @@ def _mpf_to_fraction(x) -> Fraction:
     return -v if sign else v
 
 
-def _reconstruct(z, digits, den_bound=RECONSTRUCT_DEN_BOUND):
-    """Rational value of a high-precision (near-real) number, or None."""
+def _reconstruct(z, digits):
+    """Rational value of a high-precision (near-real) number, or None.
+
+    Denominators up to 10^(digits // 5) are tried, so each rung of the
+    precision ladder can recover larger ones.  A real number is typically
+    within only about 10^(-2 digits / 5) of a fraction that small, so the
+    required match to 10^(-digits/2) rarely holds by chance (and the
+    certificate checks every pair in the end).
+    """
     tol = mpmath.mpf(10) ** (-digits // 2)
     if abs(mpmath.im(z)) > tol * (1 + abs(z)):
         return None
     x = mpmath.re(z)
-    f = _mpf_to_fraction(x).limit_denominator(den_bound)
+    f = _mpf_to_fraction(x).limit_denominator(10 ** (digits // 5))
     fx = mpmath.mpf(f.numerator) / mpmath.mpf(f.denominator)
     if abs(x - fx) > tol * (1 + abs(x)):
         return None
@@ -246,9 +258,74 @@ def factorize_roots(seq: CFiniteSeq, L1: int, L2: int, digits: int = DEFAULT_DIG
     )
 
 
+def _char_roots(m: CFiniteSeq, digits: int) -> list:
+    """Roots of z^L - c_1 z^(L-1) - ... - c_L to `digits` digits, sorted.
+
+    m must have c_L != 0 and simple roots (_require_simple_roots).  All
+    roots come from one simultaneous Aberth iteration, started on a
+    jittered circle whose radius is the Cauchy bound; the jitter RNG is
+    fixed-seeded, so runs are reproducible.  PrecisionError unless every
+    root annihilates the polynomial within the residual guard.  The roots
+    are sorted by (real, imaginary) part.
+    """
+
+    def horner(cs, z):
+        acc = mpmath.mpc(0)
+        for c in reversed(cs):
+            acc = acc * z + c
+        return acc
+
+    L = m.order
+    with mpmath.workdps(digits + 20):
+        coeffs = [
+            -mpmath.mpf(c.numerator) / mpmath.mpf(c.denominator) for c in reversed(m.rec)
+        ] + [mpmath.mpf(1)]
+        deriv = [k * coeffs[k] for k in range(1, L + 1)]
+        cauchy = 1 + max(abs(c) for c in coeffs[:-1])
+        rng = random.Random(_JITTER_SEED)
+        zs = [
+            cauchy
+            * (mpmath.mpf("0.7") + mpmath.mpf("0.3") * rng.random())
+            * mpmath.exp(1j * (2 * mpmath.pi * k / L + mpmath.mpf("0.43") + rng.random() / 10))
+            for k in range(L)
+        ]
+        eps = mpmath.mpf(10) ** (-(digits + 5))
+        for _ in range(200 + 20 * digits):
+            converged = True
+            new = list(zs)
+            for i in range(L):
+                z = zs[i]
+                pz = horner(coeffs, z)
+                dpz = horner(deriv, z)
+                if dpz == 0:
+                    new[i] = z + eps
+                    converged = False
+                    continue
+                newton = pz / dpz
+                s = mpmath.mpc(0)
+                for j in range(L):
+                    if j != i:
+                        s += 1 / (z - zs[j])
+                denom = 1 - newton * s
+                w = newton if denom == 0 else newton / denom
+                new[i] = z - w
+                if abs(w) > eps * max(mpmath.mpf(1), abs(z)):
+                    converged = False
+            zs = new
+            if converged:
+                break
+        zs.sort(key=lambda z: (mpmath.re(z), mpmath.im(z)))
+
+        # residual guard: every claimed root must actually annihilate p
+        limit = mpmath.mpf(10) ** (-(digits - 10)) * cauchy
+        if any(abs(horner(coeffs, z)) > limit for z in zs):
+            raise PrecisionError(f"root residual exceeds tolerance at {digits} digits")
+        return zs
+
+
 def _factorize_roots_at(original, m, L1, L2, digits):
     L = L1 * L2
-    roots = list(char_roots(m, digits).roots)
+    roots = _char_roots(m, digits)
     with mpmath.workdps(digits + 20):
         tol = mpmath.mpf(10) ** (-digits // 2)
         unresolved = False

@@ -1,4 +1,4 @@
-"""Characteristic-root analysis and the product test.
+"""The product test: exact repetition profiles of characteristic-root ratios.
 
 A sequence of order L with distinct characteristic roots alpha_i has a
 Binet form sum C_i alpha_i^n.  If the sequence is a termwise product, its
@@ -15,20 +15,16 @@ only a factor certificate (factorize_roots, factorize_integer) proves
 that the sequence is a product.  A "no" is definitive only generically.
 Diagnostics always carry both profiles.  Repeated roots are detected
 exactly (gcd(P, P') not constant, _require_simple_roots) for both the
-product test and factorize_roots.  Floating point is confined to
-char_roots, which gives factorize_roots its root grid; the Binet
-coefficients are never computed.
+product test and factorize_roots.  Nothing here computes a root
+numerically: the root grid of factorize_roots is found in factor.py.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import random
 from dataclasses import dataclass
 from fractions import Fraction
-
-import mpmath
 
 from .core import CFiniteSeq, Polynomial, minimize, poly_gcd
 
@@ -36,8 +32,6 @@ DEFAULT_DIGITS = 100
 # largest product L of factor orders prod_indicator accepts; its profile
 # classifies the L^2 root ratios, which this caps at 2^20
 PROFILE_ORDER_LIMIT = 1024
-
-_JITTER_SEED = 20110716
 
 
 class OrderMismatchError(ValueError):
@@ -50,15 +44,6 @@ class DegenerateRootsError(ArithmeticError):
 
 class PrecisionError(ArithmeticError):
     """A numeric result could not be certified at the working precision."""
-
-
-@dataclass(frozen=True)
-class BinetForm:
-    """High-precision characteristic roots, with a near-multiple-root flag."""
-
-    roots: tuple
-    precision_digits: int
-    near_multiple: bool
 
 
 @dataclass(frozen=True)
@@ -80,121 +65,20 @@ class RepetitionProfile:
         return "[" + ", ".join(str(m) for m in self.multiplicities) + "]"
 
 
-def _to_mpf(x: Fraction):
-    x = Fraction(x)
-    return mpmath.mpf(x.numerator) / mpmath.mpf(x.denominator)
-
-
-def _horner(cs, z):
-    acc = mpmath.mpc(0)
-    for c in reversed(cs):
-        acc = acc * z + c
-    return acc
-
-
-def _aberth(coeffs, digits):
-    """All roots of a monic polynomial by simultaneous Aberth iteration.
-
-    `coeffs` are the mpf/mpc coefficients ascending, leading coefficient 1.
-    Starts from a jittered circle of radius the Cauchy bound; the jitter
-    RNG is fixed-seeded so runs are reproducible.
-    """
-    L = len(coeffs) - 1
-    deriv = [k * coeffs[k] for k in range(1, L + 1)]
-    cauchy = 1 + max(abs(c) for c in coeffs[:-1])
-    rng = random.Random(_JITTER_SEED)
-    zs = [
-        cauchy
-        * (mpmath.mpf("0.7") + mpmath.mpf("0.3") * rng.random())
-        * mpmath.exp(1j * (2 * mpmath.pi * k / L + mpmath.mpf("0.43") + rng.random() / 10))
-        for k in range(L)
-    ]
-    eps = mpmath.mpf(10) ** (-(digits + 5))
-    for _ in range(200 + 20 * digits):
-        converged = True
-        new = list(zs)
-        for i in range(L):
-            z = zs[i]
-            pz = _horner(coeffs, z)
-            dpz = _horner(deriv, z)
-            if dpz == 0:
-                new[i] = z + eps
-                converged = False
-                continue
-            newton = pz / dpz
-            s = mpmath.mpc(0)
-            for j in range(L):
-                if j != i:
-                    s += 1 / (z - zs[j])
-            denom = 1 - newton * s
-            w = newton if denom == 0 else newton / denom
-            new[i] = z - w
-            if abs(w) > eps * max(mpmath.mpf(1), abs(z)):
-                converged = False
-        zs = new
-        if converged:
-            break
-    return zs
-
-
-def _require_nonzero_roots(seq: CFiniteSeq):
-    """ValueError if z = 0 is a characteristic root (c_L = 0)."""
-    if seq.rec[-1] == 0:
+def _require_simple_roots(m: CFiniteSeq):
+    """ValueError for a root z = 0; DegenerateRootsError for a repeated root."""
+    if m.rec[-1] == 0:
         raise ValueError(
             "trailing recurrence coefficient is 0, so z = 0 is a "
             "characteristic root, which root-based methods cannot handle; "
             "minimizing removes it unless the sequence has a transient start "
             "(e.g. it is eventually 0)"
         )
-
-
-def _require_simple_roots(m: CFiniteSeq):
-    """ValueError for a root z = 0; DegenerateRootsError for a repeated root."""
-    _require_nonzero_roots(m)
     P = m.char_poly()
     if poly_gcd(P, _derivative(P)).degree > 0:
         raise DegenerateRootsError(
             "multiple characteristic roots: the ratio profile is undefined"
         )
-
-
-def char_roots(seq: CFiniteSeq, digits: int = DEFAULT_DIGITS) -> BinetForm:
-    """Roots of z^L - c_1 z^(L-1) - ... - c_L to `digits` decimal digits.
-
-    The input should already be minimal.  A zero trailing coefficient means
-    z = 0 is a root, which has no Binet term, so it is a ValueError.  Even
-    a minimal recurrence keeps that root when the sequence has a transient
-    start (e.g. it is eventually 0).  `near_multiple` flags roots closer
-    than the precision can separate; it is a numeric hint, while
-    _require_simple_roots decides multiplicity exactly.
-    """
-    _require_nonzero_roots(seq)
-    L = seq.order
-    with mpmath.workdps(digits + 20):
-        coeffs = [-_to_mpf(c) for c in reversed(seq.rec)] + [mpmath.mpf(1)]
-        zs = _aberth(coeffs, digits)
-        zs.sort(key=lambda z: (mpmath.re(z), mpmath.im(z)))
-
-        # residual guard: every claimed root must actually annihilate p
-        height = 1 + max(abs(c) for c in coeffs[:-1])
-        limit = mpmath.mpf(10) ** (-(digits - 10)) * height
-
-        for z in zs:
-            if abs(_horner(coeffs, z)) > limit:
-                raise PrecisionError(
-                    f"root residual exceeds tolerance at {digits} digits"
-                )
-
-        # a root of multiplicity m scatters like 10^(-digits/m) under the
-        # iteration, so the gap threshold must scale with the worst case
-        # multiplicity L or true multiple roots slip through as "distinct"
-        near_tol = mpmath.mpf(10) ** (-max(digits // (2 * L), 3))
-        near = any(
-            abs(zs[i] - zs[j]) < near_tol * max(1, abs(zs[i]))
-            for i in range(L)
-            for j in range(i + 1, L)
-        )
-        return BinetForm(roots=tuple(zs), precision_digits=digits, near_multiple=near)
 
 
 def prod_indicator(orders) -> RepetitionProfile:

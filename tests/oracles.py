@@ -2,14 +2,16 @@
 
 Everything here is deliberately written from scratch with the most naive
 algorithm available (direct recursion, dense Gaussian elimination over
-Fractions, exhaustive backtracking, numeric clustering of root ratios) so
-a bug in the package cannot hide behind shared code.
+Fractions, exhaustive backtracking, mpmath.polyroots and numeric
+clustering of root ratios) so a bug in the package cannot hide behind
+shared code.
 """
 
 from fractions import Fraction
 from math import comb
 
 import mpmath
+from mpmath.libmp import NoConvergence
 
 
 def recurrence_terms(init, rec, n):
@@ -182,24 +184,38 @@ def weighted_tilings(m, n, h, v):
     return rec()
 
 
-def ratio_profile(bf, rel_tol=None, allow_degenerate=False):
+def ratio_profile(rec, digits=50):
     """Sorted class sizes of the L^2 pairwise root ratios, clustered numerically.
 
-    `bf` carries numerical roots (`roots`), their precision
-    (`precision_digits`) and a near-multiple flag (`near_multiple`), as
-    `cfinite.roots.char_roots` returns them.  Single-linkage clustering
-    with relative tolerance (default 10^(-digits/2)) over the ratios
-    sorted by (real, imaginary); O(L^4).  ArithmeticError on near-multiple
-    roots unless `allow_degenerate`, ValueError on a root too close to 0.
+    The roots of z^L - rec[0] z^(L-1) - ... - rec[L-1] come from
+    mpmath.polyroots at `digits` digits.  Single-linkage clustering with
+    relative tolerance 10^(-digits/2) over the ratios sorted by (real,
+    imaginary); O(L^4).  ArithmeticError on near-multiple roots: a root of
+    multiplicity k is only found to about 10^(-digits/k), so roots closer
+    than 10^(-digits/(2L)) (the worst case k = L) are rejected.
+    ValueError on a root too close to 0.
     """
-    if bf.near_multiple and not allow_degenerate:
-        raise ArithmeticError("near-multiple roots: the ratio profile is unreliable")
-    with mpmath.workdps(bf.precision_digits + 20):
-        small = mpmath.mpf(10) ** (-bf.precision_digits // 2)
-        rel_tol = small if rel_tol is None else mpmath.mpf(rel_tol)
-        if any(abs(z) < small for z in bf.roots):
+    L = len(rec)
+    with mpmath.workdps(digits + 20):
+        coeffs = [mpmath.mpf(1)] + [
+            -mpmath.mpf(Fraction(c).numerator) / Fraction(c).denominator for c in rec
+        ]
+        try:
+            roots = mpmath.polyroots(coeffs, maxsteps=100 + 10 * digits, extraprec=2 * digits)
+        except NoConvergence:
+            raise ArithmeticError("root iteration did not converge: near-multiple roots?")
+        roots = [mpmath.mpc(z) for z in roots]
+        gap = mpmath.mpf(10) ** (-max(digits // (2 * L), 3))
+        if any(
+            abs(roots[i] - roots[j]) < gap * max(1, abs(roots[i]))
+            for i in range(L)
+            for j in range(i + 1, L)
+        ):
+            raise ArithmeticError("near-multiple roots: the ratio profile is unreliable")
+        rel_tol = mpmath.mpf(10) ** (-digits // 2)
+        if any(abs(z) < rel_tol for z in roots):
             raise ValueError("root magnitude below tolerance; cannot form ratios")
-        ratios = [a / b for a in bf.roots for b in bf.roots]
+        ratios = [a / b for a in roots for b in roots]
         ratios.sort(key=lambda z: (mpmath.re(z), mpmath.im(z)))
         n = len(ratios)
         parent = list(range(n))

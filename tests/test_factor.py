@@ -91,6 +91,18 @@ class TestFactorizeRoots:
         assert pair is not None
         assert_valid_factorization(pair, prod)
 
+    def test_reconstruction_bound_grows_with_precision(self):
+        # in the numeric gauge (alpha_1 + alpha_2 = 1) the left recurrence
+        # is [1, 1/1009^2]: its denominator exceeds 10^6, the bound at 30
+        # digits, but not 10^10, the bound at 50
+        left = CFiniteSeq([1, 2], [1009, 1])
+        right = CFiniteSeq([1, 1], [1013, 3])
+        prod = mul(left, right)
+        pair = factorize_roots(prod, 2, 2, digits=50)
+        assert pair is not None
+        assert {pair.left, pair.right} == {left, right}
+        assert_valid_factorization(pair, prod)
+
     def test_canonical_output_is_stable(self):
         prod = mul(FIB, PELL)
         a = factorize_roots(prod, 2, 2)
@@ -169,15 +181,16 @@ class TestSplit:
 
     def test_repeated_roots_refused_before_root_finding(self, monkeypatch):
         def no_roots(*args):
-            raise AssertionError("char_roots must not run on repeated roots")
+            raise AssertionError("_char_roots must not run on repeated roots")
 
-        monkeypatch.setattr(factor, "char_roots", no_roots)
+        monkeypatch.setattr(factor, "_char_roots", no_roots)
         with pytest.raises(DegenerateRootsError):
             factorize_roots(mul(CFiniteSeq([1, 1], [4, -4]), FIB), 2, 2)
 
     def test_close_distinct_roots_not_degenerate(self):
         # roots 2 and 2 + 10^-30 are distinct; the factor recurrence needs a
-        # denominator of 10^30, beyond rational reconstruction
+        # denominator of 10^30, which only the top rung of the precision
+        # ladder (200 digits, bound 10^40) can reconstruct
         eps = Fraction(1, 10**30)
         s = mul(CFiniteSeq([1, 1], [4 + eps, -2 * (2 + eps)]), FIB)
         try:

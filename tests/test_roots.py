@@ -7,8 +7,8 @@ import pytest
 
 from cfinite.core import CFiniteSeq, Polynomial, eval_terms, minimize
 from cfinite.guess import GuessConfig, guess_rec, mul
+from cfinite.factor import _char_roots
 from cfinite.roots import (
-    BinetForm,
     DegenerateRootsError,
     OrderMismatchError,
     PROFILE_ORDER_LIMIT,
@@ -16,7 +16,6 @@ from cfinite.roots import (
     _is_coarsening,
     _ratio_poly,
     _root_multiplicities,
-    char_roots,
     is_prod,
     is_prod_g,
     prod_indicator,
@@ -34,58 +33,62 @@ BIG_PRODUCT = mul(
 
 
 class TestCharRoots:
+    """factor._char_roots, the Aberth root finder behind factorize_roots."""
+
     def test_fibonacci_golden_ratio(self):
-        bf = char_roots(FIB, 60)
+        roots = _char_roots(FIB, 60)
         with mpmath.workdps(60):
             phi = (1 + mpmath.sqrt(5)) / 2
-            got = sorted(bf.roots, key=lambda z: mpmath.re(z))
+            got = sorted(roots, key=lambda z: mpmath.re(z))
             assert abs(got[1] - phi) < mpmath.mpf(10) ** -55
             assert abs(got[0] + 1 / phi) < mpmath.mpf(10) ** -55
 
     def test_residuals_tiny(self):
         s = CFiniteSeq([1, 2, 3], [1, -4, 2])
-        bf = char_roots(s, 100)
+        roots = _char_roots(s, 100)
         p = s.char_poly()
         with mpmath.workdps(110):
-            for r in bf.roots:
+            for r in roots:
                 assert abs(p.eval(r)) < mpmath.mpf(10) ** -80
 
     def test_complex_roots(self):
         # a(n) = -a(n-2): roots +/- i
         s = CFiniteSeq([1, 0], [0, -1])
-        bf = char_roots(s, 50)
-        assert sorted(round(float(mpmath.im(z)), 6) for z in bf.roots) == [-1.0, 1.0]
-
-    def test_near_multiple_flagged(self):
-        # (z - 1)^2: a(n) = 2a(n-1) - a(n-2)
-        s = CFiniteSeq([0, 1], [2, -1])
-        bf = char_roots(s, 50)
-        assert bf.near_multiple
+        roots = _char_roots(s, 50)
+        assert sorted(round(float(mpmath.im(z)), 6) for z in roots) == [-1.0, 1.0]
 
     def test_deterministic_across_runs(self):
         s = CFiniteSeq([1, 1, 1, 1], [1, 3, -2, 1])
-        a = char_roots(s, 60)
-        b = char_roots(s, 60)
-        assert all(x == y for x, y in zip(a.roots, b.roots))
+        a = _char_roots(s, 60)
+        b = _char_roots(s, 60)
+        assert all(x == y for x, y in zip(a, b))
 
     def test_random_integer_polys_against_numpy(self):
         import numpy as np
 
         rng = random.Random(5)
+        recs = []
         for _ in range(20):
             L = rng.randint(2, 5)
             rec = [rng.randint(-5, 5) for _ in range(L)]
             if rec[-1] == 0:
                 rec[-1] = 1
-            s = CFiniteSeq([1] * L, rec)
-            bf = char_roots(s, 50)
+            recs.append(rec)
+        # orders 9 and 8: the shapes factorize_roots sees most
+        for shape in [(3, 3)] * 3 + [(2, 2, 2)] * 3:
+            recs.append(list(_random_product(rng, shape).rec))
+        for rec in recs:
+            roots = _char_roots(CFiniteSeq([1] * len(rec), rec), 50)
             # numpy wants descending coefficients of z^L - c1 z^(L-1) - ...
             np_roots = np.roots([1.0] + [-float(c) for c in rec])
-            key = lambda z: (z.real, z.imag)
-            got = sorted((complex(z) for z in bf.roots), key=key)
-            want = sorted((complex(z) for z in np_roots), key=key)
-            for g, w in zip(got, want):
-                assert abs(g - w) < 1e-6
+            # pair each numpy root with the nearest unpaired one: sorting
+            # both lists would mispair roots whose real parts tie (+/- i)
+            got = [complex(z) for z in roots]
+            assert len(got) == len(np_roots) == len(rec)
+            for w in np_roots:
+                g = min(got, key=lambda z: abs(z - w))
+                got.remove(g)
+                assert abs(g - w) < 1e-6, rec
 
 
 class TestProdIndicator:
@@ -122,23 +125,20 @@ class TestRatioProfile:
     """The numeric clustering oracle on its own."""
 
     def test_fibonacci_profile(self):
-        bf = char_roots(FIB, 100)
-        assert oracles.ratio_profile(bf) == (1, 1, 2)
+        assert oracles.ratio_profile(FIB.rec, 100) == (1, 1, 2)
 
     def test_geometric_profile(self):
-        bf = char_roots(corpus.lookup("geometric", [3]), 50)
-        assert oracles.ratio_profile(bf) == (1,)
+        assert oracles.ratio_profile(corpus.lookup("geometric", [3]).rec, 50) == (1,)
 
     def test_degenerate_rejected(self):
         s = CFiniteSeq([0, 1], [2, -1])  # double root at 1
-        bf = char_roots(s, 50)
         with pytest.raises(ArithmeticError):
-            oracles.ratio_profile(bf)
+            oracles.ratio_profile(s.rec, 50)
 
     def test_zero_root_rejected(self):
         s = CFiniteSeq([1, 0], [0, 0])
         with pytest.raises((ValueError, ArithmeticError)):
-            oracles.ratio_profile(char_roots(s, 50))
+            oracles.ratio_profile(s.rec, 50)
 
 
 def _observed(seq):
@@ -209,7 +209,7 @@ class TestExactProfile:
                 exact = _observed(m)
             except DegenerateRootsError:
                 continue
-            assert exact == oracles.ratio_profile(char_roots(m, 50)), m
+            assert exact == oracles.ratio_profile(m.rec, 50), m
             checked += 1
         assert checked >= 100
 
@@ -220,7 +220,7 @@ class TestExactProfile:
             prod = _random_product(rng, shape)
             verdict = is_prod_g(prod, shape)
             assert verdict.is_product, (prod, verdict)
-            want = oracles.ratio_profile(char_roots(prod, 50))
+            want = oracles.ratio_profile(prod.rec, 50)
             assert verdict.observed.multiplicities == want, prod
 
     def test_unit_root_products_coarsen(self):
@@ -230,7 +230,7 @@ class TestExactProfile:
             verdict = is_prod_g(prod, (2, 2))
             assert verdict.is_product and verdict.note, (prod, verdict)
             assert verdict.observed != verdict.expected
-            want = oracles.ratio_profile(char_roots(prod, 50))
+            want = oracles.ratio_profile(prod.rec, 50)
             assert verdict.observed.multiplicities == want, prod
 
     def test_four_geometric_sums(self):
@@ -239,7 +239,7 @@ class TestExactProfile:
             s = _four_geometric_sum(rng)
             verdict = is_prod_g(s, (2, 2))
             assert not verdict.is_product
-            want = oracles.ratio_profile(char_roots(s, 50))
+            want = oracles.ratio_profile(s.rec, 50)
             assert verdict.observed.multiplicities == want, s
 
 

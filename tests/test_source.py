@@ -109,3 +109,39 @@ def test_checker_flags_dead_helpers():
 def test_no_dead_helpers_in_package():
     trees = {path.name: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
     assert dead_helpers(trees) == {}
+
+
+# floating point is confined to the numeric root grid and the Kasteleyn
+# cross-check; every other module is exact
+MPMATH_MODULES = {"factor.py", "dimers.py"}
+
+
+def imported_modules(tree):
+    """Top-level names of every module the tree imports, relative ones skipped."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names |= {alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.add(node.module.split(".")[0])
+    return names
+
+
+def test_checker_finds_imported_modules():
+    tree = ast.parse(
+        "import os.path, random as r\n"
+        "from mpmath.libmp import mpf\n"
+        "from . import mpmath\n"
+        "def f():\n"
+        "    import json\n"
+    )
+    assert imported_modules(tree) == {"os", "random", "mpmath", "json"}
+
+
+def test_mpmath_only_where_floating_point_is_allowed():
+    users = {
+        path.name
+        for path in SRC.glob("*.py")
+        if "mpmath" in imported_modules(ast.parse(path.read_text()))
+    }
+    assert users <= MPMATH_MODULES
