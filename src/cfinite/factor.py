@@ -15,7 +15,8 @@ nothing is ever reported on numerical evidence alone.
 This module holds the package's whole numeric precision policy for
 factoring: the Aberth root finder and its residual guard (_char_roots),
 the precision ladder of factorize_roots, the grid and gauge tolerances,
-and the reconstruction denominator bound, which grows with the precision.
+the reconstruction denominator bound, which grows with the precision, and
+the trial-division bound of the canonical gauge.
 """
 
 from __future__ import annotations
@@ -44,6 +45,9 @@ class BudgetExhausted(RuntimeError):
 
 
 _JITTER_SEED = 20110716
+# the gauge needs the primes of the left recurrence's coefficients; trial
+# division past this bound could run for hours on a large prime squared
+_TRIAL_LIMIT = 10**6
 
 
 @dataclass(frozen=True)
@@ -99,8 +103,14 @@ def _split(m, left_rec, right_rec):
 
 
 def _certified(original, left, right, normalize):
-    """The normalized pair, ordered, with its equality proof; None if unproved."""
-    left, right, note = normalize(left, right)
+    """The normalized pair, ordered, with its equality proof; None if unproved.
+
+    Also None when normalize cannot put the pair in its canonical form.
+    """
+    normalized = normalize(left, right)
+    if normalized is None:
+        return None
+    left, right, note = normalized
     cert = guess.prove_equal(guess.mul(left, right), original)
     if not cert.verified:
         return None
@@ -153,18 +163,24 @@ def _rec_from_monic(coeffs):
     return [-coeffs[L - i] for i in range(1, L + 1)]
 
 
-def _factorize_small(n: int):
-    """Prime factorization by trial division (coefficients here are small)."""
+def _prime_divisors(n: int):
+    """The primes dividing n, or None if trial division cannot find them all.
+
+    Trial division stops at _TRIAL_LIMIT, so a cofactor left over after it
+    is known prime only while it is below _TRIAL_LIMIT^2.
+    """
     n = abs(n)
-    out = {}
+    out = set()
     d = 2
     while d * d <= n:
+        if d > _TRIAL_LIMIT:
+            return None
         while n % d == 0:
-            out[d] = out.get(d, 0) + 1
+            out.add(d)
             n //= d
         d += 1 if d == 2 else 2
     if n > 1:
-        out[n] = out.get(n, 0) + 1
+        out.add(n)
     return out
 
 
@@ -175,15 +191,17 @@ def _gauge_scale(rec) -> Fraction:
     (lambda^n left, lambda^-n right).  This picks the unique positive
     lambda for which the rescaled recurrence coefficients are integers
     with no prime removable from every weighted slot, then flips the sign
-    so the first odd-position coefficient is positive.
+    so the first odd-position coefficient is positive.  None when some
+    coefficient's primes are out of _prime_divisors' reach.
     """
     from math import ceil
 
     primes = set()
-    for c in rec:
-        if c != 0:
-            primes |= set(_factorize_small(c.numerator))
-            primes |= set(_factorize_small(c.denominator))
+    for n in (part for c in rec if c != 0 for part in (c.numerator, c.denominator)):
+        divisors = _prime_divisors(n)
+        if divisors is None:
+            return None
+        primes |= divisors
     lam = Fraction(1)
     for p in sorted(primes):
         exps = []
@@ -216,9 +234,11 @@ def _apply_gauge(seq: CFiniteSeq, lam: Fraction) -> CFiniteSeq:
 
 
 def _normalize_rational_pair(left, right):
-    """Canonical gauge plus first-nonzero-initial-term-1 scaling."""
+    """Canonical gauge plus first-nonzero-initial-term-1 scaling; None if no gauge."""
     notes = []
     lam = _gauge_scale(left.rec)
+    if lam is None:
+        return None
     if lam != 1:
         left = _apply_gauge(left, lam)
         right = _apply_gauge(right, 1 / lam)
@@ -235,7 +255,8 @@ def factorize_roots(seq: CFiniteSeq, L1: int, L2: int, digits: int = DEFAULT_DIG
 
     Tries a precision ladder (digits, 2x, 4x) while some root grid is
     unresolved: its factor recurrences could not be reconstructed
-    rationally, or they do not span the sequence.  Returns None when no
+    rationally, they do not span the sequence, or their canonical gauge
+    needs primes that bounded trial division cannot find.  Returns None when no
     grid is left unresolved and none splits (the exact coefficient matrix
     of _split has rank other than 1), and raises PrecisionError when a grid
     is still unresolved at the top of the ladder.
@@ -398,7 +419,8 @@ def _extract_factors(original, m, grid, roots, L1, L2, digits, tol):
 def _try_gauge(original, m, alphas, betas, s, digits):
     """The pair in gauge s; None if unresolved, False if it splits nothing.
 
-    Unresolved: the recurrences are not rational, or they do not span m.
+    Unresolved: the recurrences are not rational, they do not span m, or
+    the canonical gauge of the pair needs primes beyond _TRIAL_LIMIT.
     """
     left_poly = _poly_from_roots([s * a for a in alphas])
     right_poly = _poly_from_roots([b / s for b in betas])

@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import mpmath
@@ -102,6 +103,23 @@ class TestFactorizeRoots:
         assert pair is not None
         assert {pair.left, pair.right} == {left, right}
         assert_valid_factorization(pair, prod)
+
+    @pytest.mark.parametrize(
+        "p, digits", [(999999000001, 100), (999999000001, 200), (999999937, 100)]
+    )
+    def test_large_prime_gauge_ends_promptly(self, p, digits):
+        # with [p, 1] on the left the gauge needs the primes of p^2, beyond
+        # bounded trial division: that grid stays unresolved, and the
+        # Fibonacci-left grid gives the pair instead
+        prod = mul(CFiniteSeq([1, 2], [p, 1]), FIB)
+        t0 = time.monotonic()
+        try:
+            pair = factorize_roots(prod, 2, 2, digits=digits)
+        except PrecisionError:
+            pair = None
+        assert time.monotonic() - t0 < 30
+        if pair is not None:
+            assert_valid_factorization(pair, prod)
 
     def test_canonical_output_is_stable(self):
         prod = mul(FIB, PELL)
@@ -268,6 +286,15 @@ def test_factor_pair_ordering():
         pair.right.rec,
         pair.right.init,
     )
+
+
+def test_prime_divisors_bounded():
+    assert factor._prime_divisors(-(1009**2) * 1013) == {1009, 1013}
+    # the cofactor left after trial division is below the limit squared
+    assert factor._prime_divisors(999983 * 999979) == {999979, 999983}
+    assert factor._prime_divisors(999999000001) == {999999000001}
+    # a prime above the limit, squared, is out of reach
+    assert factor._prime_divisors(999999000001**2) is None
 
 
 def test_precision_error_is_shared_with_roots():
