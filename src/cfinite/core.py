@@ -1,4 +1,4 @@
-"""Exact arithmetic foundation: polynomials over Q and the sequence object.
+"""Exact arithmetic foundation: polynomials over Q, their gcd, the sequence object.
 
 A sequence is stored as ``[[d_1, ..., d_L], [c_1, ..., c_L]]``: the first
 block holds the initial terms a(0)..a(L-1), the second the recurrence
@@ -14,7 +14,9 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import gcd, lcm
+from functools import cache
+from itertools import count
+from math import gcd, isqrt, lcm
 from typing import Iterable, Sequence
 
 
@@ -137,12 +139,7 @@ class Polynomial:
 
     def primitive(self) -> "Polynomial":
         """Integer-content-1 version with positive leading coefficient."""
-        if self.is_zero():
-            return self
-        c = content(self.coeffs)
-        if self.coeffs[-1] < 0:
-            c = -c
-        return self.scale(1 / c)
+        return Polynomial(_integer_part(self.coeffs))
 
     def __repr__(self):
         return f"Polynomial({list(self.coeffs)!r})"
@@ -151,16 +148,149 @@ class Polynomial:
         return format_poly(self, "z")
 
 
-def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
-    """Monic gcd by the Euclidean algorithm over Q.
+def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin; these bases decide every n < 3.3 * 10^24."""
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+    if n < 2:
+        return False
+    for b in bases:
+        if n % b == 0:
+            return n == b
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for b in bases:
+        x = pow(b, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
 
-    Operands are taken primitive first so intermediate coefficient blow-up
-    stays modest at the orders this package handles.
+
+@cache
+def _prime(i: int) -> int:
+    """The i-th prime below 2^61, counting down from 2^61 - 1 (i = 0)."""
+    n = _prime(i - 1) - 2 if i else (1 << 61) - 1
+    while not _is_prime(n):
+        n -= 2
+    return n
+
+
+def _primitive(f: list) -> list:
+    """f over its content, with positive leading coefficient (f = [] stays)."""
+    if not f:
+        return f
+    c = gcd(*f) if f[-1] > 0 else -gcd(*f)
+    return [x // c for x in f]
+
+
+def _integer_part(coeffs) -> list:
+    """The primitive integer polynomial proportional to a rational one."""
+    d = lcm(*(c.denominator for c in coeffs))
+    return _primitive([c.numerator * (d // c.denominator) for c in coeffs])
+
+
+def _gcd_mod(a: list, b: list, p: int) -> list:
+    """Monic gcd of two nonzero polynomials over Z/p, ascending lists.
+
+    Remainders are reduced mod p once per division, not per step.
     """
-    a, b = a.primitive(), b.primitive()
-    while not b.is_zero():
-        a, b = b, (a % b).primitive()
-    return a.monic() if not a.is_zero() else a
+    if len(a) < len(b):
+        a, b = b, a
+    while b:
+        inv, db, r = pow(b[-1], -1, p), len(b) - 1, list(a)
+        for k in range(len(r) - 1 - db, -1, -1):
+            c = r[k + db] * inv % p
+            if c:
+                r[k : k + db] = [x - c * y for x, y in zip(r[k : k + db], b)]
+        r = [x % p for x in r[:db]]
+        while r and not r[-1]:
+            r.pop()
+        a, b = b, r
+    inv = pow(a[-1], -1, p)
+    return [x * inv % p for x in a]
+
+
+def int_poly_quo(a: list, b: list, bound: int = 0):
+    """a / b for integer coefficient lists (ascending), or None if b does not
+    divide a in Z[z].
+
+    With a bound, gives up (None) as soon as a quotient coefficient exceeds
+    it in absolute value.
+    """
+    db, lead = len(b) - 1, b[-1]
+    if len(a) <= db:
+        return None if any(a) else []
+    rem, quo = list(a), [0] * (len(a) - db)
+    for k in range(len(quo) - 1, -1, -1):
+        c, r = divmod(rem[k + db], lead)
+        if r or (bound and abs(c) > bound):
+            return None
+        quo[k] = c
+        if c:
+            rem[k : k + db] = [x - c * y for x, y in zip(rem[k : k + db], b)]
+    return None if any(rem[:db]) else quo
+
+
+def int_poly_gcd(a: list, b: list) -> list:
+    """Primitive gcd with positive leading coefficient of two integer
+    coefficient lists (ascending, no trailing zeros; [] for two zero
+    operands), by Brown's modular algorithm.
+
+    The gcd is computed modulo 61-bit primes that divide neither leading
+    coefficient; each monic image is scaled to lc = gcd(lc a, lc b), images
+    of the smallest degree seen are joined by CRT, and the primitive part of
+    the symmetric lift is returned once it divides both inputs over Z.  No
+    image has a smaller degree than the true gcd, and no common divisor a
+    larger one, so the answer is exact: the primes only decide how soon it is
+    found.  A trial division of f ends at the first quotient coefficient
+    beyond Mignotte's bound 2^k * ||f||_2 (k the quotient's degree): the
+    quotient by the true gcd is a factor of f in Z[z], so it never gets
+    there.
+    """
+    if not a or not b:
+        return _primitive(a or b)
+    gamma = gcd(a[-1], b[-1])
+    norms = [isqrt(sum(x * x for x in f)) + 1 for f in (a, b)]
+    modulus, lift = 1, []
+    for p in map(_prime, count()):
+        if a[-1] % p == 0 or b[-1] % p == 0:
+            continue
+        image = _gcd_mod([x % p for x in a], [x % p for x in b], p)
+        if len(image) == 1:
+            return [1]
+        if lift and len(image) > len(lift):
+            continue
+        g = gamma % p
+        image = [x * g % p for x in image]
+        if not lift or len(image) < len(lift):
+            modulus, lift = p, image
+        else:
+            inv = pow(modulus, -1, p)
+            lift = [u + modulus * ((v - u) * inv % p) for u, v in zip(lift, image)]
+            modulus *= p
+        half = modulus // 2
+        cand = _primitive([x - modulus if x > half else x for x in lift])
+        if all(
+            int_poly_quo(f, cand, n << (len(f) - len(cand))) is not None
+            for f, n in zip((a, b), norms)
+        ):
+            return cand
+
+
+def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
+    """Monic gcd over Q (zero for two zero operands).
+
+    Exact, with no fallback: the denominators are cleared and Brown's
+    modular gcd (int_poly_gcd) runs on the primitive integer parts.
+    """
+    g = int_poly_gcd(_integer_part(a.coeffs), _integer_part(b.coeffs))
+    return Polynomial(g).monic()
 
 
 def format_poly(p: Polynomial, var: str = "z") -> str:

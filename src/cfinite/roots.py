@@ -6,9 +6,10 @@ root set is the Cartesian product of the factors' root sets, and the
 multiset of the L^2 pairwise root ratios then shows a telltale
 repetition pattern.  prod_indicator computes that pattern
 combinatorially for generic factors; is_prod / is_prod_g measure it
-exactly, as the root multiplicities of the polynomial whose roots are the
-ratios (power sums, Newton's identities, Yun's square-free decomposition),
-and compare the two.
+exactly, as the root multiplicities of an integer polynomial whose roots
+are the ratios times a constant (power sums, Newton's identities, Yun's
+square-free decomposition with the modular gcd of core), and compare the
+two.
 
 A "yes" means the observed profile matches or coarsens the generic one;
 only a factor certificate (factorize_roots, factorize_integer) proves
@@ -24,9 +25,8 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .core import CFiniteSeq, Polynomial, minimize, poly_gcd
+from .core import CFiniteSeq, Polynomial, int_poly_gcd, int_poly_quo, minimize, poly_gcd
 
 DEFAULT_DIGITS = 100
 # largest product L of factor orders prod_indicator accepts; its profile
@@ -75,7 +75,7 @@ def _require_simple_roots(m: CFiniteSeq):
             "(e.g. it is eventually 0)"
         )
     P = m.char_poly()
-    if poly_gcd(P, _derivative(P)).degree > 0:
+    if poly_gcd(P, Polynomial(_derivative(P.coeffs))).degree > 0:
         raise DegenerateRootsError(
             "multiple characteristic roots: the ratio profile is undefined"
         )
@@ -152,50 +152,73 @@ class ProductVerdict:
         )
 
 
-def _derivative(f: Polynomial) -> Polynomial:
-    return Polynomial(k * f[k] for k in range(1, f.degree + 1))
-
-
 def _power_sums(rec, K) -> list:
     """Power sums p(0..K) of the roots of z^L - c_1 z^(L-1) - ... - c_L.
 
     Newton's identities give p(1..L); past L they are the recurrence itself.
     """
-    L, p = len(rec), [Fraction(len(rec))]
+    L, p = len(rec), [len(rec)]
     for k in range(1, K + 1):
         s = sum(rec[i] * p[k - 1 - i] for i in range(min(k - 1, L)))
         p.append(s + k * rec[k - 1] if k <= L else s)
     return p
 
 
-def _ratio_poly(rec) -> Polynomial:
-    """Monic polynomial whose roots are the L^2 - L ratios gamma_i / gamma_j, i != j.
+def _ratio_poly(rec) -> list:
+    """Integer coefficients (ascending) of the monic polynomial whose roots are
+    the L^2 - L values c'_L * gamma_i / gamma_j, i != j.
 
-    The recurrence run backwards (c_L != 0) has the roots 1 / gamma_i, so
-    p(k) p(-k) - L is the k-th power sum of the off-diagonal ratios, and
-    Newton's identities, solved for the coefficients, give the polynomial.
+    z is scaled by the lcm D of the denominators, so the roots D gamma_i
+    have the integer recurrence c_k D^k and are algebraic integers.  The
+    backward recurrence (c'_L = c_L D^L != 0) has the roots 1 / (D gamma_i);
+    scaled by c'_L, whose roots c'_L / (D gamma_i) are products of the other
+    D gamma_j and so algebraic integers too, it is integral as well.
+    p(k) p'(k) - L c'_L^k is then the k-th power sum of the off-diagonal
+    values c'_L gamma_i / gamma_j, which are algebraic integers, so
+    Newton's identities solve for the coefficients with exact division by k.
+    Scaling the roots by c'_L changes no multiplicity.
     """
     L, N = len(rec), len(rec) ** 2 - len(rec)
-    backwards = [-c / rec[-1] for c in rec[-2::-1]] + [1 / rec[-1]]
-    q = [x * y - L for x, y in zip(_power_sums(rec, N), _power_sums(backwards, N))]
+    D = math.lcm(*(c.denominator for c in rec))
+    fwd = [int(c * D**k) for k, c in enumerate(rec, start=1)]
+    last = fwd[-1]
+    bwd = [-c * last ** (k - 1) for k, c in enumerate(fwd[-2::-1], start=1)]
+    bwd.append(last ** (L - 1))
+    sums = zip(_power_sums(fwd, N), _power_sums(bwd, N))
+    q = [x * y - L * last**k for k, (x, y) in enumerate(sums)]
     a = []  # the polynomial is z^N - a_1 z^(N-1) - ... - a_N
     for k in range(1, N + 1):
-        a.append((q[k] - sum(a[i] * q[k - 1 - i] for i in range(k - 1))) / k)
-    return Polynomial([-x for x in reversed(a)] + [1])
+        a.append((q[k] - sum(a[i] * q[k - 1 - i] for i in range(k - 1))) // k)
+    return [-x for x in reversed(a)] + [1]
 
 
-def _root_multiplicities(f: Polynomial) -> list:
-    """Multiplicity of each distinct complex root of f, by Yun's algorithm."""
+def _derivative(f) -> list:
+    return [k * f[k] for k in range(1, len(f))]
+
+
+def _sub(f: list, g: list) -> list:
+    out = [x - y for x, y in itertools.zip_longest(f, g, fillvalue=0)]
+    while out and not out[-1]:
+        out.pop()
+    return out
+
+
+def _root_multiplicities(f: list) -> list:
+    """Multiplicity of each distinct complex root of the integer polynomial f
+    (ascending coefficients), by Yun's algorithm.
+
+    Every gcd is primitive, so each division is exact in Z[z] (Gauss's lemma).
+    """
     df = _derivative(f)
-    g = poly_gcd(f, df)
-    c = f // g
-    d = df // g - _derivative(c)
+    g = int_poly_gcd(f, df)
+    c = int_poly_quo(f, g)
+    d = _sub(int_poly_quo(df, g), _derivative(c))
     mults, k = [], 1
-    while c.degree > 0:
-        a = poly_gcd(c, d)
-        c = c // a
-        d = d // a - _derivative(c)
-        mults += [k] * a.degree
+    while len(c) > 1:
+        a = int_poly_gcd(c, d)
+        c = int_poly_quo(c, a)
+        d = _sub(int_poly_quo(d, a), _derivative(c))
+        mults += [k] * (len(a) - 1)
         k += 1
     return mults
 
@@ -212,6 +235,7 @@ def is_prod_g(seq: CFiniteSeq, orders, digits: int = DEFAULT_DIGITS) -> ProductV
     echoed in the verdict: no floating point is involved.
     """
     orders = tuple(orders)
+    expected = prod_indicator(orders)
     m = minimize(seq)
     if m.order != math.prod(orders):
         raise OrderMismatchError(
@@ -220,7 +244,6 @@ def is_prod_g(seq: CFiniteSeq, orders, digits: int = DEFAULT_DIGITS) -> ProductV
     _require_simple_roots(m)
     # the L diagonal ratios are 1, and no other ratio is, the roots being distinct
     observed = RepetitionProfile((m.order, *_root_multiplicities(_ratio_poly(m.rec))))
-    expected = prod_indicator(orders)
     is_product = _is_coarsening(observed.multiplicities, expected.multiplicities)
     note = ""
     if is_product and observed != expected:

@@ -89,6 +89,31 @@ def rank(rows):
     return r
 
 
+def poly_gcd_euclid(a, b):
+    """Monic gcd over Q of two ascending coefficient lists, [] if both are 0.
+
+    The schoolbook Euclidean algorithm on Fractions, with no content
+    removal: coefficients swell, so keep the degrees small.
+    """
+
+    def trim(p):
+        p = [Fraction(c) for c in p]
+        while p and p[-1] == 0:
+            p.pop()
+        return p
+
+    a, b = trim(a), trim(b)
+    while b:
+        r = list(a)
+        while len(r) >= len(b):
+            c, shift = r[-1] / b[-1], len(r) - len(b)
+            for j, y in enumerate(b):
+                r[shift + j] -= c * y
+            r = trim(r)
+        a, b = b, r
+    return [c / a[-1] for c in a] if a else []
+
+
 def brute_force_guess(terms, max_order):
     """Smallest-order recurrence fitting all terms, or None.
 

@@ -163,6 +163,17 @@ class TestAnalysis:
         code, _, err = run(capsys, "isprod", "[[0,1],[1,1]]", "--orders", "2,2")
         assert code == 2
 
+    @pytest.mark.parametrize("orders", ["0,2", "2,-1"])
+    def test_isprod_bad_orders_exit_2(self, capsys, orders):
+        code, _, err = run(capsys, "isprod", "[[0,1],[1,1]]", "--orders", orders)
+        assert code == 2
+        assert "orders must be a nonempty list of counts >= 1" in err
+
+    def test_isprod_order_limit_exit_2(self, capsys):
+        code, _, err = run(capsys, "isprod", "[[0,1],[1,1]]", "--orders", "33,32")
+        assert code == 2
+        assert "exceeds 1024" in err
+
     def test_factor(self, capsys):
         code, out, _ = run(
             capsys, "--json", "factor", "[[0, 1, 2, 10], [2, 7, 2, -1]]",
@@ -243,6 +254,11 @@ class TestDimerCLI:
 
     def test_report(self, capsys):
         code, out, _ = run(capsys, "dimer", "--width", "4", "--report-product")
+        assert code == 0
+        assert "YES" in out
+
+    def test_report_width_eight(self, capsys):
+        code, out, _ = run(capsys, "dimer", "--width", "8", "--report-product")
         assert code == 0
         assert "YES" in out
 

@@ -7,6 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cfinite.core import (
+    _is_prime,
+    _prime,
     CFiniteSeq,
     Polynomial,
     content,
@@ -112,6 +114,90 @@ class TestPolynomial:
         quo, rem = divmod(p, q)
         assert quo * q + rem == p
         assert rem.degree < q.degree
+
+
+# the first two primes of the modular gcd engine
+P0, P1 = _prime(0), _prime(1)
+Z = Polynomial([0, 1])
+factor_lists = st.lists(small_fracs, min_size=0, max_size=4)
+
+
+def _check_gcd(a, b):
+    want = oracles.poly_gcd_euclid(a.coeffs, b.coeffs)
+    assert list(poly_gcd(a, b).coeffs) == want, (a, b)
+    assert list(poly_gcd(b, a).coeffs) == want, (a, b)
+
+
+class TestPolyGcd:
+    """The modular poly_gcd against the Fraction Euclid of the oracles."""
+
+    def test_primes(self):
+        primes = [_prime(i) for i in range(6)]
+        assert primes[0] == 2**61 - 1
+        assert primes == sorted(primes, reverse=True)
+        assert all(p.bit_length() == 61 and _is_prime(p) for p in primes)
+        # no prime skipped between consecutive ones
+        assert not any(_is_prime(n) for n in range(P1 + 2, P0, 2))
+
+    def test_is_prime_against_trial_division(self):
+        naive = [n for n in range(3000) if n > 1 and all(n % d for d in range(2, n))]
+        assert [n for n in range(3000) if _is_prime(n)] == naive
+        # strong pseudoprimes to the bases 2, 3, 5, 7 and to 2 .. 37
+        assert not _is_prime(3215031751)
+        assert not _is_prime(318665857834031151167461)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(small_fracs, min_size=1, max_size=4), factor_lists, factor_lists)
+    def test_planted_common_factor(self, g, u, v):
+        G = Polynomial(g)
+        _check_gcd(G * Polynomial(u), G * Polynomial(v))
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.lists(small_fracs, max_size=1), st.lists(small_fracs, max_size=5))
+    def test_zero_and_constant_operands(self, c, f):
+        _check_gcd(Polynomial(c), Polynomial(f))
+        _check_gcd(Polynomial(), Polynomial(f))
+
+    def test_zero_operands(self):
+        assert poly_gcd(Polynomial(), Polynomial()) == Polynomial()
+        half = Fraction(1, 2)
+        assert poly_gcd(Polynomial([0, 2, 4]), Polynomial()) == Polynomial([0, half, 1])
+        assert poly_gcd(Polynomial([Fraction(-3, 4)]), Polynomial()) == Polynomial([1])
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        factor_lists,
+        factor_lists,
+        factor_lists,
+        st.integers(0, 2),
+        st.integers(0, 2),
+        st.fractions(min_value=-3, max_value=3, max_denominator=3).filter(bool),
+    )
+    def test_leading_coefficients_divisible_by_first_primes(self, g, u, v, e0, e1, c):
+        G = Polynomial(g + [c * P0**e0])
+        A = G * Polynomial(u + [c * P0**e1 * P1])
+        B = G * Polynomial(v + [P1**e0 * P0])
+        _check_gcd(A, B)
+
+    def test_unlucky_first_prime(self):
+        # z - 1 and z - 1 - P0 agree mod P0, so that image has degree 1
+        a, b = Z - Polynomial([1]), Z - Polynomial([1 + P0])
+        assert poly_gcd(a, b) == Polynomial([1])
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.lists(small_fracs, min_size=1, max_size=4),
+        st.integers(-10, 10),
+        st.sampled_from([P0, P1, _prime(2), P0 * P1, 3 * P0**2]),
+        st.booleans(),
+    )
+    def test_unlucky_primes(self, g, r, shift, big):
+        # mod each prime dividing shift the cofactors z - r and z - r - shift
+        # coincide, so those images have a larger degree than the gcd over Q;
+        # a 206-bit coefficient in the gcd makes the lift need four primes,
+        # so an unlucky second or third prime comes after a lucky one
+        G = Polynomial(g) * (Polynomial([3**130, 1]) if big else Polynomial([1]))
+        _check_gcd(G * (Z - Polynomial([r])), G * (Z - Polynomial([r + shift])))
 
 
 class TestCFiniteSeq:

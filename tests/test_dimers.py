@@ -203,6 +203,12 @@ class TestProductReport:
         # observed profile is a strict coarsening of the generic one
         assert report.verdict.note != ""
 
+    def test_width_eight_yes(self):
+        report = dimer_product_report(8)
+        assert report.applicable
+        assert report.factor_orders == (2, 2, 2, 2)
+        assert report.verdict.is_product
+
     def test_width_two_trivial_yes(self):
         report = dimer_product_report(2)
         assert report.applicable

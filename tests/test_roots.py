@@ -20,7 +20,7 @@ from cfinite.roots import (
     is_prod_g,
     prod_indicator,
 )
-from cfinite import corpus
+from cfinite import corpus, roots
 
 import oracles
 
@@ -141,6 +141,10 @@ class TestRatioProfile:
             oracles.ratio_profile(s.rec, 50)
 
 
+def _no_work(seq):
+    raise AssertionError("minimize called before the orders were checked")
+
+
 def _observed(seq):
     """The exact profile of a minimal sequence, through the public test."""
     return is_prod_g(seq, (seq.order,)).observed.multiplicities
@@ -150,6 +154,14 @@ def _random_factor(rng, L):
     return CFiniteSeq(
         [rng.randint(1, 5) for _ in range(L)],
         [rng.randint(-4, 4) for _ in range(L - 1)] + [rng.choice([1, -1, 2, -3, 3])],
+    )
+
+
+def _rational_factor(rng, L):
+    return CFiniteSeq(
+        [rng.randint(1, 5) for _ in range(L)],
+        [Fraction(rng.randint(-7, 7), rng.randint(2, 5)) for _ in range(L - 1)]
+        + [Fraction(rng.choice([1, -1, 3, -5]), rng.randint(2, 5))],
     )
 
 
@@ -188,14 +200,52 @@ class TestExactProfile:
 
     def test_fibonacci_ratio_poly(self):
         # the ratios -phi^2 and -1/phi^2 are the roots of z^2 + 3z + 1
-        assert _ratio_poly(FIB.rec) == Polynomial([1, 3, 1])
+        assert _ratio_poly(FIB.rec) == [1, 3, 1]
 
     def test_root_multiplicities(self):
         # (z - 1)^2 (z + 2)^3 (z - 3)
         a, b, c = Polynomial([-1, 1]), Polynomial([2, 1]), Polynomial([-3, 1])
-        f = a * a * b * b * b * c
+        f = [int(x) for x in (a * a * b * b * b * c).coeffs]
         assert sorted(_root_multiplicities(f)) == [1, 2, 3]
-        assert _root_multiplicities(Polynomial([1])) == []
+        assert _root_multiplicities([1]) == []
+
+    def test_root_multiplicities_planted_product(self):
+        # (z - 1)^3 (z + 2)^2 (z^2 + 1): the roots i and -i are simple
+        a, b, c = Polynomial([-1, 1]), Polynomial([2, 1]), Polynomial([1, 0, 1])
+        f = [int(x) for x in (a * a * a * b * b * c).coeffs]
+        assert sorted(_root_multiplicities(f)) == [1, 1, 2, 3]
+
+    def test_root_multiplicities_random_planted(self):
+        rng = random.Random(31)
+        for _ in range(40):
+            roots = set()
+            while len(roots) < rng.randint(1, 4):
+                roots.add(Fraction(rng.randint(-9, 9), rng.randint(1, 4)))
+            mults = [rng.randint(1, 4) for _ in roots]
+            f = Polynomial([rng.choice([-6, -1, 1, 3])])
+            for r, k in zip(roots, mults):
+                for _ in range(k):
+                    f = f * Polynomial([-r.numerator, r.denominator])
+            ints = [int(x) for x in f.coeffs]
+            assert sorted(_root_multiplicities(ints)) == sorted(mults), f
+
+    def test_rational_coefficient_profiles(self):
+        # every product has a non-integer coefficient, so z is scaled by D > 1
+        rng = random.Random(1123)
+        for shape in [(2, 2), (2, 3), (3, 2), (2, 2)]:
+            prod = _random_product(rng, shape, first=_rational_factor)
+            assert any(c.denominator > 1 for c in prod.rec), prod
+            ratio = _ratio_poly(prod.rec)
+            assert all(type(x) is int for x in ratio) and ratio[-1] == 1
+            want = oracles.ratio_profile(prod.rec, 50)
+            assert _observed(prod) == want, prod
+            assert want != (1,) * (len(want) - 1) + (len(prod.rec),)
+
+    def test_huge_coefficient_profile(self):
+        # two roots near +-10^-24 need 300 digits to pass the oracle's gap check
+        m = minimize(BIG_PRODUCT)
+        want = oracles.ratio_profile(m.rec, 300)
+        assert _observed(m) == want == (1, 1, 1, 1, 2, 2, 2, 2, 4)
 
     def test_random_simple_root_sequences(self):
         rng = random.Random(2718)
@@ -281,6 +331,17 @@ class TestIsProd:
         assert s is not None and s.order == 4
         verdict = is_prod(s, 2, 2)
         assert not verdict.is_product
+
+    @pytest.mark.parametrize("orders", [(0, 2), (), (2, -1)])
+    def test_bad_orders_refused_before_any_work(self, orders, monkeypatch):
+        monkeypatch.setattr(roots, "minimize", _no_work)
+        with pytest.raises(ValueError, match="orders must be a nonempty list of counts >= 1"):
+            is_prod_g(FIB, orders)
+
+    def test_order_limit_refused_before_any_work(self, monkeypatch):
+        monkeypatch.setattr(roots, "minimize", _no_work)
+        with pytest.raises(ValueError, match="exceeds 1024"):
+            is_prod_g(FIB, (33, 32))
 
     def test_order_mismatch_raises(self):
         with pytest.raises(OrderMismatchError):
