@@ -8,9 +8,7 @@ domino (weight v, counted once, at the start).  The 2^m x 2^m transfer
 matrix is kept as its list of transitions, 985 of 65,536 cells at width 8;
 a sparse row vector of Python ints is pushed through it.
 
-kasteleyn_count evaluates the classical closed-form double product in
-high-precision floating point and rounds; it serves as an independent
-oracle for the transfer-matrix counts.
+kasteleyn_count checks the counts exactly against Kasteleyn's closed-form product.
 """
 
 from __future__ import annotations
@@ -19,10 +17,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm, log2
 
-import mpmath
-
 from . import guess, roots
-from .core import CFiniteSeq
+from .core import CFiniteSeq, Polynomial
 
 PRACTICAL_WIDTH_LIMIT = 10
 
@@ -99,29 +95,33 @@ def dimer_seq(m: int, weights=(1, 1)) -> CFiniteSeq:
     return guess._close(f"width-{m} strip counts", 1 << m, make)
 
 
-def kasteleyn_count(m: int, n: int) -> int:
-    """Closed-form tiling count of the m x n grid, via the double product.
+def _resultant(f: Polynomial, g: Polynomial) -> Fraction:
+    """Res(f, g) of nonzero polynomials over Q, by Euclid; a zero remainder gives 0."""
+    if g.degree < 1:
+        return g[0] ** f.degree
+    r = f % g  # Res(f, g) = (-1)^(deg f deg g) lc(g)^(deg f - deg r) Res(g, r)
+    return (-1) ** (f.degree * g.degree) * g.coeffs[-1] ** (f.degree - r.degree) * _resultant(g, r)
 
-    Evaluated in floating point at a precision scaled to the grid area and
-    rounded; errors out rather than return a dubious rounding.
+
+def kasteleyn_count(m: int, n: int) -> int:
+    """Closed-form tiling count of the m x n grid, exactly.
+
+    Q_k(x^2) = x^(k mod 2) U_k(x/2) is monic over Z with roots 4cos^2(j pi/(k+1)),
+    j <= ceil(k/2).  Kasteleyn's halved double product of their pairwise sums is
+    |Res_y(Q_m(y), Q_n(-y))|, never 0: roots >= 0 and <= 0 meet only at 0 (odd m, n).
     """
+    if m < 1 or n < 1:
+        raise ValueError("grid sides must be >= 1")
     if m * n % 2:
         raise ValueError("m * n must be even (odd-area grids have no tilings)")
     if m > 32 or n > 32:
         raise ValueError("grid sides limited to 32")
-    with mpmath.workdps(15 + m * n):
-        prod = mpmath.mpf(1)
-        for j in range(1, m + 1):
-            cj = 4 * mpmath.cos(j * mpmath.pi / (m + 1)) ** 2
-            for k in range(1, n + 1):
-                ck = 4 * mpmath.cos(k * mpmath.pi / (n + 1)) ** 2
-                prod *= mpmath.sqrt(mpmath.sqrt(cj + ck))
-        nearest = mpmath.nint(prod)
-        if abs(prod - nearest) > mpmath.mpf("1e-5"):
-            raise ArithmeticError(
-                f"product formula for {m}x{n} did not round cleanly: {prod}"
-            )
-        return int(nearest)
+    P = [[1], [0, 1]]  # P_k(x) = U_k(x/2), ascending integer coefficients
+    while len(P) <= max(m, n):
+        P.append([a - b for a, b in zip([0, *P[-1]], P[-2] + [0, 0])])
+    q_m, q_n = (([0] * (k % 2) + P[k])[::2] for k in (m, n))
+    neg = Polynomial(c * (-1) ** i for i, c in enumerate(q_n))
+    return abs(int(_resultant(Polynomial(q_m), neg)))
 
 
 @dataclass(frozen=True)

@@ -3,8 +3,8 @@
 Everything here is deliberately written from scratch with the most naive
 algorithm available (direct recursion, dense Gaussian elimination over
 Fractions, exhaustive backtracking, mpmath.polyroots and numeric
-clustering of root ratios) so a bug in the package cannot hide behind
-shared code.
+clustering of root ratios, Kasteleyn's product in floating point) so a bug
+in the package cannot hide behind shared code.
 """
 
 from fractions import Fraction
@@ -114,6 +114,34 @@ def poly_gcd_euclid(a, b):
     return [c / a[-1] for c in a] if a else []
 
 
+
+def sylvester_resultant(f, g):
+    """Res(f, g) of two ascending coefficient lists with nonzero leading terms.
+
+    The determinant of the Sylvester matrix (deg g shifted rows of f, then
+    deg f shifted rows of g, coefficients from the top), by dense Fraction
+    elimination with row swaps counted; the package's Euclidean resultant
+    shares none of it.
+    """
+    p, q = len(f) - 1, len(g) - 1
+    size = p + q
+    rows = [[0] * i + list(reversed(f)) + [0] * (q - 1 - i) for i in range(q)]
+    rows += [[0] * i + list(reversed(g)) + [0] * (p - 1 - i) for i in range(p)]
+    m = [[Fraction(v) for v in row] for row in rows]
+    det = Fraction(1)
+    for c in range(size):
+        pr = next((i for i in range(c, size) if m[i][c] != 0), None)
+        if pr is None:
+            return Fraction(0)
+        if pr != c:
+            m[c], m[pr] = m[pr], m[c]
+            det = -det
+        det *= m[c][c]
+        for i in range(c + 1, size):
+            k = m[i][c] / m[c][c]
+            m[i] = [a - k * b for a, b in zip(m[i], m[c])]
+    return det
+
 def brute_force_guess(terms, max_order):
     """Smallest-order recurrence fitting all terms, or None.
 
@@ -208,6 +236,31 @@ def weighted_tilings(m, n, h, v):
 
     return rec()
 
+
+
+def kasteleyn_product(m: int, n: int) -> int:
+    """Closed-form tiling count of the m x n grid, via the double product.
+
+    Evaluated in floating point at a precision scaled to the grid area and
+    rounded; errors out rather than return a dubious rounding.
+    """
+    if m * n % 2:
+        raise ValueError("m * n must be even (odd-area grids have no tilings)")
+    if m > 32 or n > 32:
+        raise ValueError("grid sides limited to 32")
+    with mpmath.workdps(15 + m * n):
+        prod = mpmath.mpf(1)
+        for j in range(1, m + 1):
+            cj = 4 * mpmath.cos(j * mpmath.pi / (m + 1)) ** 2
+            for k in range(1, n + 1):
+                ck = 4 * mpmath.cos(k * mpmath.pi / (n + 1)) ** 2
+                prod *= mpmath.sqrt(mpmath.sqrt(cj + ck))
+        nearest = mpmath.nint(prod)
+        if abs(prod - nearest) > mpmath.mpf("1e-5"):
+            raise ArithmeticError(
+                f"product formula for {m}x{n} did not round cleanly: {prod}"
+            )
+        return int(nearest)
 
 def ratio_profile(rec, digits=50):
     """Sorted class sizes of the L^2 pairwise root ratios, clustered numerically.

@@ -2,12 +2,15 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from cfinite.core import CFiniteSeq, eval_terms
+from cfinite.core import CFiniteSeq, Polynomial, eval_terms
 from cfinite.dimers import (
     dimer_product_report,
     dimer_seq,
     dimer_terms,
+    _resultant,
     _transitions,
     kasteleyn_count,
 )
@@ -179,12 +182,69 @@ class TestKasteleyn:
                 assert kasteleyn_count(m, n) == counts[n - 1], (m, n)
 
     def test_odd_area_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="m \\* n must be even"):
             kasteleyn_count(3, 3)
+
+    @pytest.mark.parametrize("m, n", [(-1, 2), (0, 5), (2, 0), (0, 0), (4, -2), (-1, 3)])
+    def test_sides_below_one_rejected(self, m, n):
+        with pytest.raises(ValueError, match="grid sides must be >= 1"):
+            kasteleyn_count(m, n)
+
+    @pytest.mark.parametrize("m, n", [(33, 2), (2, 34)])
+    def test_sides_above_32_rejected(self, m, n):
+        with pytest.raises(ValueError, match="grid sides limited to 32"):
+            kasteleyn_count(m, n)
 
     def test_large_known_value(self):
         # the 8 x 8 chessboard has 12988816 domino tilings
         assert kasteleyn_count(8, 8) == 12988816
+
+    def test_square_diagonal_oeis_a004003(self):
+        assert [kasteleyn_count(k, k) for k in range(2, 15, 2)] == [
+            2,
+            36,
+            6728,
+            12988816,
+            258584046368,
+            53060477521960000,
+            112202208776036178000000,
+        ]
+
+    @pytest.mark.parametrize("m, n", [(16, 16), (31, 32), (32, 32)])
+    def test_against_floating_point_product(self, m, n):
+        assert kasteleyn_count(m, n) == oracles.kasteleyn_product(m, n)
+
+    def test_strips_up_to_height_32(self):
+        # the closed form of Kasteleyn (1961) and Temperley-Fisher (1961)
+        # against the transfer matrix, up to the width limit of 10
+        for m in (8, 9, 10):
+            counts = dimer_terms(m, 32)
+            for n in range(1, 33):
+                if m * n % 2 == 0:
+                    assert kasteleyn_count(m, n) == counts[n - 1], (m, n)
+
+
+def int_polys(low, high):
+    """Integer coefficient lists, ascending, of degree low..high."""
+    lists = st.lists(st.integers(-9, 9), min_size=low + 1, max_size=high + 1)
+    return lists.filter(lambda c: c[-1] != 0)
+
+
+class TestResultant:
+    """The Euclidean resultant against the Sylvester determinant of the oracles."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(int_polys(1, 6), int_polys(1, 6))
+    def test_against_sylvester(self, f, g):
+        assert _resultant(Polynomial(f), Polynomial(g)) == oracles.sylvester_resultant(f, g)
+
+    @settings(max_examples=100, deadline=None)
+    @given(int_polys(1, 3), int_polys(0, 3), int_polys(0, 3))
+    def test_shared_root_gives_zero(self, h, u, v):
+        # a planted common factor of degree 1..3, both products of degree <= 6
+        f, g = Polynomial(h) * Polynomial(u), Polynomial(h) * Polynomial(v)
+        assert oracles.sylvester_resultant(f.coeffs, g.coeffs) == 0
+        assert _resultant(f, g) == 0
 
 
 class TestProductReport:

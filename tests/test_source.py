@@ -111,9 +111,9 @@ def test_no_dead_helpers_in_package():
     assert dead_helpers(trees) == {}
 
 
-# floating point is confined to the numeric root grid and the Kasteleyn
-# cross-check; every other module is exact
-MPMATH_MODULES = {"factor.py", "dimers.py"}
+# floating point is confined to the numeric root grid; every other module
+# is exact
+MPMATH_MODULES = {"factor.py"}
 
 
 def imported_modules(tree):
