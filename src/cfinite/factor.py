@@ -13,7 +13,7 @@ return a pair only with a verified equality certificate (_certified):
 nothing is ever reported on numerical evidence alone.
 
 This module holds the package's whole numeric precision policy for
-factoring: the Aberth root finder and its residual guard (_char_roots),
+factoring: the working precision of the root finder (_char_roots),
 the precision ladder of factorize_roots, the grid and gauge tolerances,
 the reconstruction denominator bound, which grows with the precision, and
 the trial-division bound of the canonical gauge.
@@ -22,7 +22,6 @@ the trial-division bound of the canonical gauge.
 from __future__ import annotations
 
 import itertools
-import random
 import time
 from dataclasses import dataclass
 from fractions import Fraction
@@ -44,7 +43,6 @@ class BudgetExhausted(RuntimeError):
     """The brute-force search ran out of time before exhausting its space."""
 
 
-_JITTER_SEED = 20110716
 # the gauge needs the primes of the left recurrence's coefficients; trial
 # division past this bound could run for hours on a large prime squared
 _TRIAL_LIMIT = 10**6
@@ -282,66 +280,28 @@ def factorize_roots(seq: CFiniteSeq, L1: int, L2: int, digits: int = DEFAULT_DIG
 def _char_roots(m: CFiniteSeq, digits: int) -> list:
     """Roots of z^L - c_1 z^(L-1) - ... - c_L to `digits` digits, sorted.
 
-    m must have c_L != 0 and simple roots (_require_simple_roots).  All
-    roots come from one simultaneous Aberth iteration, started on a
-    jittered circle whose radius is the Cauchy bound; the jitter RNG is
-    fixed-seeded, so runs are reproducible.  PrecisionError unless every
-    root annihilates the polynomial within the residual guard.  The roots
-    are sorted by (real, imaginary) part.
+    m must have c_L != 0 and simple roots (_require_simple_roots).
+    mpmath.polyroots stops once every correction is below an absolute
+    epsilon, so it iterates at twice the working precision plus the bits
+    of the Cauchy bound on |z|: large roots still get `digits` significant
+    digits, roots below 1 an absolute error of about 10^-(digits + 20).
+    Cleanup, which would set a root below that epsilon to 0, is off.
+    PrecisionError if it does not converge.  Sorted by (real, imag) part.
     """
-
-    def horner(cs, z):
-        acc = mpmath.mpc(0)
-        for c in reversed(cs):
-            acc = acc * z + c
-        return acc
-
-    L = m.order
     with mpmath.workdps(digits + 20):
-        coeffs = [
-            -mpmath.mpf(c.numerator) / mpmath.mpf(c.denominator) for c in reversed(m.rec)
-        ] + [mpmath.mpf(1)]
-        deriv = [k * coeffs[k] for k in range(1, L + 1)]
-        cauchy = 1 + max(abs(c) for c in coeffs[:-1])
-        rng = random.Random(_JITTER_SEED)
-        zs = [
-            cauchy
-            * (mpmath.mpf("0.7") + mpmath.mpf("0.3") * rng.random())
-            * mpmath.exp(1j * (2 * mpmath.pi * k / L + mpmath.mpf("0.43") + rng.random() / 10))
-            for k in range(L)
-        ]
-        eps = mpmath.mpf(10) ** (-(digits + 5))
-        for _ in range(200 + 20 * digits):
-            converged = True
-            new = list(zs)
-            for i in range(L):
-                z = zs[i]
-                pz = horner(coeffs, z)
-                dpz = horner(deriv, z)
-                if dpz == 0:
-                    new[i] = z + eps
-                    converged = False
-                    continue
-                newton = pz / dpz
-                s = mpmath.mpc(0)
-                for j in range(L):
-                    if j != i:
-                        s += 1 / (z - zs[j])
-                denom = 1 - newton * s
-                w = newton if denom == 0 else newton / denom
-                new[i] = z - w
-                if abs(w) > eps * max(mpmath.mpf(1), abs(z)):
-                    converged = False
-            zs = new
-            if converged:
-                break
-        zs.sort(key=lambda z: (mpmath.re(z), mpmath.im(z)))
-
-        # residual guard: every claimed root must actually annihilate p
-        limit = mpmath.mpf(10) ** (-(digits - 10)) * cauchy
-        if any(abs(horner(coeffs, z)) > limit for z in zs):
-            raise PrecisionError(f"root residual exceeds tolerance at {digits} digits")
-        return zs
+        cauchy_bits = int(1 + max(abs(c) for c in m.rec)).bit_length()
+        try:
+            zs = mpmath.polyroots(
+                [1] + [-c for c in m.rec],
+                maxsteps=200 + 20 * digits,
+                cleanup=False,
+                extraprec=mpmath.mp.prec + cauchy_bits,
+            )
+        except mpmath.mp.NoConvergence:
+            raise PrecisionError(
+                f"characteristic roots did not converge at {digits} digits"
+            ) from None
+    return sorted(zs, key=lambda z: (mpmath.re(z), mpmath.im(z)))
 
 
 def _factorize_roots_at(original, m, L1, L2, digits):

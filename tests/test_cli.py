@@ -3,6 +3,7 @@ import io
 import json
 import time
 
+import mpmath
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -227,14 +228,31 @@ class TestAnalysis:
         assert code == 0
         assert out.startswith("YES")
 
-    def test_factor_precision_error_exit_2(self, capsys):
-        # the numeric root finder cannot certify these roots at 50 digits
+    def test_factor_huge_coefficients(self, capsys):
+        code, out, _ = run(
+            capsys, "factor", self.BIG_PRODUCT, "--orders", "2,2", "--digits", "50"
+        )
+        assert code == 0
+        assert out.splitlines()[:2] == [
+            "left  = [[0, 1], [1, 1]]",
+            "right = [[1, 2], [999999000039999961000039, 1]]",
+        ]
+        assert "VERIFIED" in out
+
+    def test_factor_precision_error_exit_2(self, capsys, monkeypatch):
+        def no_convergence(*args, **kwargs):
+            raise mpmath.mp.NoConvergence("Didn't converge")
+
+        # a root finder that does not converge is a precision failure
+        monkeypatch.setattr(mpmath, "polyroots", no_convergence)
         code, out, err = run(
             capsys, "factor", self.BIG_PRODUCT, "--orders", "2,2", "--digits", "50"
         )
         assert code == 2
         assert out == ""
-        assert err.startswith("error: root residual exceeds tolerance")
+        assert err.startswith(
+            "error: characteristic roots did not converge at 50 digits"
+        )
 
     @pytest.mark.parametrize("verb", ["isprod", "factor"])
     def test_intrinsic_zero_root_exit_2(self, capsys, verb):

@@ -208,13 +208,12 @@ class TestSplit:
     def test_close_distinct_roots_not_degenerate(self):
         # roots 2 and 2 + 10^-30 are distinct; the factor recurrence needs a
         # denominator of 10^30, which only the top rung of the precision
-        # ladder (200 digits, bound 10^40) can reconstruct
+        # ladder (200 digits, bound 10^40) can reconstruct, so the root
+        # finder must converge on the close pair at 200 digits too
         eps = Fraction(1, 10**30)
         s = mul(CFiniteSeq([1, 1], [4 + eps, -2 * (2 + eps)]), FIB)
-        try:
-            pair = factorize_roots(s, 2, 2, digits=50)
-        except PrecisionError:
-            return
+        pair = factorize_roots(s, 2, 2, digits=50)
+        assert pair is not None
         assert_valid_factorization(pair, s)
 
 
@@ -302,11 +301,23 @@ def test_precision_error_is_shared_with_roots():
     assert issubclass(PrecisionError, ArithmeticError)
 
 
-def test_uncertified_roots_raise_precision_error():
-    # a factor coefficient near 10^24: the residual check fails at 50 digits
-    big = mul(
-        CFiniteSeq([1, 2], [999999000001 * 1000000000039, 1]),
-        CFiniteSeq([0, 1], [1, 1]),
-    )
-    with pytest.raises(PrecisionError, match="root residual"):
-        factorize_roots(big, 2, 2, digits=50)
+def test_uncertified_roots_raise_precision_error(monkeypatch):
+    def no_convergence(*args, **kwargs):
+        raise mpmath.mp.NoConvergence("Didn't converge")
+
+    monkeypatch.setattr(mpmath, "polyroots", no_convergence)
+    with pytest.raises(PrecisionError, match="did not converge at 50 digits"):
+        factorize_roots(mul(FIB, PELL), 2, 2, digits=50)
+
+
+@pytest.mark.parametrize(
+    "c", [999999000001 * 1000000000039, 10**90 + 7], ids=["1e24", "1e90"]
+)
+def test_huge_coefficient_product_factors(c):
+    # a factor coefficient near 10^24 or 10^90: at 10^90 the roots need the
+    # Cauchy bits on top of the doubled working precision
+    right = CFiniteSeq([1, 2], [c, 1])
+    big = mul(right, FIB)
+    pair = factorize_roots(big, 2, 2, digits=50)
+    assert (pair.left, pair.right) == (FIB, right)
+    assert_valid_factorization(pair, big)

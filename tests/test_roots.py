@@ -33,7 +33,7 @@ BIG_PRODUCT = mul(
 
 
 class TestCharRoots:
-    """factor._char_roots, the Aberth root finder behind factorize_roots."""
+    """factor._char_roots, the mpmath.polyroots call behind factorize_roots."""
 
     def test_fibonacci_golden_ratio(self):
         roots = _char_roots(FIB, 60)
@@ -77,18 +77,25 @@ class TestCharRoots:
         # orders 9 and 8: the shapes factorize_roots sees most
         for shape in [(3, 3)] * 3 + [(2, 2, 2)] * 3:
             recs.append(list(_random_product(rng, shape).rec))
+        # roots near 10^24 and 10^-24, and near 10^12 and 10^-12
+        recs.append(list(BIG_PRODUCT.rec))
+        recs.append(list(mul(CFiniteSeq([1, 2], [999999000001, 1]), FIB).rec))
         for rec in recs:
-            roots = _char_roots(CFiniteSeq([1] * len(rec), rec), 50)
-            # numpy wants descending coefficients of z^L - c1 z^(L-1) - ...
-            np_roots = np.roots([1.0] + [-float(c) for c in rec])
-            # pair each numpy root with the nearest unpaired one: sorting
-            # both lists would mispair roots whose real parts tie (+/- i)
-            got = [complex(z) for z in roots]
-            assert len(got) == len(np_roots) == len(rec)
-            for w in np_roots:
-                g = min(got, key=lambda z: abs(z - w))
-                got.remove(g)
-                assert abs(g - w) < 1e-6, rec
+            got = [complex(z) for z in _char_roots(CFiniteSeq([1] * len(rec), rec), 50)]
+            assert len(got) == len(rec)
+            # numpy is accurate relative to the largest roots, so check the
+            # roots with |z| >= 1 on the polynomial and the others, inverted,
+            # on its reverse; numpy wants descending coefficients
+            poly = [1.0] + [-float(c) for c in rec]
+            for coeffs, ours in ((poly, got), (poly[::-1], [1 / z for z in got])):
+                # pair each numpy root with the nearest unpaired one: sorting
+                # both lists would mispair roots whose real parts tie (+/- i)
+                for w in np.roots(coeffs):
+                    if abs(w) < 1:
+                        continue
+                    g = min(ours, key=lambda z: abs(z - w))
+                    ours.remove(g)
+                    assert abs(g - w) < 1e-6 * abs(w), rec
 
 
 class TestProdIndicator:
@@ -368,8 +375,8 @@ class TestIsProd:
             assert is_prod(prod, 2, 2, digits=d).is_product
 
     def test_huge_coefficient_product_yes(self):
-        # a factor coefficient near 10^24 defeats the numeric root residual
-        # check at any working precision; the exact profile does not care
+        # a factor coefficient near 10^24: roots near 10^24 and 10^-24; the
+        # exact profile needs no root finder at any precision
         verdict = is_prod_g(BIG_PRODUCT, (2, 2), 50)
         assert verdict.is_product
         assert verdict.observed == verdict.expected
