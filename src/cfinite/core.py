@@ -365,9 +365,6 @@ class CFiniteSeq:
         return Polynomial(cs)
 
 
-ZERO_SEQ = CFiniteSeq([0], [0])
-
-
 def eval_terms(seq: CFiniteSeq, N: int) -> list:
     """First N terms, exactly."""
     if N < 0:

@@ -2,11 +2,13 @@
 
 The two routes differ only in how they find the factor recurrences.
 factorize_roots reads them off an L1 x L2 grid of characteristic roots
-(gamma_ij = alpha_i * beta_j): floating point only finds the grid and a
-gauge that makes both recurrences rational, and rational reconstruction
-recovers them.  factorize_integer searches integer left factors with
-bounded coefficients, screens them by divisibility and guesses the
-cofactor's recurrence from the quotient.
+(gamma_ij = alpha_i * beta_j) in one gauge (alpha_i s, beta_j / s), which
+a Euclid over the indices of the nonzero elementary symmetric functions
+of the alphas and betas makes rational; floating point only finds the
+grid and s, and rational reconstruction recovers the recurrences.
+factorize_integer searches integer left factors with bounded
+coefficients, screens them by divisibility and guesses the cofactor's
+recurrence from the quotient.
 
 Both then take the initial terms from one exact rank-1 solve (_split) and
 return a pair only with a verified equality certificate (_certified):
@@ -29,7 +31,7 @@ from fractions import Fraction
 import mpmath
 
 from . import guess
-from .core import CFiniteSeq, content, eval_terms, minimize, scale
+from .core import CFiniteSeq, _is_prime, content, eval_terms, minimize, scale
 from .linalg import solve
 from .roots import (
     DEFAULT_DIGITS,
@@ -46,6 +48,8 @@ class BudgetExhausted(RuntimeError):
 # the gauge needs the primes of the left recurrence's coefficients; trial
 # division past this bound could run for hours on a large prime squared
 _TRIAL_LIMIT = 10**6
+# core._is_prime's Miller-Rabin bases are a proof of primality below this
+_PRIME_PROOF_LIMIT = 3_317_044_064_679_887_385_961_981
 
 
 @dataclass(frozen=True)
@@ -145,41 +149,45 @@ def _reconstruct(z, digits):
     return f
 
 
-def _poly_from_roots(roots):
-    """Coefficients (ascending, monic) of prod (z - r)."""
-    coeffs = [mpmath.mpc(1)]
+def _elementary(roots):
+    """The elementary symmetric functions e_0, ..., e_L of the roots."""
+    es = [mpmath.mpc(1)]
     for r in roots:
-        coeffs = [mpmath.mpc(0)] + coeffs
-        for k in range(len(coeffs) - 1):
-            coeffs[k] -= r * coeffs[k + 1]
-    return coeffs
-
-
-def _rec_from_monic(coeffs):
-    """Recurrence coefficients c_1..c_L from monic ascending coefficients."""
-    L = len(coeffs) - 1
-    return [-coeffs[L - i] for i in range(1, L + 1)]
+        es = [a + r * b for a, b in zip(es + [0], [0] + es)]
+    return es
 
 
 def _prime_divisors(n: int):
-    """The primes dividing n, or None if trial division cannot find them all.
+    """The primes dividing n, or None if they cannot all be found.
 
-    Trial division stops at _TRIAL_LIMIT, so a cofactor left over after it
-    is known prime only while it is below _TRIAL_LIMIT^2.
+    Trial division stops at _TRIAL_LIMIT, so the cofactor left over after it
+    is a product of primes above the limit.  It is accepted when it is r^k
+    for a prime r that _is_prime proves (r < _PRIME_PROOF_LIMIT); two
+    distinct primes above the limit leave it None.
     """
     n = abs(n)
     out = set()
     d = 2
-    while d * d <= n:
-        if d > _TRIAL_LIMIT:
-            return None
+    while d * d <= n and d <= _TRIAL_LIMIT:
         while n % d == 0:
             out.add(d)
             n //= d
         d += 1 if d == 2 else 2
-    if n > 1:
-        out.add(n)
-    return out
+    if n < d * d:
+        return out | {n} if n > 1 else out
+    for k in range(1, n.bit_length() // (_TRIAL_LIMIT.bit_length() - 1) + 1):
+        r = _iroot(n, k)
+        if r**k == n and r < _PRIME_PROOF_LIMIT and _is_prime(r):
+            return out | {r}
+    return None
+
+
+def _iroot(n: int, k: int) -> int:
+    """floor(n^(1/k)) for n >= 1, by Newton's method on integers."""
+    r = 1 << -(-n.bit_length() // k)
+    while (y := ((k - 1) * r + n // r ** (k - 1)) // k) < r:
+        r = y
+    return r
 
 
 def _gauge_scale(rec) -> Fraction:
@@ -254,7 +262,7 @@ def factorize_roots(seq: CFiniteSeq, L1: int, L2: int, digits: int = DEFAULT_DIG
     Tries a precision ladder (digits, 2x, 4x) while some root grid is
     unresolved: its factor recurrences could not be reconstructed
     rationally, they do not span the sequence, or their canonical gauge
-    needs primes that bounded trial division cannot find.  Returns None when no
+    needs primes that _prime_divisors cannot find.  Returns None when no
     grid is left unresolved and none splits (the exact coefficient matrix
     of _split has rank other than 1), and raises PrecisionError when a grid
     is still unresolved at the top of the ladder.
@@ -282,13 +290,15 @@ def _char_roots(m: CFiniteSeq, digits: int) -> list:
 
     m must have c_L != 0 and simple roots (_require_simple_roots).
     mpmath.polyroots stops once every correction is below an absolute
-    epsilon, so it iterates at twice the working precision plus the bits
-    of the Cauchy bound on |z|: large roots still get `digits` significant
-    digits, roots below 1 an absolute error of about 10^-(digits + 20).
-    Cleanup, which would set a root below that epsilon to 0, is off.
+    epsilon.  The working digits therefore add the decimal digits of the
+    reciprocal Cauchy bound 1 + max |c_i / c_L| on 1/|z|, and polyroots
+    iterates at twice that precision plus the bits of the Cauchy bound on
+    |z|, so every root, however large or small, gets `digits` significant
+    digits.  Cleanup, which would set a root below the epsilon to 0, is off.
     PrecisionError if it does not converge.  Sorted by (real, imag) part.
     """
-    with mpmath.workdps(digits + 20):
+    reciprocal = 1 + max(abs(c) for c in [1, *m.rec]) / abs(m.rec[-1])
+    with mpmath.workdps(digits + 20 + len(str(int(reciprocal)))):
         cauchy_bits = int(1 + max(abs(c) for c in m.rec)).bit_length()
         try:
             zs = mpmath.polyroots(
@@ -344,7 +354,7 @@ def _match_grid(roots, col, row, tol):
                 d = abs(roots[k] - predicted)
                 if best_d is None or d < best_d:
                     best, best_d = k, d
-            if best is None or best_d > tol * max(1, abs(predicted)):
+            if best is None or best_d > tol * abs(predicted):
                 return None
             grid[i][j] = best
             remaining.remove(best)
@@ -355,38 +365,30 @@ def _extract_factors(original, m, grid, roots, L1, L2, digits, tol):
     """The pair from one root grid; None if unresolved, False if it splits nothing."""
     alphas = [roots[grid[i][0]] for i in range(L1)]
     betas = [roots[grid[0][j]] / roots[grid[0][0]] for j in range(L2)]
+    ea, eb = _elementary(alphas), _elementary(betas)
 
-    # gauge: pick s with s^k = 1/e_k(alpha) for the first nonzero e_k;
-    # e_k is (-1)^k times the z^(L1-k) coefficient of prod (z - alpha_i)
-    poly = _poly_from_roots(alphas)
-    es = [(-1) ** k * poly[L1 - k] for k in range(L1 + 1)]
-    escale = max(abs(e) for e in es)
-    k = next(
-        (k for k in range(1, L1 + 1) if abs(es[k]) > tol * max(1, escale)), None
+    # gauge: alpha_i = a_i b_0 and beta_j = b_j / b_0 for a true split (a, b),
+    # so e_k(alpha) is b_0^k and e_j(beta) b_0^-j times a rational.  Euclid on
+    # the exponents, carrying the values, ends at t = b_0^g times a rational,
+    # g = +-1 (a gcd G > 1 would close both root sets under a G-th root of
+    # unity: a repeated root), and s = t^-g makes s b_0 rational.  Stopping
+    # at |g| = 1 keeps s = 1 / e_1(alpha); e_0, at n = 0, changes nothing.
+    ra, rb = max(abs(a) for a in alphas), max(abs(b) for b in betas)
+    g, t = 0, mpmath.mpf(1)
+    for n, x in [*enumerate(ea), *((-j, e) for j, e in enumerate(eb))]:
+        if abs(x) <= tol * (ra if n > 0 else rb) ** abs(n):
+            continue
+        while n:
+            (g, t), (n, x) = (n, x), (g % n, t / x ** (g // n))
+        if abs(g) == 1:
+            break
+    s = t**-g
+    # c_k = (-1)^(k+1) e_k(u * roots) = -e_k (-u)^k
+    left_rec, right_rec = (
+        [_reconstruct(-e * (-u) ** k, digits) for k, e in enumerate(es) if k]
+        for es, u in ((ea, s), (eb, 1 / s))
     )
-    if k is None:
-        return None
-    s0 = es[k] ** (mpmath.mpf(-1) / k)
-    for branch in range(k):
-        s = s0 * mpmath.exp(2j * mpmath.pi * branch / k)
-        pair = _try_gauge(original, m, alphas, betas, s, digits)
-        # the rank of M does not depend on the gauge, so False settles the grid
-        if pair is not None:
-            return pair
-    return None
-
-
-def _try_gauge(original, m, alphas, betas, s, digits):
-    """The pair in gauge s; None if unresolved, False if it splits nothing.
-
-    Unresolved: the recurrences are not rational, they do not span m, or
-    the canonical gauge of the pair needs primes beyond _TRIAL_LIMIT.
-    """
-    left_poly = _poly_from_roots([s * a for a in alphas])
-    right_poly = _poly_from_roots([b / s for b in betas])
-    left_rec = [_reconstruct(c, digits) for c in _rec_from_monic(left_poly)]
-    right_rec = [_reconstruct(c, digits) for c in _rec_from_monic(right_poly)]
-    if any(c is None for c in left_rec) or any(c is None for c in right_rec):
+    if None in left_rec or None in right_rec:
         return None
     split = _split(m, left_rec, right_rec)
     if not split:

@@ -24,11 +24,10 @@ class RationalGF:
 
     __slots__ = ("num", "den")
 
-    def __init__(self, num: Polynomial, den: Polynomial, _normalized=False):
+    def __init__(self, num: Polynomial, den: Polynomial):
         if den.is_zero() or den[0] == 0:
             raise ValueError("denominator must have nonzero constant term")
-        if not _normalized:
-            num, den = _normalize(num, den)
+        num, den = _normalize(num, den)
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
 

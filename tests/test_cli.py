@@ -239,6 +239,14 @@ class TestAnalysis:
         ]
         assert "VERIFIED" in out
 
+    def test_factor_roots_plus_minus(self, capsys):
+        # the order-2 factor has roots +a and -a
+        code, out, _ = run(
+            capsys, "factor", "[[2,-1,0,-6,18,-27],[0,7,0,-3,0,9]]", "--orders", "2,3"
+        )
+        assert code == 0
+        assert "VERIFIED" in out
+
     def test_factor_precision_error_exit_2(self, capsys, monkeypatch):
         def no_convergence(*args, **kwargs):
             raise mpmath.mp.NoConvergence("Didn't converge")

@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cfinite.core import CFiniteSeq, eval_terms, shift
 from cfinite import factor
@@ -109,17 +111,73 @@ class TestFactorizeRoots:
     )
     def test_large_prime_gauge_ends_promptly(self, p, digits):
         # with [p, 1] on the left the gauge needs the primes of p^2, beyond
-        # bounded trial division: that grid stays unresolved, and the
-        # Fibonacci-left grid gives the pair instead
+        # bounded trial division; the cofactor p^2 is a proven prime squared
         prod = mul(CFiniteSeq([1, 2], [p, 1]), FIB)
         t0 = time.monotonic()
-        try:
-            pair = factorize_roots(prod, 2, 2, digits=digits)
-        except PrecisionError:
-            pair = None
+        pair = factorize_roots(prod, 2, 2, digits=digits)
         assert time.monotonic() - t0 < 30
-        if pair is not None:
-            assert_valid_factorization(pair, prod)
+        assert_valid_factorization(pair, prod)
+
+    def test_gauge_prime_above_trial_limit(self):
+        # the gauged left recurrence holds 1000003^2, a prime above the
+        # trial-division limit, squared
+        left = CFiniteSeq([1, 1], [2000006, 7])
+        right = CFiniteSeq([1, 2, 1], [1, 2, -3])
+        prod = mul(left, right)
+        pair = factorize_roots(prod, 2, 3, digits=50)
+        assert (pair.left, pair.right) == (left, right)
+        assert_valid_factorization(pair, prod)
+
+    def test_tiny_roots_are_not_split_away(self):
+        # roots 3e-100 and 5e-100 next to 6 and 10: the grid is found, but
+        # the factor recurrences need denominators near 10^100, beyond every
+        # rung, so the answer is a precision failure, not "no split"
+        eps = Fraction(1, 10**100)
+        tiny = CFiniteSeq([1, 1], [2 + eps, -2 * eps])
+        prod = mul(tiny, CFiniteSeq([1, 1], [8, -15]))
+        with pytest.raises(PrecisionError):
+            factorize_roots(prod, 2, 2, digits=50)
+
+    @pytest.mark.parametrize(
+        "seq, L1, L2",
+        [
+            # roots +2 and -2: e_1 of the left roots is 0
+            (CFiniteSeq([1, 0], [0, 4]), 2, 1),
+            # [[1, 1], [0, 2]] times 3^n
+            (CFiniteSeq([1, 3], [0, 18]), 2, 1),
+            # an order-2 factor with roots +a and -a times an order-3 one
+            (CFiniteSeq([2, -1, 0, -6, 18, -27], [0, 7, 0, -3, 0, 9]), 2, 3),
+            # the cube roots of 2 times an order-2 factor: e_1 = e_2 = 0
+            (mul(CFiniteSeq([1, 1, 1], [0, 0, 2]), CFiniteSeq([1, 2], [1, 3])), 3, 2),
+        ],
+        ids=["pm2", "pm_times_3n", "probe_pm", "cube_roots"],
+    )
+    def test_left_roots_summing_to_zero(self, seq, L1, L2):
+        pair = factorize_roots(seq, L1, L2)
+        assert_valid_factorization(pair, seq)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.integers(1, 2),
+        st.integers(-6, 6).filter(bool),
+        st.lists(st.integers(-4, 4), min_size=2, max_size=6),
+    )
+    def test_zero_trace_left_factor_round_trips(self, zeros, c, data):
+        # left factor rec [0, c] or [0, 0, c]: every e_k of its roots but
+        # the last is 0
+        left = CFiniteSeq([1] + [0] * zeros, [0] * zeros + [c])
+        half = len(data) // 2
+        right = CFiniteSeq(data[:half], data[half:2 * half])
+        if not any(right.init) or right.rec[-1] == 0:
+            return
+        prod = mul(left, right)
+        if prod.order != left.order * right.order:
+            return
+        try:
+            pair = factorize_roots(prod, left.order, right.order)
+        except DegenerateRootsError:
+            return
+        assert_valid_factorization(pair, prod)
 
     def test_canonical_output_is_stable(self):
         prod = mul(FIB, PELL)
@@ -292,8 +350,13 @@ def test_prime_divisors_bounded():
     # the cofactor left after trial division is below the limit squared
     assert factor._prime_divisors(999983 * 999979) == {999979, 999983}
     assert factor._prime_divisors(999999000001) == {999999000001}
-    # a prime above the limit, squared, is out of reach
-    assert factor._prime_divisors(999999000001**2) is None
+    # a cofactor above the limit squared is a proven prime power
+    assert factor._prime_divisors(999999000001**2) == {999999000001}
+    assert factor._prime_divisors(12 * 1000003**5) == {2, 3, 1000003}
+    # two distinct primes above the limit, or a prime beyond the proof, are not
+    assert factor._prime_divisors(999999000001 * 1000000000039) is None
+    assert factor._prime_divisors(1000003 * 999999000001**2) is None
+    assert factor._prime_divisors(2**89 - 1) is None
 
 
 def test_precision_error_is_shared_with_roots():

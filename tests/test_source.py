@@ -51,36 +51,48 @@ def test_no_unused_imports_in_package():
     assert {name: dead for name, dead in found.items() if dead} == {}
 
 
-def private_definitions(tree):
-    """(line, name) of every module-level private function or class."""
-    return [
-        (node.lineno, node.name)
-        for node in tree.body
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-        and node.name.startswith("_")
-        and not node.name.startswith("__")
-    ]
+def module_definitions(tree):
+    """(line, name) of every module-level private function or class and of
+    every name bound by a module-level assignment, dunders aside."""
+    found = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            if node.name.startswith("_"):
+                found.append((node.lineno, node.name))
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            found += [
+                (t.lineno, t.id)
+                for target in targets
+                for t in ast.walk(target)
+                if isinstance(t, ast.Name)
+            ]
+    return [(line, name) for line, name in found if not name.startswith("__")]
 
 
 def referenced_names(trees):
-    """Every name read or imported anywhere in the given modules."""
+    """Every name read, imported or listed in a literal __all__ in the modules."""
     names = set()
     for tree in trees:
         for node in ast.walk(tree):
-            if isinstance(node, ast.Name):
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
                 names.add(node.id)
             elif isinstance(node, ast.Attribute):
                 names.add(node.attr)
             elif isinstance(node, ast.alias):
                 names.add(node.name)
+            elif isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+            ):
+                names |= set(ast.literal_eval(node.value))
     return names
 
 
 def dead_helpers(trees):
-    """{module: [(line, name)]} of private helpers no module refers to."""
+    """{module: [(line, name)]} of the definitions no module refers to."""
     used = referenced_names(trees.values())
     found = {
-        module: [(line, name) for line, name in private_definitions(tree) if name not in used]
+        module: [d for d in module_definitions(tree) if d[1] not in used]
         for module, tree in trees.items()
     }
     return {module: dead for module, dead in found.items() if dead}
@@ -104,6 +116,23 @@ def test_checker_flags_dead_helpers():
         "c": ast.parse("def _imported(): pass\n"),
     }
     assert dead_helpers(trees) == {"a": [(2, "_dead"), (3, "_Unused")]}
+
+
+def test_checker_flags_dead_assignments():
+    trees = {
+        "a": ast.parse(
+            "__all__ = ['EXPORTED']\n"
+            "EXPORTED = 1\n"
+            "DEAD = 2\n"
+            "_LIMIT: int = 3\n"
+            "_dead_too, read = 4, 5\n"
+            "def public():\n"
+            "    DEAD = 7\n"
+            "    return _LIMIT + read\n"
+        ),
+        "b": ast.parse("import a\nUSED_ELSEWHERE = 6\nprint(a.USED_ELSEWHERE)\n"),
+    }
+    assert dead_helpers(trees) == {"a": [(3, "DEAD"), (5, "_dead_too")]}
 
 
 def test_no_dead_helpers_in_package():
