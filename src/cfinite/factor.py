@@ -10,8 +10,9 @@ factorize_integer searches integer left factors with bounded
 coefficients, screens them by divisibility and guesses the cofactor's
 recurrence from the quotient.
 
-Both then take the initial terms from one exact rank-1 solve (_split) and
-return a pair only with a verified equality certificate (_certified):
+Both then take the initial terms from one exact rank-1 solve (_split),
+put the pair in one normal form (_normal_form) in the route's own gauge
+and return it only with a verified equality certificate (_certified):
 nothing is ever reported on numerical evidence alone.
 
 This module holds the package's whole numeric precision policy for
@@ -27,11 +28,12 @@ import itertools
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from math import ceil
 
 import mpmath
 
 from . import guess
-from .core import CFiniteSeq, _is_prime, content, eval_terms, minimize, scale
+from .core import CFiniteSeq, content, eval_terms, minimize, scale
 from .linalg import solve
 from .roots import (
     DEFAULT_DIGITS,
@@ -45,11 +47,9 @@ class BudgetExhausted(RuntimeError):
     """The brute-force search ran out of time before exhausting its space."""
 
 
-# the gauge needs the primes of the left recurrence's coefficients; trial
+# the gauge needs a base for the left recurrence's coefficients; trial
 # division past this bound could run for hours on a large prime squared
 _TRIAL_LIMIT = 10**6
-# core._is_prime's Miller-Rabin bases are a proof of primality below this
-_PRIME_PROOF_LIMIT = 3_317_044_064_679_887_385_961_981
 
 
 @dataclass(frozen=True)
@@ -104,20 +104,12 @@ def _split(m, left_rec, right_rec):
     return x, y
 
 
-def _certified(original, left, right, normalize):
-    """The normalized pair, ordered, with its equality proof; None if unproved.
-
-    Also None when normalize cannot put the pair in its canonical form.
-    """
-    normalized = normalize(left, right)
-    if normalized is None:
-        return None
-    left, right, note = normalized
+def _certified(original, left, right, gauge):
+    """The pair in _normal_form under gauge with its proof; None if unproved."""
+    left, right, note = _normal_form(left, right, gauge)
     cert = guess.prove_equal(guess.mul(left, right), original)
     if not cert.verified:
         return None
-    if (right.order, right.rec, right.init) < (left.order, left.rec, left.init):
-        left, right = right, left
     return FactorPair(left, right, note, cert)
 
 
@@ -157,13 +149,13 @@ def _elementary(roots):
     return es
 
 
-def _prime_divisors(n: int):
-    """The primes dividing n, or None if they cannot all be found.
+def _gauge_base(n: int):
+    """The primes up to _TRIAL_LIMIT dividing n, plus the root of the rest.
 
     Trial division stops at _TRIAL_LIMIT, so the cofactor left over after it
-    is a product of primes above the limit.  It is accepted when it is r^k
-    for a prime r that _is_prime proves (r < _PRIME_PROOF_LIMIT); two
-    distinct primes above the limit leave it None.
+    is a product of primes above the limit.  It joins the base as the r of
+    r^k with k as large as possible, whether or not r is prime, so the
+    base is found for every n.
     """
     n = abs(n)
     out = set()
@@ -175,11 +167,9 @@ def _prime_divisors(n: int):
         d += 1 if d == 2 else 2
     if n < d * d:
         return out | {n} if n > 1 else out
-    for k in range(1, n.bit_length() // (_TRIAL_LIMIT.bit_length() - 1) + 1):
-        r = _iroot(n, k)
-        if r**k == n and r < _PRIME_PROOF_LIMIT and _is_prime(r):
-            return out | {r}
-    return None
+    # every prime of the cofactor exceeds 2^(bit length of the limit - 1)
+    top = n.bit_length() // (_TRIAL_LIMIT.bit_length() - 1)
+    return out | {next(r for k in range(top, 0, -1) if (r := _iroot(n, k)) ** k == n)}
 
 
 def _iroot(n: int, k: int) -> int:
@@ -191,25 +181,20 @@ def _iroot(n: int, k: int) -> int:
 
 
 def _gauge_scale(rec) -> Fraction:
-    """The lambda with lambda^i c_i weighted-primitive (and a sign fix).
+    """The lambda with lambda^i c_i weighted-primitive, times _sign_gauge.
 
     A factor pair carries the gauge freedom (left, right) ->
-    (lambda^n left, lambda^-n right).  This picks the unique positive
-    lambda for which the rescaled recurrence coefficients are integers
-    with no prime removable from every weighted slot, then flips the sign
-    so the first odd-position coefficient is positive.  None when some
-    coefficient's primes are out of _prime_divisors' reach.
+    (lambda^n left, lambda^-n right).  This picks the positive lambda, a
+    product of powers of the _gauge_base elements of the coefficients, for
+    which the rescaled recurrence coefficients are integers with no base
+    element removable from every weighted slot.  When the base holds only
+    primes, that lambda is unique.
     """
-    from math import ceil
-
-    primes = set()
-    for n in (part for c in rec if c != 0 for part in (c.numerator, c.denominator)):
-        divisors = _prime_divisors(n)
-        if divisors is None:
-            return None
-        primes |= divisors
+    base = set().union(
+        *(_gauge_base(n) for c in rec if c for n in (c.numerator, c.denominator))
+    )
     lam = Fraction(1)
-    for p in sorted(primes):
+    for p in sorted(base):
         exps = []
         for i, c in enumerate(rec, start=1):
             if c == 0:
@@ -224,12 +209,15 @@ def _gauge_scale(rec) -> Fraction:
                 den //= p
             exps.append(ceil(Fraction(-v, i)))
         lam *= Fraction(p) ** max(exps)
-    return -lam if _sign_flipped(rec) else lam
+    return lam * _sign_gauge(rec)
 
 
-def _sign_flipped(rec) -> bool:
-    """Whether the gauge lambda is negative: the first nonzero c_i at odd i is."""
-    return next((c for c in rec[0::2] if c), 0) < 0
+def _sign_gauge(rec) -> Fraction:
+    """-1 when the first nonzero c_i at odd i is negative, else 1.
+
+    The only gauge that keeps integer factors integral.
+    """
+    return Fraction(-1 if next((c for c in rec[0::2] if c), 0) < 0 else 1)
 
 
 def _apply_gauge(seq: CFiniteSeq, lam: Fraction) -> CFiniteSeq:
@@ -239,21 +227,33 @@ def _apply_gauge(seq: CFiniteSeq, lam: Fraction) -> CFiniteSeq:
     return CFiniteSeq(init, rec)
 
 
-def _normalize_rational_pair(left, right):
-    """Canonical gauge plus first-nonzero-initial-term-1 scaling; None if no gauge."""
-    notes = []
-    lam = _gauge_scale(left.rec)
-    if lam is None:
-        return None
-    if lam != 1:
-        left = _apply_gauge(left, lam)
-        right = _apply_gauge(right, 1 / lam)
-        notes.append(f"gauge lambda = {lam}")
-    kappa = next((d for d in left.init if d != 0), None)
-    if kappa is not None and kappa != 1:
-        left, right = scale(left, 1 / kappa), scale(right, kappa)
-        notes.append(f"left factor divided by {kappa}")
-    return left, right, "; ".join(notes) or "already canonical"
+def _normal_form(left, right, gauge):
+    """The canonical representative of the split left * right, with a note.
+
+    A split is unique up to the gauge (lambda^n left, lambda^-n right) and a
+    constant.  The factor printed on the left is rescaled by gauge(rec) and
+    divided by the signed content of its initial terms.  It is the
+    lower-order factor; for equal orders, and for the sign of lambda when no
+    c_i at odd i is nonzero, the choice whose pair sorts first by (order,
+    rec, init) wins, so the argument order does not matter.
+    """
+
+    def form(a, b, lam):
+        a, b = _apply_gauge(a, lam), _apply_gauge(b, 1 / lam)
+        g = content(a.init) * (1 if next(d for d in a.init if d) > 0 else -1)
+        notes = [f"gauge lambda = {lam}"] * (lam != 1)
+        notes += [f"left factor divided by {g}"] * (g != 1)
+        return scale(a, 1 / g), scale(b, g), "; ".join(notes) or "already canonical"
+
+    if left.order > right.order:
+        left, right = right, left
+    forms = []
+    for a, b in [(left, right), (right, left)][: 1 + (left.order == right.order)]:
+        lam = gauge(a.rec)
+        forms.append(form(a, b, lam))
+        if not any(a.rec[0::2]):
+            forms.append(form(a, b, -lam))
+    return min(forms, key=lambda f: ([(s.order, s.rec, s.init) for s in f[:2]], f[2]))
 
 
 def factorize_roots(seq: CFiniteSeq, L1: int, L2: int, digits: int = DEFAULT_DIGITS):
@@ -261,8 +261,7 @@ def factorize_roots(seq: CFiniteSeq, L1: int, L2: int, digits: int = DEFAULT_DIG
 
     Tries a precision ladder (digits, 2x, 4x) while some root grid is
     unresolved: its factor recurrences could not be reconstructed
-    rationally, they do not span the sequence, or their canonical gauge
-    needs primes that _prime_divisors cannot find.  Returns None when no
+    rationally, or they do not span the sequence.  Returns None when no
     grid is left unresolved and none splits (the exact coefficient matrix
     of _split has rank other than 1), and raises PrecisionError when a grid
     is still unresolved at the top of the ladder.
@@ -394,7 +393,7 @@ def _extract_factors(original, m, grid, roots, L1, L2, digits, tol):
     if not split:
         return split
     left, right = CFiniteSeq(split[0], left_rec), CFiniteSeq(split[1], right_rec)
-    return _certified(original, left, right, _normalize_rational_pair)
+    return _certified(original, left, right, _gauge_scale)
 
 
 def factorize_integer(
@@ -413,9 +412,12 @@ def factorize_integer(
     2*L1*L2 + 4 terms, guesses the cofactor, and verifies exactly.
     Raises BudgetExhausted when `budget` seconds pass before the space is
     exhausted; that is a different outcome than a completed "not found".
+    ValueError for bound < 1 or a budget that is not positive.
     """
     if bound < 1:
         raise ValueError(f"bound must be >= 1, got {bound}")
+    if not budget > 0:
+        raise ValueError(f"budget must be > 0 seconds, got {budget}")
     deadline = time.monotonic() + budget
     n_terms = 2 * L1 * L2 + 4
     head = eval_terms(seq, max(n_terms, 50))
@@ -491,25 +493,5 @@ def _cofactor(original, m, cand, u, target, L2):
     split = _split(m, cand.rec, run.rec)
     if not split:
         return None
-    # _split scales x to a first nonzero entry of 1; scale it back to cand
-    kappa = next(d for d in cand.init if d)
-    left = CFiniteSeq([kappa * d for d in split[0]], cand.rec)
-    right = CFiniteSeq([d / kappa for d in split[1]], run.rec)
-    return _certified(original, left, right, _normalize_integer_pair)
-
-
-def _normalize_integer_pair(left, right):
-    """Sign gauge, content 1, positive first nonzero term (integers kept)."""
-    notes = []
-    # only the sign part of the gauge preserves integrality
-    if _sign_flipped(left.rec):
-        left, right = _apply_gauge(left, Fraction(-1)), _apply_gauge(right, Fraction(-1))
-        notes.append("sign gauge lambda = -1")
-    terms = eval_terms(left, 2 * left.order + 4)
-    g = content(terms)
-    if next((t for t in terms if t != 0), 1) < 0:
-        g = -g
-    if g != 1:
-        left, right = scale(left, 1 / g), scale(right, g)
-        notes.append(f"left factor divided by content {g}")
-    return left, right, "; ".join(notes) or "already canonical"
+    left, right = CFiniteSeq(split[0], cand.rec), CFiniteSeq(split[1], run.rec)
+    return _certified(original, left, right, _sign_gauge)

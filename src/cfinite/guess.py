@@ -359,8 +359,11 @@ def verify_parametric_identity(
     parameter i of degree at most param_degrees[i]; checking on a grid of
     degree+1 distinct rational points per parameter then proves the
     identity for the first `series_terms` coefficients.  Larger grids may
-    be supplied explicitly via `grids`.
+    be supplied explicitly via `grids`.  ValueError for series_terms < 1,
+    which would prove nothing.
     """
+    if series_terms < 1:
+        raise ValueError(f"series_terms must be >= 1, got {series_terms}")
     if grids is None:
         grids = [[Fraction(j) for j in range(d + 1)] for d in param_degrees]
     if len(grids) != len(param_degrees):

@@ -1,13 +1,18 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import mpmath
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import cfinite
 from cfinite import corpus
 
 from cfinite.cli import main
@@ -247,6 +252,22 @@ class TestAnalysis:
         assert code == 0
         assert "VERIFIED" in out
 
+    def test_factor_two_large_primes_in_one_coefficient(self, capsys):
+        literal = format_seq(
+            mul(
+                CFiniteSeq([1, 1], [2 * 1000003 * 1000033, 7]),
+                CFiniteSeq([1, 2, 1], [1, 2, -3]),
+            )
+        )
+        code, out, _ = run(
+            capsys, "factor", literal, "--orders", "2,3", "--digits", "50"
+        )
+        assert code == 0
+        assert out.splitlines()[:2] == [
+            "left  = [[1, 1], [2000072000198, 7]]",
+            "right = [[1, 2, 1], [1, 2, -3]]",
+        ]
+
     def test_factor_precision_error_exit_2(self, capsys, monkeypatch):
         def no_convergence(*args, **kwargs):
             raise mpmath.mp.NoConvergence("Didn't converge")
@@ -328,6 +349,13 @@ class TestVerifyIdentity:
         assert code == 0
         assert "VERIFIED" in out
 
+    @pytest.mark.parametrize("terms", ["0", "-2"])
+    def test_no_terms_exit_2(self, capsys, terms):
+        code, out, err = run(capsys, "verify-identity", "shapiro", "--terms", terms)
+        assert code == 2
+        assert out == ""
+        assert "series_terms must be >= 1" in err
+
 
 class TestBadInput:
     @pytest.mark.parametrize(
@@ -388,6 +416,16 @@ class TestBadInput:
         assert code == 2
         assert "bound" in err
 
+    @pytest.mark.parametrize("budget", ["0", "-1", "nan"])
+    def test_factor_budget_not_positive_exit_2(self, capsys, budget):
+        code, out, err = run(
+            capsys, "factor", "[[0, 1, 2, 10], [2, 7, 2, -1]]",
+            "--orders", "2,2", "--mode", "integer", "--budget", budget,
+        )
+        assert code == 2
+        assert out == ""
+        assert "budget must be > 0 seconds" in err
+
 
 class TestEnvironment:
     def test_digits_env_var(self, capsys, monkeypatch):
@@ -432,6 +470,29 @@ def test_console_script_installed():
     )
     assert got.returncode == 0
     assert got.stdout.strip() == "[[0, 1], [1, 1]]"
+
+
+def run_module(*argv):
+    """`python -m cfinite.cli` in a fresh interpreter that imports this package."""
+    src = str(Path(cfinite.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "cfinite.cli", *argv],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+        timeout=120,
+    )
+
+
+def test_module_exit_codes():
+    got = run_module("guess", "0,1,1,2,3,5,8,13,21,34")
+    assert (got.returncode, got.stdout.strip()) == (0, "[[0, 1], [1, 1]]")
+    # 2^n + 3^n + 5^n + 7^n: 2 * 7 != 3 * 5, so no 2 x 2 root grid
+    literal = "[[4, 17, 87, 503], [17, -101, 247, -210]]"
+    got = run_module("factor", literal, "--orders", "2,2")
+    assert got.returncode == 1
+    assert "no factorization found" in got.stderr
 
 
 # --- fuzzing ------------------------------------------------------------------

@@ -1,10 +1,11 @@
+import math
 import random
 import time
 from fractions import Fraction
 
 import mpmath
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cfinite.core import CFiniteSeq, eval_terms, shift
@@ -36,6 +37,21 @@ def assert_valid_factorization(pair, target, n=60):
     t1 = eval_terms(pair.left, n)
     t2 = eval_terms(pair.right, n)
     assert [a * b for a, b in zip(t1, t2)] == eval_terms(target, n)
+
+
+def assert_primitive_integer(seq):
+    """Integer recurrence, coprime integer initial terms, first nonzero positive."""
+    assert all(c.denominator == 1 for c in seq.rec + seq.init)
+    assert math.gcd(*(int(d) for d in seq.init)) == 1
+    assert next(d for d in seq.init if d) > 0
+
+
+@st.composite
+def small_factors(draw, order, values=st.integers(-3, 3)):
+    """A sequence of the given order with small data and c_L != 0."""
+    init = draw(st.lists(values, min_size=order, max_size=order).filter(any))
+    rec = draw(st.lists(values, min_size=order - 1, max_size=order - 1))
+    return CFiniteSeq(init, rec + [draw(values.filter(bool))])
 
 
 class TestReconstruct:
@@ -122,6 +138,16 @@ class TestFactorizeRoots:
         # the gauged left recurrence holds 1000003^2, a prime above the
         # trial-division limit, squared
         left = CFiniteSeq([1, 1], [2000006, 7])
+        right = CFiniteSeq([1, 2, 1], [1, 2, -3])
+        prod = mul(left, right)
+        pair = factorize_roots(prod, 2, 3, digits=50)
+        assert (pair.left, pair.right) == (left, right)
+        assert_valid_factorization(pair, prod)
+
+    def test_two_large_primes_in_one_coefficient(self):
+        # the gauged left recurrence holds (2 * 1000003 * 1000033)^2: the
+        # gauge base takes 1000003 * 1000033 as one element
+        left = CFiniteSeq([1, 1], [2 * 1000003 * 1000033, 7])
         right = CFiniteSeq([1, 2, 1], [1, 2, -3])
         prod = mul(left, right)
         pair = factorize_roots(prod, 2, 3, digits=50)
@@ -304,7 +330,12 @@ class TestFactorizeInteger:
     def test_budget_exhaustion_raises(self):
         prod = mul(FIB, PELL)
         with pytest.raises(BudgetExhausted):
-            factorize_integer(prod, 2, 2, bound=6, budget=0.0)
+            factorize_integer(prod, 2, 2, bound=6, budget=1e-9)
+
+    @pytest.mark.parametrize("budget", [0, -1, float("nan")])
+    def test_budget_not_positive_rejected(self, budget):
+        with pytest.raises(ValueError, match="budget"):
+            factorize_integer(mul(FIB, PELL), 2, 2, bound=2, budget=budget)
 
     def test_not_found_within_bound(self):
         # neither factor (nor any integer regauging of one) fits in [-1, 1]
@@ -335,6 +366,70 @@ class TestFactorizeInteger:
         assert {a.left.order, a.right.order} == {b.left.order, b.right.order}
 
 
+class TestNormalForm:
+    @settings(max_examples=15, deadline=None)
+    @given(st.sampled_from([(1, 2), (1, 3), (2, 3)]), st.data())
+    def test_swapped_orders_print_the_same_pair(self, orders, data):
+        a, b = data.draw(small_factors(orders[0])), data.draw(small_factors(orders[1]))
+        prod = mul(a, b)
+        assume(prod.order == a.order * b.order)
+        try:
+            one = factorize_roots(prod, *orders)
+        except DegenerateRootsError:
+            assume(False)
+        two = factorize_roots(prod, *orders[::-1])
+        assert (one.left, one.right) == (two.left, two.right)
+        assert_primitive_integer(one.left)
+        assert_valid_factorization(one, prod)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(["_gauge_scale", "_sign_gauge"]), st.data())
+    def test_argument_order_does_not_matter(self, gauge, data):
+        gauge = getattr(factor, gauge)
+        values = st.fractions(-4, 4, max_denominator=3)
+        left, right = (
+            data.draw(small_factors(data.draw(st.integers(1, 2)), values))
+            for _ in range(2)
+        )
+        assert factor._normal_form(left, right, gauge) == factor._normal_form(
+            right, left, gauge
+        )
+
+    # square shapes in which both transposed root grids split the product
+    SQUARE_PRODUCTS = [
+        ([[5, 5, -4], [0, 0, -5]], [[5, -5, -3], [-4, 0, 3]], 50),
+        ([[4, 4], [0, -4]], [[3, 2], [1, 1]], 50),
+        ([[-1, -1, -1], [0, -5, -2]], [[4, 2, -2], [3, -4, -4]], 100),
+        ([[-2, "3/2", "2/3"], [0, "-3/2", 2]], [["5/2", 0, "5/2"], [5, "4/3", -1]], 50),
+        (
+            [[-241495, 560698, 834377], [0, 0, 393040]],
+            [[949329, 475456, 674053], [236714, -172305, 896167]],
+            50,
+        ),
+        ([["3/2", "-3/2", 1], [0, "-2/3", -4]], [["4/3", -1, 2], ["1/3", -1, -1]], 100),
+        ([[112609, 638405], [0, -375719]], [[94629, 630597], [-754593, 481616]], 100),
+        ([[4, -2], [0, "-4/3"]], [["-4/3", -3], ["-1/2", "1/2"]], 50),
+    ]
+
+    @pytest.mark.parametrize("a, b, digits", SQUARE_PRODUCTS)
+    def test_square_shapes_print_the_normal_form(self, a, b, digits):
+        a, b = CFiniteSeq(*a), CFiniteSeq(*b)
+        pair = factorize_roots(mul(a, b), a.order, a.order, digits)
+        want = factor._normal_form(a, b, factor._gauge_scale)
+        assert (pair.left, pair.right) == want[:2]
+        assert_primitive_integer(pair.left)
+
+    def test_left_factor_carries_the_gauge(self):
+        # rec [0, -1] is the same under lambda = -1, so the smaller initial
+        # terms pick the sign: [2, -1] rather than [2, 1]
+        prod = mul(CFiniteSeq([4, 4], [0, -4]), CFiniteSeq([3, 2], [1, 1]))
+        pair = factorize_roots(prod, 2, 2)
+        assert (pair.left, pair.right) == (
+            CFiniteSeq([2, -1], [0, -1]),
+            CFiniteSeq([6, -8], [-2, 4]),
+        )
+
+
 def test_factor_pair_ordering():
     prod = mul(FIB, PELL)
     pair = factorize_roots(prod, 2, 2)
@@ -345,18 +440,25 @@ def test_factor_pair_ordering():
     )
 
 
-def test_prime_divisors_bounded():
-    assert factor._prime_divisors(-(1009**2) * 1013) == {1009, 1013}
+def test_gauge_base():
+    assert factor._gauge_base(-(1009**2) * 1013) == {1009, 1013}
     # the cofactor left after trial division is below the limit squared
-    assert factor._prime_divisors(999983 * 999979) == {999979, 999983}
-    assert factor._prime_divisors(999999000001) == {999999000001}
-    # a cofactor above the limit squared is a proven prime power
-    assert factor._prime_divisors(999999000001**2) == {999999000001}
-    assert factor._prime_divisors(12 * 1000003**5) == {2, 3, 1000003}
-    # two distinct primes above the limit, or a prime beyond the proof, are not
-    assert factor._prime_divisors(999999000001 * 1000000000039) is None
-    assert factor._prime_divisors(1000003 * 999999000001**2) is None
-    assert factor._prime_divisors(2**89 - 1) is None
+    assert factor._gauge_base(999983 * 999979) == {999979, 999983}
+    assert factor._gauge_base(999999000001) == {999999000001}
+    # a cofactor above the limit squared joins as its highest root
+    assert factor._gauge_base(999999000001**2) == {999999000001}
+    assert factor._gauge_base(12 * 1000003**5) == {2, 3, 1000003}
+    # whether or not that root is prime
+    assert factor._gauge_base(999999000001 * 1000000000039) == {
+        999999000001 * 1000000000039
+    }
+    assert factor._gauge_base(1000003 * 999999000001**2) == {
+        1000003 * 999999000001**2
+    }
+    assert factor._gauge_base(2**89 - 1) == {2**89 - 1}
+    assert factor._gauge_base((1000003 * 1000033) ** 3 * 10) == {
+        2, 5, 1000003 * 1000033
+    }
 
 
 def test_precision_error_is_shared_with_roots():

@@ -364,6 +364,15 @@ class TestParametricIdentities:
                 grids=[[Fraction(0)], [Fraction(0), Fraction(1), Fraction(2)]],
             )
 
+    @pytest.mark.parametrize("terms", [0, -3])
+    def test_no_terms_rejected(self, terms):
+        from cfinite.guess import verify_parametric_identity
+
+        with pytest.raises(ValueError, match="series_terms"):
+            verify_parametric_identity(
+                corpus.shapiro_product_lhs, corpus.shapiro_product_gf, [2, 2], terms
+            )
+
     def test_mismatch_reported(self):
         from cfinite.guess import verify_parametric_identity
 
