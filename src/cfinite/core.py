@@ -293,25 +293,35 @@ def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
     return Polynomial(g).monic()
 
 
-def format_poly(p: Polynomial, var: str = "z") -> str:
-    """Sparse ascending-power rendering, e.g. ``1 - z - z^2``."""
-    if p.is_zero():
-        return "0"
+def format_signed_sum(terms) -> str:
+    """``c1*m1 + c2*m2 - ...`` from (coefficient, monomial text) pairs.
+
+    Zero coefficients are skipped and a magnitude of 1 is elided before a
+    monomial; an empty monomial text is a constant term.
+    """
     parts = []
-    for k, c in enumerate(p.coeffs):
-        if c == 0:
+    for c, mono in terms:
+        if not c:
             continue
         mag = abs(c)
-        if k == 0:
+        if not mono:
             body = str(mag)
         else:
-            x = var if k == 1 else f"{var}^{k}"
-            body = x if mag == 1 else f"{mag}*{x}"
+            body = mono if mag == 1 else f"{mag}*{mono}"
         if not parts:
             parts.append(body if c > 0 else f"-{body}")
         else:
             parts.append(f"+ {body}" if c > 0 else f"- {body}")
     return " ".join(parts)
+
+
+def format_poly(p: Polynomial, var: str = "z") -> str:
+    """Sparse ascending-power rendering, e.g. ``1 - z - z^2``."""
+
+    def power(k):
+        return "" if k == 0 else var if k == 1 else f"{var}^{k}"
+
+    return format_signed_sum((c, power(k)) for k, c in enumerate(p.coeffs)) or "0"
 
 
 class CFiniteSeq:

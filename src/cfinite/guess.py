@@ -26,7 +26,7 @@ from fractions import Fraction
 from math import comb
 
 from . import linalg
-from .core import CFiniteSeq, content, eval_terms, format_rational
+from .core import CFiniteSeq, content, eval_terms, format_rational, format_signed_sum
 from .gf import taylor
 
 
@@ -259,29 +259,18 @@ class PolyRelation:
         return total
 
     def __str__(self):
-        parts = []
-        for exps, c in zip(self.support, self.coefficients):
-            if not c:
-                continue
+        def monomial(exps):
+            # variable i is a(n-order+i); a(n) is printed first
             factors = []
-            for i in range(len(exps) - 1, -1, -1):
-                e = exps[i]
-                if not e:
-                    continue
-                j = self.order - i
-                name = "a(n)" if j == 0 else f"a(n-{j})"
-                factors.append(name if e == 1 else f"{name}^{e}")
-            mono = "*".join(factors)
-            mag = abs(c)
-            if mono:
-                body = mono if mag == 1 else f"{mag}*{mono}"
-            else:
-                body = str(mag)
-            if not parts:
-                parts.append(body if c > 0 else f"-{body}")
-            else:
-                parts.append(f"+ {body}" if c > 0 else f"- {body}")
-        return " ".join(parts) + " = 0"
+            for i in reversed(range(len(exps))):
+                if exps[i]:
+                    j = self.order - i
+                    name = "a(n)" if j == 0 else f"a(n-{j})"
+                    factors.append(name if exps[i] == 1 else f"{name}^{exps[i]}")
+            return "*".join(factors)
+
+        pairs = ((c, monomial(e)) for e, c in zip(self.support, self.coefficients))
+        return format_signed_sum(pairs) + " = 0"
 
 
 def _monomials(nvars: int, degree: int):

@@ -428,29 +428,14 @@ class TestBadInput:
 
 
 class TestEnvironment:
-    def test_digits_env_var(self, capsys, monkeypatch):
-        monkeypatch.setenv("CFINITE_DIGITS", "60")
+    def test_digits_default_ignores_environment(self, capsys, monkeypatch):
+        # --digits is the one precision setting; it defaults to 100
+        monkeypatch.setenv("CFINITE_DIGITS", "lots")
         code, out, _ = run(
             capsys, "isprod", "[[0, 1, 2, 10], [2, 7, 2, -1]]", "--orders", "2,2"
         )
         assert code == 0
-        assert "60 digits" in out
-
-    def test_bad_digits_exit_2(self, capsys, monkeypatch):
-        monkeypatch.setenv("CFINITE_DIGITS", "lots")
-        code, _, _ = run(
-            capsys, "isprod", "[[0, 1, 2, 10], [2, 7, 2, -1]]", "--orders", "2,2"
-        )
-        assert code == 2
-
-    @pytest.mark.parametrize("raw", ["0", "-3"])
-    def test_env_digits_below_one_exit_2(self, capsys, monkeypatch, raw):
-        monkeypatch.setenv("CFINITE_DIGITS", raw)
-        code, _, err = run(
-            capsys, "isprod", "[[0, 1, 2, 10], [2, 7, 2, -1]]", "--orders", "2,2"
-        )
-        assert code == 2
-        assert "CFINITE_DIGITS" in err
+        assert "100 digits" in out
 
     def test_unknown_verb_exit_2(self, capsys):
         code = main(["frobnicate"])
@@ -624,3 +609,27 @@ def test_fuzz_exit_codes(argv):
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
     assert code in (0, 1, 2, 3), (argv, code)
+
+
+class TestBigIntegers:
+    BIG = "7" * 5000  # past the interpreter's default int-to-string limit
+
+    @pytest.mark.parametrize("flag", [[], ["--json"]], ids=["text", "json"])
+    def test_literal_beyond_the_string_conversion_limit(self, capsys, flag):
+        limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+        code, out, err = run(capsys, *flag, "terms", f"[[{self.BIG}],[1]]", "2")
+        assert (code, err) == (0, "")
+        want = f'["{self.BIG}", "{self.BIG}"]' if flag else f"{self.BIG}, {self.BIG}"
+        assert out == want
+        # the limit is lifted for the run of main only
+        assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
+
+    def test_long_fibonacci_terms_are_exact(self, capsys):
+        code, out, err = run(capsys, "terms", "[[0,1],[1,1]]", "21000")
+        assert (code, err) == (0, "")
+        last = out.rsplit(", ", 1)[1]
+        a, b = 0, 1  # F(20999) modulo 10^12, by the recurrence itself
+        for _ in range(20999):
+            a, b = b, (a + b) % 10**12
+        assert len(last) == 4389  # floor(20999 log10(phi) - log10(sqrt 5)) + 1
+        assert last[-12:] == f"{a:012d}"
