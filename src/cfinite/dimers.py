@@ -9,6 +9,10 @@ matrix is kept as its list of transitions, 985 of 65,536 cells at width 8;
 a sparse row vector of Python ints is pushed through it.
 
 kasteleyn_count checks the counts exactly against Kasteleyn's closed-form product.
+The same product (Kasteleyn 1961; Temperley-Fisher 1961) makes the strip
+count a termwise product over j <= ceil(m/2) of order-2 sequences in n,
+rec [2h cos(j pi/(m+1)), v^2]; for odd m the middle factor (cos = 0) has
+order 1 at even n.  dimer_seq takes its order bound 2^floor(m/2) from there.
 """
 
 from __future__ import annotations
@@ -82,8 +86,11 @@ def dimer_seq(m: int, weights=(1, 1)) -> CFiniteSeq:
     Even widths index straight: a(n) = count(m, n+1).  Odd widths have
     every odd-area count equal to 0, so the even-index subsequence
     a(n) = count(m, 2n+2) is returned instead, keeping the minimality
-    analysis meaningful.  Either sequence has order at most 2^m, the size
-    of the transfer matrix.
+    analysis meaningful.  Either sequence has order at most B = 2^floor(m/2)
+    by Kasteleyn's product (Kasteleyn 1961; Temperley-Fisher 1961), not just
+    the transfer-matrix size 2^m.  The recurrence is guessed at order <= B
+    from 2B + 4 transfer-matrix terms and checked on all of them; two
+    sequences of order <= B that agree on 2B terms are equal.
     """
     _check_width(m)
 
@@ -92,7 +99,7 @@ def dimer_seq(m: int, weights=(1, 1)) -> CFiniteSeq:
             return dimer_terms(m, n, weights)
         return dimer_terms(m, 2 * n, weights)[1::2]
 
-    return guess._close(f"width-{m} strip counts", 1 << m, make)
+    return guess._close(f"width-{m} strip counts", 1 << (m // 2), make)
 
 
 def _resultant(f: Polynomial, g: Polynomial) -> Fraction:
@@ -153,9 +160,8 @@ def dimer_product_report(
 
     The minimal order must be a power of 2 for the all-order-2 hypothesis
     to make sense; log2(order) factors of order 2 are then tested, so the
-    product of the hypothesized orders equals the minimal order.  Orders
-    below 2^m are common (the minimal recurrence sheds factors), in which
-    case the report simply tests fewer order-2 factors.
+    product of the hypothesized orders equals the minimal order, which is
+    at most 2^floor(m/2) (see dimer_seq).
     """
     seq = dimer_seq(m, weights)
     order = seq.order

@@ -19,7 +19,9 @@ This module holds the package's whole numeric precision policy for
 factoring: the working precision of the root finder (_char_roots),
 the precision ladder of factorize_roots, the grid and gauge tolerances,
 the reconstruction denominator bound, which grows with the precision, and
-the trial-division bound of the canonical gauge.
+the trial-division bound of the canonical gauge.  mpmath is imported
+inside the functions of the root grid, so importing the package leaves it
+unloaded.
 """
 
 from __future__ import annotations
@@ -29,8 +31,6 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil
-
-import mpmath
 
 from . import guess
 from .core import CFiniteSeq, content, eval_terms, minimize, scale
@@ -114,6 +114,7 @@ def _certified(original, left, right, gauge):
 
 
 def _mpf_to_fraction(x) -> Fraction:
+    import mpmath
     sign, man, exp, _ = mpmath.mpf(x)._mpf_
     if man == 0:
         return Fraction(0)
@@ -130,6 +131,7 @@ def _reconstruct(z, digits):
     required match to 10^(-digits/2) rarely holds by chance (and the
     certificate checks every pair in the end).
     """
+    import mpmath
     tol = mpmath.mpf(10) ** (-digits // 2)
     if abs(mpmath.im(z)) > tol * (1 + abs(z)):
         return None
@@ -143,6 +145,7 @@ def _reconstruct(z, digits):
 
 def _elementary(roots):
     """The elementary symmetric functions e_0, ..., e_L of the roots."""
+    import mpmath
     es = [mpmath.mpc(1)]
     for r in roots:
         es = [a + r * b for a, b in zip(es + [0], [0] + es)]
@@ -296,6 +299,7 @@ def _char_roots(m: CFiniteSeq, digits: int) -> list:
     digits.  Cleanup, which would set a root below the epsilon to 0, is off.
     PrecisionError if it does not converge.  Sorted by (real, imag) part.
     """
+    import mpmath
     reciprocal = 1 + max(abs(c) for c in [1, *m.rec]) / abs(m.rec[-1])
     with mpmath.workdps(digits + 20 + len(str(int(reciprocal)))):
         cauchy_bits = int(1 + max(abs(c) for c in m.rec)).bit_length()
@@ -314,6 +318,7 @@ def _char_roots(m: CFiniteSeq, digits: int) -> list:
 
 
 def _factorize_roots_at(original, m, L1, L2, digits):
+    import mpmath
     L = L1 * L2
     roots = _char_roots(m, digits)
     with mpmath.workdps(digits + 20):
@@ -362,6 +367,7 @@ def _match_grid(roots, col, row, tol):
 
 def _extract_factors(original, m, grid, roots, L1, L2, digits, tol):
     """The pair from one root grid; None if unresolved, False if it splits nothing."""
+    import mpmath
     alphas = [roots[grid[i][0]] for i in range(L1)]
     betas = [roots[grid[0][j]] / roots[grid[0][0]] for j in range(L2)]
     ea, eb = _elementary(alphas), _elementary(betas)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cfinite import guess
 from cfinite.core import CFiniteSeq, Polynomial, eval_terms
 from cfinite.dimers import (
     dimer_product_report,
@@ -123,6 +124,21 @@ class TestTransferMatrix:
             assert dimer_terms(m, 8, weights) == direct, (m, weights)
 
 
+def strip_terms(m, N, weights=(1, 1)):
+    """The first N terms of the sequence dimer_seq(m, weights) recurs."""
+    if m % 2 == 0:
+        return dimer_terms(m, N, weights)
+    return dimer_terms(m, 2 * N, weights)[1::2]
+
+
+def guessed_at_matrix_size(m, weights):
+    """The strip recurrence guessed at the transfer-matrix size 2^m."""
+    return guess._close("strip", 1 << m, lambda n: strip_terms(m, n, weights))
+
+
+small_fractions = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 9))
+
+
 class TestDimerSeq:
     def test_width_two_recurrence(self):
         assert dimer_seq(2) == CFiniteSeq([1, 2], [1, 1])
@@ -167,6 +183,39 @@ class TestDimerSeq:
         s = dimer_seq(8)
         assert s.order == 16
         assert eval_terms(s, 40) == dimer_terms(8, 40)
+
+    @pytest.mark.parametrize("m, order", [(9, 16), (10, 32)])
+    def test_widths_nine_and_ten(self, m, order):
+        s = dimer_seq(m)
+        assert s.order == order
+        assert eval_terms(s, 40) == strip_terms(m, 40)
+
+    @pytest.mark.parametrize(
+        "m, weights",
+        [(m, (1, 1)) for m in range(1, 11)]
+        + [(m, (Fraction(2, 3), Fraction(5, 7))) for m in range(1, 9)],
+    )
+    def test_certified_without_kasteleyn(self, m, weights):
+        # the strip terms have order <= 2^m (transfer matrix) and the guess
+        # order <= 2^(m // 2), so agreeing on the sum of the two bounds
+        # proves the recurrence from the transfer matrix alone
+        N = (1 << m) + (1 << (m // 2))
+        s = dimer_seq(m, weights)
+        assert s.order <= 1 << (m // 2)
+        assert eval_terms(s, N) == strip_terms(m, N, weights)
+
+    @pytest.mark.parametrize("m", range(1, 9))
+    @pytest.mark.parametrize(
+        "weights",
+        [(1, 1), (Fraction(2, 3), Fraction(5, 7)), (3, 1), (0, 1), (1, 0), (0, 0), (-2, 5)],
+    )
+    def test_same_as_transfer_matrix_bound(self, m, weights):
+        assert dimer_seq(m, weights) == guessed_at_matrix_size(m, weights)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 6), small_fractions, small_fractions)
+    def test_same_as_transfer_matrix_bound_random_weights(self, m, h, v):
+        assert dimer_seq(m, (h, v)) == guessed_at_matrix_size(m, (h, v))
 
 
 class TestKasteleyn:

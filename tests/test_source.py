@@ -1,6 +1,9 @@
 """Static checks over the package source, with the stdlib `ast` only."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import cfinite
@@ -174,3 +177,18 @@ def test_mpmath_only_where_floating_point_is_allowed():
         if "mpmath" in imported_modules(ast.parse(path.read_text()))
     }
     assert users <= MPMATH_MODULES
+
+
+def test_package_import_leaves_mpmath_unloaded():
+    # only the root grid of factorize_roots needs floating point, so a fresh
+    # interpreter that imports the package and its CLI does not pay for mpmath
+    path = os.pathsep.join(filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")]))
+    code = "import sys, cfinite, cfinite.cli; print('mpmath' in sys.modules)"
+    got = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+        timeout=120,
+    )
+    assert (got.returncode, got.stdout.strip()) == (0, "False"), got.stderr
