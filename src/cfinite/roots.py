@@ -6,10 +6,18 @@ root set is the Cartesian product of the factors' root sets, and the
 multiset of the L^2 pairwise root ratios then shows a telltale
 repetition pattern.  prod_indicator computes that pattern
 combinatorially for generic factors; is_prod / is_prod_g measure it
-exactly, as the root multiplicities of an integer polynomial whose roots
-are the ratios times a constant (power sums, Newton's identities, Yun's
-square-free decomposition with the modular gcd of core), and compare the
-two.
+exactly and compare the two.
+
+The measurement is on integers.  With z scaled by a D built over a
+coprime base of the denominators, the L^2 - L off-diagonal ratios times
+a constant c are algebraic integers r_ij, and they pair up:
+r_ij r_ji = c^2.  So their polynomial folds to S(w) of degree
+(L^2 - L)/2 in w = z + c^2/z, with one root r_ij + r_ji per pair.
+Power sums and Newton's identities give S exactly; Yun's square-free
+decomposition (with the modular gcd of core) gives its multiplicities,
+and each w-root of multiplicity k unfolds into two ratios of
+multiplicity k.  The one exception is w = -2c (gamma_i = -gamma_j),
+which unfolds into the single ratio -c of multiplicity 2k.
 
 A "yes" means the observed profile matches or coarsens the generic one;
 only a factor certificate (factorize_roots, factorize_integer) proves
@@ -164,31 +172,90 @@ def _power_sums(rec, K) -> list:
     return p
 
 
-def _ratio_poly(rec) -> list:
-    """Integer coefficients (ascending) of the monic polynomial whose roots are
-    the L^2 - L values c'_L * gamma_i / gamma_j, i != j.
+def _coprime_base(numbers) -> list:
+    """Pairwise coprime integers > 1 of which each number is a product.
 
-    z is scaled by the lcm D of the denominators, so the roots D gamma_i
-    have the integer recurrence c_k D^k and are algebraic integers.  The
-    backward recurrence (c'_L = c_L D^L != 0) has the roots 1 / (D gamma_i);
-    scaled by c'_L, whose roots c'_L / (D gamma_i) are products of the other
-    D gamma_j and so algebraic integers too, it is integral as well.
-    p(k) p'(k) - L c'_L^k is then the k-th power sum of the off-diagonal
-    values c'_L gamma_i / gamma_j, which are algebraic integers, so
-    Newton's identities solve for the coefficients with exact division by k.
-    Scaling the roots by c'_L changes no multiplicity.
+    Gcds only, no factoring (a coprime base; Bernstein 2005).  Replacing
+    b and n by g = gcd(b, n), b/g and n/g keeps every number a product of
+    the pool and shrinks the pool's product, so the loop ends.
     """
-    L, N = len(rec), len(rec) ** 2 - len(rec)
-    D = math.lcm(*(c.denominator for c in rec))
-    fwd = [int(c * D**k) for k, c in enumerate(rec, start=1)]
-    last = fwd[-1]
-    bwd = [-c * last ** (k - 1) for k, c in enumerate(fwd[-2::-1], start=1)]
-    bwd.append(last ** (L - 1))
+    base, todo = [], [n for n in numbers if n > 1]
+    while todo:
+        n = todo.pop()
+        for i, b in enumerate(base):
+            g = math.gcd(n, b)
+            if g > 1:
+                del base[i]
+                todo += [x for x in (g, b // g, n // g) if x > 1]
+                break
+        else:
+            base.append(n)
+    return base
+
+
+def _valuation(n: int, b: int) -> int:
+    k = 0
+    while n % b == 0:
+        n, k = n // b, k + 1
+    return k
+
+
+def _integral_rec(rec) -> list:
+    """The integer recurrence c_k D^k of the scaled roots D gamma_i.
+
+    D needs den(c_k) | D^k for every k.  Over a coprime base of the
+    denominators, each base element b enters D with the exponent
+    max_k ceil(v_b(den c_k) / k), which is far smaller than the lcm of
+    the denominators when the den(c_k) grow like a k-th power.
+    """
+    dens = [c.denominator for c in rec]
+    D = 1
+    for b in _coprime_base(dens):
+        D *= b ** max(-(-_valuation(d, b) // k) for k, d in enumerate(dens, start=1))
+    fwd = []
+    for k, c in enumerate(rec, start=1):
+        scale, r = divmod(D**k, c.denominator)
+        assert r == 0, (D, k, c)
+        fwd.append(c.numerator * scale)
+    return fwd
+
+
+def _ratio_poly(rec) -> list:
+    """Integer coefficients (ascending) of the monic polynomial S of degree
+    N = (L^2 - L)/2 whose roots are the N values r_ij + r_ji, i < j, where
+    r_ij = c gamma_i / gamma_j and c = c'_L.
+
+    z is scaled by D (_integral_rec), so the roots D gamma_i have the
+    integer recurrence c_k D^k and are algebraic integers.  The backward
+    recurrence (c'_L = c_L D^L != 0) has the roots 1 / (D gamma_i); scaled
+    by c'_L, whose roots c'_L / (D gamma_i) are products of the other
+    D gamma_j and so algebraic integers too, it is integral as well.
+    q(m) = p(m) p'(m) - L c'_L^m is then the m-th power sum of the
+    off-diagonal ratios r_ij, which are algebraic integers.
+
+    The ratios pair up, r_ij r_ji = c^2, so the polynomial R(z) of the
+    L^2 - L ratios folds: R(z) = z^N S(z + c^2/z).  The k-th power sum of
+    S is sum_{i<j} (r_ij + r_ji)^k = sum_{t<k/2} C(k,t) c^(2t) q(k - 2t),
+    plus C(k, k/2) c^k N for even k, so q is needed only up to N, and
+    Newton's identities give S with exact division by k.
+    """
+    L = len(rec)
+    N = (L * L - L) // 2
+    fwd = _integral_rec(rec)
+    c = fwd[-1]
+    bwd = [-x * c ** (k - 1) for k, x in enumerate(fwd[-2::-1], start=1)]
+    bwd.append(c ** (L - 1))
     sums = zip(_power_sums(fwd, N), _power_sums(bwd, N))
-    q = [x * y - L * last**k for k, (x, y) in enumerate(sums)]
-    a = []  # the polynomial is z^N - a_1 z^(N-1) - ... - a_N
+    q = [x * y - L * c**k for k, (x, y) in enumerate(sums)]
+    c2 = [(c * c) ** t for t in range(N // 2 + 1)]
+    s = [0]
     for k in range(1, N + 1):
-        a.append((q[k] - sum(a[i] * q[k - 1 - i] for i in range(k - 1))) // k)
+        s.append(sum(math.comb(k, t) * c2[t] * q[k - 2 * t] for t in range((k + 1) // 2)))
+        if k % 2 == 0:
+            s[k] += math.comb(k, k // 2) * c2[k // 2] * N
+    a = []  # S is w^N - a_1 w^(N-1) - ... - a_N
+    for k in range(1, N + 1):
+        a.append((s[k] - sum(a[i] * s[k - 1 - i] for i in range(k - 1))) // k)
     return [-x for x in reversed(a)] + [1]
 
 
@@ -223,6 +290,25 @@ def _root_multiplicities(f: list) -> list:
     return mults
 
 
+def _ratio_multiplicities(rec) -> list:
+    """Multiplicities of the distinct off-diagonal root ratios r_ij.
+
+    Each root w of the folded polynomial S (_ratio_poly) is r + c^2/r for
+    the two ratios r and c^2/r, which differ unless w = 2c or w = -2c.
+    w = 2c would need gamma_i = gamma_j.  w = -2c means gamma_i = -gamma_j,
+    and since w + 2c = (z + c)^2 / z it gives the one ratio -c, doubled.
+    So a w-root of multiplicity k gives two ratios of multiplicity k, and
+    -2c of multiplicity mu gives one ratio of multiplicity 2 mu; mu comes
+    from exact division by w + 2c, and Yun runs on the quotient.
+    """
+    fwd = _integral_rec(rec)  # already integral, so _ratio_poly keeps c
+    c, S, mu = fwd[-1], _ratio_poly(fwd), 0
+    while (quo := int_poly_quo(S, [2 * c, 1])) is not None:
+        S, mu = quo, mu + 1
+    mults = [k for k in _root_multiplicities(S) for _ in (0, 1)]
+    return mults + [2 * mu] if mu else mults
+
+
 def is_prod_g(seq: CFiniteSeq, orders, digits: int = DEFAULT_DIGITS) -> ProductVerdict:
     """Product test against an arbitrary list of factor orders.
 
@@ -243,7 +329,7 @@ def is_prod_g(seq: CFiniteSeq, orders, digits: int = DEFAULT_DIGITS) -> ProductV
         )
     _require_simple_roots(m)
     # the L diagonal ratios are 1, and no other ratio is, the roots being distinct
-    observed = RepetitionProfile((m.order, *_root_multiplicities(_ratio_poly(m.rec))))
+    observed = RepetitionProfile((m.order, *_ratio_multiplicities(m.rec)))
     is_product = _is_coarsening(observed.multiplicities, expected.multiplicities)
     note = ""
     if is_product and observed != expected:

@@ -331,6 +331,18 @@ class TestProductReport:
             report = dimer_product_report(4, weights=(h, v))
             assert report.applicable and report.verdict.is_product, (h, v)
 
+    @pytest.mark.parametrize(
+        "m, weights",
+        [(6, (Fraction(2, 3), Fraction(5, 7))), (8, (Fraction(1, 2), 1)), (10, (1, 1))],
+    )
+    def test_large_and_weighted_reports(self, m, weights):
+        # rational weights once made the ratio polynomial's scale D blow up
+        report = dimer_product_report(m, weights=weights)
+        assert report.applicable
+        assert report.factor_orders == (2,) * (m // 2)
+        assert report.verdict.is_product
+        assert report.verdict.observed == report.verdict.expected
+
     def test_report_rendering(self):
         text = str(dimer_product_report(4))
         assert "width 4" in text

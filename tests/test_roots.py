@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import mpmath
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
 from cfinite.core import CFiniteSeq, Polynomial, eval_terms, minimize
 from cfinite.guess import GuessConfig, guess_rec, mul
@@ -13,6 +15,8 @@ from cfinite.roots import (
     OrderMismatchError,
     PROFILE_ORDER_LIMIT,
     RepetitionProfile,
+    _coprime_base,
+    _integral_rec,
     _is_coarsening,
     _ratio_poly,
     _root_multiplicities,
@@ -207,7 +211,71 @@ class TestExactProfile:
 
     def test_fibonacci_ratio_poly(self):
         # the ratios -phi^2 and -1/phi^2 are the roots of z^2 + 3z + 1
-        assert _ratio_poly(FIB.rec) == [1, 3, 1]
+        # = z (w + 3) with w = z + 1/z, so the folded polynomial is w + 3
+        assert _ratio_poly(FIB.rec) == [3, 1]
+
+    def test_plus_minus_roots_fold_to_minus_two_c(self):
+        # roots +-2: both ratios are -1, scaled by c = 4 to -4, so the one
+        # w-root is -4 - 4 = -2c and the z-profile is the doubled class
+        pm2 = CFiniteSeq([1, 0], [0, 4])
+        assert _ratio_poly(pm2.rec) == [8, 1]
+        assert _observed(pm2) == oracles.ratio_profile(pm2.rec, 50) == (2, 2)
+
+    def test_plus_minus_factor_times_order_three(self):
+        # an order-2 factor with roots +a and -a times an order-3 one: each
+        # root's negative is a root too, so S has w = -2c of multiplicity 3
+        prod = CFiniteSeq([2, -1, 0, -6, 18, -27], [0, 7, 0, -3, 0, 9])
+        S, c = Polynomial(_ratio_poly(prod.rec)), _integral_rec(prod.rec)[-1]
+        w2c = Polynomial([2 * c, 1])
+        assert (S % (w2c * w2c * w2c)).is_zero()
+        assert not (S % (w2c * w2c * w2c * w2c)).is_zero()
+        verdict = is_prod_g(prod, (2, 3))
+        want = oracles.ratio_profile(prod.rec, 50)
+        assert verdict.observed.multiplicities == want == (2,) * 12 + (6, 6)
+        assert verdict.is_product
+
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+    @given(
+        st.sampled_from([(2, 2), (2, 3), (3, 3), (2, 2, 2)]),
+        st.sampled_from(["generic", "plus_minus", "unit"]),
+        st.randoms(use_true_random=False),
+    )
+    def test_folded_profile_against_oracle(self, shape, left, rng):
+        """The unfolded profile equals the numeric one, also when the left
+        factor's roots are +-a (rec [0, c]) or +-1 (a(n) = a(n - 2))."""
+        L = shape[0]
+        b = rng.choice([-3, -2, -1, 1, 2, 3])
+        if left == "generic":
+            prod = _random_factor(rng, L)
+        elif left == "plus_minus":
+            c = rng.choice([-5, -3, -2, 2, 3, 4, 5, Fraction(9, 4)])
+            rec = [0, c] if L == 2 else [b, c, -b * c]  # (z^2 - c)(z - b)
+            prod = CFiniteSeq([rng.randint(1, 5) for _ in range(L)], rec)
+        else:
+            rec = [0, 1] if L == 2 else [b, 1, -b]  # (z^2 - 1)(z - b)
+            prod = CFiniteSeq([rng.randint(1, 5) for _ in range(L)], rec)
+        for k in shape[1:]:
+            prod = mul(prod, _random_factor(rng, k))
+        assume(prod.order == math.prod(shape))
+        try:
+            verdict = is_prod_g(prod, shape)
+            want = oracles.ratio_profile(prod.rec, 60)
+        except (DegenerateRootsError, ArithmeticError):
+            assume(False)
+        assert verdict.observed.multiplicities == want, prod
+        assert verdict.is_product, (prod, verdict)
+
+    def test_coprime_base(self):
+        assert sorted(_coprime_base([12, 18, 35, 1, 49])) == [2, 3, 5, 7]
+        assert sorted(_coprime_base([6, 35, 6])) == [6, 35]  # no factoring
+        assert _coprime_base([1, 1]) == []
+
+    def test_integral_rec_scale(self):
+        # den(c_k) | D^k needs only D = 2 here, where the lcm is 8
+        assert _integral_rec([Fraction(1, 2), Fraction(1, 4), Fraction(1, 8)]) == [1, 1, 1]
+        assert _integral_rec([Fraction(1, 6), Fraction(1, 36)]) == [1, 1]
+        assert _integral_rec([Fraction(1, 4), Fraction(1, 2)]) == [1, 8]
+        assert _integral_rec([3, -5]) == [3, -5]
 
     def test_root_multiplicities(self):
         # (z - 1)^2 (z + 2)^3 (z - 3)
