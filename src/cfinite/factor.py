@@ -1,14 +1,18 @@
 """Actual factorization of C-finite sequences into termwise products.
 
 The two routes differ only in how they find the factor recurrences.
-factorize_roots reads them off an L1 x L2 grid of characteristic roots
-(gamma_ij = alpha_i * beta_j) in one gauge (alpha_i s, beta_j / s), which
-a Euclid over the indices of the nonzero elementary symmetric functions
-of the alphas and betas makes rational; floating point only finds the
-grid and s, and rational reconstruction recovers the recurrences.
-factorize_integer searches integer left factors with bounded
-coefficients, screens them by divisibility and guesses the cofactor's
-recurrence from the quotient.
+factorize_roots first tries, when one order is 2, an exact route
+(_exact_order_2): the order-2 factor's root ratio is a rational root of
+the folded ratio polynomial of roots.py, and the cofactor's power sums
+are the product's divided by the factor's.  Only when that certifies
+nothing, or no order is 2, does it read the recurrences off an L1 x L2
+grid of characteristic roots (gamma_ij = alpha_i * beta_j) in one gauge
+(alpha_i s, beta_j / s), which a Euclid over the indices of the nonzero
+elementary symmetric functions of the alphas and betas makes rational;
+floating point only finds the grid and s, and rational reconstruction
+recovers the recurrences.  factorize_integer searches integer left
+factors with bounded coefficients, screens them by divisibility in
+Python ints and guesses the cofactor's recurrence from the quotient.
 
 Both then take the initial terms from one exact rank-1 solve (_split),
 put the pair in one normal form (_normal_form) in the route's own gauge
@@ -20,8 +24,8 @@ factoring: the working precision of the root finder (_char_roots),
 the precision ladder of factorize_roots, the grid and gauge tolerances,
 the reconstruction denominator bound, which grows with the precision, and
 the trial-division bound of the canonical gauge.  mpmath is imported
-inside the functions of the root grid, so importing the package leaves it
-unloaded.
+inside the functions of the root grid, so importing the package, and any
+factorization the exact order-2 route finds, leave it unloaded.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ import itertools
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil
+from math import ceil, isqrt
 
 from . import guess
 from .core import CFiniteSeq, content, eval_terms, minimize, scale
@@ -39,7 +43,11 @@ from .roots import (
     DEFAULT_DIGITS,
     OrderMismatchError,
     PrecisionError,
+    _from_power_sums,
+    _power_sums,
+    _ratio_quotient,
     _require_simple_roots,
+    _square_free,
 )
 
 
@@ -262,12 +270,14 @@ def _normal_form(left, right, gauge):
 def factorize_roots(seq: CFiniteSeq, L1: int, L2: int, digits: int = DEFAULT_DIGITS):
     """Factor into an order-L1 times an order-L2 sequence, or None.
 
-    Tries a precision ladder (digits, 2x, 4x) while some root grid is
-    unresolved: its factor recurrences could not be reconstructed
-    rationally, or they do not span the sequence.  Returns None when no
-    grid is left unresolved and none splits (the exact coefficient matrix
-    of _split has rank other than 1), and raises PrecisionError when a grid
-    is still unresolved at the top of the ladder.
+    When one order is 2, the exact order-2 route (_exact_order_2) runs
+    first.  If it certifies no pair, or no order is 2, the root grid tries
+    a precision ladder (digits, 2x, 4x) while some grid is unresolved: its
+    factor recurrences could not be reconstructed rationally, or they do
+    not span the sequence.  Returns None when no grid is left unresolved
+    and none splits (the exact coefficient matrix of _split has rank other
+    than 1), and raises PrecisionError when a grid is still unresolved at
+    the top of the ladder.
     """
     m = minimize(seq)
     if m.order != L1 * L2:
@@ -275,8 +285,68 @@ def factorize_roots(seq: CFiniteSeq, L1: int, L2: int, digits: int = DEFAULT_DIG
             f"minimal order {m.order} != {L1} * {L2}; cannot factor at these orders"
         )
     _require_simple_roots(m)
+    if 2 in (L1, L2):
+        pair = _exact_order_2(seq, m)
+        if pair is not None:
+            return pair
+    return _grid_ladder(seq, m, L1, L2, digits)
+
+
+def _exact_order_2(original, m):
+    """A certified pair with an order-2 factor A, read off exactly, or None.
+
+    If A = z^2 - a z - b is a factor of m and B, of order K = m.order / 2,
+    the other, the ratio alpha_1 / alpha_2 of A's roots and its inverse
+    occur once for each root of B among the root ratios of m, so the
+    folded ratio polynomial S (roots._ratio_quotient) has the root w = c t
+    with multiplicity at least K, where t = alpha_1/alpha_2 +
+    alpha_2/alpha_1 = -(a^2 + 2b)/b.  The candidates t are the rational roots of the
+    square-free parts of S of multiplicity at least K and degree 1 or 2.
+    In the gauge a = 1, b = -1/(t + 2) (the root -2c, t = -2, is divided
+    out of S).  B's power sums are p_P(k) / p_A(k) (the composed product;
+    Brawley-Carlitz 1987), and Newton's identities give B's recurrence
+    when no p_A(k), k <= K, is 0.  Every pair goes through _split and
+    _certified like a pair from the root grid.
+    """
+    K = m.order // 2
+    c, _, S = _ratio_quotient(m.rec)
+    p_P = _power_sums(m.rec, K)
+    for t in _rational_roots(_square_free(S), K, c):
+        A = [Fraction(1), -1 / (t + 2)]
+        p_A = _power_sums(A, K)
+        if 0 in p_A:
+            continue
+        B = _from_power_sums([x / y for x, y in zip(p_P, p_A)], K)
+        split = _split(m, A, B)
+        if split:
+            pair = _certified(
+                original, CFiniteSeq(split[0], A), CFiniteSeq(split[1], B), _gauge_scale
+            )
+            if pair is not None:
+                return pair
+    return None
+
+
+def _rational_roots(parts, K, c):
+    """The rational roots w / c of the linear and quadratic square-free parts
+    of multiplicity at least K; a quadratic's roots are rational exactly
+    when its discriminant is a square."""
+    for k, f in parts:
+        if k < K:
+            continue
+        if len(f) == 2:
+            yield Fraction(-f[0], f[1] * c)
+        elif len(f) == 3:
+            disc = f[1] * f[1] - 4 * f[0] * f[2]
+            if disc >= 0 and (r := isqrt(disc)) ** 2 == disc:
+                yield Fraction(r - f[1], 2 * f[2] * c)
+                yield Fraction(-r - f[1], 2 * f[2] * c)
+
+
+def _grid_ladder(original, m, L1, L2, digits):
+    """The root grid at digits, 2x, 4x (see factorize_roots)."""
     for d in (digits, 2 * digits, 4 * digits):
-        found, unresolved = _factorize_roots_at(seq, m, L1, L2, d)
+        found, unresolved = _factorize_roots_at(original, m, L1, L2, d)
         if found is not None:
             return found
         if not unresolved:
@@ -451,33 +521,35 @@ def factorize_integer(
                 )
             if stats is not None:
                 stats["candidates"] += 1
-            cand = CFiniteSeq(init, rec)
-            u = eval_terms(cand, n_terms)
-            if not _divides(u, target):
+            u = _screen(init, rec, target)
+            if u is None:
                 continue
             if stats is not None:
                 stats["screened"] += 1
-            pair = _cofactor(seq, m, cand, u, target, L2)
+            pair = _cofactor(seq, m, rec, u, target, L2)
             if pair is not None:
                 return pair
     return None
 
 
-def _divides(u, target):
-    for a, b in zip(u, target):
-        if a == 0:
-            if b != 0:
-                return False
-        elif b % int(a) != 0:
-            return False
-    return True
+def _screen(init, rec, target):
+    """The integer terms of (init, rec) while each divides its target term;
+    None at the first that does not."""
+    u = list(init)
+    for n, b in enumerate(target):
+        if n >= len(u):
+            u.append(sum(c * v for c, v in zip(rec, reversed(u))))
+        a = u[n]
+        if b % a if a else b:
+            return None
+    return u
 
 
 def _longest_run(u):
     """(start, length) of the longest zero-free stretch of u."""
     best = (0, 0)
     start = None
-    for n, v in enumerate(u + [Fraction(0)]):
+    for n, v in enumerate(u + [0]):
         if v != 0:
             if start is None:
                 start = n
@@ -488,16 +560,16 @@ def _longest_run(u):
     return best
 
 
-def _cofactor(original, m, cand, u, target, L2):
+def _cofactor(original, m, rec, u, target, L2):
     start, length = _longest_run(u)
     if length < 2 * L2 + 4:
         return None
-    quotient = [Fraction(target[n], int(u[n])) for n in range(start, start + length)]
+    quotient = [Fraction(target[n], u[n]) for n in range(start, start + length)]
     run = guess.guess_rec(quotient, guess.GuessConfig(max_order=L2))
     if run is None:
         return None
-    split = _split(m, cand.rec, run.rec)
+    split = _split(m, rec, run.rec)
     if not split:
         return None
-    left, right = CFiniteSeq(split[0], cand.rec), CFiniteSeq(split[1], run.rec)
+    left, right = CFiniteSeq(split[0], rec), CFiniteSeq(split[1], run.rec)
     return _certified(original, left, right, _sign_gauge)

@@ -26,6 +26,9 @@ Diagnostics always carry both profiles.  Repeated roots are detected
 exactly (gcd(P, P') not constant, _require_simple_roots) for both the
 product test and factorize_roots.  Nothing here computes a root
 numerically: the root grid of factorize_roots is found in factor.py.
+The exact order-2 route of factorize_roots reads the square-free parts
+of S themselves (_square_free, on the quotient of _ratio_quotient), and
+the power sums (_power_sums, _from_power_sums), from this module.
 """
 
 from __future__ import annotations
@@ -172,6 +175,20 @@ def _power_sums(rec, K) -> list:
     return p
 
 
+def _from_power_sums(p, N) -> list:
+    """The c_1, ..., c_N of z^N - c_1 z^(N-1) - ... - c_N whose roots have
+    the power sums p(1..N), by Newton's identities: _power_sums inverted.
+
+    Integer power sums divide exactly by k when the roots are algebraic
+    integers, whose c_k are then integers; Fractions divide as Fractions.
+    """
+    c = []
+    for k in range(1, N + 1):
+        x = p[k] - sum(c[i] * p[k - 1 - i] for i in range(k - 1))
+        c.append(x // k if isinstance(x, int) else x / k)
+    return c
+
+
 def _coprime_base(numbers) -> list:
     """Pairwise coprime integers > 1 of which each number is a product.
 
@@ -253,9 +270,7 @@ def _ratio_poly(rec) -> list:
         s.append(sum(math.comb(k, t) * c2[t] * q[k - 2 * t] for t in range((k + 1) // 2)))
         if k % 2 == 0:
             s[k] += math.comb(k, k // 2) * c2[k // 2] * N
-    a = []  # S is w^N - a_1 w^(N-1) - ... - a_N
-    for k in range(1, N + 1):
-        a.append((s[k] - sum(a[i] * s[k - 1 - i] for i in range(k - 1))) // k)
+    a = _from_power_sums(s, N)  # S is w^N - a_1 w^(N-1) - ... - a_N
     return [-x for x in reversed(a)] + [1]
 
 
@@ -270,9 +285,10 @@ def _sub(f: list, g: list) -> list:
     return out
 
 
-def _root_multiplicities(f: list) -> list:
-    """Multiplicity of each distinct complex root of the integer polynomial f
-    (ascending coefficients), by Yun's algorithm.
+def _square_free(f: list) -> list:
+    """Yun's square-free decomposition of the integer polynomial f (ascending
+    coefficients): the pairs (k, a_k), a_k the primitive product of the
+    distinct roots of multiplicity k, for each k with a_k not constant.
 
     Every gcd is primitive, so each division is exact in Z[z] (Gauss's lemma).
     """
@@ -280,14 +296,35 @@ def _root_multiplicities(f: list) -> list:
     g = int_poly_gcd(f, df)
     c = int_poly_quo(f, g)
     d = _sub(int_poly_quo(df, g), _derivative(c))
-    mults, k = [], 1
+    parts, k = [], 1
     while len(c) > 1:
         a = int_poly_gcd(c, d)
         c = int_poly_quo(c, a)
         d = _sub(int_poly_quo(d, a), _derivative(c))
-        mults += [k] * (len(a) - 1)
+        if len(a) > 1:
+            parts.append((k, a))
         k += 1
-    return mults
+    return parts
+
+
+def _root_multiplicities(f: list) -> list:
+    """Multiplicity of each distinct complex root of the integer polynomial f."""
+    return [k for k, a in _square_free(f) for _ in range(len(a) - 1)]
+
+
+def _ratio_quotient(rec):
+    """(c, mu, S / (w + 2c)^mu) for the folded ratio polynomial S
+    (_ratio_poly) and its scale c = c'_L, mu being the multiplicity of the
+    root w = -2c, found by exact division.
+
+    The product test and the exact order-2 route of factor.py both read the
+    square-free decomposition of this quotient.
+    """
+    fwd = _integral_rec(rec)  # already integral, so _ratio_poly keeps c
+    c, S, mu = fwd[-1], _ratio_poly(fwd), 0
+    while (quo := int_poly_quo(S, [2 * c, 1])) is not None:
+        S, mu = quo, mu + 1
+    return c, mu, S
 
 
 def _ratio_multiplicities(rec) -> list:
@@ -299,12 +336,10 @@ def _ratio_multiplicities(rec) -> list:
     and since w + 2c = (z + c)^2 / z it gives the one ratio -c, doubled.
     So a w-root of multiplicity k gives two ratios of multiplicity k, and
     -2c of multiplicity mu gives one ratio of multiplicity 2 mu; mu comes
-    from exact division by w + 2c, and Yun runs on the quotient.
+    from exact division by w + 2c, and Yun runs on the quotient
+    (_ratio_quotient).
     """
-    fwd = _integral_rec(rec)  # already integral, so _ratio_poly keeps c
-    c, S, mu = fwd[-1], _ratio_poly(fwd), 0
-    while (quo := int_poly_quo(S, [2 * c, 1])) is not None:
-        S, mu = quo, mu + 1
+    _, mu, S = _ratio_quotient(rec)
     mults = [k for k in _root_multiplicities(S) for _ in (0, 1)]
     return mults + [2 * mu] if mu else mults
 

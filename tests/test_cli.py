@@ -225,6 +225,9 @@ class TestAnalysis:
     BIG_PRODUCT = format_seq(
         mul(CFiniteSeq([1, 2], [999999000001 * 1000000000039, 1]), CFiniteSeq([0, 1], [1, 1]))
     )
+    PRODUCT_3X3 = format_seq(
+        mul(CFiniteSeq([1, 2, 1], [1, 2, -3]), CFiniteSeq([0, 0, 1], [1, 1, 1]))
+    )
 
     def test_isprod_huge_coefficients_yes(self, capsys):
         code, out, _ = run(
@@ -272,16 +275,23 @@ class TestAnalysis:
         def no_convergence(*args, **kwargs):
             raise mpmath.mp.NoConvergence("Didn't converge")
 
-        # a root finder that does not converge is a precision failure
+        # a root finder that does not converge is a precision failure; a
+        # 3 x 3 product has no exact route, so it reaches the root finder
         monkeypatch.setattr(mpmath, "polyroots", no_convergence)
         code, out, err = run(
-            capsys, "factor", self.BIG_PRODUCT, "--orders", "2,2", "--digits", "50"
+            capsys, "factor", self.PRODUCT_3X3, "--orders", "3,3", "--digits", "50"
         )
         assert code == 2
         assert out == ""
         assert err.startswith(
             "error: characteristic roots did not converge at 50 digits"
         )
+        # the exact order-2 route factors 2 x 2 without it
+        code, out, _ = run(
+            capsys, "factor", self.BIG_PRODUCT, "--orders", "2,2", "--digits", "50"
+        )
+        assert code == 0
+        assert "VERIFIED" in out
 
     @pytest.mark.parametrize("verb", ["isprod", "factor"])
     def test_intrinsic_zero_root_exit_2(self, capsys, verb):

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from cfinite.core import CFiniteSeq, eval_terms, shift
+from cfinite.core import CFiniteSeq, eval_terms, minimize, shift
 from cfinite import factor
 from cfinite.factor import (
     BudgetExhausted,
@@ -155,14 +155,24 @@ class TestFactorizeRoots:
         assert_valid_factorization(pair, prod)
 
     def test_tiny_roots_are_not_split_away(self):
-        # roots 3e-100 and 5e-100 next to 6 and 10: the grid is found, but
-        # the factor recurrences need denominators near 10^100, beyond every
-        # rung, so the answer is a precision failure, not "no split"
+        # roots 6, -3 and 3e-100, an order-3 factor with the roots 2, -1 and
+        # 10^-100 times 3^n: no order is 2, so the root grid runs; it is
+        # found, but the factor recurrence needs denominators near 10^100,
+        # beyond every rung, so the answer is a precision failure, not "no
+        # split"
+        eps = Fraction(1, 10**100)
+        tiny = CFiniteSeq([1, 1, 1], [1 + eps, 2 - eps, -2 * eps])
+        prod = mul(tiny, CFiniteSeq([1], [3]))
+        with pytest.raises(PrecisionError):
+            factorize_roots(prod, 3, 1, digits=50)
+
+    def test_tiny_roots_factor_exactly_at_order_2(self):
+        # roots 3e-100 and 5e-100 next to 6 and 10: the exact order-2 route
+        # needs no precision at all
         eps = Fraction(1, 10**100)
         tiny = CFiniteSeq([1, 1], [2 + eps, -2 * eps])
         prod = mul(tiny, CFiniteSeq([1, 1], [8, -15]))
-        with pytest.raises(PrecisionError):
-            factorize_roots(prod, 2, 2, digits=50)
+        assert_valid_factorization(factorize_roots(prod, 2, 2, digits=50), prod)
 
     @pytest.mark.parametrize(
         "seq, L1, L2",
@@ -471,8 +481,13 @@ def test_uncertified_roots_raise_precision_error(monkeypatch):
         raise mpmath.mp.NoConvergence("Didn't converge")
 
     monkeypatch.setattr(mpmath, "polyroots", no_convergence)
+    # 3 x 3 has no exact route, so it reaches the root finder
+    prod = mul(CFiniteSeq([1, 2, 1], [1, 2, -3]), CFiniteSeq([0, 0, 1], [1, 1, 1]))
     with pytest.raises(PrecisionError, match="did not converge at 50 digits"):
-        factorize_roots(mul(FIB, PELL), 2, 2, digits=50)
+        factorize_roots(prod, 3, 3, digits=50)
+    # the exact order-2 route never calls it
+    prod = mul(FIB, PELL)
+    assert_valid_factorization(factorize_roots(prod, 2, 2, digits=50), prod)
 
 
 @pytest.mark.parametrize(
@@ -486,3 +501,64 @@ def test_huge_coefficient_product_factors(c):
     pair = factorize_roots(big, 2, 2, digits=50)
     assert (pair.left, pair.right) == (FIB, right)
     assert_valid_factorization(pair, big)
+
+
+def _grid(seq, L1, L2, digits=50):
+    """The root-grid ladder alone, without the exact order-2 route."""
+    return factor._grid_ladder(seq, minimize(seq), L1, L2, digits)
+
+
+def _order_2_products():
+    """Seeded 2 x 1, 2 x 2 and 2 x 3 products over several kinds of order-2
+    factor, plus the 10^24 product and the probe with roots +-a."""
+    rng = random.Random(314159)
+    kinds = {
+        "integer": lambda: CFiniteSeq(
+            [1, rng.randint(-3, 3)], [rng.randint(-3, 3), rng.choice([-2, -1, 1, 3])]
+        ),
+        "rational": lambda: _random_factor(rng, 2),
+        "pm": lambda: CFiniteSeq([1, rng.choice([-1, 1])], [0, rng.choice([-3, 1, 2])]),
+        # root ratios that are 3rd, 4th and 6th roots of unity: t = -1, 0, 1
+        "t=-1": lambda: CFiniteSeq([1, 2], [1, -1]),
+        "t=0": lambda: CFiniteSeq([1, 3], [2, -2]),
+        "t=1": lambda: CFiniteSeq([2, 1], [3, -3]),
+    }
+    cases = []
+    for name, draw in kinds.items():
+        for order in (1, 2, 3):
+            for _ in range(2):
+                while True:
+                    a, b = draw(), _random_factor(rng, order)
+                    prod = mul(a, b)
+                    if prod.order != 2 * order:
+                        continue
+                    try:
+                        roots._require_simple_roots(prod)
+                    except (ValueError, DegenerateRootsError):
+                        continue
+                    break
+                cases.append(pytest.param(prod, 2, order, id=f"{name}-2x{order}-{len(cases)}"))
+    big = mul(CFiniteSeq([1, 2], [999999000001 * 1000000000039, 1]), FIB)
+    pm = CFiniteSeq([2, -1, 0, -6, 18, -27], [0, 7, 0, -3, 0, 9])
+    return cases + [pytest.param(big, 2, 2, id="1e24"), pytest.param(pm, 2, 3, id="probe_pm")]
+
+
+@pytest.mark.parametrize("seq, L1, L2", _order_2_products())
+def test_exact_order_2_route_matches_the_grid(seq, L1, L2):
+    pair, grid = factorize_roots(seq, L1, L2, digits=50), _grid(seq, L1, L2)
+    assert (pair.left, pair.right) == (grid.left, grid.right)
+    assert_valid_factorization(pair, seq)
+    # the orders in either argument order
+    swapped = factorize_roots(seq, L2, L1, digits=50)
+    assert (swapped.left, swapped.right) == (grid.left, grid.right)
+
+
+def test_exact_order_2_route_needs_no_roots(monkeypatch):
+    def no_roots(*args):
+        raise AssertionError("the exact order-2 route must not find roots")
+
+    monkeypatch.setattr(factor, "_char_roots", no_roots)
+    left, right = CFiniteSeq([1, 2], [1, 1]), CFiniteSeq([2, 0, 1], [0, 1, 1])
+    for prod, L1, L2 in [(mul(FIB, PELL), 2, 2), (mul(left, right), 2, 3)]:
+        pair = factorize_roots(prod, L1, L2)
+        assert_valid_factorization(pair, prod)

@@ -192,3 +192,33 @@ def test_package_import_leaves_mpmath_unloaded():
         timeout=120,
     )
     assert (got.returncode, got.stdout.strip()) == (0, "False"), got.stderr
+
+
+def _mpmath_loaded_after(code):
+    """Whether a fresh interpreter that imports cfinite and runs code loads mpmath."""
+    path = os.pathsep.join(filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")]))
+    got = subprocess.run(
+        [sys.executable, "-c", f"import sys, cfinite\n{code}\nprint('mpmath' in sys.modules)"],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+        timeout=120,
+    )
+    assert got.returncode == 0, got.stderr
+    return got.stdout.strip() == "True"
+
+
+def test_exact_order_2_route_leaves_mpmath_unloaded():
+    # the exact order-2 route of factorize_roots finds Fib * Pell without
+    # the root grid, so mpmath stays unloaded
+    assert not _mpmath_loaded_after(
+        "from cfinite import corpus, factor, guess\n"
+        "fib, pell = corpus.lookup('fibonacci'), corpus.lookup('pell')\n"
+        "assert factor.factorize_roots(guess.mul(fib, pell), 2, 2).certificate.verified"
+    )
+    # and the grid does load it
+    assert _mpmath_loaded_after(
+        "from cfinite import factor\n"
+        "from cfinite.core import CFiniteSeq\n"
+        "factor.factorize_roots(CFiniteSeq([1, 2, 3], [6, -11, 6]), 3, 1)"
+    )
