@@ -7,7 +7,13 @@ coefficients of
     a(n) = c_1 a(n-1) + c_2 a(n-2) + ... + c_L a(n-L).
 
 All values are `fractions.Fraction`; nothing in this module ever touches
-floating point.
+floating point.  The term kernels (eval_terms, eval_at) do not step over
+Fractions, though: with D the scale of the recurrence (den c_k | D^k,
+_rec_scale) and E the lcm of the initial-term denominators,
+b(n) = E D^n a(n) is an integer sequence with the integer recurrence
+w_k = c_k D^k (_integer_image), so they run on Python ints and build one
+Fraction per output term.  The same w scales the characteristic roots of
+the product test in roots.py.
 """
 
 from __future__ import annotations
@@ -17,6 +23,7 @@ from fractions import Fraction
 from functools import cache
 from itertools import count
 from math import gcd, isqrt, lcm
+from operator import mul
 from typing import Iterable, Sequence
 
 
@@ -248,10 +255,13 @@ def int_poly_gcd(a: list, b: list) -> list:
     the symmetric lift is returned once it divides both inputs over Z.  No
     image has a smaller degree than the true gcd, and no common divisor a
     larger one, so the answer is exact: the primes only decide how soon it is
-    found.  A trial division of f ends at the first quotient coefficient
-    beyond Mignotte's bound 2^k * ||f||_2 (k the quotient's degree): the
-    quotient by the true gcd is a factor of f in Z[z], so it never gets
-    there.
+    found.  The trial division runs after the first image of a degree (small
+    gcds are found there) and afterwards only when a new prime leaves the
+    symmetric lift unchanged, which it does once the modulus exceeds twice
+    the scaled gcd's coefficients; a failed check only means more primes.
+    A trial division of f ends at the first quotient coefficient beyond
+    Mignotte's bound 2^k * ||f||_2 (k the quotient's degree): the quotient
+    by the true gcd is a factor of f in Z[z], so it never gets there.
     """
     if not a or not b:
         return _primitive(a or b)
@@ -269,13 +279,17 @@ def int_poly_gcd(a: list, b: list) -> list:
         g = gamma % p
         image = [x * g % p for x in image]
         if not lift or len(image) < len(lift):
-            modulus, lift = p, image
+            modulus, lift, prev = p, image, None
         else:
             inv = pow(modulus, -1, p)
             lift = [u + modulus * ((v - u) * inv % p) for u, v in zip(lift, image)]
             modulus *= p
+            prev = sym
         half = modulus // 2
-        cand = _primitive([x - modulus if x > half else x for x in lift])
+        sym = [x - modulus if x > half else x for x in lift]
+        if prev is not None and sym != prev:
+            continue
+        cand = _primitive(sym)
         if all(
             int_poly_quo(f, cand, n << (len(f) - len(cand))) is not None
             for f, n in zip((a, b), norms)
@@ -375,40 +389,151 @@ class CFiniteSeq:
         return Polynomial(cs)
 
 
+def _coprime_base(numbers) -> list:
+    """Pairwise coprime integers > 1 of which each number is a product.
+
+    Gcds only, no factoring (a coprime base; Bernstein 2005).  Replacing
+    b and n by g = gcd(b, n), b/g and n/g keeps every number a product of
+    the pool and shrinks the pool's product, so the loop ends.
+    """
+    base, todo = [], [n for n in numbers if n > 1]
+    while todo:
+        n = todo.pop()
+        for i, b in enumerate(base):
+            g = gcd(n, b)
+            if g > 1:
+                del base[i]
+                todo += [x for x in (g, b // g, n // g) if x > 1]
+                break
+        else:
+            base.append(n)
+    return base
+
+
+def _valuation(n: int, b: int) -> int:
+    k = 0
+    while n % b == 0:
+        n, k = n // b, k + 1
+    return k
+
+
+def _rec_scale(rec) -> int:
+    """A D > 0 with den(c_k) | D^k for every k, far smaller than the lcm
+    of the denominators when the den(c_k) grow like a k-th power.
+
+    Over a coprime base of the denominators, each base element b enters D
+    with the exponent max_k ceil(v_b(den c_k) / k).  That is the least such
+    D when the base elements are primes; a composite one (27 for den c_3 =
+    27, where D = 3 would do) costs its k-th root, not a factoring.
+    """
+    dens = [c.denominator for c in rec]
+    D = 1
+    for b in _coprime_base(dens):
+        D *= b ** max(-(-_valuation(d, b) // k) for k, d in enumerate(dens, start=1))
+    return D
+
+
+def _integral_rec(rec, D=None) -> list:
+    """The integer recurrence w_k = c_k D^k (D = _rec_scale(rec) by default).
+
+    If a(n) has the recurrence c, then D^n a(n) has the recurrence w, and
+    the scaled characteristic roots D gamma_i are algebraic integers.
+    """
+    if D is None:
+        D = _rec_scale(rec)
+    w = []
+    for k, c in enumerate(rec, start=1):
+        scale, r = divmod(D**k, c.denominator)
+        assert r == 0, (D, k, c)
+        w.append(c.numerator * scale)
+    return w
+
+
+def _integer_image(seq: CFiniteSeq):
+    """(E, D, w, b0): the integer sequence b(n) = E D^n a(n) has the
+    recurrence w = _integral_rec(seq.rec) and the initial terms b0.
+
+    D is _rec_scale(seq.rec) and E the lcm of the initial-term denominators.
+    """
+    D = _rec_scale(seq.rec)
+    E = lcm(*(d.denominator for d in seq.init))
+    b0 = [d.numerator * (E // d.denominator) * D**i for i, d in enumerate(seq.init)]
+    return E, D, _integral_rec(seq.rec, D), b0
+
+
 def eval_terms(seq: CFiniteSeq, N: int) -> list:
-    """First N terms, exactly."""
+    """First N terms, exactly, as Fractions.
+
+    The terms past the initial ones come from the integer image
+    b(n) = E D^n a(n) (_integer_image), stepped on Python ints; each output
+    term is one Fraction b(n) / (E D^n).  The initial terms are seq.init's.
+    """
     if N < 0:
         raise ValueError("N must be >= 0")
-    L = seq.order
     terms = list(seq.init[:N])
-    for n in range(len(terms), N):
-        terms.append(sum(seq.rec[i] * terms[n - 1 - i] for i in range(L)))
+    L = len(terms)
+    if N <= L:
+        return terms
+    E, D, w, b = _integer_image(seq)
+    wr = w[::-1]
+    for n in range(L, N):
+        b.append(sum(map(mul, wr, b[n - L :])))
+    if E == D == 1:
+        terms += map(Fraction, b[L:])
+    else:
+        den = E * D**L
+        for x in b[L:]:
+            terms.append(Fraction(x, den))
+            den *= D
     return terms
 
 
-def eval_at(seq: CFiniteSeq, n: int):
-    """Single term a(n) by Fiduccia's method.
+def _mulmod(f: list, g: list, w: list) -> list:
+    """f g modulo the monic z^L - w_1 z^(L-1) - ... - w_L, on int lists
+    (ascending, length L)."""
+    L = len(w)
+    prod = [0] * (2 * L - 1)
+    for i, x in enumerate(f):
+        if x:
+            for j, y in enumerate(g):
+                prod[i + j] += x * y
+    for k in range(2 * L - 2, L - 1, -1):
+        x = prod.pop()
+        if x:
+            for j, y in enumerate(w, start=1):
+                prod[k - j] += x * y
+    return prod
 
-    The shift operator annihilates the sequence through char_poly(), so
-    with r(z) = z^n mod char_poly() we get a(n) = sum_i r_i a(i).  r is
-    found by binary powering with Polynomial products and remainders:
-    O(L^2 log n) coefficient operations, so large n is cheap as long as
-    the terms themselves stay printable.
+
+def _shiftmod(f: list, w: list) -> list:
+    """z f modulo the same monic polynomial as _mulmod."""
+    x, out = f[-1], [0] + f[:-1]
+    return [u + x * v for u, v in zip(out, reversed(w))] if x else out
+
+
+def eval_at(seq: CFiniteSeq, n: int):
+    """Single term a(n) by Fiduccia's method, as a Fraction.
+
+    The integer image b(n) = E D^n a(n) (_integer_image) is annihilated by
+    the monic integer polynomial P = z^L - w_1 z^(L-1) - ... - w_L, so with
+    r(z) = z^n mod P we get b(n) = sum_i r_i b(i), and a(n) is the one
+    Fraction b(n) / (E D^n).  r is found by binary powering on int lists,
+    squaring and shifting down the bits of n: O(L^2 log n) integer
+    operations, so large n is cheap as long as the terms themselves stay
+    printable.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
     L = seq.order
     if n < L:
         return seq.init[n]
-    modulus = seq.char_poly()
-    r, base = Polynomial([1]), Polynomial([0, 1]) % modulus
-    while n:
-        if n & 1:
-            r = (r * base) % modulus
-        n >>= 1
-        if n:
-            base = (base * base) % modulus
-    return sum((r[i] * seq.init[i] for i in range(L)), Fraction(0))
+    E, D, w, b = _integer_image(seq)
+    r = [1] + [0] * (L - 1)
+    for bit in bin(n)[2:]:
+        r = _mulmod(r, r, w)
+        if bit == "1":
+            r = _shiftmod(r, w)
+    return Fraction(sum(map(mul, r, b)), E * D**n)
 
 
 def shift(seq: CFiniteSeq, k: int) -> CFiniteSeq:

@@ -1,8 +1,10 @@
 """Recurrence guessing and everything built on top of it.
 
 guess_rec finds the shortest recurrence of the supplied terms with one
-exact Berlekamp-Massey pass over Q (Massey 1969): O(N L) rational
-operations for N terms and order L, no linear system, no order search.
+exact Berlekamp-Massey pass (Massey 1969): O(N L) operations for N terms
+and order L, no linear system, no order search.  The pass is
+fraction-free, on the terms scaled to integers, and returns the same
+connection polynomial as the pass over Q.
 The order is capped so that N >= 2L + safety_terms; with N >= 2L the
 shortest recurrence of N terms is unique, so the answer does not depend
 on the algorithm that finds it.  Every supplied term is re-checked against
@@ -21,9 +23,10 @@ returns a certificate recording the bound.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, gcd, lcm
 
 from . import linalg
 from .core import CFiniteSeq, content, eval_terms, format_rational, format_signed_sum
@@ -67,21 +70,31 @@ def _berlekamp_massey(terms, max_l):
     The connection polynomial C = [1, C_1, ..., C_L] (trailing zeros
     possible) satisfies sum_i C_i a(n - i) = 0 for every L <= n < N.
     Returns None as soon as L exceeds max_l; L never decreases.
+
+    Fraction-free: the terms are scaled to integers by the lcm E of their
+    denominators, and the update C <- b C - d x^m B is the update over Q
+    times b, with C divided by its integer content after each update.  b
+    starts at E, the scale of every discrepancy.  C stays a scalar
+    multiple of the C of the pass over Q, and B and b share one scalar, so
+    the discrepancies vanish at the same steps, L and the lengths follow
+    the same path, and C / C_0 is exactly the connection polynomial over Q.
     """
-    C, B = [Fraction(1)], [Fraction(1)]  # current; before the last length change
-    L, m, b = 0, 1, Fraction(1)
-    for n, t in enumerate(terms):
-        d = t
-        for i in range(1, len(C)):
-            d += C[i] * terms[n - i]
+    E = lcm(*(t.denominator for t in terms))
+    s = [t.numerator * (E // t.denominator) for t in terms]
+    C, B = [1], [1]  # current; before the last length change
+    L, m, b = 0, 1, E  # b: the last discrepancy, scaled like the terms
+    for n in range(len(s)):
+        d = sum(map(operator.mul, C, reversed(s[max(n + 1 - len(C), 0) : n + 1])))
         if not d:
             m += 1
             continue
-        q = d / b
         prev = C
-        C = C + [Fraction(0)] * (len(B) + m - len(C))
-        for i, x in enumerate(B):
-            C[i + m] -= q * x
+        C = [b * x for x in C] + [0] * (len(B) + m - len(C))
+        for i, x in enumerate(B, start=m):
+            C[i] -= d * x
+        g = gcd(*C)
+        if g > 1:
+            C = [x // g for x in C]
         if 2 * L <= n:
             L = n + 1 - L
             if L > max_l:
@@ -89,7 +102,7 @@ def _berlekamp_massey(terms, max_l):
             B, b, m = prev, d, 1
         else:
             m += 1
-    return L, C
+    return L, [Fraction(x, C[0]) for x in C]
 
 
 def guess_rec(terms, cfg: GuessConfig):

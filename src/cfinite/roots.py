@@ -37,7 +37,15 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from .core import CFiniteSeq, Polynomial, int_poly_gcd, int_poly_quo, minimize, poly_gcd
+from .core import (
+    CFiniteSeq,
+    Polynomial,
+    _integral_rec,
+    int_poly_gcd,
+    int_poly_quo,
+    minimize,
+    poly_gcd,
+)
 
 DEFAULT_DIGITS = 100
 # largest product L of factor orders prod_indicator accepts; its profile
@@ -187,54 +195,6 @@ def _from_power_sums(p, N) -> list:
         x = p[k] - sum(c[i] * p[k - 1 - i] for i in range(k - 1))
         c.append(x // k if isinstance(x, int) else x / k)
     return c
-
-
-def _coprime_base(numbers) -> list:
-    """Pairwise coprime integers > 1 of which each number is a product.
-
-    Gcds only, no factoring (a coprime base; Bernstein 2005).  Replacing
-    b and n by g = gcd(b, n), b/g and n/g keeps every number a product of
-    the pool and shrinks the pool's product, so the loop ends.
-    """
-    base, todo = [], [n for n in numbers if n > 1]
-    while todo:
-        n = todo.pop()
-        for i, b in enumerate(base):
-            g = math.gcd(n, b)
-            if g > 1:
-                del base[i]
-                todo += [x for x in (g, b // g, n // g) if x > 1]
-                break
-        else:
-            base.append(n)
-    return base
-
-
-def _valuation(n: int, b: int) -> int:
-    k = 0
-    while n % b == 0:
-        n, k = n // b, k + 1
-    return k
-
-
-def _integral_rec(rec) -> list:
-    """The integer recurrence c_k D^k of the scaled roots D gamma_i.
-
-    D needs den(c_k) | D^k for every k.  Over a coprime base of the
-    denominators, each base element b enters D with the exponent
-    max_k ceil(v_b(den c_k) / k), which is far smaller than the lcm of
-    the denominators when the den(c_k) grow like a k-th power.
-    """
-    dens = [c.denominator for c in rec]
-    D = 1
-    for b in _coprime_base(dens):
-        D *= b ** max(-(-_valuation(d, b) // k) for k, d in enumerate(dens, start=1))
-    fwd = []
-    for k, c in enumerate(rec, start=1):
-        scale, r = divmod(D**k, c.denominator)
-        assert r == 0, (D, k, c)
-        fwd.append(c.numerator * scale)
-    return fwd
 
 
 def _ratio_poly(rec) -> list:

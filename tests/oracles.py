@@ -162,6 +162,38 @@ def brute_force_guess(terms, max_order):
     return None
 
 
+def berlekamp_massey_q(terms, max_l):
+    """Linear complexity L and connection polynomial [1, C_1, ...] of the
+    terms by Berlekamp-Massey over Q, or None once L exceeds max_l.
+
+    The textbook update C <- C - (d / b) x^m B on Fractions: every
+    multiply-add normalises, and nothing is scaled to integers.
+    """
+    terms = [Fraction(t) for t in terms]
+    C, B = [Fraction(1)], [Fraction(1)]
+    L, m, b = 0, 1, Fraction(1)
+    for n, t in enumerate(terms):
+        d = t
+        for i in range(1, len(C)):
+            d += C[i] * terms[n - i]
+        if not d:
+            m += 1
+            continue
+        q = d / b
+        prev = C
+        C = C + [Fraction(0)] * (len(B) + m - len(C))
+        for i, x in enumerate(B):
+            C[i + m] -= q * x
+        if 2 * L <= n:
+            L = n + 1 - L
+            if L > max_l:
+                return None
+            B, b, m = prev, d, 1
+        else:
+            m += 1
+    return L, C
+
+
 def binomial_transform_terms(terms):
     return [
         sum(comb(n, k) * terms[k] for k in range(n + 1)) for n in range(len(terms))

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from cfinite.core import (
     _is_prime,
     _prime,
+    _rec_scale,
     CFiniteSeq,
     Polynomial,
     content,
@@ -199,6 +200,12 @@ class TestPolyGcd:
         G = Polynomial(g) * (Polynomial([3**130, 1]) if big else Polynomial([1]))
         _check_gcd(G * (Z - Polynomial([r])), G * (Z - Polynomial([r + shift])))
 
+    def test_many_prime_lift(self):
+        # a 1,649-bit gcd coefficient: the lift takes 29 primes, and the
+        # trial division runs after the first and once the lift stops changing
+        G = Polynomial([3**1040, 1])
+        assert poly_gcd(G * (Z - Polynomial([1])), G * (Z - Polynomial([2]))) == G
+
 
 class TestCFiniteSeq:
     def test_wire_encoding_fibonacci(self):
@@ -318,6 +325,75 @@ class TestCFiniteSeq:
         assert eval_terms(s, n) == oracles.recurrence_terms(init, rec, n)
         if n:
             assert eval_at(s, n - 1) == eval_terms(s, n)[-1]
+
+
+# denominators 2^i 3^j, so the scale D (den c_k | D^k) is often below their
+# lcm: den c_1 = 2 with den c_2 = 4 needs D = 2, den c_2 = 9 D = 3
+scaled_fracs = st.builds(Fraction, st.integers(-9, 9), st.sampled_from([1, 2, 3, 4, 8, 9, 27]))
+
+TEN_24 = CFiniteSeq([1, 2], [999999000001 * 1000000000039, 1])
+
+
+class TestTermKernels:
+    """eval_terms and eval_at step the integer image of a sequence; the
+    oracle is the naive Fraction recursion."""
+
+    @staticmethod
+    def check(s, n):
+        truth = oracles.recurrence_terms(s.init, s.rec, n + 1)
+        terms = eval_terms(s, n + 1)
+        assert terms == truth
+        assert all(isinstance(x, Fraction) for x in terms)
+        at = eval_at(s, n)
+        assert at == truth[n] and isinstance(at, Fraction)
+
+    @given(
+        st.lists(scaled_fracs, min_size=1, max_size=6),
+        st.lists(scaled_fracs, min_size=1, max_size=6),
+        st.integers(min_value=0, max_value=60),
+        st.booleans(),
+        st.booleans(),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_against_oracle(self, init, rec, n, zero_tail, zero_init):
+        L = min(len(init), len(rec))
+        init, rec = init[:L], rec[:L]
+        if zero_tail:
+            rec[-1] = Fraction(0)
+        if zero_init:
+            init = [Fraction(0)] * L
+        self.check(CFiniteSeq(init, rec), n)
+
+    @given(
+        st.lists(scaled_fracs, min_size=1, max_size=4),
+        st.lists(scaled_fracs, min_size=1, max_size=4),
+        st.integers(min_value=500, max_value=1000),
+    )
+    @settings(max_examples=10, deadline=None)
+    def test_far_indices(self, init, rec, n):
+        L = min(len(init), len(rec))
+        self.check(CFiniteSeq(init[:L], rec[:L]), n)
+
+    def test_scale_below_lcm(self):
+        rec = [Fraction(1, 2), Fraction(3, 4)]
+        assert _rec_scale(rec) == 2
+        assert _rec_scale([Fraction(1, 6), Fraction(5, 36), Fraction(1, 8)]) == 6  # lcm 72
+        self.check(CFiniteSeq([Fraction(1, 3), 1], rec), 1000)
+
+    def test_zero_padding_and_zero_start(self):
+        self.check(CFiniteSeq([1, 2, 3], [Fraction(1, 2), Fraction(-3, 4), 0]), 40)
+        self.check(CFiniteSeq([0, 0], [Fraction(5, 8), Fraction(1, 4)]), 40)
+        assert eval_terms(CFiniteSeq([0, 0], [3, 1]), 5) == [0] * 5
+
+    def test_large_coefficients(self):
+        self.check(TEN_24, 80)
+        # 60-digit denominators in the initial terms
+        init = [Fraction(1, 10**59 + 1), Fraction(-3, 7 * 10**59 + 3), Fraction(2, 3)]
+        self.check(CFiniteSeq(init, [Fraction(1, 2), -1, Fraction(3, 8)]), 200)
+        self.check(CFiniteSeq(init[:2], TEN_24.rec), 50)
+
+    def test_fibonacci_far(self):
+        assert eval_at(FIB, 10_000) == eval_terms(FIB, 10_001)[-1]
 
 
 def test_format_poly_rendering():

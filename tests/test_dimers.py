@@ -333,10 +333,16 @@ class TestProductReport:
 
     @pytest.mark.parametrize(
         "m, weights",
-        [(6, (Fraction(2, 3), Fraction(5, 7))), (8, (Fraction(1, 2), 1)), (10, (1, 1))],
+        [
+            (6, (Fraction(2, 3), Fraction(5, 7))),
+            (8, (Fraction(1, 2), 1)),
+            (10, (1, 1)),
+            (8, (Fraction(2, 3), Fraction(5, 7))),
+        ],
     )
     def test_large_and_weighted_reports(self, m, weights):
-        # rational weights once made the ratio polynomial's scale D blow up
+        # rational weights once made the ratio polynomial's scale D blow up;
+        # width 8 at (2/3, 5/7) needs gcds whose lift takes many primes
         report = dimer_product_report(m, weights=weights)
         assert report.applicable
         assert report.factor_orders == (2,) * (m // 2)

@@ -11,6 +11,7 @@ from cfinite.gf import c_to_r, taylor
 from cfinite.guess import (
     GuessConfig,
     InvariantViolation,
+    _berlekamp_massey,
     add,
     binomial_transform,
     guess_nlr,
@@ -129,6 +130,57 @@ def guess_inputs(draw):
         safety_terms=draw(st.integers(min_value=0, max_value=6)),
     )
     return terms, cfg
+
+
+rational_terms = st.fractions(min_value=-20, max_value=20, max_denominator=12)
+
+
+class TestBerlekampMassey:
+    """The fraction-free kernel returns exactly the textbook pass over Q."""
+
+    @staticmethod
+    def check(terms, max_l):
+        terms = [Fraction(t) for t in terms]
+        got = _berlekamp_massey(terms, max_l)
+        assert got == oracles.berlekamp_massey_q(terms, max_l)
+        if got is not None:
+            assert got[1][0] == 1
+            assert all(isinstance(c, Fraction) for c in got[1])
+        return got
+
+    @given(st.lists(st.integers(-9, 9), max_size=30), st.integers(0, 16))
+    @settings(max_examples=60, deadline=None)
+    def test_integer_terms(self, terms, max_l):
+        self.check(terms, max_l)
+
+    @given(st.lists(rational_terms, max_size=30), st.integers(0, 16))
+    @settings(max_examples=60, deadline=None)
+    def test_rational_terms(self, terms, max_l):
+        self.check(terms, max_l)
+
+    @given(
+        st.lists(rational_terms, min_size=1, max_size=6),
+        st.lists(rational_terms, min_size=1, max_size=6),
+        st.integers(0, 8),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_recurrence_terms(self, init, rec, max_l):
+        L = min(len(init), len(rec))
+        terms = oracles.recurrence_terms(init[:L], rec[:L], 2 * L + 4)
+        self.check(terms, max_l)
+
+    def test_all_zero_terms(self):
+        assert self.check([0] * 12, 0) == (0, [1])
+
+    def test_cut_off_at_max_l(self):
+        # Pell with a rational scale: complexity 2, so max_l = 1 refuses it
+        terms = eval_terms(CFiniteSeq([Fraction(1, 3), Fraction(2, 7)], [2, 1]), 12)
+        assert self.check(terms, 1) is None
+        assert self.check(terms, 2)[0] == 2
+        # no fit: the complexity of generic terms is about half their number
+        noise = [Fraction((7**k) % 11, 1 + k % 4) for k in range(20)]
+        assert self.check(noise, 9) is None
+        assert self.check(noise, 10)[0] == 10
 
 
 class TestGuessRecIsMinimal:

@@ -7,7 +7,14 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from cfinite.core import CFiniteSeq, Polynomial, eval_terms, minimize
+from cfinite.core import (
+    CFiniteSeq,
+    Polynomial,
+    _coprime_base,
+    _integral_rec,
+    eval_terms,
+    minimize,
+)
 from cfinite.guess import GuessConfig, guess_rec, mul
 from cfinite.factor import _char_roots
 from cfinite.roots import (
@@ -15,8 +22,6 @@ from cfinite.roots import (
     OrderMismatchError,
     PROFILE_ORDER_LIMIT,
     RepetitionProfile,
-    _coprime_base,
-    _integral_rec,
     _is_coarsening,
     _ratio_poly,
     _root_multiplicities,

@@ -143,6 +143,42 @@ def test_no_dead_helpers_in_package():
     assert dead_helpers(trees) == {}
 
 
+def duplicated_private_names(trees):
+    """{name: [modules]} of every private module-level name defined in more
+    than one module: each helper has one home, and the others import it."""
+    homes = {}
+    for module, tree in trees.items():
+        for _, name in module_definitions(tree):
+            if name.startswith("_"):
+                homes.setdefault(name, []).append(module)
+    return {name: sorted(mods) for name, mods in homes.items() if len(set(mods)) > 1}
+
+
+def test_checker_flags_duplicated_private_names():
+    trees = {
+        "a": ast.parse(
+            "_LIMIT = 3\n"
+            "def _helper(): pass\n"
+            "def public(): pass\n"
+            "class _Shared: pass\n"
+        ),
+        "b": ast.parse(
+            "from a import _helper\n"
+            "_LIMIT = 4\n"
+            "def public(): pass\n"
+            "def _own(): pass\n"
+            "def __getattr__(name): pass\n"
+        ),
+        "c": ast.parse("class _Shared: pass\ndef __getattr__(name): pass\n"),
+    }
+    assert duplicated_private_names(trees) == {"_LIMIT": ["a", "b"], "_Shared": ["a", "c"]}
+
+
+def test_no_duplicated_private_names_in_package():
+    trees = {path.name: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    assert duplicated_private_names(trees) == {}
+
+
 # floating point is confined to the numeric root grid; every other module
 # is exact
 MPMATH_MODULES = {"factor.py"}
