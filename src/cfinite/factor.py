@@ -1,22 +1,23 @@
 """Actual factorization of C-finite sequences into termwise products.
 
-The two routes differ only in how they find the factor recurrences.
-factorize_roots first tries, when one order is 2, an exact route
-(_exact_order_2): the order-2 factor's root ratio is a rational root of
-the folded ratio polynomial of roots.py, and the cofactor's power sums
-are the product's divided by the factor's.  Only when that certifies
-nothing, or no order is 2, does it read the recurrences off an L1 x L2
-grid of characteristic roots (gamma_ij = alpha_i * beta_j) in one gauge
-(alpha_i s, beta_j / s), which a Euclid over the indices of the nonzero
-elementary symmetric functions of the alphas and betas makes rational;
+After one front (roots._minimal), the routes only propose pairs of
+factor recurrences.  factorize_roots first tries, when one order is 2,
+an exact route (_order_2_candidates): the order-2 factor's root ratio is
+a rational root of the folded ratio polynomial of roots.py, and the
+cofactor's power sums are the product's divided by the factor's.  Only
+when that certifies nothing, or no order is 2, does it read the
+recurrences off an L1 x L2 grid of characteristic roots
+(gamma_ij = alpha_i * beta_j) in one gauge (alpha_i s, beta_j / s),
+which a Euclid over the indices of the nonzero elementary symmetric
+functions of the alphas and betas makes rational (_extract_factors);
 floating point only finds the grid and s, and rational reconstruction
 recovers the recurrences.  factorize_integer searches integer left
 factors with bounded coefficients, screens them by divisibility in
 Python ints and guesses the cofactor's recurrence from the quotient.
 
-Both then take the initial terms from one exact rank-1 solve (_split),
-put the pair in one normal form (_normal_form) in the route's own gauge
-and return it only with a verified equality certificate (_certified):
+One back (_pair) takes the initial terms from one exact rank-1 solve
+(_split), puts the pair in one normal form (_normal_form) in the route's
+own gauge and returns it only with a verified equality certificate:
 nothing is ever reported on numerical evidence alone.
 
 This module holds the package's whole numeric precision policy for
@@ -34,16 +35,16 @@ import itertools
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil, isqrt
+from math import isqrt
 
 from . import guess
-from .core import CFiniteSeq, content, eval_terms, minimize, scale
+from .core import CFiniteSeq, _valuation, content, eval_terms, scale
 from .linalg import solve
 from .roots import (
     DEFAULT_DIGITS,
-    OrderMismatchError,
     PrecisionError,
     _from_power_sums,
+    _minimal,
     _power_sums,
     _ratio_quotient,
     _require_simple_roots,
@@ -76,12 +77,6 @@ class FactorPair:
         )
 
 
-def _unit_terms(rec, n_terms):
-    """The terms of rec started from each unit vector of initial terms."""
-    units = ([int(i == j) for i in range(len(rec))] for j in range(len(rec)))
-    return [eval_terms(CFiniteSeq(e, rec), n_terms) for e in units]
-
-
 def _split(m, left_rec, right_rec):
     """Initial terms (x, y) with m = (x, left_rec) * (y, right_rec).
 
@@ -96,7 +91,13 @@ def _split(m, left_rec, right_rec):
     """
     L1, L2 = len(left_rec), len(right_rec)
     n_terms = 2 * L1 * L2 + 4
-    us, vs = _unit_terms(left_rec, n_terms), _unit_terms(right_rec, n_terms)
+    us, vs = (
+        [
+            eval_terms(CFiniteSeq([int(i == j) for i in range(L)], rec), n_terms)
+            for j in range(L)
+        ]
+        for rec, L in ((left_rec, L1), (right_rec, L2))
+    )
     rows = [[u[n] * v[n] for u in us for v in vs] for n in range(n_terms)]
     flat = solve(rows, eval_terms(m, n_terms))
     if flat is None:
@@ -112,13 +113,20 @@ def _split(m, left_rec, right_rec):
     return x, y
 
 
-def _certified(original, left, right, gauge):
-    """The pair in _normal_form under gauge with its proof; None if unproved."""
-    left, right, note = _normal_form(left, right, gauge)
+def _pair(original, m, left_rec, right_rec, gauge):
+    """The one back of every route: _split, _normal_form under gauge, proof.
+
+    The certified FactorPair; None when the recurrences do not span m or
+    the proof fails, False when m is no product over them (see _split).
+    """
+    split = _split(m, left_rec, right_rec)
+    if not split:
+        return split
+    left, right, note = _normal_form(
+        CFiniteSeq(split[0], left_rec), CFiniteSeq(split[1], right_rec), gauge
+    )
     cert = guess.prove_equal(guess.mul(left, right), original)
-    if not cert.verified:
-        return None
-    return FactorPair(left, right, note, cert)
+    return FactorPair(left, right, note, cert) if cert.verified else None
 
 
 def _mpf_to_fraction(x) -> Fraction:
@@ -206,20 +214,12 @@ def _gauge_scale(rec) -> Fraction:
     )
     lam = Fraction(1)
     for p in sorted(base):
-        exps = []
-        for i, c in enumerate(rec, start=1):
-            if c == 0:
-                continue
-            v = 0
-            num, den = c.numerator, c.denominator
-            while num % p == 0:
-                v += 1
-                num //= p
-            while den % p == 0:
-                v -= 1
-                den //= p
-            exps.append(ceil(Fraction(-v, i)))
-        lam *= Fraction(p) ** max(exps)
+        # ceil(-v_p(c_i) / i), the least exponent making lambda^i c_i p-integral
+        lam *= Fraction(p) ** max(
+            -((_valuation(c.numerator, p) - _valuation(c.denominator, p)) // i)
+            for i, c in enumerate(rec, start=1)
+            if c
+        )
     return lam * _sign_gauge(rec)
 
 
@@ -270,30 +270,27 @@ def _normal_form(left, right, gauge):
 def factorize_roots(seq: CFiniteSeq, L1: int, L2: int, digits: int = DEFAULT_DIGITS):
     """Factor into an order-L1 times an order-L2 sequence, or None.
 
-    When one order is 2, the exact order-2 route (_exact_order_2) runs
-    first.  If it certifies no pair, or no order is 2, the root grid tries
-    a precision ladder (digits, 2x, 4x) while some grid is unresolved: its
-    factor recurrences could not be reconstructed rationally, or they do
-    not span the sequence.  Returns None when no grid is left unresolved
-    and none splits (the exact coefficient matrix of _split has rank other
-    than 1), and raises PrecisionError when a grid is still unresolved at
-    the top of the ladder.
+    When one order is 2, the exact order-2 route (_order_2_candidates)
+    proposes recurrence pairs first.  If _pair certifies none of them, or
+    no order is 2, the root grid tries a precision ladder (digits, 2x, 4x)
+    while some grid is unresolved: its factor recurrences could not be
+    reconstructed rationally, or they do not span the sequence.  Returns
+    None when no grid is left unresolved and none splits (the exact
+    coefficient matrix of _split has rank other than 1), and raises
+    PrecisionError when a grid is still unresolved at the top of the
+    ladder.
     """
-    m = minimize(seq)
-    if m.order != L1 * L2:
-        raise OrderMismatchError(
-            f"minimal order {m.order} != {L1} * {L2}; cannot factor at these orders"
-        )
+    m = _minimal(seq, (L1, L2))
     _require_simple_roots(m)
     if 2 in (L1, L2):
-        pair = _exact_order_2(seq, m)
-        if pair is not None:
-            return pair
+        for A, B in _order_2_candidates(m):
+            if pair := _pair(seq, m, A, B, _gauge_scale):
+                return pair
     return _grid_ladder(seq, m, L1, L2, digits)
 
 
-def _exact_order_2(original, m):
-    """A certified pair with an order-2 factor A, read off exactly, or None.
+def _order_2_candidates(m):
+    """Recurrence pairs (A, B), A of order 2, read off m exactly.
 
     If A = z^2 - a z - b is a factor of m and B, of order K = m.order / 2,
     the other, the ratio alpha_1 / alpha_2 of A's roots and its inverse
@@ -305,8 +302,8 @@ def _exact_order_2(original, m):
     In the gauge a = 1, b = -1/(t + 2) (the root -2c, t = -2, is divided
     out of S).  B's power sums are p_P(k) / p_A(k) (the composed product;
     Brawley-Carlitz 1987), and Newton's identities give B's recurrence
-    when no p_A(k), k <= K, is 0.  Every pair goes through _split and
-    _certified like a pair from the root grid.
+    when no p_A(k), k <= K, is 0.  _pair certifies each pair like one
+    from the root grid.
     """
     K = m.order // 2
     c, _, S = _ratio_quotient(m.rec)
@@ -314,17 +311,8 @@ def _exact_order_2(original, m):
     for t in _rational_roots(_square_free(S), K, c):
         A = [Fraction(1), -1 / (t + 2)]
         p_A = _power_sums(A, K)
-        if 0 in p_A:
-            continue
-        B = _from_power_sums([x / y for x, y in zip(p_P, p_A)], K)
-        split = _split(m, A, B)
-        if split:
-            pair = _certified(
-                original, CFiniteSeq(split[0], A), CFiniteSeq(split[1], B), _gauge_scale
-            )
-            if pair is not None:
-                return pair
-    return None
+        if 0 not in p_A:
+            yield A, _from_power_sums([x / y for x, y in zip(p_P, p_A)], K)
 
 
 def _rational_roots(parts, K, c):
@@ -345,10 +333,24 @@ def _rational_roots(parts, K, c):
 
 def _grid_ladder(original, m, L1, L2, digits):
     """The root grid at digits, 2x, 4x (see factorize_roots)."""
+    import mpmath
+    rest = list(range(1, L1 * L2))
     for d in (digits, 2 * digits, 4 * digits):
-        found, unresolved = _factorize_roots_at(original, m, L1, L2, d)
-        if found is not None:
-            return found
+        roots = _char_roots(m, d)
+        unresolved = False
+        with mpmath.workdps(d + 20):
+            tol = mpmath.mpf(10) ** (-d // 2)
+            for col in itertools.combinations(rest, L1 - 1):
+                after_col = [i for i in rest if i not in col]
+                for row in itertools.combinations(after_col, L2 - 1):
+                    grid = _match_grid(roots, col, row, tol)
+                    if grid is None:
+                        continue
+                    recs = _extract_factors(grid, roots, L1, L2, d, tol)
+                    pair = recs and _pair(original, m, *recs, _gauge_scale)
+                    if pair:
+                        return pair
+                    unresolved = unresolved or pair is None
         if not unresolved:
             return None
     raise PrecisionError(
@@ -387,27 +389,6 @@ def _char_roots(m: CFiniteSeq, digits: int) -> list:
     return sorted(zs, key=lambda z: (mpmath.re(z), mpmath.im(z)))
 
 
-def _factorize_roots_at(original, m, L1, L2, digits):
-    import mpmath
-    L = L1 * L2
-    roots = _char_roots(m, digits)
-    with mpmath.workdps(digits + 20):
-        tol = mpmath.mpf(10) ** (-digits // 2)
-        unresolved = False
-        rest = list(range(1, L))
-        for col in itertools.combinations(rest, L1 - 1):
-            after_col = [i for i in rest if i not in col]
-            for row in itertools.combinations(after_col, L2 - 1):
-                grid = _match_grid(roots, col, row, tol)
-                if grid is None:
-                    continue
-                pair = _extract_factors(original, m, grid, roots, L1, L2, digits, tol)
-                if pair:
-                    return pair, True
-                unresolved = unresolved or pair is None
-        return None, unresolved
-
-
 def _match_grid(roots, col, row, tol):
     """Index grid with gamma_ij = gamma_i0 * gamma_0j / gamma_00, or None."""
     L1, L2 = len(col) + 1, len(row) + 1
@@ -435,8 +416,8 @@ def _match_grid(roots, col, row, tol):
     return grid
 
 
-def _extract_factors(original, m, grid, roots, L1, L2, digits, tol):
-    """The pair from one root grid; None if unresolved, False if it splits nothing."""
+def _extract_factors(grid, roots, L1, L2, digits, tol):
+    """The two factor recurrences of one root grid; None if reconstruction fails."""
     import mpmath
     alphas = [roots[grid[i][0]] for i in range(L1)]
     betas = [roots[grid[0][j]] / roots[grid[0][0]] for j in range(L2)]
@@ -465,11 +446,7 @@ def _extract_factors(original, m, grid, roots, L1, L2, digits, tol):
     )
     if None in left_rec or None in right_rec:
         return None
-    split = _split(m, left_rec, right_rec)
-    if not split:
-        return split
-    left, right = CFiniteSeq(split[0], left_rec), CFiniteSeq(split[1], right_rec)
-    return _certified(original, left, right, _gauge_scale)
+    return left_rec, right_rec
 
 
 def factorize_integer(
@@ -499,11 +476,7 @@ def factorize_integer(
     head = eval_terms(seq, max(n_terms, 50))
     if any(t.denominator != 1 for t in head):
         raise ValueError("factorize_integer requires an integer sequence")
-    m = minimize(seq)
-    if m.order != L1 * L2:
-        raise OrderMismatchError(
-            f"minimal order {m.order} != {L1} * {L2}; cannot factor at these orders"
-        )
+    m = _minimal(seq, (L1, L2))
     target = [int(t) for t in head[:n_terms]]
     if stats is not None:
         stats["candidates"] = 0
@@ -526,8 +499,8 @@ def factorize_integer(
                 continue
             if stats is not None:
                 stats["screened"] += 1
-            pair = _cofactor(seq, m, rec, u, target, L2)
-            if pair is not None:
+            right_rec = _cofactor(u, target, L2)
+            if right_rec and (pair := _pair(seq, m, rec, right_rec, _sign_gauge)):
                 return pair
     return None
 
@@ -560,16 +533,12 @@ def _longest_run(u):
     return best
 
 
-def _cofactor(original, m, rec, u, target, L2):
+def _cofactor(u, target, L2):
+    """The right recurrence guessed from target / u on u's longest
+    zero-free run, or None."""
     start, length = _longest_run(u)
     if length < 2 * L2 + 4:
         return None
     quotient = [Fraction(target[n], u[n]) for n in range(start, start + length)]
     run = guess.guess_rec(quotient, guess.GuessConfig(max_order=L2))
-    if run is None:
-        return None
-    split = _split(m, rec, run.rec)
-    if not split:
-        return None
-    left, right = CFiniteSeq(split[0], rec), CFiniteSeq(split[1], run.rec)
-    return _certified(original, left, right, _sign_gauge)
+    return None if run is None else run.rec

@@ -206,16 +206,19 @@ def subsequence(s: CFiniteSeq, step: int, offset: int = 0) -> CFiniteSeq:
     )
 
 
-def prove_equal(s1: CFiniteSeq, s2: CFiniteSeq, verify_extra: int = 10) -> ProofCertificate:
+_VERIFY_EXTRA = 10  # terms prove_equal compares past the order bound
+
+
+def prove_equal(s1: CFiniteSeq, s2: CFiniteSeq) -> ProofCertificate:
     """Finite-check equality proof.
 
     The difference of the two sequences satisfies a recurrence of order at
     most L1 + L2, so agreement on that many initial terms proves equality
-    everywhere.  `verify_extra` additional terms are compared as a sanity
+    everywhere.  _VERIFY_EXTRA additional terms are compared as a sanity
     margin; a disagreement there would be an arithmetic bug.
     """
     bound = s1.order + s2.order
-    checked = bound + verify_extra
+    checked = bound + _VERIFY_EXTRA
     t1, t2 = eval_terms(s1, checked), eval_terms(s2, checked)
     for n in range(checked):
         if t1[n] != t2[n]:
@@ -290,13 +293,15 @@ def _monomials(nvars: int, degree: int):
     """All exponent vectors of total degree <= degree.
 
     Ordered by total degree descending, lexicographically within a degree;
-    the constant monomial therefore comes last.
+    the constant monomial therefore comes last.  Each multiset of d
+    variables is one vector of degree d, so no other vector is built.
     """
     out = []
-    for exps in itertools.product(range(degree + 1), repeat=nvars):
-        if sum(exps) <= degree:
-            out.append(exps)
-    out.sort(key=lambda e: (-sum(e), e))
+    for d in range(degree, -1, -1):
+        out += sorted(
+            tuple(picks.count(i) for i in range(nvars))
+            for picks in itertools.combinations_with_replacement(range(nvars), d)
+        )
     return out
 
 
@@ -313,12 +318,11 @@ def guess_nlr(terms, order: int, degree: int):
         raise ValueError("order must be >= 0 and degree >= 1")
     terms = [Fraction(t) for t in terms]
     nvars = order + 1
+    # the monomial count first: building the basis can take far longer
+    need = order + 2 * comb(nvars + degree, degree) + 4
+    if len(terms) < need:
+        raise ValueError(f"need at least {need} terms for order {order}, degree {degree}")
     monos = _monomials(nvars, degree)
-    if len(terms) < order + 2 * len(monos) + 4:
-        raise ValueError(
-            f"need at least {order + 2 * len(monos) + 4} terms for "
-            f"order {order}, degree {degree}"
-        )
     rows = []
     for n in range(order, len(terms)):
         window = terms[n - order : n + 1]

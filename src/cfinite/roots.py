@@ -19,6 +19,8 @@ and each w-root of multiplicity k unfolds into two ratios of
 multiplicity k.  The one exception is w = -2c (gamma_i = -gamma_j),
 which unfolds into the single ratio -c of multiplicity 2k.
 
+The product test and both factorisers share one front, _minimal.
+
 A "yes" means the observed profile matches or coarsens the generic one;
 only a factor certificate (factorize_roots, factorize_integer) proves
 that the sequence is a product.  A "no" is definitive only generically.
@@ -100,6 +102,24 @@ def _require_simple_roots(m: CFiniteSeq):
         )
 
 
+def _check_orders(orders) -> tuple:
+    """orders as a tuple; ValueError unless nonempty and each >= 1."""
+    orders = tuple(orders)
+    if not orders or any(m < 1 for m in orders):
+        raise ValueError("orders must be a nonempty list of counts >= 1")
+    return orders
+
+
+def _minimal(seq: CFiniteSeq, orders) -> CFiniteSeq:
+    """minimize(seq) after _check_orders; OrderMismatchError unless its
+    order is the product of the orders."""
+    L = math.prod(_check_orders(orders))
+    m = minimize(seq)
+    if m.order != L:
+        raise OrderMismatchError(f"minimal order {m.order} != product of orders {L}")
+    return m
+
+
 def prod_indicator(orders) -> RepetitionProfile:
     """Generic repetition profile of a product of the given orders.
 
@@ -108,9 +128,7 @@ def prod_indicator(orders) -> RepetitionProfile:
     ordered index pair; the class sizes are products of the factor orders
     over the cancelled slots.
     """
-    orders = list(orders)
-    if not orders or any(m < 1 for m in orders):
-        raise ValueError("orders must be a nonempty list of counts >= 1")
+    orders = _check_orders(orders)
     total = math.prod(orders)
     if total > PROFILE_ORDER_LIMIT:
         raise ValueError(f"product of orders {total} exceeds {PROFILE_ORDER_LIMIT}")
@@ -317,11 +335,7 @@ def is_prod_g(seq: CFiniteSeq, orders, digits: int = DEFAULT_DIGITS) -> ProductV
     """
     orders = tuple(orders)
     expected = prod_indicator(orders)
-    m = minimize(seq)
-    if m.order != math.prod(orders):
-        raise OrderMismatchError(
-            f"minimal order {m.order} != product of orders {math.prod(orders)}"
-        )
+    m = _minimal(seq, orders)
     _require_simple_roots(m)
     # the L diagonal ratios are 1, and no other ratio is, the roots being distinct
     observed = RepetitionProfile((m.order, *_ratio_multiplicities(m.rec)))

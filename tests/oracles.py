@@ -7,6 +7,7 @@ clustering of root ratios, Kasteleyn's product in floating point) so a bug
 in the package cannot hide behind shared code.
 """
 
+import itertools
 from fractions import Fraction
 from math import comb
 
@@ -364,3 +365,11 @@ def random_sequence(rng, max_order=6, value_range=(-5, 5), rational=False):
         rec[-1] = Fraction(rng.choice([1, -1]))
     init = [draw() for _ in range(L)]
     return init, rec
+
+
+def monomials_cube(nvars, degree):
+    """Exponent vectors of total degree <= degree, by filtering the whole
+    cube [0, degree]^nvars; sorted by degree descending, then
+    lexicographically."""
+    out = [e for e in itertools.product(range(degree + 1), repeat=nvars) if sum(e) <= degree]
+    return sorted(out, key=lambda e: (-sum(e), e))

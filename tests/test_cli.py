@@ -467,7 +467,7 @@ def test_console_script_installed():
     assert got.stdout.strip() == "[[0, 1], [1, 1]]"
 
 
-def run_module(*argv):
+def run_module(*argv, timeout=120):
     """`python -m cfinite.cli` in a fresh interpreter that imports this package."""
     src = str(Path(cfinite.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
@@ -476,7 +476,7 @@ def run_module(*argv):
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": path},
-        timeout=120,
+        timeout=timeout,
     )
 
 
@@ -488,6 +488,14 @@ def test_module_exit_codes():
     got = run_module("factor", literal, "--orders", "2,2")
     assert got.returncode == 1
     assert "no factorization found" in got.stderr
+
+
+def test_nlr_counts_monomials_before_building_them():
+    # order 9, degree 9 has C(19, 9) = 92378 monomials; five terms are
+    # refused from that count, without building the basis
+    got = run_module("nlr", "1,2,3,4,5", "--order", "9", "--degree", "9", timeout=60)
+    assert got.returncode == 2
+    assert "need at least 184769 terms" in got.stderr
 
 
 # --- fuzzing ------------------------------------------------------------------

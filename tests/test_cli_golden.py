@@ -86,6 +86,8 @@ GOLDEN = [
      '"normalization": "gauge lambda = -1; left factor divided by -1", '
      '"verified": true, "order_bound": 8}', ""),
     (("factor", NOT_PRODUCT, "--orders", "2,2"), 1, "", "", "no factorization found"),
+    (("factor", PRODUCT, "--orders=-2,-2"), 2, "", "",
+     "error: orders must be a nonempty list of counts >= 1"),
     (("dimer", "--width", "3", "--terms", "6"), 0, "0, 3, 0, 11, 0, 41",
      '["0", "3", "0", "11", "0", "41"]', ""),
     (("dimer", "--width", "4", "--report-product"), 0,

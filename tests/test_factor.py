@@ -376,6 +376,27 @@ class TestFactorizeInteger:
         assert {a.left.order, a.right.order} == {b.left.order, b.right.order}
 
 
+def _integer(seq, L1, L2):
+    return factorize_integer(seq, L1, L2, bound=2)
+
+
+def _no_work(seq):
+    raise AssertionError("minimize called before the orders were checked")
+
+
+@pytest.mark.parametrize("factorize", [factorize_roots, _integer], ids=["roots", "integer"])
+class TestFront:
+    @pytest.mark.parametrize("orders", [(0, 2), (-2, -2)])
+    def test_bad_orders_refused_before_any_work(self, factorize, orders, monkeypatch):
+        monkeypatch.setattr(roots, "minimize", _no_work)
+        with pytest.raises(ValueError, match="orders must be a nonempty list of counts >= 1"):
+            factorize(mul(FIB, PELL), *orders)
+
+    def test_order_mismatch_names_both_orders(self, factorize):
+        with pytest.raises(OrderMismatchError, match="minimal order 2 != product of orders 4"):
+            factorize(FIB, 2, 2)
+
+
 class TestNormalForm:
     @settings(max_examples=15, deadline=None)
     @given(st.sampled_from([(1, 2), (1, 3), (2, 3)]), st.data())

@@ -12,6 +12,7 @@ from cfinite.guess import (
     GuessConfig,
     InvariantViolation,
     _berlekamp_massey,
+    _monomials,
     add,
     binomial_transform,
     guess_nlr,
@@ -374,6 +375,11 @@ class TestGuessNLR:
     def test_needs_enough_terms(self):
         with pytest.raises(ValueError):
             guess_nlr([1, 2, 3, 4, 5], order=2, degree=4)
+
+    @pytest.mark.parametrize("nvars", range(1, 5))
+    @pytest.mark.parametrize("degree", range(5))
+    def test_monomials_match_the_filtered_cube(self, nvars, degree):
+        assert _monomials(nvars, degree) == oracles.monomials_cube(nvars, degree)
 
     def test_str_rendering(self):
         rel = guess_nlr(eval_terms(FIB, 80), order=2, degree=4)

@@ -118,6 +118,9 @@ class TestProdIndicator:
                 total *= o
             assert prod_indicator(orders).total == total**2
 
+    def test_any_iterable_of_orders(self):
+        assert prod_indicator(iter([2, 3])) == prod_indicator((2, 3))
+
     def test_symmetry(self):
         for m in range(1, 5):
             for n in range(1, 5):

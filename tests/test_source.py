@@ -179,6 +179,57 @@ def test_no_duplicated_private_names_in_package():
     assert duplicated_private_names(trees) == {}
 
 
+def calls_outside(tree, names, home):
+    """(line, name) of every call to one of names, as f(...) or x.f(...),
+    outside the module-level function home."""
+    found = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name == home:
+            continue
+        for call in ast.walk(node):
+            if isinstance(call, ast.Call):
+                func = call.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if name in names:
+                    found.append((call.lineno, name))
+    return sorted(found)
+
+
+def test_checker_flags_calls_outside_home():
+    tree = ast.parse(
+        "def _home(x):\n"
+        "    return prove(x) + mod.prove(x)\n"
+        "def route(x):\n"
+        "    def inner():\n"
+        "        return mod.prove(x)\n"
+        "    return prove, _home(x), other(x)\n"
+        "class C:\n"
+        "    def _home(self):\n"
+        "        return prove(self)\n"
+        "y = prove(1)\n"
+    )
+    assert calls_outside(tree, {"prove"}, "_home") == [(5, "prove"), (9, "prove"), (10, "prove")]
+
+
+# each step of the product test's and the factorisers' pipeline has one
+# home: the front minimises and checks the orders, the back splits,
+# normalises and proves, and the routes between them only propose
+# recurrences
+ONE_HOME = [
+    ("factor.py", {"_split", "_normal_form", "prove_equal", "FactorPair"}, "_pair"),
+    ("factor.py", {"minimize"}, "_minimal"),
+    ("roots.py", {"minimize"}, "_minimal"),
+]
+
+
+def test_pipeline_steps_run_only_in_their_home():
+    found = {
+        (module, home): calls_outside(ast.parse((SRC / module).read_text()), names, home)
+        for module, names, home in ONE_HOME
+    }
+    assert {key: calls for key, calls in found.items() if calls} == {}
+
+
 # floating point is confined to the numeric root grid; every other module
 # is exact
 MPMATH_MODULES = {"factor.py"}
