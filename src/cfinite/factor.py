@@ -35,7 +35,7 @@ import itertools
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt
 
 from . import guess
 from .core import CFiniteSeq, _valuation, content, eval_terms, scale
@@ -174,7 +174,8 @@ def _gauge_base(n: int):
     Trial division stops at _TRIAL_LIMIT, so the cofactor left over after it
     is a product of primes above the limit.  It joins the base as the r of
     r^k with k as large as possible, whether or not r is prime, so the
-    base is found for every n.
+    base is found for every n.  _gauge_scale calls it on the gcd of the
+    numerators and on each denominator, nothing else.
     """
     n = abs(n)
     out = set()
@@ -204,13 +205,17 @@ def _gauge_scale(rec) -> Fraction:
 
     A factor pair carries the gauge freedom (left, right) ->
     (lambda^n left, lambda^-n right).  This picks the positive lambda, a
-    product of powers of the _gauge_base elements of the coefficients, for
-    which the rescaled recurrence coefficients are integers with no base
-    element removable from every weighted slot.  When the base holds only
-    primes, that lambda is unique.
+    product of powers of base elements, for which the rescaled recurrence
+    coefficients are integers with no base element removable from every
+    weighted slot.  When the base holds only primes, that lambda is unique.
+
+    The base is _gauge_base of the gcd of the numerators and of each
+    denominator.  No other prime p can enter lambda: some nonzero c_j then
+    has v_p(c_j) = 0 and no c_i has v_p(c_i) < 0, so its exponent
+    max_i ceil(-v_p(c_i) / i) is 0.
     """
-    base = set().union(
-        *(_gauge_base(n) for c in rec if c for n in (c.numerator, c.denominator))
+    base = _gauge_base(gcd(*(c.numerator for c in rec))).union(
+        *(_gauge_base(c.denominator) for c in rec)
     )
     lam = Fraction(1)
     for p in sorted(base):
@@ -465,19 +470,19 @@ def factorize_integer(
     2*L1*L2 + 4 terms, guesses the cofactor, and verifies exactly.
     Raises BudgetExhausted when `budget` seconds pass before the space is
     exhausted; that is a different outcome than a completed "not found".
-    ValueError for bound < 1 or a budget that is not positive.
+    ValueError for bound < 1, a budget that is not positive or a sequence
+    that is not integral.
     """
     if bound < 1:
         raise ValueError(f"bound must be >= 1, got {bound}")
     if not budget > 0:
         raise ValueError(f"budget must be > 0 seconds, got {budget}")
     deadline = time.monotonic() + budget
-    n_terms = 2 * L1 * L2 + 4
-    head = eval_terms(seq, max(n_terms, 50))
-    if any(t.denominator != 1 for t in head):
-        raise ValueError("factorize_integer requires an integer sequence")
     m = _minimal(seq, (L1, L2))
-    target = [int(t) for t in head[:n_terms]]
+    # Fatou's lemma: an integer sequence has an integral minimal recurrence
+    if any(x.denominator != 1 for x in (*m.init, *m.rec)):
+        raise ValueError("factorize_integer requires an integer sequence")
+    target = [int(t) for t in eval_terms(m, 2 * L1 * L2 + 4)]
     if stats is not None:
         stats["candidates"] = 0
         stats["screened"] = 0

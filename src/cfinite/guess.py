@@ -5,14 +5,14 @@ exact Berlekamp-Massey pass (Massey 1969): O(N L) operations for N terms
 and order L, no linear system, no order search.  The pass is
 fraction-free, on the terms scaled to integers, and returns the same
 connection polynomial as the pass over Q.
-The order is capped so that N >= 2L + safety_terms; with N >= 2L the
-shortest recurrence of N terms is unique, so the answer does not depend
-on the algorithm that finds it.  Every supplied term is re-checked against
-the result before it is returned.  Closure operations (sum, Hadamard
-product, binomial transform, partial sums, subsequences) generate enough
-terms for their theoretical order bound and then guess; a guessing failure
-at the bound means an arithmetic bug, never a mathematical possibility,
-and raises InvariantViolation.
+The order is capped so that N >= 2L + SAFETY_TERMS, a module constant of
+4; with N >= 2L the shortest recurrence of N terms is unique, so the
+answer does not depend on the algorithm that finds it.  Every supplied
+term is re-checked against the result before it is returned.  Closure
+operations (sum, Hadamard product, binomial transform, partial sums,
+subsequences) generate enough terms for their theoretical order bound and
+then guess; a guessing failure at the bound means an arithmetic bug, never
+a mathematical possibility, and raises InvariantViolation.
 
 Equality of two sequences is decidable by a finite check: the difference
 satisfies a recurrence of order at most L1 + L2, so that many matching
@@ -37,16 +37,18 @@ class InvariantViolation(AssertionError):
     """A guaranteed-by-theory step failed; indicates a bug, not bad input."""
 
 
+# equations guess_rec keeps beyond the 2L terms that barely determine an
+# order-L fit
+SAFETY_TERMS = 4
+
+
 @dataclass(frozen=True)
 class GuessConfig:
     max_order: int
-    safety_terms: int = 4
 
     def __post_init__(self):
         if self.max_order < 1:
             raise ValueError("max_order must be >= 1")
-        if self.safety_terms < 0:
-            raise ValueError("safety_terms must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -110,8 +112,8 @@ def guess_rec(terms, cfg: GuessConfig):
 
     One Berlekamp-Massey pass gives the linear complexity L of all N
     terms: the least L with a(n) = c_1 a(n-1) + ... + c_L a(n-L) for every
-    L <= n < N.  L is capped by max_l = min(max_order, (N - safety_terms)
-    // 2), which keeps at least `safety_terms` equations beyond the 2L
+    L <= n < N.  L is capped by max_l = min(max_order, (N - SAFETY_TERMS)
+    // 2), which keeps at least SAFETY_TERMS equations beyond the 2L
     terms that barely determine an order-L fit; above the cap (or when the
     cap is below 1) the answer is None.  Because N >= 2L, the shortest
     recurrence is unique, so this is also the recurrence an order-by-order
@@ -127,7 +129,7 @@ def guess_rec(terms, cfg: GuessConfig):
     terms = [Fraction(t) for t in terms]
     if len(terms) < 4:
         raise ValueError("need at least 4 terms to guess")
-    max_l = min(cfg.max_order, (len(terms) - cfg.safety_terms) // 2)
+    max_l = min(cfg.max_order, (len(terms) - SAFETY_TERMS) // 2)
     if max_l < 1:
         return None
     found = _berlekamp_massey(terms, max_l)
@@ -265,14 +267,8 @@ class PolyRelation:
 
     def evaluate(self, window):
         """Value of the relation on a window (a(n-order), ..., a(n))."""
-        total = Fraction(0)
-        for exps, c in zip(self.support, self.coefficients):
-            term = c
-            for x, e in zip(window, exps):
-                if e:
-                    term *= x**e
-            total += term
-        return total
+        values = _monomial_values(window, self.support)
+        return sum(map(operator.mul, self.coefficients, values))
 
     def __str__(self):
         def monomial(exps):
@@ -305,6 +301,18 @@ def _monomials(nvars: int, degree: int):
     return out
 
 
+def _monomial_values(window, monos) -> list:
+    """The value of each exponent vector of monos on the window, as Fractions."""
+    values = []
+    for exps in monos:
+        v = Fraction(1)
+        for x, e in zip(window, exps):
+            if e:
+                v *= x**e
+        values.append(v)
+    return values
+
+
 def guess_nlr(terms, order: int, degree: int):
     """Polynomial recurrence of the given window and degree, or None.
 
@@ -323,17 +331,10 @@ def guess_nlr(terms, order: int, degree: int):
     if len(terms) < need:
         raise ValueError(f"need at least {need} terms for order {order}, degree {degree}")
     monos = _monomials(nvars, degree)
-    rows = []
-    for n in range(order, len(terms)):
-        window = terms[n - order : n + 1]
-        row = []
-        for exps in monos:
-            v = Fraction(1)
-            for x, e in zip(window, exps):
-                if e:
-                    v *= x**e
-            row.append(v)
-        rows.append(row)
+    rows = [
+        _monomial_values(terms[n - order : n + 1], monos)
+        for n in range(order, len(terms))
+    ]
     basis = linalg.nullspace(rows)
     if not basis:
         return None
@@ -343,11 +344,9 @@ def guess_nlr(terms, order: int, degree: int):
     if next(v for v in vec if v) < 0:
         c = -c
     ints = [int(v / c) for v in vec]
-    relation = PolyRelation(order, degree, tuple(monos), tuple(ints))
-    for n in range(order, len(terms)):
-        if relation.evaluate(terms[n - order : n + 1]) != 0:
-            raise InvariantViolation("kernel relation failed re-verification")
-    return relation
+    if any(sum(map(operator.mul, ints, row)) for row in rows):
+        raise InvariantViolation("kernel relation failed re-verification")
+    return PolyRelation(order, degree, tuple(monos), tuple(ints))
 
 
 # --- parametric identities via grid specialization ---------------------------

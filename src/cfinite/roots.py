@@ -39,15 +39,7 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from .core import (
-    CFiniteSeq,
-    Polynomial,
-    _integral_rec,
-    int_poly_gcd,
-    int_poly_quo,
-    minimize,
-    poly_gcd,
-)
+from .core import CFiniteSeq, _integral_rec, int_poly_gcd, int_poly_quo, minimize
 
 DEFAULT_DIGITS = 100
 # largest product L of factor orders prod_indicator accepts; its profile
@@ -95,8 +87,10 @@ def _require_simple_roots(m: CFiniteSeq):
             "minimizing removes it unless the sequence has a transient start "
             "(e.g. it is eventually 0)"
         )
-    P = m.char_poly()
-    if poly_gcd(P, Polynomial(_derivative(P.coeffs))).degree > 0:
+    # the characteristic polynomial of _integral_rec(m.rec), with the roots
+    # D gamma_i: repeated exactly when the gamma_i are
+    P = [-w for w in reversed(_integral_rec(m.rec))] + [1]
+    if len(int_poly_gcd(P, _derivative(P))) > 1:
         raise DegenerateRootsError(
             "multiple characteristic roots: the ratio profile is undefined"
         )

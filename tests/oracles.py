@@ -373,3 +373,40 @@ def monomials_cube(nvars, degree):
     lexicographically."""
     out = [e for e in itertools.product(range(degree + 1), repeat=nvars) if sum(e) <= degree]
     return sorted(out, key=lambda e: (-sum(e), e))
+
+
+def prime_exponents(n):
+    """{p: v_p(n)} for n != 0, by trial division up to sqrt(|n|)."""
+    n, out, p = abs(n), {}, 2
+    while p * p <= n:
+        while n % p == 0:
+            out[p] = out.get(p, 0) + 1
+            n //= p
+        p += 1
+    if n > 1:
+        out[n] = out.get(n, 0) + 1
+    return out
+
+
+def gauge_scale(rec):
+    """The gauge lambda of a recurrence, from full prime factorisations.
+
+    For every prime p of a numerator or denominator, lambda carries
+    p^max_i ceil(-v_p(c_i) / i) over the nonzero c_i (c_i at i = 1, 2, ...):
+    the least power making every lambda^i c_i p-integral.  The sign is -1
+    when the first nonzero c_i at odd i is negative.
+    """
+    rec = [Fraction(c) for c in rec]
+    vals = {}
+    for i, c in enumerate(rec, start=1):
+        if c:
+            up, down = prime_exponents(c.numerator), prime_exponents(c.denominator)
+            for p in up.keys() | down.keys():
+                vals.setdefault(p, {})[i] = up.get(p, 0) - down.get(p, 0)
+    lam = Fraction(1)
+    for p, by_index in vals.items():
+        lam *= Fraction(p) ** max(
+            -(by_index.get(i, 0) // i) for i, c in enumerate(rec, start=1) if c
+        )
+    odd = [c for c in rec[0::2] if c]
+    return -lam if odd and odd[0] < 0 else lam

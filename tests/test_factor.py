@@ -492,6 +492,43 @@ def test_gauge_base():
     }
 
 
+def test_gauge_divides_a_large_prime_shared_by_the_numerators():
+    # p divides both numerators, p^i divides c_i, and p is above the
+    # trial-division limit: lambda = 1/p
+    p, q1, q2 = 10**9 + 7, 10**9 + 9, 998244353
+    assert factor._gauge_scale([Fraction(p * q1), Fraction(p * p * q2)]) == Fraction(1, p)
+
+
+def test_gauge_does_not_trial_divide_a_coprime_numerator(monkeypatch):
+    # gcd(c_1, c_2) = 1, so the 10^24 coefficient is never trial-divided
+    seen = []
+    base = factor._gauge_base
+    monkeypatch.setattr(factor, "_gauge_base", lambda n: seen.append(n) or base(n))
+    big = 999999000001 * 1000000000039
+    assert factor._gauge_scale([Fraction(big), Fraction(1)]) == 1
+    assert big not in seen
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(
+        st.builds(Fraction, st.integers(-(10**4), 10**4), st.integers(1, 10**4)),
+        min_size=1,
+        max_size=4,
+    ).filter(any)
+)
+def test_gauge_scale_matches_full_factorisation(rec):
+    assert factor._gauge_scale(rec) == oracles.gauge_scale(rec)
+
+
+def test_factorize_integer_checks_integrality_exactly():
+    with pytest.raises(ValueError, match="integer sequence"):
+        factorize_integer(mul(FIB, CFiniteSeq([1, 1], [Fraction(1, 2), 1])), 2, 2, 1)
+    # the orders are checked first
+    with pytest.raises(OrderMismatchError):
+        factorize_integer(CFiniteSeq([1, 1], [Fraction(1, 2), 1]), 2, 2, 1)
+
+
 def test_precision_error_is_shared_with_roots():
     assert PrecisionError is roots.PrecisionError
     assert issubclass(PrecisionError, ArithmeticError)

@@ -8,7 +8,9 @@ from hypothesis import strategies as st
 
 from cfinite.core import CFiniteSeq, eval_terms, minimize, scale, shift
 from cfinite.gf import c_to_r, taylor
+from cfinite import linalg
 from cfinite.guess import (
+    SAFETY_TERMS,
     GuessConfig,
     InvariantViolation,
     _berlekamp_massey,
@@ -126,10 +128,7 @@ def guess_inputs(draw):
         terms[k] += draw(st.sampled_from([Fraction(1), Fraction(-2, 3)]))
     elif kind == "zero":
         terms = [Fraction(0)] * n
-    cfg = GuessConfig(
-        max_order=draw(st.integers(min_value=1, max_value=9)),
-        safety_terms=draw(st.integers(min_value=0, max_value=6)),
-    )
+    cfg = GuessConfig(max_order=draw(st.integers(min_value=1, max_value=9)))
     return terms, cfg
 
 
@@ -189,8 +188,8 @@ class TestGuessRecIsMinimal:
     @settings(max_examples=300, deadline=None)
     def test_equals_brute_force_oracle(self, case):
         terms, cfg = case
-        # the order cap leaves safety_terms equations beyond 2L terms
-        max_l = min(cfg.max_order, (len(terms) - cfg.safety_terms) // 2)
+        # the order cap leaves SAFETY_TERMS equations beyond 2L terms
+        max_l = min(cfg.max_order, (len(terms) - SAFETY_TERMS) // 2)
         oracle = oracles.brute_force_guess(terms, max_l)
         found = guess_rec(terms, cfg)
         if oracle is None:
@@ -375,6 +374,16 @@ class TestGuessNLR:
     def test_needs_enough_terms(self):
         with pytest.raises(ValueError):
             guess_nlr([1, 2, 3, 4, 5], order=2, degree=4)
+
+    def test_relation_failing_a_row_is_an_invariant_violation(self, monkeypatch):
+        # the last term is off by one, so a(n) - a(n-1) - a(n-2), handed back
+        # as the kernel, fails the last row only
+        terms = eval_terms(FIB, 20)
+        terms[-1] += 1
+        fib_relation = [Fraction(1), Fraction(-1), Fraction(-1), Fraction(0)]
+        monkeypatch.setattr(linalg, "nullspace", lambda rows: [fib_relation])
+        with pytest.raises(InvariantViolation, match="re-verification"):
+            guess_nlr(terms, order=2, degree=1)
 
     @pytest.mark.parametrize("nvars", range(1, 5))
     @pytest.mark.parametrize("degree", range(5))

@@ -309,3 +309,39 @@ def test_exact_order_2_route_leaves_mpmath_unloaded():
         "from cfinite.core import CFiniteSeq\n"
         "factor.factorize_roots(CFiniteSeq([1, 2, 3], [6, -11, 6]), 3, 1)"
     )
+
+
+# the product test and the factorisers work on integer polynomials
+# (int_poly_gcd); the Fraction Polynomial and its gcd stay out of them
+INTEGER_POLY_MODULES = ["roots.py", "factor.py"]
+FRACTION_POLY_NAMES = {"Polynomial", "poly_gcd"}
+
+
+def names_taken(tree, names):
+    """(line, name) of every from-import of one of names, aliased or not,
+    and of every attribute read x.name."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            found += [(node.lineno, a.name) for a in node.names if a.name in names]
+        elif isinstance(node, ast.Attribute) and node.attr in names:
+            found.append((node.lineno, node.attr))
+    return sorted(found)
+
+
+def test_checker_flags_fraction_polynomial_names():
+    tree = ast.parse(
+        "from .core import CFiniteSeq, Polynomial as P, int_poly_gcd\n"
+        "from . import core\n"
+        "def f(a, b):\n"
+        "    return core.poly_gcd(a, b), P(a), int_poly_gcd(a, b)\n"
+    )
+    assert names_taken(tree, FRACTION_POLY_NAMES) == [(1, "Polynomial"), (4, "poly_gcd")]
+
+
+def test_integer_modules_leave_the_fraction_polynomial_alone():
+    found = {
+        module: names_taken(ast.parse((SRC / module).read_text()), FRACTION_POLY_NAMES)
+        for module in INTEGER_POLY_MODULES
+    }
+    assert {module: names for module, names in found.items() if names} == {}
