@@ -7,26 +7,22 @@ a rational root of the folded ratio polynomial of roots.py, and the
 cofactor's power sums are the product's divided by the factor's.  Only
 when that certifies nothing, or no order is 2, does it read the
 recurrences off an L1 x L2 grid of characteristic roots
-(gamma_ij = alpha_i * beta_j) in one gauge (alpha_i s, beta_j / s),
-which a Euclid over the indices of the nonzero elementary symmetric
-functions of the alphas and betas makes rational (_extract_factors);
-floating point only finds the grid and s, and rational reconstruction
-recovers the recurrences.  factorize_integer searches integer left
-factors with bounded coefficients, screens them by divisibility in
-Python ints and guesses the cofactor's recurrence from the quotient.
+(gamma_ij = alpha_i * beta_j) over Z/p^N (_grid_ladder): the roots are
+found and matched exactly mod a prime p, lifted to p^N, put in one
+rational gauge (_extract_factors) and recovered by rational
+reconstruction.  factorize_integer searches integer left factors with
+bounded coefficients, screens them by divisibility in Python ints and
+guesses the cofactor's recurrence from the quotient.
 
 One back (_pair) takes the initial terms from one exact rank-1 solve
 (_split), puts the pair in one normal form (_normal_form) in the route's
 own gauge and returns it only with a verified equality certificate:
-nothing is ever reported on numerical evidence alone.
+nothing is ever reported on modular evidence alone.
 
-This module holds the package's whole numeric precision policy for
-factoring: the working precision of the root finder (_char_roots),
-the precision ladder of factorize_roots, the grid and gauge tolerances,
-the reconstruction denominator bound, which grows with the precision, and
-the trial-division bound of the canonical gauge.  mpmath is imported
-inside the functions of the root grid, so importing the package, and any
-factorization the exact order-2 route finds, leave it unloaded.
+No floating point is used.  `digits` of factorize_roots sets the p-adic
+working precision p^N >= 10^digits of the lift and its ladder (digits,
+2x, 4x); the other bounds are the number of good primes the split-prime
+search tries and the trial-division bound of the canonical gauge.
 """
 
 from __future__ import annotations
@@ -35,21 +31,14 @@ import itertools
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isqrt
+from math import factorial, gcd, isqrt
 
 from . import guess
 from .core import CFiniteSeq, _valuation, content, eval_terms, scale
+from .core import _gcd_mod, _is_prime, _mulmod, _shiftmod
 from .linalg import solve
-from .roots import (
-    DEFAULT_DIGITS,
-    PrecisionError,
-    _from_power_sums,
-    _minimal,
-    _power_sums,
-    _ratio_quotient,
-    _require_simple_roots,
-    _square_free,
-)
+from .roots import DEFAULT_DIGITS, PrecisionError, _derivative, _from_power_sums, _minimal
+from .roots import _power_sums, _ratio_quotient, _require_simple_roots, _square_free, _sub
 
 
 class BudgetExhausted(RuntimeError):
@@ -127,45 +116,6 @@ def _pair(original, m, left_rec, right_rec, gauge):
     )
     cert = guess.prove_equal(guess.mul(left, right), original)
     return FactorPair(left, right, note, cert) if cert.verified else None
-
-
-def _mpf_to_fraction(x) -> Fraction:
-    import mpmath
-    sign, man, exp, _ = mpmath.mpf(x)._mpf_
-    if man == 0:
-        return Fraction(0)
-    v = Fraction(man) * (Fraction(2) ** exp)
-    return -v if sign else v
-
-
-def _reconstruct(z, digits):
-    """Rational value of a high-precision (near-real) number, or None.
-
-    Denominators up to 10^(digits // 5) are tried, so each rung of the
-    precision ladder can recover larger ones.  A real number is typically
-    within only about 10^(-2 digits / 5) of a fraction that small, so the
-    required match to 10^(-digits/2) rarely holds by chance (and the
-    certificate checks every pair in the end).
-    """
-    import mpmath
-    tol = mpmath.mpf(10) ** (-digits // 2)
-    if abs(mpmath.im(z)) > tol * (1 + abs(z)):
-        return None
-    x = mpmath.re(z)
-    f = _mpf_to_fraction(x).limit_denominator(10 ** (digits // 5))
-    fx = mpmath.mpf(f.numerator) / mpmath.mpf(f.denominator)
-    if abs(x - fx) > tol * (1 + abs(x)):
-        return None
-    return f
-
-
-def _elementary(roots):
-    """The elementary symmetric functions e_0, ..., e_L of the roots."""
-    import mpmath
-    es = [mpmath.mpc(1)]
-    for r in roots:
-        es = [a + r * b for a, b in zip(es + [0], [0] + es)]
-    return es
 
 
 def _gauge_base(n: int):
@@ -277,14 +227,18 @@ def factorize_roots(seq: CFiniteSeq, L1: int, L2: int, digits: int = DEFAULT_DIG
 
     When one order is 2, the exact order-2 route (_order_2_candidates)
     proposes recurrence pairs first.  If _pair certifies none of them, or
-    no order is 2, the root grid tries a precision ladder (digits, 2x, 4x)
+    no order is 2, the root grid over Z/p^N (_grid_ladder) climbs a
+    precision ladder, p^N >= 10^digits, 10^(2 digits), 10^(4 digits),
     while some grid is unresolved: its factor recurrences could not be
     reconstructed rationally, or they do not span the sequence.  Returns
-    None when no grid is left unresolved and none splits (the exact
-    coefficient matrix of _split has rank other than 1), and raises
-    PrecisionError when a grid is still unresolved at the top of the
-    ladder.
+    None when a good prime refutes the split (_split_prime), when the
+    split prime has no grid, or when no grid is left unresolved and none
+    splits (the exact coefficient matrix of _split has rank other than
+    1).  PrecisionError when a grid is still unresolved at the top of the
+    ladder, or no split prime turns up; ValueError for digits < 1.
     """
+    if digits < 1:
+        raise ValueError(f"digits must be >= 1, got {digits}")
     m = _minimal(seq, (L1, L2))
     _require_simple_roots(m)
     if 2 in (L1, L2):
@@ -337,25 +291,23 @@ def _rational_roots(parts, K, c):
 
 
 def _grid_ladder(original, m, L1, L2, digits):
-    """The root grid at digits, 2x, 4x (see factorize_roots)."""
-    import mpmath
-    rest = list(range(1, L1 * L2))
+    """The root grid over Z/p^N, p^N >= 10^digits, 10^(2 digits), 10^(4 digits)."""
+    found = _split_prime(m.rec, L1, L2)
+    grids = found and list(_grids(*found, L1, L2))
+    if not grids:
+        return None
+    p, roots = found
     for d in (digits, 2 * digits, 4 * digits):
-        roots = _char_roots(m, d)
+        q = p ** next(N for N in itertools.count(1) if p**N >= 10**d)
+        P = _char_mod(m.rec, q)
+        gammas = [_lift(P, r, p, q) for r in roots]
         unresolved = False
-        with mpmath.workdps(d + 20):
-            tol = mpmath.mpf(10) ** (-d // 2)
-            for col in itertools.combinations(rest, L1 - 1):
-                after_col = [i for i in rest if i not in col]
-                for row in itertools.combinations(after_col, L2 - 1):
-                    grid = _match_grid(roots, col, row, tol)
-                    if grid is None:
-                        continue
-                    recs = _extract_factors(grid, roots, L1, L2, d, tol)
-                    pair = recs and _pair(original, m, *recs, _gauge_scale)
-                    if pair:
-                        return pair
-                    unresolved = unresolved or pair is None
+        for grid in grids:
+            recs = _extract_factors(grid, gammas, p, q)
+            pair = recs and _pair(original, m, *recs, _gauge_scale)
+            if pair:
+                return pair
+            unresolved = unresolved or pair is None
         if not unresolved:
             return None
     raise PrecisionError(
@@ -364,94 +316,141 @@ def _grid_ladder(original, m, L1, L2, digits):
     )
 
 
-def _char_roots(m: CFiniteSeq, digits: int) -> list:
-    """Roots of z^L - c_1 z^(L-1) - ... - c_L to `digits` digits, sorted.
+def _fixed_point_counts(L1, L2) -> set:
+    """How many of the L1 x L2 grid's points a pair of row and column
+    permutations fixes: a b, a != L1 - 1, b != L2 - 1 (none fixes n - 1 of n)."""
+    return {a * b for a in range(L1 + 1) if a != L1 - 1 for b in range(L2 + 1) if b != L2 - 1}
 
-    m must have c_L != 0 and simple roots (_require_simple_roots).
-    mpmath.polyroots stops once every correction is below an absolute
-    epsilon.  The working digits therefore add the decimal digits of the
-    reciprocal Cauchy bound 1 + max |c_i / c_L| on 1/|z|, and polyroots
-    iterates at twice that precision plus the bits of the Cauchy bound on
-    |z|, so every root, however large or small, gets `digits` significant
-    digits.  Cleanup, which would set a root below the epsilon to 0, is off.
-    PrecisionError if it does not converge.  Sorted by (real, imag) part.
+
+def _char_mod(rec, n) -> list:
+    """z^L - c_1 z^(L-1) - ... - c_L mod n, prime to every denominator."""
+    return [-c.numerator * pow(c.denominator, -1, n) % n for c in reversed(rec)] + [1]
+
+
+def _split_prime(rec, L1, L2):
+    """(p, the sorted roots of P = _char_mod(rec, p)) at the first good
+    prime p > 2^20 where P has all L roots; None when a good prime refutes
+    every split of orders L1, L2 over Q.  p is good when it divides no
+    denominator and P(0) and P is square-free mod p; deg gcd(P, z^p - z)
+    counts the roots Frobenius fixes, a pair (sigma, tau) on the grid of a
+    rational split, so a count outside _fixed_point_counts refutes it.  A
+    product's split primes have density >= 1 / (L1! L2!) (Chebotarev), so
+    20 L1! L2! good primes without one (odds about e^-20): PrecisionError.
     """
-    import mpmath
-    reciprocal = 1 + max(abs(c) for c in [1, *m.rec]) / abs(m.rec[-1])
-    with mpmath.workdps(digits + 20 + len(str(int(reciprocal)))):
-        cauchy_bits = int(1 + max(abs(c) for c in m.rec)).bit_length()
-        try:
-            zs = mpmath.polyroots(
-                [1] + [-c for c in m.rec],
-                maxsteps=200 + 20 * digits,
-                cleanup=False,
-                extraprec=mpmath.mp.prec + cauchy_bits,
-            )
-        except mpmath.mp.NoConvergence:
-            raise PrecisionError(
-                f"characteristic roots did not converge at {digits} digits"
-            ) from None
-    return sorted(zs, key=lambda z: (mpmath.re(z), mpmath.im(z)))
+    counts, p, good = _fixed_point_counts(L1, L2), (1 << 20) - 1, 0
+    while good < 20 * factorial(L1) * factorial(L2):
+        p += 2
+        if not _is_prime(p) or not all(c.denominator % p for c in rec):
+            continue
+        P = _char_mod(rec, p)
+        if not P[0] or len(_gcd_mod(P, _derivative(P), p)) > 1:
+            continue
+        good += 1
+        k = len(_gcd_mod(P, _sub(_zpow(p, P, p), _zpow(1, P, p)), p)) - 1
+        if k not in counts:
+            return None
+        if k == L1 * L2:
+            return p, sorted(_roots_mod(P, p))
+    raise PrecisionError(f"none of the first {good} good primes splits the recurrence")
 
 
-def _match_grid(roots, col, row, tol):
-    """Index grid with gamma_ij = gamma_i0 * gamma_0j / gamma_00, or None."""
-    L1, L2 = len(col) + 1, len(row) + 1
-    grid = [[None] * L2 for _ in range(L1)]
-    grid[0][0] = 0
-    for i, idx in enumerate(col, start=1):
-        grid[i][0] = idx
-    for j, idx in enumerate(row, start=1):
-        grid[0][j] = idx
-    used = {0, *col, *row}
-    remaining = [k for k in range(len(roots)) if k not in used]
-    g00 = roots[0]
-    for i in range(1, L1):
-        for j in range(1, L2):
-            predicted = roots[grid[i][0]] * roots[grid[0][j]] / g00
-            best, best_d = None, None
-            for k in remaining:
-                d = abs(roots[k] - predicted)
-                if best_d is None or d < best_d:
-                    best, best_d = k, d
-            if best is None or best_d > tol * abs(predicted):
-                return None
-            grid[i][j] = best
-            remaining.remove(best)
-    return grid
+def _zpow(e, f, p, a=0) -> list:
+    """(z + a)^e modulo p and the monic f (core._mulmod, core._shiftmod)."""
+    w, r = [-x for x in reversed(f[:-1])], [1] + [0] * (len(f) - 2)
+    for bit in bin(e)[2:]:
+        r = _mulmod(r, r, w)
+        if bit == "1":
+            r = [u + a * v for u, v in zip(_shiftmod(r, w), r)]
+        r = [x % p for x in r]
+    return r
 
 
-def _extract_factors(grid, roots, L1, L2, digits, tol):
-    """The two factor recurrences of one root grid; None if reconstruction fails."""
-    import mpmath
-    alphas = [roots[grid[i][0]] for i in range(L1)]
-    betas = [roots[grid[0][j]] / roots[grid[0][0]] for j in range(L2)]
-    ea, eb = _elementary(alphas), _elementary(betas)
+def _roots_mod(f, p) -> list:
+    """The roots of the monic f, a product of distinct linear factors mod the
+    odd prime p (Cantor-Zassenhaus 1981): gcd(f, (z + a)^((p-1)/2) -+ 1) part
+    them by whether r + a is a nonzero square, for the first a that splits f."""
+    if len(f) == 2:
+        return [-f[0] % p]
+    for a in itertools.count(1):
+        h = _zpow((p - 1) // 2, f, p, a)
+        g, c = (_gcd_mod(f, _sub(h, [x]), p) for x in (1, p - 1))
+        if 1 < len(g) < len(f):
+            roots = _roots_mod(g, p) + (_roots_mod(c, p) if len(c) > 1 else [])
+            return roots + [-a % p] * (len(roots) < len(f) - 1)
 
+
+def _grids(p, roots, L1, L2):
+    """Index grids with r_ij r_00 = r_i0 r_0j that cover the roots mod p,
+    r_00 the first.  Only roots that map L2 roots into the root set under
+    multiplication by r / r_00 can head a column, and L1 roots a row."""
+    index = {r: k for k, r in enumerate(roots)}
+    inv = pow(roots[0], -1, p)
+    hits = [sum(r * x * inv % p in index for x in roots) for r in roots]
+    cols, rows = ([k for k in range(1, len(roots)) if hits[k] >= n] for n in (L2, L1))
+    for col in itertools.combinations(cols, L1 - 1):
+        for row in itertools.combinations([k for k in rows if k not in col], L2 - 1):
+            grid = [[index.get(roots[i] * roots[j] * inv % p) for j in (0, *row)]
+                    for i in (0, *col)]
+            if {k for line in grid for k in line} == set(range(len(roots))):
+                yield grid
+
+
+def _lift(P, r, m, q) -> int:
+    """The root of P that is the simple root r mod m, mod q = m^k (Newton, Horner)."""
+    while m < q:
+        m, v, d = min(m * m, q), 0, 0
+        for c in reversed(P):
+            v, d = (v * r + c) % m, (d * r + v) % m
+        r = (r - v * pow(d, -1, m)) % m
+    return r
+
+
+def _elementary(roots, q) -> list:
+    """The elementary symmetric functions e_0, ..., e_L of the roots mod q."""
+    es = [1]
+    for r in roots:
+        es = [(a + r * b) % q for a, b in zip(es + [0], [0] + es)]
+    return es
+
+
+def _extract_factors(grid, gammas, p, q):
+    """The two factor recurrences of a grid of roots mod q = p^N; None unless rational."""
+    inv = pow(gammas[grid[0][0]], -1, q)
+    ea = _elementary([gammas[line[0]] for line in grid], q)
+    eb = _elementary([gammas[j] * inv for j in grid[0]], q)
     # gauge: alpha_i = a_i b_0 and beta_j = b_j / b_0 for a true split (a, b),
     # so e_k(alpha) is b_0^k and e_j(beta) b_0^-j times a rational.  Euclid on
     # the exponents, carrying the values, ends at t = b_0^g times a rational,
     # g = +-1 (a gcd G > 1 would close both root sets under a G-th root of
     # unity: a repeated root), and s = t^-g makes s b_0 rational.  Stopping
     # at |g| = 1 keeps s = 1 / e_1(alpha); e_0, at n = 0, changes nothing.
-    ra, rb = max(abs(a) for a in alphas), max(abs(b) for b in betas)
-    g, t = 0, mpmath.mpf(1)
+    # Values that are 0 mod p have no inverse mod q and are skipped.
+    g, t = 0, 1
     for n, x in [*enumerate(ea), *((-j, e) for j, e in enumerate(eb))]:
-        if abs(x) <= tol * (ra if n > 0 else rb) ** abs(n):
+        if x % p == 0:
             continue
         while n:
-            (g, t), (n, x) = (n, x), (g % n, t / x ** (g // n))
+            (g, t), (n, x) = (n, x), (g % n, t * pow(x, -(g // n), q) % q)
         if abs(g) == 1:
             break
-    s = t**-g
+    s = pow(t, -g, q)
     # c_k = (-1)^(k+1) e_k(u * roots) = -e_k (-u)^k
-    left_rec, right_rec = (
-        [_reconstruct(-e * (-u) ** k, digits) for k, e in enumerate(es) if k]
-        for es, u in ((ea, s), (eb, 1 / s))
-    )
-    if None in left_rec or None in right_rec:
-        return None
-    return left_rec, right_rec
+    recs = [
+        [_rational(-e * pow(-u, k, q), q) for k, e in enumerate(es) if k]
+        for es, u in ((ea, s), (eb, pow(s, -1, q)))
+    ]
+    return None if None in recs[0] + recs[1] else recs
+
+
+def _rational(x, q):
+    """The one fraction a / b = x mod q with |a|, |b| <= sqrt(q / 2), or
+    None: Wang's (1981) rational reconstruction, a half extended Euclid."""
+    bound = isqrt(q // 2)
+    r0, r1, t0, t1 = q, x % q, 0, 1
+    while r1 > bound:
+        k = r0 // r1
+        r0, r1, t0, t1 = r1, r0 - k * r1, t1, t0 - k * t1
+    return Fraction(r1, t1) if abs(t1) <= bound and gcd(r1, t1) == 1 else None
 
 
 def factorize_integer(

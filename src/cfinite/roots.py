@@ -26,8 +26,8 @@ only a factor certificate (factorize_roots, factorize_integer) proves
 that the sequence is a product.  A "no" is definitive only generically.
 Diagnostics always carry both profiles.  Repeated roots are detected
 exactly (gcd(P, P') not constant, _require_simple_roots) for both the
-product test and factorize_roots.  Nothing here computes a root
-numerically: the root grid of factorize_roots is found in factor.py.
+product test and factorize_roots.  Nothing here finds a root: the
+root grid of factorize_roots, over Z/p^N, is in factor.py.
 The exact order-2 route of factorize_roots reads the square-free parts
 of S themselves (_square_free, on the quotient of _ratio_quotient), and
 the power sums (_power_sums, _from_power_sums), from this module.
@@ -56,7 +56,7 @@ class DegenerateRootsError(ArithmeticError):
 
 
 class PrecisionError(ArithmeticError):
-    """A numeric result could not be certified at the working precision."""
+    """The root grid certified no answer: its p-adic lift or split-prime search ran out."""
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,7 @@ in the package cannot hide behind shared code.
 
 import itertools
 from fractions import Fraction
-from math import comb
+from math import comb, gcd
 
 import mpmath
 from mpmath.libmp import NoConvergence
@@ -410,3 +410,29 @@ def gauge_scale(rec):
         )
     odd = [c for c in rec[0::2] if c]
     return -lam if odd and odd[0] < 0 else lam
+
+
+def grid_fixed_point_counts(L1, L2):
+    """How many points of the L1 x L2 grid some pair (sigma, tau) of
+    permutations of its rows and columns fixes, over all pairs: a point
+    (i, j) is fixed when sigma(i) = i and tau(j) = j."""
+    grid = list(itertools.product(range(L1), range(L2)))
+    return {
+        sum(sigma[i] == i and tau[j] == j for i, j in grid)
+        for sigma in itertools.permutations(range(L1))
+        for tau in itertools.permutations(range(L2))
+    }
+
+
+def rational_mod(x, q):
+    """The fraction a / b with b * x = a mod q, gcd(a, b) = 1 and |a|, b
+    at most sqrt(q / 2), or None, by trying every denominator b."""
+    bound = 0
+    while (bound + 1) ** 2 <= q // 2:
+        bound += 1
+    for b in range(1, bound + 1):
+        a = b * x % q
+        a = a - q if a > q // 2 else a
+        if abs(a) <= bound and gcd(a, b) == 1:
+            return Fraction(a, b)
+    return None

@@ -7,7 +7,6 @@ import sys
 import time
 from pathlib import Path
 
-import mpmath
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -17,6 +16,7 @@ from cfinite import corpus
 
 from cfinite.cli import main
 from cfinite.core import CFiniteSeq, format_seq, parse_seq
+from cfinite.dimers import dimer_seq
 from cfinite.guess import mul
 
 
@@ -225,9 +225,6 @@ class TestAnalysis:
     BIG_PRODUCT = format_seq(
         mul(CFiniteSeq([1, 2], [999999000001 * 1000000000039, 1]), CFiniteSeq([0, 1], [1, 1]))
     )
-    PRODUCT_3X3 = format_seq(
-        mul(CFiniteSeq([1, 2, 1], [1, 2, -3]), CFiniteSeq([0, 0, 1], [1, 1, 1]))
-    )
 
     def test_isprod_huge_coefficients_yes(self, capsys):
         code, out, _ = run(
@@ -271,22 +268,19 @@ class TestAnalysis:
             "right = [[1, 2, 1], [1, 2, -3]]",
         ]
 
-    def test_factor_precision_error_exit_2(self, capsys, monkeypatch):
-        def no_convergence(*args, **kwargs):
-            raise mpmath.mp.NoConvergence("Didn't converge")
-
-        # a root finder that does not converge is a precision failure; a
-        # 3 x 3 product has no exact route, so it reaches the root finder
-        monkeypatch.setattr(mpmath, "polyroots", no_convergence)
+    def test_factor_precision_error_exit_2(self, capsys):
+        # the width-6 strip splits as 2 x 4 only over a number field: its
+        # root grids exist mod p, but no lift reconstructs rational factors
         code, out, err = run(
-            capsys, "factor", self.PRODUCT_3X3, "--orders", "3,3", "--digits", "50"
+            capsys, "factor", format_seq(dimer_seq(6)), "--orders", "2,4", "--digits", "50"
         )
         assert code == 2
         assert out == ""
         assert err.startswith(
-            "error: characteristic roots did not converge at 50 digits"
+            "error: a consistent root grid exists but rational reconstruction "
+            "failed even at 200 digits"
         )
-        # the exact order-2 route factors 2 x 2 without it
+        # the exact order-2 route factors 2 x 2
         code, out, _ = run(
             capsys, "factor", self.BIG_PRODUCT, "--orders", "2,2", "--digits", "50"
         )
@@ -500,9 +494,10 @@ def test_nlr_counts_monomials_before_building_them():
 
 # --- fuzzing ------------------------------------------------------------------
 # Random literals, verbs and flags; every draw is small enough that no case
-# can run long: orders <= 6, widths <= 12 (product reports up to width 6 and
-# above the width limit), --digits <= 200, and integer factoring with
-# --bound <= 2 and --budget <= 1.
+# can run long: orders <= 6, or 9 for 3 x 3 products and random order-9
+# recurrences factored at 3 x 3 (the root grid's split-prime search and
+# lift), widths <= 12 (product reports up to width 6 and above the width limit),
+# --digits <= 200, and integer factoring with --bound <= 2 and --budget <= 1.
 
 _number = st.fractions(min_value=-20, max_value=20, max_denominator=5).map(str)
 _junk = st.text(alphabet="[],/-+*0123456789 zt", max_size=10)
@@ -620,8 +615,20 @@ def _argv(draw):
     return flag + [verb] + opts + dashes + pos
 
 
-@settings(max_examples=250, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(_argv())
+@st.composite
+def _grid_argv(draw):
+    """factor at --orders 3,3 on a random order-9 recurrence or a 3 x 3
+    product: the root grid's split-prime search and its lift."""
+    a = draw(st.lists(st.integers(-3, 3), min_size=18, max_size=18))
+    seq = CFiniteSeq(a[:9], a[9:])
+    if draw(st.booleans()):
+        seq = mul(CFiniteSeq(a[:3], a[3:6]), CFiniteSeq(a[6:9], a[9:12]))
+    digits = ["--digits", str(draw(st.integers(-1, 200)))] if draw(st.booleans()) else []
+    return ["factor", format_seq(seq), "--orders", "3,3", *digits]
+
+
+@settings(max_examples=500, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.one_of(_argv(), _grid_argv()))
 def test_fuzz_exit_codes(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):

@@ -118,6 +118,9 @@ GOLDEN = [
      f'"identity verified on all 125 {GRID.format(6)}"}}', ""),
     (("isprod", "[[0,1],[1,1]]", "--orders", "2", "--digits", "0"), 2, "", "",
      "error: --digits must be >= 1, got 0"),
+    # the width-4 strip: a good prime refutes every rational 2 x 2 split
+    (("factor", "[[1,5,11,36],[1,5,1,-1]]", "--orders", "2,2"), 1, "", "",
+     "no factorization found"),
 ]
 
 

@@ -3,18 +3,17 @@ import random
 import time
 from fractions import Fraction
 
-import mpmath
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cfinite.core import CFiniteSeq, eval_terms, minimize, shift
+from cfinite.dimers import dimer_seq
 from cfinite import factor
 from cfinite.factor import (
     BudgetExhausted,
     PrecisionError,
-    _mpf_to_fraction,
-    _reconstruct,
+    _rational,
     _split,
     factorize_integer,
     factorize_roots,
@@ -54,25 +53,55 @@ def small_factors(draw, order, values=st.integers(-3, 3)):
     return CFiniteSeq(init, rec + [draw(values.filter(bool))])
 
 
+def _sqrt_mod(a, q):
+    """A square root of a mod q = p^N, for a nonzero square a mod p, from
+    the roots of z^2 - a mod p."""
+    p = next(p for p in range(3, q + 1) if q % p == 0)
+    r = factor._roots_mod([-a % p, 0, 1], p)[0]
+    return factor._lift([-a, 0, 1], r, p, q)
+
+
 class TestReconstruct:
-    def test_mpf_to_fraction_exact(self):
-        with mpmath.workdps(50):
-            assert _mpf_to_fraction(mpmath.mpf("0.25")) == Fraction(1, 4)
-            assert _mpf_to_fraction(mpmath.mpf(-3)) == -3
-            assert _mpf_to_fraction(mpmath.mpf(0)) == 0
+    """factor._rational, Wang's rational reconstruction mod q = p^N."""
+
+    P = 1048601  # the first prime above 2^20 that is 1 mod 8
+    Q = P**10
+
+    def test_reconstruct_integers_and_zero(self):
+        assert _rational(pow(4, -1, self.Q), self.Q) == Fraction(1, 4)
+        assert _rational(-3 % self.Q, self.Q) == -3
+        assert _rational(0, self.Q) == 0
 
     def test_reconstruct_simple_rationals(self):
-        with mpmath.workdps(60):
-            assert _reconstruct(mpmath.mpf(1) / 3, 50) == Fraction(1, 3)
-            assert _reconstruct(mpmath.mpf(-22) / 7, 50) == Fraction(-22, 7)
+        assert _rational(pow(3, -1, self.Q), self.Q) == Fraction(1, 3)
+        assert _rational(-22 * pow(7, -1, self.Q), self.Q) == Fraction(-22, 7)
 
     def test_reconstruct_rejects_irrational(self):
-        with mpmath.workdps(60):
-            assert _reconstruct(mpmath.sqrt(2), 50) is None
+        # a / b = sqrt 2 would need a^2 - 2 b^2 = 0 mod q with |a|, |b| <=
+        # sqrt(q / 2), so 0 < 2 b^2 - a^2 <= q, equal to q only for even q
+        s = _sqrt_mod(2, self.Q)
+        assert s * s % self.Q == 2
+        assert _rational(s, self.Q) is None
 
     def test_reconstruct_rejects_complex(self):
-        with mpmath.workdps(60):
-            assert _reconstruct(mpmath.mpc(1, 1) / 3, 50) is None
+        # a / b = i would need 0 < a^2 + b^2 <= q, equal to q only for even q
+        i = _sqrt_mod(-1, self.Q)
+        assert i * i % self.Q == self.Q - 1
+        assert _rational(i, self.Q) is None
+
+    def test_reconstruct_rejects_a_fraction_beyond_the_bound(self):
+        # p = a / b mod p^2 forces p | a, so no |a| <= sqrt(p^2 / 2) but 0
+        # fits, and b p = 0 mod p^2 is impossible for b < p
+        assert _rational(self.P, self.P**2) is None
+        # a fraction just outside the bound comes back as another one, never
+        # as itself
+        x = 10**35 * pow(3, -1, self.Q) % self.Q
+        assert _rational(x, self.Q) != Fraction(10**35, 3)
+
+    @pytest.mark.parametrize("q", [3**7, 5**5, 7**4, 101, 103**2])
+    def test_reconstruct_matches_every_denominator_tried(self, q):
+        for x in range(q):
+            assert _rational(x, q) == oracles.rational_mod(x, q), x
 
 
 class TestFactorizeRoots:
@@ -293,9 +322,9 @@ class TestSplit:
 
     def test_repeated_roots_refused_before_root_finding(self, monkeypatch):
         def no_roots(*args):
-            raise AssertionError("_char_roots must not run on repeated roots")
+            raise AssertionError("_split_prime must not run on repeated roots")
 
-        monkeypatch.setattr(factor, "_char_roots", no_roots)
+        monkeypatch.setattr(factor, "_split_prime", no_roots)
         with pytest.raises(DegenerateRootsError):
             factorize_roots(mul(CFiniteSeq([1, 1], [4, -4]), FIB), 2, 2)
 
@@ -534,16 +563,12 @@ def test_precision_error_is_shared_with_roots():
     assert issubclass(PrecisionError, ArithmeticError)
 
 
-def test_uncertified_roots_raise_precision_error(monkeypatch):
-    def no_convergence(*args, **kwargs):
-        raise mpmath.mp.NoConvergence("Didn't converge")
-
-    monkeypatch.setattr(mpmath, "polyroots", no_convergence)
-    # 3 x 3 has no exact route, so it reaches the root finder
-    prod = mul(CFiniteSeq([1, 2, 1], [1, 2, -3]), CFiniteSeq([0, 0, 1], [1, 1, 1]))
-    with pytest.raises(PrecisionError, match="did not converge at 50 digits"):
-        factorize_roots(prod, 3, 3, digits=50)
-    # the exact order-2 route never calls it
+def test_uncertified_roots_raise_precision_error():
+    # the width-6 strip splits as 2 x 4 only over a number field: its root
+    # grids exist mod p, but no lift reconstructs rational recurrences
+    with pytest.raises(PrecisionError, match="failed even at 200 digits"):
+        factorize_roots(dimer_seq(6), 2, 4, digits=50)
+    # the exact order-2 route never reaches the grid
     prod = mul(FIB, PELL)
     assert_valid_factorization(factorize_roots(prod, 2, 2, digits=50), prod)
 
@@ -615,8 +640,71 @@ def test_exact_order_2_route_needs_no_roots(monkeypatch):
     def no_roots(*args):
         raise AssertionError("the exact order-2 route must not find roots")
 
-    monkeypatch.setattr(factor, "_char_roots", no_roots)
+    monkeypatch.setattr(factor, "_split_prime", no_roots)
     left, right = CFiniteSeq([1, 2], [1, 1]), CFiniteSeq([2, 0, 1], [0, 1, 1])
     for prod, L1, L2 in [(mul(FIB, PELL), 2, 2), (mul(left, right), 2, 3)]:
         pair = factorize_roots(prod, L1, L2)
         assert_valid_factorization(pair, prod)
+
+
+@pytest.mark.parametrize("L1", range(1, 5))
+@pytest.mark.parametrize("L2", range(1, 5))
+def test_fixed_point_counts_match_every_permutation_pair(L1, L2):
+    assert factor._fixed_point_counts(L1, L2) == oracles.grid_fixed_point_counts(L1, L2)
+
+
+@pytest.mark.parametrize("digits", [0, -5])
+def test_digits_below_one_rejected(digits):
+    with pytest.raises(ValueError, match="digits must be >= 1"):
+        factorize_roots(mul(FIB, PELL), 2, 2, digits)
+
+
+def test_width_4_strip_has_no_rational_split():
+    # 1, 5, 11, 36, ...: Frobenius fixes a number of its roots at the
+    # first good prime that no pair of permutations of a 2 x 2 grid fixes
+    assert factorize_roots(CFiniteSeq([1, 5, 11, 36], [1, 5, 1, -1]), 2, 2) is None
+
+
+def _random_minimal(rng, order):
+    """A seeded random integer sequence of minimal order `order`, simple roots."""
+    while True:
+        seq = CFiniteSeq(
+            [rng.randint(-5, 5) for _ in range(order)],
+            [rng.randint(-5, 5) for _ in range(order - 1)] + [rng.choice([-2, -1, 1, 3])],
+        )
+        if minimize(seq).order == order:
+            try:
+                roots._require_simple_roots(seq)
+            except DegenerateRootsError:
+                continue
+            return seq
+
+
+@pytest.mark.parametrize("L", [3, 4])
+def test_random_non_products_are_refuted_promptly(L):
+    rng = random.Random(f"non-product-{L}x{L}")
+    for _ in range(5):
+        seq = _random_minimal(rng, L * L)
+        t0 = time.monotonic()
+        assert factorize_roots(seq, L, L) is None
+        assert time.monotonic() - t0 < 1
+
+
+def test_4x4_product_factors():
+    rng = random.Random("product-4x4")
+    a, b = _random_minimal(rng, 4), _random_minimal(rng, 4)
+    prod = mul(a, b)
+    assert prod.order == 16
+    t0 = time.monotonic()
+    pair = factorize_roots(prod, 4, 4)
+    assert time.monotonic() - t0 < 60
+    assert_valid_factorization(pair, prod)
+
+
+def test_width_8_strip_has_a_fibonacci_factor():
+    # count(8, n + 1) = F(n + 2) b(n), b of order 8
+    t0 = time.monotonic()
+    pair = factorize_roots(dimer_seq(8), 2, 8)
+    assert time.monotonic() - t0 < 30
+    assert pair.left == CFiniteSeq([1, 2], [1, 1])
+    assert_valid_factorization(pair, dimer_seq(8))

@@ -2,7 +2,6 @@ import math
 import random
 from fractions import Fraction
 
-import mpmath
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
@@ -16,7 +15,7 @@ from cfinite.core import (
     minimize,
 )
 from cfinite.guess import GuessConfig, guess_rec, mul
-from cfinite.factor import _char_roots
+from cfinite.factor import _lift, _roots_mod, _split_prime
 from cfinite.roots import (
     DegenerateRootsError,
     OrderMismatchError,
@@ -41,70 +40,70 @@ BIG_PRODUCT = mul(
 )
 
 
+def _lifted_roots(seq, p, N):
+    """The characteristic roots of an integer sequence mod p, lifted to p^N."""
+    P = [-int(c) for c in reversed(seq.rec)] + [1]
+    return [_lift(P, r, p, p**N) for r in _roots_mod([c % p for c in P], p)]
+
+
 class TestCharRoots:
-    """factor._char_roots, the mpmath.polyroots call behind factorize_roots."""
+    """factor._roots_mod and factor._lift, the root finder behind the root
+    grid of factorize_roots: the roots mod p and their lifts to p^N."""
 
     def test_fibonacci_golden_ratio(self):
-        roots = _char_roots(FIB, 60)
-        with mpmath.workdps(60):
-            phi = (1 + mpmath.sqrt(5)) / 2
-            got = sorted(roots, key=lambda z: mpmath.re(z))
-            assert abs(got[1] - phi) < mpmath.mpf(10) ** -55
-            assert abs(got[0] + 1 / phi) < mpmath.mpf(10) ** -55
+        # 5 is a square mod p = 1048609 (p = 4 mod 5), so phi and -1/phi
+        # are p-adic numbers: the roots are (1 +- sqrt 5) / 2 mod p^N
+        p, N = 1048609, 8
+        q = p**N
+        got = _lifted_roots(FIB, p, N)
+        assert len(got) == 2
+        for r in got:
+            assert (2 * r - 1) ** 2 % q == 5
+        assert sum(got) % q == 1 and got[0] * got[1] % q == q - 1
 
     def test_residuals_tiny(self):
+        # at the first prime where P splits, every root lifted to p^N leaves
+        # a residual divisible by p^N
         s = CFiniteSeq([1, 2, 3], [1, -4, 2])
-        roots = _char_roots(s, 100)
-        p = s.char_poly()
-        with mpmath.workdps(110):
-            for r in roots:
-                assert abs(p.eval(r)) < mpmath.mpf(10) ** -80
+        P = [-int(c) for c in reversed(s.rec)] + [1]
+        p, roots = _split_prime(s.rec, 3, 1)
+        assert len(roots) == 3
+        for r in roots:
+            x = _lift(P, r, p, p**12)
+            assert x % p == r
+            assert sum(c * x**k for k, c in enumerate(P)) % p**12 == 0
 
     def test_complex_roots(self):
-        # a(n) = -a(n-2): roots +/- i
-        s = CFiniteSeq([1, 0], [0, -1])
-        roots = _char_roots(s, 50)
-        assert sorted(round(float(mpmath.im(z)), 6) for z in roots) == [-1.0, 1.0]
+        # a(n) = -a(n-2): roots +/- i, which exist mod p = 1 mod 4
+        p, N = 1048601, 6
+        q = p**N
+        got = _lifted_roots(CFiniteSeq([1, 0], [0, -1]), p, N)
+        assert len(got) == 2
+        assert all(r * r % q == q - 1 for r in got)
+        assert sum(got) % q == 0
 
     def test_deterministic_across_runs(self):
-        s = CFiniteSeq([1, 1, 1, 1], [1, 3, -2, 1])
-        a = _char_roots(s, 60)
-        b = _char_roots(s, 60)
-        assert all(x == y for x, y in zip(a, b))
+        rec = CFiniteSeq([1, 1, 1, 1], [1, 3, -2, 1]).rec
+        a = _split_prime(rec, 4, 1)
+        b = _split_prime(rec, 4, 1)
+        assert a == b
+        assert a[1] == sorted(a[1]) and len(set(a[1])) == 4
 
-    def test_random_integer_polys_against_numpy(self):
-        import numpy as np
-
+    def test_random_split_polys_against_brute_force(self):
+        # the roots of a product of distinct linear factors mod small primes,
+        # against the residues at which it vanishes
         rng = random.Random(5)
-        recs = []
-        for _ in range(20):
-            L = rng.randint(2, 5)
-            rec = [rng.randint(-5, 5) for _ in range(L)]
-            if rec[-1] == 0:
-                rec[-1] = 1
-            recs.append(rec)
-        # orders 9 and 8: the shapes factorize_roots sees most
-        for shape in [(3, 3)] * 3 + [(2, 2, 2)] * 3:
-            recs.append(list(_random_product(rng, shape).rec))
-        # roots near 10^24 and 10^-24, and near 10^12 and 10^-12
-        recs.append(list(BIG_PRODUCT.rec))
-        recs.append(list(mul(CFiniteSeq([1, 2], [999999000001, 1]), FIB).rec))
-        for rec in recs:
-            got = [complex(z) for z in _char_roots(CFiniteSeq([1] * len(rec), rec), 50)]
-            assert len(got) == len(rec)
-            # numpy is accurate relative to the largest roots, so check the
-            # roots with |z| >= 1 on the polynomial and the others, inverted,
-            # on its reverse; numpy wants descending coefficients
-            poly = [1.0] + [-float(c) for c in rec]
-            for coeffs, ours in ((poly, got), (poly[::-1], [1 / z for z in got])):
-                # pair each numpy root with the nearest unpaired one: sorting
-                # both lists would mispair roots whose real parts tie (+/- i)
-                for w in np.roots(coeffs):
-                    if abs(w) < 1:
-                        continue
-                    g = min(ours, key=lambda z: abs(z - w))
-                    ours.remove(g)
-                    assert abs(g - w) < 1e-6 * abs(w), rec
+        for p in (3, 5, 7, 101, 10007):
+            for _ in range(10):
+                want = rng.sample(range(p), rng.randint(1, min(p, 8)))
+                P = [1]
+                for r in want:
+                    P = [(a - r * b) % p for a, b in zip([0] + P, P + [0])]
+                got = _roots_mod(P, p)
+                assert sorted(got) == sorted(want)
+                assert sorted(got) == [
+                    x for x in range(p) if sum(c * x**k for k, c in enumerate(P)) % p == 0
+                ]
 
 
 class TestProdIndicator:

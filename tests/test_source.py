@@ -230,9 +230,8 @@ def test_pipeline_steps_run_only_in_their_home():
     assert {key: calls for key, calls in found.items() if calls} == {}
 
 
-# floating point is confined to the numeric root grid; every other module
-# is exact
-MPMATH_MODULES = {"factor.py"}
+# no module uses floating point: the root grid runs over Z/p^N
+MPMATH_MODULES = set()
 
 
 def imported_modules(tree):
@@ -267,8 +266,8 @@ def test_mpmath_only_where_floating_point_is_allowed():
 
 
 def test_package_import_leaves_mpmath_unloaded():
-    # only the root grid of factorize_roots needs floating point, so a fresh
-    # interpreter that imports the package and its CLI does not pay for mpmath
+    # no module needs floating point, so a fresh interpreter that imports
+    # the package and its CLI does not load mpmath
     path = os.pathsep.join(filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")]))
     code = "import sys, cfinite, cfinite.cli; print('mpmath' in sys.modules)"
     got = subprocess.run(
@@ -303,11 +302,13 @@ def test_exact_order_2_route_leaves_mpmath_unloaded():
         "fib, pell = corpus.lookup('fibonacci'), corpus.lookup('pell')\n"
         "assert factor.factorize_roots(guess.mul(fib, pell), 2, 2).certificate.verified"
     )
-    # and the grid does load it
-    assert _mpmath_loaded_after(
+    # and so does every other route: the root grid over Z/p^N and the
+    # integer search
+    assert not _mpmath_loaded_after(
         "from cfinite import factor\n"
         "from cfinite.core import CFiniteSeq\n"
-        "factor.factorize_roots(CFiniteSeq([1, 2, 3], [6, -11, 6]), 3, 1)"
+        "assert factor.factorize_roots(CFiniteSeq([1, 2, 3], [6, -11, 6]), 3, 1)\n"
+        "assert factor.factorize_integer(CFiniteSeq([0, 1, 2, 10], [2, 7, 2, -1]), 2, 2, 2)"
     )
 
 
