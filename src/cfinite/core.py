@@ -511,16 +511,26 @@ def _shiftmod(f: list, w: list) -> list:
     return [u + x * v for u, v in zip(out, reversed(w))] if x else out
 
 
+def _zpow(n: int, w: list, mulmod=_mulmod, shiftmod=_shiftmod) -> list:
+    """z^n modulo the monic polynomial of _mulmod, squaring and shifting down
+    the bits of n; the steps may also reduce mod p (factor._zpow_mod)."""
+    r = [1] + [0] * (len(w) - 1)
+    for bit in bin(n)[2:]:
+        r = mulmod(r, r, w)
+        if bit == "1":
+            r = shiftmod(r, w)
+    return r
+
+
 def eval_at(seq: CFiniteSeq, n: int):
     """Single term a(n) by Fiduccia's method, as a Fraction.
 
     The integer image b(n) = E D^n a(n) (_integer_image) is annihilated by
     the monic integer polynomial P = z^L - w_1 z^(L-1) - ... - w_L, so with
     r(z) = z^n mod P we get b(n) = sum_i r_i b(i), and a(n) is the one
-    Fraction b(n) / (E D^n).  r is found by binary powering on int lists,
-    squaring and shifting down the bits of n: O(L^2 log n) integer
-    operations, so large n is cheap as long as the terms themselves stay
-    printable.
+    Fraction b(n) / (E D^n).  r is found by binary powering (_zpow) in
+    O(L^2 log n) integer operations, so large n is cheap as long as the
+    terms themselves stay printable.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
@@ -528,12 +538,7 @@ def eval_at(seq: CFiniteSeq, n: int):
     if n < L:
         return seq.init[n]
     E, D, w, b = _integer_image(seq)
-    r = [1] + [0] * (L - 1)
-    for bit in bin(n)[2:]:
-        r = _mulmod(r, r, w)
-        if bit == "1":
-            r = _shiftmod(r, w)
-    return Fraction(sum(map(mul, r, b)), E * D**n)
+    return Fraction(sum(map(mul, _zpow(n, w), b)), E * D**n)
 
 
 def shift(seq: CFiniteSeq, k: int) -> CFiniteSeq:

@@ -1,12 +1,12 @@
 """Actual factorization of C-finite sequences into termwise products.
 
 After one front (roots._minimal), the routes only propose pairs of
-factor recurrences.  factorize_roots first tries, when one order is 2,
-an exact route (_order_2_candidates): the order-2 factor's root ratio is
-a rational root of the folded ratio polynomial of roots.py, and the
-cofactor's power sums are the product's divided by the factor's.  Only
-when that certifies nothing, or no order is 2, does it read the
-recurrences off an L1 x L2 grid of characteristic roots
+factor recurrences.  factorize_roots first tries m = 1^n m when an
+order is 1 and, when one is 2, an exact route (_order_2_candidates): the
+order-2 factor's root ratio is a rational root of the folded ratio
+polynomial of roots.py, and the cofactor's power sums are the product's
+divided by the factor's.  Only when these certify nothing, or no order
+is 1 or 2, does it read the recurrences off an L1 x L2 grid of roots
 (gamma_ij = alpha_i * beta_j) over Z/p^N (_grid_ladder): the roots are
 found and matched exactly mod a prime p, lifted to p^N, put in one
 rational gauge (_extract_factors) and recovered by rational
@@ -35,7 +35,7 @@ from math import factorial, gcd, isqrt
 
 from . import guess
 from .core import CFiniteSeq, _valuation, content, eval_terms, scale
-from .core import _gcd_mod, _is_prime, _mulmod, _shiftmod
+from .core import _gcd_mod, _is_prime, _mulmod, _shiftmod, _zpow
 from .linalg import solve
 from .roots import DEFAULT_DIGITS, PrecisionError, _derivative, _from_power_sums, _minimal
 from .roots import _power_sums, _ratio_quotient, _require_simple_roots, _square_free, _sub
@@ -225,26 +225,27 @@ def _normal_form(left, right, gauge):
 def factorize_roots(seq: CFiniteSeq, L1: int, L2: int, digits: int = DEFAULT_DIGITS):
     """Factor into an order-L1 times an order-L2 sequence, or None.
 
-    When one order is 2, the exact order-2 route (_order_2_candidates)
-    proposes recurrence pairs first.  If _pair certifies none of them, or
-    no order is 2, the root grid over Z/p^N (_grid_ladder) climbs a
-    precision ladder, p^N >= 10^digits, 10^(2 digits), 10^(4 digits),
-    while some grid is unresolved: its factor recurrences could not be
-    reconstructed rationally, or they do not span the sequence.  Returns
-    None when a good prime refutes the split (_split_prime), when the
-    split prime has no grid, or when no grid is left unresolved and none
-    splits (the exact coefficient matrix of _split has rank other than
-    1).  PrecisionError when a grid is still unresolved at the top of the
-    ladder, or no split prime turns up; ValueError for digits < 1.
+    The pair (1, m) when an order is 1 (m = 1^n m) and, when one is 2, the
+    exact order-2 route (_order_2_candidates) propose recurrence pairs
+    first.  If _pair certifies none, or no order is 1 or 2, the root grid
+    over Z/p^N (_grid_ladder) climbs a precision ladder, p^N >= 10^digits,
+    10^(2 digits), 10^(4 digits), while some grid is unresolved: its
+    factor recurrences could not be reconstructed rationally, or they do
+    not span the sequence.  None when a good prime refutes the split
+    (_split_prime), when the split prime has no grid, or when no grid is
+    left unresolved and none splits (the exact coefficient matrix of
+    _split has rank other than 1).  PrecisionError when a grid is still
+    unresolved at the top of the ladder or no split prime turns up;
+    ValueError for digits < 1.
     """
     if digits < 1:
         raise ValueError(f"digits must be >= 1, got {digits}")
     m = _minimal(seq, (L1, L2))
     _require_simple_roots(m)
-    if 2 in (L1, L2):
-        for A, B in _order_2_candidates(m):
-            if pair := _pair(seq, m, A, B, _gauge_scale):
-                return pair
+    exact = [([Fraction(1)], m.rec)] if 1 in (L1, L2) else []
+    for A, B in itertools.chain(exact, _order_2_candidates(m) if 2 in (L1, L2) else ()):
+        if pair := _pair(seq, m, A, B, _gauge_scale):
+            return pair
     return _grid_ladder(seq, m, L1, L2, digits)
 
 
@@ -304,8 +305,7 @@ def _grid_ladder(original, m, L1, L2, digits):
         unresolved = False
         for grid in grids:
             recs = _extract_factors(grid, gammas, p, q)
-            pair = recs and _pair(original, m, *recs, _gauge_scale)
-            if pair:
+            if pair := recs and _pair(original, m, *recs, _gauge_scale):
                 return pair
             unresolved = unresolved or pair is None
         if not unresolved:
@@ -346,7 +346,7 @@ def _split_prime(rec, L1, L2):
         if not P[0] or len(_gcd_mod(P, _derivative(P), p)) > 1:
             continue
         good += 1
-        k = len(_gcd_mod(P, _sub(_zpow(p, P, p), _zpow(1, P, p)), p)) - 1
+        k = len(_gcd_mod(P, _sub(_zpow_mod(p, P, p), [0, 1]), p)) - 1
         if k not in counts:
             return None
         if k == L1 * L2:
@@ -354,15 +354,12 @@ def _split_prime(rec, L1, L2):
     raise PrecisionError(f"none of the first {good} good primes splits the recurrence")
 
 
-def _zpow(e, f, p, a=0) -> list:
-    """(z + a)^e modulo p and the monic f (core._mulmod, core._shiftmod)."""
-    w, r = [-x for x in reversed(f[:-1])], [1] + [0] * (len(f) - 2)
-    for bit in bin(e)[2:]:
-        r = _mulmod(r, r, w)
-        if bit == "1":
-            r = [u + a * v for u, v in zip(_shiftmod(r, w), r)]
-        r = [x % p for x in r]
-    return r
+def _zpow_mod(e, f, p, a=0) -> list:
+    """(z + a)^e modulo p and the monic f: core._zpow with each step reduced
+    mod p and each shift by z followed by + a."""
+    return _zpow(e, [-x % p for x in reversed(f[:-1])],
+                 lambda u, v, w: [x % p for x in _mulmod(u, v, w)],
+                 lambda u, w: [(x + a * y) % p for x, y in zip(_shiftmod(u, w), u)])
 
 
 def _roots_mod(f, p) -> list:
@@ -372,7 +369,7 @@ def _roots_mod(f, p) -> list:
     if len(f) == 2:
         return [-f[0] % p]
     for a in itertools.count(1):
-        h = _zpow((p - 1) // 2, f, p, a)
+        h = _zpow_mod((p - 1) // 2, f, p, a)
         g, c = (_gcd_mod(f, _sub(h, [x]), p) for x in (1, p - 1))
         if 1 < len(g) < len(f):
             roots = _roots_mod(g, p) + (_roots_mod(c, p) if len(c) > 1 else [])
@@ -435,10 +432,8 @@ def _extract_factors(grid, gammas, p, q):
             break
     s = pow(t, -g, q)
     # c_k = (-1)^(k+1) e_k(u * roots) = -e_k (-u)^k
-    recs = [
-        [_rational(-e * pow(-u, k, q), q) for k, e in enumerate(es) if k]
-        for es, u in ((ea, s), (eb, pow(s, -1, q)))
-    ]
+    recs = [[_rational(-e * pow(-u, k, q), q) for k, e in enumerate(es) if k]
+            for es, u in ((ea, s), (eb, pow(s, -1, q)))]
     return None if None in recs[0] + recs[1] else recs
 
 

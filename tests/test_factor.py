@@ -139,10 +139,8 @@ class TestFactorizeRoots:
         assert pair is not None
         assert_valid_factorization(pair, prod)
 
-    def test_reconstruction_bound_grows_with_precision(self):
-        # in the numeric gauge (alpha_1 + alpha_2 = 1) the left recurrence
-        # is [1, 1/1009^2]: its denominator exceeds 10^6, the bound at 30
-        # digits, but not 10^10, the bound at 50
+    def test_reconstruction_bound_grows_with_precision(self, monkeypatch):
+        # a 2x2 product of large coefficients, taken by the exact order-2 route
         left = CFiniteSeq([1, 2], [1009, 1])
         right = CFiniteSeq([1, 1], [1013, 3])
         prod = mul(left, right)
@@ -150,6 +148,28 @@ class TestFactorizeRoots:
         assert pair is not None
         assert {pair.left, pair.right} == {left, right}
         assert_valid_factorization(pair, prod)
+        # a 3x3 product takes the root grid.  In its gauge e_1 = 1 of the
+        # first column the factor recurrences hold 7/1000 or 3/8000: beyond
+        # sqrt(p/2) < 750 at 6 digits (p^1 > 10^6), within sqrt(p^2/2) at 12,
+        # so every grid is unresolved at the first rung and splits at the second
+        moduli = []
+
+        def spy(grid, gammas, p, q):
+            recs = extract(grid, gammas, p, q)
+            moduli.append((q, recs is None))
+            return recs
+
+        extract = factor._extract_factors
+        monkeypatch.setattr(factor, "_extract_factors", spy)
+        left = CFiniteSeq([1, 0, 0], [10, 3, 7])
+        right = CFiniteSeq([1, 1, 1], [20, 1, 3])
+        prod = mul(left, right)
+        pair = factorize_roots(prod, 3, 3, digits=6)
+        assert {pair.left, pair.right} == {left, right}
+        assert_valid_factorization(pair, prod)
+        first = min(q for q, _ in moduli)
+        assert first < 10**7 and all(failed for q, failed in moduli if q == first)
+        assert moduli[-1] == (first**2, False)
 
     @pytest.mark.parametrize(
         "p, digits", [(999999000001, 100), (999999000001, 200), (999999937, 100)]
@@ -185,15 +205,14 @@ class TestFactorizeRoots:
 
     def test_tiny_roots_are_not_split_away(self):
         # roots 6, -3 and 3e-100, an order-3 factor with the roots 2, -1 and
-        # 10^-100 times 3^n: no order is 2, so the root grid runs; it is
-        # found, but the factor recurrence needs denominators near 10^100,
-        # beyond every rung, so the answer is a precision failure, not "no
-        # split"
+        # 10^-100 times 3^n: an order is 1, so the pair (1, m) is proposed
+        # and certified; the tiny root stays in the order-3 factor
         eps = Fraction(1, 10**100)
         tiny = CFiniteSeq([1, 1, 1], [1 + eps, 2 - eps, -2 * eps])
         prod = mul(tiny, CFiniteSeq([1], [3]))
-        with pytest.raises(PrecisionError):
-            factorize_roots(prod, 3, 1, digits=50)
+        pair = factorize_roots(prod, 3, 1, digits=50)
+        assert (pair.left.order, pair.right.order) == (1, 3)
+        assert_valid_factorization(pair, prod)
 
     def test_tiny_roots_factor_exactly_at_order_2(self):
         # roots 3e-100 and 5e-100 next to 6 and 10: the exact order-2 route
@@ -329,10 +348,9 @@ class TestSplit:
             factorize_roots(mul(CFiniteSeq([1, 1], [4, -4]), FIB), 2, 2)
 
     def test_close_distinct_roots_not_degenerate(self):
-        # roots 2 and 2 + 10^-30 are distinct; the factor recurrence needs a
-        # denominator of 10^30, which only the top rung of the precision
-        # ladder (200 digits, bound 10^40) can reconstruct, so the root
-        # finder must converge on the close pair at 200 digits too
+        # roots 2 and 2 + 10^-30 are distinct: the repeated-root check is an
+        # exact gcd(P, P'), so no closeness of roots raises
+        # DegenerateRootsError, and the exact order-2 route factors it
         eps = Fraction(1, 10**30)
         s = mul(CFiniteSeq([1, 1], [4 + eps, -2 * (2 + eps)]), FIB)
         pair = factorize_roots(s, 2, 2, digits=50)
