@@ -285,6 +285,26 @@ class PolyRelation:
         return format_signed_sum(pairs) + " = 0"
 
 
+# the most monomials guess_nlr counts exactly: each needs two terms, so a
+# basis this large could never be supplied, let alone built
+MAX_MONOMIALS = 10**12
+
+
+def _monomial_count(nvars: int, degree: int):
+    """C(nvars + degree, degree), the number of exponent vectors of total
+    degree <= degree, or None once it exceeds MAX_MONOMIALS.
+
+    The running values C(nvars + degree, i) rise with i up to
+    min(nvars, degree), so the first one past the cap settles it.
+    """
+    count = 1
+    for i in range(1, min(nvars, degree) + 1):
+        count = count * (nvars + degree + 1 - i) // i
+        if count > MAX_MONOMIALS:
+            return None
+    return count
+
+
 def _monomials(nvars: int, degree: int):
     """All exponent vectors of total degree <= degree.
 
@@ -302,10 +322,11 @@ def _monomials(nvars: int, degree: int):
 
 
 def _monomial_values(window, monos) -> list:
-    """The value of each exponent vector of monos on the window, as Fractions."""
+    """The value of each exponent vector of monos on the window, in the
+    window's own number type (ints for ints, Fractions for Fractions)."""
     values = []
     for exps in monos:
-        v = Fraction(1)
+        v = 1
         for x, e in zip(window, exps):
             if e:
                 v *= x**e
@@ -327,14 +348,24 @@ def guess_nlr(terms, order: int, degree: int):
     terms = [Fraction(t) for t in terms]
     nvars = order + 1
     # the monomial count first: building the basis can take far longer
-    need = order + 2 * comb(nvars + degree, degree) + 4
+    count = _monomial_count(nvars, degree)
+    if count is None:
+        raise ValueError(
+            f"order {order}, degree {degree} has more than {MAX_MONOMIALS} monomials"
+        )
+    need = order + 2 * count + 4
     if len(terms) < need:
         raise ValueError(f"need at least {need} terms for order {order}, degree {degree}")
     monos = _monomials(nvars, degree)
-    rows = [
-        _monomial_values(terms[n - order : n + 1], monos)
-        for n in range(order, len(terms))
-    ]
+    # window times D, the lcm of its denominators, and monomial of degree d
+    # times D^(degree - d): the row over Q times D^degree, in ints
+    scale = [degree - sum(exps) for exps in monos]
+    rows = []
+    for n in range(order, len(terms)):
+        window = terms[n - order : n + 1]
+        D = lcm(*(t.denominator for t in window))
+        values = _monomial_values([t.numerator * (D // t.denominator) for t in window], monos)
+        rows.append([v * D**k for v, k in zip(values, scale)])
     basis = linalg.nullspace(rows)
     if not basis:
         return None

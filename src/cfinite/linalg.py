@@ -1,45 +1,67 @@
 """Exact linear algebra over Q: reduced row echelon form and solvers.
 
-Everything here works on lists of lists of Fractions and is deterministic:
-pivots are chosen left-to-right, top-to-bottom, no reordering heuristics.
+Rows may hold ints, Fractions or both.  Elimination is fraction-free, in
+Python ints, and every result comes back as Fractions.  rref is the one
+engine; solve and nullspace read their answers off it.  Everything is
+deterministic: pivots are chosen left-to-right, top-to-bottom, no
+reordering heuristics.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 
 def rref(rows):
-    """Reduced row echelon form in place semantics (returns new rows).
+    """Reduced row echelon form of rows: (new rows of Fractions, pivot_cols).
 
-    Returns (rows, pivot_cols).
+    The input is left unchanged.  Fraction-free Gauss-Jordan elimination
+    (Bareiss 1968): each row is scaled to integers by the lcm of its
+    denominators, and each pivot step with pivot pv in row p replaces
+    every other row a by (pv a - f p) // prev, where f is a's entry in the
+    pivot column and prev the previous pivot (1 at the first step).  Every
+    entry then is a minor of the scaled matrix, so each division is exact,
+    and at the end every pivot equals the last one, which one division
+    turns into the reduced form over Q.  The rows below the last pivot
+    row are then zero.
     """
-    rows = [list(r) for r in rows]
+    rows = [_integral(r) for r in rows]
     if not rows:
         return rows, []
-    ncols = len(rows[0])
     pivots = []
+    prev = 1
     r = 0
-    for c in range(ncols):
-        pivot = None
-        for i in range(r, len(rows)):
-            if rows[i][c] != 0:
-                pivot = i
-                break
+    for c in range(len(rows[0])):
+        pivot = next((i for i in range(r, len(rows)) if rows[i][c]), None)
         if pivot is None:
             continue
         rows[r], rows[pivot] = rows[pivot], rows[r]
-        pv = rows[r][c]
-        rows[r] = [x / pv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        prow = rows[r]
+        pv = prow[c]
+        for i, row in enumerate(rows):
+            if i == r:
+                continue
+            f = row[c]
+            if f:
+                rows[i] = [(pv * a - f * b) // prev for a, b in zip(row, prow)]
+            else:
+                rows[i] = [pv * a // prev for a in row]
+        prev = pv
         pivots.append(c)
         r += 1
         if r == len(rows):
             break
-    return rows, pivots
+    red = [[Fraction(x, prev) for x in row] for row in rows[:r]]
+    return red + [[Fraction(0)] * len(row) for row in rows[r:]], pivots
+
+
+def _integral(row) -> list:
+    """The row times the lcm of its denominators, as ints."""
+    if all(type(x) is int for x in row):
+        return list(row)
+    d = lcm(*(x.denominator for x in row))
+    return [x.numerator * (d // x.denominator) for x in row]
 
 
 def solve(A, b):

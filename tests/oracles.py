@@ -9,7 +9,7 @@ in the package cannot hide behind shared code.
 
 import itertools
 from fractions import Fraction
-from math import comb, gcd
+from math import comb, gcd, lcm, prod
 
 import mpmath
 from mpmath.libmp import NoConvergence
@@ -72,6 +72,41 @@ def gaussian_solve(rows, rhs):
     for i, c in enumerate(pivots):
         x[c] = aug[i][n]
     return x
+
+
+def rref_fractions(rows):
+    """Reduced row echelon form over Fractions: (new rows, pivot_cols).
+
+    Gauss-Jordan with pivots chosen left-to-right, top-to-bottom: each
+    pivot row is divided by its pivot, then subtracted from every other row
+    with a nonzero entry in the pivot column.
+    """
+    rows = [list(r) for r in rows]
+    if not rows:
+        return rows, []
+    ncols = len(rows[0])
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pivot = None
+        for i in range(r, len(rows)):
+            if rows[i][c] != 0:
+                pivot = i
+                break
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        pv = Fraction(rows[r][c])
+        rows[r] = [x / pv for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c] != 0:
+                f = rows[i][c]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(rows):
+            break
+    return rows, pivots
 
 
 def rank(rows):
@@ -436,3 +471,31 @@ def rational_mod(x, q):
         if abs(a) <= bound and gcd(a, b) == 1:
             return Fraction(a, b)
     return None
+
+
+def nlr_relation(terms, order, degree):
+    """(support, coefficients) of guess_nlr's relation, over Fractions.
+
+    The kernel vector of the last free column of the Fraction monomial
+    matrix (one row per window a(n-order), ..., a(n)), from
+    rref_fractions, scaled to integers with content 1 and first nonzero
+    coefficient positive; None when the kernel is 0.
+    """
+    support = monomials_cube(order + 1, degree)
+    rows = [
+        [prod((Fraction(x) ** e for x, e in zip(terms[n - order : n + 1], exps)), start=Fraction(1))
+         for exps in support]
+        for n in range(order, len(terms))
+    ]
+    red, pivots = rref_fractions(rows)
+    free = [c for c in range(len(support)) if c not in pivots]
+    if not free:
+        return None
+    v = [Fraction(0)] * len(support)
+    v[free[-1]] = Fraction(1)
+    for r, c in enumerate(pivots):
+        v[c] = -red[r][free[-1]]
+    den = lcm(*(x.denominator for x in v))
+    ints = [int(x * den) for x in v]
+    g = gcd(*ints) * (1 if next(x for x in ints if x) > 0 else -1)
+    return support, [x // g for x in ints]

@@ -492,6 +492,16 @@ def test_nlr_counts_monomials_before_building_them():
     assert "need at least 184769 terms" in got.stderr
 
 
+def test_nlr_refuses_a_huge_basis_quickly():
+    # C(2000001, 1000000) monomials: counted only up to the cap, so the
+    # refusal is fast and short
+    start = time.perf_counter()
+    got = run_module("nlr", "1,2", "--order", "1000000", "--degree", "1000000", timeout=60)
+    assert time.perf_counter() - start < 5
+    assert got.returncode == 2
+    assert len(got.stderr) < 300
+
+
 # --- fuzzing ------------------------------------------------------------------
 # Random literals, verbs and flags; every draw is small enough that no case
 # can run long: orders <= 6, or 9 for 3 x 3 products and random order-9

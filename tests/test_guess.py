@@ -1,6 +1,7 @@
 import itertools
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -12,8 +13,10 @@ from cfinite import linalg
 from cfinite.guess import (
     SAFETY_TERMS,
     GuessConfig,
+    MAX_MONOMIALS,
     InvariantViolation,
     _berlekamp_massey,
+    _monomial_count,
     _monomials,
     add,
     binomial_transform,
@@ -384,6 +387,33 @@ class TestGuessNLR:
         monkeypatch.setattr(linalg, "nullspace", lambda rows: [fib_relation])
         with pytest.raises(InvariantViolation, match="re-verification"):
             guess_nlr(terms, order=2, degree=1)
+
+    @pytest.mark.parametrize("seed", range(5))
+    @pytest.mark.parametrize("degree", [2, 3])
+    def test_rational_terms_give_the_relation_over_q(self, seed, degree):
+        # integer rows scaled by D^degree have the kernel of the Fraction
+        # rows: half-integer k (a(n)^2 - k a(n) a(n-1) + a(n-1)^2 is
+        # constant) and p / (q n + r) (p a(n-1) - p a(n) = q a(n) a(n-1))
+        rng = random.Random(f"nlr-rational-{seed}")
+        k = Fraction(rng.choice([1, 3, 5, 7]), 2)
+        init = [Fraction(rng.randint(-4, 4), rng.randint(1, 5)), Fraction(rng.randint(1, 4), 3)]
+        p, q, r = rng.randint(1, 5), rng.randint(1, 4), rng.randint(1, 6)
+        n_terms = 1 + 2 * len(_monomials(2, degree)) + 4
+        for terms in (
+            eval_terms(CFiniteSeq(init, [k, -1]), n_terms),
+            [Fraction(p, q * n + r) for n in range(n_terms)],
+        ):
+            rel = guess_nlr(terms, order=1, degree=degree)
+            assert rel is not None
+            expected = oracles.nlr_relation(terms, 1, degree)
+            assert (list(rel.support), list(rel.coefficients)) == expected
+
+    def test_monomial_count_is_exact_up_to_the_cap(self):
+        for nvars, degree in itertools.product(range(1, 8), range(1, 8)):
+            assert _monomial_count(nvars, degree) == comb(nvars + degree, degree)
+        assert _monomial_count(MAX_MONOMIALS - 1, 1) == MAX_MONOMIALS
+        assert _monomial_count(MAX_MONOMIALS, 1) is None
+        assert _monomial_count(10**6 + 1, 10**6) is None
 
     @pytest.mark.parametrize("nvars", range(1, 5))
     @pytest.mark.parametrize("degree", range(5))

@@ -8,20 +8,70 @@ from cfinite import linalg
 import oracles
 
 small_fracs = st.fractions(min_value=-6, max_value=6, max_denominator=4)
+small_ints = st.integers(min_value=-6, max_value=6)
 
 
 @st.composite
 def matrices(draw, max_rows=6, max_cols=7):
-    """Small rational matrices, often rank-deficient (repeated/combined rows)."""
+    """Small rational or integer matrices, often rank-deficient
+    (repeated/combined rows)."""
+    entries = draw(st.sampled_from([small_fracs, small_ints]))
     cols = draw(st.integers(min_value=1, max_value=max_cols))
     n = draw(st.integers(min_value=1, max_value=max_rows))
-    rows = [draw(st.lists(small_fracs, min_size=cols, max_size=cols)) for _ in range(n)]
+    rows = [draw(st.lists(entries, min_size=cols, max_size=cols)) for _ in range(n)]
     if n > 1 and draw(st.booleans()):
         i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
-        k = draw(small_fracs)
+        k = draw(entries)
         rows[i] = [a + k * b for a, b in zip(rows[i], rows[j])]
         rows.append(list(rows[i]))
     return rows
+
+
+big_ints = st.integers(min_value=-(10**30), max_value=10**30)
+big_fracs = st.fractions(min_value=-(10**30), max_value=10**30, max_denominator=10**12)
+ENTRIES = {
+    "int": st.one_of(small_ints, big_ints),
+    "fraction": st.one_of(small_fracs, big_fracs),
+    "mixed": st.one_of(small_ints, small_fracs, big_ints, big_fracs),
+}
+
+
+@st.composite
+def wide_matrices(draw):
+    """Int-only, Fraction-only or mixed rows up to 10^30 in size, tall or
+    wide, with zero rows, zero columns and rows combined from others."""
+    kind = draw(st.sampled_from(sorted(ENTRIES)))
+    zero = Fraction(0) if kind == "fraction" else 0
+    entries = st.one_of(st.just(zero), ENTRIES[kind])
+    n = draw(st.integers(min_value=1, max_value=9))
+    cols = draw(st.integers(min_value=1, max_value=9))
+    rows = [draw(st.lists(entries, min_size=cols, max_size=cols)) for _ in range(n)]
+    for c in draw(st.sets(st.integers(0, cols - 1), max_size=cols)):
+        for row in rows:
+            row[c] = zero
+    for r in draw(st.sets(st.integers(0, n - 1), max_size=2)):
+        rows[r] = [zero] * cols
+    for _ in range(draw(st.integers(0, 3))):
+        i, j, k = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1)), draw(entries)
+        rows.append([a + k * b for a, b in zip(rows[i], rows[j])])
+    return rows
+
+
+class TestRref:
+    @given(wide_matrices())
+    @settings(max_examples=300, deadline=None)
+    def test_equals_the_fraction_elimination(self, A):
+        before = [list(row) for row in A]
+        got = linalg.rref(A)
+        assert got == oracles.rref_fractions(A)
+        assert all(type(x) is Fraction for row in got[0] for x in row)
+        assert A == before
+
+    def test_needs_the_exact_division_of_every_entry(self):
+        # the zero row's 2 becomes 2 * 1 // 2 = 1 at the second pivot,
+        # although the pivot ratio 1 / 2 is no integer
+        A = [[2, 1, 0], [1, 1, 0], [0, 0, 1]]
+        assert linalg.rref(A) == ([[1, 0, 0], [0, 1, 0], [0, 0, 1]], [0, 1, 2])
 
 
 def mat_vec(A, x):
@@ -58,5 +108,21 @@ class TestSolve:
             b = data.draw(st.lists(small_fracs, min_size=len(A), max_size=len(A)))
         got = linalg.solve(A, b)
         assert got == oracles.gaussian_solve(A, b)
+        if got is not None:
+            assert mat_vec(A, got) == b
+
+    @given(wide_matrices(), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_integer_systems_agree_with_gaussian_oracle(self, A, data):
+        A = [[int(x) for x in row] for row in A]
+        x0 = data.draw(st.lists(small_ints, min_size=len(A[0]), max_size=len(A[0])))
+        b = mat_vec(A, x0)
+        inconsistent = data.draw(st.booleans())
+        if inconsistent:
+            # a repeated row with another right-hand side
+            A, b = A + [A[0]], b + [b[0] + data.draw(st.integers(1, 10**30))]
+        got = linalg.solve(A, b)
+        assert got == oracles.gaussian_solve(A, b)
+        assert (got is None) == inconsistent
         if got is not None:
             assert mat_vec(A, got) == b

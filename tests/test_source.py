@@ -230,6 +230,23 @@ def test_pipeline_steps_run_only_in_their_home():
     assert {key: calls for key, calls in found.items() if calls} == {}
 
 
+def test_one_elimination_engine():
+    # rref is called only by linalg's solve and nullspace: a call outside
+    # both homes shows up in both lists
+    linalg = ast.parse((SRC / "linalg.py").read_text())
+    in_solve = calls_outside(linalg, {"rref"}, "nullspace")
+    in_nullspace = calls_outside(linalg, {"rref"}, "solve")
+    assert in_solve and in_nullspace
+    assert set(in_solve) & set(in_nullspace) == set()
+    elsewhere = {
+        path.name: calls
+        for path in sorted(SRC.glob("*.py"))
+        if path.name != "linalg.py"
+        and (calls := calls_outside(ast.parse(path.read_text()), {"rref"}, None))
+    }
+    assert elsewhere == {}
+
+
 # no module uses floating point: the root grid runs over Z/p^N
 MPMATH_MODULES = set()
 
