@@ -36,16 +36,24 @@ def _as_fraction(x) -> Fraction:
     return Fraction(x)
 
 
+def _clear_denominators(values):
+    """(d, ints): d the lcm of the denominators of values (ints or Fractions)
+    and ints a new list of the values times d; all-int input gives d = 1."""
+    values = list(values)
+    if all(type(x) is int for x in values):
+        return 1, values
+    d = lcm(*(x.denominator for x in values))
+    return d, [x.numerator * (d // x.denominator) for x in values]
+
+
 def content(values) -> Fraction:
     """The positive rational c for which values / c are coprime integers.
 
     All-zero (or empty) input has content 1.
     """
-    values = [_as_fraction(v) for v in values]
-    num = gcd(*(v.numerator for v in values))
-    if num == 0:
-        return Fraction(1)
-    return Fraction(num, lcm(*(v.denominator for v in values)))
+    d, ints = _clear_denominators(values)
+    g = gcd(*ints)
+    return Fraction(g, d) if g else Fraction(1)
 
 
 class Polynomial:
@@ -198,8 +206,7 @@ def _primitive(f: list) -> list:
 
 def _integer_part(coeffs) -> list:
     """The primitive integer polynomial proportional to a rational one."""
-    d = lcm(*(c.denominator for c in coeffs))
-    return _primitive([c.numerator * (d // c.denominator) for c in coeffs])
+    return _primitive(_clear_denominators(coeffs)[1])
 
 
 def _gcd_mod(a: list, b: list, p: int) -> list:
@@ -456,8 +463,8 @@ def _integer_image(seq: CFiniteSeq):
     D is _rec_scale(seq.rec) and E the lcm of the initial-term denominators.
     """
     D = _rec_scale(seq.rec)
-    E = lcm(*(d.denominator for d in seq.init))
-    b0 = [d.numerator * (E // d.denominator) * D**i for i, d in enumerate(seq.init)]
+    E, b0 = _clear_denominators(seq.init)
+    b0 = [x * D**i for i, x in enumerate(b0)]
     return E, D, _integral_rec(seq.rec, D), b0
 
 
@@ -592,7 +599,9 @@ _SEQ_RE = re.compile(
 
 
 def parse_rational(text: str) -> Fraction:
-    """A rational literal like ``-3/4``; ValueError on bad input, x/0 included."""
+    """A literal like ``-3/4`` or ``0.5``; ValueError on bad input, x/0 and 1e9 included."""
+    if "e" in text.lower():
+        raise ValueError(f"not a rational literal (exponent notation is refused): {text.strip()!r}")
     try:
         return Fraction(text.strip().replace(" ", ""))
     except ZeroDivisionError:

@@ -19,10 +19,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm, log2
+from math import log2
 
 from . import guess, roots
-from .core import CFiniteSeq, Polynomial
+from .core import CFiniteSeq, Polynomial, _clear_denominators
 
 PRACTICAL_WIDTH_LIMIT = 10
 
@@ -60,12 +60,10 @@ def dimer_terms(m: int, N: int, weights=(1, 1)) -> list:
     _check_width(m)
     if N < 1:
         raise ValueError("N must be >= 1")
-    h, v = (Fraction(w) for w in weights)
     # integer weights d*h, d*v: a step from s to t lays (m - |s| + |t|) / 2
     # dominoes, so every path from the empty state back to it over n rows
     # lays m*n/2 of them and its count is scaled by d^(m*n/2)
-    d = lcm(h.denominator, v.denominator)
-    hd, vd = int(h * d), int(v * d)
+    d, (hd, vd) = _clear_denominators([Fraction(w) for w in weights])
     steps = [(s, t, hd**nh * vd**nv) for s, t, nh, nv in _transitions(m)]
     # iterate the row vector e_0^T * M^n over ints and read component 0
     vec, out = {0: 1}, []

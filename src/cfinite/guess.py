@@ -26,10 +26,10 @@ import itertools
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, gcd, lcm
+from math import comb, gcd
 
 from . import linalg
-from .core import CFiniteSeq, content, eval_terms, format_rational, format_signed_sum
+from .core import CFiniteSeq, _clear_denominators, eval_terms, format_rational, format_signed_sum
 from .gf import taylor
 
 
@@ -81,8 +81,7 @@ def _berlekamp_massey(terms, max_l):
     the discrepancies vanish at the same steps, L and the lengths follow
     the same path, and C / C_0 is exactly the connection polynomial over Q.
     """
-    E = lcm(*(t.denominator for t in terms))
-    s = [t.numerator * (E // t.denominator) for t in terms]
+    E, s = _clear_denominators(terms)
     C, B = [1], [1]  # current; before the last length change
     L, m, b = 0, 1, E  # b: the last discrepancy, scaled like the terms
     for n in range(len(s)):
@@ -363,18 +362,16 @@ def guess_nlr(terms, order: int, degree: int):
     rows = []
     for n in range(order, len(terms)):
         window = terms[n - order : n + 1]
-        D = lcm(*(t.denominator for t in window))
-        values = _monomial_values([t.numerator * (D // t.denominator) for t in window], monos)
+        D, ints = _clear_denominators(window)
+        values = _monomial_values(ints, monos)
         rows.append([v * D**k for v, k in zip(values, scale)])
     basis = linalg.nullspace(rows)
     if not basis:
         return None
-    vec = basis[-1]
-    # normalize: integer content 1, first nonzero positive
-    c = content(vec)
-    if next(v for v in vec if v) < 0:
-        c = -c
-    ints = [int(v / c) for v in vec]
+    # a primitive integer vector: make its first nonzero entry positive
+    ints = basis[-1]
+    if next(v for v in ints if v) < 0:
+        ints = [-v for v in ints]
     if any(sum(map(operator.mul, ints, row)) for row in rows):
         raise InvariantViolation("kernel relation failed re-verification")
     return PolyRelation(order, degree, tuple(monos), tuple(ints))

@@ -1,20 +1,22 @@
 """Exact linear algebra over Q: reduced row echelon form and solvers.
 
 Rows may hold ints, Fractions or both.  Elimination is fraction-free, in
-Python ints, and every result comes back as Fractions.  rref is the one
-engine; solve and nullspace read their answers off it.  Everything is
-deterministic: pivots are chosen left-to-right, top-to-bottom, no
-reordering heuristics.
+Python ints, and so are rref's and nullspace's answers; solve builds one
+Fraction per unknown.  rref is the one engine; solve and nullspace read
+their answers off it.  Everything is deterministic: pivots are chosen
+left-to-right, top-to-bottom, no reordering heuristics.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd
+
+from .core import _clear_denominators
 
 
 def rref(rows):
-    """Reduced row echelon form of rows: (new rows of Fractions, pivot_cols).
+    """Reduced row echelon form of rows, over Z: (int rows, pivot_cols, d).
 
     The input is left unchanged.  Fraction-free Gauss-Jordan elimination
     (Bareiss 1968): each row is scaled to integers by the lcm of its
@@ -22,13 +24,13 @@ def rref(rows):
     every other row a by (pv a - f p) // prev, where f is a's entry in the
     pivot column and prev the previous pivot (1 at the first step).  Every
     entry then is a minor of the scaled matrix, so each division is exact,
-    and at the end every pivot equals the last one, which one division
-    turns into the reduced form over Q.  The rows below the last pivot
-    row are then zero.
+    and at the end every pivot equals the last one, d (1 when there is
+    none, and possibly negative): rows / d is the reduced form over Q.
+    The rows below the last pivot row are zero.
     """
-    rows = [_integral(r) for r in rows]
+    rows = [_clear_denominators(r)[1] for r in rows]
     if not rows:
-        return rows, []
+        return rows, [], 1
     pivots = []
     prev = 1
     r = 0
@@ -52,16 +54,7 @@ def rref(rows):
         r += 1
         if r == len(rows):
             break
-    red = [[Fraction(x, prev) for x in row] for row in rows[:r]]
-    return red + [[Fraction(0)] * len(row) for row in rows[r:]], pivots
-
-
-def _integral(row) -> list:
-    """The row times the lcm of its denominators, as ints."""
-    if all(type(x) is int for x in row):
-        return list(row)
-    d = lcm(*(x.denominator for x in row))
-    return [x.numerator * (d // x.denominator) for x in row]
+    return rows, pivots, prev
 
 
 def solve(A, b):
@@ -74,33 +67,35 @@ def solve(A, b):
         return []
     n = len(A[0])
     aug = [list(row) + [rhs] for row, rhs in zip(A, b)]
-    red, pivots = rref(aug)
+    red, pivots, d = rref(aug)
     if n in pivots:  # pivot in the rhs column: inconsistent
         return None
     x = [Fraction(0)] * n
     for r, c in enumerate(pivots):
-        x[c] = red[r][n]
+        x[c] = Fraction(red[r][n], d)
     return x
 
 
 def nullspace(A):
     """Basis of {x : A x = 0}, one vector per free (non-pivot) column.
 
-    Vectors come in column order; the one for free column f has a 1 in
-    position f and 0 in every other free position.  One rref in total.
+    Vectors come in column order, as primitive integer vectors; the one
+    for free column f is positive in position f and 0 in every other free
+    position.  One rref in total.
     """
     if not A:
         return []
-    red, pivots = rref(A)
+    red, pivots, d = rref(A)
     n = len(A[0])
     piv = set(pivots)
     basis = []
     for f in range(n):
         if f in piv:
             continue
-        v = [Fraction(0)] * n
-        v[f] = Fraction(1)
+        v = [0] * n
+        v[f] = d
         for r, c in enumerate(pivots):
             v[c] = -red[r][f]
-        basis.append(v)
+        g = gcd(*v) if d > 0 else -gcd(*v)
+        basis.append([x // g for x in v])
     return basis

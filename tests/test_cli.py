@@ -502,6 +502,17 @@ def test_nlr_refuses_a_huge_basis_quickly():
     assert len(got.stderr) < 300
 
 
+def test_exponent_notation_is_refused_quickly():
+    # 21 characters for a million-digit initial term: refused before
+    # Fraction parses it (14.5 s) or the CLI prints it
+    start = time.perf_counter()
+    got = run_module("terms", "[[1e1000000],[1]]", "2", timeout=60)
+    assert time.perf_counter() - start < 1
+    assert got.returncode == 2
+    assert "exponent notation" in got.stderr
+    assert len(got.stderr) < 300
+
+
 # --- fuzzing ------------------------------------------------------------------
 # Random literals, verbs and flags; every draw is small enough that no case
 # can run long: orders <= 6, or 9 for 3 x 3 products and random order-9

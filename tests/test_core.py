@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cfinite.core import (
+    _clear_denominators,
     _is_prime,
     _prime,
     _rec_scale,
@@ -70,6 +71,15 @@ class TestPolynomial:
         assert p.monic().coeffs == (Fraction(1, 3), 1)
         assert p.primitive().coeffs == (1, 3)
         assert Polynomial([-2, -4]).primitive().coeffs == (1, 2)
+
+    def test_clear_denominators(self):
+        ints = [0, -6, 9]
+        got = _clear_denominators(ints)
+        assert got == (1, [0, -6, 9]) and got[1] is not ints and ints == [0, -6, 9]
+        assert _clear_denominators([Fraction(1, 2), Fraction(-3, 4)]) == (4, [2, -3])
+        assert _clear_denominators([3, Fraction(-5, 6), Fraction(1, 4)]) == (12, [36, -10, 3])
+        assert _clear_denominators([Fraction(-7), -2]) == (1, [-7, -2])
+        assert _clear_denominators([]) == (1, [])
 
     def test_content(self):
         assert content([Fraction(1, 2), Fraction(3, 4)]) == Fraction(1, 4)
@@ -217,6 +227,11 @@ class TestCFiniteSeq:
         for bad in ("", "[0,1]", "[[0,1]]", "[[0,1],[1,1],[2]]", "fib", "[[1/0],[1]]"):
             with pytest.raises(ValueError):
                 parse_seq(bad)
+        # no exponent notation: a few characters would stand for millions of digits
+        for bad in ("[[1e1000000],[1]]", "[[1],[2E3]]", "[[0.5e-2],[1]]", "[[1/1e3],[1]]"):
+            with pytest.raises(ValueError, match="exponent"):
+                parse_seq(bad)
+        assert parse_seq("[[0.5],[-1.25]]") == CFiniteSeq([Fraction(1, 2)], [Fraction(-5, 4)])
 
     def test_rational_encoding_round_trip(self):
         s = CFiniteSeq([Fraction(1, 3), 2], [Fraction(-5, 7), 1])

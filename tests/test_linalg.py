@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import gcd
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -62,16 +63,18 @@ class TestRref:
     @settings(max_examples=300, deadline=None)
     def test_equals_the_fraction_elimination(self, A):
         before = [list(row) for row in A]
-        got = linalg.rref(A)
-        assert got == oracles.rref_fractions(A)
-        assert all(type(x) is Fraction for row in got[0] for x in row)
+        rows, pivots, d = linalg.rref(A)
+        assert ([[Fraction(x, d) for x in row] for row in rows], pivots) == oracles.rref_fractions(A)
+        assert all(type(x) is int for row in rows for x in [*row, d])
         assert A == before
 
     def test_needs_the_exact_division_of_every_entry(self):
         # the zero row's 2 becomes 2 * 1 // 2 = 1 at the second pivot,
         # although the pivot ratio 1 / 2 is no integer
         A = [[2, 1, 0], [1, 1, 0], [0, 0, 1]]
-        assert linalg.rref(A) == ([[1, 0, 0], [0, 1, 0], [0, 0, 1]], [0, 1, 2])
+        rows, pivots, d = linalg.rref(A)
+        assert (rows, pivots, d) == ([[1, 0, 0], [0, 1, 0], [0, 0, 1]], [0, 1, 2], 1)
+        assert all(type(x) is int for row in rows for x in row)
 
 
 def mat_vec(A, x):
@@ -90,6 +93,24 @@ class TestNullspace:
             assert mat_vec(A, v) == [0] * len(A)
         if basis:
             assert oracles.rank(basis) == len(basis)
+
+    @given(wide_matrices())
+    @settings(max_examples=150, deadline=None)
+    def test_basis_is_primitive_and_scales_the_fraction_basis(self, A):
+        basis = linalg.nullspace(A)
+        red, pivots = oracles.rref_fractions(A)
+        free = [f for f in range(len(A[0])) if f not in pivots]
+        assert len(basis) == len(free)
+        for v, f in zip(basis, free):
+            assert all(type(x) is int for x in v)
+            assert gcd(*v) == 1 and v[f] > 0
+            assert [v[g] for g in free if g != f] == [0] * (len(free) - 1)
+            # the Fraction basis vector: 1 at f, minus the reduced column f
+            w = [Fraction(0)] * len(A[0])
+            w[f] = Fraction(1)
+            for r, c in enumerate(pivots):
+                w[c] = -red[r][f]
+            assert v == [v[f] * x for x in w]
 
     def test_free_column_structure(self):
         # x + 2y = 0 with z free: free columns 1 and 2, in that order

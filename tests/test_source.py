@@ -247,6 +247,18 @@ def test_one_elimination_engine():
     assert elsewhere == {}
 
 
+def test_one_denominator_clearing_helper():
+    # lcm is called only in core._clear_denominators, and there it is
+    core = ast.parse((SRC / "core.py").read_text())
+    assert calls_outside(core, {"lcm"}, None)
+    elsewhere = {
+        path.name: calls
+        for path in sorted(SRC.glob("*.py"))
+        if (calls := calls_outside(ast.parse(path.read_text()), {"lcm"}, "_clear_denominators"))
+    }
+    assert elsewhere == {}
+
+
 # no module uses floating point: the root grid runs over Z/p^N
 MPMATH_MODULES = set()
 
