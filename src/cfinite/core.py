@@ -1,4 +1,4 @@
-"""Exact arithmetic foundation: polynomials over Q, their gcd, the sequence object.
+"""Exact arithmetic foundation: value types and integer polynomial kernels.
 
 A sequence is stored as ``[[d_1, ..., d_L], [c_1, ..., c_L]]``: the first
 block holds the initial terms a(0)..a(L-1), the second the recurrence
@@ -14,6 +14,10 @@ b(n) = E D^n a(n) is an integer sequence with the integer recurrence
 w_k = c_k D^k (_integer_image), so they run on Python ints and build one
 Fraction per output term.  The same w scales the characteristic roots of
 the product test in roots.py.
+
+Polynomial is the value type of generating functions; the package does its
+polynomial arithmetic on ascending integer lists (int_poly_gcd, int_poly_quo,
+_mulmod) instead.
 """
 
 from __future__ import annotations
@@ -302,16 +306,6 @@ def int_poly_gcd(a: list, b: list) -> list:
             for f, n in zip((a, b), norms)
         ):
             return cand
-
-
-def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
-    """Monic gcd over Q (zero for two zero operands).
-
-    Exact, with no fallback: the denominators are cleared and Brown's
-    modular gcd (int_poly_gcd) runs on the primitive integer parts.
-    """
-    g = int_poly_gcd(_integer_part(a.coeffs), _integer_part(b.coeffs))
-    return Polynomial(g).monic()
 
 
 def format_signed_sum(terms) -> str:

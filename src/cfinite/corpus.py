@@ -11,7 +11,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
-from .core import CFiniteSeq
+from .core import CFiniteSeq, Polynomial
+from .gf import RationalGF
+from .guess import mul
 
 
 class UnknownSequenceError(KeyError):
@@ -98,16 +100,11 @@ def lookup(name: str, params=()) -> CFiniteSeq:
 
 def shapiro_product_lhs(a, b) -> CFiniteSeq:
     """The sequence n -> U_n(a) U_n(b)."""
-    from .guess import mul
-
     return mul(chebyshev_u(a), chebyshev_u(b))
 
 
 def shapiro_product_gf(a, b):
     """GF of U_n(a) U_n(b): (1 - t^2) / (1 - 4abt - (-4a^2+2-4b^2)t^2 - 4abt^3 + t^4)."""
-    from .core import Polynomial
-    from .gf import RationalGF
-
     a, b = Fraction(a), Fraction(b)
     num = Polynomial([1, 0, -1])
     den = Polynomial(
@@ -118,16 +115,11 @@ def shapiro_product_gf(a, b):
 
 def ekhad_product_lhs(a, b, c) -> CFiniteSeq:
     """The sequence n -> U_n(a) U_n(b) U_n(c)."""
-    from .guess import mul
-
     return mul(mul(chebyshev_u(a), chebyshev_u(b)), chebyshev_u(c))
 
 
 def ekhad_product_gf(a, b, c):
     """GF of U_n(a) U_n(b) U_n(c): degree-6 numerator over degree-8 denominator."""
-    from .core import Polynomial
-    from .gf import RationalGF
-
     a, b, c = Fraction(a), Fraction(b), Fraction(c)
     even = -4 * a**2 - 4 * b**2 - 4 * c**2 + 3
     num = Polynomial([1, 0, even, 16 * a * b * c, even, 0, 1])

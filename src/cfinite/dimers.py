@@ -8,7 +8,8 @@ domino (weight v, counted once, at the start).  The 2^m x 2^m transfer
 matrix is kept as its list of transitions, 985 of 65,536 cells at width 8;
 a sparse row vector of Python ints is pushed through it.
 
-kasteleyn_count checks the counts exactly against Kasteleyn's closed-form product.
+kasteleyn_count checks the counts exactly against Kasteleyn's closed-form
+product, a resultant computed as a norm on integer coefficient lists.
 The same product (Kasteleyn 1961; Temperley-Fisher 1961) makes the strip
 count a termwise product over j <= ceil(m/2) of order-2 sequences in n,
 rec [2h cos(j pi/(m+1)), v^2]; for odd m the middle factor (cos = 0) has
@@ -22,7 +23,7 @@ from fractions import Fraction
 from math import log2
 
 from . import guess, roots
-from .core import CFiniteSeq, Polynomial, _clear_denominators
+from .core import CFiniteSeq, _clear_denominators, _mulmod, _shiftmod
 
 PRACTICAL_WIDTH_LIMIT = 10
 
@@ -100,12 +101,21 @@ def dimer_seq(m: int, weights=(1, 1)) -> CFiniteSeq:
     return guess._close(f"width-{m} strip counts", 1 << (m // 2), make)
 
 
-def _resultant(f: Polynomial, g: Polynomial) -> Fraction:
-    """Res(f, g) of nonzero polynomials over Q, by Euclid; a zero remainder gives 0."""
-    if g.degree < 1:
-        return g[0] ** f.degree
-    r = f % g  # Res(f, g) = (-1)^(deg f deg g) lc(g)^(deg f - deg r) Res(g, r)
-    return (-1) ** (f.degree * g.degree) * g.coeffs[-1] ** (f.degree - r.degree) * _resultant(g, r)
+def _resultant(f: list, g: list) -> int:
+    """Res(f, g) for integer lists (ascending), f monic of degree d >= 1: the
+    norm of g in Z[y]/f.  Newton's identities turn the traces of g^k, k <= d,
+    into the product of the values g(alpha) at the roots of f, with exact
+    divisions, the values being algebraic integers."""
+    w = [-x for x in reversed(f[:-1])]  # f = y^d - w_1 y^(d-1) - ... - w_d
+    d, r = len(w), [0] * len(w)
+    for c in reversed(g):  # g mod f, by Horner
+        r = _shiftmod(r, w)
+        r[0] += c
+    p, h, traces = roots._power_sums(w, d - 1), [1] + [0] * (d - 1), [d]
+    for _ in range(d):
+        h = _mulmod(h, r, w)
+        traces.append(sum(x * y for x, y in zip(h, p)))
+    return (-1) ** (d + 1) * roots._from_power_sums(traces, d)[-1]
 
 
 def kasteleyn_count(m: int, n: int) -> int:
@@ -125,8 +135,7 @@ def kasteleyn_count(m: int, n: int) -> int:
     while len(P) <= max(m, n):
         P.append([a - b for a, b in zip([0, *P[-1]], P[-2] + [0, 0])])
     q_m, q_n = (([0] * (k % 2) + P[k])[::2] for k in (m, n))
-    neg = Polynomial(c * (-1) ** i for i, c in enumerate(q_n))
-    return abs(int(_resultant(Polynomial(q_m), neg)))
+    return abs(_resultant(q_m, [c * (-1) ** i for i, c in enumerate(q_n)]))
 
 
 @dataclass(frozen=True)

@@ -105,8 +105,10 @@ def _split(m, left_rec, right_rec):
 def _pair(original, m, left_rec, right_rec, gauge):
     """The one back of every route: _split, _normal_form under gauge, proof.
 
-    The certified FactorPair; None when the recurrences do not span m or
-    the proof fails, False when m is no product over them (see _split).
+    The certified FactorPair; None when the recurrences do not span m,
+    False when m is no product over them (see _split).  A split proves
+    itself (_split solves on more than 2 L1 L2 terms), so a failed proof
+    raises InvariantViolation.
     """
     split = _split(m, left_rec, right_rec)
     if not split:
@@ -115,7 +117,9 @@ def _pair(original, m, left_rec, right_rec, gauge):
         CFiniteSeq(split[0], left_rec), CFiniteSeq(split[1], right_rec), gauge
     )
     cert = guess.prove_equal(guess.mul(left, right), original)
-    return FactorPair(left, right, note, cert) if cert.verified else None
+    if not cert.verified:
+        raise guess.InvariantViolation(f"split factors failed their proof: {cert}")
+    return FactorPair(left, right, note, cert)
 
 
 def _gauge_base(n: int):
@@ -536,7 +540,7 @@ def _cofactor(u, target, L2):
     """The right recurrence guessed from target / u on u's longest
     zero-free run, or None."""
     start, length = _longest_run(u)
-    if length < 2 * L2 + 4:
+    if length < 2 * L2 + guess.SAFETY_TERMS:
         return None
     quotient = [Fraction(target[n], u[n]) for n in range(start, start + length)]
     run = guess.guess_rec(quotient, guess.GuessConfig(max_order=L2))

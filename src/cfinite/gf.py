@@ -3,6 +3,7 @@
 The normal form used everywhere: denominator has constant term 1, the
 numerator/denominator gcd is cancelled, and the numerator carries whatever
 sign falls out.  Under that convention GF equality is a syntactic check.
+It is computed on integer coefficient lists, by core.int_poly_gcd.
 """
 
 from __future__ import annotations
@@ -10,13 +11,8 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-from .core import (
-    CFiniteSeq,
-    Polynomial,
-    format_poly,
-    parse_rational,
-    poly_gcd,
-)
+from .core import CFiniteSeq, Polynomial, _clear_denominators, format_poly
+from .core import int_poly_gcd, int_poly_quo, parse_rational
 
 
 class RationalGF:
@@ -52,13 +48,12 @@ class RationalGF:
 
 
 def _normalize(num: Polynomial, den: Polynomial):
-    if num.is_zero():
-        return Polynomial(), Polynomial([1])
-    g = poly_gcd(num, den)
-    if g.degree > 0:
-        num, den = num // g, den // g
-    c = den[0]
-    return num.scale(1 / c), den.scale(1 / c)
+    k = len(num.coeffs)
+    _, ints = _clear_denominators(num.coeffs + den.coeffs)
+    N, M = ints[:k], ints[k:]
+    g = int_poly_gcd(N, M)  # primitive, so it divides both over Z (Gauss)
+    N, M = int_poly_quo(N, g), int_poly_quo(M, g)
+    return tuple(Polynomial(Fraction(x, M[0]) for x in f) for f in (N, M))
 
 
 def c_to_r(seq: CFiniteSeq) -> RationalGF:

@@ -29,7 +29,8 @@ from fractions import Fraction
 from math import comb, gcd
 
 from . import linalg
-from .core import CFiniteSeq, _clear_denominators, eval_terms, format_rational, format_signed_sum
+from .core import CFiniteSeq, _as_fraction, _clear_denominators, eval_terms
+from .core import format_rational, format_signed_sum
 from .gf import taylor
 
 
@@ -125,7 +126,7 @@ def guess_rec(terms, cfg: GuessConfig):
     the same sequence (after cancelling a generating-function gcd) would
     fit the same terms with a smaller L.
     """
-    terms = [Fraction(t) for t in terms]
+    terms = [t if type(t) is int else _as_fraction(t) for t in terms]
     if len(terms) < 4:
         raise ValueError("need at least 4 terms to guess")
     max_l = min(cfg.max_order, (len(terms) - SAFETY_TERMS) // 2)
@@ -144,11 +145,11 @@ def guess_rec(terms, cfg: GuessConfig):
 
 
 def _close(what: str, bound: int, make) -> CFiniteSeq:
-    """Closure-op driver: guess at order <= bound from make(2 * bound + 4) terms.
+    """Closure-op driver: guess at order <= bound from make(2 * bound + SAFETY_TERMS) terms.
 
     Theory guarantees a fit, so finding none raises InvariantViolation.
     """
-    found = guess_rec(make(2 * bound + 4), GuessConfig(max_order=bound))
+    found = guess_rec(make(2 * bound + SAFETY_TERMS), GuessConfig(max_order=bound))
     if found is None:
         raise InvariantViolation(
             f"{what}: no recurrence of order <= {bound} fits, "
@@ -344,7 +345,7 @@ def guess_nlr(terms, order: int, degree: int):
     """
     if order < 0 or degree < 1:
         raise ValueError("order must be >= 0 and degree >= 1")
-    terms = [Fraction(t) for t in terms]
+    terms = [t if type(t) is int else _as_fraction(t) for t in terms]
     nvars = order + 1
     # the monomial count first: building the basis can take far longer
     count = _monomial_count(nvars, degree)

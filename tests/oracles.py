@@ -156,7 +156,7 @@ def sylvester_resultant(f, g):
 
     The determinant of the Sylvester matrix (deg g shifted rows of f, then
     deg f shifted rows of g, coefficients from the top), by dense Fraction
-    elimination with row swaps counted; the package's Euclidean resultant
+    elimination with row swaps counted; the package's norm-based resultant
     shares none of it.
     """
     p, q = len(f) - 1, len(g) - 1

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from cfinite.core import (
     _clear_denominators,
+    _integer_part,
     _is_prime,
     _prime,
     _rec_scale,
@@ -20,8 +21,8 @@ from cfinite.core import (
     format_rational,
     format_seq,
     minimize,
+    int_poly_gcd,
     parse_seq,
-    poly_gcd,
     scale,
     shift,
 )
@@ -36,6 +37,13 @@ small_fracs = st.fractions(
 
 
 tiny_fracs = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+
+
+def poly_gcd(a, b):
+    """Monic gcd over Q of two Polynomials, by the package's integer engine
+    on their primitive integer parts."""
+    g = int_poly_gcd(_integer_part(a.coeffs), _integer_part(b.coeffs))
+    return Polynomial(Fraction(c, g[-1]) for c in g)
 
 
 class TestPolynomial:
@@ -140,7 +148,7 @@ def _check_gcd(a, b):
 
 
 class TestPolyGcd:
-    """The modular poly_gcd against the Fraction Euclid of the oracles."""
+    """The modular int_poly_gcd against the Fraction Euclid of the oracles."""
 
     def test_primes(self):
         primes = [_prime(i) for i in range(6)]

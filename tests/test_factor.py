@@ -7,9 +7,10 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from cfinite.core import CFiniteSeq, eval_terms, minimize, shift
+from cfinite.cli import main
+from cfinite.core import CFiniteSeq, eval_terms, format_seq, minimize, shift
 from cfinite.dimers import dimer_seq
-from cfinite import factor
+from cfinite import factor, guess
 from cfinite.factor import (
     BudgetExhausted,
     PrecisionError,
@@ -589,6 +590,20 @@ def test_uncertified_roots_raise_precision_error():
     # the exact order-2 route never reaches the grid
     prod = mul(FIB, PELL)
     assert_valid_factorization(factorize_roots(prod, 2, 2, digits=50), prod)
+
+
+def test_failed_proof_is_an_invariant_violation(monkeypatch, capsys):
+    # _split's consistent rank-1 solve already proves the split, so a proof
+    # that fails afterwards is a bug, not an unresolved grid
+    def unverified(s1, s2):
+        return guess.ProofCertificate(s1.order + s2.order, 0, "forced failure", False)
+
+    monkeypatch.setattr(guess, "prove_equal", unverified)
+    prod = mul(FIB, PELL)
+    with pytest.raises(guess.InvariantViolation, match="forced failure"):
+        factorize_roots(prod, 2, 2)
+    assert main(["factor", format_seq(prod), "--orders", "2,2"]) == 3
+    assert "forced failure" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cfinite.core import CFiniteSeq, Polynomial, eval_terms
 from cfinite.gf import (
@@ -44,6 +46,29 @@ def test_normalization_cancels_common_factor():
     g = RationalGF(num, den)
     assert g.num.degree <= 1
     assert r_to_c(g).order == 2  # (1 + z)/(1 - 2z): order bumps for the offset
+
+
+small_fracs = st.fractions(min_value=-5, max_value=5, max_denominator=4)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(small_fracs, max_size=4),
+    st.lists(small_fracs, max_size=3),
+    small_fracs.filter(bool),
+    st.lists(small_fracs, max_size=3),
+    small_fracs.filter(bool),
+)
+@example([], [1], 2, [-1], 1)  # zero numerator
+@example([1, Fraction(1, 2)], [], Fraction(-3, 2), [Fraction(2, 3), 1], 3)  # constant den
+def test_planted_common_factor_cancels(num, den_tail, den0, h_tail, h0):
+    num, den = Polynomial(num), Polynomial([den0, *den_tail])
+    h = Polynomial([h0, *h_tail])
+    g = RationalGF(num * h, den * h)
+    assert g == RationalGF(num, den)
+    assert g.den[0] == 1
+    if not g.num.is_zero():
+        assert oracles.poly_gcd_euclid(g.num.coeffs, g.den.coeffs) == [1]
 
 
 def test_zero_gf():

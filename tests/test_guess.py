@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cfinite.core import CFiniteSeq, eval_terms, minimize, scale, shift
+from cfinite.core import CFiniteSeq, _clear_denominators, eval_terms, minimize, scale, shift
 from cfinite.gf import c_to_r, taylor
-from cfinite import linalg
+from cfinite import guess, linalg
 from cfinite.guess import (
     SAFETY_TERMS,
     GuessConfig,
@@ -240,6 +240,19 @@ class TestClosureOps:
         with pytest.raises(ValueError):
             subsequence(FIB, 2, -1)
 
+    def test_close_asks_for_guess_recs_margin(self, monkeypatch):
+        # the driver requests 2 bound + SAFETY_TERMS terms, the count at which
+        # guess_rec's cap reaches the bound, whatever the margin
+        monkeypatch.setattr(guess, "SAFETY_TERMS", 6)
+        asked = []
+
+        def make(n):
+            asked.append(n)
+            return eval_terms(FIB, n)
+
+        assert guess._close("fibonacci", 4, make) == FIB
+        assert asked == [2 * 4 + 6]
+
     def test_order_bounds_hold(self):
         assert add(FIB, PELL).order <= 4
         assert mul(FIB, PELL).order <= 4
@@ -387,6 +400,21 @@ class TestGuessNLR:
         monkeypatch.setattr(linalg, "nullspace", lambda rows: [fib_relation])
         with pytest.raises(InvariantViolation, match="re-verification"):
             guess_nlr(terms, order=2, degree=1)
+
+    def test_int_terms_reach_the_kernels_as_ints(self, monkeypatch):
+        # int terms are not re-wrapped as Fractions on the way in
+        seen = []
+
+        def spy(values):
+            seen.append(list(values))
+            return _clear_denominators(values)
+
+        monkeypatch.setattr(guess, "_clear_denominators", spy)
+        terms = [int(t) for t in eval_terms(FIB, 20)]
+        assert guess_nlr(terms, order=2, degree=1) is not None
+        assert guess_rec(terms, GuessConfig(max_order=3)) == FIB
+        # 18 windows of guess_nlr, then guess_rec's one pass
+        assert len(seen) == 19 and all(type(x) is int for window in seen for x in window)
 
     @pytest.mark.parametrize("seed", range(5))
     @pytest.mark.parametrize("degree", [2, 3])

@@ -341,9 +341,10 @@ def test_exact_order_2_route_leaves_mpmath_unloaded():
     )
 
 
-# the product test and the factorisers work on integer polynomials
-# (int_poly_gcd); the Fraction Polynomial and its gcd stay out of them
-INTEGER_POLY_MODULES = ["roots.py", "factor.py"]
+# the product test, the factorisers and Kasteleyn's resultant work on
+# integer polynomials (int_poly_gcd, _mulmod); the Fraction Polynomial and
+# its gcd stay out of them
+INTEGER_POLY_MODULES = ["roots.py", "factor.py", "dimers.py"]
 FRACTION_POLY_NAMES = {"Polynomial", "poly_gcd"}
 
 
@@ -375,3 +376,38 @@ def test_integer_modules_leave_the_fraction_polynomial_alone():
         for module in INTEGER_POLY_MODULES
     }
     assert {module: names for module, names in found.items() if names} == {}
+
+
+# Polynomial is a value type: the package computes on integer lists and
+# never reaches one of these operators
+POLY_OPERATORS = [
+    "__add__", "__sub__", "__mul__", "__divmod__", "__floordiv__", "__mod__",
+    "__neg__", "scale", "monic", "primitive", "eval",
+]
+
+
+def test_package_runs_no_polynomial_arithmetic(monkeypatch, capsys):
+    from fractions import Fraction
+
+    from cfinite import corpus, gf
+    from cfinite.cli import main
+    from cfinite.core import CFiniteSeq, Polynomial
+    from cfinite.dimers import kasteleyn_count
+    from cfinite.guess import verify_parametric_identity
+
+    def refuse(*args):
+        raise AssertionError("Polynomial arithmetic ran inside the package")
+
+    for name in POLY_OPERATORS:
+        monkeypatch.setattr(Polynomial, name, refuse)
+    assert str(gf.parse_gf("(1 - z^2)/(1 - z)")) == "(1 + z)/(1)"
+    # 2^n at order 2: the GF normal form cancels 1 - z
+    assert gf.r_to_c(gf.c_to_r(CFiniteSeq([1, 2], [3, -2]))) == CFiniteSeq([1], [2])
+    assert kasteleyn_count(8, 8) == 12988816
+    grid = [Fraction(k, 2) for k in range(5)]
+    cert = verify_parametric_identity(
+        corpus.shapiro_product_lhs, corpus.shapiro_product_gf, [2, 2], 20, [grid, grid]
+    )
+    assert cert.verified
+    assert main(["gf", "(2 - 2*z)/(2 - 6*z + 4*z^2)"]) == 0
+    assert capsys.readouterr().out.strip() == "[[1], [2]]"
