@@ -3,7 +3,6 @@
 from .core import (
     CFiniteSeq,
     Polynomial,
-    Rational,
     eval_at,
     eval_terms,
     format_seq,
@@ -41,7 +40,6 @@ from .corpus import lookup
 __all__ = [
     "CFiniteSeq",
     "Polynomial",
-    "Rational",
     "RationalGF",
     "GuessConfig",
     "InvariantViolation",

@@ -15,9 +15,9 @@ w_k = c_k D^k (_integer_image), so they run on Python ints and build one
 Fraction per output term.  The same w scales the characteristic roots of
 the product test in roots.py.
 
-Polynomial is the value type of generating functions; the package does its
-polynomial arithmetic on ascending integer lists (int_poly_gcd, int_poly_quo,
-_mulmod) instead.
+Polynomial is the value type of generating functions.  Polynomial arithmetic
+runs on ascending integer lists, and all of its kernels live here: the modular
+gcd, exact division, Yun's square-free parts, power sums, _mulmod and _zpow.
 """
 
 from __future__ import annotations
@@ -25,13 +25,10 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from functools import cache
-from itertools import count
+from itertools import count, zip_longest
 from math import gcd, isqrt, lcm
 from operator import mul
 from typing import Iterable, Sequence
-
-
-Rational = Fraction
 
 
 def _as_fraction(x) -> Fraction:
@@ -64,7 +61,8 @@ class Polynomial:
     """Dense univariate polynomial over Q; index = exponent.
 
     Immutable.  Trailing zero coefficients are stripped, so the zero
-    polynomial has an empty coefficient tuple and degree -1.
+    polynomial has an empty coefficient tuple and degree -1.  The package
+    runs none of its operators; +, * and divmod stay for the benchmark.
     """
 
     __slots__ = ("coeffs",)
@@ -100,13 +98,6 @@ class Polynomial:
         n = max(len(self.coeffs), len(other.coeffs))
         return Polynomial(self[k] + other[k] for k in range(n))
 
-    def __sub__(self, other: "Polynomial") -> "Polynomial":
-        n = max(len(self.coeffs), len(other.coeffs))
-        return Polynomial(self[k] - other[k] for k in range(n))
-
-    def __neg__(self) -> "Polynomial":
-        return Polynomial(-c for c in self.coeffs)
-
     def __mul__(self, other: "Polynomial") -> "Polynomial":
         if self.is_zero() or other.is_zero():
             return Polynomial()
@@ -117,10 +108,6 @@ class Polynomial:
             for j, b in enumerate(other.coeffs):
                 out[i + j] += a * b
         return Polynomial(out)
-
-    def scale(self, r) -> "Polynomial":
-        r = _as_fraction(r)
-        return Polynomial(c * r for c in self.coeffs)
 
     def __divmod__(self, other: "Polynomial"):
         if other.is_zero():
@@ -139,32 +126,11 @@ class Polynomial:
                     rem[k + j] -= c * b
         return Polynomial(quo), Polynomial(rem[: other.degree])
 
-    def __floordiv__(self, other):
-        return divmod(self, other)[0]
-
-    def __mod__(self, other):
-        return divmod(self, other)[1]
-
-    def eval(self, x):
-        acc = Fraction(0) if isinstance(x, (int, Fraction)) else 0 * x
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
-    def monic(self) -> "Polynomial":
-        if self.is_zero():
-            return self
-        return self.scale(1 / self.coeffs[-1])
-
-    def primitive(self) -> "Polynomial":
-        """Integer-content-1 version with positive leading coefficient."""
-        return Polynomial(_integer_part(self.coeffs))
-
     def __repr__(self):
         return f"Polynomial({list(self.coeffs)!r})"
 
     def __str__(self):
-        return format_poly(self, "z")
+        return format_poly(self)
 
 
 def _is_prime(n: int) -> bool:
@@ -206,11 +172,6 @@ def _primitive(f: list) -> list:
         return f
     c = gcd(*f) if f[-1] > 0 else -gcd(*f)
     return [x // c for x in f]
-
-
-def _integer_part(coeffs) -> list:
-    """The primitive integer polynomial proportional to a rational one."""
-    return _primitive(_clear_denominators(coeffs)[1])
 
 
 def _gcd_mod(a: list, b: list, p: int) -> list:
@@ -308,6 +269,39 @@ def int_poly_gcd(a: list, b: list) -> list:
             return cand
 
 
+def _derivative(f) -> list:
+    return [k * f[k] for k in range(1, len(f))]
+
+
+def _sub(f: list, g: list) -> list:
+    out = [x - y for x, y in zip_longest(f, g, fillvalue=0)]
+    while out and not out[-1]:
+        out.pop()
+    return out
+
+
+def _square_free(f: list) -> list:
+    """Yun's square-free decomposition of the integer polynomial f (ascending
+    coefficients): the pairs (k, a_k), a_k the primitive product of the
+    distinct roots of multiplicity k, for each k with a_k not constant.
+
+    Every gcd is primitive, so each division is exact in Z[z] (Gauss's lemma).
+    """
+    df = _derivative(f)
+    g = int_poly_gcd(f, df)
+    c = int_poly_quo(f, g)
+    d = _sub(int_poly_quo(df, g), _derivative(c))
+    parts, k = [], 1
+    while len(c) > 1:
+        a = int_poly_gcd(c, d)
+        c = int_poly_quo(c, a)
+        d = _sub(int_poly_quo(d, a), _derivative(c))
+        if len(a) > 1:
+            parts.append((k, a))
+        k += 1
+    return parts
+
+
 def format_signed_sum(terms) -> str:
     """``c1*m1 + c2*m2 - ...`` from (coefficient, monomial text) pairs.
 
@@ -330,11 +324,11 @@ def format_signed_sum(terms) -> str:
     return " ".join(parts)
 
 
-def format_poly(p: Polynomial, var: str = "z") -> str:
+def format_poly(p: Polynomial) -> str:
     """Sparse ascending-power rendering, e.g. ``1 - z - z^2``."""
 
     def power(k):
-        return "" if k == 0 else var if k == 1 else f"{var}^{k}"
+        return "" if k == 0 else "z" if k == 1 else f"z^{k}"
 
     return format_signed_sum((c, power(k)) for k, c in enumerate(p.coeffs)) or "0"
 
@@ -379,15 +373,6 @@ class CFiniteSeq:
 
     def __str__(self):
         return format_seq(self)
-
-    def char_poly(self) -> Polynomial:
-        """z^L - c_1 z^(L-1) - ... - c_L."""
-        L = self.order
-        cs = [Fraction(0)] * (L + 1)
-        cs[L] = Fraction(1)
-        for i, c in enumerate(self.rec, start=1):
-            cs[L - i] = -c
-        return Polynomial(cs)
 
 
 def _coprime_base(numbers) -> list:
@@ -521,6 +506,32 @@ def _zpow(n: int, w: list, mulmod=_mulmod, shiftmod=_shiftmod) -> list:
         if bit == "1":
             r = shiftmod(r, w)
     return r
+
+
+def _power_sums(rec, K) -> list:
+    """Power sums p(0..K) of the roots of z^L - c_1 z^(L-1) - ... - c_L.
+
+    Newton's identities give p(1..L); past L they are the recurrence itself.
+    """
+    L, p = len(rec), [len(rec)]
+    for k in range(1, K + 1):
+        s = sum(rec[i] * p[k - 1 - i] for i in range(min(k - 1, L)))
+        p.append(s + k * rec[k - 1] if k <= L else s)
+    return p
+
+
+def _from_power_sums(p, N) -> list:
+    """The c_1, ..., c_N of z^N - c_1 z^(N-1) - ... - c_N whose roots have
+    the power sums p(1..N), by Newton's identities: _power_sums inverted.
+
+    Integer power sums divide exactly by k when the roots are algebraic
+    integers, whose c_k are then integers; Fractions divide as Fractions.
+    """
+    c = []
+    for k in range(1, N + 1):
+        x = p[k] - sum(c[i] * p[k - 1 - i] for i in range(k - 1))
+        c.append(x // k if isinstance(x, int) else x / k)
+    return c
 
 
 def eval_at(seq: CFiniteSeq, n: int):

@@ -23,7 +23,8 @@ from fractions import Fraction
 from math import log2
 
 from . import guess, roots
-from .core import CFiniteSeq, _clear_denominators, _mulmod, _shiftmod
+from .core import CFiniteSeq, _clear_denominators, _from_power_sums, _mulmod, _power_sums
+from .core import _shiftmod
 
 PRACTICAL_WIDTH_LIMIT = 10
 
@@ -111,11 +112,11 @@ def _resultant(f: list, g: list) -> int:
     for c in reversed(g):  # g mod f, by Horner
         r = _shiftmod(r, w)
         r[0] += c
-    p, h, traces = roots._power_sums(w, d - 1), [1] + [0] * (d - 1), [d]
+    p, h, traces = _power_sums(w, d - 1), [1] + [0] * (d - 1), [d]
     for _ in range(d):
         h = _mulmod(h, r, w)
         traces.append(sum(x * y for x, y in zip(h, p)))
-    return (-1) ** (d + 1) * roots._from_power_sums(traces, d)[-1]
+    return (-1) ** (d + 1) * _from_power_sums(traces, d)[-1]
 
 
 def kasteleyn_count(m: int, n: int) -> int:

@@ -34,11 +34,12 @@ from fractions import Fraction
 from math import factorial, gcd, isqrt
 
 from . import guess
-from .core import CFiniteSeq, _valuation, content, eval_terms, scale
+from .core import CFiniteSeq, _coprime_base, _valuation, content, eval_terms, scale
+from .core import _derivative, _from_power_sums, _power_sums, _square_free, _sub
 from .core import _gcd_mod, _is_prime, _mulmod, _shiftmod, _zpow
 from .linalg import solve
-from .roots import DEFAULT_DIGITS, PrecisionError, _derivative, _from_power_sums, _minimal
-from .roots import _power_sums, _ratio_quotient, _require_simple_roots, _square_free, _sub
+from .roots import DEFAULT_DIGITS, PrecisionError, _minimal, _ratio_quotient
+from .roots import _require_simple_roots
 
 
 class BudgetExhausted(RuntimeError):
@@ -163,16 +164,17 @@ def _gauge_scale(rec) -> Fraction:
     coefficients are integers with no base element removable from every
     weighted slot.  When the base holds only primes, that lambda is unique.
 
-    The base is _gauge_base of the gcd of the numerators and of each
-    denominator.  No other prime p can enter lambda: some nonzero c_j then
-    has v_p(c_j) = 0 and no c_i has v_p(c_i) < 0, so its exponent
+    The base is the coprime base of the _gauge_base elements of the gcd of
+    the numerators and of each denominator, so a shared cofactor above
+    _TRIAL_LIMIT splits.  No other prime p can enter lambda: some nonzero
+    c_j then has v_p(c_j) = 0 and no c_i has v_p(c_i) < 0, so its exponent
     max_i ceil(-v_p(c_i) / i) is 0.
     """
     base = _gauge_base(gcd(*(c.numerator for c in rec))).union(
         *(_gauge_base(c.denominator) for c in rec)
     )
     lam = Fraction(1)
-    for p in sorted(base):
+    for p in sorted(_coprime_base(base)):
         # ceil(-v_p(c_i) / i), the least exponent making lambda^i c_i p-integral
         lam *= Fraction(p) ** max(
             -((_valuation(c.numerator, p) - _valuation(c.denominator, p)) // i)
@@ -200,12 +202,14 @@ def _apply_gauge(seq: CFiniteSeq, lam: Fraction) -> CFiniteSeq:
 def _normal_form(left, right, gauge):
     """The canonical representative of the split left * right, with a note.
 
-    A split is unique up to the gauge (lambda^n left, lambda^-n right) and a
-    constant.  The factor printed on the left is rescaled by gauge(rec) and
-    divided by the signed content of its initial terms.  It is the
-    lower-order factor; for equal orders, and for the sign of lambda when no
-    c_i at odd i is nonzero, the choice whose pair sorts first by (order,
-    rec, init) wins, so the argument order does not matter.
+    Canonical per class of splits under the gauge (lambda^n left,
+    lambda^-n right) and a constant; a product may split in several classes
+    (README), and factorize_roots prints the first that _pair certifies:
+    order 1, the exact order-2 candidates, the grid.  The left factor is
+    rescaled by gauge(rec) and divided by the signed content of its initial
+    terms.  It is the lower-order factor; for equal orders, and for the sign
+    of lambda when no c_i at odd i is nonzero, the pair that sorts first by
+    (order, rec, init) wins, so the argument order does not matter.
     """
 
     def form(a, b, lam):

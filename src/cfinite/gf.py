@@ -105,8 +105,8 @@ def taylor(gf: RationalGF, N: int) -> list:
 
 # --- text form ---------------------------------------------------------------
 
-def format_gf(gf: RationalGF, var: str = "z") -> str:
-    return f"({format_poly(gf.num, var)})/({format_poly(gf.den, var)})"
+def format_gf(gf: RationalGF) -> str:
+    return f"({format_poly(gf.num)})/({format_poly(gf.den)})"
 
 
 _TERM_RE = re.compile(

@@ -27,10 +27,9 @@ that the sequence is a product.  A "no" is definitive only generically.
 Diagnostics always carry both profiles.  Repeated roots are detected
 exactly (gcd(P, P') not constant, _require_simple_roots) for both the
 product test and factorize_roots.  Nothing here finds a root: the
-root grid of factorize_roots, over Z/p^N, is in factor.py.
-The exact order-2 route of factorize_roots reads the square-free parts
-of S themselves (_square_free, on the quotient of _ratio_quotient), and
-the power sums (_power_sums, _from_power_sums), from this module.
+root grid of factorize_roots, over Z/p^N, is in factor.py, and the integer
+kernels (power sums, Yun's decomposition, the modular gcd) are core's.  The
+exact order-2 route of factorize_roots reads S from _ratio_quotient.
 """
 
 from __future__ import annotations
@@ -40,6 +39,7 @@ import math
 from dataclasses import dataclass
 
 from .core import CFiniteSeq, _integral_rec, int_poly_gcd, int_poly_quo, minimize
+from .core import _derivative, _from_power_sums, _power_sums, _square_free
 
 DEFAULT_DIGITS = 100
 # largest product L of factor orders prod_indicator accepts; its profile
@@ -183,32 +183,6 @@ class ProductVerdict:
         )
 
 
-def _power_sums(rec, K) -> list:
-    """Power sums p(0..K) of the roots of z^L - c_1 z^(L-1) - ... - c_L.
-
-    Newton's identities give p(1..L); past L they are the recurrence itself.
-    """
-    L, p = len(rec), [len(rec)]
-    for k in range(1, K + 1):
-        s = sum(rec[i] * p[k - 1 - i] for i in range(min(k - 1, L)))
-        p.append(s + k * rec[k - 1] if k <= L else s)
-    return p
-
-
-def _from_power_sums(p, N) -> list:
-    """The c_1, ..., c_N of z^N - c_1 z^(N-1) - ... - c_N whose roots have
-    the power sums p(1..N), by Newton's identities: _power_sums inverted.
-
-    Integer power sums divide exactly by k when the roots are algebraic
-    integers, whose c_k are then integers; Fractions divide as Fractions.
-    """
-    c = []
-    for k in range(1, N + 1):
-        x = p[k] - sum(c[i] * p[k - 1 - i] for i in range(k - 1))
-        c.append(x // k if isinstance(x, int) else x / k)
-    return c
-
-
 def _ratio_poly(rec) -> list:
     """Integer coefficients (ascending) of the monic polynomial S of degree
     N = (L^2 - L)/2 whose roots are the N values r_ij + r_ji, i < j, where
@@ -244,39 +218,6 @@ def _ratio_poly(rec) -> list:
             s[k] += math.comb(k, k // 2) * c2[k // 2] * N
     a = _from_power_sums(s, N)  # S is w^N - a_1 w^(N-1) - ... - a_N
     return [-x for x in reversed(a)] + [1]
-
-
-def _derivative(f) -> list:
-    return [k * f[k] for k in range(1, len(f))]
-
-
-def _sub(f: list, g: list) -> list:
-    out = [x - y for x, y in itertools.zip_longest(f, g, fillvalue=0)]
-    while out and not out[-1]:
-        out.pop()
-    return out
-
-
-def _square_free(f: list) -> list:
-    """Yun's square-free decomposition of the integer polynomial f (ascending
-    coefficients): the pairs (k, a_k), a_k the primitive product of the
-    distinct roots of multiplicity k, for each k with a_k not constant.
-
-    Every gcd is primitive, so each division is exact in Z[z] (Gauss's lemma).
-    """
-    df = _derivative(f)
-    g = int_poly_gcd(f, df)
-    c = int_poly_quo(f, g)
-    d = _sub(int_poly_quo(df, g), _derivative(c))
-    parts, k = [], 1
-    while len(c) > 1:
-        a = int_poly_gcd(c, d)
-        c = int_poly_quo(c, a)
-        d = _sub(int_poly_quo(d, a), _derivative(c))
-        if len(a) > 1:
-            parts.append((k, a))
-        k += 1
-    return parts
 
 
 def _root_multiplicities(f: list) -> list:

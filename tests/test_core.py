@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 
 from cfinite.core import (
     _clear_denominators,
-    _integer_part,
     _is_prime,
     _prime,
+    _primitive,
     _rec_scale,
     CFiniteSeq,
     Polynomial,
@@ -42,7 +42,7 @@ tiny_fracs = st.fractions(min_value=-3, max_value=3, max_denominator=3)
 def poly_gcd(a, b):
     """Monic gcd over Q of two Polynomials, by the package's integer engine
     on their primitive integer parts."""
-    g = int_poly_gcd(_integer_part(a.coeffs), _integer_part(b.coeffs))
+    g = int_poly_gcd(*(_primitive(_clear_denominators(f.coeffs)[1]) for f in (a, b)))
     return Polynomial(Fraction(c, g[-1]) for c in g)
 
 
@@ -57,8 +57,6 @@ class TestPolynomial:
         q = Polynomial([-1, 1])  # -1 + z
         assert (p * q).coeffs == (-1, 0, 1)
         assert (p + q).coeffs == (0, 2)
-        assert (p - q).coeffs == (2,)
-        assert (-p).coeffs == (-1, -1)
 
     def test_divmod(self):
         # z^2 - 1 = (z + 1)(z - 1) + 0
@@ -68,17 +66,6 @@ class TestPolynomial:
         assert rem.is_zero()
         quo, rem = divmod(Polynomial([1, 0, 1]), Polynomial([1, 1]))
         assert quo * Polynomial([1, 1]) + rem == Polynomial([1, 0, 1])
-
-    def test_eval_horner(self):
-        p = Polynomial([3, 0, 2])  # 3 + 2 z^2
-        assert p.eval(Fraction(1, 2)) == Fraction(7, 2)
-        assert p.eval(0) == 3
-
-    def test_monic_and_primitive(self):
-        p = Polynomial([Fraction(1, 2), Fraction(3, 2)])
-        assert p.monic().coeffs == (Fraction(1, 3), 1)
-        assert p.primitive().coeffs == (1, 3)
-        assert Polynomial([-2, -4]).primitive().coeffs == (1, 2)
 
     def test_clear_denominators(self):
         ints = [0, -6, 9]
@@ -137,7 +124,6 @@ class TestPolynomial:
 
 # the first two primes of the modular gcd engine
 P0, P1 = _prime(0), _prime(1)
-Z = Polynomial([0, 1])
 factor_lists = st.lists(small_fracs, min_size=0, max_size=4)
 
 
@@ -200,7 +186,7 @@ class TestPolyGcd:
 
     def test_unlucky_first_prime(self):
         # z - 1 and z - 1 - P0 agree mod P0, so that image has degree 1
-        a, b = Z - Polynomial([1]), Z - Polynomial([1 + P0])
+        a, b = Polynomial([-1, 1]), Polynomial([-1 - P0, 1])
         assert poly_gcd(a, b) == Polynomial([1])
 
     @settings(max_examples=80, deadline=None)
@@ -216,13 +202,13 @@ class TestPolyGcd:
         # a 206-bit coefficient in the gcd makes the lift need four primes,
         # so an unlucky second or third prime comes after a lucky one
         G = Polynomial(g) * (Polynomial([3**130, 1]) if big else Polynomial([1]))
-        _check_gcd(G * (Z - Polynomial([r])), G * (Z - Polynomial([r + shift])))
+        _check_gcd(G * Polynomial([-r, 1]), G * Polynomial([-r - shift, 1]))
 
     def test_many_prime_lift(self):
         # a 1,649-bit gcd coefficient: the lift takes 29 primes, and the
         # trial division runs after the first and once the lift stops changing
         G = Polynomial([3**1040, 1])
-        assert poly_gcd(G * (Z - Polynomial([1])), G * (Z - Polynomial([2]))) == G
+        assert poly_gcd(G * Polynomial([-1, 1]), G * Polynomial([-2, 1])) == G
 
 
 class TestCFiniteSeq:
@@ -256,10 +242,6 @@ class TestCFiniteSeq:
     def test_immutability(self):
         with pytest.raises(AttributeError):
             FIB.init = (1, 1)
-
-    def test_char_poly(self):
-        # Fibonacci: z^2 - z - 1
-        assert FIB.char_poly().coeffs == (-1, -1, 1)
 
     def test_fibonacci_terms(self):
         assert eval_terms(FIB, 10) == [0, 1, 1, 2, 3, 5, 8, 13, 21, 34]
@@ -423,4 +405,3 @@ def test_format_poly_rendering():
     assert format_poly(Polynomial([1, -1, -1])) == "1 - z - z^2"
     assert format_poly(Polynomial([0, Fraction(1, 2)])) == "1/2*z"
     assert format_poly(Polynomial()) == "0"
-    assert format_poly(Polynomial([-1, 0, 3]), var="t") == "-1 + 3*t^2"

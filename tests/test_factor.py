@@ -547,6 +547,34 @@ def test_gauge_divides_a_large_prime_shared_by_the_numerators():
     assert factor._gauge_scale([Fraction(p * q1), Fraction(p * p * q2)]) == Fraction(1, p)
 
 
+def test_gauge_splits_a_large_prime_shared_by_two_denominators():
+    # P, Q and R are above the trial-division limit, so the gauge base gets
+    # P Q and P R (or its square root) whole; their coprime base is P, Q, R,
+    # and lambda is P Q R, not P Q * P R
+    P, Q, R = 1000003, 1000033, 1000037
+    for rec in (
+        [Fraction(1, P * Q), Fraction(1, P * R)],
+        [Fraction(3, P * Q), Fraction(5, (P * R) ** 2)],
+    ):
+        assert factor._gauge_scale(rec) == P * Q * R == oracles.gauge_scale(rec)
+
+
+def test_splits_in_two_gauge_classes():
+    # [0, b] and [0, b'] are gauge-equivalent only when b'/b is a rational
+    # square, and -11 is not, so m has two splits that no normal form
+    # merges; factorize_roots prints the first one _pair certifies
+    m = CFiniteSeq([0, -4, 0, -2], [0, 5, 0, -9])
+    pairs = [
+        (CFiniteSeq([0, 1], [0, -1]), CFiniteSeq([-2, -4], [-1, -3])),
+        (CFiniteSeq([0, 1], [0, 11]), CFiniteSeq([10, -4], [-1, Fraction(-3, 11)])),
+    ]
+    for left, right in pairs:
+        assert prove_equal(mul(left, right), m).verified
+    pair = factorize_roots(m, 2, 2)
+    assert (pair.left, pair.right) in pairs
+    assert_valid_factorization(pair, m)
+
+
 def test_gauge_does_not_trial_divide_a_coprime_numerator(monkeypatch):
     # gcd(c_1, c_2) = 1, so the 10^24 coefficient is never trial-divided
     seen = []

@@ -42,7 +42,7 @@ def test_normalization_constant_term_one():
 def test_normalization_cancels_common_factor():
     # (1 - z)(1 + z) / (1 - z)(1 - 2z) reduces before conversion
     num = Polynomial([1, 1]) * Polynomial([-1, 1])
-    den = Polynomial([1, -2]).scale(-1) * Polynomial([-1, 1])
+    den = Polynomial([-1, 2]) * Polynomial([-1, 1])
     g = RationalGF(num, den)
     assert g.num.degree <= 1
     assert r_to_c(g).order == 2  # (1 + z)/(1 - 2z): order bumps for the offset

@@ -54,13 +54,14 @@ def test_no_unused_imports_in_package():
     assert {name: dead for name, dead in found.items() if dead} == {}
 
 
-def module_definitions(tree):
-    """(line, name) of every module-level private function or class and of
-    every name bound by a module-level assignment, dunders aside."""
+def module_definitions(tree, public=False):
+    """(line, name) of every module-level private function or class (public
+    ones too if public) and of every name bound by a module-level
+    assignment, dunders aside."""
     found = []
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            if node.name.startswith("_"):
+            if public or node.name.startswith("_"):
                 found.append((node.lineno, node.name))
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
@@ -378,12 +379,65 @@ def test_integer_modules_leave_the_fraction_polynomial_alone():
     assert {module: names for module, names in found.items() if names} == {}
 
 
+# every integer polynomial kernel has one home, core.py; the product test,
+# the factorisers and the resultant import them from there
+INTEGER_KERNELS = {
+    "int_poly_gcd", "int_poly_quo", "_gcd_mod", "_mulmod", "_shiftmod", "_zpow",
+    "_primitive", "_derivative", "_sub", "_power_sums", "_from_power_sums",
+    "_square_free",
+}
+# factor.py takes only the product test's front from roots.py
+ROOTS_FRONT = {
+    "DEFAULT_DIGITS", "PrecisionError", "_minimal", "_ratio_quotient",
+    "_require_simple_roots",
+}
+
+
+def defined_outside(trees, names, home):
+    """{module: [(line, name)]} of the names that a module other than home
+    defines at module level."""
+    found = {
+        module: [d for d in module_definitions(tree, public=True) if d[1] in names]
+        for module, tree in trees.items()
+        if module != home
+    }
+    return {module: defs for module, defs in found.items() if defs}
+
+
+def test_checker_flags_kernels_defined_outside_home():
+    trees = {
+        "core.py": ast.parse("def _sub(f, g): pass\ndef int_poly_gcd(a, b): pass\n"),
+        "roots.py": ast.parse(
+            "from .core import _sub\n"
+            "def _derivative(f): pass\n"
+            "_zpow = lambda n, w: None\n"
+            "def route(f):\n"
+            "    def _sub(f, g): pass\n"
+        ),
+        "factor.py": ast.parse("from .core import int_poly_gcd\nint_poly_gcd([1], [1])\n"),
+    }
+    assert defined_outside(trees, INTEGER_KERNELS, "core.py") == {
+        "roots.py": [(2, "_derivative"), (3, "_zpow")]
+    }
+
+
+def test_integer_kernels_live_in_core():
+    trees = {path.name: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    assert defined_outside(trees, INTEGER_KERNELS, "core.py") == {}
+    in_core = {name for _, name in module_definitions(trees["core.py"], public=True)}
+    assert INTEGER_KERNELS <= in_core
+    from_roots = {
+        alias.name
+        for node in ast.walk(trees["factor.py"])
+        if isinstance(node, ast.ImportFrom) and node.module == "roots"
+        for alias in node.names
+    }
+    assert from_roots == ROOTS_FRONT
+
+
 # Polynomial is a value type: the package computes on integer lists and
-# never reaches one of these operators
-POLY_OPERATORS = [
-    "__add__", "__sub__", "__mul__", "__divmod__", "__floordiv__", "__mod__",
-    "__neg__", "scale", "monic", "primitive", "eval",
-]
+# never reaches one of these operators (the only ones it has)
+POLY_OPERATORS = ["__add__", "__mul__", "__divmod__"]
 
 
 def test_package_runs_no_polynomial_arithmetic(monkeypatch, capsys):
