@@ -11,6 +11,7 @@ Every verb is one entry in the table of `build_parser` and prints through
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -239,7 +240,13 @@ def _cmd_verify_identity(args) -> int:
 
 # --- parser ------------------------------------------------------------------
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every verb, built on the first call and shared after it.
+
+    Each `main` call reuses it: argparse keeps no state from one parse to the
+    next and looks up `sys.stdout` and `sys.stderr` only when it prints.
+    """
     parser = argparse.ArgumentParser(
         prog="cfinite",
         description="exact calculator and conjecture engine for linear "

@@ -461,17 +461,22 @@ def test_console_script_installed():
     assert got.stdout.strip() == "[[0, 1], [1, 1]]"
 
 
-def run_module(*argv, timeout=120):
-    """`python -m cfinite.cli` in a fresh interpreter that imports this package."""
+def run_python(*args, timeout=120):
+    """`python *args` in a fresh interpreter that imports this package."""
     src = str(Path(cfinite.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     return subprocess.run(
-        [sys.executable, "-m", "cfinite.cli", *argv],
+        [sys.executable, *args],
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": path},
         timeout=timeout,
     )
+
+
+def run_module(*argv, timeout=120):
+    """`python -m cfinite.cli` in a fresh interpreter that imports this package."""
+    return run_python("-m", "cfinite.cli", *argv, timeout=timeout)
 
 
 def test_module_exit_codes():
@@ -482,6 +487,83 @@ def test_module_exit_codes():
     got = run_module("factor", literal, "--orders", "2,2")
     assert got.returncode == 1
     assert "no factorization found" in got.stderr
+
+
+# --- the shared parser -----------------------------------------------------------
+# `build_parser` builds the parser on the first `main` call and every later
+# call in the process reuses it.
+
+PRODUCT = "[[0, 1, 2, 10], [2, 7, 2, -1]]"  # Fibonacci * Pell
+FIB_TERMS = "0,1,1,2,3,5,8,13,21,34"
+
+# each entry sets options the next must not inherit, or prints usage text
+SHARED_PARSER_SEQUENCE = [
+    ("isprod", PRODUCT),  # --orders missing: argparse's usage error
+    ("--help",),
+    ("--json", "guess", FIB_TERMS, "--max-order", "3"),
+    ("guess", FIB_TERMS),
+    ("seq", "fibonacci"),
+    ("seq", "geometric", "-1/2"),
+    ("factor", PRODUCT, "--orders", "2,2", "--bound", "1", "--budget", "5",
+     "--digits", "30"),
+    ("factor", PRODUCT, "--orders", "2,2", "--mode", "integer"),
+    ("factor", PRODUCT, "--orders", "2"),  # usage text printed by main
+    ("frobnicate",),
+]
+
+# counts ArgumentParser constructions by prog; the top-level parser is "cfinite"
+COUNT_PARSERS = """
+import argparse
+built = []
+init = argparse.ArgumentParser.__init__
+def counting(self, *args, **kwargs):
+    built.append(kwargs.get("prog"))
+    init(self, *args, **kwargs)
+argparse.ArgumentParser.__init__ = counting
+"""
+
+
+def _main_redirected(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    return code, out, err
+
+
+class TestSharedParser:
+    def test_calls_leak_no_state(self, monkeypatch):
+        # the help text wraps at $COLUMNS, here and in the fresh interpreters
+        monkeypatch.setenv("COLUMNS", "80")
+        runs = [_main_redirected(argv) for argv in SHARED_PARSER_SEQUENCE]
+        for argv, (code, out, err) in zip(SHARED_PARSER_SEQUENCE, runs):
+            alone = run_module(*argv)
+            # read after the whole sequence: a later call printing to an
+            # earlier call's stream shows here
+            assert (code, out.getvalue(), err.getvalue()) == (
+                alone.returncode, alone.stdout, alone.stderr
+            ), argv
+        codes = [code for code, _, _ in runs]
+        assert codes == [2, 0, 0, 0, 0, 0, 0, 0, 2, 2]
+        assert runs[3][1].getvalue() == "[[0, 1], [1, 1]]\n"
+        # three usage errors, each printed once to its own call's stream
+        for _, _, err in (runs[0], runs[-2], runs[-1]):
+            assert err.getvalue().count("usage: cfinite") == 1
+
+    def test_import_builds_no_parser(self):
+        got = run_python("-c", COUNT_PARSERS + (
+            "import cfinite, cfinite.cli\n"
+            "print(len(built), cfinite.cli.build_parser.cache_info().currsize)\n"
+        ))
+        assert (got.returncode, got.stdout, got.stderr) == (0, "0 0\n", "")
+
+    def test_parser_is_built_once(self):
+        got = run_python("-c", COUNT_PARSERS + (
+            "from cfinite import cli\n"
+            "codes = [cli.main(['seq', 'fibonacci']), cli.main(['frobnicate'])]\n"
+            "print(codes, built.count('cfinite'), cli.build_parser.cache_info().misses)\n"
+        ))
+        assert got.returncode == 0
+        assert got.stdout.splitlines()[-1] == "[0, 2] 1 1"
 
 
 def test_nlr_counts_monomials_before_building_them():
