@@ -1,23 +1,22 @@
 """Actual factorization of C-finite sequences into termwise products.
 
 After one front (roots._minimal), the routes only propose pairs of
-factor recurrences.  factorize_roots first tries m = 1^n m when an
-order is 1 and, when one is 2, an exact route (_order_2_candidates): the
+factor recurrences.  The pair (1, m) comes first when an order is 1 (m
+= 1^n m) and, when one is 2, an exact route (_order_2_candidates): the
 order-2 factor's root ratio is a rational root of the folded ratio
 polynomial of roots.py, and the cofactor's power sums are the product's
 divided by the factor's.  Only when these certify nothing, or no order
-is 1 or 2, does it read the recurrences off an L1 x L2 grid of roots
+is 1 or 2, are the recurrences read off an L1 x L2 grid of roots
 (gamma_ij = alpha_i * beta_j) over Z/p^N (_grid_ladder): the roots are
 found and matched exactly mod a prime p, lifted to p^N, put in one
 rational gauge (_extract_factors) and recovered by rational
-reconstruction.  factorize_integer searches integer left factors with
-bounded coefficients, screens them by divisibility in Python ints and
-guesses the cofactor's recurrence from the quotient.
+reconstruction.
 
 One back (_pair) takes the initial terms from one exact rank-1 solve
-(_split), puts the pair in one normal form (_normal_form) in the route's
-own gauge and returns it only with a verified equality certificate:
-nothing is ever reported on modular evidence alone.
+(_split), puts the pair in one normal form (_normal_form) in a gauge and
+returns it only with a verified equality certificate: nothing is ever
+reported on modular evidence alone.  Both factorisers run this pipeline
+(_factorize) with their own gauge, _gauge_scale or _integer_gauge.
 
 No floating point is used.  `digits` of factorize_roots sets the p-adic
 working precision p^N >= 10^digits of the lift and its ladder (digits,
@@ -43,7 +42,7 @@ from .roots import _require_simple_roots
 
 
 class BudgetExhausted(RuntimeError):
-    """The brute-force search ran out of time before exhausting its space."""
+    """factorize_integer's budget ran out before it tried every gauge."""
 
 
 # the gauge needs a base for the left recurrence's coefficients; trial
@@ -107,16 +106,17 @@ def _pair(original, m, left_rec, right_rec, gauge):
     """The one back of every route: _split, _normal_form under gauge, proof.
 
     The certified FactorPair; None when the recurrences do not span m,
-    False when m is no product over them (see _split).  A split proves
-    itself (_split solves on more than 2 L1 L2 terms), so a failed proof
-    raises InvariantViolation.
+    False when m is no product over them (_split) or the gauge rejects it.
+    A split proves itself (_split solves on more than 2 L1 L2 terms), so a
+    failed proof raises InvariantViolation.
     """
     split = _split(m, left_rec, right_rec)
     if not split:
         return split
-    left, right, note = _normal_form(
-        CFiniteSeq(split[0], left_rec), CFiniteSeq(split[1], right_rec), gauge
-    )
+    form = _normal_form(CFiniteSeq(split[0], left_rec), CFiniteSeq(split[1], right_rec), gauge)
+    if form is None:
+        return False
+    left, right, note = form
     cert = guess.prove_equal(guess.mul(left, right), original)
     if not cert.verified:
         raise guess.InvariantViolation(f"split factors failed their proof: {cert}")
@@ -185,10 +185,7 @@ def _gauge_scale(rec) -> Fraction:
 
 
 def _sign_gauge(rec) -> Fraction:
-    """-1 when the first nonzero c_i at odd i is negative, else 1.
-
-    The only gauge that keeps integer factors integral.
-    """
+    """-1 when the first nonzero c_i at odd i is negative, else 1."""
     return Fraction(-1 if next((c for c in rec[0::2] if c), 0) < 0 else 1)
 
 
@@ -204,12 +201,12 @@ def _normal_form(left, right, gauge):
 
     Canonical per class of splits under the gauge (lambda^n left,
     lambda^-n right) and a constant; a product may split in several classes
-    (README), and factorize_roots prints the first that _pair certifies:
-    order 1, the exact order-2 candidates, the grid.  The left factor is
-    rescaled by gauge(rec) and divided by the signed content of its initial
-    terms.  It is the lower-order factor; for equal orders, and for the sign
-    of lambda when no c_i at odd i is nonzero, the pair that sorts first by
-    (order, rec, init) wins, so the argument order does not matter.
+    (README), and the factorisers print the first that _pair certifies.
+    The left factor a is rescaled by gauge(a, b) (None rejects the split)
+    and divided by the signed content of its initial terms.  It is the
+    lower-order factor; for equal orders, and for the sign of lambda when
+    no c_i at odd i is nonzero, the pair that sorts first by (order, rec,
+    init) wins, so the argument order does not matter.
     """
 
     def form(a, b, lam):
@@ -223,7 +220,9 @@ def _normal_form(left, right, gauge):
         left, right = right, left
     forms = []
     for a, b in [(left, right), (right, left)][: 1 + (left.order == right.order)]:
-        lam = gauge(a.rec)
+        lam = gauge(a, b)
+        if lam is None:
+            return None
         forms.append(form(a, b, lam))
         if not any(a.rec[0::2]):
             forms.append(form(a, b, -lam))
@@ -249,12 +248,18 @@ def factorize_roots(seq: CFiniteSeq, L1: int, L2: int, digits: int = DEFAULT_DIG
     if digits < 1:
         raise ValueError(f"digits must be >= 1, got {digits}")
     m = _minimal(seq, (L1, L2))
+    return _factorize(seq, m, L1, L2, digits, lambda a, b: _gauge_scale(a.rec))
+
+
+def _factorize(original, m, L1, L2, digits, gauge):
+    """Both factorisers on the front's m: _require_simple_roots, then each
+    proposal (order 1, exact order 2, the grid ladder) to _pair, in turn."""
     _require_simple_roots(m)
     exact = [([Fraction(1)], m.rec)] if 1 in (L1, L2) else []
     for A, B in itertools.chain(exact, _order_2_candidates(m) if 2 in (L1, L2) else ()):
-        if pair := _pair(seq, m, A, B, _gauge_scale):
+        if pair := _pair(original, m, A, B, gauge):
             return pair
-    return _grid_ladder(seq, m, L1, L2, digits)
+    return _grid_ladder(original, m, L1, L2, digits, gauge)
 
 
 def _order_2_candidates(m):
@@ -299,7 +304,7 @@ def _rational_roots(parts, K, c):
                 yield Fraction(-r - f[1], 2 * f[2] * c)
 
 
-def _grid_ladder(original, m, L1, L2, digits):
+def _grid_ladder(original, m, L1, L2, digits, gauge):
     """The root grid over Z/p^N, p^N >= 10^digits, 10^(2 digits), 10^(4 digits)."""
     found = _split_prime(m.rec, L1, L2)
     grids = found and list(_grids(*found, L1, L2))
@@ -313,7 +318,7 @@ def _grid_ladder(original, m, L1, L2, digits):
         unresolved = False
         for grid in grids:
             recs = _extract_factors(grid, gammas, p, q)
-            if pair := recs and _pair(original, m, *recs, _gauge_scale):
+            if pair := recs and _pair(original, m, *recs, gauge):
                 return pair
             unresolved = unresolved or pair is None
         if not unresolved:
@@ -464,16 +469,18 @@ def factorize_integer(
     budget: float = 60.0,
     stats: dict | None = None,
 ):
-    """Brute-force integer factorization, or None.
+    """Factor an integer sequence into integer factors, or None.
 
-    Enumerates order-L1 candidates with integer recurrence and initial
-    terms bounded by `bound` (lexicographic order, first nonzero initial
-    term positive), screens by exact divisibility of the first
-    2*L1*L2 + 4 terms, guesses the cofactor, and verifies exactly.
-    Raises BudgetExhausted when `budget` seconds pass before the space is
-    exhausted; that is a different outcome than a completed "not found".
-    ValueError for bound < 1, a budget that is not positive or a sequence
-    that is not integral.
+    factorize_roots' pipeline in the integer gauge (_integer_gauge): the
+    order-L1 factor's recurrence and primitive initial terms are integers
+    in [-bound, bound], and the cofactor is integral.  The first proposal
+    with such a gauge wins; None when none has one.  Repeated roots raise
+    DegenerateRootsError, and the split-prime search or the ladder (at
+    DEFAULT_DIGITS) PrecisionError when it gives up.  `budget` is a
+    deadline in seconds, checked as gauges are tried (BudgetExhausted).
+    `stats` gets "candidates", the gauges lambda tried (>= 1 when a pair
+    is returned), and "screened", those accepted.  ValueError for bound <
+    1, a budget that is not positive or a sequence that is not integral.
     """
     if bound < 1:
         raise ValueError(f"bound must be >= 1, got {bound}")
@@ -484,68 +491,57 @@ def factorize_integer(
     # Fatou's lemma: an integer sequence has an integral minimal recurrence
     if any(x.denominator != 1 for x in (*m.init, *m.rec)):
         raise ValueError("factorize_integer requires an integer sequence")
-    target = [int(t) for t in eval_terms(m, 2 * L1 * L2 + 4)]
-    if stats is not None:
-        stats["candidates"] = 0
-        stats["screened"] = 0
+    stats = {} if stats is None else stats
+    stats.update(candidates=0, screened=0)
+    gauge = _integer_gauge(L1, bound, deadline, stats)
+    return _factorize(seq, m, L1, L2, DEFAULT_DIGITS, gauge)
 
-    values = range(-bound, bound + 1)
-    for rec in itertools.product(values, repeat=L1):
-        for init in itertools.product(values, repeat=L1):
-            first = next((d for d in init if d), None)
-            if first is None or first < 0:
+
+def _integer_gauge(L1, bound, deadline, stats):
+    """gauge(a, b), the lambda for a, or None; F is the one of order L1.
+
+    lambda is accepted when F(lambda) divided by the content c of its
+    initial terms has integer data in [-bound, bound] and c G(1 / lambda),
+    G the other factor, is integral (Fatou).  With mu = |_gauge_scale(F.rec)|, no prime is
+    removable from every weighted slot, so F's recurrence is integral only
+    at lambda = +-mu t, t >= 1 an integer, and G's only when t^j divides
+    its j-th coefficient at 1 / mu.  The accepted lambda whose F recurrence
+    sorts first wins, times _sign_gauge.
+    """
+
+    def gauge(a, b):
+        best = None
+        for f, g, power in ((a, b, 1), (b, a, -1)):
+            if f.order != L1:
                 continue
-            if time.monotonic() > deadline:
-                raise BudgetExhausted(
-                    f"brute-force search did not finish within {budget} s"
-                )
-            if stats is not None:
+            mu = abs(_gauge_scale(f.rec))
+            rest = [d / mu**j for j, d in enumerate(g.rec, start=1)]
+            if any(d.denominator != 1 for d in rest):
+                continue
+            for lam in (s * mu * t for t in _weighted_divisors(rest) for s in (-1, 1)):
+                if time.monotonic() > deadline:
+                    raise BudgetExhausted("the gauge search ran past the budget")
                 stats["candidates"] += 1
-            u = _screen(init, rec, target)
-            if u is None:
-                continue
-            if stats is not None:
+                F = _apply_gauge(f, lam)
+                c = content(F.init)
+                if max(abs(x) for x in (*F.rec, *(d / c for d in F.init))) > bound or any(
+                    (d * c / lam**n).denominator != 1 for n, d in enumerate(g.init)
+                ):
+                    continue
                 stats["screened"] += 1
-            right_rec = _cofactor(u, target, L2)
-            if right_rec and (pair := _pair(seq, m, rec, right_rec, _sign_gauge)):
-                return pair
-    return None
+                # f breaks 1 x 1 ties, so both argument orders pick one split
+                if best is None or (F.rec, f.rec, f.init) < best[0]:
+                    best = (F.rec, f.rec, f.init), lam**power
+        return best and best[1] * _sign_gauge(_apply_gauge(a, best[1]).rec)
+
+    return gauge
 
 
-def _screen(init, rec, target):
-    """The integer terms of (init, rec) while each divides its target term;
-    None at the first that does not."""
-    u = list(init)
-    for n, b in enumerate(target):
-        if n >= len(u):
-            u.append(sum(c * v for c, v in zip(rec, reversed(u))))
-        a = u[n]
-        if b % a if a else b:
-            return None
-    return u
-
-
-def _longest_run(u):
-    """(start, length) of the longest zero-free stretch of u."""
-    best = (0, 0)
-    start = None
-    for n, v in enumerate(u + [0]):
-        if v != 0:
-            if start is None:
-                start = n
-        elif start is not None:
-            if n - start > best[1]:
-                best = (start, n - start)
-            start = None
-    return best
-
-
-def _cofactor(u, target, L2):
-    """The right recurrence guessed from target / u on u's longest
-    zero-free run, or None."""
-    start, length = _longest_run(u)
-    if length < 2 * L2 + guess.SAFETY_TERMS:
-        return None
-    quotient = [Fraction(target[n], u[n]) for n in range(start, start + length)]
-    run = guess.guess_rec(quotient, guess.GuessConfig(max_order=L2))
-    return None if run is None else run.rec
+def _weighted_divisors(rec) -> list:
+    """The t >= 1 with t^j | c_j for each c_j of the integer rec, over
+    _gauge_base of their gcd."""
+    out = [1]
+    for p in _gauge_base(gcd(*(int(c) for c in rec))):
+        k = min(_valuation(int(c), p) // j for j, c in enumerate(rec, start=1) if c)
+        out = [t * p**e for t in out for e in range(k + 1)]
+    return out

@@ -4,7 +4,9 @@ Everything here is deliberately written from scratch with the most naive
 algorithm available (direct recursion, dense Gaussian elimination over
 Fractions, exhaustive backtracking, mpmath.polyroots and numeric
 clustering of root ratios, Kasteleyn's product in floating point) so a bug
-in the package cannot hide behind shared code.
+in the package cannot hide behind shared code.  The one exception,
+integer_factor_pair, shares factor._pair with the package and checks only
+which split and gauge factorize_integer picks.
 """
 
 import itertools
@@ -499,3 +501,78 @@ def nlr_relation(terms, order, degree):
     ints = [int(x * den) for x in v]
     g = gcd(*ints) * (1 if next(x for x in ints if x) > 0 else -1)
     return support, [x // g for x in ints]
+
+
+def integer_factor_pair(seq, L1, L2, bound):
+    """(left, right) from a brute-force integer factoriser, or None.
+
+    The reference for factor.factorize_integer's choice of gauge.  It
+    enumerates order-L1 candidates with integer recurrence and initial
+    terms in [-bound, bound] (lexicographic order, first nonzero initial
+    term positive), screens them by exact divisibility of the first
+    2 L1 L2 + 4 terms, guesses the cofactor's recurrence from the quotient
+    on the candidate's longest zero-free run and certifies the pair with
+    factor._pair in the sign gauge.  It shares that back (_split, the
+    normal form, the proof) with the package, so it checks the search
+    only.
+
+    Its blind spot: a candidate with zero terms has no zero-free run of
+    2 L2 + SAFETY_TERMS terms when it vanishes often enough, so its
+    cofactor is never guessed.  [[0,1],[0,2]] x [[1,0],[3,1]] at bound 2
+    returns None, though the left factor is in the search space.
+    """
+    from cfinite import factor, guess
+    from cfinite.core import eval_terms
+    from cfinite.roots import _minimal
+
+    m = _minimal(seq, (L1, L2))
+    if any(x.denominator != 1 for x in (*m.init, *m.rec)):
+        raise ValueError("integer_factor_pair requires an integer sequence")
+    target = [int(t) for t in eval_terms(m, 2 * L1 * L2 + 4)]
+
+    def screen(init, rec):
+        u = list(init)
+        for n, b in enumerate(target):
+            if n >= len(u):
+                u.append(sum(c * v for c, v in zip(rec, reversed(u))))
+            a = u[n]
+            if b % a if a else b:
+                return None
+        return u
+
+    def longest_run(u):
+        best, start = (0, 0), None
+        for n, v in enumerate(u + [0]):
+            if v != 0:
+                if start is None:
+                    start = n
+            elif start is not None:
+                if n - start > best[1]:
+                    best = (start, n - start)
+                start = None
+        return best
+
+    def cofactor(u):
+        start, length = longest_run(u)
+        if length < 2 * L2 + guess.SAFETY_TERMS:
+            return None
+        quotient = [Fraction(target[n], u[n]) for n in range(start, start + length)]
+        run = guess.guess_rec(quotient, guess.GuessConfig(max_order=L2))
+        return None if run is None else run.rec
+
+    def sign_gauge(a, b):
+        return factor._sign_gauge(a.rec)
+
+    values = range(-bound, bound + 1)
+    for rec in itertools.product(values, repeat=L1):
+        for init in itertools.product(values, repeat=L1):
+            first = next((d for d in init if d), None)
+            if first is None or first < 0:
+                continue
+            u = screen(init, rec)
+            if u is None:
+                continue
+            right_rec = cofactor(u)
+            if right_rec and (pair := factor._pair(seq, m, rec, right_rec, sign_gauge)):
+                return pair.left, pair.right
+    return None

@@ -199,6 +199,18 @@ class TestAnalysis:
         assert code == 0
         assert json.loads(out)["verified"] is True
 
+    def test_factor_integer_mode_left_factor_with_zero_terms(self, capsys):
+        # [[0, 1], [0, 2]] x [[1, 0], [3, 1]]: the left factor vanishes at
+        # every other index
+        code, out, _ = run(
+            capsys, "--json", "factor", "[[0, 0, 0, 6], [0, 22, 0, -4]]",
+            "--orders", "2,2", "--mode", "integer", "--bound", "2",
+        )
+        assert code == 0
+        data = json.loads(out)
+        assert data["left"] == {"init": ["0", "1"], "rec": ["0", "2"]}
+        assert data["right"] == {"init": ["-1", "0"], "rec": ["-3", "1"]}
+
     def test_nlr(self, capsys):
         terms = [0, 1]
         while len(terms) < 80:
@@ -600,7 +612,9 @@ def test_exponent_notation_is_refused_quickly():
 # can run long: orders <= 6, or 9 for 3 x 3 products and random order-9
 # recurrences factored at 3 x 3 (the root grid's split-prime search and
 # lift), widths <= 12 (product reports up to width 6 and above the width limit),
-# --digits <= 200, and integer factoring with --bound <= 2 and --budget <= 1.
+# --digits <= 200, and integer factoring with --bound <= 10^6 (the gauges it
+# tries are read off the factors, not counted up to the bound) and
+# --budget <= 1.
 
 _number = st.fractions(min_value=-20, max_value=20, max_denominator=5).map(str)
 _junk = st.text(alphabet="[],/-+*0123456789 zt", max_size=10)
@@ -694,7 +708,7 @@ def _argv(draw):
         if verb == "factor" and draw(st.booleans()):
             opts += [
                 "--mode", "integer",
-                "--bound", str(draw(st.integers(-1, 2))),
+                "--bound", str(draw(st.integers(-1, 10**6))),
                 "--budget", str(draw(st.floats(-1, 1))),
             ]
     elif verb == "dimer":

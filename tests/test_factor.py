@@ -8,7 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cfinite.cli import main
-from cfinite.core import CFiniteSeq, eval_terms, format_seq, minimize, shift
+from cfinite.core import CFiniteSeq, content, eval_terms, format_seq, minimize, shift
 from cfinite.dimers import dimer_seq
 from cfinite import factor, guess
 from cfinite.factor import (
@@ -340,14 +340,6 @@ class TestSplit:
         assert _split(s, FIB.rec, PELL.rec) is False
         assert factorize_roots(s, 2, 2) is None
 
-    def test_repeated_roots_refused_before_root_finding(self, monkeypatch):
-        def no_roots(*args):
-            raise AssertionError("_split_prime must not run on repeated roots")
-
-        monkeypatch.setattr(factor, "_split_prime", no_roots)
-        with pytest.raises(DegenerateRootsError):
-            factorize_roots(mul(CFiniteSeq([1, 1], [4, -4]), FIB), 2, 2)
-
     def test_close_distinct_roots_not_degenerate(self):
         # roots 2 and 2 + 10^-30 are distinct: the repeated-root check is an
         # exact gcd(P, P'), so no closeness of roots raises
@@ -372,7 +364,7 @@ class TestFactorizeInteger:
         stats = {}
         factorize_integer(prod, 2, 2, bound=2, budget=60.0, stats=stats)
         assert stats["candidates"] > 0
-        assert stats["screened"] <= stats["candidates"]
+        assert 0 < stats["screened"] <= stats["candidates"]
 
     def test_requires_integer_sequence(self):
         s = CFiniteSeq([Fraction(1, 2), 1], [1, 1])
@@ -403,8 +395,8 @@ class TestFactorizeInteger:
         assert factorize_integer(prod, 2, 2, bound=1, budget=120.0) is None
 
     def test_bound_one_still_finds_fibonacci(self):
-        # the bound constrains only the enumerated factor; the cofactor is
-        # guessed, so Fib * Pell splits even at bound 1
+        # the bound constrains only the order-L1 factor; the cofactor need
+        # only be integral, so Fib * Pell splits even at bound 1
         prod = mul(FIB, PELL)
         pair = factorize_integer(prod, 2, 2, bound=1, budget=60.0)
         assert pair is not None
@@ -417,11 +409,112 @@ class TestFactorizeInteger:
         a = factorize_roots(prod, 2, 2)
         b = factorize_integer(prod, 2, 2, bound=2, budget=60.0)
         assert a is not None and b is not None
-        # the two routes normalize differently (full rational gauge vs the
-        # integer-preserving sign gauge), but both must split the target
+        # the two routes normalize differently (the weighted-primitive
+        # rational gauge vs the bounded integer gauge), but both must split
+        # the target
         assert_valid_factorization(a, prod)
         assert_valid_factorization(b, prod)
         assert {a.left.order, a.right.order} == {b.left.order, b.right.order}
+
+    def test_left_factor_with_zero_terms(self):
+        # 0, 1, 0, 2, 0, 4, ... lies in the brute force's search space, but
+        # it vanishes at every other index, so the brute force never guesses
+        # its cofactor; the exact routes' split needs no zero-free stretch
+        prod = mul(CFiniteSeq([0, 1], [0, 2]), CFiniteSeq([1, 0], [3, 1]))
+        assert oracles.integer_factor_pair(prod, 2, 2, 2) is None
+        pair = factorize_integer(prod, 2, 2, bound=2)
+        assert (pair.left, pair.right) == (
+            CFiniteSeq([0, 1], [0, 2]),
+            CFiniteSeq([-1, 0], [-3, 1]),
+        )
+        assert_valid_factorization(pair, prod)
+
+    def test_cofactor_must_be_integral(self):
+        # [[1, 2], [2, 2]] x [[1, 1/2], [0, 1]]: either factor, scaled to
+        # primitive initial terms, has integer data within the bound, but
+        # the other one is then not integral (1/2 at odd n, or at n = 0)
+        prod = CFiniteSeq([1, 1, 6, 8], [0, 8, 0, -4])
+        assert prod == mul(CFiniteSeq([1, 2], [2, 2]), CFiniteSeq([1, Fraction(1, 2)], [0, 1]))
+        assert factorize_integer(prod, 2, 2, bound=2) is None
+        assert oracles.integer_factor_pair(prod, 2, 2, 2) is None
+
+    def test_first_recurrence_in_the_bound_wins(self):
+        # (roots +-sqrt 2) times 3^n: within bound 18 the order-2 factor can
+        # have the recurrence [0, 2] or [0, 18], and the lexicographic order
+        # of the brute force puts [0, 2] first
+        prod = mul(CFiniteSeq([1, 1], [0, 2]), CFiniteSeq([1], [3]))
+        pair = factorize_integer(prod, 2, 1, bound=18)
+        want = (CFiniteSeq([1], [3]), CFiniteSeq([1, 1], [0, 2]))
+        assert (pair.left, pair.right) == want == oracles.integer_factor_pair(prod, 2, 1, 18)
+
+    @pytest.mark.parametrize(
+        "prod, L1, L2, tried",
+        [
+            # +-1 for each factor, in each argument order of the normal form
+            (mul(FIB, PELL), 2, 2, 8),
+            (mul(CFiniteSeq([0, 1], [0, 2]), CFiniteSeq([1, 0], [3, 1])), 2, 2, 8),
+            # lambda^j divides the cofactor's j-th coefficient [6, 9]: +-1, +-3
+            (mul(CFiniteSeq([1], [3]), PELL), 1, 2, 4),
+        ],
+        ids=["fib_pell", "zeros", "3n_pell"],
+    )
+    def test_cost_does_not_grow_with_the_bound(self, prod, L1, L2, tried):
+        stats = {}
+        t0 = time.monotonic()
+        pair = factorize_integer(prod, L1, L2, bound=10**6, stats=stats)
+        assert time.monotonic() - t0 < 1
+        assert stats["candidates"] == tried
+        assert_valid_factorization(pair, prod)
+
+
+def _integer_draw(rng, order, bound):
+    """A seeded integer sequence of minimal order `order` with data in
+    [-bound, bound], zero terms allowed, and c_L != 0."""
+    while True:
+        data = [rng.randint(-bound, bound) for _ in range(2 * order)]
+        seq = CFiniteSeq(data[:order], data[order:])
+        if data[-1] and any(data[:order]) and minimize(seq).order == order:
+            return seq
+
+
+def _bounded(seq, bound):
+    """Integer recurrence and primitive initial terms in [-bound, bound]."""
+    c = content(seq.init)
+    data = (*seq.rec, *(d / c for d in seq.init))
+    return all(x.denominator == 1 and abs(x) <= bound for x in data)
+
+
+def test_integer_factors_match_the_brute_force_oracle():
+    rng = random.Random("integer-oracle")
+    answered = 0
+    # 1 x 1 products have bounded gauges on both sides
+    for L1, L2 in [(1, 1), (1, 2), (2, 1), (2, 2), (2, 3), (3, 2)]:
+        for bound in (1, 2, 3):
+            done = 0
+            while done < 3:
+                prod = mul(_integer_draw(rng, L1, bound), _integer_draw(rng, L2, 3))
+                if prod.order != L1 * L2:
+                    continue
+                try:
+                    roots._require_simple_roots(prod)
+                except DegenerateRootsError:
+                    continue
+                done += 1
+                # the planted left factor is within the bound, so a pair exists
+                pair = factorize_integer(prod, L1, L2, bound)
+                assert_valid_factorization(pair, prod)
+                assert any(
+                    _bounded(f, bound) and all(x.denominator == 1 for x in (*g.init, *g.rec))
+                    for f, g in [(pair.left, pair.right), (pair.right, pair.left)]
+                    if f.order == L1
+                ), (L1, L2, bound, pair)
+                want = oracles.integer_factor_pair(prod, L1, L2, bound)
+                if want is not None:
+                    answered += 1
+                    assert (pair.left, pair.right) == want, (L1, L2, bound, prod)
+    # the oracle answers 48 of the 54; its misses are left factors with
+    # periodic zero terms
+    assert answered >= 40
 
 
 def _integer(seq, L1, L2):
@@ -434,6 +527,23 @@ def _no_work(seq):
 
 @pytest.mark.parametrize("factorize", [factorize_roots, _integer], ids=["roots", "integer"])
 class TestFront:
+    @pytest.mark.parametrize(
+        "seq",
+        [
+            mul(CFiniteSeq([1, 1], [4, -4]), FIB),
+            # (2n + 1) F(n): the roots of z^2 - z - 1, each twice
+            CFiniteSeq([0, 3, 5, 14], [2, 1, -2, -1]),
+        ],
+        ids=["double_root_2", "fib_roots_twice"],
+    )
+    def test_repeated_roots_refused_before_root_finding(self, factorize, seq, monkeypatch):
+        def no_roots(*args):
+            raise AssertionError("_split_prime must not run on repeated roots")
+
+        monkeypatch.setattr(factor, "_split_prime", no_roots)
+        with pytest.raises(DegenerateRootsError):
+            factorize(seq, 2, 2)
+
     @pytest.mark.parametrize("orders", [(0, 2), (-2, -2)])
     def test_bad_orders_refused_before_any_work(self, factorize, orders, monkeypatch):
         monkeypatch.setattr(roots, "minimize", _no_work)
@@ -443,6 +553,11 @@ class TestFront:
     def test_order_mismatch_names_both_orders(self, factorize):
         with pytest.raises(OrderMismatchError, match="minimal order 2 != product of orders 4"):
             factorize(FIB, 2, 2)
+
+
+def _rec_gauge(gauge):
+    """A gauge of the left recurrence alone, as _normal_form calls it."""
+    return lambda a, b: gauge(a.rec)
 
 
 class TestNormalForm:
@@ -462,14 +577,18 @@ class TestNormalForm:
         assert_valid_factorization(one, prod)
 
     @settings(max_examples=60, deadline=None)
-    @given(st.sampled_from(["_gauge_scale", "_sign_gauge"]), st.data())
+    @given(st.sampled_from(["_gauge_scale", "_sign_gauge", "_integer_gauge"]), st.data())
     def test_argument_order_does_not_matter(self, gauge, data):
-        gauge = getattr(factor, gauge)
         values = st.fractions(-4, 4, max_denominator=3)
         left, right = (
             data.draw(small_factors(data.draw(st.integers(1, 2)), values))
             for _ in range(2)
         )
+        if gauge == "_integer_gauge":
+            stats = {"candidates": 0, "screened": 0}
+            gauge = factor._integer_gauge(left.order, 3, math.inf, stats)
+        else:
+            gauge = _rec_gauge(getattr(factor, gauge))
         assert factor._normal_form(left, right, gauge) == factor._normal_form(
             right, left, gauge
         )
@@ -494,7 +613,7 @@ class TestNormalForm:
     def test_square_shapes_print_the_normal_form(self, a, b, digits):
         a, b = CFiniteSeq(*a), CFiniteSeq(*b)
         pair = factorize_roots(mul(a, b), a.order, a.order, digits)
-        want = factor._normal_form(a, b, factor._gauge_scale)
+        want = factor._normal_form(a, b, _rec_gauge(factor._gauge_scale))
         assert (pair.left, pair.right) == want[:2]
         assert_primitive_integer(pair.left)
 
@@ -649,7 +768,7 @@ def test_huge_coefficient_product_factors(c):
 
 def _grid(seq, L1, L2, digits=50):
     """The root-grid ladder alone, without the exact order-2 route."""
-    return factor._grid_ladder(seq, minimize(seq), L1, L2, digits)
+    return factor._grid_ladder(seq, minimize(seq), L1, L2, digits, _rec_gauge(factor._gauge_scale))
 
 
 def _order_2_products():

@@ -231,6 +231,16 @@ def test_pipeline_steps_run_only_in_their_home():
     assert {key: calls for key, calls in found.items() if calls} == {}
 
 
+# the factorisers propose recurrences exactly and call no guesser; only the
+# closure guess.mul that _pair's proof runs guesses, inside guess.py
+GUESSERS = {"guess_rec", "guess_nlr", "_berlekamp_massey", "_close"}
+
+
+def test_factorisers_call_no_guesser():
+    tree = ast.parse((SRC / "factor.py").read_text())
+    assert calls_outside(tree, GUESSERS, None) == []
+
+
 def test_one_elimination_engine():
     # rref is called only by linalg's solve and nullspace: a call outside
     # both homes shows up in both lists
