@@ -14,7 +14,6 @@ import argparse
 import functools
 import json
 import sys
-from fractions import Fraction
 
 from . import corpus, dimers, factor, gf, guess, roots
 from .core import (
@@ -222,20 +221,17 @@ def _cmd_seq(args) -> int:
     return _emit_seq(args, corpus.lookup(args.name, params))
 
 
-_IDENTITY_GRID = [Fraction(0), Fraction(1, 2), Fraction(1), Fraction(3, 2), Fraction(2)]
-
-# name -> (left-hand side, generating function, coefficient degree per parameter)
+# name -> (left-hand side, generating function): point builders that carry
+# their identity's form in Z[params]
 _IDENTITIES = {
-    "shapiro": (corpus.shapiro_product_lhs, corpus.shapiro_product_gf, [2, 2]),
-    "ekhad": (corpus.ekhad_product_lhs, corpus.ekhad_product_gf, [2, 2, 2]),
+    "shapiro": (corpus.shapiro_product_lhs, corpus.shapiro_product_gf),
+    "ekhad": (corpus.ekhad_product_lhs, corpus.ekhad_product_gf),
 }
 
 
 def _cmd_verify_identity(args) -> int:
-    lhs, rhs, degrees = _IDENTITIES[args.name]
-    grids = [_IDENTITY_GRID] * len(degrees)
-    cert = guess.verify_parametric_identity(lhs, rhs, degrees, args.terms, grids=grids)
-    return _emit_cert(args, cert)
+    lhs, rhs = _IDENTITIES[args.name]
+    return _emit_cert(args, guess.verify_parametric_identity(lhs, rhs, series_terms=args.terms))
 
 
 # --- parser ------------------------------------------------------------------
@@ -309,7 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
     verb("seq", _cmd_seq, "named sequence from the registry",
          arg("name", choices=corpus.names()), arg("params", nargs="*"))
     verb("verify-identity", _cmd_verify_identity,
-         "grid-verify a built-in parametric identity",
+         "prove a built-in parametric identity",
          arg("name", choices=_IDENTITIES), arg("--terms", type=int, default=20),
          verbose)
     return parser

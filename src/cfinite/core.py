@@ -18,6 +18,8 @@ the product test in roots.py.
 Polynomial is the value type of generating functions.  Polynomial arithmetic
 runs on ascending integer lists, and all of its kernels live here: the modular
 gcd, exact division, Yun's square-free parts, power sums, _mulmod and _zpow.
+Polynomials in several parameters, over Z, are dicts from exponent tuples to
+ints (mpoly_dot, mpoly_eval): guess.verify_parametric_identity works on them.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from fractions import Fraction
 from functools import cache
 from itertools import count, zip_longest
 from math import gcd, isqrt, lcm
-from operator import mul
+from operator import add, mul
 from typing import Iterable, Sequence
 
 
@@ -532,6 +534,43 @@ def _from_power_sums(p, N) -> list:
         x = p[k] - sum(c[i] * p[k - 1 - i] for i in range(k - 1))
         c.append(x // k if isinstance(x, int) else x / k)
     return c
+
+
+# --- multivariate integer polynomials ----------------------------------------
+#
+# A polynomial in parameters x_1, ..., x_k is a dict from exponent tuples
+# (e_1, ..., e_k) to nonzero ints; {} is 0.
+
+def mpoly_dot(ps, qs) -> dict:
+    """sum_i ps[i] * qs[i] over the pairs zip gives."""
+    out = {}
+    get = out.get
+    for p, q in zip(ps, qs):
+        for e, c in p.items():
+            for f, d in q.items():
+                k = tuple(map(add, e, f))
+                out[k] = get(k, 0) + c * d
+    return {k: v for k, v in out.items() if v}
+
+
+def mpoly_eval(p: dict, point):
+    """The value of p at a point, one value per parameter."""
+    total = 0
+    for exps, c in p.items():
+        for x, e in zip(point, exps):
+            if e:
+                c *= x**e
+        total += c
+    return total
+
+
+def format_mpoly(p: dict, names) -> str:
+    """``4*a^2*b - 1``: the terms by descending exponent tuple."""
+
+    def monomial(exps):
+        return "*".join(x if e == 1 else f"{x}^{e}" for x, e in zip(names, exps) if e)
+
+    return format_signed_sum((c, monomial(e)) for e, c in sorted(p.items(), reverse=True)) or "0"
 
 
 def eval_at(seq: CFiniteSeq, n: int):

@@ -26,6 +26,7 @@ search tries and the trial-division bound of the canonical gauge.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import time
 from dataclasses import dataclass
@@ -506,32 +507,40 @@ def _integer_gauge(L1, bound, deadline, stats):
     removable from every weighted slot, so F's recurrence is integral only
     at lambda = +-mu t, t >= 1 an integer, and G's only when t^j divides
     its j-th coefficient at 1 / mu.  The accepted lambda whose F recurrence
-    sorts first wins, times _sign_gauge.
+    sorts first wins, times _sign_gauge.  _normal_form asks for both
+    argument orders of an equal-order split; the search for each factor
+    runs once per split and serves both.
     """
+
+    @functools.cache
+    def accepted(f, g):
+        """The (sort key, lambda) of each lambda accepted for F = f, in order."""
+        out = []
+        mu = abs(_gauge_scale(f.rec))
+        rest = [d / mu**j for j, d in enumerate(g.rec, start=1)]
+        if any(d.denominator != 1 for d in rest):
+            return out
+        for lam in (s * mu * t for t in _weighted_divisors(rest) for s in (-1, 1)):
+            if time.monotonic() > deadline:
+                raise BudgetExhausted("the gauge search ran past the budget")
+            stats["candidates"] += 1
+            F = _apply_gauge(f, lam)
+            c = content(F.init)
+            if max(abs(x) for x in (*F.rec, *(d / c for d in F.init))) > bound or any(
+                (d * c / lam**n).denominator != 1 for n, d in enumerate(g.init)
+            ):
+                continue
+            stats["screened"] += 1
+            # f breaks 1 x 1 ties, so both argument orders pick one split
+            out.append(((F.rec, f.rec, f.init), lam))
+        return out
 
     def gauge(a, b):
         best = None
         for f, g, power in ((a, b, 1), (b, a, -1)):
-            if f.order != L1:
-                continue
-            mu = abs(_gauge_scale(f.rec))
-            rest = [d / mu**j for j, d in enumerate(g.rec, start=1)]
-            if any(d.denominator != 1 for d in rest):
-                continue
-            for lam in (s * mu * t for t in _weighted_divisors(rest) for s in (-1, 1)):
-                if time.monotonic() > deadline:
-                    raise BudgetExhausted("the gauge search ran past the budget")
-                stats["candidates"] += 1
-                F = _apply_gauge(f, lam)
-                c = content(F.init)
-                if max(abs(x) for x in (*F.rec, *(d / c for d in F.init))) > bound or any(
-                    (d * c / lam**n).denominator != 1 for n, d in enumerate(g.init)
-                ):
-                    continue
-                stats["screened"] += 1
-                # f breaks 1 x 1 ties, so both argument orders pick one split
-                if best is None or (F.rec, f.rec, f.init) < best[0]:
-                    best = (F.rec, f.rec, f.init), lam**power
+            for key, lam in accepted(f, g) if f.order == L1 else ():
+                if best is None or key < best[0]:
+                    best = key, lam**power
         return best and best[1] * _sign_gauge(_apply_gauge(a, best[1]).rec)
 
     return gauge

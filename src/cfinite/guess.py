@@ -17,21 +17,23 @@ a mathematical possibility, and raises InvariantViolation.
 Equality of two sequences is decidable by a finite check: the difference
 satisfies a recurrence of order at most L1 + L2, so that many matching
 terms force identical sequences.  prove_equal implements exactly that and
-returns a certificate recording the bound.
+returns a certificate recording the bound.  verify_parametric_identity
+applies the same rule to generating functions with symbolic parameters:
+one exact check in Z[params] up to a stated order bound.
 """
 
 from __future__ import annotations
 
 import itertools
 import operator
+import string
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, gcd
+from math import comb, gcd, prod
 
 from . import linalg
 from .core import CFiniteSeq, _as_fraction, _clear_denominators, eval_terms
-from .core import format_rational, format_signed_sum
-from .gf import taylor
+from .core import format_mpoly, format_rational, format_signed_sum, mpoly_dot
 
 
 class InvariantViolation(AssertionError):
@@ -378,61 +380,93 @@ def guess_nlr(terms, order: int, degree: int):
     return PolyRelation(order, degree, tuple(monos), tuple(ints))
 
 
-# --- parametric identities via grid specialization ---------------------------
+# --- parametric identities in Z[params] -------------------------------------
+
+def _product_terms(factors, T) -> list:
+    """Terms 0..T-1 of the termwise product of C-finite factors over Z[params].
+
+    Each factor is (init, rec), equal-length lists of integer polynomials in
+    the parameters (core.mpoly_dot), and its terms come from its own
+    recurrence a(n) = rec[0] a(n-1) + ... + rec[L-1] a(n-L).
+    """
+    product = None
+    for init, rec in factors:
+        terms = list(init[:T])
+        while len(terms) < T:
+            terms.append(mpoly_dot(rec, reversed(terms[-len(rec) :])))
+        if product is not None:
+            terms = [mpoly_dot([a], [b]) for a, b in zip(product, terms)]
+        product = terms
+    return product
+
+
+def _degree(coeffs) -> int:
+    return max((i for i, c in enumerate(coeffs) if c), default=-1)
+
 
 def verify_parametric_identity(
-    lhs_builder,
-    rhs_gf_builder,
-    param_degrees,
-    series_terms: int,
-    grids=None,
+    lhs, rhs, param_degrees=None, series_terms: int = 20
 ) -> ProofCertificate:
-    """Prove a polynomial identity in parameters by finite specialization.
+    """Prove that a termwise product of C-finite factors has the generating
+    function N(t)/D(t), identically in the parameters, by one exact check.
 
-    Every series coefficient of both sides is assumed polynomial in
-    parameter i of degree at most param_degrees[i]; checking on a grid of
-    degree+1 distinct rational points per parameter then proves the
-    identity for the first `series_terms` coefficients.  Larger grids may
-    be supplied explicitly via `grids`.  ValueError for series_terms < 1,
-    which would prove nothing.
+    `lhs` is a list of factors (init, rec) and `rhs` the pair (N, D), lists
+    of coefficients in ascending powers of t; every entry is an integer
+    polynomial in the parameters (core.mpoly_dot).  A point builder of
+    corpus that carries its identity's form as `.symbolic` may stand in for
+    either.  The check computes the factors' terms by their recurrences over
+    Z[params] and tests D*LHS - N = 0 mod t^T exactly.
+
+    The bound: over Q(params) the left side has order at most K1, the
+    product of the factor orders, so LHS = P/Q with deg P < K1 and
+    deg Q <= K1, Q(0) = 1.  Then D*LHS - N = (D P - N Q)/Q, whose numerator
+    has degree below M = K1 + max(K2, deg N + 1), K2 = deg D; M vanishing
+    coefficients make it 0.  T = max(series_terms, M) coefficients are
+    checked, and the certificate's order_bound is M.  When the check fails,
+    the first nonzero coefficient of D*LHS - N is the first coefficient at
+    which the two series differ, and terms_checked counts up to it.
+
+    `param_degrees` is accepted and ignored: it is kept for a benchmark
+    caller and goes with the next benchmark change.  ValueError for
+    series_terms < 1 or D(0) = 0.
     """
+    factors = getattr(lhs, "symbolic", lhs)
+    num, den = getattr(rhs, "symbolic", rhs)
     if series_terms < 1:
         raise ValueError(f"series_terms must be >= 1, got {series_terms}")
-    if grids is None:
-        grids = [[Fraction(j) for j in range(d + 1)] for d in param_degrees]
-    if len(grids) != len(param_degrees):
-        raise ValueError("one grid per parameter required")
-    for d, g in zip(param_degrees, grids):
-        if len(g) < d + 1:
-            raise ValueError(f"grid needs at least {d + 1} points for degree {d}")
-    npoints = 1
-    for g in grids:
-        npoints *= len(g)
-    for point in itertools.product(*grids):
-        lhs_seq = lhs_builder(*point)
-        rhs_gf = rhs_gf_builder(*point)
-        lhs_coeffs = eval_terms(lhs_seq, series_terms)
-        rhs_coeffs = taylor(rhs_gf, series_terms)
-        for n in range(series_terms):
-            if lhs_coeffs[n] != rhs_coeffs[n]:
-                pt = ", ".join(format_rational(x) for x in point)
-                return ProofCertificate(
-                    order_bound=series_terms,
-                    terms_checked=series_terms,
-                    statement=(
-                        f"mismatch at grid point ({pt}), coefficient {n}: "
-                        f"{format_rational(lhs_coeffs[n])} != "
-                        f"{format_rational(rhs_coeffs[n])}"
-                    ),
-                    verified=False,
-                )
+    if not den or not den[0]:
+        raise ValueError("D(0) must be nonzero")
+    K1, K2, deg_n = prod(len(rec) for _, rec in factors), _degree(den), _degree(num)
+    M = K1 + max(K2, deg_n + 1)
+    T = max(series_terms, M)
+    k = len(next(iter(den[0])))
+    names = [string.ascii_lowercase[i] if i < 26 else f"x{i}" for i in range(k)]
+    ring = ", ".join(names)
+    minus_one = {(0,) * k: -1}
+    terms = _product_terms(factors, T)
+    for n in range(T):
+        j = min(n, K2)
+        ps, qs = den[: j + 1], terms[n - j : n + 1][::-1]
+        if n < len(num):
+            ps, qs = [*ps, minus_one], [*qs, num[n]]
+        if c := mpoly_dot(ps, qs):
+            return ProofCertificate(
+                order_bound=M,
+                terms_checked=n + 1,
+                statement=(
+                    f"D*LHS - N has the coefficient {format_mpoly(c, names)} "
+                    f"at t^{n}, so the series differ first at coefficient {n}"
+                ),
+                verified=False,
+            )
     return ProofCertificate(
-        order_bound=series_terms,
-        terms_checked=series_terms,
+        order_bound=M,
+        terms_checked=T,
         statement=(
-            f"identity verified on all {npoints} grid points, "
-            f"{series_terms} coefficients each; grid sizes exceed the stated "
-            "coefficient degrees, so the identity holds identically"
+            f"D*LHS - N = 0 mod t^{T} in Z[{ring}]; the left side has order "
+            f"<= K1 = {K1} over Q({ring}), deg D = K2 = {K2} and deg N = {deg_n}, "
+            f"so the first M = K1 + max(K2, deg N + 1) = {M} coefficients force "
+            "LHS = N/D identically"
         ),
         verified=True,
     )

@@ -34,7 +34,6 @@ import oracles
 
 FIB = CFiniteSeq([0, 1], [1, 1])
 PELL = CFiniteSeq([0, 1], [2, 1])
-GRID5 = [Fraction(0), Fraction(1, 2), Fraction(1), Fraction(3, 2), Fraction(2)]
 
 
 def report(num, desc, ok, elapsed):
@@ -69,29 +68,21 @@ def test_criterion_02_product_indicator():
 def test_criterion_03_shapiro_identity():
     t0 = time.monotonic()
     cert = verify_parametric_identity(
-        corpus.shapiro_product_lhs,
-        corpus.shapiro_product_gf,
-        [2, 2],
-        20,
-        grids=[GRID5, GRID5],
+        corpus.shapiro_product_lhs, corpus.shapiro_product_gf, series_terms=20
     )
     elapsed = time.monotonic() - t0
-    ok = cert.verified and elapsed < 5.0
-    report(3, "Chebyshev product identity (2 parameters, 5x5 grid)", ok, elapsed)
+    ok = cert.verified and cert.order_bound == 8 and elapsed < 5.0
+    report(3, "Chebyshev product identity (2 parameters, exact in Z[a, b])", ok, elapsed)
 
 
 def test_criterion_04_triple_product_identity():
     t0 = time.monotonic()
     cert = verify_parametric_identity(
-        corpus.ekhad_product_lhs,
-        corpus.ekhad_product_gf,
-        [2, 2, 2],
-        20,
-        grids=[GRID5, GRID5, GRID5],
+        corpus.ekhad_product_lhs, corpus.ekhad_product_gf, series_terms=20
     )
     elapsed = time.monotonic() - t0
-    ok = cert.verified and elapsed < 60.0
-    report(4, "Chebyshev triple-product identity (5x5x5 grid)", ok, elapsed)
+    ok = cert.verified and cert.order_bound == 16 and elapsed < 60.0
+    report(4, "Chebyshev triple-product identity (exact in Z[a, b, c])", ok, elapsed)
 
 
 def test_criterion_05_fibonacci_hadamard_square():

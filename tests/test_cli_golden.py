@@ -21,10 +21,13 @@ EQUAL = (
 PROVED = EQUAL.format(6)
 FACTORED = f"VERIFIED: {EQUAL.format(8)} (order bound 8, 18 terms checked)"
 PROFILE = "[1, 1, 1, 1, 2, 2, 2, 2, 4]"
-GRID = (
-    "grid points, {} coefficients each; grid sizes exceed the stated coefficient "
-    "degrees, so the identity holds identically"
+IDENTITY = (
+    "D*LHS - N = 0 mod t^{0} in Z[{1}]; the left side has order <= K1 = {2} over "
+    "Q({1}), deg D = K2 = {2} and deg N = {3}, so the first M = K1 + max(K2, "
+    "deg N + 1) = {4} coefficients force LHS = N/D identically"
 )
+SHAPIRO = IDENTITY.format(8, "a, b", 4, 2, 8)
+EKHAD = IDENTITY.format(16, "a, b, c", 8, 6, 16)
 FIB_JSON = '{"init": ["0", "1"], "rec": ["1", "1"]}'
 
 # (argv, exit code, text stdout, --json stdout, first stderr line)
@@ -107,15 +110,14 @@ GOLDEN = [
     (("seq", "chebyshev_u", "1/2"), 0, "[[1, 1], [1, -1]]",
      '{"init": ["1", "1"], "rec": ["1", "-1"]}', ""),
     (("verify-identity", "shapiro", "--terms", "8", "--verbose"), 0,
-     "order bound: 8\nterms compared: 8\nVERIFIED: identity verified on all 25 "
-     f"{GRID.format(8)} (order bound 8, 8 terms checked)",
+     f"order bound: 8\nterms compared: 8\nVERIFIED: {SHAPIRO} (order bound 8, 8 "
+     "terms checked)",
      '{"verified": true, "order_bound": 8, "terms_checked": 8, "statement": '
-     f'"identity verified on all 25 {GRID.format(8)}"}}', ""),
+     f'"{SHAPIRO}"}}', ""),
     (("verify-identity", "ekhad", "--terms", "6"), 0,
-     f"VERIFIED: identity verified on all 125 {GRID.format(6)} (order bound 6, "
-     "6 terms checked)",
-     '{"verified": true, "order_bound": 6, "terms_checked": 6, "statement": '
-     f'"identity verified on all 125 {GRID.format(6)}"}}', ""),
+     f"VERIFIED: {EKHAD} (order bound 16, 16 terms checked)",
+     '{"verified": true, "order_bound": 16, "terms_checked": 16, "statement": '
+     f'"{EKHAD}"}}', ""),
     (("isprod", "[[0,1],[1,1]]", "--orders", "2", "--digits", "0"), 2, "", "",
      "error: --digits must be >= 1, got 0"),
     # the width-4 strip: a good prime refutes every rational 2 x 2 split

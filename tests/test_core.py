@@ -20,8 +20,11 @@ from cfinite.core import (
     format_poly,
     format_rational,
     format_seq,
+    format_mpoly,
     minimize,
     int_poly_gcd,
+    mpoly_dot,
+    mpoly_eval,
     parse_seq,
     scale,
     shift,
@@ -399,6 +402,41 @@ class TestTermKernels:
 
     def test_fibonacci_far(self):
         assert eval_at(FIB, 10_000) == eval_terms(FIB, 10_001)[-1]
+
+
+# integer polynomials in two parameters, as dicts from exponent tuples
+mpolys = st.dictionaries(
+    st.tuples(st.integers(0, 3), st.integers(0, 3)),
+    st.integers(-5, 5).filter(bool),
+    max_size=4,
+)
+
+
+class TestMultivariate:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(st.tuples(mpolys, mpolys), max_size=3),
+        st.tuples(tiny_fracs, tiny_fracs),
+    )
+    def test_dot_evaluates_like_its_values(self, pairs, point):
+        # evaluation is a ring map, so sum p_i q_i at a point is the sum
+        # of the products of the values; no zero coefficient is kept
+        ps, qs = [p for p, _ in pairs], [q for _, q in pairs]
+        got = mpoly_dot(ps, qs)
+        assert 0 not in got.values()
+        want = sum(mpoly_eval(p, point) * mpoly_eval(q, point) for p, q in pairs)
+        assert mpoly_eval(got, point) == want
+
+    def test_dot_cancels_to_zero(self):
+        a_plus_b, a_minus_b = {(1, 0): 1, (0, 1): 1}, {(1, 0): 1, (0, 1): -1}
+        minus_a2, b2 = {(2, 0): -1}, {(0, 2): 1}
+        one = {(0, 0): 1}
+        assert mpoly_dot([a_plus_b, minus_a2, b2], [a_minus_b, one, one]) == {}
+
+    def test_format(self):
+        p = {(0, 0): -1, (2, 1): 4, (0, 3): 1, (1, 0): -2}
+        assert format_mpoly(p, "ab") == "4*a^2*b - 2*a + b^3 - 1"
+        assert format_mpoly({}, "ab") == "0"
 
 
 def test_format_poly_rendering():

@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cfinite.core import CFiniteSeq, _clear_denominators, eval_terms, minimize, scale, shift
-from cfinite.gf import c_to_r, taylor
+from cfinite.core import CFiniteSeq, Polynomial, _clear_denominators, eval_terms, minimize
+from cfinite.core import mpoly_dot, mpoly_eval, scale, shift
+from cfinite.gf import RationalGF, taylor
 from cfinite import guess, linalg
 from cfinite.guess import (
     SAFETY_TERMS,
@@ -26,6 +27,7 @@ from cfinite.guess import (
     partial_sums,
     prove_equal,
     subsequence,
+    verify_parametric_identity,
 )
 from cfinite import corpus
 
@@ -462,53 +464,115 @@ class TestGuessNLR:
         assert str(rel) == "a(n) - a(n-1) - a(n-2) = 0"
 
 
+SHAPIRO = (corpus.shapiro_product_lhs, corpus.shapiro_product_gf)
+EKHAD = (corpus.ekhad_product_lhs, corpus.ekhad_product_gf)
+# the five points per parameter the identities were once checked on
+OLD_GRID = [Fraction(0), Fraction(1, 2), Fraction(1), Fraction(3, 2), Fraction(2)]
+
+
+def _linear_product(roots):
+    """prod (q a - p) over the roots p/q, in Z[a, b]."""
+    out = {(0, 0): 1}
+    for r in roots:
+        out = mpoly_dot([out], [{(1, 0): r.denominator, (0, 0): -r.numerator}])
+    return out
+
+
 class TestParametricIdentities:
-    def test_shapiro_identity_on_grid(self):
-        from cfinite.guess import verify_parametric_identity
-
-        grid = [Fraction(0), Fraction(1, 2), Fraction(1), Fraction(3, 2), Fraction(2)]
-        cert = verify_parametric_identity(
-            corpus.shapiro_product_lhs,
-            corpus.shapiro_product_gf,
-            [2, 2],
-            20,
-            grids=[grid, grid],
-        )
+    @pytest.mark.parametrize(
+        "builders, bound", [(SHAPIRO, 8), (EKHAD, 16)], ids=["shapiro", "ekhad"]
+    )
+    @pytest.mark.parametrize("terms", [1, 8, 20])
+    def test_named_identity(self, builders, bound, terms):
+        lhs, rhs = (b.symbolic for b in builders)
+        cert = verify_parametric_identity(lhs, rhs, series_terms=terms)
         assert cert.verified
-        assert "25 grid points" in cert.statement
+        assert (cert.order_bound, cert.terms_checked) == (bound, max(bound, terms))
+        assert f"M = K1 + max(K2, deg N + 1) = {bound}" in cert.statement
 
-    def test_grid_size_validated(self):
-        from cfinite.guess import verify_parametric_identity
+    def test_point_builders_carry_their_form(self):
+        # the positional call form of the benchmark's trace primer
+        cert = verify_parametric_identity(*SHAPIRO, [2, 2], 4)
+        assert cert.verified
+        assert (cert.order_bound, cert.terms_checked) == (8, 8)
 
-        with pytest.raises(ValueError):
-            verify_parametric_identity(
-                corpus.shapiro_product_lhs,
-                corpus.shapiro_product_gf,
-                [2, 2],
-                5,
-                grids=[[Fraction(0)], [Fraction(0), Fraction(1), Fraction(2)]],
-            )
+    def test_planted_grid_counterexample_refused(self):
+        # 4v = a(2a - 1)(a - 1)(2a - 3)(a - 2) vanishes on the old grid, so
+        # N/D + 4v t^6 agrees with the left side at each of its 25 points
+        four_v = _linear_product(OLD_GRID)
+        num, den = corpus.shapiro_product_gf.symbolic
+        # the planted numerator N + 4v t^6 D, coefficient by coefficient
+        shifted = [{}] * 6 + [mpoly_dot([four_v], [d]) for d in den]
+        planted = [mpoly_dot([n, {(0, 0): 1}], [{(0, 0): 1}, s])
+                   for n, s in itertools.zip_longest(num, shifted, fillvalue={})]
+        for a, b in itertools.product(OLD_GRID, repeat=2):
+            point = RationalGF(*(Polynomial(mpoly_eval(c, (a, b)) for c in f)
+                                 for f in (planted, den)))
+            assert taylor(point, 20) == eval_terms(corpus.shapiro_product_lhs(a, b), 20)
+        cert = verify_parametric_identity(
+            corpus.shapiro_product_lhs.symbolic, (planted, den), None, 20
+        )
+        assert not cert.verified
+        assert cert.statement == (
+            "D*LHS - N has the coefficient -4*a^5 + 20*a^4 - 35*a^3 + 25*a^2 - 6*a "
+            "at t^6, so the series differ first at coefficient 6"
+        )
+        # deg N = 10 now: M = 4 + 11
+        assert (cert.order_bound, cert.terms_checked) == (15, 7)
+
+    def test_perturbed_ekhad_denominator_refused(self):
+        num, den = corpus.ekhad_product_gf.symbolic
+        d3 = dict(den[3])
+        d3[(1, 1, 1)] += 1  # the abc coefficient of t^3: 40 -> 41
+        cert = verify_parametric_identity(
+            corpus.ekhad_product_lhs, (num, [*den[:3], d3, *den[4:]]), None, 20
+        )
+        assert not cert.verified
+        # D*LHS - N gains abc t^3 times LHS(0) = 1
+        assert "the coefficient a*b*c at t^3" in cert.statement
 
     @pytest.mark.parametrize("terms", [0, -3])
     def test_no_terms_rejected(self, terms):
-        from cfinite.guess import verify_parametric_identity
-
         with pytest.raises(ValueError, match="series_terms"):
-            verify_parametric_identity(
-                corpus.shapiro_product_lhs, corpus.shapiro_product_gf, [2, 2], terms
-            )
+            verify_parametric_identity(*SHAPIRO, [2, 2], terms)
+
+    @pytest.mark.parametrize(
+        "terms, d0, match",
+        [(0, {(0, 0): 1}, "series_terms"), (8, {}, "D\\(0\\)"), (8, None, "D\\(0\\)")],
+        ids=["no_terms", "zero_d0", "zero_d"],
+    )
+    def test_bad_input_rejected(self, terms, d0, match):
+        # series_terms < 1 proves nothing; D(0) = 0 (None: D = 0) has no series
+        num, den = corpus.shapiro_product_gf.symbolic
+        den = [] if d0 is None else [d0, *den[1:]]
+        with pytest.raises(ValueError, match=match):
+            verify_parametric_identity(corpus.shapiro_product_lhs, (num, den), None, terms)
 
     def test_mismatch_reported(self):
-        from cfinite.guess import verify_parametric_identity
-
-        cert = verify_parametric_identity(
-            lambda a: scale(corpus.chebyshev_u(a), 2),  # wrong by a factor 2
-            lambda a: c_to_r(corpus.chebyshev_u(a)),
-            [1],
-            8,
-        )
+        # 2 U_n(a), wrong by a factor 2, against the GF 1 / (1 - 2at + t^2) of U_n(a)
+        two_u = ([{(0,): 2}, {(1,): 4}], [{(1,): 2}, {(0,): -1}])
+        gf_u = ([{(0,): 1}], [{(0,): 1}, {(1,): -2}, {(0,): 1}])
+        cert = verify_parametric_identity([two_u], gf_u, None, 8)
         assert not cert.verified
-        assert "mismatch" in cert.statement
+        assert cert.statement == (
+            "D*LHS - N has the coefficient 1 at t^0, so the series differ first "
+            "at coefficient 0"
+        )
+        assert (cert.order_bound, cert.terms_checked) == (4, 1)
+
+    @pytest.mark.parametrize("builders, T", [(SHAPIRO, 20), (EKHAD, 16)], ids=["shapiro", "ekhad"])
+    def test_symbolic_sides_match_the_point_builders(self, builders, T):
+        # the oracle: guess.mul closes the left side at each point, gf.taylor
+        # expands the right side; the symbolic check runs neither
+        lhs, rhs = builders
+        terms = guess._product_terms(lhs.symbolic, T)
+        rng = random.Random(f"identity-{T}")
+        nparams = len(next(iter(terms[0])))
+        for _ in range(20):
+            point = [Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(nparams)]
+            want = [mpoly_eval(t, point) for t in terms]
+            assert eval_terms(lhs(*point), T) == want
+            assert taylor(rhs(*point), T) == want
 
 
 def test_spot_check_identity_terms():

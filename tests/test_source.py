@@ -241,6 +241,49 @@ def test_factorisers_call_no_guesser():
     assert calls_outside(tree, GUESSERS, None) == []
 
 
+def calls_reached(tree, home):
+    """Names of every call made by the module-level function home and by
+    the module-level functions it reaches through calls."""
+    defs = {n.name: n for n in tree.body if isinstance(n, ast.FunctionDef)}
+    seen, todo, names = set(), [home], set()
+    while todo:
+        name = todo.pop()
+        if name in seen or name not in defs:
+            continue
+        seen.add(name)
+        for call in ast.walk(defs[name]):
+            if isinstance(call, ast.Call):
+                func = call.func
+                called = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                names.add(called)
+                todo.append(called)
+    return names
+
+
+def test_checker_follows_calls_within_the_module():
+    tree = ast.parse(
+        "def home(x):\n"
+        "    return _step(x) + len(x)\n"
+        "def _step(x):\n"
+        "    return mod.deep(x)\n"
+        "def unrelated():\n"
+        "    return mul(1, 2)\n"
+    )
+    assert calls_reached(tree, "home") == {"_step", "len", "deep"}
+
+
+# the identity check is one computation in Z[params]: no closure by
+# guessing, no point evaluation and no generating-function expansion
+IDENTITY_CHECK_AVOIDS = {"mul", "guess_rec", "_close", "taylor", "eval_terms"}
+
+
+def test_identity_check_runs_no_closure_or_expansion():
+    tree = ast.parse((SRC / "guess.py").read_text())
+    reached = calls_reached(tree, "verify_parametric_identity")
+    assert "mpoly_dot" in reached
+    assert reached & IDENTITY_CHECK_AVOIDS == set()
+
+
 def test_one_elimination_engine():
     # rref is called only by linalg's solve and nullspace: a call outside
     # both homes shows up in both lists
@@ -451,8 +494,6 @@ POLY_OPERATORS = ["__add__", "__mul__", "__divmod__"]
 
 
 def test_package_runs_no_polynomial_arithmetic(monkeypatch, capsys):
-    from fractions import Fraction
-
     from cfinite import corpus, gf
     from cfinite.cli import main
     from cfinite.core import CFiniteSeq, Polynomial
@@ -468,9 +509,8 @@ def test_package_runs_no_polynomial_arithmetic(monkeypatch, capsys):
     # 2^n at order 2: the GF normal form cancels 1 - z
     assert gf.r_to_c(gf.c_to_r(CFiniteSeq([1, 2], [3, -2]))) == CFiniteSeq([1], [2])
     assert kasteleyn_count(8, 8) == 12988816
-    grid = [Fraction(k, 2) for k in range(5)]
     cert = verify_parametric_identity(
-        corpus.shapiro_product_lhs, corpus.shapiro_product_gf, [2, 2], 20, [grid, grid]
+        corpus.shapiro_product_lhs, corpus.shapiro_product_gf, series_terms=20
     )
     assert cert.verified
     assert main(["gf", "(2 - 2*z)/(2 - 6*z + 4*z^2)"]) == 0
