@@ -229,7 +229,14 @@ _IDENTITIES = {
 }
 
 
+# the most coefficients verify-identity checks: both identities are decided by
+# M <= 16 of them, and the check's cost grows about as the 4.5th power
+MAX_IDENTITY_TERMS = 32
+
+
 def _cmd_verify_identity(args) -> int:
+    if args.terms > MAX_IDENTITY_TERMS:
+        raise UsageError(f"--terms must be <= {MAX_IDENTITY_TERMS}, got {args.terms}")
     lhs, rhs = _IDENTITIES[args.name]
     return _emit_cert(args, guess.verify_parametric_identity(lhs, rhs, series_terms=args.terms))
 
@@ -306,7 +313,9 @@ def build_parser() -> argparse.ArgumentParser:
          arg("name", choices=corpus.names()), arg("params", nargs="*"))
     verb("verify-identity", _cmd_verify_identity,
          "prove a built-in parametric identity",
-         arg("name", choices=_IDENTITIES), arg("--terms", type=int, default=20),
+         arg("name", choices=_IDENTITIES),
+         arg("--terms", type=int, default=20,
+             help=f"coefficients to check, at most {MAX_IDENTITY_TERMS}"),
          verbose)
     return parser
 

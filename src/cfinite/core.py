@@ -7,13 +7,15 @@ coefficients of
     a(n) = c_1 a(n-1) + c_2 a(n-2) + ... + c_L a(n-L).
 
 All values are `fractions.Fraction`; nothing in this module ever touches
-floating point.  The term kernels (eval_terms, eval_at) do not step over
-Fractions, though: with D the scale of the recurrence (den c_k | D^k,
-_rec_scale) and E the lcm of the initial-term denominators,
-b(n) = E D^n a(n) is an integer sequence with the integer recurrence
-w_k = c_k D^k (_integer_image), so they run on Python ints and build one
-Fraction per output term.  The same w scales the characteristic roots of
-the product test in roots.py.
+floating point.  The term kernels do not step over Fractions, though:
+with D the scale of the recurrence (den c_k | D^k, _rec_scale) and E the
+lcm of the initial-term denominators, x(n) = E D^n a(n) is an integer
+sequence with the integer recurrence w_k = c_k D^k (_integer_image).
+_image steps it on Python ints and returns (E, D, x); the closure ops,
+minimize and dimer_seq fit their recurrences on such images and build no
+Fraction per term (guess._fit).  eval_terms wraps _image with one Fraction
+per output term, and eval_at computes one term of the image.  The same w
+scales the characteristic roots of the product test in roots.py.
 
 Polynomial is the value type of generating functions.  Polynomial arithmetic
 runs on ascending integer lists, and all of its kernels live here: the modular
@@ -449,12 +451,22 @@ def _integer_image(seq: CFiniteSeq):
     return E, D, _integral_rec(seq.rec, D), b0
 
 
+def _image(seq: CFiniteSeq, N: int):
+    """(E, D, x): x the first N terms of the integer image x(n) = E D^n a(n)
+    (_integer_image), stepped on Python ints by the recurrence w."""
+    E, D, w, x = _integer_image(seq)
+    del x[N:]
+    L, wr = len(w), w[::-1]
+    for n in range(L, N):
+        x.append(sum(map(mul, wr, x[n - L :])))
+    return E, D, x
+
+
 def eval_terms(seq: CFiniteSeq, N: int) -> list:
     """First N terms, exactly, as Fractions.
 
-    The terms past the initial ones come from the integer image
-    b(n) = E D^n a(n) (_integer_image), stepped on Python ints; each output
-    term is one Fraction b(n) / (E D^n).  The initial terms are seq.init's.
+    The terms past the initial ones are the integer image (_image) over
+    E D^n, one Fraction each; the initial terms are seq.init's.
     """
     if N < 0:
         raise ValueError("N must be >= 0")
@@ -462,16 +474,13 @@ def eval_terms(seq: CFiniteSeq, N: int) -> list:
     L = len(terms)
     if N <= L:
         return terms
-    E, D, w, b = _integer_image(seq)
-    wr = w[::-1]
-    for n in range(L, N):
-        b.append(sum(map(mul, wr, b[n - L :])))
+    E, D, x = _image(seq, N)
     if E == D == 1:
-        terms += map(Fraction, b[L:])
+        terms += map(Fraction, x[L:])
     else:
         den = E * D**L
-        for x in b[L:]:
-            terms.append(Fraction(x, den))
+        for v in x[L:]:
+            terms.append(Fraction(v, den))
             den *= D
     return terms
 
@@ -611,14 +620,14 @@ def scale(seq: CFiniteSeq, r) -> CFiniteSeq:
 def minimize(seq: CFiniteSeq) -> CFiniteSeq:
     """Unique minimal-order representation of the same sequence.
 
-    The shortest recurrence of 2L + 4 terms (one Berlekamp-Massey pass,
-    through the closure driver with order bound L): the sequence has order
-    at most L, so that fit is its minimal form, and guess_rec checks it
-    against every term it is given.
+    The shortest recurrence of 2L + 4 terms (one Berlekamp-Massey pass on
+    the integer image, through the closure driver with order bound L): the
+    sequence has order at most L, so that fit is its minimal form, and the
+    driver checks it against every term it computes.
     """
     from .guess import _close
 
-    return _close("minimize", seq.order, lambda n: eval_terms(seq, n))
+    return _close("minimize", seq.order, lambda n: _image(seq, n))
 
 
 # --- canonical text encoding ------------------------------------------------

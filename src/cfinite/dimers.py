@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from math import log2
 
 from . import guess, roots
@@ -29,7 +30,8 @@ from .core import _shiftmod
 PRACTICAL_WIDTH_LIMIT = 10
 
 
-def _transitions(m: int) -> list:
+@cache
+def _transitions(m: int) -> tuple:
     """Every row transition of width m once: (state, next, h count, v count)."""
     out = []
 
@@ -49,7 +51,7 @@ def _transitions(m: int) -> list:
 
     for state in range(1 << m):
         fill(0, state, 0, 0, 0, state)
-    return out
+    return tuple(out)
 
 
 def _check_width(m: int):
@@ -57,27 +59,37 @@ def _check_width(m: int):
         raise ValueError(f"width must be between 1 and {PRACTICAL_WIDTH_LIMIT}")
 
 
-def dimer_terms(m: int, N: int, weights=(1, 1)) -> list:
-    """Weighted tiling counts of the m x n grid for n = 1..N, exact."""
-    _check_width(m)
-    if N < 1:
-        raise ValueError("N must be >= 1")
-    # integer weights d*h, d*v: a step from s to t lays (m - |s| + |t|) / 2
-    # dominoes, so every path from the empty state back to it over n rows
-    # lays m*n/2 of them and its count is scaled by d^(m*n/2)
+def _counts(m: int, N: int, weights):
+    """(d, counts): the weighted tiling count of the m x n grid is
+    counts[n - 1] / d^(m*n/2) for n = 1..N, counts a list of ints.
+
+    The weights scaled to integers d*h, d*v: a step from s to t lays
+    (m - |s| + |t|) / 2 dominoes, so every path from the empty state back
+    to it over n rows lays m*n/2 of them and its count is scaled by
+    d^(m*n/2).  The row vector e_0^T * M^n is iterated over ints and its
+    component 0 read.
+    """
     d, (hd, vd) = _clear_denominators([Fraction(w) for w in weights])
     steps = [(s, t, hd**nh * vd**nv) for s, t, nh, nv in _transitions(m)]
-    # iterate the row vector e_0^T * M^n over ints and read component 0
     vec, out = {0: 1}, []
-    for n in range(1, N + 1):
+    for _ in range(N):
         nxt = {}
         for s, t, w in steps:
             x = vec.get(s)
             if x and w:
                 nxt[t] = nxt.get(t, 0) + x * w
         vec = nxt
-        out.append(Fraction(vec.get(0, 0), d ** (m * n // 2)))
-    return out
+        out.append(vec.get(0, 0))
+    return d, out
+
+
+def dimer_terms(m: int, N: int, weights=(1, 1)) -> list:
+    """Weighted tiling counts of the m x n grid for n = 1..N, exact."""
+    _check_width(m)
+    if N < 1:
+        raise ValueError("N must be >= 1")
+    d, counts = _counts(m, N, weights)
+    return [Fraction(c, d ** (m * n // 2)) for n, c in enumerate(counts, start=1)]
 
 
 def dimer_seq(m: int, weights=(1, 1)) -> CFiniteSeq:
@@ -89,15 +101,19 @@ def dimer_seq(m: int, weights=(1, 1)) -> CFiniteSeq:
     analysis meaningful.  Either sequence has order at most B = 2^floor(m/2)
     by Kasteleyn's product (Kasteleyn 1961; Temperley-Fisher 1961), not just
     the transfer-matrix size 2^m.  The recurrence is guessed at order <= B
-    from 2B + 4 transfer-matrix terms and checked on all of them; two
-    sequences of order <= B that agree on 2B terms are equal.
+    from 2B + 4 transfer-matrix counts and checked on all of them; two
+    sequences of order <= B that agree on 2B terms are equal.  The counts
+    go to the guesser as integers x(n): a(n) = x(n) / s^(n+1), s = d^(m/2)
+    for even m and d^m for odd m (_counts).
     """
     _check_width(m)
 
     def make(n):
         if m % 2 == 0:
-            return dimer_terms(m, n, weights)
-        return dimer_terms(m, 2 * n, weights)[1::2]
+            d, counts = _counts(m, n, weights)
+            return d ** (m // 2), d ** (m // 2), counts
+        d, counts = _counts(m, 2 * n, weights)
+        return d**m, d**m, counts[1::2]
 
     return guess._close(f"width-{m} strip counts", 1 << (m // 2), make)
 

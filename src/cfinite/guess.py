@@ -14,6 +14,14 @@ subsequences) generate enough terms for their theoretical order bound and
 then guess; a guessing failure at the bound means an arithmetic bug, never
 a mathematical possibility, and raises InvariantViolation.
 
+Every fit runs on an integer image x(n) = E D^n a(n) (_fit): the closure
+ops build the image of their result from their operands' images
+(core._image) on Python ints, the pass and its check run there, and only
+the L initial terms and L coefficients of the answer become Fractions.
+The map n -> D^n is geometric, so x has a's linear complexity and its
+recurrence is c_k D^k.  core.minimize and dimers.dimer_seq fit the same
+way; guess_rec fits its terms cleared to integers (D = 1).
+
 Equality of two sequences is decidable by a finite check: the difference
 satisfies a recurrence of order at most L1 + L2, so that many matching
 terms force identical sequences.  prove_equal implements exactly that and
@@ -29,10 +37,10 @@ import operator
 import string
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, gcd, prod
+from math import gcd, prod
 
 from . import linalg
-from .core import CFiniteSeq, _as_fraction, _clear_denominators, eval_terms
+from .core import CFiniteSeq, _as_fraction, _clear_denominators, _image, eval_terms
 from .core import format_mpoly, format_rational, format_signed_sum, mpoly_dot
 
 
@@ -69,24 +77,24 @@ class ProofCertificate:
         )
 
 
-def _berlekamp_massey(terms, max_l):
-    """Linear complexity L and connection polynomial of `terms`, or None.
+def _berlekamp_massey(s, max_l):
+    """Linear complexity L and connection polynomial of the ints s, or None.
 
-    The connection polynomial C = [1, C_1, ..., C_L] (trailing zeros
-    possible) satisfies sum_i C_i a(n - i) = 0 for every L <= n < N.
-    Returns None as soon as L exceeds max_l; L never decreases.
+    The connection polynomial C = [C_0, C_1, ..., C_L] (ints, C_0 != 0,
+    trailing zeros possible) satisfies sum_i C_i s(n - i) = 0 for every
+    L <= n < N.  Returns None as soon as L exceeds max_l; L never
+    decreases.
 
-    Fraction-free: the terms are scaled to integers by the lcm E of their
-    denominators, and the update C <- b C - d x^m B is the update over Q
-    times b, with C divided by its integer content after each update.  b
-    starts at E, the scale of every discrepancy.  C stays a scalar
-    multiple of the C of the pass over Q, and B and b share one scalar, so
+    Fraction-free: the update C <- b C - d x^m B is the update over Q
+    times b, the last nonzero discrepancy (1 at the start), with C divided
+    by its integer content after each update.  C stays a scalar multiple
+    of the C of the pass over Q on s, and B and b share one scalar, so
     the discrepancies vanish at the same steps, L and the lengths follow
-    the same path, and C / C_0 is exactly the connection polynomial over Q.
+    the same path, and C / C_0 is exactly that pass's connection
+    polynomial.
     """
-    E, s = _clear_denominators(terms)
     C, B = [1], [1]  # current; before the last length change
-    L, m, b = 0, 1, E  # b: the last discrepancy, scaled like the terms
+    L, m, b = 0, 1, 1  # b: the last nonzero discrepancy
     for n in range(len(s)):
         d = sum(map(operator.mul, C, reversed(s[max(n + 1 - len(C), 0) : n + 1])))
         if not d:
@@ -106,7 +114,40 @@ def _berlekamp_massey(terms, max_l):
             B, b, m = prev, d, 1
         else:
             m += 1
-    return L, [Fraction(x, C[0]) for x in C]
+    return L, C
+
+
+def _fit(E, D, x, max_l):
+    """Shortest recurrence of a(n) = x(n) / (E D^n), n < N = len(x), at order
+    <= max_l, or None; x is a list of ints and E, D are positive ints.
+
+    The map n -> D^n is geometric, so x and a have the same linear
+    complexity L, and a connection polynomial C of x gives a's recurrence
+    c_k = -C_k / (C_0 D^k).  C is checked in ints against every supplied
+    term, sum_{i<=L} C_i x(n - i) = 0 for L <= n < N, which is the same as
+    checking the recurrence with the initial terms x(i) / (E D^i), i < L,
+    term by term; a mismatch is a bug and raises InvariantViolation.  Only
+    those L terms and L coefficients become Fractions.  c_L = 0 is kept,
+    and all-zero terms give [[0], [0]].
+    """
+    found = _berlekamp_massey(x, max_l)
+    if found is None:
+        return None
+    L, C = found
+    L = max(1, L)
+    C = C[: L + 1] + [0] * (L + 1 - len(C))
+    Cr = C[::-1]
+    if any(sum(map(operator.mul, Cr, x[n - L : n + 1])) for n in range(L, len(x))):
+        raise InvariantViolation("Berlekamp-Massey recurrence failed verification")
+    init, rec = [], []
+    for i in range(L):
+        init.append(Fraction(x[i], E))
+        E *= D
+    scale = C[0]
+    for k in range(1, L + 1):
+        scale *= D
+        rec.append(Fraction(-C[k], scale))
+    return CFiniteSeq(init, rec)
 
 
 def guess_rec(terms, cfg: GuessConfig):
@@ -119,10 +160,11 @@ def guess_rec(terms, cfg: GuessConfig):
     terms that barely determine an order-L fit; above the cap (or when the
     cap is below 1) the answer is None.  Because N >= 2L, the shortest
     recurrence is unique, so this is also the recurrence an order-by-order
-    search of the full linear systems would find first.  c_L = 0 is kept
-    (rec is padded with zeros up to L), and all-zero terms give [[0], [0]].
-    The result is checked against every supplied term; a mismatch is a bug
-    and raises InvariantViolation.
+    search of the full linear systems would find first.  c_L = 0 is kept,
+    and all-zero terms give [[0], [0]].  The result is checked against
+    every supplied term, and a mismatch is a bug that raises
+    InvariantViolation; the pass and its check run on the terms times the
+    lcm of their denominators (_fit).
 
     The fit is already what `minimize` would return: a lower-order form of
     the same sequence (after cancelling a generating-function gcd) would
@@ -134,24 +176,17 @@ def guess_rec(terms, cfg: GuessConfig):
     max_l = min(cfg.max_order, (len(terms) - SAFETY_TERMS) // 2)
     if max_l < 1:
         return None
-    found = _berlekamp_massey(terms, max_l)
-    if found is None:
-        return None
-    L, C = found
-    L = max(1, L)  # all-zero terms: [[0], [0]]
-    rec = [-c for c in C[1 : L + 1]]
-    cand = CFiniteSeq(terms[:L], rec + [Fraction(0)] * (L - len(rec)))
-    if eval_terms(cand, len(terms)) != terms:
-        raise InvariantViolation("Berlekamp-Massey recurrence failed verification")
-    return cand
+    E, ints = _clear_denominators(terms)
+    return _fit(E, 1, ints, max_l)
 
 
 def _close(what: str, bound: int, make) -> CFiniteSeq:
-    """Closure-op driver: guess at order <= bound from make(2 * bound + SAFETY_TERMS) terms.
+    """Closure-op driver: fit at order <= bound to the image (E, D, x) that
+    make(2 * bound + SAFETY_TERMS) returns, x(n) = E D^n a(n) in ints.
 
     Theory guarantees a fit, so finding none raises InvariantViolation.
     """
-    found = guess_rec(make(2 * bound + SAFETY_TERMS), GuessConfig(max_order=bound))
+    found = _fit(*make(2 * bound + SAFETY_TERMS), bound)
     if found is None:
         raise InvariantViolation(
             f"{what}: no recurrence of order <= {bound} fits, "
@@ -162,39 +197,54 @@ def _close(what: str, bound: int, make) -> CFiniteSeq:
 
 def add(s1: CFiniteSeq, s2: CFiniteSeq) -> CFiniteSeq:
     """Termwise sum; order at most L1 + L2."""
-    return _close(
-        "add",
-        s1.order + s2.order,
-        lambda n: [a + b for a, b in zip(eval_terms(s1, n), eval_terms(s2, n))],
-    )
+
+    def make(n):
+        (E1, D1, x1), (E2, D2, x2) = _image(s1, n), _image(s2, n)
+        x, p1, p2 = [], E2, E1  # E2 D2^k and E1 D1^k
+        for u, v in zip(x1, x2):
+            x.append(p1 * u + p2 * v)
+            p1, p2 = p1 * D2, p2 * D1
+        return E1 * E2, D1 * D2, x
+
+    return _close("add", s1.order + s2.order, make)
 
 
 def mul(s1: CFiniteSeq, s2: CFiniteSeq) -> CFiniteSeq:
     """Hadamard (termwise) product; order at most L1 * L2."""
-    return _close(
-        "mul",
-        s1.order * s2.order,
-        lambda n: [a * b for a, b in zip(eval_terms(s1, n), eval_terms(s2, n))],
-    )
+
+    def make(n):
+        (E1, D1, x1), (E2, D2, x2) = _image(s1, n), _image(s2, n)
+        return E1 * E2, D1 * D2, list(map(operator.mul, x1, x2))
+
+    return _close("mul", s1.order * s2.order, make)
 
 
 def binomial_transform(s: CFiniteSeq) -> CFiniteSeq:
-    """n -> sum_k C(n,k) s(k); preserves the order bound L."""
+    """n -> sum_k C(n,k) s(k); preserves the order bound L.
+
+    On the image, x'(m) = sum_k C(m,k) D^(m-k) x(k) = ((D + shift)^m x)(0),
+    read off one difference-table row at a time.
+    """
 
     def make(n):
-        base = eval_terms(s, n)
-        return [sum(comb(m, k) * base[k] for k in range(m + 1)) for m in range(n)]
+        E, D, row = _image(s, n)
+        x = []
+        while row:
+            x.append(row[0])
+            row = [D * u + v for u, v in zip(row, row[1:])]
+        return E, D, x
 
     return _close("binomial_transform", s.order, make)
 
 
 def partial_sums(s: CFiniteSeq) -> CFiniteSeq:
     """n -> sum_{k<=n} s(k); order at most L + 1."""
-    return _close(
-        "partial_sums",
-        s.order + 1,
-        lambda n: list(itertools.accumulate(eval_terms(s, n))),
-    )
+
+    def make(n):
+        E, D, x = _image(s, n)
+        return E, D, list(itertools.accumulate(x, lambda acc, v: D * acc + v))
+
+    return _close("partial_sums", s.order + 1, make)
 
 
 def subsequence(s: CFiniteSeq, step: int, offset: int = 0) -> CFiniteSeq:
@@ -203,11 +253,12 @@ def subsequence(s: CFiniteSeq, step: int, offset: int = 0) -> CFiniteSeq:
         raise ValueError("step must be >= 1")
     if offset < 0:
         raise ValueError("offset must be >= 0")
-    return _close(
-        "subsequence",
-        s.order,
-        lambda n: eval_terms(s, step * (n - 1) + offset + 1)[offset::step],
-    )
+
+    def make(n):
+        E, D, x = _image(s, step * (n - 1) + offset + 1)
+        return E * D**offset, D**step, x[offset::step]
+
+    return _close("subsequence", s.order, make)
 
 
 _VERIFY_EXTRA = 10  # terms prove_equal compares past the order bound

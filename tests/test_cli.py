@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 import cfinite
 from cfinite import corpus
 
-from cfinite.cli import main
+from cfinite.cli import MAX_IDENTITY_TERMS, main
 from cfinite.core import CFiniteSeq, format_seq, parse_seq
 from cfinite.dimers import dimer_seq
 from cfinite.guess import mul
@@ -371,6 +371,17 @@ class TestVerifyIdentity:
         assert code == 2
         assert out == ""
         assert "series_terms must be >= 1" in err
+
+    def test_terms_cap(self, capsys):
+        cap = str(MAX_IDENTITY_TERMS)
+        code, out, _ = run(capsys, "verify-identity", "ekhad", "--terms", cap)
+        assert code == 0
+        assert "VERIFIED" in out and f"{cap} terms checked" in out
+        over = str(MAX_IDENTITY_TERMS + 1)
+        code, out, err = run(capsys, "verify-identity", "ekhad", "--terms", over)
+        assert code == 2
+        assert out == ""
+        assert f"--terms must be <= {cap}" in err
 
 
 class TestBadInput:

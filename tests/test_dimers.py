@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cfinite import guess
-from cfinite.core import CFiniteSeq, Polynomial, eval_terms
+from cfinite.core import CFiniteSeq, Polynomial, _clear_denominators, eval_terms
 from cfinite.dimers import (
     dimer_product_report,
     dimer_seq,
@@ -132,8 +132,14 @@ def strip_terms(m, N, weights=(1, 1)):
 
 
 def guessed_at_matrix_size(m, weights):
-    """The strip recurrence guessed at the transfer-matrix size 2^m."""
-    return guess._close("strip", 1 << m, lambda n: strip_terms(m, n, weights))
+    """The strip recurrence guessed at the transfer-matrix size 2^m, from
+    the exact terms cleared to integers (scale E, D = 1)."""
+
+    def make(n):
+        E, ints = _clear_denominators(strip_terms(m, n, weights))
+        return E, 1, ints
+
+    return guess._close("strip", 1 << m, make)
 
 
 small_fractions = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 9))

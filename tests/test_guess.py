@@ -4,10 +4,10 @@ from fractions import Fraction
 from math import comb
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from cfinite.core import CFiniteSeq, Polynomial, _clear_denominators, eval_terms, minimize
+from cfinite.core import CFiniteSeq, Polynomial, _clear_denominators, _image, eval_terms, minimize
 from cfinite.core import mpoly_dot, mpoly_eval, scale, shift
 from cfinite.gf import RationalGF, taylor
 from cfinite import guess, linalg
@@ -145,12 +145,22 @@ class TestBerlekampMassey:
 
     @staticmethod
     def check(terms, max_l):
+        # the kernel runs on ints: C / C_0 is the connection polynomial of
+        # the pass over Q on the same ints, and the linear complexity is that
+        # of the terms before clearing (their scale does not change it)
         terms = [Fraction(t) for t in terms]
-        got = _berlekamp_massey(terms, max_l)
-        assert got == oracles.berlekamp_massey_q(terms, max_l)
-        if got is not None:
-            assert got[1][0] == 1
-            assert all(isinstance(c, Fraction) for c in got[1])
+        ints = _clear_denominators(terms)[1]
+        got = _berlekamp_massey(ints, max_l)
+        oracle = oracles.berlekamp_massey_q(ints, max_l)
+        rational = oracles.berlekamp_massey_q(terms, max_l)
+        assert (got is None) == (oracle is None) == (rational is None)
+        if got is None:
+            return None
+        L, C = got
+        assert all(type(c) is int for c in C)
+        got = (L, [Fraction(c, C[0]) for c in C])
+        assert got == oracle
+        assert L == rational[0]
         return got
 
     @given(st.lists(st.integers(-9, 9), max_size=30), st.integers(0, 16))
@@ -250,7 +260,7 @@ class TestClosureOps:
 
         def make(n):
             asked.append(n)
-            return eval_terms(FIB, n)
+            return _image(FIB, n)
 
         assert guess._close("fibonacci", 4, make) == FIB
         assert asked == [2 * 4 + 6]
@@ -312,6 +322,154 @@ class TestClosureOps:
             rhs = add(mul(s1, s2), mul(s1, s3))
             cert = prove_equal(lhs, rhs)
             recheck_certificate(cert, lhs, rhs)
+
+
+def bm_minimal(terms, max_l):
+    """The minimal encoding of the terms by Berlekamp-Massey over Q."""
+    L, C = oracles.berlekamp_massey_q(terms, max_l)
+    L = max(1, L)
+    rec = [-c for c in C[1 : L + 1]]
+    return CFiniteSeq(terms[:L], rec + [0] * (L - len(rec)))
+
+
+def assert_closure(found, terms, bound):
+    """found is the BM-over-Q minimal encoding of the op's first
+    2 bound + SAFETY_TERMS terms, and matches every oracle term."""
+    assert found == bm_minimal(terms[: 2 * bound + SAFETY_TERMS], bound)
+    assert eval_terms(found, len(terms)) == terms
+
+
+def geometric_twist(init, rec, q):
+    """The sequence a(n) / q^n: init a(i) / q^i, rec c_k / q^k."""
+    q = Fraction(q)
+    return (
+        [a / q**i for i, a in enumerate(init)],
+        [c / q**k for k, c in enumerate(rec, start=1)],
+    )
+
+
+def non_minimal(init, rec, r):
+    """The same sequence at order L + 1: the characteristic polynomial times
+    (z - r), with the first L + 1 terms as initial terms."""
+    L = len(rec)
+    wide = [rec[0] + r] + [rec[k] - r * rec[k - 1] for k in range(1, L)] + [-r * rec[-1]]
+    return CFiniteSeq(oracles.recurrence_terms(init, rec, L + 1), wide)
+
+
+fracs = st.fractions(min_value=-5, max_value=5, max_denominator=6)
+
+
+class TestImageClosuresAgainstOracles:
+    """Closures on integer images against the terms and BM over Q."""
+
+    N = 40
+
+    @given(rational_recurrences(3), rational_recurrences(3))
+    @settings(max_examples=60, deadline=None)
+    def test_add_with_different_scales(self, p1, p2):
+        i1, r1 = geometric_twist(*p1, 2)
+        i2, r2 = geometric_twist(*p2, 3)
+        s1, s2 = CFiniteSeq(i1, r1), CFiniteSeq(i2, r2)
+        assume(_image(s1, 1)[1] != _image(s2, 1)[1])
+        t1 = oracles.recurrence_terms(i1, r1, self.N)
+        t2 = oracles.recurrence_terms(i2, r2, self.N)
+        terms = [a + b for a, b in zip(t1, t2)]
+        assert_closure(add(s1, s2), terms, s1.order + s2.order)
+
+    @given(rational_recurrences(3), rational_recurrences(3))
+    @settings(max_examples=40, deadline=None)
+    def test_mul(self, p1, p2):
+        s1, s2 = CFiniteSeq(*p1), CFiniteSeq(*p2)
+        t1 = oracles.recurrence_terms(*p1, self.N)
+        t2 = oracles.recurrence_terms(*p2, self.N)
+        terms = [a * b for a, b in zip(t1, t2)]
+        assert_closure(mul(s1, s2), terms, s1.order * s2.order)
+
+    @given(rational_recurrences(), st.integers(1, 4), st.integers(1, 5))
+    @settings(max_examples=80, deadline=None)
+    def test_subsequence_with_offset(self, pair, step, offset):
+        long = oracles.recurrence_terms(*pair, step * (self.N - 1) + offset + 1)
+        terms = long[offset::step]
+        seq = CFiniteSeq(*pair)
+        assert_closure(subsequence(seq, step, offset), terms, seq.order)
+
+    @given(rational_recurrences())
+    @settings(max_examples=60, deadline=None)
+    def test_partial_sums(self, pair):
+        terms = list(itertools.accumulate(oracles.recurrence_terms(*pair, self.N)))
+        seq = CFiniteSeq(*pair)
+        assert_closure(partial_sums(seq), terms, seq.order + 1)
+
+    @given(rational_recurrences())
+    @settings(max_examples=60, deadline=None)
+    def test_binomial_transform(self, pair):
+        terms = oracles.binomial_transform_terms(oracles.recurrence_terms(*pair, self.N))
+        seq = CFiniteSeq(*pair)
+        assert_closure(binomial_transform(seq), terms, seq.order)
+
+    @given(rational_recurrences(5), fracs)
+    @settings(max_examples=80, deadline=None)
+    def test_minimize_non_minimal_encoding(self, pair, r):
+        wide = non_minimal(*pair, r)
+        terms = oracles.recurrence_terms(*pair, self.N)
+        assert eval_terms(wide, self.N) == terms
+        found = minimize(wide)
+        assert found.order <= len(pair[1])
+        assert_closure(found, terms, wide.order)
+
+    ZERO = CFiniteSeq([0], [0])
+
+    @pytest.mark.parametrize(
+        "op",
+        [
+            lambda: minimize(CFiniteSeq([0, 0], [Fraction(1, 3), 2])),
+            lambda: add(FIB, scale(FIB, -1)),
+            lambda: mul(CFiniteSeq([Fraction(1, 2), 0], [0, 0]), CFiniteSeq([0, 5], [0, 0])),
+            lambda: partial_sums(CFiniteSeq([0], [Fraction(2, 7)])),
+            lambda: binomial_transform(CFiniteSeq([0, 0, 0], [1, Fraction(-1, 2), 3])),
+            lambda: subsequence(CFiniteSeq([0, 1], [0, 0]), 2, 2),
+        ],
+    )
+    def test_zero_sequences(self, op):
+        assert op() == self.ZERO
+
+    @pytest.mark.parametrize(
+        "seq",
+        [
+            CFiniteSeq([1, 2, 3], [0, 0, 0]),
+            CFiniteSeq([Fraction(1, 2), Fraction(2, 3)], [Fraction(3, 5), 0]),
+            CFiniteSeq([Fraction(-1, 4), 1, Fraction(7, 9)], [2, Fraction(1, 3), 0]),
+        ],
+    )
+    def test_fits_with_zero_last_coefficient(self, seq):
+        L = seq.order
+        terms = eval_terms(seq, self.N)
+        assert minimize(seq) == seq == bm_minimal(terms, L)
+        # the closures keep c_L = 0 in their own fits too
+        for found, want, bound in [
+            (mul(seq, FIB), [a * b for a, b in zip(terms, eval_terms(FIB, self.N))], 2 * L),
+            (subsequence(seq, 1, 1), terms[1:] + eval_terms(seq, self.N + 1)[-1:], L),
+        ]:
+            assert_closure(found, want, bound)
+
+    def test_fit_rejects_a_corrupted_image_term(self, monkeypatch):
+        # a connection polynomial that misses one term of the image fails the
+        # integer check, as a wrong Berlekamp-Massey pass would
+        E, D, x = _image(CFiniteSeq([1, Fraction(1, 2)], [Fraction(1, 3), Fraction(2, 9)]), 12)
+        clean = guess._berlekamp_massey(x, 4)
+        x[9] += 1
+        monkeypatch.setattr(guess, "_berlekamp_massey", lambda s, max_l: clean)
+        with pytest.raises(InvariantViolation, match="failed verification"):
+            guess._fit(E, D, x, 4)
+
+    def test_close_rejects_a_corrupted_image_term(self):
+        def make(n):
+            E, D, x = _image(PELL, n)
+            x[-1] += 1
+            return E, D, x
+
+        with pytest.raises(InvariantViolation, match="contradicts the closure bound"):
+            guess._close("corrupted", PELL.order, make)
 
 
 class TestProveEqual:

@@ -233,7 +233,7 @@ def test_pipeline_steps_run_only_in_their_home():
 
 # the factorisers propose recurrences exactly and call no guesser; only the
 # closure guess.mul that _pair's proof runs guesses, inside guess.py
-GUESSERS = {"guess_rec", "guess_nlr", "_berlekamp_massey", "_close"}
+GUESSERS = {"guess_rec", "guess_nlr", "_berlekamp_massey", "_fit", "_close"}
 
 
 def test_factorisers_call_no_guesser():
@@ -270,6 +270,21 @@ def test_checker_follows_calls_within_the_module():
         "    return mul(1, 2)\n"
     )
     assert calls_reached(tree, "home") == {"_step", "len", "deep"}
+
+
+# the closure ops fit on integer images: no term list of Fractions, no
+# guess from Fractions and no denominator clearing on the way to the fit
+CLOSURE_OPS = ("add", "mul", "binomial_transform", "partial_sums", "subsequence")
+CLOSURES_AVOID = {"eval_terms", "guess_rec", "_clear_denominators"}
+
+
+def test_closure_ops_fit_on_integer_images():
+    tree = ast.parse((SRC / "guess.py").read_text())
+    reached = {op: calls_reached(tree, op) for op in CLOSURE_OPS}
+    assert all({"_image", "_close", "_fit"} <= names for names in reached.values())
+    assert {op: names & CLOSURES_AVOID for op, names in reached.items()} == {
+        op: set() for op in CLOSURE_OPS
+    }
 
 
 # the identity check is one computation in Z[params]: no closure by
