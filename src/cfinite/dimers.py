@@ -5,11 +5,14 @@ cells covered by a vertical domino protruding into the next row, encoded
 as a bitmask.  A row transition fills every non-protruded cell either by a
 horizontal domino (weight h per domino) or by starting a new vertical
 domino (weight v, counted once, at the start).  The 2^m x 2^m transfer
-matrix is kept as its list of transitions, 985 of 65,536 cells at width 8;
-a sparse row vector of Python ints is pushed through it.
+matrix is kept as its transitions grouped by source state, 985 of 65,536
+cells at width 8, built once per width.  Each count weights every
+transition once and pushes a dense row vector of Python ints through the
+groups, skipping its zero entries.
 
 kasteleyn_count checks the counts exactly against Kasteleyn's closed-form
-product, a resultant computed as a norm on integer coefficient lists.
+product, a resultant computed as a norm on integer coefficient lists; the
+Chebyshev factors are read off their closed form, no table is built.
 The same product (Kasteleyn 1961; Temperley-Fisher 1961) makes the strip
 count a termwise product over j <= ceil(m/2) of order-2 sequences in n,
 rec [2h cos(j pi/(m+1)), v^2]; for odd m the middle factor (cos = 0) has
@@ -21,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from math import log2
+from math import comb, log2
 
 from . import guess, roots
 from .core import CFiniteSeq, _clear_denominators, _from_power_sums, _mulmod, _power_sums
@@ -32,26 +35,28 @@ PRACTICAL_WIDTH_LIMIT = 10
 
 @cache
 def _transitions(m: int) -> tuple:
-    """Every row transition of width m once: (state, next, h count, v count)."""
+    """Every row transition of width m once, grouped by source state: entry
+    s lists the (next, h count, v count) of the transitions out of s."""
     out = []
 
-    def fill(col, occupied, protrude, nh, nv, state):
+    def fill(col, occupied, protrude, nh, nv):
         # `occupied` marks cells of the current row already covered
         if col == m:
-            out.append((state, protrude, nh, nv))
+            out[-1].append((protrude, nh, nv))
             return
         if occupied >> col & 1:
-            fill(col + 1, occupied, protrude, nh, nv, state)
+            fill(col + 1, occupied, protrude, nh, nv)
             return
         # vertical domino into the next row
-        fill(col + 1, occupied, protrude | (1 << col), nh, nv + 1, state)
+        fill(col + 1, occupied, protrude | (1 << col), nh, nv + 1)
         # horizontal domino with the right neighbor
         if col + 1 < m and not (occupied >> (col + 1) & 1):
-            fill(col + 2, occupied, protrude, nh + 1, nv, state)
+            fill(col + 2, occupied, protrude, nh + 1, nv)
 
     for state in range(1 << m):
-        fill(0, state, 0, 0, 0, state)
-    return tuple(out)
+        out.append([])
+        fill(0, state, 0, 0, 0)
+    return tuple(map(tuple, out))
 
 
 def _check_width(m: int):
@@ -67,19 +72,22 @@ def _counts(m: int, N: int, weights):
     (m - |s| + |t|) / 2 dominoes, so every path from the empty state back
     to it over n rows lays m*n/2 of them and its count is scaled by
     d^(m*n/2).  The row vector e_0^T * M^n is iterated over ints and its
-    component 0 read.
+    component 0 read; the rows drop their zero-weight transitions.
     """
     d, (hd, vd) = _clear_denominators([Fraction(w) for w in weights])
-    steps = [(s, t, hd**nh * vd**nv) for s, t, nh, nv in _transitions(m)]
-    vec, out = {0: 1}, []
+    rows = [
+        [(t, w) for t, nh, nv in row if (w := hd**nh * vd**nv)]
+        for row in _transitions(m)
+    ]
+    vec, out = [1] + [0] * (len(rows) - 1), []
     for _ in range(N):
-        nxt = {}
-        for s, t, w in steps:
-            x = vec.get(s)
-            if x and w:
-                nxt[t] = nxt.get(t, 0) + x * w
+        nxt = [0] * len(rows)
+        for x, row in zip(vec, rows):
+            if x:
+                for t, w in row:
+                    nxt[t] += x * w
         vec = nxt
-        out.append(vec.get(0, 0))
+        out.append(vec[0])
     return d, out
 
 
@@ -148,11 +156,15 @@ def kasteleyn_count(m: int, n: int) -> int:
         raise ValueError("m * n must be even (odd-area grids have no tilings)")
     if m > 32 or n > 32:
         raise ValueError("grid sides limited to 32")
-    P = [[1], [0, 1]]  # P_k(x) = U_k(x/2), ascending integer coefficients
-    while len(P) <= max(m, n):
-        P.append([a - b for a, b in zip([0, *P[-1]], P[-2] + [0, 0])])
-    q_m, q_n = (([0] * (k % 2) + P[k])[::2] for k in (m, n))
-    return abs(_resultant(q_m, [c * (-1) ** i for i, c in enumerate(q_n)]))
+    q_n = _chebyshev_q(n)
+    return abs(_resultant(_chebyshev_q(m), [c * (-1) ** i for i, c in enumerate(q_n)]))
+
+
+def _chebyshev_q(k: int) -> list:
+    """Q_k ascending: U_k(x/2) = sum_j (-1)^j C(k-j, j) x^(k-2j), so the
+    coefficient of y^(ceil(k/2) - j) is (-1)^j C(k-j, j), and y^0 has a 0
+    for odd k."""
+    return [0] * (k % 2) + [(-1) ** j * comb(k - j, j) for j in range(k // 2, -1, -1)]
 
 
 @dataclass(frozen=True)

@@ -269,40 +269,41 @@ def _order_2_candidates(m):
     If A = z^2 - a z - b is a factor of m and B, of order K = m.order / 2,
     the other, the ratio alpha_1 / alpha_2 of A's roots and its inverse
     occur once for each root of B among the root ratios of m, so the
-    folded ratio polynomial S (roots._ratio_quotient) has the root w = c t
-    with multiplicity at least K, where t = alpha_1/alpha_2 +
-    alpha_2/alpha_1 = -(a^2 + 2b)/b.  The candidates t are the rational roots of the
-    square-free parts of S of multiplicity at least K and degree 1 or 2.
-    In the gauge a = 1, b = -1/(t + 2) (the root -2c, t = -2, is divided
-    out of S).  B's power sums are p_P(k) / p_A(k) (the composed product;
+    folded ratio polynomial S has the root w = c t with multiplicity at
+    least K, where t = alpha_1/alpha_2 + alpha_2/alpha_1 = -(a^2 + 2b)/b.
+    roots._ratio_quotient gives S in u = w / |c| = sign(c) t, primitive, so
+    the candidates t = sign(c) u are the rational roots u of its square-free
+    parts of multiplicity at least K and degree 1 or 2, times sign(c).
+    In the gauge a = 1, b = -1/(t + 2) (the root t = -2 is divided out).
+    B's power sums are p_P(k) / p_A(k) (the composed product;
     Brawley-Carlitz 1987), and Newton's identities give B's recurrence
     when no p_A(k), k <= K, is 0.  _pair certifies each pair like one
     from the root grid.
     """
     K = m.order // 2
-    c, _, S = _ratio_quotient(m.rec)
+    sign, _, T = _ratio_quotient(m.rec)
     p_P = _power_sums(m.rec, K)
-    for t in _rational_roots(_square_free(S), K, c):
+    for t in _rational_roots(_square_free(T), K, sign):
         A = [Fraction(1), -1 / (t + 2)]
         p_A = _power_sums(A, K)
         if 0 not in p_A:
             yield A, _from_power_sums([x / y for x, y in zip(p_P, p_A)], K)
 
 
-def _rational_roots(parts, K, c):
-    """The rational roots w / c of the linear and quadratic square-free parts
-    of multiplicity at least K; a quadratic's roots are rational exactly
-    when its discriminant is a square."""
+def _rational_roots(parts, K, sign):
+    """The rational roots u / sign (sign = +-1) of the linear and quadratic
+    square-free parts of multiplicity at least K, larger u first; a
+    quadratic's roots are rational exactly when its discriminant is a square."""
     for k, f in parts:
         if k < K:
             continue
         if len(f) == 2:
-            yield Fraction(-f[0], f[1] * c)
+            yield Fraction(-f[0], f[1] * sign)
         elif len(f) == 3:
             disc = f[1] * f[1] - 4 * f[0] * f[2]
             if disc >= 0 and (r := isqrt(disc)) ** 2 == disc:
-                yield Fraction(r - f[1], 2 * f[2] * c)
-                yield Fraction(-r - f[1], 2 * f[2] * c)
+                yield Fraction(r - f[1], 2 * f[2] * sign)
+                yield Fraction(-r - f[1], 2 * f[2] * sign)
 
 
 def _grid_ladder(original, m, L1, L2, digits, gauge):

@@ -40,7 +40,7 @@ from fractions import Fraction
 from math import gcd, prod
 
 from . import linalg
-from .core import CFiniteSeq, _as_fraction, _clear_denominators, _image, eval_terms
+from .core import CFiniteSeq, _as_fraction, _clear_denominators, _image
 from .core import format_mpoly, format_rational, format_signed_sum, mpoly_dot
 
 
@@ -270,27 +270,32 @@ def prove_equal(s1: CFiniteSeq, s2: CFiniteSeq) -> ProofCertificate:
     The difference of the two sequences satisfies a recurrence of order at
     most L1 + L2, so agreement on that many initial terms proves equality
     everywhere.  _VERIFY_EXTRA additional terms are compared as a sanity
-    margin; a disagreement there would be an arithmetic bug.
+    margin; a disagreement there would be an arithmetic bug.  The terms are
+    compared on the integer images x_i(n) = E_i D_i^n a_i(n) (core._image):
+    a_1(n) = a_2(n) exactly when x_1(n) E_2 D_2^n = x_2(n) E_1 D_1^n.
     """
     bound = s1.order + s2.order
     checked = bound + _VERIFY_EXTRA
-    t1, t2 = eval_terms(s1, checked), eval_terms(s2, checked)
+    (E1, D1, x1), (E2, D2, x2) = _image(s1, checked), _image(s2, checked)
+    k1, k2 = E2, E1  # E_2 D_2^n and E_1 D_1^n
     for n in range(checked):
-        if t1[n] != t2[n]:
+        if x1[n] * k1 != x2[n] * k2:
             if n >= bound:
                 raise InvariantViolation(
                     f"terms agree through the order bound {bound} but differ "
                     f"at n={n}"
                 )
+            t1, t2 = Fraction(x1[n], E1 * D1**n), Fraction(x2[n], E2 * D2**n)
             return ProofCertificate(
                 order_bound=bound,
                 terms_checked=checked,
                 statement=(
                     f"sequences differ first at n={n}: "
-                    f"{format_rational(t1[n])} != {format_rational(t2[n])}"
+                    f"{format_rational(t1)} != {format_rational(t2)}"
                 ),
                 verified=False,
             )
+        k1, k2 = k1 * D2, k2 * D1
     return ProofCertificate(
         order_bound=bound,
         terms_checked=checked,

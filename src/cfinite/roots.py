@@ -13,11 +13,14 @@ coprime base of the denominators, the L^2 - L off-diagonal ratios times
 a constant c are algebraic integers r_ij, and they pair up:
 r_ij r_ji = c^2.  So their polynomial folds to S(w) of degree
 (L^2 - L)/2 in w = z + c^2/z, with one root r_ij + r_ji per pair.
-Power sums and Newton's identities give S exactly; Yun's square-free
-decomposition (with the modular gcd of core) gives its multiplicities,
-and each w-root of multiplicity k unfolds into two ratios of
-multiplicity k.  The one exception is w = -2c (gamma_i = -gamma_j),
-which unfolds into the single ratio -c of multiplicity 2k.
+Power sums and Newton's identities give S exactly.  The profile is read
+in u = w/|c|: the primitive polynomial with S's roots over |c| drops the
+factor c^(N-k) that S's coefficient of w^k carries, so its coefficients
+are far smaller.  Yun's square-free decomposition (with the modular gcd of
+core) gives its multiplicities, and each u-root of multiplicity k unfolds
+into two ratios of multiplicity k.  The one exception is u = -2 sign(c)
+(w = -2c, gamma_i = -gamma_j), which unfolds into the single ratio -c of
+multiplicity 2k.
 
 The product test and both factorisers share one front, _minimal.
 
@@ -29,7 +32,8 @@ exactly (gcd(P, P') not constant, _require_simple_roots) for both the
 product test and factorize_roots.  Nothing here finds a root: the
 root grid of factorize_roots, over Z/p^N, is in factor.py, and the integer
 kernels (power sums, Yun's decomposition, the modular gcd) are core's.  The
-exact order-2 route of factorize_roots reads S from _ratio_quotient.
+exact order-2 route of factorize_roots reads the u-polynomial from
+_ratio_quotient.
 """
 
 from __future__ import annotations
@@ -39,7 +43,7 @@ import math
 from dataclasses import dataclass
 
 from .core import CFiniteSeq, _integral_rec, int_poly_gcd, int_poly_quo, minimize
-from .core import _derivative, _from_power_sums, _power_sums, _square_free
+from .core import _derivative, _from_power_sums, _power_sums, _primitive, _square_free
 
 DEFAULT_DIGITS = 100
 # largest product L of factor orders prod_indicator accepts; its profile
@@ -226,18 +230,24 @@ def _root_multiplicities(f: list) -> list:
 
 
 def _ratio_quotient(rec):
-    """(c, mu, S / (w + 2c)^mu) for the folded ratio polynomial S
-    (_ratio_poly) and its scale c = c'_L, mu being the multiplicity of the
-    root w = -2c, found by exact division.
+    """(sign c, mu, T / (u + 2 sign c)^mu) for the folded ratio polynomial S
+    (_ratio_poly), its scale c = c'_L and T the primitive polynomial with
+    the roots u = w / |c| of S, mu being the multiplicity of the root
+    u = -2 sign c (w = -2c), found by exact division.
 
-    The product test and the exact order-2 route of factor.py both read the
-    square-free decomposition of this quotient.
+    The coefficient of w^k in S carries c^(N-k), which T drops: at width 8
+    with weights (2/3, 5/7) its coefficients have about 1,400 bits, against
+    30,000 for S.  The product test and the exact order-2 route of factor.py
+    both read the square-free decomposition of this quotient; |c| > 0 keeps
+    the roots in order, so the route proposes its candidates in the same order.
     """
     fwd = _integral_rec(rec)  # already integral, so _ratio_poly keeps c
     c, S, mu = fwd[-1], _ratio_poly(fwd), 0
-    while (quo := int_poly_quo(S, [2 * c, 1])) is not None:
-        S, mu = quo, mu + 1
-    return c, mu, S
+    sign = 1 if c > 0 else -1
+    T = _primitive([x * abs(c) ** k for k, x in enumerate(S)])
+    while (quo := int_poly_quo(T, [2 * sign, 1])) is not None:
+        T, mu = quo, mu + 1
+    return sign, mu, T
 
 
 def _ratio_multiplicities(rec) -> list:
@@ -249,11 +259,11 @@ def _ratio_multiplicities(rec) -> list:
     and since w + 2c = (z + c)^2 / z it gives the one ratio -c, doubled.
     So a w-root of multiplicity k gives two ratios of multiplicity k, and
     -2c of multiplicity mu gives one ratio of multiplicity 2 mu; mu comes
-    from exact division by w + 2c, and Yun runs on the quotient
+    from exact division, and Yun runs on the quotient, both in u = w/|c|
     (_ratio_quotient).
     """
-    _, mu, S = _ratio_quotient(rec)
-    mults = [k for k in _root_multiplicities(S) for _ in (0, 1)]
+    _, mu, T = _ratio_quotient(rec)
+    mults = [k for k in _root_multiplicities(T) for _ in (0, 1)]
     return mults + [2 * mu] if mu else mults
 
 

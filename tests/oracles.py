@@ -308,6 +308,15 @@ def weighted_tilings(m, n, h, v):
 
 
 
+def chebyshev_q(k: int) -> list:
+    """Q_k (ascending) with Q_k(x^2) = x^(k mod 2) U_k(x/2), from the table
+    P_0 = 1, P_1 = x, P_j = x P_(j-1) - P_(j-2) of P_j(x) = U_j(x/2)."""
+    P = [[1], [0, 1]]
+    while len(P) <= k:
+        P.append([a - b for a, b in zip([0, *P[-1]], P[-2] + [0, 0])])
+    return ([0] * (k % 2) + P[k])[::2]
+
+
 def kasteleyn_product(m: int, n: int) -> int:
     """Closed-form tiling count of the m x n grid, via the double product.
 

@@ -11,6 +11,7 @@ from cfinite.dimers import (
     dimer_product_report,
     dimer_seq,
     dimer_terms,
+    _chebyshev_q,
     _resultant,
     _transitions,
     kasteleyn_count,
@@ -70,6 +71,16 @@ class TestDimerTerms:
         for m, n in [(2, 7), (3, 4), (4, 3)]:
             assert dimer_terms(m, n)[n - 1] == dimer_terms(n, m)[m - 1]
 
+    @pytest.mark.parametrize("weights", [(0, Fraction(5, 7)), (Fraction(2, 3), 0), (0, 0)])
+    @pytest.mark.parametrize("m", range(1, 9))
+    def test_zero_weights_against_exhaustive(self, m, weights):
+        # zero weights drop transitions from the rows; the oracle swaps h and v
+        h, v = weights
+        N = max(1, 16 // m)
+        counts = dimer_terms(m, N, weights)
+        for n in range(1, N + 1):
+            assert counts[n - 1] == oracles.weighted_tilings(m, n, v, h), (m, n)
+
     def test_width_validated(self):
         with pytest.raises(ValueError):
             dimer_terms(0, 3)
@@ -81,8 +92,9 @@ def dense_transfer_matrix(m, weights=(1, 1)):
     """The 2^m x 2^m transfer matrix, built from the transition list."""
     h, v = (Fraction(w) for w in weights)
     rows = [[Fraction(0)] * (1 << m) for _ in range(1 << m)]
-    for s, t, nh, nv in _transitions(m):
-        rows[s][t] += h**nh * v**nv
+    for s, row in enumerate(_transitions(m)):
+        for t, nh, nv in row:
+            rows[s][t] += h**nh * v**nv
     return rows
 
 
@@ -106,11 +118,14 @@ class TestTransferMatrix:
 
     def test_each_transition_once(self):
         for m in range(1, 9):
-            pairs = [(s, t) for s, t, _, _ in _transitions(m)]
+            groups = _transitions(m)
+            assert len(groups) == 1 << m
+            pairs = [(s, t) for s, row in enumerate(groups) for t, _, _ in row]
             assert len(pairs) == len(set(pairs)), m
+        assert sum(map(len, _transitions(8))) == 985
 
     def test_dense_powers_match_terms(self):
-        # e_0^T M^n [0] with the dense matrix equals the sparse iteration
+        # e_0^T M^n [0] with the dense matrix equals the grouped iteration
         for m, weights in [(3, (Fraction(2, 3), Fraction(5, 7))), (4, (3, 2))]:
             rows = dense_transfer_matrix(m, weights)
             vec = rows[0]
@@ -268,6 +283,17 @@ class TestKasteleyn:
     @pytest.mark.parametrize("m, n", [(16, 16), (31, 32), (32, 32)])
     def test_against_floating_point_product(self, m, n):
         assert kasteleyn_count(m, n) == oracles.kasteleyn_product(m, n)
+
+    def test_closed_form_chebyshev_factors(self):
+        for k in range(33):
+            assert _chebyshev_q(k) == oracles.chebyshev_q(k), k
+
+    def test_symmetric_in_the_two_sides(self):
+        # the two orders take Q_m and Q_n as the modulus in turn
+        for m in range(1, 33):
+            for n in range(1, 33):
+                if m * n % 2 == 0:
+                    assert kasteleyn_count(m, n) == kasteleyn_count(n, m), (m, n)
 
     def test_strips_up_to_height_32(self):
         # the closed form of Kasteleyn (1961) and Temperley-Fisher (1961)

@@ -8,7 +8,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cfinite.cli import main
-from cfinite.core import CFiniteSeq, content, eval_terms, format_seq, minimize, shift
+from cfinite.core import CFiniteSeq, _integral_rec, content, eval_terms, format_seq, minimize
+from cfinite.core import parse_seq, shift
 from cfinite.dimers import dimer_seq
 from cfinite import factor, guess
 from cfinite.factor import (
@@ -522,6 +523,10 @@ def _integer(seq, L1, L2):
     return factorize_integer(seq, L1, L2, bound=2)
 
 
+def _integer_bound_5(seq, L1, L2):
+    return factorize_integer(seq, L1, L2, bound=5)
+
+
 def _no_work(seq):
     raise AssertionError("minimize called before the orders were checked")
 
@@ -889,3 +894,52 @@ def test_width_8_strip_has_a_fibonacci_factor():
     assert time.monotonic() - t0 < 30
     assert pair.left == CFiniteSeq([1, 2], [1, 1])
     assert_valid_factorization(pair, dimer_seq(8))
+
+
+# Seeded 2x2, 2x3 and 3x3 products of integer factors (data in [-5, 5],
+# c_L in {-2, -1, 1, 3}), with the pair and normalization line both
+# factorisers print for each; the 2x2 and 2x3 ones go through the exact
+# order-2 route, whose candidates come in the order of the folded ratio
+# polynomial's roots, so a reordering of those roots shows here.
+NORMAL_FORM_SWEEP = [
+    (2, 2, "[[0, -8, 200, -2912], [-15, -35, 90, -36]]",
+     "[[1, -1], [3, -2]]", "[[0, 8], [-5, 3]]", "gauge lambda = -1/5; left factor divided by -8/5"),
+    (2, 2, "[[-6, 3, -24, -33], [0, -7, 0, -1]]",
+     "[[2, -1], [0, -1]]", "[[-3, -3], [-3, -1]]", "gauge lambda = -1/3; left factor divided by -3"),
+    (2, 2, "[[20, 10, -240, 5313], [-20, 43, -20, -1]]",
+     "[[4, -5], [4, 1]]", "[[5, -2], [-5, 1]]", "gauge lambda = -1/5; left factor divided by 5"),
+    (2, 2, "[[16, -10, 36, -660], [6, 57, 54, -81]]",
+     "[[4, -5], [2, 3]]", "[[4, 2], [3, 3]]", "gauge lambda = 1/3; left factor divided by 4"),
+    (2, 3, "[[-20, 15, 38, 1364, 18655, 289756], [12, 49, 0, -53, 9, 1]]",
+     "[[4, 5], [3, 1]]", "[[-5, 3, 2], [4, 3, -1]]", "gauge lambda = 3; left factor divided by 1/4"),
+    (2, 3, "[[0, -9, -44, -30, 323, 1539], [3, -12, -3, 38, 24, -72]]",
+     "[[4, -3], [1, -2]]", "[[0, 3, 4], [3, -2, 3]]", "left factor divided by 1/4"),
+    (2, 3, "[[6, 12, 90, -2162, 50264, -1076950], [-20, 43, 260, -217, -10, 4]]",
+     "[[1, -2], [5, 1]]", "[[6, -6, -10], [-4, 1, 2]]", "gauge lambda = 5"),
+    (2, 3, "[[10, -9, 10, -196, 0, 492], [0, 0, -4, -36, -24, -8]]",
+     "[[2, -3], [2, -2]]", "[[5, 3, -1], [0, 3, 1]]", "gauge lambda = 2; left factor divided by 1/2"),
+    (3, 3, "[[12, -10, 5, -126, -1044, -11662, -147112, -1777620, -21531180], "
+     "[10, 18, 102, -136, 448, 432, 96, 128, 64]]",
+     "[[3, 5, -1], [2, 2, 2]]", "[[4, -2, -5], [5, -4, 2]]", "gauge lambda = 2; left factor divided by 1/3"),
+    (3, 3, "[[0, -6, 4, -95, -92, -91, -960, 2688, -867], [2, 3, -4, -35, 65, -93, 56, -36, 8]]",
+     "[[0, 2, 1], [1, -3, 2]]", "[[2, -3, 4], [2, -3, 1]]", "gauge lambda = 1/2; left factor divided by 2"),
+    (3, 3, "[[9, -4, 0, -203, 4082, -13440, -237456, 2876809, -6676390], "
+     "[-10, -95, -234, -715, 3290, -4673, 3570, -900, -216]]",
+     "[[3, 1, 2], [2, -5, -2]]", "[[3, -4, 0], [-5, -5, 3]]", "gauge lambda = -1/5; left factor divided by 3"),
+    (3, 3, "[[-2, -2, 4, 4, -126, 190, 2640, -16224, -19190], "
+     "[-2, -22, 65, 32, 48, -415, 186, 54, 27]]",
+     "[[1, 1, 2], [1, -3, -1]]", "[[-2, -2, 2], [-2, 2, -3]]", "gauge lambda = -1/2; left factor divided by -2"),
+]
+
+
+def test_normal_form_sweep_has_both_signs_of_c():
+    signs = {_integral_rec(parse_seq(prod).rec)[-1] < 0 for _, _, prod, *_ in NORMAL_FORM_SWEEP}
+    assert signs == {True, False}
+
+
+@pytest.mark.parametrize("L1, L2, prod, left, right, normalization", NORMAL_FORM_SWEEP)
+@pytest.mark.parametrize("factorize", [factorize_roots, _integer_bound_5], ids=["roots", "integer"])
+def test_normal_form_sweep_prints_the_pinned_pairs(factorize, L1, L2, prod, left, right, normalization):
+    pair = factorize(parse_seq(prod), L1, L2)
+    assert (str(pair.left), str(pair.right), pair.normalization) == (left, right, normalization)
+    assert pair.certificate.verified

@@ -22,13 +22,16 @@ from cfinite.roots import (
     PROFILE_ORDER_LIMIT,
     RepetitionProfile,
     _is_coarsening,
+    _ratio_multiplicities,
     _ratio_poly,
+    _ratio_quotient,
     _root_multiplicities,
     is_prod,
     is_prod_g,
     prod_indicator,
 )
 from cfinite import corpus, roots
+from cfinite.dimers import dimer_seq
 
 import oracles
 
@@ -373,6 +376,18 @@ class TestExactProfile:
             assert not verdict.is_product
             want = oracles.ratio_profile(s.rec, 50)
             assert verdict.observed.multiplicities == want, s
+
+
+def test_ratio_quotient_height_on_the_weighted_width_8_strip():
+    # S's coefficient of w^k carries c^(N-k): 30,272 bits at its largest;
+    # the quotient is read in u = w/|c| and stays under 2,000
+    seq = dimer_seq(8, (Fraction(2, 3), Fraction(5, 7)))
+    sign, _, T = _ratio_quotient(seq.rec)
+    assert sign == -1 and _integral_rec(seq.rec)[-1] < 0
+    assert max(abs(x).bit_length() for x in T) < 2000
+    observed = (seq.order, *_ratio_multiplicities(seq.rec))
+    assert tuple(sorted(observed)) == oracles.ratio_profile(seq.rec, 60)
+    assert RepetitionProfile(observed) == prod_indicator((2, 2, 2, 2))
 
 
 class TestCoarsening:
