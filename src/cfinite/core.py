@@ -13,13 +13,16 @@ lcm of the initial-term denominators, x(n) = E D^n a(n) is an integer
 sequence with the integer recurrence w_k = c_k D^k (_integer_image).
 _image steps it on Python ints and returns (E, D, x); the closure ops,
 minimize and dimer_seq fit their recurrences on such images and build no
-Fraction per term (guess._fit).  eval_terms wraps _image with one Fraction
-per output term, and eval_at computes one term of the image.  The same w
-scales the characteristic roots of the product test in roots.py.
+Fraction per term (guess._fit), and minimize first tries a Hankel
+determinant of the image that certifies its input minimal.  eval_terms
+wraps _image with one Fraction per output term, and eval_at computes one
+term of the image.  The same w scales the characteristic roots of the
+product test in roots.py.
 
 Polynomial is the value type of generating functions.  Polynomial arithmetic
 runs on ascending integer lists, and all of its kernels live here: the modular
-gcd, exact division, Yun's square-free parts, power sums, _mulmod and _zpow.
+gcd with its cofactors, exact division, Yun's square-free parts, Horner
+evaluation, power sums, _mulmod and _zpow.
 Polynomials in several parameters, over Z, are dicts from exponent tuples to
 ints (mpoly_dot, mpoly_eval): guess.verify_parametric_identity works on them.
 """
@@ -220,10 +223,10 @@ def int_poly_quo(a: list, b: list, bound: int = 0):
     return None if any(rem[:db]) else quo
 
 
-def int_poly_gcd(a: list, b: list) -> list:
-    """Primitive gcd with positive leading coefficient of two integer
-    coefficient lists (ascending, no trailing zeros; [] for two zero
-    operands), by Brown's modular algorithm.
+def int_poly_gcd(a: list, b: list):
+    """(g, a / g, b / g): g the primitive gcd with positive leading
+    coefficient of two integer coefficient lists (ascending, no trailing
+    zeros; ([], [], []) for two zero operands), by Brown's modular algorithm.
 
     The gcd is computed modulo 61-bit primes that divide neither leading
     coefficient; each monic image is scaled to lc = gcd(lc a, lc b), images
@@ -237,10 +240,12 @@ def int_poly_gcd(a: list, b: list) -> list:
     the scaled gcd's coefficients; a failed check only means more primes.
     A trial division of f ends at the first quotient coefficient beyond
     Mignotte's bound 2^k * ||f||_2 (k the quotient's degree): the quotient
-    by the true gcd is a factor of f in Z[z], so it never gets there.
+    by the true gcd is a factor of f in Z[z], so it never gets there.  The
+    two cofactors are the quotients of the check that succeeds.
     """
     if not a or not b:
-        return _primitive(a or b)
+        g = _primitive(a or b)
+        return g, *([f[-1] // g[-1]] if f else [] for f in (a, b))
     gamma = gcd(a[-1], b[-1])
     norms = [isqrt(sum(x * x for x in f)) + 1 for f in (a, b)]
     modulus, lift = 1, []
@@ -249,7 +254,7 @@ def int_poly_gcd(a: list, b: list) -> list:
             continue
         image = _gcd_mod([x % p for x in a], [x % p for x in b], p)
         if len(image) == 1:
-            return [1]
+            return [1], a, b
         if lift and len(image) > len(lift):
             continue
         g = gamma % p
@@ -266,11 +271,13 @@ def int_poly_gcd(a: list, b: list) -> list:
         if prev is not None and sym != prev:
             continue
         cand = _primitive(sym)
-        if all(
-            int_poly_quo(f, cand, n << (len(f) - len(cand))) is not None
-            for f, n in zip((a, b), norms)
-        ):
-            return cand
+        quos = []
+        for f, n in zip((a, b), norms):
+            if (q := int_poly_quo(f, cand, n << (len(f) - len(cand)))) is None:
+                break
+            quos.append(q)
+        else:
+            return cand, *quos
 
 
 def _derivative(f) -> list:
@@ -289,21 +296,28 @@ def _square_free(f: list) -> list:
     coefficients): the pairs (k, a_k), a_k the primitive product of the
     distinct roots of multiplicity k, for each k with a_k not constant.
 
-    Every gcd is primitive, so each division is exact in Z[z] (Gauss's lemma).
+    Every gcd is primitive, so each division is exact in Z[z] (Gauss's
+    lemma); int_poly_gcd's cofactors are those quotients, so no division
+    runs twice.
     """
-    df = _derivative(f)
-    g = int_poly_gcd(f, df)
-    c = int_poly_quo(f, g)
-    d = _sub(int_poly_quo(df, g), _derivative(c))
+    _, c, d = int_poly_gcd(f, _derivative(f))
+    d = _sub(d, _derivative(c))
     parts, k = [], 1
     while len(c) > 1:
-        a = int_poly_gcd(c, d)
-        c = int_poly_quo(c, a)
-        d = _sub(int_poly_quo(d, a), _derivative(c))
+        a, c, d = int_poly_gcd(c, d)
+        d = _sub(d, _derivative(c))
         if len(a) > 1:
             parts.append((k, a))
         k += 1
     return parts
+
+
+def _horner(f: list, x: int) -> int:
+    """f(x) for the integer coefficient list f (ascending)."""
+    v = 0
+    for a in reversed(f):
+        v = v * x + a
+    return v
 
 
 def format_signed_sum(terms) -> str:
@@ -617,17 +631,58 @@ def scale(seq: CFiniteSeq, r) -> CFiniteSeq:
     return CFiniteSeq([r * d for d in seq.init], seq.rec)
 
 
+def _hankel_nonsingular_mod(x: list, L: int, p: int) -> bool:
+    """Whether the L x L Hankel matrix (x(i + j)), i, j < L, of the ints x
+    is nonsingular mod the prime p, in O(L^2) operations mod p.
+
+    Over a field it is nonsingular exactly when the first 2L - 1 terms have
+    linear complexity L, which one Berlekamp-Massey pass mod p gives.  A
+    kernel vector u with last nonzero u_d is a recurrence of order d that
+    holds for the first d + L terms; if those are all 2L - 1, the complexity
+    is at most d < L, and otherwise the first failure, at some N < 2L - 1,
+    forces a complexity of at least N + 1 - d >= L + 1 (Massey 1969).
+    Conversely a nonsingular matrix admits no recurrence of order below L,
+    and its first L - 1 rows always admit one of order L.
+    """
+    s = [v % p for v in x[: 2 * L - 1]]
+    C, B = [1], [1]  # current; before the last length change
+    ell, m, b = 0, 1, 1  # b: the last nonzero discrepancy
+    for n in range(len(s)):
+        d = sum(map(mul, C, reversed(s[max(n + 1 - len(C), 0) : n + 1]))) % p
+        if not d:
+            m += 1
+            continue
+        f, prev = d * pow(b, -1, p) % p, C
+        C = C + [0] * (len(B) + m - len(C))
+        for i, y in enumerate(B, start=m):
+            C[i] = (C[i] - f * y) % p
+        if 2 * ell <= n:
+            ell, B, b, m = n + 1 - ell, prev, d, 1
+        else:
+            m += 1
+    return ell == L
+
+
 def minimize(seq: CFiniteSeq) -> CFiniteSeq:
     """Unique minimal-order representation of the same sequence.
 
-    The shortest recurrence of 2L + 4 terms (one Berlekamp-Massey pass on
-    the integer image, through the closure driver with order bound L): the
-    sequence has order at most L, so that fit is its minimal form, and the
-    driver checks it against every term it computes.
+    The input itself when the L x L Hankel determinant of its first 2L - 1
+    terms, read on the integer image (_image), is nonzero mod _prime(0).
+    That is a certificate: a recurrence of order r < L would make the
+    columns r, ..., L - 1 of that matrix combinations of the r before them,
+    and the determinant of the image's matrix is the sequence's times the
+    nonzero E^L D^(L^2 - L).  Otherwise (a lower order, or an unlucky
+    prime) the shortest recurrence of 2L + 4 terms: one Berlekamp-Massey
+    pass on the integer image, through the closure driver with order bound
+    L.  The sequence has order at most L, so that fit is its minimal form,
+    and the driver checks it against every term it computes.
     """
     from .guess import _close
 
-    return _close("minimize", seq.order, lambda n: _image(seq, n))
+    L = seq.order
+    if _hankel_nonsingular_mod(_image(seq, 2 * L - 1)[2], L, _prime(0)):
+        return seq
+    return _close("minimize", L, lambda n: _image(seq, n))
 
 
 # --- canonical text encoding ------------------------------------------------

@@ -34,7 +34,7 @@ from fractions import Fraction
 from math import factorial, gcd, isqrt
 
 from . import guess
-from .core import CFiniteSeq, _coprime_base, _valuation, content, eval_terms, scale
+from .core import CFiniteSeq, _coprime_base, _image, _valuation, content, scale
 from .core import _derivative, _from_power_sums, _power_sums, _square_free, _sub
 from .core import _gcd_mod, _is_prime, _mulmod, _shiftmod, _zpow
 from .linalg import solve
@@ -78,18 +78,22 @@ def _split(m, left_rec, right_rec):
     when the system is inconsistent (the recurrences are not m's factor
     recurrences) and False when M has rank 0 or > 1 (m is no product over
     them).  x is scaled so its first nonzero entry is 1.
+
+    The system is built on integer images (core._image): u_k(n) = X_k(n) /
+    D1^n, v_l(n) = Y_l(n) / D2^n and m(n) = Z(n) / (E D^n), so equation n
+    times E D^n (D1 D2)^n has the int row E D^n X_k(n) Y_l(n) and the
+    right side (D1 D2)^n Z(n), with the same solution.
     """
     L1, L2 = len(left_rec), len(right_rec)
     n_terms = 2 * L1 * L2 + 4
-    us, vs = (
-        [
-            eval_terms(CFiniteSeq([int(i == j) for i in range(L)], rec), n_terms)
-            for j in range(L)
-        ]
-        for rec, L in ((left_rec, L1), (right_rec, L2))
-    )
-    rows = [[u[n] * v[n] for u in us for v in vs] for n in range(n_terms)]
-    flat = solve(rows, eval_terms(m, n_terms))
+    (D1, us), (D2, vs) = (_unit_images(rec, n_terms) for rec in (left_rec, right_rec))
+    E, D, z = _image(m, n_terms)
+    rows, rhs, left, right = [], [], E, 1
+    for n in range(n_terms):
+        rows.append([left * u[n] * v[n] for u in us for v in vs])
+        rhs.append(right * z[n])
+        left, right = left * D, right * D1 * D2
+    flat = solve(rows, rhs)
     if flat is None:
         return None
     if not any(flat):
@@ -101,6 +105,15 @@ def _split(m, left_rec, right_rec):
     if any(M[k][j] != x[k] * y[j] for k in range(L1) for j in range(L2)):
         return False
     return x, y
+
+
+def _unit_images(rec, N):
+    """(D, images): images[j] the first N terms of D^n u_j(n), u_j the
+    sequence with the recurrence rec and the unit initial terms e_j
+    (core._image, whose E is 1 here)."""
+    L = len(rec)
+    images = [_image(CFiniteSeq([int(i == j) for i in range(L)], rec), N) for j in range(L)]
+    return images[0][1], [x for _, _, x in images]
 
 
 def _pair(original, m, left_rec, right_rec, gauge):

@@ -12,7 +12,7 @@ import re
 from fractions import Fraction
 
 from .core import CFiniteSeq, Polynomial, _clear_denominators, format_poly
-from .core import int_poly_gcd, int_poly_quo, parse_rational
+from .core import int_poly_gcd, parse_rational
 
 
 class RationalGF:
@@ -51,8 +51,7 @@ def _normalize(num: Polynomial, den: Polynomial):
     k = len(num.coeffs)
     _, ints = _clear_denominators(num.coeffs + den.coeffs)
     N, M = ints[:k], ints[k:]
-    g = int_poly_gcd(N, M)  # primitive, so it divides both over Z (Gauss)
-    N, M = int_poly_quo(N, g), int_poly_quo(M, g)
+    _, N, M = int_poly_gcd(N, M)  # the cofactors of a primitive gcd (Gauss)
     return tuple(Polynomial(Fraction(x, M[0]) for x in f) for f in (N, M))
 
 

@@ -28,12 +28,13 @@ A "yes" means the observed profile matches or coarsens the generic one;
 only a factor certificate (factorize_roots, factorize_integer) proves
 that the sequence is a product.  A "no" is definitive only generically.
 Diagnostics always carry both profiles.  Repeated roots are detected
-exactly (gcd(P, P') not constant, _require_simple_roots) for both the
-product test and factorize_roots.  Nothing here finds a root: the
-root grid of factorize_roots, over Z/p^N, is in factor.py, and the integer
-kernels (power sums, Yun's decomposition, the modular gcd) are core's.  The
-exact order-2 route of factorize_roots reads the u-polynomial from
-_ratio_quotient.
+exactly: the product test reads them off T, whose root u = 2 sign(c)
+(w = 2c) means gamma_i = gamma_j, and the factorisers, whose root grid
+builds no T, test gcd(P, P') (_require_simple_roots).  Nothing here finds
+a root: the root grid of factorize_roots, over Z/p^N, is in factor.py, and
+the integer kernels (power sums, Yun's decomposition, the modular gcd) are
+core's.  The exact order-2 route of factorize_roots reads the u-polynomial
+from _ratio_quotient.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ import math
 from dataclasses import dataclass
 
 from .core import CFiniteSeq, _integral_rec, int_poly_gcd, int_poly_quo, minimize
-from .core import _derivative, _from_power_sums, _power_sums, _primitive, _square_free
+from .core import _derivative, _from_power_sums, _horner, _power_sums, _primitive, _square_free
 
 DEFAULT_DIGITS = 100
 # largest product L of factor orders prod_indicator accepts; its profile
@@ -56,7 +57,10 @@ class OrderMismatchError(ValueError):
 
 
 class DegenerateRootsError(ArithmeticError):
-    """Multiple characteristic roots (found exactly, by gcd(P, P'))."""
+    """Multiple characteristic roots (found exactly, off T or by gcd(P, P'))."""
+
+
+_DEGENERATE = "multiple characteristic roots: the ratio profile is undefined"
 
 
 class PrecisionError(ArithmeticError):
@@ -82,8 +86,8 @@ class RepetitionProfile:
         return "[" + ", ".join(str(m) for m in self.multiplicities) + "]"
 
 
-def _require_simple_roots(m: CFiniteSeq):
-    """ValueError for a root z = 0; DegenerateRootsError for a repeated root."""
+def _require_nonzero_roots(m: CFiniteSeq):
+    """ValueError for a root z = 0."""
     if m.rec[-1] == 0:
         raise ValueError(
             "trailing recurrence coefficient is 0, so z = 0 is a "
@@ -91,13 +95,16 @@ def _require_simple_roots(m: CFiniteSeq):
             "minimizing removes it unless the sequence has a transient start "
             "(e.g. it is eventually 0)"
         )
+
+
+def _require_simple_roots(m: CFiniteSeq):
+    """ValueError for a root z = 0; DegenerateRootsError for a repeated root."""
+    _require_nonzero_roots(m)
     # the characteristic polynomial of _integral_rec(m.rec), with the roots
     # D gamma_i: repeated exactly when the gamma_i are
     P = [-w for w in reversed(_integral_rec(m.rec))] + [1]
-    if len(int_poly_gcd(P, _derivative(P))) > 1:
-        raise DegenerateRootsError(
-            "multiple characteristic roots: the ratio profile is undefined"
-        )
+    if len(int_poly_gcd(P, _derivative(P))[0]) > 1:
+        raise DegenerateRootsError(_DEGENERATE)
 
 
 def _check_orders(orders) -> tuple:
@@ -142,12 +149,15 @@ def _is_coarsening(observed, generic):
     ratios, so every observed ratio class is a union of generic symbolic
     classes.  Extra multiplicative coincidences among the factor roots
     (e.g. both +1 and -1 occurring) therefore coarsen the generic profile
-    but never refine it.  Backtracking over the class-size multisets; the
-    inputs are tiny (at most L^2 entries).
+    but never refine it.  An exact match is one; more observed classes than
+    generic ones, or another total, is none.  Otherwise backtracking over
+    the class-size multisets; the inputs are tiny (at most L^2 entries).
     """
     obs = sorted(observed, reverse=True)
     gen = sorted(generic, reverse=True)
-    if sum(obs) != sum(gen):
+    if obs == gen:
+        return True
+    if len(obs) > len(gen) or sum(obs) != sum(gen):
         return False
 
     def fill(bins, pool):
@@ -187,13 +197,13 @@ class ProductVerdict:
         )
 
 
-def _ratio_poly(rec) -> list:
+def _ratio_poly(fwd) -> list:
     """Integer coefficients (ascending) of the monic polynomial S of degree
     N = (L^2 - L)/2 whose roots are the N values r_ij + r_ji, i < j, where
     r_ij = c gamma_i / gamma_j and c = c'_L.
 
-    z is scaled by D (_integral_rec), so the roots D gamma_i have the
-    integer recurrence c_k D^k and are algebraic integers.  The backward
+    fwd is the integer recurrence c'_k = c_k D^k (_integral_rec) of the
+    roots D gamma_i, which are therefore algebraic integers.  The backward
     recurrence (c'_L = c_L D^L != 0) has the roots 1 / (D gamma_i); scaled
     by c'_L, whose roots c'_L / (D gamma_i) are products of the other
     D gamma_j and so algebraic integers too, it is integral as well.
@@ -206,9 +216,8 @@ def _ratio_poly(rec) -> list:
     plus C(k, k/2) c^k N for even k, so q is needed only up to N, and
     Newton's identities give S with exact division by k.
     """
-    L = len(rec)
+    L = len(fwd)
     N = (L * L - L) // 2
-    fwd = _integral_rec(rec)
     c = fwd[-1]
     bwd = [-x * c ** (k - 1) for k, x in enumerate(fwd[-2::-1], start=1)]
     bwd.append(c ** (L - 1))
@@ -233,7 +242,8 @@ def _ratio_quotient(rec):
     """(sign c, mu, T / (u + 2 sign c)^mu) for the folded ratio polynomial S
     (_ratio_poly), its scale c = c'_L and T the primitive polynomial with
     the roots u = w / |c| of S, mu being the multiplicity of the root
-    u = -2 sign c (w = -2c), found by exact division.
+    u = -2 sign c (w = -2c): a Horner evaluation tests the root, and only
+    a root is divided out, exactly.
 
     The coefficient of w^k in S carries c^(N-k), which T drops: at width 8
     with weights (2/3, 5/7) its coefficients have about 1,400 bits, against
@@ -241,28 +251,32 @@ def _ratio_quotient(rec):
     both read the square-free decomposition of this quotient; |c| > 0 keeps
     the roots in order, so the route proposes its candidates in the same order.
     """
-    fwd = _integral_rec(rec)  # already integral, so _ratio_poly keeps c
+    fwd = _integral_rec(rec)
     c, S, mu = fwd[-1], _ratio_poly(fwd), 0
     sign = 1 if c > 0 else -1
     T = _primitive([x * abs(c) ** k for k, x in enumerate(S)])
-    while (quo := int_poly_quo(T, [2 * sign, 1])) is not None:
-        T, mu = quo, mu + 1
+    while not _horner(T, -2 * sign):
+        T, mu = int_poly_quo(T, [2 * sign, 1]), mu + 1
     return sign, mu, T
 
 
 def _ratio_multiplicities(rec) -> list:
-    """Multiplicities of the distinct off-diagonal root ratios r_ij.
+    """Multiplicities of the distinct off-diagonal root ratios r_ij, for the
+    nonzero roots of rec; DegenerateRootsError when two roots coincide.
 
     Each root w of the folded polynomial S (_ratio_poly) is r + c^2/r for
     the two ratios r and c^2/r, which differ unless w = 2c or w = -2c.
-    w = 2c would need gamma_i = gamma_j.  w = -2c means gamma_i = -gamma_j,
-    and since w + 2c = (z + c)^2 / z it gives the one ratio -c, doubled.
-    So a w-root of multiplicity k gives two ratios of multiplicity k, and
-    -2c of multiplicity mu gives one ratio of multiplicity 2 mu; mu comes
-    from exact division, and Yun runs on the quotient, both in u = w/|c|
-    (_ratio_quotient).
+    w = 2c (u = 2 sign c) holds exactly when r = c, that is gamma_i =
+    gamma_j, so one Horner evaluation of T finds a repeated root.  w = -2c
+    means gamma_i = -gamma_j, and since w + 2c = (z + c)^2 / z it gives the
+    one ratio -c, doubled.  So a w-root of multiplicity k gives two ratios
+    of multiplicity k, and -2c of multiplicity mu gives one ratio of
+    multiplicity 2 mu; mu comes from exact division, and Yun runs on the
+    quotient, both in u = w/|c| (_ratio_quotient).
     """
-    _, mu, T = _ratio_quotient(rec)
+    sign, mu, T = _ratio_quotient(rec)
+    if not _horner(T, 2 * sign):
+        raise DegenerateRootsError(_DEGENERATE)
     mults = [k for k in _root_multiplicities(T) for _ in (0, 1)]
     return mults + [2 * mu] if mu else mults
 
@@ -281,7 +295,7 @@ def is_prod_g(seq: CFiniteSeq, orders, digits: int = DEFAULT_DIGITS) -> ProductV
     orders = tuple(orders)
     expected = prod_indicator(orders)
     m = _minimal(seq, orders)
-    _require_simple_roots(m)
+    _require_nonzero_roots(m)
     # the L diagonal ratios are 1, and no other ratio is, the roots being distinct
     observed = RepetitionProfile((m.order, *_ratio_multiplicities(m.rec)))
     is_product = _is_coarsening(observed.multiplicities, expected.multiplicities)

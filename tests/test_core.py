@@ -6,8 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cfinite import core, guess
 from cfinite.core import (
     _clear_denominators,
+    _hankel_nonsingular_mod,
+    _image,
     _is_prime,
     _prime,
     _primitive,
@@ -23,6 +26,7 @@ from cfinite.core import (
     format_mpoly,
     minimize,
     int_poly_gcd,
+    _square_free,
     mpoly_dot,
     mpoly_eval,
     parse_seq,
@@ -42,10 +46,26 @@ small_fracs = st.fractions(
 tiny_fracs = st.fractions(min_value=-3, max_value=3, max_denominator=3)
 
 
+int_lists = st.lists(st.integers(-20, 20), max_size=5).map(
+    lambda f: f[: max((i + 1 for i, x in enumerate(f) if x), default=0)]
+)
+
+
+def _int_mul(f, g):
+    """f g for integer coefficient lists (ascending; [] is 0)."""
+    if not f or not g:
+        return []
+    out = [0] * (len(f) + len(g) - 1)
+    for i, x in enumerate(f):
+        for j, y in enumerate(g):
+            out[i + j] += x * y
+    return out
+
+
 def poly_gcd(a, b):
     """Monic gcd over Q of two Polynomials, by the package's integer engine
     on their primitive integer parts."""
-    g = int_poly_gcd(*(_primitive(_clear_denominators(f.coeffs)[1]) for f in (a, b)))
+    g = int_poly_gcd(*(_primitive(_clear_denominators(f.coeffs)[1]) for f in (a, b)))[0]
     return Polynomial(Fraction(c, g[-1]) for c in g)
 
 
@@ -128,6 +148,10 @@ class TestPolynomial:
 # the first two primes of the modular gcd engine
 P0, P1 = _prime(0), _prime(1)
 factor_lists = st.lists(small_fracs, min_size=0, max_size=4)
+
+
+def _no_fit(*args):
+    raise AssertionError("a certified minimal input ran the fit")
 
 
 def _check_gcd(a, b):
@@ -213,6 +237,47 @@ class TestPolyGcd:
         G = Polynomial([3**1040, 1])
         assert poly_gcd(G * Polynomial([-1, 1]), G * Polynomial([-2, 1])) == G
 
+    @settings(max_examples=120, deadline=None)
+    @given(int_lists, int_lists, int_lists)
+    def test_cofactor_identities(self, g, u, v):
+        # g * (a / g) = a and g * (b / g) = b on planted common factors,
+        # zero operands (u or v empty) and, for g = [1], mostly coprime pairs
+        a, b = _int_mul(g, u), _int_mul(g, v)
+        gcd_, qa, qb = int_poly_gcd(a, b)
+        assert _int_mul(gcd_, qa) == a and _int_mul(gcd_, qb) == b
+        assert gcd_ == int_poly_gcd(b, a)[0]
+
+    def test_cofactors_of_special_operands(self):
+        assert int_poly_gcd([], []) == ([], [], [])
+        assert int_poly_gcd([0, -4, 6], []) == ([0, -2, 3], [2], [])
+        assert int_poly_gcd([], [3]) == ([1], [], [3])
+        # coprime: the gcd is 1 and the cofactors are the operands
+        assert int_poly_gcd([1, 1], [2, 1]) == ([1], [1, 1], [2, 1])
+        assert int_poly_gcd([-2, 0, 2], [-3, 3]) == ([-1, 1], [2, 2], [3])
+
+    def test_square_free_divides_only_inside_the_gcd(self, monkeypatch):
+        # Yun's quotients are the gcd's cofactors: no int_poly_quo of its own
+        depth = [0]
+        gcd_, quo = core.int_poly_gcd, core.int_poly_quo
+
+        def counted_gcd(a, b):
+            depth[0] += 1
+            try:
+                return gcd_(a, b)
+            finally:
+                depth[0] -= 1
+
+        def guarded_quo(*args):
+            assert depth[0], "int_poly_quo called outside int_poly_gcd"
+            return quo(*args)
+
+        monkeypatch.setattr(core, "int_poly_gcd", counted_gcd)
+        monkeypatch.setattr(core, "int_poly_quo", guarded_quo)
+        # (z - 1)^3 (z + 2)^2 (z^2 + 1)
+        f = _int_mul(_int_mul([-1, 1], [-1, 1]), _int_mul(_int_mul([-1, 1], [2, 1]), [2, 1]))
+        f = _int_mul(f, [1, 0, 1])
+        assert _square_free(f) == [(1, [1, 0, 1]), (2, [2, 1]), (3, [-1, 1])]
+
 
 class TestCFiniteSeq:
     def test_wire_encoding_fibonacci(self):
@@ -295,6 +360,54 @@ class TestCFiniteSeq:
         # Fibonacci dressed up as an order-4 recurrence
         padded = CFiniteSeq([0, 1, 1, 2], [1, 1, 0, 0])
         assert minimize(padded) == FIB
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.integers(1, 6),
+        st.lists(st.integers(-4, 4), min_size=11, max_size=11),
+        st.sampled_from([2, 3, 5, 7, _prime(0)]),
+    )
+    def test_hankel_certificate_is_the_determinant_mod_p(self, L, x, p):
+        # small primes make singular matrices common
+        H = [x[i : i + L] for i in range(L)]
+        assert _hankel_nonsingular_mod(x, L, p) == (oracles.rank_mod(H, p) == L)
+
+    def test_minimize_returns_a_certified_minimal_input(self, monkeypatch):
+        # the Hankel determinant of Fibonacci's first 3 terms is -1: no fit
+        monkeypatch.setattr(guess, "_berlekamp_massey", _no_fit)
+        assert minimize(FIB) is FIB
+        s = CFiniteSeq([Fraction(1, 3), 2, -1], [Fraction(1, 2), 0, Fraction(-7, 4)])
+        assert minimize(s) is s
+
+    def test_minimize_unlucky_prime_falls_back_to_the_fit(self, monkeypatch):
+        # the 1 x 1 Hankel determinant 2^61 - 1 is 0 mod _prime(0), though
+        # the sequence is minimal: the fit runs and gives the input back
+        calls = []
+        close = guess._close
+        monkeypatch.setattr(guess, "_close", lambda *a: calls.append(a) or close(*a))
+        s = CFiniteSeq([2**61 - 1], [3])
+        m = minimize(s)
+        assert m == s and m is not s
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize(
+        "padded, minimal",
+        [
+            # Fibonacci's characteristic polynomial times (z - 2)
+            (CFiniteSeq([0, 1, 1], [3, -1, -2]), FIB),
+            # 2^n times (z - 1)(z + 1)
+            (CFiniteSeq([1, 2, 4], [2, 1, -2]), CFiniteSeq([1], [2])),
+            (CFiniteSeq([5, 5, 5, 5], [1, 0, 0, 0]), CFiniteSeq([5], [1])),
+        ],
+    )
+    def test_minimize_padded_inputs(self, padded, minimal):
+        assert minimize(padded) == minimal
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(st.tuples(tiny_fracs, tiny_fracs), min_size=1, max_size=6))
+    def test_minimize_equals_the_fit(self, pairs):
+        s = CFiniteSeq(*zip(*pairs))
+        assert minimize(s) == guess._close("minimize", s.order, lambda n: _image(s, n))
 
     def test_minimize_zero_sequence(self):
         z = minimize(CFiniteSeq([0, 0], [3, -2]))

@@ -11,7 +11,7 @@ from cfinite.cli import main
 from cfinite.core import CFiniteSeq, _integral_rec, content, eval_terms, format_seq, minimize
 from cfinite.core import parse_seq, shift
 from cfinite.dimers import dimer_seq
-from cfinite import factor, guess
+from cfinite import factor, guess, linalg
 from cfinite.factor import (
     BudgetExhausted,
     PrecisionError,
@@ -332,6 +332,36 @@ class TestSplit:
             left = eval_terms(CFiniteSeq(x, a.rec), 60)
             right = eval_terms(CFiniteSeq(y, b.rec), 60)
             assert [u * v for u, v in zip(left, right)] == eval_terms(prod, 60)
+            done += 1
+
+    def test_integer_rows_solve_like_the_fraction_system(self, monkeypatch):
+        # _split solves on integer images; the system on the Fraction terms
+        # of the unit-initial-term sequences has the same solution
+        solved = []
+
+        def int_solve(A, b):
+            assert all(type(x) is int for row in A for x in (*row, *b))
+            solved.append(linalg.solve(A, b))
+            return solved[-1]
+
+        monkeypatch.setattr(factor, "solve", int_solve)
+        rng = random.Random(271828)
+        done = 0
+        while done < 15:
+            a = _random_factor(rng, rng.randint(1, 3))
+            b = _random_factor(rng, rng.randint(1, 3))
+            prod = mul(a, b)
+            if prod.order != a.order * b.order:
+                continue
+            n = 2 * prod.order + 4
+            us, vs = (
+                [eval_terms(CFiniteSeq([int(i == j) for i in range(s.order)], s.rec), n)
+                 for j in range(s.order)]
+                for s in (a, b)
+            )
+            rows = [[u[k] * v[k] for u in us for v in vs] for k in range(n)]
+            assert _split(prod, a.rec, b.rec)
+            assert solved[-1] == linalg.solve(rows, eval_terms(prod, n))
             done += 1
 
     def test_rank_two_grid_is_no_product(self):

@@ -10,6 +10,7 @@ from cfinite.core import (
     CFiniteSeq,
     Polynomial,
     _coprime_base,
+    _horner,
     _integral_rec,
     eval_terms,
     minimize,
@@ -30,7 +31,7 @@ from cfinite.roots import (
     is_prod_g,
     prod_indicator,
 )
-from cfinite import corpus, roots
+from cfinite import corpus, guess, roots
 from cfinite.dimers import dimer_seq
 
 import oracles
@@ -222,20 +223,20 @@ class TestExactProfile:
     def test_fibonacci_ratio_poly(self):
         # the ratios -phi^2 and -1/phi^2 are the roots of z^2 + 3z + 1
         # = z (w + 3) with w = z + 1/z, so the folded polynomial is w + 3
-        assert _ratio_poly(FIB.rec) == [3, 1]
+        assert _ratio_poly(_integral_rec(FIB.rec)) == [3, 1]
 
     def test_plus_minus_roots_fold_to_minus_two_c(self):
         # roots +-2: both ratios are -1, scaled by c = 4 to -4, so the one
         # w-root is -4 - 4 = -2c and the z-profile is the doubled class
         pm2 = CFiniteSeq([1, 0], [0, 4])
-        assert _ratio_poly(pm2.rec) == [8, 1]
+        assert _ratio_poly(_integral_rec(pm2.rec)) == [8, 1]
         assert _observed(pm2) == oracles.ratio_profile(pm2.rec, 50) == (2, 2)
 
     def test_plus_minus_factor_times_order_three(self):
         # an order-2 factor with roots +a and -a times an order-3 one: each
         # root's negative is a root too, so S has w = -2c of multiplicity 3
         prod = CFiniteSeq([2, -1, 0, -6, 18, -27], [0, 7, 0, -3, 0, 9])
-        S, c = Polynomial(_ratio_poly(prod.rec)), _integral_rec(prod.rec)[-1]
+        S, c = Polynomial(_ratio_poly(_integral_rec(prod.rec))), _integral_rec(prod.rec)[-1]
         w2c = Polynomial([2 * c, 1])
         assert divmod(S, w2c * w2c * w2c)[1].is_zero()
         assert not divmod(S, w2c * w2c * w2c * w2c)[1].is_zero()
@@ -320,7 +321,7 @@ class TestExactProfile:
         for shape in [(2, 2), (2, 3), (3, 2), (2, 2)]:
             prod = _random_product(rng, shape, first=_rational_factor)
             assert any(c.denominator > 1 for c in prod.rec), prod
-            ratio = _ratio_poly(prod.rec)
+            ratio = _ratio_poly(_integral_rec(prod.rec))
             assert all(type(x) is int for x in ratio) and ratio[-1] == 1
             want = oracles.ratio_profile(prod.rec, 50)
             assert _observed(prod) == want, prod
@@ -412,8 +413,78 @@ class TestCoarsening:
         # same total, but 5 cannot be assembled from {2, 2, 4}
         assert not _is_coarsening((5, 3), (2, 2, 4))
 
+    def test_more_observed_classes_rejected(self):
+        # merging never adds a class
+        assert not _is_coarsening((1, 1, 2), (2, 2))
+
+
+DEGENERATE = r"^multiple characteristic roots: the ratio profile is undefined$"
+
+
+def _monic_from_roots(roots_, extra=()):
+    """The recurrence of prod (z - r) times z^k + extra[0] z^(k-1) + ... + extra[-1]."""
+    P = [1]
+    for f in [[-r, 1] for r in roots_] + [list(reversed(extra)) + [1]]:
+        P = [sum(P[i] * f[k - i] for i in range(len(P)) if 0 <= k - i < len(f))
+             for k in range(len(P) + len(f) - 1)]
+    return [-c for c in reversed(P[:-1])]
+
+
+def _no_second_pass(*args):
+    raise AssertionError("the product test ran a second pass")
+
+
+class TestRepeatedRoots:
+    """The product test reads a repeated root off T (u = 2 sign c, w = 2c),
+    the factorisers off gcd(P, P') (_require_simple_roots); both raise the
+    same DegenerateRootsError."""
+
+    @pytest.mark.parametrize("shape", [(2, 2), (2, 3), (3, 3)])
+    def test_planted_double_root_raises(self, shape):
+        rng = random.Random(f"double root {shape}")
+        done = 0
+        while done < 3:
+            r, s = rng.sample([-3, -2, -1, 1, 2, 3, Fraction(1, 2), Fraction(-4, 3)], 2)
+            left_roots = [r, r] + [s] * (shape[0] - 2)  # (z - r)^2, times (z - s)
+            init = [rng.randint(1, 5) for _ in left_roots]
+            left = CFiniteSeq(init, _monic_from_roots(left_roots))
+            prod = mul(left, _random_factor(rng, shape[1]))
+            if prod.order != math.prod(shape) or prod.rec[-1] == 0:
+                continue
+            with pytest.raises(DegenerateRootsError, match=DEGENERATE):
+                is_prod_g(prod, shape)
+            with pytest.raises(DegenerateRootsError, match=DEGENERATE):
+                roots._require_simple_roots(prod)
+            done += 1
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(st.sampled_from([-3, -2, -1, 1, 2, 3, Fraction(1, 2), Fraction(-2, 3)]),
+                 max_size=5),
+        st.lists(st.integers(-4, 4), max_size=3).filter(lambda e: not e or e[-1]),
+    )
+    def test_root_of_t_at_2c_iff_the_gcd_finds_one(self, roots_, extra):
+        rec = _monic_from_roots(roots_, extra)
+        assume(rec)
+        try:
+            roots._require_simple_roots(CFiniteSeq([1] * len(rec), rec))
+            repeated = False
+        except DegenerateRootsError:
+            repeated = True
+        sign, _, T = _ratio_quotient(rec)
+        assert (_horner(T, 2 * sign) == 0) == repeated, rec
+
 
 class TestIsProd:
+    def test_small_product_test_runs_no_second_pass(self, monkeypatch):
+        # no gcd(P, P') (repeated roots are read off T) and no fit in
+        # minimize (its Hankel determinant certifies the order)
+        prod = mul(FIB, PELL)
+        monkeypatch.setattr(roots, "_require_simple_roots", _no_second_pass)
+        monkeypatch.setattr(guess, "_berlekamp_massey", _no_second_pass)
+        verdict = is_prod_g(prod, (2, 2))
+        assert verdict.is_product and verdict.observed == verdict.expected
+
     def test_fib_times_pell_yes(self):
         verdict = is_prod(mul(FIB, PELL), 2, 2)
         assert verdict.is_product
