@@ -4,16 +4,22 @@ Exit codes: 0 success (or verified / product / factor found), 1 for a
 mathematically negative outcome (not found, not verified, not a product),
 2 for usage or precondition errors, 3 for internal invariant violations.
 
-Every verb is one entry in the table of `build_parser` and prints through
-`_emit`: the text form, or the JSON payload under `--json`.
+Every verb is one entry of the table `_VERBS`: its run function, help
+line, positionals and options.  `main` reads argv straight off that table
+(`_read_argv`): `--json` before the verb, then the verb's arguments, an
+option as `--name value` or `--name=value` under its name or any unique
+prefix of it, `--` ending the options and `-h`/`--help` at both levels.  A
+token that starts with "-" and a digit is a value, since no option does.
+A usage error prints its usage line, then `cfinite ...: error: ...`, and
+exits 2.  Every verb prints through `_emit`: the text form, or the JSON
+payload under `--json`.
 """
 
 from __future__ import annotations
 
-import argparse
-import functools
 import json
 import sys
+from types import SimpleNamespace
 
 from . import corpus, dimers, factor, gf, guess, roots
 from .core import (
@@ -241,96 +247,295 @@ def _cmd_verify_identity(args) -> int:
     return _emit_cert(args, guess.verify_parametric_identity(lhs, rhs, series_terms=args.terms))
 
 
-# --- parser ------------------------------------------------------------------
+# --- argv reader -------------------------------------------------------------
 
-@functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The parser of every verb, built on the first call and shared after it.
+class _BadArgv(Exception):
+    """A usage error in argv, with the usage line and the program name it is
+    printed under: those of `verb`, or of the command itself when None."""
 
-    Each `main` call reuses it: argparse keeps no state from one parse to the
-    next and looks up `sys.stdout` and `sys.stderr` only when it prints.
+    def __init__(self, message: str, verb=None):
+        super().__init__(message)
+        self.usage, self.prog = (verb.usage, verb.prog) if verb else (_USAGE, "cfinite")
+
+
+class _Arg:
+    """One argument of a verb: a positional ("seq") or an option ("--orders").
+
+    A positional takes nargs 1, "?", "*" or "+" values; an option takes one
+    value (nargs 1) or none (nargs 0, a flag: False unless given).  Values
+    are converted by `type` and checked against `choices`.
     """
-    parser = argparse.ArgumentParser(
-        prog="cfinite",
-        description="exact calculator and conjecture engine for linear "
-        "recurrences with constant coefficients",
+
+    __slots__ = ("name", "dest", "type", "nargs", "default", "required", "choices", "help")
+
+    def __init__(self, name, type=str, nargs=1, default=None, required=False,
+                 choices=(), help=""):
+        self.name, self.type, self.nargs, self.required = name, type, nargs, required
+        self.dest = name.lstrip("-").replace("-", "_")
+        self.default = False if nargs == 0 else () if nargs in ("*", "+") else default
+        self.choices, self.help = tuple(choices), help
+
+    @property
+    def is_option(self) -> bool:
+        return self.name[0] == "-"
+
+    def usage(self) -> str:
+        """The argument as its verb's usage line shows it."""
+        meta = "{%s}" % ",".join(self.choices) if self.choices else None
+        if not self.is_option:
+            meta = meta or self.name
+            return {1: meta, "?": f"[{meta}]", "*": f"[{meta} ...]",
+                    "+": f"{meta} [{meta} ...]"}[self.nargs]
+        text = self.name if self.nargs == 0 else f"{self.name} {meta or self.dest.upper()}"
+        return text if self.required else f"[{text}]"
+
+    def read(self, text: str, verb):
+        """One value: `text` converted by type and checked against choices."""
+        try:
+            value = self.type(text)
+        except ValueError:
+            raise _BadArgv(
+                f"argument {self.name}: invalid {self.type.__name__} value: {text!r}", verb
+            ) from None
+        if self.choices and value not in self.choices:
+            raise _BadArgv(
+                f"argument {self.name}: invalid choice: {value!r} "
+                f"(choose from {', '.join(map(repr, self.choices))})",
+                verb,
+            )
+        return value
+
+
+_HELP = _Arg("--help", nargs=0, help="show this help and exit")
+_JSON = _Arg("--json", nargs=0, help="machine-readable output")
+
+
+class _Verb:
+    """One verb: its run function, help line and arguments, in the order
+    that a missing-argument error lists them."""
+
+    __slots__ = ("name", "prog", "run", "help", "args", "options", "positionals",
+                 "defaults", "usage")
+
+    def __init__(self, name, run, help, *args):
+        self.name, self.prog, self.run, self.help, self.args = (
+            name, f"cfinite {name}", run, help, args
+        )
+        self.options = {"-h": _HELP, "--help": _HELP}
+        self.options.update((a.name, a) for a in args if a.is_option)
+        self.positionals = [a for a in args if not a.is_option]
+        self.defaults = {a.dest: a.default for a in args}
+        shown = [a.usage() for a in args if a.is_option] + [a.usage() for a in self.positionals]
+        self.usage = " ".join(["usage:", self.prog, "[-h]", *shown])
+
+
+_S1, _S2, _SEQ = _Arg("s1"), _Arg("s2"), _Arg("seq")
+_ORDERS = _Arg("--orders", required=True, help="e.g. 2,2")
+_DIGITS = _Arg("--digits", type=int, default=roots.DEFAULT_DIGITS)
+_VERBOSE = _Arg("--verbose", nargs=0)
+
+_VERBS = {verb.name: verb for verb in [
+    _Verb("guess", _cmd_guess, "guess a recurrence from terms",
+          _Arg("terms", help="comma-separated rational terms"),
+          _Arg("--max-order", type=int, default=12)),
+    _Verb("terms", lambda a: _emit_values(a, eval_terms(_read_seq(a.seq), a.count)),
+          "print the first N terms of a sequence", _SEQ, _Arg("count", type=int)),
+    _Verb("add", lambda a: _emit_seq(a, guess.add(_read_seq(a.s1), _read_seq(a.s2))),
+          "termwise sum", _S1, _S2),
+    _Verb("mul", lambda a: _emit_seq(a, guess.mul(_read_seq(a.s1), _read_seq(a.s2))),
+          "termwise (Hadamard) product", _S1, _S2),
+    _Verb("bt", lambda a: _emit_seq(a, guess.binomial_transform(_read_seq(a.seq))),
+          "binomial transform", _SEQ),
+    _Verb("psum", lambda a: _emit_seq(a, guess.partial_sums(_read_seq(a.seq))),
+          "partial sums", _SEQ),
+    _Verb("subseq",
+          lambda a: _emit_seq(a, guess.subsequence(_read_seq(a.seq), a.step, a.offset)),
+          "arithmetic-progression subsequence", _SEQ, _Arg("step", type=int),
+          _Arg("offset", type=int, nargs="?", default=0)),
+    _Verb("gf", _cmd_gf, "convert sequence -> generating function or back "
+          "(direction inferred from the literal)", _Arg("value")),
+    _Verb("prove",
+          lambda a: _emit_cert(a, guess.prove_equal(_read_seq(a.s1), _read_seq(a.s2))),
+          "finite-check equality proof", _S1, _S2, _VERBOSE),
+    _Verb("nlr", _cmd_nlr, "guess a polynomial (nonlinear) recurrence",
+          _Arg("terms"), _Arg("--order", type=int, required=True),
+          _Arg("--degree", type=int, required=True)),
+    _Verb("indicator", _cmd_indicator, "generic product repetition profile",
+          _Arg("orders", type=int, nargs="+")),
+    _Verb("isprod", _cmd_isprod, "empirical product test", _SEQ, _ORDERS, _DIGITS),
+    _Verb("factor", _cmd_factor, "factor into a termwise product", _SEQ,
+          _Arg("--mode", choices=("roots", "integer"), default="roots"), _ORDERS,
+          _Arg("--bound", type=int, default=3),
+          _Arg("--budget", type=float, default=60.0), _DIGITS),
+    _Verb("dimer", _cmd_dimer, "domino tilings of width-M strips",
+          _Arg("--width", type=int, required=True),
+          _Arg("--terms", type=int, default=10), _Arg("--hweight", default="1"),
+          _Arg("--vweight", default="1"), _Arg("--report-product", nargs=0), _DIGITS),
+    _Verb("seq", _cmd_seq, "named sequence from the registry",
+          _Arg("name", choices=corpus.names()), _Arg("params", nargs="*")),
+    _Verb("verify-identity", _cmd_verify_identity, "prove a built-in parametric identity",
+          _Arg("name", choices=_IDENTITIES),
+          _Arg("--terms", type=int, default=20,
+               help=f"coefficients to check, at most {MAX_IDENTITY_TERMS}"),
+          _VERBOSE),
+]}
+
+_TOP_OPTIONS = {"-h": _HELP, "--help": _HELP, "--json": _JSON}
+_USAGE = "usage: cfinite [-h] [--json] {%s} ..." % ",".join(_VERBS)
+_DESCRIPTION = (
+    "exact calculator and conjecture engine for linear recurrences with "
+    "constant coefficients"
+)
+
+
+def _is_option(token: str) -> bool:
+    """Whether an argv token is read as an option: it starts with "-" and is
+    not "-" alone, a number such as -1,1 or -.5 (no option starts with a
+    digit) or a text with a space in it."""
+    return (
+        token[:1] == "-"
+        and len(token) > 1
+        and not token[1].isdigit()
+        and not (token[1] == "." and token[2:3].isdigit())
+        and " " not in token
     )
-    parser.add_argument("--json", action="store_true", help="machine-readable output")
-    sub = parser.add_subparsers(dest="verb", required=True)
 
-    def arg(*flags, **options):
-        return flags, options
 
-    def verb(name, run, text, *arguments):
-        p = sub.add_parser(name, help=text)
-        for flags, options in arguments:
-            p.add_argument(*flags, **options)
-        p.set_defaults(run=run)
+def _option(options: dict, token: str, verb):
+    """(arg, value) of an option token: the _Arg it names, exactly or by a
+    unique prefix of a long name (None if it names none), and the text after
+    "=" (None without one)."""
+    name, eq, value = token.partition("=")
+    arg = options.get(name)
+    if arg is None and name[:2] == "--":
+        hits = [s for s in options if s.startswith(name)]
+        if len(hits) > 1:
+            raise _BadArgv(f"ambiguous option: {token} could match {', '.join(hits)}", verb)
+        if hits:
+            arg = options[hits[0]]
+    return arg, (value if eq else None)
 
-    s1, s2, seq = arg("s1"), arg("s2"), arg("seq")
-    orders = arg("--orders", required=True, help="e.g. 2,2")
-    digits = arg("--digits", type=int, default=roots.DEFAULT_DIGITS)
-    verbose = arg("--verbose", action="store_true")
 
-    verb("guess", _cmd_guess, "guess a recurrence from terms",
-         arg("terms", help="comma-separated rational terms"),
-         arg("--max-order", type=int, default=12))
-    verb("terms", lambda a: _emit_values(a, eval_terms(_read_seq(a.seq), a.count)),
-         "print the first N terms of a sequence", seq, arg("count", type=int))
-    verb("add", lambda a: _emit_seq(a, guess.add(_read_seq(a.s1), _read_seq(a.s2))),
-         "termwise sum", s1, s2)
-    verb("mul", lambda a: _emit_seq(a, guess.mul(_read_seq(a.s1), _read_seq(a.s2))),
-         "termwise (Hadamard) product", s1, s2)
-    verb("bt", lambda a: _emit_seq(a, guess.binomial_transform(_read_seq(a.seq))),
-         "binomial transform", seq)
-    verb("psum", lambda a: _emit_seq(a, guess.partial_sums(_read_seq(a.seq))),
-         "partial sums", seq)
-    verb("subseq",
-         lambda a: _emit_seq(a, guess.subsequence(_read_seq(a.seq), a.step, a.offset)),
-         "arithmetic-progression subsequence", seq, arg("step", type=int),
-         arg("offset", type=int, nargs="?", default=0))
-    verb("gf", _cmd_gf, "convert sequence -> generating function or back "
-         "(direction inferred from the literal)", arg("value"))
-    verb("prove",
-         lambda a: _emit_cert(a, guess.prove_equal(_read_seq(a.s1), _read_seq(a.s2))),
-         "finite-check equality proof", s1, s2, verbose)
-    verb("nlr", _cmd_nlr, "guess a polynomial (nonlinear) recurrence",
-         arg("terms"), arg("--order", type=int, required=True),
-         arg("--degree", type=int, required=True))
-    verb("indicator", _cmd_indicator, "generic product repetition profile",
-         arg("orders", type=int, nargs="+"))
-    verb("isprod", _cmd_isprod, "empirical product test", seq, orders, digits)
-    verb("factor", _cmd_factor, "factor into a termwise product", seq,
-         arg("--mode", choices=("roots", "integer"), default="roots"), orders,
-         arg("--bound", type=int, default=3),
-         arg("--budget", type=float, default=60.0), digits)
-    verb("dimer", _cmd_dimer, "domino tilings of width-M strips",
-         arg("--width", type=int, required=True),
-         arg("--terms", type=int, default=10), arg("--hweight", default="1"),
-         arg("--vweight", default="1"),
-         arg("--report-product", action="store_true"), digits)
-    verb("seq", _cmd_seq, "named sequence from the registry",
-         arg("name", choices=corpus.names()), arg("params", nargs="*"))
-    verb("verify-identity", _cmd_verify_identity,
-         "prove a built-in parametric identity",
-         arg("name", choices=_IDENTITIES),
-         arg("--terms", type=int, default=20,
-             help=f"coefficients to check, at most {MAX_IDENTITY_TERMS}"),
-         verbose)
-    return parser
+def _help(verb=None) -> str:
+    """The --help text of a verb, or of the command when verb is None."""
+    if verb is None:
+        usage, text = _USAGE, _DESCRIPTION
+        rows = [(v.name, v.help) for v in _VERBS.values()] + [(_JSON.name, _JSON.help)]
+    else:
+        usage, text = verb.usage, verb.help
+        rows = []
+        for a in verb.args:
+            notes = [a.help] if a.help else []
+            if a.choices:
+                notes.append(f"one of {', '.join(a.choices)}")
+            if a.default not in (None, False):
+                notes.append(f"default {a.default}")
+            label = f"{a.name} {a.dest.upper()}" if a.is_option and a.nargs else a.name
+            rows.append((label, "; ".join(notes)))
+    rows.append(("-h, --help", _HELP.help))
+    width = max(len(label) for label, _ in rows) + 2
+    lines = [f"  {label:<{width}}{line}".rstrip() for label, line in rows]
+    return "\n".join([usage, "", text, "", *lines])
+
+
+def _read_argv(argv: list):
+    """(run, args) for one command line, read off _VERBS; None once --help
+    has printed its text.  Raises _BadArgv on a usage error.
+
+    Options are read as `--name value` or `--name=value`, a long name may be
+    shortened to any unique prefix, and `--` ends the options.
+    """
+    use_json, ended, extras, i, n = False, False, [], 0, len(argv)
+    while i < n and _is_option(argv[i]):  # the command's own options
+        token = argv[i]
+        i += 1
+        if token == "--":
+            ended = True
+            break
+        arg, value = _option(_TOP_OPTIONS, token, None)
+        if arg is _HELP:
+            print(_help())
+            return None
+        if arg is None:
+            extras.append(token)
+        elif value is not None:
+            raise _BadArgv(f"argument {arg.name}: ignored explicit argument {value!r}")
+        else:
+            use_json = True
+    if i == n:
+        raise _BadArgv("the following arguments are required: verb")
+    verb = _VERBS.get(argv[i])
+    if verb is None:
+        choices = ", ".join(map(repr, _VERBS))
+        raise _BadArgv(f"argument verb: invalid choice: {argv[i]!r} (choose from {choices})")
+    values = dict(verb.defaults, json=use_json)
+    # positionals are filled in order as they come: one value each, "?" one
+    # if given, and "*" or "+" (always last) every value left
+    positionals, p = verb.positionals, 0
+    i += 1
+    while i < n:
+        token = argv[i]
+        i += 1
+        if ended or not _is_option(token):
+            if p == len(positionals):
+                extras.append(token)
+                continue
+            arg = positionals[p]
+            value = arg.read(token, verb)
+            if arg.nargs in ("*", "+"):
+                values[arg.dest] = [*values[arg.dest], value]
+            else:
+                values[arg.dest] = value
+                p += 1
+            continue
+        if token == "--":
+            ended = True
+            continue
+        arg, value = _option(verb.options, token, verb)
+        if arg is None:
+            extras.append(token)
+            continue
+        if arg is _HELP:
+            print(_help(verb))
+            return None
+        if arg.nargs == 0:
+            if value is not None:
+                raise _BadArgv(f"argument {arg.name}: ignored explicit argument {value!r}", verb)
+            value = True
+        else:
+            if value is None:
+                if i == n or _is_option(argv[i]):
+                    raise _BadArgv(f"argument {arg.name}: expected one argument", verb)
+                value = argv[i]
+                i += 1
+            value = arg.read(value, verb)
+        values[arg.dest] = value
+    # the first positional short of a value and every later one but a "?"
+    # are missing; a required option has no default, and no value read is None
+    first = positionals[p] if p < len(positionals) else None
+    short = first and (first.nargs == 1 or first.nargs == "+" and not values[first.dest])
+    unfilled = positionals[p:] if short else ()
+    missing = [
+        a.name for a in verb.args
+        if a in unfilled and a.nargs != "?" or a.required and values[a.dest] is None
+    ]
+    if missing:
+        raise _BadArgv(f"the following arguments are required: {', '.join(missing)}", verb)
+    if extras:
+        raise _BadArgv(f"unrecognized arguments: {' '.join(extras)}")
+    return verb.run, SimpleNamespace(**values)
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    # no option starts with a digit, so "-1,1" or "-1/2" is a value; a leading
-    # space stops argparse reading it as an option (the parsers strip it)
-    argv = sys.argv[1:] if argv is None else argv
-    argv = [" " + a if a[:1] == "-" and a[1:2].isdigit() else a for a in argv]
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        # argparse exits 2 on usage errors already; keep that contract
-        return exc.code if exc.code else 0
+        read = _read_argv(sys.argv[1:] if argv is None else argv)
+    except _BadArgv as exc:
+        print(exc.usage, file=sys.stderr)
+        print(f"{exc.prog}: error: {exc}", file=sys.stderr)
+        return USAGE
+    if read is None:
+        return 0
+    run, args = read
     # exact integers of any length: lift the interpreter's int-to-string limit
     # for this run only, so library and in-process callers keep their own
     limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
@@ -339,10 +544,10 @@ def main(argv=None) -> int:
     try:
         if getattr(args, "digits", 1) < 1:
             raise UsageError(f"--digits must be >= 1, got {args.digits}")
-        return args.run(args)
+        return run(args)
     except (UsageError, corpus.UnknownSequenceError, corpus.ArityMismatchError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        parser.print_usage(sys.stderr)
+        print(_USAGE, file=sys.stderr)
         return USAGE
     except (
         ValueError,

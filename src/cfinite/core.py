@@ -465,15 +465,21 @@ def _integer_image(seq: CFiniteSeq):
     return E, D, _integral_rec(seq.rec, D), b0
 
 
-def _image(seq: CFiniteSeq, N: int):
-    """(E, D, x): x the first N terms of the integer image x(n) = E D^n a(n)
-    (_integer_image), stepped on Python ints by the recurrence w."""
-    E, D, w, x = _integer_image(seq)
+def _step(w: list, x: list, N: int) -> list:
+    """x, its len(w) initial terms extended in place to the first N terms
+    of the integer sequence with the recurrence w."""
     del x[N:]
     L, wr = len(w), w[::-1]
     for n in range(L, N):
         x.append(sum(map(mul, wr, x[n - L :])))
-    return E, D, x
+    return x
+
+
+def _image(seq: CFiniteSeq, N: int):
+    """(E, D, x): x the first N terms of the integer image x(n) = E D^n a(n)
+    (_integer_image), stepped on Python ints by the recurrence w."""
+    E, D, w, x = _integer_image(seq)
+    return E, D, _step(w, x, N)
 
 
 def eval_terms(seq: CFiniteSeq, N: int) -> list:
@@ -710,8 +716,16 @@ def parse_rational(text: str) -> Fraction:
     """A literal like ``-3/4`` or ``0.5``; ValueError on bad input, x/0 and 1e9 included."""
     if "e" in text.lower():
         raise ValueError(f"not a rational literal (exponent notation is refused): {text.strip()!r}")
+    literal = text.strip().replace(" ", "")
+    # int reads the integer forms that Fraction reads, without its regex;
+    # Fraction reads "_" only from Python 3.11 on, and words the errors
+    if "/" not in literal and "." not in literal and "_" not in literal:
+        try:
+            return Fraction(int(literal))
+        except ValueError:
+            pass
     try:
-        return Fraction(text.strip().replace(" ", ""))
+        return Fraction(literal)
     except ZeroDivisionError:
         raise ValueError(f"zero denominator in {text.strip()!r}") from None
 

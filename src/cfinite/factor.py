@@ -34,7 +34,8 @@ from fractions import Fraction
 from math import factorial, gcd, isqrt
 
 from . import guess
-from .core import CFiniteSeq, _coprime_base, _image, _valuation, content, scale
+from .core import CFiniteSeq, _coprime_base, _image, _integer_image, _step, _valuation
+from .core import content, scale
 from .core import _derivative, _from_power_sums, _power_sums, _square_free, _sub
 from .core import _gcd_mod, _is_prime, _mulmod, _shiftmod, _zpow
 from .linalg import solve
@@ -109,11 +110,14 @@ def _split(m, left_rec, right_rec):
 
 def _unit_images(rec, N):
     """(D, images): images[j] the first N terms of D^n u_j(n), u_j the
-    sequence with the recurrence rec and the unit initial terms e_j
-    (core._image, whose E is 1 here)."""
+    sequence with the recurrence rec and the unit initial terms e_j.
+
+    One integer image (core._integer_image, whose E is 1 here) gives D and
+    the integer recurrence w; each D^n u_j starts at D^j e_j and is stepped
+    on that w."""
     L = len(rec)
-    images = [_image(CFiniteSeq([int(i == j) for i in range(L)], rec), N) for j in range(L)]
-    return images[0][1], [x for _, _, x in images]
+    _, D, w, _ = _integer_image(CFiniteSeq([1] + [0] * (L - 1), rec))
+    return D, [_step(w, [0] * j + [D**j] + [0] * (L - 1 - j), N) for j in range(L)]
 
 
 def _pair(original, m, left_rec, right_rec, gauge):

@@ -1,5 +1,6 @@
 """Golden CLI outputs: the exact stdout, in text and --json form, the exit code
-and the first stderr line of one argv for each verb and branch."""
+and the first stderr line (the first two, usage line and error, of a usage
+error in argv) of one argv for each verb and branch."""
 
 import contextlib
 import io
@@ -29,6 +30,54 @@ IDENTITY = (
 SHAPIRO = IDENTITY.format(8, "a, b", 4, 2, 8)
 EKHAD = IDENTITY.format(16, "a, b, c", 8, 6, 16)
 FIB_JSON = '{"init": ["0", "1"], "rec": ["1", "1"]}'
+
+VERBS = (
+    "guess", "terms", "add", "mul", "bt", "psum", "subseq", "gf", "prove", "nlr",
+    "indicator", "isprod", "factor", "dimer", "seq", "verify-identity",
+)
+USAGE = "usage: cfinite [-h] [--json] {%s} ..." % ",".join(VERBS)
+BAD_VERB = "cfinite: error: argument verb: invalid choice: 'frobnicate' (choose from %s)" % (
+    ", ".join(map(repr, VERBS))
+)
+ISPROD_USAGE = "usage: cfinite isprod [-h] --orders ORDERS [--digits DIGITS] seq"
+FACTOR_USAGE = (
+    "usage: cfinite factor [-h] [--mode {roots,integer}] --orders ORDERS [--bound BOUND] "
+    "[--budget BUDGET] [--digits DIGITS] seq"
+)
+HELP = f"""{USAGE}
+
+exact calculator and conjecture engine for linear recurrences with constant coefficients
+
+  guess            guess a recurrence from terms
+  terms            print the first N terms of a sequence
+  add              termwise sum
+  mul              termwise (Hadamard) product
+  bt               binomial transform
+  psum             partial sums
+  subseq           arithmetic-progression subsequence
+  gf               convert sequence -> generating function or back (direction inferred from the literal)
+  prove            finite-check equality proof
+  nlr              guess a polynomial (nonlinear) recurrence
+  indicator        generic product repetition profile
+  isprod           empirical product test
+  factor           factor into a termwise product
+  dimer            domino tilings of width-M strips
+  seq              named sequence from the registry
+  verify-identity  prove a built-in parametric identity
+  --json           machine-readable output
+  -h, --help       show this help and exit"""
+GUESS_HELP = """usage: cfinite guess [-h] [--max-order MAX_ORDER] terms
+
+guess a recurrence from terms
+
+  terms                  comma-separated rational terms
+  --max-order MAX_ORDER  default 12
+  -h, --help             show this help and exit"""
+YES_2X2 = (
+    f"YES: product of orders 2x2 (expected {PROFILE}, observed {PROFILE}, 100 digits)",
+    f'{{"is_product": true, "orders": [2, 2], "expected": {PROFILE}, '
+    f'"observed": {PROFILE}, "digits": 100}}',
+)
 
 # (argv, exit code, text stdout, --json stdout, first stderr line)
 GOLDEN = [
@@ -123,6 +172,26 @@ GOLDEN = [
     # the width-4 strip: a good prime refutes every rational 2 x 2 split
     (("factor", "[[1,5,11,36],[1,5,1,-1]]", "--orders", "2,2"), 1, "", "",
      "no factorization found"),
+    # the argv reader: usage errors, option forms, "--" and help
+    ((), 2, "", "", f"{USAGE}\ncfinite: error: the following arguments are required: verb"),
+    (("frobnicate",), 2, "", "", f"{USAGE}\n{BAD_VERB}"),
+    (("isprod", PRODUCT), 2, "", "",
+     f"{ISPROD_USAGE}\ncfinite isprod: error: the following arguments are required: --orders"),
+    (("isprod", "[[0,1],[1,1]]", "--orders", "2", "--digits", "x"), 2, "", "",
+     f"{ISPROD_USAGE}\ncfinite isprod: error: argument --digits: invalid int value: 'x'"),
+    (("isprod", "[[0,1],[1,1]]", "--orders", "2", "--bogus"), 2, "", "",
+     f"{USAGE}\ncfinite: error: unrecognized arguments: --bogus"),
+    (("factor", "[[0,1],[1,1]]", "--orders", "2,2", "--b", "2"), 2, "", "",
+     f"{FACTOR_USAGE}\ncfinite factor: error: ambiguous option: --b could match --bound, "
+     "--budget"),
+    (("isprod", PRODUCT, "--orders=2,2"), 0, *YES_2X2, ""),
+    # tribonacci: order 3, so --max-order 2 finds nothing
+    (("guess", "0,0,1,1,2,4,7,13,24,44", "--max", "2"), 1, "", "",
+     "no linear recurrence found"),
+    (("guess", "--", "-1,1,-1,1,-1,1"), 0, "[[-1], [-1]]",
+     '{"init": ["-1"], "rec": ["-1"]}', ""),
+    (("--help",), 0, HELP, HELP, ""),
+    (("guess", "-h"), 0, GUESS_HELP, GUESS_HELP, ""),
 ]
 
 
@@ -143,5 +212,5 @@ def test_golden_output(argv, code, text, js, err, form):
     got_code, got_out, got_err = run_main(flag + list(argv))
     assert got_code == code
     assert got_out == (want + "\n" if want else "")
-    assert got_err.split("\n", 1)[0] == err
+    assert got_err.split("\n")[: err.count("\n") + 1] == err.split("\n")
 

@@ -1,4 +1,5 @@
 import random
+import sys
 from fractions import Fraction
 from math import gcd
 
@@ -49,6 +50,19 @@ tiny_fracs = st.fractions(min_value=-3, max_value=3, max_denominator=3)
 int_lists = st.lists(st.integers(-20, 20), max_size=5).map(
     lambda f: f[: max((i + 1 for i, x in enumerate(f) if x), default=0)]
 )
+
+
+# ASCII, Arabic-Indic and fullwidth decimal digits: int and Fraction read all
+_DIGIT_RUNS = st.text(alphabet="0123456789٠١٢٣٤٥٦٧٨٩０１２", min_size=1, max_size=12)
+
+
+@st.composite
+def integer_literals(draw):
+    """An integer literal: a sign, digit groups (leading zeros included)
+    joined by single underscores, and spaces around it."""
+    groups = draw(st.lists(_DIGIT_RUNS, min_size=1, max_size=3))
+    body = draw(st.sampled_from(["", "+", "-"])) + "_".join(groups)
+    return " " * draw(st.integers(0, 2)) + body + " " * draw(st.integers(0, 2))
 
 
 def _int_mul(f, g):
@@ -294,6 +308,36 @@ class TestCFiniteSeq:
             with pytest.raises(ValueError, match="exponent"):
                 parse_seq(bad)
         assert parse_seq("[[0.5],[-1.25]]") == CFiniteSeq([Fraction(1, 2)], [Fraction(-5, 4)])
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(integer_literals(), st.text(alphabet="0123456789+-/._x٣", max_size=8)))
+    def test_parse_rational_reads_like_fraction(self, text):
+        # Fraction(text) is the oracle: the same value, and the same
+        # ValueError for a malformed token; x/0 is a ValueError too
+        try:
+            want = Fraction(text)
+        except ZeroDivisionError:
+            with pytest.raises(ValueError, match="zero denominator"):
+                core.parse_rational(text)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as got:
+                core.parse_rational(text)
+            assert str(got.value) == str(exc).replace(repr(text), repr(text.strip()))
+        else:
+            got = core.parse_rational(text)
+            assert (type(got), got) == (Fraction, want)
+
+    def test_parse_rational_keeps_the_int_string_limit(self):
+        # outside cli.main the interpreter's int-to-string limit holds
+        if not hasattr(sys, "get_int_max_str_digits"):
+            pytest.skip("this interpreter has no int-to-string limit")
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)
+        try:
+            with pytest.raises(ValueError, match="limit"):
+                core.parse_rational("7" * 5000)
+        finally:
+            sys.set_int_max_str_digits(limit)
 
     def test_rational_encoding_round_trip(self):
         s = CFiniteSeq([Fraction(1, 3), 2], [Fraction(-5, 7), 1])

@@ -11,7 +11,7 @@ from cfinite.cli import main
 from cfinite.core import CFiniteSeq, _integral_rec, content, eval_terms, format_seq, minimize
 from cfinite.core import parse_seq, shift
 from cfinite.dimers import dimer_seq
-from cfinite import factor, guess, linalg
+from cfinite import core, factor, guess, linalg
 from cfinite.factor import (
     BudgetExhausted,
     PrecisionError,
@@ -362,6 +362,48 @@ class TestSplit:
             rows = [[u[k] * v[k] for u in us for v in vs] for k in range(n)]
             assert _split(prod, a.rec, b.rec)
             assert solved[-1] == linalg.solve(rows, eval_terms(prod, n))
+            done += 1
+
+    def test_one_integer_image_per_recurrence(self, monkeypatch):
+        # the unit vectors of a recurrence are stepped on one integer image:
+        # solve gets the rows of one core._image per unit vector, and
+        # _rec_scale runs once each for the left, right and product recurrence
+        systems, scaled = [], []
+        rec_scale = core._rec_scale
+
+        def recording_solve(A, b):
+            systems.append((A, b))
+            return linalg.solve(A, b)
+
+        def counting_rec_scale(rec):
+            scaled.append(tuple(rec))
+            return rec_scale(rec)
+
+        monkeypatch.setattr(factor, "solve", recording_solve)
+        monkeypatch.setattr(core, "_rec_scale", counting_rec_scale)
+        rng = random.Random(141421)
+        done = 0
+        while done < 10:
+            a = _random_factor(rng, rng.randint(1, 3))
+            b = _random_factor(rng, rng.randint(1, 3))
+            prod = mul(a, b)
+            if prod.order != a.order * b.order:
+                continue
+            scaled.clear()
+            assert _split(prod, a.rec, b.rec)
+            assert scaled == [a.rec, b.rec, prod.rec]
+            n = 2 * prod.order + 4
+            (D1, us), (D2, vs) = (
+                (images[0][1], [x for _, _, x in images])
+                for images in (
+                    [core._image(CFiniteSeq([int(i == j) for i in range(s.order)], s.rec), n)
+                     for j in range(s.order)]
+                    for s in (a, b)
+                )
+            )
+            E, D, z = core._image(prod, n)
+            rows = [[E * D**k * u[k] * v[k] for u in us for v in vs] for k in range(n)]
+            assert systems[-1] == (rows, [(D1 * D2) ** k * z[k] for k in range(n)])
             done += 1
 
     def test_rank_two_grid_is_no_product(self):
