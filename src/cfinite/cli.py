@@ -2,7 +2,8 @@
 
 Exit codes: 0 success (or verified / product / factor found), 1 for a
 mathematically negative outcome (not found, not verified, not a product),
-2 for usage or precondition errors, 3 for internal invariant violations.
+2 for usage or precondition errors and for a request that runs out of
+memory, 3 for internal invariant violations.
 
 Every verb is one entry of the table `_VERBS`: its run function, help
 line, positionals and options.  `main` reads argv straight off that table
@@ -557,6 +558,9 @@ def main(argv=None) -> int:
         OSError,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return USAGE
+    except MemoryError:
+        print("error: out of memory; ask for fewer or smaller terms", file=sys.stderr)
         return USAGE
     except guess.InvariantViolation as exc:
         print(f"internal invariant violation: {exc}", file=sys.stderr)

@@ -11,10 +11,11 @@ floating point.  The term kernels do not step over Fractions, though:
 with D the scale of the recurrence (den c_k | D^k, _rec_scale) and E the
 lcm of the initial-term denominators, x(n) = E D^n a(n) is an integer
 sequence with the integer recurrence w_k = c_k D^k (_integer_image).
-_image steps it on Python ints and returns (E, D, x); the closure ops,
-minimize and dimer_seq fit their recurrences on such images and build no
-Fraction per term (guess._fit), and minimize first tries a Hankel
-determinant of the image that certifies its input minimal.  eval_terms
+_image steps it on Python ints and returns (E, D, x); the closure ops
+and dimer_seq fit their recurrences on such images and build no Fraction
+per term (guess._fit).  minimize fits nothing: it puts the image's
+generating function in lowest terms with int_poly_gcd and reads the
+minimal order off it.  eval_terms
 wraps _image with one Fraction per output term, and eval_at computes one
 term of the image.  The same w scales the characteristic roots of the
 product test in roots.py.
@@ -25,6 +26,7 @@ gcd with its cofactors, exact division, Yun's square-free parts, Horner
 evaluation, power sums, _mulmod and _zpow.
 Polynomials in several parameters, over Z, are dicts from exponent tuples to
 ints (mpoly_dot, mpoly_eval): guess.verify_parametric_identity works on them.
+This module imports no other module of the package.
 """
 
 from __future__ import annotations
@@ -184,11 +186,13 @@ def _primitive(f: list) -> list:
 def _gcd_mod(a: list, b: list, p: int) -> list:
     """Monic gcd of two nonzero polynomials over Z/p, ascending lists.
 
-    Remainders are reduced mod p once per division, not per step.
+    Remainders are reduced mod p once per division, not per step, and a
+    nonzero constant remainder ends the loop: the gcd is 1, with no
+    further inverse mod p.
     """
     if len(a) < len(b):
         a, b = b, a
-    while b:
+    while len(b) > 1:
         inv, db, r = pow(b[-1], -1, p), len(b) - 1, list(a)
         for k in range(len(r) - 1 - db, -1, -1):
             c = r[k + db] * inv % p
@@ -198,6 +202,8 @@ def _gcd_mod(a: list, b: list, p: int) -> list:
         while r and not r[-1]:
             r.pop()
         a, b = b, r
+    if b:
+        return [1]
     inv = pow(a[-1], -1, p)
     return [x * inv % p for x in a]
 
@@ -637,58 +643,39 @@ def scale(seq: CFiniteSeq, r) -> CFiniteSeq:
     return CFiniteSeq([r * d for d in seq.init], seq.rec)
 
 
-def _hankel_nonsingular_mod(x: list, L: int, p: int) -> bool:
-    """Whether the L x L Hankel matrix (x(i + j)), i, j < L, of the ints x
-    is nonsingular mod the prime p, in O(L^2) operations mod p.
-
-    Over a field it is nonsingular exactly when the first 2L - 1 terms have
-    linear complexity L, which one Berlekamp-Massey pass mod p gives.  A
-    kernel vector u with last nonzero u_d is a recurrence of order d that
-    holds for the first d + L terms; if those are all 2L - 1, the complexity
-    is at most d < L, and otherwise the first failure, at some N < 2L - 1,
-    forces a complexity of at least N + 1 - d >= L + 1 (Massey 1969).
-    Conversely a nonsingular matrix admits no recurrence of order below L,
-    and its first L - 1 rows always admit one of order L.
-    """
-    s = [v % p for v in x[: 2 * L - 1]]
-    C, B = [1], [1]  # current; before the last length change
-    ell, m, b = 0, 1, 1  # b: the last nonzero discrepancy
-    for n in range(len(s)):
-        d = sum(map(mul, C, reversed(s[max(n + 1 - len(C), 0) : n + 1]))) % p
-        if not d:
-            m += 1
-            continue
-        f, prev = d * pow(b, -1, p) % p, C
-        C = C + [0] * (len(B) + m - len(C))
-        for i, y in enumerate(B, start=m):
-            C[i] = (C[i] - f * y) % p
-        if 2 * ell <= n:
-            ell, B, b, m = n + 1 - ell, prev, d, 1
-        else:
-            m += 1
-    return ell == L
-
-
 def minimize(seq: CFiniteSeq) -> CFiniteSeq:
-    """Unique minimal-order representation of the same sequence.
+    """Unique minimal-order representation of the same sequence, read off
+    its generating function in lowest terms.
 
-    The input itself when the L x L Hankel determinant of its first 2L - 1
-    terms, read on the integer image (_image), is nonzero mod _prime(0).
-    That is a certificate: a recurrence of order r < L would make the
-    columns r, ..., L - 1 of that matrix combinations of the r before them,
-    and the determinant of the image's matrix is the sequence's times the
-    nonzero E^L D^(L^2 - L).  Otherwise (a lower order, or an unlucky
-    prime) the shortest recurrence of 2L + 4 terms: one Berlekamp-Massey
-    pass on the integer image, through the closure driver with order bound
-    L.  The sequence has order at most L, so that fit is its minimal form,
-    and the driver checks it against every term it computes.
+    A sequence is C-finite exactly when its generating function is
+    rational, and with N/Q in lowest terms, Q(0) = 1, its minimal order is
+    M = max(deg Q, deg N + 1) (Stanley 1986, EC I, Thm 4.1.1).  The integer
+    image b(n) = E D^n a(n) (_integer_image) has the generating function
+    N/Q with Q = 1 - w_1 z - ... - w_L z^L and N = b Q mod z^L, and
+    int_poly_gcd cancels their gcd exactly; its primes only decide how
+    soon it finishes.  The test is M = L, not a trivial gcd: c_L = 0 with
+    a gcd of 1 has M < L.  M = L returns the input itself, and otherwise
+    the first M initial terms go with c_k = -Q_k / (Q_0 D^k), Q padded to
+    degree M; Q_0 = +-1, since Q times the gcd is the Q above.  The zero
+    sequence gives [[0], [0]].
     """
-    from .guess import _close
-
-    L = seq.order
-    if _hankel_nonsingular_mod(_image(seq, 2 * L - 1)[2], L, _prime(0)):
+    _, D, w, b = _integer_image(seq)
+    L = len(w)
+    Q = _sub([1], [0, *w])
+    N = [sum(map(mul, Q[: k + 1], reversed(b[: k + 1]))) for k in range(L)]
+    while N and not N[-1]:
+        N.pop()
+    if not N:
+        return seq if seq.rec == (0,) else CFiniteSeq([0], [0])
+    _, N, Q = int_poly_gcd(N, Q)
+    M = max(len(Q) - 1, len(N))
+    if M == L:
         return seq
-    return _close("minimize", L, lambda n: _image(seq, n))
+    rec, den = [], Q[0]
+    for q in Q[1:] + [0] * (M + 1 - len(Q)):
+        den *= D
+        rec.append(Fraction(-q, den))
+    return CFiniteSeq(seq.init[:M], rec)
 
 
 # --- canonical text encoding ------------------------------------------------

@@ -85,11 +85,13 @@ def r_to_c(gf: RationalGF) -> CFiniteSeq:
 
 
 def taylor(gf: RationalGF, N: int) -> list:
-    """First N power-series coefficients, exact (long division)."""
+    """First N power-series coefficients, exact (long division).
+
+    The normal form makes den[0] = 1, so no coefficient is divided.
+    """
     if N < 0:
         raise ValueError("N must be >= 0")
     out = []
-    d0 = gf.den[0]
     # only the nonzero d_j cost work, so sparse denominators stay cheap
     tail = [(j, d) for j, d in enumerate(gf.den.coeffs) if j and d]
     for n in range(N):
@@ -98,7 +100,7 @@ def taylor(gf: RationalGF, N: int) -> list:
             if j > n:
                 break
             acc -= d * out[n - j]
-        out.append(acc / d0)
+        out.append(acc)
     return out
 
 

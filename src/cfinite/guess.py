@@ -19,9 +19,8 @@ ops build the image of their result from their operands' images
 (core._image) on Python ints, the pass and its check run there, and only
 the L initial terms and L coefficients of the answer become Fractions.
 The map n -> D^n is geometric, so x has a's linear complexity and its
-recurrence is c_k D^k.  core.minimize (unless a Hankel determinant
-certifies its input minimal) and dimers.dimer_seq fit the same way;
-guess_rec fits its terms cleared to integers (D = 1).
+recurrence is c_k D^k.  dimers.dimer_seq fits the same way, and guess_rec
+fits its terms cleared to integers (D = 1).
 
 Equality of two sequences is decidable by a finite check: the difference
 satisfies a recurrence of order at most L1 + L2, so that many matching

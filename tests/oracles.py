@@ -127,23 +127,6 @@ def rank(rows):
     return r
 
 
-def rank_mod(rows, p):
-    """Rank over Z/p, p prime, by forward elimination."""
-    m = [[v % p for v in row] for row in rows]
-    r = 0
-    for c in range(len(m[0]) if m else 0):
-        pr = next((i for i in range(r, len(m)) if m[i][c]), None)
-        if pr is None:
-            continue
-        m[r], m[pr] = m[pr], m[r]
-        inv = pow(m[r][c], -1, p)
-        for i in range(r + 1, len(m)):
-            f = m[i][c] * inv
-            m[i] = [(a - f * b) % p for a, b in zip(m[i], m[r])]
-        r += 1
-    return r
-
-
 def poly_gcd_euclid(a, b):
     """Monic gcd over Q of two ascending coefficient lists, [] if both are 0.
 

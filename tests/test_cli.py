@@ -12,7 +12,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import cfinite
-from cfinite import corpus
+from cfinite import cli, corpus, guess
 
 from cfinite.cli import MAX_IDENTITY_TERMS, main
 from cfinite.core import CFiniteSeq, format_seq, parse_seq
@@ -84,6 +84,23 @@ class TestTermsAndOps:
     def test_malformed_seq_exit_2(self, capsys):
         code, _, _ = run(capsys, "terms", "[[0,1]]", "5")
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "module, kernel, argv",
+        [
+            (cli, "eval_terms", ["terms", "[[1],[2]]", "200000"]),
+            (guess, "subsequence", ["subseq", "[[1,1],[1,1]]", "100000"]),
+        ],
+    )
+    def test_out_of_memory_exit_2(self, capsys, monkeypatch, module, kernel, argv):
+        # the kernel raises at once, so nothing large is allocated
+        def exhausted(*args):
+            raise MemoryError
+
+        monkeypatch.setattr(module, kernel, exhausted)
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: out of memory") and "\n" not in err
 
 
 class TestGF:

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from cfinite import core, guess
 from cfinite.core import (
     _clear_denominators,
-    _hankel_nonsingular_mod,
     _image,
     _is_prime,
     _prime,
@@ -405,34 +404,19 @@ class TestCFiniteSeq:
         padded = CFiniteSeq([0, 1, 1, 2], [1, 1, 0, 0])
         assert minimize(padded) == FIB
 
-    @settings(max_examples=300, deadline=None)
-    @given(
-        st.integers(1, 6),
-        st.lists(st.integers(-4, 4), min_size=11, max_size=11),
-        st.sampled_from([2, 3, 5, 7, _prime(0)]),
-    )
-    def test_hankel_certificate_is_the_determinant_mod_p(self, L, x, p):
-        # small primes make singular matrices common
-        H = [x[i : i + L] for i in range(L)]
-        assert _hankel_nonsingular_mod(x, L, p) == (oracles.rank_mod(H, p) == L)
-
     def test_minimize_returns_a_certified_minimal_input(self, monkeypatch):
-        # the Hankel determinant of Fibonacci's first 3 terms is -1: no fit
+        # lowest terms of the generating function certify the order: no fit
         monkeypatch.setattr(guess, "_berlekamp_massey", _no_fit)
         assert minimize(FIB) is FIB
         s = CFiniteSeq([Fraction(1, 3), 2, -1], [Fraction(1, 2), 0, Fraction(-7, 4)])
         assert minimize(s) is s
 
-    def test_minimize_unlucky_prime_falls_back_to_the_fit(self, monkeypatch):
-        # the 1 x 1 Hankel determinant 2^61 - 1 is 0 mod _prime(0), though
-        # the sequence is minimal: the fit runs and gives the input back
-        calls = []
-        close = guess._close
-        monkeypatch.setattr(guess, "_close", lambda *a: calls.append(a) or close(*a))
+    def test_minimize_keeps_an_input_whose_term_is_the_first_prime(self, monkeypatch):
+        # 2^61 - 1 is _prime(0), the first modulus of the gcd: the input is
+        # minimal and comes back itself, with no fit
+        monkeypatch.setattr(guess, "_berlekamp_massey", _no_fit)
         s = CFiniteSeq([2**61 - 1], [3])
-        m = minimize(s)
-        assert m == s and m is not s
-        assert len(calls) == 1
+        assert minimize(s) is s
 
     @pytest.mark.parametrize(
         "padded, minimal",
@@ -442,6 +426,14 @@ class TestCFiniteSeq:
             # 2^n times (z - 1)(z + 1)
             (CFiniteSeq([1, 2, 4], [2, 1, -2]), CFiniteSeq([1], [2])),
             (CFiniteSeq([5, 5, 5, 5], [1, 0, 0, 0]), CFiniteSeq([5], [1])),
+            # c_L = 0: the generating function is already in lowest terms,
+            # and deg N + 1 or deg Q falls below L
+            (CFiniteSeq([1, 0], [0, 0]), CFiniteSeq([1], [0])),
+            (
+                CFiniteSeq([Fraction(4, 3), Fraction(16, 3)], [4, 0]),
+                CFiniteSeq([Fraction(4, 3)], [4]),
+            ),
+            (CFiniteSeq([3, 0, 0], [0, 0, 0]), CFiniteSeq([3], [0])),
         ],
     )
     def test_minimize_padded_inputs(self, padded, minimal):

@@ -363,6 +363,36 @@ def test_mpmath_only_where_floating_point_is_allowed():
     assert users <= MPMATH_MODULES
 
 
+def relative_imports(tree):
+    """(line, target) of every relative import in the tree, nested ones too:
+    ``from . import x`` has the target ".", ``from .guess import y`` ".guess"."""
+    return sorted(
+        (node.lineno, "." * node.level + (node.module or ""))
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.level
+    )
+
+
+def test_checker_flags_relative_imports():
+    tree = ast.parse(
+        "from . import linalg\n"
+        "from fractions import Fraction\n"
+        "import cfinite.guess\n"
+        "def f():\n"
+        "    from .guess import _close\n"
+        "    from ..pkg import x\n"
+    )
+    assert relative_imports(tree) == [(1, "."), (5, ".guess"), (6, "..pkg")]
+
+
+def test_core_imports_no_other_package_module():
+    # core is the foundation the other modules import; importing one of
+    # them back, even lazily inside a function, would make a cycle
+    tree = ast.parse((SRC / "core.py").read_text())
+    assert relative_imports(tree) == []
+    assert "cfinite" not in imported_modules(tree)
+
+
 def test_package_import_leaves_mpmath_unloaded():
     # no module needs floating point, so a fresh interpreter that imports
     # the package and its CLI does not load mpmath
