@@ -1,0 +1,8 @@
+"""``python -m cfinite``: the command line of cfinite.cli."""
+
+import sys
+
+from .cli import main
+
+if __name__ == "__main__":
+    sys.exit(main())

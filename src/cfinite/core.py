@@ -21,9 +21,9 @@ term of the image.  The same w scales the characteristic roots of the
 product test in roots.py.
 
 Polynomial is the value type of generating functions.  Polynomial arithmetic
-runs on ascending integer lists, and all of its kernels live here: the modular
-gcd with its cofactors, exact division, Yun's square-free parts, Horner
-evaluation, power sums, _mulmod and _zpow.
+runs on ascending integer lists, and all of its kernels live here: the gcd with
+its cofactors (one integer gcd at 2^k), exact division, Yun's square-free parts,
+Horner evaluation, power sums, _mulmod, _zpow and factor.py's Euclid over Z/p.
 Polynomials in several parameters, over Z, are dicts from exponent tuples to
 ints (mpoly_dot, mpoly_eval): guess.verify_parametric_identity works on them.
 This module imports no other module of the package.
@@ -33,8 +33,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from functools import cache
-from itertools import count, zip_longest
+from itertools import zip_longest
 from math import gcd, isqrt, lcm
 from operator import add, mul
 from typing import Iterable, Sequence
@@ -166,15 +165,6 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-@cache
-def _prime(i: int) -> int:
-    """The i-th prime below 2^61, counting down from 2^61 - 1 (i = 0)."""
-    n = _prime(i - 1) - 2 if i else (1 << 61) - 1
-    while not _is_prime(n):
-        n -= 2
-    return n
-
-
 def _primitive(f: list) -> list:
     """f over its content, with positive leading coefficient (f = [] stays)."""
     if not f:
@@ -184,7 +174,8 @@ def _primitive(f: list) -> list:
 
 
 def _gcd_mod(a: list, b: list, p: int) -> list:
-    """Monic gcd of two nonzero polynomials over Z/p, ascending lists.
+    """Monic gcd of two nonzero polynomials over Z/p, ascending lists: the
+    root grid's kernel, called by factor._split_prime and factor._roots_mod.
 
     Remainders are reduced mod p once per division, not per step, and a
     nonzero constant remainder ends the loop: the gcd is 1, with no
@@ -232,58 +223,59 @@ def int_poly_quo(a: list, b: list, bound: int = 0):
 def int_poly_gcd(a: list, b: list):
     """(g, a / g, b / g): g the primitive gcd with positive leading
     coefficient of two integer coefficient lists (ascending, no trailing
-    zeros; ([], [], []) for two zero operands), by Brown's modular algorithm.
+    zeros; ([], [], []) for two zero operands), by the heuristic gcd of
+    Char, Geddes and Gonnet (1989) at xi = 2^k.
 
-    The gcd is computed modulo 61-bit primes that divide neither leading
-    coefficient; each monic image is scaled to lc = gcd(lc a, lc b), images
-    of the smallest degree seen are joined by CRT, and the primitive part of
-    the symmetric lift is returned once it divides both inputs over Z.  No
-    image has a smaller degree than the true gcd, and no common divisor a
-    larger one, so the answer is exact: the primes only decide how soon it is
-    found.  The trial division runs after the first image of a degree (small
-    gcds are found there) and afterwards only when a new prime leaves the
-    symmetric lift unchanged, which it does once the modulus exceeds twice
-    the scaled gcd's coefficients; a failed check only means more primes.
+    The symmetric base-xi digits of G = gcd(a(xi), b(xi)) form H, H(xi) = G,
+    and the candidate h is H's primitive part.  With xi > 2 m + 2,
+    m = min(||a||, ||b||), an h that divides both operands is the gcd: g = h q
+    and g(xi) | cont(H) h(xi) give q(xi) | cont(H), |cont(H)| <= xi / 2, but
+    a non-constant q, its roots below 1 + m, has |q(xi)| > xi / 2.  A failed
+    candidate doubles k; G is |g(xi)| times a divisor of Res(a / g, b / g),
+    so a large enough xi gives h = g.
     A trial division of f ends at the first quotient coefficient beyond
-    Mignotte's bound 2^k * ||f||_2 (k the quotient's degree): the quotient
-    by the true gcd is a factor of f in Z[z], so it never gets there.  The
-    two cofactors are the quotients of the check that succeeds.
+    Mignotte's bound 2^j * ||f||_2 (j the quotient's degree): the quotient by
+    the true gcd is a factor of f in Z[z], so it never gets there, and an h
+    of higher degree than f fails at once.  The two cofactors are the
+    quotients of the check that succeeds.
     """
     if not a or not b:
         g = _primitive(a or b)
         return g, *([f[-1] // g[-1]] if f else [] for f in (a, b))
-    gamma = gcd(a[-1], b[-1])
-    norms = [isqrt(sum(x * x for x in f)) + 1 for f in (a, b)]
-    modulus, lift = 1, []
-    for p in map(_prime, count()):
-        if a[-1] % p == 0 or b[-1] % p == 0:
-            continue
-        image = _gcd_mod([x % p for x in a], [x % p for x in b], p)
-        if len(image) == 1:
+    k, norms = (2 * min(max(map(abs, a)), max(map(abs, b))) + 2).bit_length(), None
+    while True:
+        h = _primitive(_unpack(gcd(_pack(a, k), _pack(b, k)), k))
+        if len(h) == 1:
             return [1], a, b
-        if lift and len(image) > len(lift):
-            continue
-        g = gamma % p
-        image = [x * g % p for x in image]
-        if not lift or len(image) < len(lift):
-            modulus, lift, prev = p, image, None
-        else:
-            inv = pow(modulus, -1, p)
-            lift = [u + modulus * ((v - u) * inv % p) for u, v in zip(lift, image)]
-            modulus *= p
-            prev = sym
-        half = modulus // 2
-        sym = [x - modulus if x > half else x for x in lift]
-        if prev is not None and sym != prev:
-            continue
-        cand = _primitive(sym)
+        norms = norms or [isqrt(sum(x * x for x in f)) + 1 for f in (a, b)]
         quos = []
         for f, n in zip((a, b), norms):
-            if (q := int_poly_quo(f, cand, n << (len(f) - len(cand)))) is None:
+            if (q := int_poly_quo(f, h, n << max(len(f) - len(h), 0))) is None:
                 break
             quos.append(q)
         else:
-            return cand, *quos
+            return h, *quos
+        k *= 2
+
+
+def _pack(f: list, k: int) -> int:
+    """f(2^k) for the integer coefficient list f (ascending)."""
+    v = 0
+    for c in reversed(f):
+        v = (v << k) + c
+    return v
+
+
+def _unpack(v: int, k: int) -> list:
+    """The ascending digits of v in base 2^k, each in (-2^(k-1), 2^(k-1)]."""
+    mask, half, digits = (1 << k) - 1, 1 << (k - 1), []
+    while v:
+        c = v & mask
+        if c > half:
+            c -= 1 << k
+        digits.append(c)
+        v = (v >> k) + (c < 0)
+    return digits
 
 
 def _derivative(f) -> list:
@@ -652,8 +644,8 @@ def minimize(seq: CFiniteSeq) -> CFiniteSeq:
     M = max(deg Q, deg N + 1) (Stanley 1986, EC I, Thm 4.1.1).  The integer
     image b(n) = E D^n a(n) (_integer_image) has the generating function
     N/Q with Q = 1 - w_1 z - ... - w_L z^L and N = b Q mod z^L, and
-    int_poly_gcd cancels their gcd exactly; its primes only decide how
-    soon it finishes.  The test is M = L, not a trivial gcd: c_L = 0 with
+    int_poly_gcd cancels their gcd exactly; its evaluation points only
+    decide how soon it finishes.  The test is M = L, not a trivial gcd: c_L = 0 with
     a gcd of 1 has M < L.  M = L returns the input itself, and otherwise
     the first M initial terms go with c_k = -Q_k / (Q_0 D^k), Q padded to
     degree M; Q_0 = +-1, since Q times the gcd is the Q above.  The zero

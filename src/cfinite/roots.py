@@ -16,7 +16,7 @@ r_ij r_ji = c^2.  So their polynomial folds to S(w) of degree
 Power sums and Newton's identities give S exactly.  The profile is read
 in u = w/|c|: the primitive polynomial with S's roots over |c| drops the
 factor c^(N-k) that S's coefficient of w^k carries, so its coefficients
-are far smaller.  Yun's square-free decomposition (with the modular gcd of
+are far smaller.  Yun's square-free decomposition (with the integer gcd of
 core) gives its multiplicities, and each u-root of multiplicity k unfolds
 into two ratios of multiplicity k.  The one exception is u = -2 sign(c)
 (w = -2c, gamma_i = -gamma_j), which unfolds into the single ratio -c of
@@ -32,7 +32,7 @@ exactly: the product test reads them off T, whose root u = 2 sign(c)
 (w = 2c) means gamma_i = gamma_j, and the factorisers, whose root grid
 builds no T, test gcd(P, P') (_require_simple_roots).  Nothing here finds
 a root: the root grid of factorize_roots, over Z/p^N, is in factor.py, and
-the integer kernels (power sums, Yun's decomposition, the modular gcd) are
+the integer kernels (power sums, Yun's decomposition, the integer gcd) are
 core's.  The exact order-2 route of factorize_roots reads the u-polynomial
 from _ratio_quotient.
 """

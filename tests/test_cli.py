@@ -529,6 +529,15 @@ def test_module_exit_codes():
     assert "no factorization found" in got.stderr
 
 
+def test_package_runs_as_a_module():
+    # `python -m cfinite` runs the same main as the console script
+    got = run_python("-m", "cfinite", "guess", "0,1,1,2,3,5,8,13,21,34")
+    assert (got.returncode, got.stdout.strip()) == (0, "[[0, 1], [1, 1]]")
+    got = run_python("-m", "cfinite", "guess")
+    assert got.returncode == 2
+    assert "usage:" in got.stderr and "Traceback" not in got.stderr
+
+
 # --- the argv reader ------------------------------------------------------------
 # `main` reads argv straight off the verb table; nothing is built per call
 # and no call leaves state for the next.

@@ -12,7 +12,6 @@ from cfinite.core import (
     _clear_denominators,
     _image,
     _is_prime,
-    _prime,
     _primitive,
     _rec_scale,
     CFiniteSeq,
@@ -158,8 +157,9 @@ class TestPolynomial:
         assert rem.degree < q.degree
 
 
-# the first two primes of the modular gcd engine
-P0, P1 = _prime(0), _prime(1)
+# the first three primes counting down from 2^61 (P0 = 2^61 - 1): large
+# shifts and leading coefficients for the gcd
+P0, P1, P2 = 2305843009213693951, 2305843009213693921, 2305843009213693907
 factor_lists = st.lists(small_fracs, min_size=0, max_size=4)
 
 
@@ -174,17 +174,10 @@ def _check_gcd(a, b):
 
 
 class TestPolyGcd:
-    """The modular int_poly_gcd against the Fraction Euclid of the oracles."""
-
-    def test_primes(self):
-        primes = [_prime(i) for i in range(6)]
-        assert primes[0] == 2**61 - 1
-        assert primes == sorted(primes, reverse=True)
-        assert all(p.bit_length() == 61 and _is_prime(p) for p in primes)
-        # no prime skipped between consecutive ones
-        assert not any(_is_prime(n) for n in range(P1 + 2, P0, 2))
+    """The heuristic int_poly_gcd against the Fraction Euclid of the oracles."""
 
     def test_is_prime_against_trial_division(self):
+        # factor._split_prime picks its primes with _is_prime
         naive = [n for n in range(3000) if n > 1 and all(n % d for d in range(2, n))]
         assert [n for n in range(3000) if _is_prime(n)] == naive
         # strong pseudoprimes to the bases 2, 3, 5, 7 and to 2 .. 37
@@ -224,8 +217,8 @@ class TestPolyGcd:
         B = G * Polynomial(v + [P1**e0 * P0])
         _check_gcd(A, B)
 
-    def test_unlucky_first_prime(self):
-        # z - 1 and z - 1 - P0 agree mod P0, so that image has degree 1
+    def test_coprime_operands_that_agree_mod_a_61_bit_prime(self):
+        # z - 1 and z - 1 - P0 agree mod P0 but are coprime over Q
         a, b = Polynomial([-1, 1]), Polynomial([-1 - P0, 1])
         assert poly_gcd(a, b) == Polynomial([1])
 
@@ -233,20 +226,18 @@ class TestPolyGcd:
     @given(
         st.lists(small_fracs, min_size=1, max_size=4),
         st.integers(-10, 10),
-        st.sampled_from([P0, P1, _prime(2), P0 * P1, 3 * P0**2]),
+        st.sampled_from([P0, P1, P2, P0 * P1, 3 * P0**2]),
         st.booleans(),
     )
-    def test_unlucky_primes(self, g, r, shift, big):
+    def test_cofactors_that_agree_mod_61_bit_primes(self, g, r, shift, big):
         # mod each prime dividing shift the cofactors z - r and z - r - shift
-        # coincide, so those images have a larger degree than the gcd over Q;
-        # a 206-bit coefficient in the gcd makes the lift need four primes,
-        # so an unlucky second or third prime comes after a lucky one
+        # coincide, so the operands share a factor of larger degree than the
+        # gcd over Q there; with big, the gcd has a 206-bit coefficient
         G = Polynomial(g) * (Polynomial([3**130, 1]) if big else Polynomial([1]))
         _check_gcd(G * Polynomial([-r, 1]), G * Polynomial([-r - shift, 1]))
 
-    def test_many_prime_lift(self):
-        # a 1,649-bit gcd coefficient: the lift takes 29 primes, and the
-        # trial division runs after the first and once the lift stops changing
+    def test_gcd_with_a_1649_bit_coefficient(self):
+        # a 1,649-bit gcd coefficient: the operands are packed at 2^1650
         G = Polynomial([3**1040, 1])
         assert poly_gcd(G * Polynomial([-1, 1]), G * Polynomial([-2, 1])) == G
 
@@ -267,6 +258,36 @@ class TestPolyGcd:
         # coprime: the gcd is 1 and the cofactors are the operands
         assert int_poly_gcd([1, 1], [2, 1]) == ([1], [1, 1], [2, 1])
         assert int_poly_gcd([-2, 0, 2], [-3, 3]) == ([-1, 1], [2, 2], [3])
+        # at 2^6 the integer gcd 48 * 64 has digits [0, -16, -15, 1]: a
+        # candidate of higher degree than both operands, refused
+        assert int_poly_gcd([0, 48], [0, 0, 24]) == ([0, 1], [48], [0, 24])
+
+    def test_failed_candidate_retries_at_a_larger_point(self, monkeypatch):
+        # at 2^3 the operands read 7 and 0: the candidate z - 1 does not
+        # divide z - 8, and the gcd 1 comes from the next point, 2^6
+        points, pack = [], core._pack
+
+        def counted_pack(f, k):
+            points.append(k)
+            return pack(f, k)
+
+        monkeypatch.setattr(core, "_pack", counted_pack)
+        for a, b in (([-1, 1], [-8, 1]), ([-8, 1], [-1, 1])):
+            points.clear()
+            assert int_poly_gcd(a, b) == ([1], a, b)
+            assert points == [3, 3, 6, 6]
+
+    def test_gcd_norm_above_both_operand_norms(self):
+        # Phi_105 has a coefficient -2, above ||z^105 - 1|| = 1
+        phi = [1]
+        for d, sign in ((105, 1), (3, 1), (5, 1), (7, 1), (1, -1), (15, -1), (21, -1), (35, -1)):
+            z_d = [-1] + [0] * (d - 1) + [1]
+            phi = _int_mul(phi, z_d) if sign > 0 else core.int_poly_quo(phi, z_d)
+        assert min(phi) == -2
+        a, b = [-1] + [0] * 104 + [1], _int_mul(phi, [2, 1])
+        g, qa, qb = int_poly_gcd(a, b)
+        assert g == phi == oracles.poly_gcd_euclid(a, b)
+        assert _int_mul(g, qa) == a and qb == [2, 1]
 
     def test_square_free_divides_only_inside_the_gcd(self, monkeypatch):
         # Yun's quotients are the gcd's cofactors: no int_poly_quo of its own
@@ -411,9 +432,9 @@ class TestCFiniteSeq:
         s = CFiniteSeq([Fraction(1, 3), 2, -1], [Fraction(1, 2), 0, Fraction(-7, 4)])
         assert minimize(s) is s
 
-    def test_minimize_keeps_an_input_whose_term_is_the_first_prime(self, monkeypatch):
-        # 2^61 - 1 is _prime(0), the first modulus of the gcd: the input is
-        # minimal and comes back itself, with no fit
+    def test_minimize_keeps_an_input_whose_term_is_a_61_bit_prime(self, monkeypatch):
+        # 2^61 - 1, the largest prime below 2^61, as the only term: the
+        # input is minimal and comes back itself, with no fit
         monkeypatch.setattr(guess, "_berlekamp_massey", _no_fit)
         s = CFiniteSeq([2**61 - 1], [3])
         assert minimize(s) is s

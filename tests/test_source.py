@@ -328,6 +328,25 @@ def test_one_denominator_clearing_helper():
     assert elsewhere == {}
 
 
+# one gcd engine over Z: int_poly_gcd evaluates at a power of two and runs
+# no Euclid mod p; _gcd_mod serves only factor.py's root grid over Z/p
+def test_one_polynomial_gcd_engine():
+    trees = {path.name: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    assert "_gcd_mod" not in calls_reached(trees["core.py"], "int_poly_gcd")
+    # _gcd_mod is called only in factor's _split_prime and _roots_mod: a
+    # call outside both shows up in both lists
+    in_split = calls_outside(trees["factor.py"], {"_gcd_mod"}, "_roots_mod")
+    in_roots = calls_outside(trees["factor.py"], {"_gcd_mod"}, "_split_prime")
+    assert in_split and in_roots
+    assert set(in_split) & set(in_roots) == set()
+    elsewhere = {
+        module: calls
+        for module, tree in trees.items()
+        if module != "factor.py" and (calls := calls_outside(tree, {"_gcd_mod"}, None))
+    }
+    assert elsewhere == {}
+
+
 # no module uses floating point: the root grid runs over Z/p^N
 MPMATH_MODULES = set()
 
