@@ -7,10 +7,11 @@ memory, 3 for internal invariant violations.
 
 Every verb is one entry of the table `_VERBS`: its run function, help
 line, positionals and options.  `main` reads argv straight off that table
-(`_read_argv`): `--json` before the verb, then the verb's arguments, an
-option as `--name value` or `--name=value` under its name or any unique
-prefix of it, `--` ending the options and `-h`/`--help` at both levels.  A
-token that starts with "-" and a digit is a value, since no option does.
+in one pass (`_read_argv`): an option is one of the command's own
+(`--json`, `-h`/`--help`) until the verb is read and one of the verb's
+after it, written `--name value` or `--name=value` under its name or any
+unique prefix of it, and `--` ends the options.  A token that starts with
+"-" and a digit is a value, since no option does.
 A usage error prints its usage line, then `cfinite ...: error: ...`, and
 exits 2.  Every verb prints through `_emit`: the text form, or the JSON
 payload under `--json`.
@@ -443,56 +444,40 @@ def _read_argv(argv: list):
     """(run, args) for one command line, read off _VERBS; None once --help
     has printed its text.  Raises _BadArgv on a usage error.
 
-    Options are read as `--name value` or `--name=value`, a long name may be
-    shortened to any unique prefix, and `--` ends the options.
+    One pass over argv: an option is looked up among the command's own until
+    the verb is read and among the verb's after it, read as `--name value`
+    or `--name=value` under its name or any unique prefix of a long name,
+    and `--` ends the options.  The first value is the verb; the verb's
+    positionals are filled in order as they come: one value each, "?" one
+    if given, and "*" or "+" (always last) every value left.
     """
-    use_json, ended, extras, i, n = False, False, [], 0, len(argv)
-    while i < n and _is_option(argv[i]):  # the command's own options
-        token = argv[i]
-        i += 1
-        if token == "--":
-            ended = True
-            break
-        arg, value = _option(_TOP_OPTIONS, token, None)
-        if arg is _HELP:
-            print(_help())
-            return None
-        if arg is None:
-            extras.append(token)
-        elif value is not None:
-            raise _BadArgv(f"argument {arg.name}: ignored explicit argument {value!r}")
-        else:
-            use_json = True
-    if i == n:
-        raise _BadArgv("the following arguments are required: verb")
-    verb = _VERBS.get(argv[i])
-    if verb is None:
-        choices = ", ".join(map(repr, _VERBS))
-        raise _BadArgv(f"argument verb: invalid choice: {argv[i]!r} (choose from {choices})")
-    values = dict(verb.defaults, json=use_json)
-    # positionals are filled in order as they come: one value each, "?" one
-    # if given, and "*" or "+" (always last) every value left
-    positionals, p = verb.positionals, 0
-    i += 1
+    verb, options, values, extras, ended, p = None, _TOP_OPTIONS, {"json": False}, [], False, 0
+    i, n = 0, len(argv)
     while i < n:
         token = argv[i]
         i += 1
         if ended or not _is_option(token):
-            if p == len(positionals):
+            if verb is None:
+                verb = _VERBS.get(token)
+                if verb is None:  # the invalid-choice error of a verb argument
+                    _Arg("verb", choices=_VERBS).read(token, None)
+                options, positionals = verb.options, verb.positionals
+                values.update(verb.defaults)
+            elif p == len(positionals):
                 extras.append(token)
-                continue
-            arg = positionals[p]
-            value = arg.read(token, verb)
-            if arg.nargs in ("*", "+"):
-                values[arg.dest] = [*values[arg.dest], value]
             else:
-                values[arg.dest] = value
-                p += 1
+                arg = positionals[p]
+                value = arg.read(token, verb)
+                if arg.nargs in ("*", "+"):
+                    values[arg.dest] = [*values[arg.dest], value]
+                else:
+                    values[arg.dest] = value
+                    p += 1
             continue
         if token == "--":
             ended = True
             continue
-        arg, value = _option(verb.options, token, verb)
+        arg, value = _option(options, token, verb)
         if arg is None:
             extras.append(token)
             continue
@@ -511,6 +496,8 @@ def _read_argv(argv: list):
                 i += 1
             value = arg.read(value, verb)
         values[arg.dest] = value
+    if verb is None:
+        raise _BadArgv("the following arguments are required: verb")
     # the first positional short of a value and every later one but a "?"
     # are missing; a required option has no default, and no value read is None
     first = positionals[p] if p < len(positionals) else None

@@ -81,6 +81,13 @@ class TestTermsAndOps:
         code, _, _ = run(capsys, "terms", f"@{tmp_path}/nope.txt", "5")
         assert code == 2
 
+    def test_empty_file_exit_2(self, capsys, tmp_path):
+        p = tmp_path / "empty.txt"
+        p.write_text("")
+        code, out, err = run(capsys, "terms", f"@{p}", "3")
+        assert (code, out) == (2, "")
+        assert err.splitlines()[0] == f"error: no sequence literal found in {p}"
+
     def test_malformed_seq_exit_2(self, capsys):
         code, _, _ = run(capsys, "terms", "[[0,1]]", "5")
         assert code == 2
@@ -192,6 +199,14 @@ class TestAnalysis:
         assert code == 2
         assert "orders must be a nonempty list of counts >= 1" in err
 
+    @pytest.mark.parametrize(
+        "orders, message", [("2,x", "bad order list: '2,x'"), (",", "empty order list")]
+    )
+    def test_isprod_unreadable_orders_exit_2(self, capsys, orders, message):
+        code, out, err = run(capsys, "isprod", "[[0,1],[1,1]]", "--orders", orders)
+        assert (code, out) == (2, "")
+        assert err.splitlines()[0] == f"error: {message}"
+
     def test_isprod_order_limit_exit_2(self, capsys):
         code, _, err = run(capsys, "isprod", "[[0,1],[1,1]]", "--orders", "33,32")
         assert code == 2
@@ -237,6 +252,12 @@ class TestAnalysis:
         )
         assert code == 0
         assert out.endswith("= 0")
+
+    def test_nlr_none_found_exit_1(self, capsys):
+        # no c0 + c1 a(n) = 0 holds for a(n) = n + 1
+        terms = ",".join(map(str, range(1, 21)))
+        code, out, err = run(capsys, "nlr", terms, "--order", "0", "--degree", "1")
+        assert (code, out, err) == (1, "", "no polynomial relation found")
 
     def test_nlr_skips_zero_coefficients(self, capsys):
         terms = [0, 1]
@@ -788,6 +809,19 @@ def test_fuzz_exit_codes(argv):
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
     assert code in (0, 1, 2, 3), (argv, code)
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.one_of(_argv(), _grid_argv()))
+def test_json_changes_only_stdout(argv):
+    """--json in front of argv changes stdout alone: the exit code and stderr
+    are those of the text form."""
+    runs = []
+    for flag in ([], ["--json"]):
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            runs.append((main(flag + argv), err.getvalue()))
+    assert runs[0] == runs[1], argv
 
 
 class TestBigIntegers:

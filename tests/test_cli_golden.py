@@ -66,6 +66,25 @@ exact calculator and conjecture engine for linear recurrences with constant coef
   verify-identity  prove a built-in parametric identity
   --json           machine-readable output
   -h, --help       show this help and exit"""
+FACTOR_HELP = f"""{FACTOR_USAGE}
+
+factor into a termwise product
+
+  seq
+  --mode MODE      one of roots, integer; default roots
+  --orders ORDERS  e.g. 2,2
+  --bound BOUND    default 3
+  --budget BUDGET  default 60.0
+  --digits DIGITS  default 100
+  -h, --help       show this help and exit"""
+DIMER_USAGE = (
+    "usage: cfinite dimer [-h] --width WIDTH [--terms TERMS] [--hweight HWEIGHT] "
+    "[--vweight VWEIGHT] [--report-product] [--digits DIGITS]"
+)
+SEQ_CHOICES = (
+    "chebyshev_t", "chebyshev_u", "fibonacci", "geometric", "lucas", "natural", "one",
+    "pell", "zero",
+)
 GUESS_HELP = """usage: cfinite guess [-h] [--max-order MAX_ORDER] terms
 
 guess a recurrence from terms
@@ -192,6 +211,24 @@ GOLDEN = [
      '{"init": ["-1"], "rec": ["-1"]}', ""),
     (("--help",), 0, HELP, HELP, ""),
     (("guess", "-h"), 0, GUESS_HELP, GUESS_HELP, ""),
+    (("factor", "--help"), 0, FACTOR_HELP, FACTOR_HELP, ""),
+    (("--", "guess", "0,1,1,2,3,5,8,13"), 0, "[[0, 1], [1, 1]]", FIB_JSON, ""),
+    (("--bogus", "guess", "0,1,1,2,3,5,8,13"), 2, "", "",
+     f"{USAGE}\ncfinite: error: unrecognized arguments: --bogus"),
+    (("--json=1", "guess", "0,1,1,2,3,5,8,13"), 2, "", "",
+     f"{USAGE}\ncfinite: error: argument --json: ignored explicit argument '1'"),
+    (("bt", "[[0,1],[1,1]]", "extra"), 2, "", "",
+     f"{USAGE}\ncfinite: error: unrecognized arguments: extra"),
+    (("dimer", "--width", "4", "--report-product=1"), 2, "", "",
+     f"{DIMER_USAGE}\ncfinite dimer: error: argument --report-product: ignored explicit "
+     "argument '1'"),
+    (("factor", PRODUCT, "--orders", "2,2", "--mode", "x"), 2, "", "",
+     f"{FACTOR_USAGE}\ncfinite factor: error: argument --mode: invalid choice: 'x' "
+     "(choose from 'roots', 'integer')"),
+    (("seq", "frob"), 2, "", "",
+     "usage: cfinite seq [-h] {%s} [params ...]\ncfinite seq: error: argument name: "
+     "invalid choice: 'frob' (choose from %s)"
+     % (",".join(SEQ_CHOICES), ", ".join(map(repr, SEQ_CHOICES)))),
 ]
 
 
