@@ -194,7 +194,6 @@ def _cmd_factor(args) -> int:
     payload = {
         "left": _seq_json(pair.left),
         "right": _seq_json(pair.right),
-        "normalization": pair.normalization,
         "verified": pair.certificate.verified,
         "order_bound": pair.certificate.order_bound,
     }

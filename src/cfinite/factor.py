@@ -13,10 +13,10 @@ rational gauge (_extract_factors) and recovered by rational
 reconstruction.
 
 One back (_pair) takes the initial terms from one exact rank-1 solve
-(_split), puts the pair in one normal form (_normal_form) in a gauge and
-returns it only with a verified equality certificate: nothing is ever
-reported on modular evidence alone.  Both factorisers run this pipeline
-(_factorize) with their own gauge, _gauge_scale or _integer_gauge.
+(_split), puts the pair in one normal form (_normal_form) and returns it
+only with a verified equality certificate: nothing is ever reported on
+modular evidence alone.  Both factorisers run this pipeline (_factorize)
+with their own gauge magnitude, _gauge_scale or _integer_gauge.
 
 No floating point is used.  `digits` of factorize_roots sets the p-adic
 working precision p^N >= 10^digits of the lift and its ladder (digits,
@@ -56,14 +56,12 @@ _TRIAL_LIMIT = 10**6
 class FactorPair:
     left: CFiniteSeq
     right: CFiniteSeq
-    normalization: str
     certificate: guess.ProofCertificate
 
     def __str__(self):
         return (
             f"left  = {self.left}\n"
             f"right = {self.right}\n"
-            f"normalization: {self.normalization}\n"
             f"{self.certificate}"
         )
 
@@ -134,11 +132,11 @@ def _pair(original, m, left_rec, right_rec, gauge):
     form = _normal_form(CFiniteSeq(split[0], left_rec), CFiniteSeq(split[1], right_rec), gauge)
     if form is None:
         return False
-    left, right, note = form
+    left, right = form
     cert = guess.prove_equal(guess.mul(left, right), original)
     if not cert.verified:
         raise guess.InvariantViolation(f"split factors failed their proof: {cert}")
-    return FactorPair(left, right, note, cert)
+    return FactorPair(left, right, cert)
 
 
 def _gauge_base(n: int):
@@ -174,7 +172,7 @@ def _iroot(n: int, k: int) -> int:
 
 
 def _gauge_scale(rec) -> Fraction:
-    """The lambda with lambda^i c_i weighted-primitive, times _sign_gauge.
+    """The positive lambda with lambda^i c_i weighted-primitive.
 
     A factor pair carries the gauge freedom (left, right) ->
     (lambda^n left, lambda^-n right).  This picks the positive lambda, a
@@ -199,12 +197,7 @@ def _gauge_scale(rec) -> Fraction:
             for i, c in enumerate(rec, start=1)
             if c
         )
-    return lam * _sign_gauge(rec)
-
-
-def _sign_gauge(rec) -> Fraction:
-    """-1 when the first nonzero c_i at odd i is negative, else 1."""
-    return Fraction(-1 if next((c for c in rec[0::2] if c), 0) < 0 else 1)
+    return lam
 
 
 def _apply_gauge(seq: CFiniteSeq, lam: Fraction) -> CFiniteSeq:
@@ -215,24 +208,23 @@ def _apply_gauge(seq: CFiniteSeq, lam: Fraction) -> CFiniteSeq:
 
 
 def _normal_form(left, right, gauge):
-    """The canonical representative of the split left * right, with a note.
+    """The canonical representative (left, right) of the split left * right.
 
     Canonical per class of splits under the gauge (lambda^n left,
     lambda^-n right) and a constant; a product may split in several classes
     (README), and the factorisers print the first that _pair certifies.
-    The left factor a is rescaled by gauge(a, b) (None rejects the split)
-    and divided by the signed content of its initial terms.  It is the
-    lower-order factor; for equal orders, and for the sign of lambda when
-    no c_i at odd i is nonzero, the pair that sorts first by (order, rec,
-    init) wins, so the argument order does not matter.
+    The left factor a is the lower-order one.  It is rescaled by lambda =
+    +-gauge(a, b) (None rejects the split), the sign making its first
+    nonzero c_i at odd i positive, and divided by the signed content of its
+    initial terms.  For equal orders, and for the sign when no c_i at odd i
+    is nonzero, the pair that sorts first by (order, rec, init) wins, so
+    the argument order does not matter.
     """
 
     def form(a, b, lam):
         a, b = _apply_gauge(a, lam), _apply_gauge(b, 1 / lam)
         g = content(a.init) * (1 if next(d for d in a.init if d) > 0 else -1)
-        notes = [f"gauge lambda = {lam}"] * (lam != 1)
-        notes += [f"left factor divided by {g}"] * (g != 1)
-        return scale(a, 1 / g), scale(b, g), "; ".join(notes) or "already canonical"
+        return scale(a, 1 / g), scale(b, g)
 
     if left.order > right.order:
         left, right = right, left
@@ -241,10 +233,9 @@ def _normal_form(left, right, gauge):
         lam = gauge(a, b)
         if lam is None:
             return None
-        forms.append(form(a, b, lam))
-        if not any(a.rec[0::2]):
-            forms.append(form(a, b, -lam))
-    return min(forms, key=lambda f: ([(s.order, s.rec, s.init) for s in f[:2]], f[2]))
+        odd = next((c for c in a.rec[0::2] if c), 0)
+        forms += [form(a, b, s * lam) for s in (1, -1) if s * odd >= 0]
+    return min(forms, key=lambda f: [(s.order, s.rec, s.init) for s in f])
 
 
 def factorize_roots(seq: CFiniteSeq, L1: int, L2: int, digits: int = DEFAULT_DIGITS):
@@ -517,24 +508,24 @@ def factorize_integer(
 
 
 def _integer_gauge(L1, bound, deadline, stats):
-    """gauge(a, b), the lambda for a, or None; F is the one of order L1.
+    """gauge(a, b), the |lambda| for a, or None; F is the one of order L1.
 
     lambda is accepted when F(lambda) divided by the content c of its
     initial terms has integer data in [-bound, bound] and c G(1 / lambda),
-    G the other factor, is integral (Fatou).  With mu = |_gauge_scale(F.rec)|, no prime is
-    removable from every weighted slot, so F's recurrence is integral only
-    at lambda = +-mu t, t >= 1 an integer, and G's only when t^j divides
-    its j-th coefficient at 1 / mu.  The accepted lambda whose F recurrence
-    sorts first wins, times _sign_gauge.  _normal_form asks for both
-    argument orders of an equal-order split; the search for each factor
-    runs once per split and serves both.
+    G the other factor, is integral (Fatou).  With mu = _gauge_scale(F.rec),
+    no prime is removable from every weighted slot, so F's recurrence is
+    integral only at lambda = +-mu t, t >= 1 an integer, and G's only when
+    t^j divides its j-th coefficient at 1 / mu.  The accepted lambda whose F recurrence
+    sorts first wins, unsigned: _normal_form picks the sign.  It asks for
+    both argument orders of an equal-order split; the search for each
+    factor runs once per split and serves both.
     """
 
     @functools.cache
     def accepted(f, g):
         """The (sort key, lambda) of each lambda accepted for F = f, in order."""
         out = []
-        mu = abs(_gauge_scale(f.rec))
+        mu = _gauge_scale(f.rec)
         rest = [d / mu**j for j, d in enumerate(g.rec, start=1)]
         if any(d.denominator != 1 for d in rest):
             return out
@@ -559,7 +550,7 @@ def _integer_gauge(L1, bound, deadline, stats):
             for key, lam in accepted(f, g) if f.order == L1 else ():
                 if best is None or key < best[0]:
                     best = key, lam**power
-        return best and best[1] * _sign_gauge(_apply_gauge(a, best[1]).rec)
+        return best and abs(best[1])
 
     return gauge
 

@@ -521,7 +521,7 @@ def integer_factor_pair(seq, L1, L2, bound):
     term positive), screens them by exact divisibility of the first
     2 L1 L2 + 4 terms, guesses the cofactor's recurrence from the quotient
     on the candidate's longest zero-free run and certifies the pair with
-    factor._pair in the sign gauge.  It shares that back (_split, the
+    factor._pair in the unit gauge.  It shares that back (_split, the
     normal form, the proof) with the package, so it checks the search
     only.
 
@@ -569,8 +569,8 @@ def integer_factor_pair(seq, L1, L2, bound):
         run = guess.guess_rec(quotient, guess.GuessConfig(max_order=L2))
         return None if run is None else run.rec
 
-    def sign_gauge(a, b):
-        return factor._sign_gauge(a.rec)
+    def unit_gauge(a, b):
+        return Fraction(1)
 
     values = range(-bound, bound + 1)
     for rec in itertools.product(values, repeat=L1):
@@ -582,6 +582,6 @@ def integer_factor_pair(seq, L1, L2, bound):
             if u is None:
                 continue
             right_rec = cofactor(u)
-            if right_rec and (pair := factor._pair(seq, m, rec, right_rec, sign_gauge)):
+            if right_rec and (pair := factor._pair(seq, m, rec, right_rec, unit_gauge)):
                 return pair.left, pair.right
     return None

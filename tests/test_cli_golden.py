@@ -145,16 +145,12 @@ GOLDEN = [
      f'{{"is_product": false, "orders": [2, 2], "expected": {PROFILE}, '
      '"observed": [1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 4], "digits": 100}', ""),
     (("factor", PRODUCT, "--orders", "2,2"), 0,
-     "left  = [[0, 1], [1, 1]]\nright = [[0, 1], [2, 1]]\nnormalization: gauge "
-     f"lambda = 1/2; left factor divided by 1/2\n{FACTORED}",
+     f"left  = [[0, 1], [1, 1]]\nright = [[0, 1], [2, 1]]\n{FACTORED}",
      f'{{"left": {FIB_JSON}, "right": {{"init": ["0", "1"], "rec": ["2", "1"]}}, '
-     '"normalization": "gauge lambda = 1/2; left factor divided by 1/2", '
      '"verified": true, "order_bound": 8}', ""),
     (("factor", PRODUCT, "--orders", "2,2", "--mode", "integer", "--bound", "2"), 0,
-     "left  = [[0, 1], [1, 1]]\nright = [[0, 1], [2, 1]]\nnormalization: gauge "
-     f"lambda = 1/2; left factor divided by 1/2\n{FACTORED}",
+     f"left  = [[0, 1], [1, 1]]\nright = [[0, 1], [2, 1]]\n{FACTORED}",
      f'{{"left": {FIB_JSON}, "right": {{"init": ["0", "1"], "rec": ["2", "1"]}}, '
-     '"normalization": "gauge lambda = 1/2; left factor divided by 1/2", '
      '"verified": true, "order_bound": 8}', ""),
     (("factor", NOT_PRODUCT, "--orders", "2,2"), 1, "", "", "no factorization found"),
     (("factor", PRODUCT, "--orders=-2,-2"), 2, "", "",

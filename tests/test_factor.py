@@ -633,6 +633,23 @@ class TestFront:
             factorize(FIB, 2, 2)
 
 
+def _swap_products():
+    """`factor` literals of 2 x 3 products: the pair [[1, 1], [2, -2]] x
+    [[2, -4, 4], [-1, 1, 3]], then 20 seeded products of small integer
+    factors with simple roots."""
+    rng = random.Random("swapped-orders")
+    out = ["[[2,-4,0,4,24,-64],[-2,-2,-8,-4,-24,-72]]"]
+    while len(out) < 21:
+        prod = mul(_integer_draw(rng, 2, 3), _integer_draw(rng, 3, 3))
+        try:
+            roots._require_simple_roots(prod)
+        except (ValueError, DegenerateRootsError):
+            continue
+        if prod.order == 6:
+            out.append(format_seq(prod))
+    return out
+
+
 def _rec_gauge(gauge):
     """A gauge of the left recurrence alone, as _normal_form calls it."""
     return lambda a, b: gauge(a.rec)
@@ -654,8 +671,39 @@ class TestNormalForm:
         assert_primitive_integer(one.left)
         assert_valid_factorization(one, prod)
 
+    @pytest.mark.parametrize(
+        "mode", [["--mode", "roots"], ["--mode", "integer", "--bound", "5"]], ids=["roots", "integer"]
+    )
+    def test_swapped_orders_print_the_same_bytes(self, mode, capsys):
+        for prod in _swap_products():
+            for flag in ([], ["--json"]):
+                runs = []
+                for orders in ("2,3", "3,2"):
+                    code = main([*flag, "factor", prod, "--orders", orders, *mode])
+                    runs.append((code, *capsys.readouterr()))
+                assert runs[0] == runs[1], (prod, flag)
+                assert runs[0][0] == 0, (prod, flag, runs[0])
+
+    @pytest.mark.parametrize("factorize", [factorize_roots, _integer_bound_5], ids=["roots", "integer"])
+    @settings(max_examples=30, deadline=None)
+    @given(st.sampled_from([(1, 2), (2, 1), (2, 2), (2, 3)]), st.data())
+    def test_left_factor_leads_with_a_positive_odd_coefficient(self, factorize, orders, data):
+        # the sign rule of the normal form: lambda -> -lambda flips every
+        # c_i at odd i, so its first nonzero one is positive if there is one
+        a, b = data.draw(small_factors(orders[0])), data.draw(small_factors(orders[1]))
+        prod = mul(a, b)
+        assume(prod.order == a.order * b.order)
+        try:
+            pair = factorize(prod, *orders)
+        except DegenerateRootsError:
+            assume(False)
+        assume(pair is not None)
+        odd = [c for c in pair.left.rec[0::2] if c]
+        assert not odd or odd[0] > 0
+        assert_valid_factorization(pair, prod)
+
     @settings(max_examples=60, deadline=None)
-    @given(st.sampled_from(["_gauge_scale", "_sign_gauge", "_integer_gauge"]), st.data())
+    @given(st.sampled_from(["_gauge_scale", "unit", "_integer_gauge"]), st.data())
     def test_argument_order_does_not_matter(self, gauge, data):
         values = st.fractions(-4, 4, max_denominator=3)
         left, right = (
@@ -665,6 +713,8 @@ class TestNormalForm:
         if gauge == "_integer_gauge":
             stats = {"candidates": 0, "screened": 0}
             gauge = factor._integer_gauge(left.order, 3, math.inf, stats)
+        elif gauge == "unit":
+            gauge = lambda a, b: Fraction(1)
         else:
             gauge = _rec_gauge(getattr(factor, gauge))
         assert factor._normal_form(left, right, gauge) == factor._normal_form(
@@ -692,7 +742,7 @@ class TestNormalForm:
         a, b = CFiniteSeq(*a), CFiniteSeq(*b)
         pair = factorize_roots(mul(a, b), a.order, a.order, digits)
         want = factor._normal_form(a, b, _rec_gauge(factor._gauge_scale))
-        assert (pair.left, pair.right) == want[:2]
+        assert (pair.left, pair.right) == want
         assert_primitive_integer(pair.left)
 
     def test_left_factor_carries_the_gauge(self):
@@ -791,7 +841,7 @@ def test_gauge_does_not_trial_divide_a_coprime_numerator(monkeypatch):
     ).filter(any)
 )
 def test_gauge_scale_matches_full_factorisation(rec):
-    assert factor._gauge_scale(rec) == oracles.gauge_scale(rec)
+    assert factor._gauge_scale(rec) == abs(oracles.gauge_scale(rec))
 
 
 def test_factorize_integer_checks_integrality_exactly():
@@ -887,11 +937,10 @@ def _order_2_products():
 @pytest.mark.parametrize("seq, L1, L2", _order_2_products())
 def test_exact_order_2_route_matches_the_grid(seq, L1, L2):
     pair, grid = factorize_roots(seq, L1, L2, digits=50), _grid(seq, L1, L2)
-    assert (pair.left, pair.right) == (grid.left, grid.right)
+    assert str(pair) == str(grid)
     assert_valid_factorization(pair, seq)
     # the orders in either argument order
-    swapped = factorize_roots(seq, L2, L1, digits=50)
-    assert (swapped.left, swapped.right) == (grid.left, grid.right)
+    assert str(factorize_roots(seq, L2, L1, digits=50)) == str(grid)
 
 
 def test_exact_order_2_route_needs_no_roots(monkeypatch):
@@ -969,38 +1018,38 @@ def test_width_8_strip_has_a_fibonacci_factor():
 
 
 # Seeded 2x2, 2x3 and 3x3 products of integer factors (data in [-5, 5],
-# c_L in {-2, -1, 1, 3}), with the pair and normalization line both
-# factorisers print for each; the 2x2 and 2x3 ones go through the exact
-# order-2 route, whose candidates come in the order of the folded ratio
-# polynomial's roots, so a reordering of those roots shows here.
+# c_L in {-2, -1, 1, 3}), with the pair both factorisers print for each;
+# the 2x2 and 2x3 ones go through the exact order-2 route, whose candidates
+# come in the order of the folded ratio polynomial's roots, so a reordering
+# of those roots shows here.
 NORMAL_FORM_SWEEP = [
     (2, 2, "[[0, -8, 200, -2912], [-15, -35, 90, -36]]",
-     "[[1, -1], [3, -2]]", "[[0, 8], [-5, 3]]", "gauge lambda = -1/5; left factor divided by -8/5"),
+     "[[1, -1], [3, -2]]", "[[0, 8], [-5, 3]]"),
     (2, 2, "[[-6, 3, -24, -33], [0, -7, 0, -1]]",
-     "[[2, -1], [0, -1]]", "[[-3, -3], [-3, -1]]", "gauge lambda = -1/3; left factor divided by -3"),
+     "[[2, -1], [0, -1]]", "[[-3, -3], [-3, -1]]"),
     (2, 2, "[[20, 10, -240, 5313], [-20, 43, -20, -1]]",
-     "[[4, -5], [4, 1]]", "[[5, -2], [-5, 1]]", "gauge lambda = -1/5; left factor divided by 5"),
+     "[[4, -5], [4, 1]]", "[[5, -2], [-5, 1]]"),
     (2, 2, "[[16, -10, 36, -660], [6, 57, 54, -81]]",
-     "[[4, -5], [2, 3]]", "[[4, 2], [3, 3]]", "gauge lambda = 1/3; left factor divided by 4"),
+     "[[4, -5], [2, 3]]", "[[4, 2], [3, 3]]"),
     (2, 3, "[[-20, 15, 38, 1364, 18655, 289756], [12, 49, 0, -53, 9, 1]]",
-     "[[4, 5], [3, 1]]", "[[-5, 3, 2], [4, 3, -1]]", "gauge lambda = 3; left factor divided by 1/4"),
+     "[[4, 5], [3, 1]]", "[[-5, 3, 2], [4, 3, -1]]"),
     (2, 3, "[[0, -9, -44, -30, 323, 1539], [3, -12, -3, 38, 24, -72]]",
-     "[[4, -3], [1, -2]]", "[[0, 3, 4], [3, -2, 3]]", "left factor divided by 1/4"),
+     "[[4, -3], [1, -2]]", "[[0, 3, 4], [3, -2, 3]]"),
     (2, 3, "[[6, 12, 90, -2162, 50264, -1076950], [-20, 43, 260, -217, -10, 4]]",
-     "[[1, -2], [5, 1]]", "[[6, -6, -10], [-4, 1, 2]]", "gauge lambda = 5"),
+     "[[1, -2], [5, 1]]", "[[6, -6, -10], [-4, 1, 2]]"),
     (2, 3, "[[10, -9, 10, -196, 0, 492], [0, 0, -4, -36, -24, -8]]",
-     "[[2, -3], [2, -2]]", "[[5, 3, -1], [0, 3, 1]]", "gauge lambda = 2; left factor divided by 1/2"),
+     "[[2, -3], [2, -2]]", "[[5, 3, -1], [0, 3, 1]]"),
     (3, 3, "[[12, -10, 5, -126, -1044, -11662, -147112, -1777620, -21531180], "
      "[10, 18, 102, -136, 448, 432, 96, 128, 64]]",
-     "[[3, 5, -1], [2, 2, 2]]", "[[4, -2, -5], [5, -4, 2]]", "gauge lambda = 2; left factor divided by 1/3"),
+     "[[3, 5, -1], [2, 2, 2]]", "[[4, -2, -5], [5, -4, 2]]"),
     (3, 3, "[[0, -6, 4, -95, -92, -91, -960, 2688, -867], [2, 3, -4, -35, 65, -93, 56, -36, 8]]",
-     "[[0, 2, 1], [1, -3, 2]]", "[[2, -3, 4], [2, -3, 1]]", "gauge lambda = 1/2; left factor divided by 2"),
+     "[[0, 2, 1], [1, -3, 2]]", "[[2, -3, 4], [2, -3, 1]]"),
     (3, 3, "[[9, -4, 0, -203, 4082, -13440, -237456, 2876809, -6676390], "
      "[-10, -95, -234, -715, 3290, -4673, 3570, -900, -216]]",
-     "[[3, 1, 2], [2, -5, -2]]", "[[3, -4, 0], [-5, -5, 3]]", "gauge lambda = -1/5; left factor divided by 3"),
+     "[[3, 1, 2], [2, -5, -2]]", "[[3, -4, 0], [-5, -5, 3]]"),
     (3, 3, "[[-2, -2, 4, 4, -126, 190, 2640, -16224, -19190], "
      "[-2, -22, 65, 32, 48, -415, 186, 54, 27]]",
-     "[[1, 1, 2], [1, -3, -1]]", "[[-2, -2, 2], [-2, 2, -3]]", "gauge lambda = -1/2; left factor divided by -2"),
+     "[[1, 1, 2], [1, -3, -1]]", "[[-2, -2, 2], [-2, 2, -3]]"),
 ]
 
 
@@ -1009,9 +1058,9 @@ def test_normal_form_sweep_has_both_signs_of_c():
     assert signs == {True, False}
 
 
-@pytest.mark.parametrize("L1, L2, prod, left, right, normalization", NORMAL_FORM_SWEEP)
+@pytest.mark.parametrize("L1, L2, prod, left, right", NORMAL_FORM_SWEEP)
 @pytest.mark.parametrize("factorize", [factorize_roots, _integer_bound_5], ids=["roots", "integer"])
-def test_normal_form_sweep_prints_the_pinned_pairs(factorize, L1, L2, prod, left, right, normalization):
+def test_normal_form_sweep_prints_the_pinned_pairs(factorize, L1, L2, prod, left, right):
     pair = factorize(parse_seq(prod), L1, L2)
-    assert (str(pair.left), str(pair.right), pair.normalization) == (left, right, normalization)
+    assert (str(pair.left), str(pair.right)) == (left, right)
     assert pair.certificate.verified
