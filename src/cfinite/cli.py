@@ -19,7 +19,6 @@ payload under `--json`.
 
 from __future__ import annotations
 
-import json
 import sys
 from types import SimpleNamespace
 
@@ -76,7 +75,11 @@ def _parse_orders(text: str):
 
 def _emit(args, text: str, payload, code: int = 0) -> int:
     """Print `text`, or `payload` as JSON under --json; return `code`."""
-    print(json.dumps(payload) if args.json else text)
+    if args.json:
+        import json  # only --json needs it, so plain runs start without it
+
+        text = json.dumps(payload)
+    print(text)
     return code
 
 

@@ -32,11 +32,11 @@ This module imports no other module of the package.
 from __future__ import annotations
 
 import re
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from itertools import zip_longest
 from math import gcd, isqrt, lcm
 from operator import add, mul
-from typing import Iterable, Sequence
 
 
 def _as_fraction(x) -> Fraction:

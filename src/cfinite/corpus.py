@@ -11,9 +11,8 @@ guess.verify_parametric_identity proves them by one exact check in Z[params].
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
-from typing import Callable
 
 from .core import CFiniteSeq, Polynomial, mpoly_eval
 from .gf import RationalGF
@@ -28,12 +27,8 @@ class ArityMismatchError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class NamedSequence:
-    name: str
-    arity: int
-    builder: Callable
-    description: str
+class NamedSequence(namedtuple("NamedSequence", "name arity builder description")):
+    __slots__ = ()
 
 
 def _u(i, k):

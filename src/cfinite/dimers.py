@@ -21,7 +21,7 @@ order 1 at even n.  dimer_seq takes its order bound 2^floor(m/2) from there.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import cache
 from math import comb, log2
@@ -167,16 +167,13 @@ def _chebyshev_q(k: int) -> list:
     return [0] * (k % 2) + [(-1) ** j * comb(k - j, j) for j in range(k // 2, -1, -1)]
 
 
-@dataclass(frozen=True)
-class DimerProductReport:
-    width: int
-    weights: tuple
-    seq: CFiniteSeq
-    minimal_order: int
-    factor_orders: tuple
-    verdict: roots.ProductVerdict | None
-    applicable: bool
-    note: str
+class DimerProductReport(
+    namedtuple(
+        "DimerProductReport",
+        "width weights seq minimal_order factor_orders verdict applicable note",
+    )
+):
+    __slots__ = ()
 
     def __str__(self):
         head = (

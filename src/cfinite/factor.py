@@ -29,7 +29,7 @@ from __future__ import annotations
 import functools
 import itertools
 import time
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from math import factorial, gcd, isqrt
 
@@ -52,11 +52,8 @@ class BudgetExhausted(RuntimeError):
 _TRIAL_LIMIT = 10**6
 
 
-@dataclass(frozen=True)
-class FactorPair:
-    left: CFiniteSeq
-    right: CFiniteSeq
-    certificate: guess.ProofCertificate
+class FactorPair(namedtuple("FactorPair", "left right certificate")):
+    __slots__ = ()
 
     def __str__(self):
         return (

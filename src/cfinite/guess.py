@@ -34,8 +34,7 @@ from __future__ import annotations
 
 import itertools
 import operator
-import string
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from math import gcd, prod
 
@@ -53,21 +52,19 @@ class InvariantViolation(AssertionError):
 SAFETY_TERMS = 4
 
 
-@dataclass(frozen=True)
-class GuessConfig:
-    max_order: int
+class GuessConfig(namedtuple("GuessConfig", "max_order")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.max_order < 1:
+    def __new__(cls, max_order):
+        if max_order < 1:
             raise ValueError("max_order must be >= 1")
+        return tuple.__new__(cls, (max_order,))
 
 
-@dataclass(frozen=True)
-class ProofCertificate:
-    order_bound: int
-    terms_checked: int
-    statement: str
-    verified: bool
+class ProofCertificate(
+    namedtuple("ProofCertificate", "order_bound terms_checked statement verified")
+):
+    __slots__ = ()
 
     def __str__(self):
         status = "VERIFIED" if self.verified else "NOT VERIFIED"
@@ -309,8 +306,7 @@ def prove_equal(s1: CFiniteSeq, s2: CFiniteSeq) -> ProofCertificate:
 
 # --- nonlinear (polynomial) recurrence guessing ------------------------------
 
-@dataclass(frozen=True)
-class PolyRelation:
+class PolyRelation(namedtuple("PolyRelation", "order degree support coefficients")):
     """A polynomial relation among a(n-order), ..., a(n) and 1.
 
     `support` lists exponent vectors (one entry per variable, the variable
@@ -318,10 +314,7 @@ class PolyRelation:
     coefficients.  The relation evaluates to 0 at every verified index.
     """
 
-    order: int
-    degree: int
-    support: tuple
-    coefficients: tuple
+    __slots__ = ()
 
     def evaluate(self, window):
         """Value of the relation on a window (a(n-order), ..., a(n))."""
@@ -496,7 +489,7 @@ def verify_parametric_identity(
     M = K1 + max(K2, deg_n + 1)
     T = max(series_terms, M)
     k = len(next(iter(den[0])))
-    names = [string.ascii_lowercase[i] if i < 26 else f"x{i}" for i in range(k)]
+    names = [chr(ord("a") + i) if i < 26 else f"x{i}" for i in range(k)]
     ring = ", ".join(names)
     minus_one = {(0,) * k: -1}
     terms = _product_terms(factors, T)

@@ -41,7 +41,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .core import CFiniteSeq, _integral_rec, int_poly_gcd, int_poly_quo, minimize
 from .core import _derivative, _from_power_sums, _horner, _power_sums, _primitive, _square_free
@@ -67,16 +67,13 @@ class PrecisionError(ArithmeticError):
     """The root grid certified no answer: its p-adic lift or split-prime search ran out."""
 
 
-@dataclass(frozen=True)
-class RepetitionProfile:
+class RepetitionProfile(namedtuple("RepetitionProfile", "multiplicities")):
     """Sorted multiset of ratio-class multiplicities."""
 
-    multiplicities: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(
-            self, "multiplicities", tuple(sorted(self.multiplicities))
-        )
+    def __new__(cls, multiplicities):
+        return tuple.__new__(cls, (tuple(sorted(multiplicities)),))
 
     @property
     def total(self) -> int:
@@ -178,14 +175,14 @@ def _is_coarsening(observed, generic):
     return fill(list(obs), gen)
 
 
-@dataclass(frozen=True)
-class ProductVerdict:
-    is_product: bool
-    orders: tuple
-    expected: RepetitionProfile
-    observed: RepetitionProfile
-    digits: int
-    note: str = ""
+class ProductVerdict(
+    namedtuple(
+        "ProductVerdict",
+        "is_product orders expected observed digits note",
+        defaults=("",),
+    )
+):
+    __slots__ = ()
 
     def __str__(self):
         verdict = "YES" if self.is_product else "NO"

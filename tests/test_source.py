@@ -427,6 +427,45 @@ def test_package_import_leaves_mpmath_unloaded():
     assert (got.returncode, got.stdout.strip()) == (0, "False"), got.stderr
 
 
+# what `import cfinite, cfinite.cli` must not load: each CLI request is a
+# fresh process, so these would be start-up time; `json` comes in only
+# with --json
+UNLOADED_AT_START_UP = ("dataclasses", "inspect", "typing", "string", "json", "mpmath")
+
+
+def test_start_up_leaves_unneeded_modules_unloaded():
+    # -S skips site, whose .pth files may import typing on their own;
+    # -W error turns an import-time warning into a failure
+    path = os.pathsep.join(filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")]))
+    code = (
+        "import sys, cfinite, cfinite.cli\n"
+        f"print([m for m in {UNLOADED_AT_START_UP!r} if m in sys.modules])\n"
+        "code = cfinite.cli.main(['--json', 'guess', '0,1,1,2,3,5,8,13'])\n"
+        "print(code, 'json' in sys.modules)"
+    )
+    got = subprocess.run(
+        [sys.executable, "-W", "error", "-S", "-c", code],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+        timeout=120,
+    )
+    assert got.returncode == 0, got.stderr
+    assert got.stdout.splitlines() == [
+        "[]",
+        '{"init": ["0", "1"], "rec": ["1", "1"]}',
+        "0 True",
+    ]
+
+
+def test_no_package_module_imports_dataclasses_or_typing():
+    # the result types are named tuples and annotations are strings, so
+    # neither module is needed
+    for path in SRC.glob("*.py"):
+        found = imported_modules(ast.parse(path.read_text())) & {"dataclasses", "typing"}
+        assert not found, (path.name, found)
+
+
 def _mpmath_loaded_after(code):
     """Whether a fresh interpreter that imports cfinite and runs code loads mpmath."""
     path = os.pathsep.join(filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")]))
