@@ -1,62 +1,33 @@
-"""Transfer-matrix enumeration of domino tilings of m x n grid strips.
+"""Domino tilings of m x n grid strips, counted by Kasteleyn's product.
 
-Rows have m cells; the state between two consecutive rows is the set of
-cells covered by a vertical domino protruding into the next row, encoded
-as a bitmask.  A row transition fills every non-protruded cell either by a
-horizontal domino (weight h per domino) or by starting a new vertical
-domino (weight v, counted once, at the start).  The 2^m x 2^m transfer
-matrix is kept as its transitions grouped by source state, 985 of 65,536
-cells at width 8, built once per width.  Each count weights every
-transition once and pushes a dense row vector of Python ints through the
-groups, skipping its zero entries.
+Kasteleyn (1961) and Temperley-Fisher (1961) write the tiling count of the
+m x n grid as a product over the roots of the Chebyshev factor Q_m, whose
+roots are y_j = 4cos^2(j pi/(m+1)).  Every count here is therefore a norm:
+the product of the values of one element of Z[Y]/Q_m at those roots, read
+off its traces by Newton's identities on integer coefficient lists (_norm).
 
-kasteleyn_count checks the counts exactly against Kasteleyn's closed-form
-product, a resultant computed as a norm on integer coefficient lists; the
-Chebyshev factors are read off their closed form, no table is built.
-The same product (Kasteleyn 1961; Temperley-Fisher 1961) makes the strip
-count a termwise product over j <= ceil(m/2) of order-2 sequences in n,
-rec [2h cos(j pi/(m+1)), v^2]; for odd m the middle factor (cos = 0) has
-order 1 at even n.  dimer_seq takes its order bound 2^floor(m/2) from there.
+kasteleyn_count takes the norm of Q_n(-Y) mod Q_m.  The weighted strip
+counts of dimer_terms and dimer_seq take the norms of one element G_n of
+Z[Y]/Q'_m, stepped in n (_strip_counts), where Q'_m is Q_m with its root 0
+divided out for odd m, of degree floor(m/2).  Each root contributes an
+order-2 sequence in n, so the strip counts have order at most
+2^floor(m/2); dimer_seq fits its recurrence at that bound, and dimer_terms
+evaluates the recurrence past the fitted terms.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
-from functools import cache
+from itertools import count, islice
 from math import comb, log2
+from operator import mul
 
 from . import guess, roots
 from .core import CFiniteSeq, _clear_denominators, _from_power_sums, _mulmod, _power_sums
-from .core import _shiftmod
+from .core import _shiftmod, eval_terms
 
 PRACTICAL_WIDTH_LIMIT = 10
-
-
-@cache
-def _transitions(m: int) -> tuple:
-    """Every row transition of width m once, grouped by source state: entry
-    s lists the (next, h count, v count) of the transitions out of s."""
-    out = []
-
-    def fill(col, occupied, protrude, nh, nv):
-        # `occupied` marks cells of the current row already covered
-        if col == m:
-            out[-1].append((protrude, nh, nv))
-            return
-        if occupied >> col & 1:
-            fill(col + 1, occupied, protrude, nh, nv)
-            return
-        # vertical domino into the next row
-        fill(col + 1, occupied, protrude | (1 << col), nh, nv + 1)
-        # horizontal domino with the right neighbor
-        if col + 1 < m and not (occupied >> (col + 1) & 1):
-            fill(col + 2, occupied, protrude, nh + 1, nv)
-
-    for state in range(1 << m):
-        out.append([])
-        fill(0, state, 0, 0, 0)
-    return tuple(map(tuple, out))
 
 
 def _check_width(m: int):
@@ -64,40 +35,76 @@ def _check_width(m: int):
         raise ValueError(f"width must be between 1 and {PRACTICAL_WIDTH_LIMIT}")
 
 
-def _counts(m: int, N: int, weights):
-    """(d, counts): the weighted tiling count of the m x n grid is
-    counts[n - 1] / d^(m*n/2) for n = 1..N, counts a list of ints.
+def _chebyshev_q(k: int) -> list:
+    """Q_k ascending: U_k(x/2) = sum_j (-1)^j C(k-j, j) x^(k-2j), so the
+    coefficient of y^(ceil(k/2) - j) is (-1)^j C(k-j, j), and y^0 has a 0
+    for odd k."""
+    return [0] * (k % 2) + [(-1) ** j * comb(k - j, j) for j in range(k // 2, -1, -1)]
 
-    The weights scaled to integers d*h, d*v: a step from s to t lays
-    (m - |s| + |t|) / 2 dominoes, so every path from the empty state back
-    to it over n rows lays m*n/2 of them and its count is scaled by
-    d^(m*n/2).  The row vector e_0^T * M^n is iterated over ints and its
-    component 0 read; the rows drop their zero-weight transitions.
+
+def _norm(w: list, r: list) -> int:
+    """The norm of r in Z[y]/f, f = y^k - w_1 y^(k-1) - ... - w_k: the
+    product of the values of r at the roots of f, which is Res(f, r).
+    Newton's identities turn the traces of r^i, i <= k, into it, with exact
+    divisions, the values being algebraic integers; k = 0 gives 1."""
+    k = len(w)
+    if not k:
+        return 1
+    p, h = _power_sums(w, k - 1), r
+    traces = [k, sum(map(mul, r, p))]
+    for _ in range(k - 1):
+        h = _mulmod(h, r, w)
+        traces.append(sum(map(mul, h, p)))
+    return (-1) ** (k + 1) * _from_power_sums(traces, k)[-1]
+
+
+def _strip_counts(m: int, weights):
+    """(d, counts): counts yields the ints d^(m n/2) count(m, n) for
+    n = 1, 2, ..., count(m, n) the weighted tiling count of the m x n grid.
+
+    With the weights h = H/d and v = V/d, G_0 = 1, G_1 = H and, in
+    Z[Y]/Q'_m, G_n = H Y G_(n-1) + V^2 G_(n-2) at even n and
+    G_n = H G_(n-1) + V^2 G_(n-2) at odd n.  The scaled count is the norm
+    N(G_n) for even m, V^(n/2) N(G_n) for odd m and even n, and 0 for
+    odd m n.
     """
-    d, (hd, vd) = _clear_denominators([Fraction(w) for w in weights])
-    rows = [
-        [(t, w) for t, nh, nv in row if (w := hd**nh * vd**nv)]
-        for row in _transitions(m)
-    ]
-    vec, out = [1] + [0] * (len(rows) - 1), []
-    for _ in range(N):
-        nxt = [0] * len(rows)
-        for x, row in zip(vec, rows):
-            if x:
-                for t, w in row:
-                    nxt[t] += x * w
-        vec = nxt
-        out.append(vec[0])
-    return d, out
+    d, (H, V) = _clear_denominators([Fraction(x) for x in weights])
+    q = _chebyshev_q(m)[m % 2 :]
+    w = [-c for c in reversed(q[:-1])]  # Q'_m = y^k - w_1 y^(k-1) - ... - w_k
+    k, V2 = len(w), V * V
+
+    def counts():
+        prev, g = [1] + [0] * (k - 1), [H] + [0] * (k - 1)
+        for n in count(1):
+            if m % 2 == 0:
+                yield _norm(w, g)
+            else:
+                yield V ** (n // 2) * _norm(w, g) if n % 2 == 0 else 0
+            # G_(n+1); with k = 0 (m = 1) every norm is 1 and G is not read
+            y = _shiftmod(g, w) if n % 2 and k else g
+            prev, g = g, [H * a + V2 * b for a, b in zip(y, prev)]
+
+    return d, counts()
 
 
 def dimer_terms(m: int, N: int, weights=(1, 1)) -> list:
-    """Weighted tiling counts of the m x n grid for n = 1..N, exact."""
+    """Weighted tiling counts of the m x n grid for n = 1..N, exactly.
+
+    Up to the lengths dimer_seq fits on, one norm per term; past them, the
+    terms of dimer_seq's recurrence (0 at odd lengths for odd m)."""
     _check_width(m)
     if N < 1:
         raise ValueError("N must be >= 1")
-    d, counts = _counts(m, N, weights)
-    return [Fraction(c, d ** (m * n // 2)) for n, c in enumerate(counts, start=1)]
+    # dimer_seq fits 2 * 2^floor(m/2) + SAFETY_TERMS terms, at even lengths for odd m
+    if N > ((2 << m // 2) + guess.SAFETY_TERMS) * (1 + m % 2):
+        terms = eval_terms(dimer_seq(m, weights), N // (1 + m % 2))
+        if m % 2 == 0:
+            return terms
+        out = [Fraction(0)] * N
+        out[1::2] = terms
+        return out
+    d, counts = _strip_counts(m, weights)
+    return [Fraction(c, d ** (m * n // 2)) for n, c in enumerate(islice(counts, N), start=1)]
 
 
 def dimer_seq(m: int, weights=(1, 1)) -> CFiniteSeq:
@@ -107,40 +114,21 @@ def dimer_seq(m: int, weights=(1, 1)) -> CFiniteSeq:
     every odd-area count equal to 0, so the even-index subsequence
     a(n) = count(m, 2n+2) is returned instead, keeping the minimality
     analysis meaningful.  Either sequence has order at most B = 2^floor(m/2)
-    by Kasteleyn's product (Kasteleyn 1961; Temperley-Fisher 1961), not just
-    the transfer-matrix size 2^m.  The recurrence is guessed at order <= B
-    from 2B + 4 transfer-matrix counts and checked on all of them; two
-    sequences of order <= B that agree on 2B terms are equal.  The counts
-    go to the guesser as integers x(n): a(n) = x(n) / s^(n+1), s = d^(m/2)
-    for even m and d^m for odd m (_counts).
+    by Kasteleyn's product (Kasteleyn 1961; Temperley-Fisher 1961).  The
+    recurrence is guessed at order <= B from 2B + 4 counts and checked on
+    all of them; two sequences of order <= B that agree on 2B terms are
+    equal.  The counts go to the guesser as integers x(n): a(n) = x(n) /
+    s^(n+1), s = d^(m/2) for even m and d^m for odd m (_strip_counts).
     """
     _check_width(m)
 
     def make(n):
+        d, counts = _strip_counts(m, weights)
         if m % 2 == 0:
-            d, counts = _counts(m, n, weights)
-            return d ** (m // 2), d ** (m // 2), counts
-        d, counts = _counts(m, 2 * n, weights)
-        return d**m, d**m, counts[1::2]
+            return d ** (m // 2), d ** (m // 2), list(islice(counts, n))
+        return d**m, d**m, list(islice(counts, 2 * n))[1::2]
 
     return guess._close(f"width-{m} strip counts", 1 << (m // 2), make)
-
-
-def _resultant(f: list, g: list) -> int:
-    """Res(f, g) for integer lists (ascending), f monic of degree d >= 1: the
-    norm of g in Z[y]/f.  Newton's identities turn the traces of g^k, k <= d,
-    into the product of the values g(alpha) at the roots of f, with exact
-    divisions, the values being algebraic integers."""
-    w = [-x for x in reversed(f[:-1])]  # f = y^d - w_1 y^(d-1) - ... - w_d
-    d, r = len(w), [0] * len(w)
-    for c in reversed(g):  # g mod f, by Horner
-        r = _shiftmod(r, w)
-        r[0] += c
-    p, h, traces = _power_sums(w, d - 1), [1] + [0] * (d - 1), [d]
-    for _ in range(d):
-        h = _mulmod(h, r, w)
-        traces.append(sum(x * y for x, y in zip(h, p)))
-    return (-1) ** (d + 1) * _from_power_sums(traces, d)[-1]
 
 
 def kasteleyn_count(m: int, n: int) -> int:
@@ -149,6 +137,7 @@ def kasteleyn_count(m: int, n: int) -> int:
     Q_k(x^2) = x^(k mod 2) U_k(x/2) is monic over Z with roots 4cos^2(j pi/(k+1)),
     j <= ceil(k/2).  Kasteleyn's halved double product of their pairwise sums is
     |Res_y(Q_m(y), Q_n(-y))|, never 0: roots >= 0 and <= 0 meet only at 0 (odd m, n).
+    The resultant is the norm of Q_n(-y) mod Q_m, reduced by Horner.
     """
     if m < 1 or n < 1:
         raise ValueError("grid sides must be >= 1")
@@ -156,15 +145,13 @@ def kasteleyn_count(m: int, n: int) -> int:
         raise ValueError("m * n must be even (odd-area grids have no tilings)")
     if m > 32 or n > 32:
         raise ValueError("grid sides limited to 32")
-    q_n = _chebyshev_q(n)
-    return abs(_resultant(_chebyshev_q(m), [c * (-1) ** i for i, c in enumerate(q_n)]))
-
-
-def _chebyshev_q(k: int) -> list:
-    """Q_k ascending: U_k(x/2) = sum_j (-1)^j C(k-j, j) x^(k-2j), so the
-    coefficient of y^(ceil(k/2) - j) is (-1)^j C(k-j, j), and y^0 has a 0
-    for odd k."""
-    return [0] * (k % 2) + [(-1) ** j * comb(k - j, j) for j in range(k // 2, -1, -1)]
+    q_m = _chebyshev_q(m)
+    w = [-c for c in reversed(q_m[:-1])]  # Q_m = y^k - w_1 y^(k-1) - ... - w_k
+    r = [0] * len(w)
+    for c in reversed([c * (-1) ** i for i, c in enumerate(_chebyshev_q(n))]):
+        r = _shiftmod(r, w)
+        r[0] += c
+    return abs(_norm(w, r))
 
 
 class DimerProductReport(

@@ -106,6 +106,11 @@ def taylor(gf: RationalGF, N: int) -> list:
 
 # --- text form ---------------------------------------------------------------
 
+# the largest exponent a literal may name: parse_poly refuses a larger one
+# before it builds the dense coefficient list
+MAX_EXPONENT = 10**5
+
+
 def format_gf(gf: RationalGF) -> str:
     return f"({format_poly(gf.num)})/({format_poly(gf.den)})"
 
@@ -121,7 +126,8 @@ _TERM_RE = re.compile(
 
 
 def parse_poly(text: str) -> Polynomial:
-    """Parse a sparse polynomial like ``1 - z - z^2`` or ``3/2*t^3``."""
+    """Parse a sparse polynomial like ``1 - z - z^2`` or ``3/2*t^3``; an
+    exponent above MAX_EXPONENT is a ValueError."""
     text = text.strip()
     if not text:
         raise ValueError("empty polynomial literal")
@@ -146,6 +152,8 @@ def parse_poly(text: str) -> Polynomial:
             elif v != varname:
                 raise ValueError(f"mixed variables {varname!r} and {v!r}")
             k = int(e) if e else 1
+            if k > MAX_EXPONENT:
+                raise ValueError(f"exponent {k} above the limit {MAX_EXPONENT}")
         else:
             k = 0
         coeffs[k] = coeffs.get(k, Fraction(0)) + sign * c
@@ -162,5 +170,5 @@ def parse_gf(text: str) -> RationalGF:
     # a bare polynomial is fine too; it denotes itself over 1
     try:
         return RationalGF(parse_poly(text), Polynomial([1]))
-    except ValueError:
-        raise ValueError(f"not a GF literal: {text!r}") from None
+    except ValueError as exc:
+        raise ValueError(f"not a GF literal: {text!r} ({exc})") from None

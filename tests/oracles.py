@@ -307,6 +307,59 @@ def weighted_tilings(m, n, h, v):
     return rec()
 
 
+def transfer_transitions(m):
+    """Every row transition of the width-m transfer matrix once, grouped by
+    source state: entry s lists the (next, h count, v count) of the
+    transitions out of s.
+
+    A state is the bitmask of the cells covered by a domino protruding
+    into the next row; a transition fills every other cell of the row by a
+    domino lying across the width (weight h) or by starting one along the
+    strip (weight v, counted at its start).
+    """
+    out = []
+
+    def fill(col, occupied, protrude, nh, nv):
+        if col == m:
+            out[-1].append((protrude, nh, nv))
+            return
+        if occupied >> col & 1:
+            fill(col + 1, occupied, protrude, nh, nv)
+            return
+        fill(col + 1, occupied, protrude | (1 << col), nh, nv + 1)
+        if col + 1 < m and not (occupied >> (col + 1) & 1):
+            fill(col + 2, occupied, protrude, nh + 1, nv)
+
+    for state in range(1 << m):
+        out.append([])
+        fill(0, state, 0, 0, 0)
+    return out
+
+
+def transfer_matrix_counts(m, N, h=1, v=1):
+    """Weighted tiling counts of the m x n grid for n = 1..N, as Fractions:
+    component 0 of e_0^T M^n for the 2^m x 2^m transfer matrix M.
+
+    h weights the dominoes lying across the width, v those along the
+    strip.  The weights are scaled to integers d h, d v; every path from
+    the empty state back to it over n rows lays m n / 2 dominoes, so the
+    integer count is divided by d^(m n/2).
+    """
+    h, v = Fraction(h), Fraction(v)
+    d = lcm(h.denominator, v.denominator)
+    hd, vd = int(h * d), int(v * d)
+    rows = [[(t, hd**nh * vd**nv) for t, nh, nv in row] for row in transfer_transitions(m)]
+    vec, out = [1] + [0] * (len(rows) - 1), []
+    for n in range(1, N + 1):
+        nxt = [0] * len(rows)
+        for x, row in zip(vec, rows):
+            if x:
+                for t, w in row:
+                    nxt[t] += x * w
+        vec = nxt
+        out.append(Fraction(vec[0], d ** (m * n // 2)))
+    return out
+
 
 def chebyshev_q(k: int) -> list:
     """Q_k (ascending) with Q_k(x^2) = x^(k mod 2) U_k(x/2), from the table

@@ -193,8 +193,11 @@ def test_criterion_09_dimer_cross_checks():
         for n in range(1, top + 1):
             ok = ok and counts[n - 1] == oracles.count_tilings(m, n)
     ok = ok and oracles.count_tilings(4, 4) == 36 and dimer_terms(4, 4)[3] == 36
+    # the transfer matrix of the oracles is independent of the norms that
+    # both dimer_terms and kasteleyn_count compute
     for m in range(1, 7):
-        counts = dimer_terms(m, 10)
+        counts = oracles.transfer_matrix_counts(m, 10)
+        ok = ok and dimer_terms(m, 10) == counts
         for n in range(1, 11):
             if (m * n) % 2 == 0:
                 ok = ok and kasteleyn_count(m, n) == counts[n - 1]

@@ -135,6 +135,23 @@ class TestGF:
         assert parse_seq(out).rec == (0,) * 2999 + (1,)
 
 
+    @pytest.mark.parametrize("literal", ["z^100001", "1-z^1000000", "(1)/(1-z^100001)"])
+    def test_exponent_above_the_limit_exit_2(self, capsys, monkeypatch, literal):
+        # refused while parsing: no coefficient list longer than the "1" of a
+        # numerator is built
+        real = cli.gf.Polynomial
+
+        def short(coeffs=()):
+            coeffs = list(coeffs)
+            assert len(coeffs) <= 1, "a coefficient list was built"
+            return real(coeffs)
+
+        monkeypatch.setattr(cli.gf, "Polynomial", short)
+        code, out, err = run(capsys, "gf", literal)
+        assert (code, out) == (2, "")
+        assert "above the limit 100000" in err and "usage:" in err
+
+
 class TestProve:
     def test_verified_exit_0(self, capsys):
         code, out, _ = run(capsys, "prove", "[[0,1],[1,1]]", "[[0,1,1,2],[1,1,0,0]]")

@@ -6,14 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cfinite import guess
-from cfinite.core import CFiniteSeq, Polynomial, _clear_denominators, eval_terms
+from cfinite.core import CFiniteSeq, Polynomial, _clear_denominators, _shiftmod, eval_terms
 from cfinite.dimers import (
     dimer_product_report,
     dimer_seq,
     dimer_terms,
     _chebyshev_q,
-    _resultant,
-    _transitions,
+    _norm,
     kasteleyn_count,
 )
 
@@ -29,7 +28,7 @@ class TestDimerTerms:
         assert dimer_terms(1, 6) == [0, 1, 0, 1, 0, 1]
 
     def test_against_exhaustive_backtracking(self):
-        """Transfer-matrix counts equal raw enumeration for all m*n <= 16."""
+        """The strip counts equal raw enumeration for all m*n <= 16."""
         for m in range(1, 5):
             counts = dimer_terms(m, 16 // m)
             for n in range(1, 16 // m + 1):
@@ -50,7 +49,7 @@ class TestDimerTerms:
                 assert counts[n - 1] == oracles.weighted_tilings(m, n, v, h), (m, n)
 
     def test_integer_weights_against_exhaustive(self):
-        # integral weights take the int path; the oracle swaps h and v
+        # integral weights clear to d = 1; the oracle swaps h and v
         for h, v in [(2, 3), (3, 1), (-2, 5)]:
             for m in (2, 3, 4):
                 counts = dimer_terms(m, 12 // m, weights=(h, v))
@@ -74,7 +73,7 @@ class TestDimerTerms:
     @pytest.mark.parametrize("weights", [(0, Fraction(5, 7)), (Fraction(2, 3), 0), (0, 0)])
     @pytest.mark.parametrize("m", range(1, 9))
     def test_zero_weights_against_exhaustive(self, m, weights):
-        # zero weights drop transitions from the rows; the oracle swaps h and v
+        # zero weights zero H or V in the stepped norms; the oracle swaps h and v
         h, v = weights
         N = max(1, 16 // m)
         counts = dimer_terms(m, N, weights)
@@ -89,10 +88,10 @@ class TestDimerTerms:
 
 
 def dense_transfer_matrix(m, weights=(1, 1)):
-    """The 2^m x 2^m transfer matrix, built from the transition list."""
+    """The 2^m x 2^m transfer matrix, built from the oracles' transition list."""
     h, v = (Fraction(w) for w in weights)
     rows = [[Fraction(0)] * (1 << m) for _ in range(1 << m)]
-    for s, row in enumerate(_transitions(m)):
+    for s, row in enumerate(oracles.transfer_transitions(m)):
         for t, nh, nv in row:
             rows[s][t] += h**nh * v**nv
     return rows
@@ -118,14 +117,15 @@ class TestTransferMatrix:
 
     def test_each_transition_once(self):
         for m in range(1, 9):
-            groups = _transitions(m)
+            groups = oracles.transfer_transitions(m)
             assert len(groups) == 1 << m
             pairs = [(s, t) for s, row in enumerate(groups) for t, _, _ in row]
             assert len(pairs) == len(set(pairs)), m
-        assert sum(map(len, _transitions(8))) == 985
+        assert sum(map(len, oracles.transfer_transitions(8))) == 985
 
     def test_dense_powers_match_terms(self):
         # e_0^T M^n [0] with the dense matrix equals the grouped iteration
+        # of the oracles and the norms of the package
         for m, weights in [(3, (Fraction(2, 3), Fraction(5, 7))), (4, (3, 2))]:
             rows = dense_transfer_matrix(m, weights)
             vec = rows[0]
@@ -136,14 +136,16 @@ class TestTransferMatrix:
                     for t in range(len(rows))
                 ]
                 direct.append(vec[0])
+            assert oracles.transfer_matrix_counts(m, 8, *weights) == direct, (m, weights)
             assert dimer_terms(m, 8, weights) == direct, (m, weights)
 
 
 def strip_terms(m, N, weights=(1, 1)):
-    """The first N terms of the sequence dimer_seq(m, weights) recurs."""
+    """The first N terms of the sequence dimer_seq(m, weights) recurs, from
+    the transfer matrix of the oracles."""
     if m % 2 == 0:
-        return dimer_terms(m, N, weights)
-    return dimer_terms(m, 2 * N, weights)[1::2]
+        return oracles.transfer_matrix_counts(m, N, *weights)
+    return oracles.transfer_matrix_counts(m, 2 * N, *weights)[1::2]
 
 
 def guessed_at_matrix_size(m, weights):
@@ -158,6 +160,32 @@ def guessed_at_matrix_size(m, weights):
 
 
 small_fractions = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 9))
+
+
+def fit_window(m):
+    """The lengths whose counts dimer_seq fits on: 2 * 2^(m // 2) +
+    SAFETY_TERMS terms, at even lengths only for odd m."""
+    return ((2 << m // 2) + guess.SAFETY_TERMS) << m % 2
+
+
+class TestTermsAgainstTransferMatrix:
+    """dimer_terms takes one norm per term up to the fit window and the
+    terms of dimer_seq past it; both sides against the oracles' matrix."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data(), st.integers(1, 8), small_fractions, small_fractions)
+    def test_random_weights_and_lengths(self, data, m, h, v):
+        # odd widths also exercise the factor V^(n/2) of the norms
+        N = data.draw(st.integers(1, 3 * fit_window(m)))
+        assert dimer_terms(m, N, (h, v)) == oracles.transfer_matrix_counts(m, N, h, v)
+
+    @pytest.mark.parametrize("m", range(1, 11))
+    def test_both_sides_of_the_window(self, m):
+        h, v = Fraction(2, 3), Fraction(-5, 7)
+        N = fit_window(m) + 2
+        want = oracles.transfer_matrix_counts(m, N, h, v)
+        for n in (N - 3, N - 2, N - 1, N):
+            assert dimer_terms(m, n, (h, v)) == want[:n], (m, n)
 
 
 class TestDimerSeq:
@@ -245,7 +273,7 @@ class TestKasteleyn:
 
     def test_matches_transfer_matrix(self):
         for m in range(1, 7):
-            counts = dimer_terms(m, 10)
+            counts = oracles.transfer_matrix_counts(m, 10)
             for n in range(1, 11):
                 if (m * n) % 2:
                     continue
@@ -299,7 +327,7 @@ class TestKasteleyn:
         # the closed form of Kasteleyn (1961) and Temperley-Fisher (1961)
         # against the transfer matrix, up to the width limit of 10
         for m in (8, 9, 10):
-            counts = dimer_terms(m, 32)
+            counts = oracles.transfer_matrix_counts(m, 32)
             for n in range(1, 33):
                 if m * n % 2 == 0:
                     assert kasteleyn_count(m, n) == counts[n - 1], (m, n)
@@ -316,13 +344,25 @@ def monic_polys(low, high):
     return st.lists(st.integers(-9, 9), min_size=low, max_size=high).map(lambda c: c + [1])
 
 
+def resultant(f, g):
+    """Res(f, g), f monic of degree >= 1: the norm of g reduced mod f by
+    Horner, the way kasteleyn_count reduces Q_n(-y) mod Q_m."""
+    w = [-c for c in reversed(f[:-1])]
+    r = [0] * len(w)
+    for c in reversed(g):
+        r = _shiftmod(r, w)
+        r[0] += c
+    return _norm(w, r)
+
+
 class TestResultant:
-    """The norm-based resultant against the Sylvester determinant of the oracles."""
+    """The norm after a Horner reduction against the Sylvester determinant
+    of the oracles."""
 
     @settings(max_examples=150, deadline=None)
     @given(monic_polys(1, 6), int_polys(1, 6))
     def test_against_sylvester(self, f, g):
-        assert _resultant(f, g) == oracles.sylvester_resultant(f, g)
+        assert resultant(f, g) == oracles.sylvester_resultant(f, g)
 
     @settings(max_examples=100, deadline=None)
     @given(monic_polys(1, 3), monic_polys(0, 3), int_polys(0, 3))
@@ -330,7 +370,7 @@ class TestResultant:
         # a planted monic common factor of degree 1..3, both products of degree <= 6
         f, g = Polynomial(h) * Polynomial(u), Polynomial(h) * Polynomial(v)
         assert oracles.sylvester_resultant(f.coeffs, g.coeffs) == 0
-        assert _resultant([int(c) for c in f.coeffs], [int(c) for c in g.coeffs]) == 0
+        assert resultant([int(c) for c in f.coeffs], [int(c) for c in g.coeffs]) == 0
 
 
 class TestProductReport:

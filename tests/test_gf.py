@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from cfinite.core import CFiniteSeq, Polynomial, eval_terms
 from cfinite.gf import (
+    MAX_EXPONENT,
     RationalGF,
     c_to_r,
     format_gf,
@@ -141,6 +142,14 @@ class TestTextFormats:
         for bad in ("", "z**2", "1 +", "q^2", "1 - 1/0*z"):
             with pytest.raises(ValueError):
                 parse_poly(bad)
+
+    def test_parse_poly_exponent_limit(self):
+        # the limit is exponent 10^5: accepted at it, refused past it
+        assert MAX_EXPONENT == 10**5
+        assert parse_poly(f"1 - z^{MAX_EXPONENT}").coeffs[-1] == -1
+        for bad in (f"z^{MAX_EXPONENT + 1}", "1 - z^1000000", f"(1)/(1 - t^{10**6})"):
+            with pytest.raises(ValueError, match="above the limit 100000"):
+                parse_gf(bad)
 
     def test_parse_gf_round_trip(self):
         g = c_to_r(FIB)

@@ -347,6 +347,21 @@ def test_one_polynomial_gcd_engine():
     assert elsewhere == {}
 
 
+# one strip-count engine: every count is a norm in Z[Y]/Q_m (dimers._norm);
+# the transfer matrix lives in the test oracles only
+def test_one_strip_count_engine():
+    trees = {path.name: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    for home in ("dimer_terms", "dimer_seq", "kasteleyn_count"):
+        assert "_norm" in calls_reached(trees["dimers.py"], home), home
+    defined = {
+        (module, node.name)
+        for module, tree in trees.items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef) and node.name in ("_transitions", "_counts")
+    }
+    assert defined == set()
+
+
 # no module uses floating point: the root grid runs over Z/p^N
 MPMATH_MODULES = set()
 
