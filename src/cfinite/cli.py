@@ -101,15 +101,13 @@ def _emit_values(args, values) -> int:
 
 
 def _emit_cert(args, cert: guess.ProofCertificate) -> int:
-    head = f"order bound: {cert.order_bound}\nterms compared: {cert.terms_checked}\n"
-    text = (head if args.verbose else "") + str(cert)
     payload = {
         "verified": cert.verified,
         "order_bound": cert.order_bound,
         "terms_checked": cert.terms_checked,
         "statement": cert.statement,
     }
-    return _emit(args, text, payload, 0 if cert.verified else NEGATIVE)
+    return _emit(args, str(cert), payload, 0 if cert.verified else NEGATIVE)
 
 
 def _profiles(verdict) -> dict:
@@ -171,12 +169,11 @@ def _cmd_indicator(args) -> int:
 
 def _cmd_isprod(args) -> int:
     seq = _read_seq(args.seq)
-    verdict = roots.is_prod_g(seq, _parse_orders(args.orders), args.digits)
+    verdict = roots.is_prod_g(seq, _parse_orders(args.orders))
     payload = {
         "is_product": verdict.is_product,
         "orders": list(verdict.orders),
         **_profiles(verdict),
-        "digits": verdict.digits,
     }
     return _emit(args, str(verdict), payload, 0 if verdict.is_product else NEGATIVE)
 
@@ -190,7 +187,7 @@ def _cmd_factor(args) -> int:
     if args.mode == "roots":
         pair = factor.factorize_roots(seq, L1, L2, args.digits)
     else:
-        pair = factor.factorize_integer(seq, L1, L2, args.bound, args.budget)
+        pair = factor.factorize_integer(seq, L1, L2, args.bound)
     if pair is None:
         print("no factorization found", file=sys.stderr)
         return NEGATIVE
@@ -207,7 +204,7 @@ def _cmd_dimer(args) -> int:
     weights = (parse_rational(args.hweight), parse_rational(args.vweight))
     if not args.report_product:
         return _emit_values(args, dimers.dimer_terms(args.width, args.terms, weights))
-    report = dimers.dimer_product_report(args.width, args.digits, weights)
+    report = dimers.dimer_product_report(args.width, weights=weights)
     verdict = report.verdict
     payload = {
         "width": report.width,
@@ -335,8 +332,8 @@ class _Verb:
 
 _S1, _S2, _SEQ = _Arg("s1"), _Arg("s2"), _Arg("seq")
 _ORDERS = _Arg("--orders", required=True, help="e.g. 2,2")
-_DIGITS = _Arg("--digits", type=int, default=roots.DEFAULT_DIGITS)
-_VERBOSE = _Arg("--verbose", nargs=0)
+# factor's p-adic precision; isprod ignores it, kept for perfbench's isprod jobs
+_DIGITS = _Arg("--digits", type=int, default=factor.DEFAULT_DIGITS)
 
 _VERBS = {verb.name: verb for verb in [
     _Verb("guess", _cmd_guess, "guess a recurrence from terms",
@@ -360,7 +357,7 @@ _VERBS = {verb.name: verb for verb in [
           "(direction inferred from the literal)", _Arg("value")),
     _Verb("prove",
           lambda a: _emit_cert(a, guess.prove_equal(_read_seq(a.s1), _read_seq(a.s2))),
-          "finite-check equality proof", _S1, _S2, _VERBOSE),
+          "finite-check equality proof", _S1, _S2),
     _Verb("nlr", _cmd_nlr, "guess a polynomial (nonlinear) recurrence",
           _Arg("terms"), _Arg("--order", type=int, required=True),
           _Arg("--degree", type=int, required=True)),
@@ -369,19 +366,17 @@ _VERBS = {verb.name: verb for verb in [
     _Verb("isprod", _cmd_isprod, "empirical product test", _SEQ, _ORDERS, _DIGITS),
     _Verb("factor", _cmd_factor, "factor into a termwise product", _SEQ,
           _Arg("--mode", choices=("roots", "integer"), default="roots"), _ORDERS,
-          _Arg("--bound", type=int, default=3),
-          _Arg("--budget", type=float, default=60.0), _DIGITS),
+          _Arg("--bound", type=int, default=3), _DIGITS),
     _Verb("dimer", _cmd_dimer, "domino tilings of width-M strips",
           _Arg("--width", type=int, required=True),
           _Arg("--terms", type=int, default=10), _Arg("--hweight", default="1"),
-          _Arg("--vweight", default="1"), _Arg("--report-product", nargs=0), _DIGITS),
+          _Arg("--vweight", default="1"), _Arg("--report-product", nargs=0)),
     _Verb("seq", _cmd_seq, "named sequence from the registry",
           _Arg("name", choices=corpus.names()), _Arg("params", nargs="*")),
     _Verb("verify-identity", _cmd_verify_identity, "prove a built-in parametric identity",
           _Arg("name", choices=_IDENTITIES),
           _Arg("--terms", type=int, default=20,
-               help=f"coefficients to check, at most {MAX_IDENTITY_TERMS}"),
-          _VERBOSE),
+               help=f"coefficients to check, at most {MAX_IDENTITY_TERMS}")),
 ]}
 
 _TOP_OPTIONS = {"-h": _HELP, "--help": _HELP, "--json": _JSON}
@@ -543,7 +538,6 @@ def main(argv=None) -> int:
         ValueError,
         roots.DegenerateRootsError,
         roots.PrecisionError,
-        factor.BudgetExhausted,
         OSError,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -258,8 +258,16 @@ def int_poly_gcd(a: list, b: list):
         k *= 2
 
 
+# _pack and _unpack cut longer lists in halves: one shift of the whole
+# growing integer per coefficient would be quadratic
+_LEAF = 32
+
+
 def _pack(f: list, k: int) -> int:
     """f(2^k) for the integer coefficient list f (ascending)."""
+    if len(f) > _LEAF:
+        m = len(f) // 2
+        return _pack(f[:m], k) + (_pack(f[m:], k) << m * k)
     v = 0
     for c in reversed(f):
         v = (v << k) + c
@@ -267,7 +275,14 @@ def _pack(f: list, k: int) -> int:
 
 
 def _unpack(v: int, k: int) -> list:
-    """The ascending digits of v in base 2^k, each in (-2^(k-1), 2^(k-1)]."""
+    """The ascending digits of v in base 2^k (k >= 2), each in
+    (-2^(k-1), 2^(k-1)]; above _LEAF digits, those of the low and high
+    halves, the low half's digits carrying at most 1 into the high half."""
+    if v.bit_length() > _LEAF * k:
+        m = -(-v.bit_length() // k) // 2
+        low = _unpack(v & ((1 << m * k) - 1), k)
+        carry = low.pop() if len(low) > m else 0
+        return low + [0] * (m - len(low)) + _unpack((v >> m * k) + carry, k)
     mask, half, digits = (1 << k) - 1, 1 << (k - 1), []
     while v:
         c = v & mask

@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import time
 from collections import namedtuple
 from fractions import Fraction
 from math import factorial, gcd, isqrt
@@ -39,13 +38,12 @@ from .core import content, scale
 from .core import _derivative, _from_power_sums, _power_sums, _square_free, _sub
 from .core import _gcd_mod, _is_prime, _mulmod, _shiftmod, _zpow
 from .linalg import solve
-from .roots import DEFAULT_DIGITS, PrecisionError, _minimal, _ratio_quotient
+from .roots import PrecisionError, _minimal, _ratio_quotient
 from .roots import _require_simple_roots
 
 
-class BudgetExhausted(RuntimeError):
-    """factorize_integer's budget ran out before it tried every gauge."""
-
+# the root grid's p-adic precision at the foot of its ladder: p^N >= 10^digits
+DEFAULT_DIGITS = 100
 
 # the gauge needs a base for the left recurrence's coefficients; trial
 # division past this bound could run for hours on a large prime squared
@@ -469,12 +467,7 @@ def _rational(x, q):
 
 
 def factorize_integer(
-    seq: CFiniteSeq,
-    L1: int,
-    L2: int,
-    bound: int,
-    budget: float = 60.0,
-    stats: dict | None = None,
+    seq: CFiniteSeq, L1: int, L2: int, bound: int, budget=None, stats: dict | None = None
 ):
     """Factor an integer sequence into integer factors, or None.
 
@@ -483,28 +476,26 @@ def factorize_integer(
     in [-bound, bound], and the cofactor is integral.  The first proposal
     with such a gauge wins; None when none has one.  Repeated roots raise
     DegenerateRootsError, and the split-prime search or the ladder (at
-    DEFAULT_DIGITS) PrecisionError when it gives up.  `budget` is a
-    deadline in seconds, checked as gauges are tried (BudgetExhausted).
-    `stats` gets "candidates", the gauges lambda tried (>= 1 when a pair
-    is returned), and "screened", those accepted.  ValueError for bound <
-    1, a budget that is not positive or a sequence that is not integral.
+    DEFAULT_DIGITS) PrecisionError when it gives up.  `stats` gets
+    "candidates", the gauges lambda tried (>= 1 when a pair is returned),
+    and "screened", those accepted.  `budget` is accepted and ignored: it
+    is kept for a benchmark caller (perfbench's integer factor job) and
+    goes with the next benchmark change.  ValueError for bound < 1 or a
+    sequence that is not integral.
     """
     if bound < 1:
         raise ValueError(f"bound must be >= 1, got {bound}")
-    if not budget > 0:
-        raise ValueError(f"budget must be > 0 seconds, got {budget}")
-    deadline = time.monotonic() + budget
     m = _minimal(seq, (L1, L2))
     # Fatou's lemma: an integer sequence has an integral minimal recurrence
     if any(x.denominator != 1 for x in (*m.init, *m.rec)):
         raise ValueError("factorize_integer requires an integer sequence")
     stats = {} if stats is None else stats
     stats.update(candidates=0, screened=0)
-    gauge = _integer_gauge(L1, bound, deadline, stats)
+    gauge = _integer_gauge(L1, bound, stats)
     return _factorize(seq, m, L1, L2, DEFAULT_DIGITS, gauge)
 
 
-def _integer_gauge(L1, bound, deadline, stats):
+def _integer_gauge(L1, bound, stats):
     """gauge(a, b), the |lambda| for a, or None; F is the one of order L1.
 
     lambda is accepted when F(lambda) divided by the content c of its
@@ -527,8 +518,6 @@ def _integer_gauge(L1, bound, deadline, stats):
         if any(d.denominator != 1 for d in rest):
             return out
         for lam in (s * mu * t for t in _weighted_divisors(rest) for s in (-1, 1)):
-            if time.monotonic() > deadline:
-                raise BudgetExhausted("the gauge search ran past the budget")
             stats["candidates"] += 1
             F = _apply_gauge(f, lam)
             c = content(F.init)

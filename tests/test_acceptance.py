@@ -169,7 +169,7 @@ def test_criterion_08_factorization_recovers_fib_pell():
     t0 = time.monotonic()
     prod = mul(FIB, PELL)
     a = factorize_roots(prod, 2, 2)
-    b = factorize_integer(prod, 2, 2, bound=3, budget=60.0)
+    b = factorize_integer(prod, 2, 2, bound=3)
     ok = a is not None and b is not None
     if ok:
         for pair in (a, b):

@@ -458,19 +458,23 @@ class TestBadInput:
         assert "error:" in err
 
     @pytest.mark.parametrize(
-        "argv",
+        "argv, message",
         [
-            ("isprod", "[[0, 1, 2, 10], [2, 7, 2, -1]]", "--orders", "2,2"),
-            ("factor", "[[0, 1, 2, 10], [2, 7, 2, -1]]", "--orders", "2,2"),
-            ("dimer", "--width", "4", "--report-product"),
+            (("isprod", "[[0, 1, 2, 10], [2, 7, 2, -1]]", "--orders", "2,2"),
+             "--digits must be >= 1"),
+            (("factor", "[[0, 1, 2, 10], [2, 7, 2, -1]]", "--orders", "2,2"),
+             "--digits must be >= 1"),
+            # dimer takes no --digits: the strip counts are exact
+            (("dimer", "--width", "4", "--report-product"),
+             "unrecognized arguments: --digits"),
         ],
         ids=["isprod", "factor", "dimer"],
     )
     @pytest.mark.parametrize("digits", ["0", "-5"])
-    def test_digits_below_one_exit_2(self, capsys, argv, digits):
+    def test_digits_below_one_exit_2(self, capsys, argv, message, digits):
         code, _, err = run(capsys, *argv, "--digits", digits)
         assert code == 2
-        assert "--digits" in err
+        assert message in err
 
     @pytest.mark.parametrize(
         "argv, want",
@@ -500,24 +504,27 @@ class TestBadInput:
 
     @pytest.mark.parametrize("budget", ["0", "-1", "nan"])
     def test_factor_budget_not_positive_exit_2(self, capsys, budget):
+        # factor has no --budget: the gauge search is finite, so any value,
+        # these once refused too, is an unrecognized argument
         code, out, err = run(
             capsys, "factor", "[[0, 1, 2, 10], [2, 7, 2, -1]]",
             "--orders", "2,2", "--mode", "integer", "--budget", budget,
         )
         assert code == 2
         assert out == ""
-        assert "budget must be > 0 seconds" in err
+        assert f"unrecognized arguments: --budget {budget}" in err
 
 
 class TestEnvironment:
     def test_digits_default_ignores_environment(self, capsys, monkeypatch):
-        # --digits is the one precision setting; it defaults to 100
+        # --digits is factor's one precision setting; it defaults to 100,
+        # whatever the environment says
+        argv = ("factor", "[[0, 1, 2, 10], [2, 7, 2, -1]]", "--orders", "2,2")
+        plain = run(capsys, *argv)
         monkeypatch.setenv("CFINITE_DIGITS", "lots")
-        code, out, _ = run(
-            capsys, "isprod", "[[0, 1, 2, 10], [2, 7, 2, -1]]", "--orders", "2,2"
-        )
-        assert code == 0
-        assert "100 digits" in out
+        assert run(capsys, *argv) == plain
+        assert plain[0] == 0
+        assert "--digits DIGITS  default 100" in run(capsys, "factor", "--help")[1]
 
     def test_unknown_verb_exit_2(self, capsys):
         code = main(["frobnicate"])
@@ -591,8 +598,7 @@ SHARED_PARSER_SEQUENCE = [
     ("guess", FIB_TERMS),
     ("seq", "fibonacci"),
     ("seq", "geometric", "-1/2"),
-    ("factor", PRODUCT, "--orders", "2,2", "--bound", "1", "--budget", "5",
-     "--digits", "30"),
+    ("factor", PRODUCT, "--orders", "2,2", "--bound", "1", "--digits", "30"),
     ("factor", PRODUCT, "--orders", "2,2", "--mode", "integer"),
     ("factor", PRODUCT, "--orders", "2"),  # usage text printed by main
     ("frobnicate",),
@@ -668,8 +674,7 @@ def test_exponent_notation_is_refused_quickly():
 # recurrences factored at 3 x 3 (the root grid's split-prime search and
 # lift), widths <= 12 (product reports up to width 6 and above the width limit),
 # --digits <= 200, and integer factoring with --bound <= 10^6 (the gauges it
-# tries are read off the factors, not counted up to the bound) and
-# --budget <= 1.
+# tries are read off the factors, not counted up to the bound).
 
 _number = st.fractions(min_value=-20, max_value=20, max_denominator=5).map(str)
 _junk = st.text(alphabet="[],/-+*0123456789 zt", max_size=10)
@@ -761,11 +766,7 @@ def _argv(draw):
         pos += [text]
         opts += ["--orders", _orders(draw, order)]
         if verb == "factor" and draw(st.booleans()):
-            opts += [
-                "--mode", "integer",
-                "--bound", str(draw(st.integers(-1, 10**6))),
-                "--budget", str(draw(st.floats(-1, 1))),
-            ]
+            opts += ["--mode", "integer", "--bound", str(draw(st.integers(-1, 10**6)))]
     elif verb == "dimer":
         width = draw(st.integers(-1, 12))
         opts += ["--width", str(width), "--terms", str(draw(st.integers(-2, 30)))]
@@ -779,7 +780,7 @@ def _argv(draw):
     else:
         pos += [draw(st.sampled_from(["shapiro", "ekhad"]))]
         opts += ["--terms", str(draw(st.integers(-2, 8)))]
-    if verb in ("isprod", "factor", "dimer") and draw(st.booleans()):
+    if verb in ("isprod", "factor") and draw(st.booleans()):
         opts += ["--digits", str(draw(st.integers(-1, 200)))]
     # positionals such as -3,4 are values with or without "--"
     dashes = ["--"] if pos and draw(st.integers(0, 3)) else []

@@ -312,6 +312,29 @@ class TestPolyGcd:
         f = _int_mul(f, [1, 0, 1])
         assert _square_free(f) == [(1, [1, 0, 1]), (2, [2, 1]), (3, [-1, 1])]
 
+    @pytest.mark.parametrize("n", [0, 5, core._LEAF, core._LEAF + 1, 257, 1000])
+    def test_pack_and_unpack_by_halves_match_one_shift_a_coefficient(self, n):
+        # above core._LEAF coefficients both work by halves, and the low
+        # half's digits can carry 1 into the high half
+        def pack(f, k):
+            v = 0
+            for c in reversed(f):
+                v = (v << k) + c
+            return v
+
+        rng = random.Random(n)
+        for k in (2, 3, 24, 70):
+            h = 1 << (k - 1)
+            digits = [rng.choice([h, -h + 1, 0, rng.randint(-h + 1, h)]) for _ in range(n)]
+            while digits and not digits[-1]:
+                digits.pop()
+            v = pack(digits, k)
+            assert core._pack(digits, k) == v
+            assert core._unpack(v, k) == digits
+            wide = [rng.randint(-(4 << k), 4 << k) for _ in range(n)]
+            assert core._pack(wide, k) == pack(wide, k)
+            assert pack(core._unpack(pack(wide, k), k), k) == pack(wide, k)
+
 
 class TestCFiniteSeq:
     def test_wire_encoding_fibonacci(self):

@@ -13,7 +13,6 @@ from cfinite.core import parse_seq, shift
 from cfinite.dimers import dimer_seq
 from cfinite import core, factor, guess, linalg
 from cfinite.factor import (
-    BudgetExhausted,
     PrecisionError,
     _rational,
     _split,
@@ -427,7 +426,7 @@ class TestSplit:
 class TestFactorizeInteger:
     def test_fib_times_pell(self):
         prod = mul(FIB, PELL)
-        pair = factorize_integer(prod, 2, 2, bound=2, budget=60.0)
+        pair = factorize_integer(prod, 2, 2, bound=2)
         assert pair is not None
         assert {pair.left, pair.right} == {FIB, PELL}
         assert_valid_factorization(pair, prod)
@@ -435,7 +434,7 @@ class TestFactorizeInteger:
     def test_stats_reported(self):
         prod = mul(FIB, PELL)
         stats = {}
-        factorize_integer(prod, 2, 2, bound=2, budget=60.0, stats=stats)
+        factorize_integer(prod, 2, 2, bound=2, stats=stats)
         assert stats["candidates"] > 0
         assert 0 < stats["screened"] <= stats["candidates"]
 
@@ -450,28 +449,18 @@ class TestFactorizeInteger:
         with pytest.raises(ValueError, match="bound"):
             factorize_integer(mul(FIB, PELL), 2, 2, bound=bound)
 
-    def test_budget_exhaustion_raises(self):
-        prod = mul(FIB, PELL)
-        with pytest.raises(BudgetExhausted):
-            factorize_integer(prod, 2, 2, bound=6, budget=1e-9)
-
-    @pytest.mark.parametrize("budget", [0, -1, float("nan")])
-    def test_budget_not_positive_rejected(self, budget):
-        with pytest.raises(ValueError, match="budget"):
-            factorize_integer(mul(FIB, PELL), 2, 2, bound=2, budget=budget)
-
     def test_not_found_within_bound(self):
         # neither factor (nor any integer regauging of one) fits in [-1, 1]
         left = CFiniteSeq([1, 1], [1, 2])
         right = CFiniteSeq([2, 1], [1, 1])
         prod = mul(left, right)
-        assert factorize_integer(prod, 2, 2, bound=1, budget=120.0) is None
+        assert factorize_integer(prod, 2, 2, bound=1) is None
 
     def test_bound_one_still_finds_fibonacci(self):
         # the bound constrains only the order-L1 factor; the cofactor need
         # only be integral, so Fib * Pell splits even at bound 1
         prod = mul(FIB, PELL)
-        pair = factorize_integer(prod, 2, 2, bound=1, budget=60.0)
+        pair = factorize_integer(prod, 2, 2, bound=1)
         assert pair is not None
         assert_valid_factorization(pair, prod)
 
@@ -480,7 +469,7 @@ class TestFactorizeInteger:
         right = CFiniteSeq([2, 1], [1, 1])
         prod = mul(left, right)
         a = factorize_roots(prod, 2, 2)
-        b = factorize_integer(prod, 2, 2, bound=2, budget=60.0)
+        b = factorize_integer(prod, 2, 2, bound=2)
         assert a is not None and b is not None
         # the two routes normalize differently (the weighted-primitive
         # rational gauge vs the bounded integer gauge), but both must split
@@ -712,7 +701,7 @@ class TestNormalForm:
         )
         if gauge == "_integer_gauge":
             stats = {"candidates": 0, "screened": 0}
-            gauge = factor._integer_gauge(left.order, 3, math.inf, stats)
+            gauge = factor._integer_gauge(left.order, 3, stats)
         elif gauge == "unit":
             gauge = lambda a, b: Fraction(1)
         else:

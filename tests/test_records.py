@@ -15,7 +15,7 @@ FIB = CFiniteSeq([0, 1], [1, 1])
 PELL = CFiniteSeq([0, 1], [2, 1])
 CERT = ProofCertificate(4, 8, "equal", True)
 PROFILE = RepetitionProfile((1, 1, 2))
-VERDICT = ProductVerdict(True, (2, 2), PROFILE, PROFILE, 50, "")
+VERDICT = ProductVerdict(True, (2, 2), PROFILE, PROFILE, "")
 
 # (type, fields in order, positional arguments, repr)
 RECORDS = [
@@ -40,11 +40,11 @@ RECORDS = [
     ),
     (
         ProductVerdict,
-        ("is_product", "orders", "expected", "observed", "digits", "note"),
-        (True, (2, 2), PROFILE, PROFILE, 50, "checked"),
+        ("is_product", "orders", "expected", "observed", "note"),
+        (True, (2, 2), PROFILE, PROFILE, "checked"),
         "ProductVerdict(is_product=True, orders=(2, 2), "
         "expected=RepetitionProfile(multiplicities=(1, 1, 2)), "
-        "observed=RepetitionProfile(multiplicities=(1, 1, 2)), digits=50, note='checked')",
+        "observed=RepetitionProfile(multiplicities=(1, 1, 2)), note='checked')",
     ),
     (
         FactorPair,
@@ -69,8 +69,8 @@ RECORDS = [
         f"DimerProductReport(width=4, weights=(1, 1), seq={FIB!r}, "
         "minimal_order=2, factor_orders=(2,), verdict=ProductVerdict("
         "is_product=True, orders=(2, 2), expected=RepetitionProfile(multiplicities="
-        "(1, 1, 2)), observed=RepetitionProfile(multiplicities=(1, 1, 2)), digits=50, "
-        "note=''), applicable=True, note='')",
+        "(1, 1, 2)), observed=RepetitionProfile(multiplicities=(1, 1, 2)), note=''), "
+        "applicable=True, note='')",
     ),
     (
         NamedSequence,
@@ -124,7 +124,7 @@ def test_repetition_profile_sorts():
 
 
 def test_product_verdict_note_defaults_to_empty():
-    assert ProductVerdict(False, (2, 2), PROFILE, PROFILE, 50).note == ""
+    assert ProductVerdict(False, (2, 2), PROFILE, PROFILE).note == ""
 
 
 def test_records_are_tuples():
@@ -134,7 +134,7 @@ def test_records_are_tuples():
     assert GuessConfig(6)[0] == 6
     assert ProofCertificate(4, 8, "equal", True) == (4, 8, "equal", True)
     assert RepetitionProfile([2, 1]) == ((1, 2),)
-    assert len(VERDICT) == 6
+    assert len(VERDICT) == 5
     assert all(cls._fields == names for cls, names, *_ in RECORDS)
 
 

@@ -559,8 +559,7 @@ INTEGER_KERNELS = {
 }
 # factor.py takes only the product test's front from roots.py
 ROOTS_FRONT = {
-    "DEFAULT_DIGITS", "PrecisionError", "_minimal", "_ratio_quotient",
-    "_require_simple_roots",
+    "PrecisionError", "_minimal", "_ratio_quotient", "_require_simple_roots",
 }
 
 
