@@ -307,6 +307,6 @@ def is_prod_g(seq: CFiniteSeq, orders, digits=None) -> ProductVerdict:
     )
 
 
-def is_prod(seq: CFiniteSeq, L1: int, L2: int, digits=None) -> ProductVerdict:
-    """Two-factor special case of is_prod_g; `digits` is ignored and goes with is_prod_g's."""
+def is_prod(seq: CFiniteSeq, L1: int, L2: int) -> ProductVerdict:
+    """Two-factor special case of is_prod_g."""
     return is_prod_g(seq, (L1, L2))

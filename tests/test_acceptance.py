@@ -25,7 +25,7 @@ from cfinite.guess import (
     verify_parametric_identity,
 )
 from cfinite.factor import factorize_integer, factorize_roots
-from cfinite.roots import is_prod, prod_indicator
+from cfinite.roots import is_prod, is_prod_g, prod_indicator
 from cfinite.dimers import dimer_product_report, dimer_terms, kasteleyn_count
 from cfinite import corpus
 
@@ -147,7 +147,7 @@ def test_criterion_07_is_prod_battery():
         if prod.order != L1 * L2:
             continue
         try:
-            verdict = is_prod(prod, L1, L2, digits=50)
+            verdict = is_prod(prod, L1, L2)
         except Exception:
             continue  # degenerate draw (multiple roots); redraw
         ok = ok and verdict.is_product
@@ -157,9 +157,9 @@ def test_criterion_07_is_prod_battery():
         [2**n + 3**n + 5**n + 7**n for n in range(12)], GuessConfig(max_order=4)
     )
     for digits in (50, 100, 200):
-        ok = ok and not is_prod(neg, 2, 2, digits=digits).is_product
+        ok = ok and not is_prod_g(neg, (2, 2), digits).is_product
         for prod, L1, L2 in positives[:5]:
-            ok = ok and is_prod(prod, L1, L2, digits=digits).is_product
+            ok = ok and is_prod_g(prod, (L1, L2), digits).is_product
     elapsed = time.monotonic() - t0
     ok = ok and elapsed < 60.0
     report(7, "is_prod: 50 products yes, 4-geometric sum no, digits-stable", ok, elapsed)

@@ -1,35 +1,23 @@
-"""The call shapes perfbench (workloads.py, warmup.py) sends the package,
-and `is_prod`'s `digits`, which goes with `is_prod_g`'s.
+"""The call shapes perfbench (workloads.py, warmup.py) sends the package.
 
 Some of them pass parameters the package accepts and ignores (`digits` of
 the product test and of the strip report, `budget` of the integer
-factoriser, `param_degrees`, `isprod --digits`).  Each is dropped together
-with the benchmark's use of it; until then this test fails if one goes
-first.
+factoriser, `param_degrees`).  Each is dropped together with the
+benchmark's use of it; until then this test fails if one goes first.
+`isprod --digits 40`, the one such CLI option, is pinned by its golden row
+in tests/test_cli_golden.py (the same bytes as without it, text and
+--json).
 """
 
-import contextlib
-import io
-
 from cfinite import corpus, dimers, factor, guess, roots
-from cfinite.cli import main
 from cfinite.core import CFiniteSeq
 
 FIB_PELL = CFiniteSeq([0, 1, 2, 10], [2, 7, 2, -1])
-LITERAL = "[[0,1,2,10],[2,7,2,-1]]"
-
-
-def run_main(argv):
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
-        code = main(argv)
-    return code, out.getvalue()
 
 
 def test_benchmark_call_shapes():
     for digits in (30, 50, 100):
         assert roots.is_prod_g(FIB_PELL, (2, 2), digits).is_product
-    assert roots.is_prod(FIB_PELL, 2, 2, digits=50).is_product
     assert dimers.dimer_product_report(2, digits=30).applicable
     assert guess.verify_parametric_identity(
         corpus.shapiro_product_lhs, corpus.shapiro_product_gf, [2, 2], 4
@@ -39,8 +27,3 @@ def test_benchmark_call_shapes():
         stats = {}
         assert factor.factorize_integer(FIB_PELL, 2, 2, bound, **extra, stats=stats)
         assert stats["candidates"] >= 1
-    for flag in ([], ["--json"]):
-        argv = [*flag, "isprod", LITERAL, "--orders", "2,2"]
-        plain = run_main(argv)
-        assert plain[0] == 0 and plain[1]
-        assert run_main([*argv, "--digits", "40"]) == plain

@@ -533,7 +533,7 @@ class TestIsProd:
     def test_verdicts_stable_across_digits(self):
         prod = mul(FIB, PELL)
         for d in (50, 100, 200):
-            assert is_prod(prod, 2, 2, digits=d).is_product
+            assert is_prod_g(prod, (2, 2), d).is_product
 
     def test_huge_coefficient_product_yes(self):
         # a factor coefficient near 10^24: roots near 10^24 and 10^-24; the
@@ -580,7 +580,7 @@ class TestIsProd:
             if prod.order != L1 * L2:
                 continue  # degenerate draw; the battery wants full order
             try:
-                verdict = is_prod(prod, L1, L2, digits=50)
+                verdict = is_prod(prod, L1, L2)
             except DegenerateRootsError:
                 continue
             assert verdict.is_product, (s1, s2, verdict)
