@@ -236,18 +236,6 @@ _IDENTITIES = {
 }
 
 
-# the most coefficients verify-identity checks: both identities are decided by
-# M <= 16 of them, and the check's cost grows about as the 4.5th power
-MAX_IDENTITY_TERMS = 32
-
-
-def _cmd_verify_identity(args) -> int:
-    if args.terms > MAX_IDENTITY_TERMS:
-        raise UsageError(f"--terms must be <= {MAX_IDENTITY_TERMS}, got {args.terms}")
-    lhs, rhs = _IDENTITIES[args.name]
-    return _emit_cert(args, guess.verify_parametric_identity(lhs, rhs, series_terms=args.terms))
-
-
 # --- argv reader -------------------------------------------------------------
 
 class _BadArgv(Exception):
@@ -373,10 +361,12 @@ _VERBS = {verb.name: verb for verb in [
           _Arg("--vweight", default="1"), _Arg("--report-product", nargs=0)),
     _Verb("seq", _cmd_seq, "named sequence from the registry",
           _Arg("name", choices=corpus.names()), _Arg("params", nargs="*")),
-    _Verb("verify-identity", _cmd_verify_identity, "prove a built-in parametric identity",
-          _Arg("name", choices=_IDENTITIES),
-          _Arg("--terms", type=int, default=20,
-               help=f"coefficients to check, at most {MAX_IDENTITY_TERMS}")),
+    # the check reads exactly its order bound's coefficients; --terms is kept
+    # for perfbench's interactive requests
+    _Verb("verify-identity",
+          lambda a: _emit_cert(a, guess.verify_parametric_identity(*_IDENTITIES[a.name])),
+          "prove a built-in parametric identity", _Arg("name", choices=_IDENTITIES),
+          _Arg("--terms", type=int, help="accepted and ignored")),
 ]}
 
 _TOP_OPTIONS = {"-h": _HELP, "--help": _HELP, "--json": _JSON}

@@ -20,7 +20,7 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 from itertools import count, islice
-from math import comb, log2
+from math import comb
 from operator import mul
 
 from . import guess, roots
@@ -42,15 +42,16 @@ def _chebyshev_q(k: int) -> list:
     return [0] * (k % 2) + [(-1) ** j * comb(k - j, j) for j in range(k // 2, -1, -1)]
 
 
-def _norm(w: list, r: list) -> int:
+def _norm(w: list, r: list, p: list) -> int:
     """The norm of r in Z[y]/f, f = y^k - w_1 y^(k-1) - ... - w_k: the
     product of the values of r at the roots of f, which is Res(f, r).
     Newton's identities turn the traces of r^i, i <= k, into it, with exact
-    divisions, the values being algebraic integers; k = 0 gives 1."""
+    divisions, the values being algebraic integers; p = _power_sums(w, k - 1)
+    reads off each trace, and k = 0 gives 1."""
     k = len(w)
     if not k:
         return 1
-    p, h = _power_sums(w, k - 1), r
+    h = r
     traces = [k, sum(map(mul, r, p))]
     for _ in range(k - 1):
         h = _mulmod(h, r, w)
@@ -71,15 +72,15 @@ def _strip_counts(m: int, weights):
     d, (H, V) = _clear_denominators([Fraction(x) for x in weights])
     q = _chebyshev_q(m)[m % 2 :]
     w = [-c for c in reversed(q[:-1])]  # Q'_m = y^k - w_1 y^(k-1) - ... - w_k
-    k, V2 = len(w), V * V
+    k, V2, p = len(w), V * V, _power_sums(w, len(w) - 1)
 
     def counts():
         prev, g = [1] + [0] * (k - 1), [H] + [0] * (k - 1)
         for n in count(1):
             if m % 2 == 0:
-                yield _norm(w, g)
+                yield _norm(w, g, p)
             else:
-                yield V ** (n // 2) * _norm(w, g) if n % 2 == 0 else 0
+                yield V ** (n // 2) * _norm(w, g, p) if n % 2 == 0 else 0
             # G_(n+1); with k = 0 (m = 1) every norm is 1 and G is not read
             y = _shiftmod(g, w) if n % 2 and k else g
             prev, g = g, [H * a + V2 * b for a, b in zip(y, prev)]
@@ -151,7 +152,7 @@ def kasteleyn_count(m: int, n: int) -> int:
     for c in reversed([c * (-1) ** i for i, c in enumerate(_chebyshev_q(n))]):
         r = _shiftmod(r, w)
         r[0] += c
-    return abs(_norm(w, r))
+    return abs(_norm(w, r, _power_sums(w, len(w) - 1)))
 
 
 class DimerProductReport(
@@ -177,11 +178,11 @@ def dimer_product_report(m: int, digits=None, weights=(1, 1)) -> DimerProductRep
     """Test whether the width-m strip sequence is a product of order-2 parts.
 
     The minimal order must be a power of 2 for the all-order-2 hypothesis
-    to make sense; log2(order) factors of order 2 are then tested, so the
-    product of the hypothesized orders equals the minimal order, which is
-    at most 2^floor(m/2) (see dimer_seq).  `digits` is accepted and
-    ignored: it is kept for a benchmark caller (perfbench's primer passes
-    digits=30) and goes with the next benchmark change.
+    to make sense; as many order-2 factors as its base-2 logarithm are then
+    tested, so the product of the hypothesized orders equals the minimal
+    order, which is at most 2^floor(m/2) (see dimer_seq).  `digits` is
+    accepted and ignored: it is kept for a benchmark caller (perfbench's
+    primer passes digits=30) and goes with the next benchmark change.
     """
     seq = dimer_seq(m, weights)
     order = seq.order
@@ -191,10 +192,9 @@ def dimer_product_report(m: int, digits=None, weights=(1, 1)) -> DimerProductRep
 
     if order == 1:
         return report((), None, False, "order 1; nothing to factor")
-    k = log2(order)
-    if k != int(k):
+    if order & (order - 1):
         return report((), None, False, f"minimal order {order} is not a power of 2")
-    factor_orders = (2,) * int(k)
+    factor_orders = (2,) * (order.bit_length() - 1)
     try:
         verdict = roots.is_prod_g(seq, factor_orders)
     except roots.DegenerateRootsError as exc:

@@ -470,30 +470,28 @@ def verify_parametric_identity(
     product of the factor orders, so LHS = P/Q with deg P < K1 and
     deg Q <= K1, Q(0) = 1.  Then D*LHS - N = (D P - N Q)/Q, whose numerator
     has degree below M = K1 + max(K2, deg N + 1), K2 = deg D; M vanishing
-    coefficients make it 0.  T = max(series_terms, M) coefficients are
-    checked, and the certificate's order_bound is M.  When the check fails,
-    the first nonzero coefficient of D*LHS - N is the first coefficient at
-    which the two series differ, and terms_checked counts up to it.
+    coefficients make it 0, and no coefficient past them can: exactly M are
+    checked, and M is the certificate's order_bound and terms_checked.
+    When the check fails, the first nonzero coefficient of D*LHS - N,
+    which lies below M, is the first coefficient at which the two series
+    differ, and terms_checked counts up to it.
 
-    `param_degrees` is accepted and ignored: it is kept for a benchmark
-    caller and goes with the next benchmark change.  ValueError for
-    series_terms < 1 or D(0) = 0.
+    `param_degrees` and `series_terms` are accepted and ignored: they are
+    kept for a benchmark caller and go with the next benchmark change.
+    ValueError for D(0) = 0.
     """
     factors = getattr(lhs, "symbolic", lhs)
     num, den = getattr(rhs, "symbolic", rhs)
-    if series_terms < 1:
-        raise ValueError(f"series_terms must be >= 1, got {series_terms}")
     if not den or not den[0]:
         raise ValueError("D(0) must be nonzero")
     K1, K2, deg_n = prod(len(rec) for _, rec in factors), _degree(den), _degree(num)
     M = K1 + max(K2, deg_n + 1)
-    T = max(series_terms, M)
     k = len(next(iter(den[0])))
     names = [chr(ord("a") + i) if i < 26 else f"x{i}" for i in range(k)]
     ring = ", ".join(names)
     minus_one = {(0,) * k: -1}
-    terms = _product_terms(factors, T)
-    for n in range(T):
+    terms = _product_terms(factors, M)
+    for n in range(M):
         j = min(n, K2)
         ps, qs = den[: j + 1], terms[n - j : n + 1][::-1]
         if n < len(num):
@@ -510,9 +508,9 @@ def verify_parametric_identity(
             )
     return ProofCertificate(
         order_bound=M,
-        terms_checked=T,
+        terms_checked=M,
         statement=(
-            f"D*LHS - N = 0 mod t^{T} in Z[{ring}]; the left side has order "
+            f"D*LHS - N = 0 mod t^{M} in Z[{ring}]; the left side has order "
             f"<= K1 = {K1} over Q({ring}), deg D = K2 = {K2} and deg N = {deg_n}, "
             f"so the first M = K1 + max(K2, deg N + 1) = {M} coefficients force "
             "LHS = N/D identically"

@@ -2,11 +2,13 @@
 
 Some of them pass parameters the package accepts and ignores (`digits` of
 the product test and of the strip report, `budget` of the integer
-factoriser, `param_degrees`).  Each is dropped together with the
-benchmark's use of it; until then this test fails if one goes first.
-`isprod --digits 40`, the one such CLI option, is pinned by its golden row
-in tests/test_cli_golden.py (the same bytes as without it, text and
---json).
+factoriser, `param_degrees` and `series_terms` of the identity check).
+Each is dropped together with the benchmark's use of it; until then this
+test fails if one goes first.  The two such CLI options are pinned by
+golden rows in tests/test_cli_golden.py, text and --json:
+`isprod --digits 40` prints the bytes of the request without it, and
+`verify-identity shapiro --terms 12` those of `--terms 8`; every --terms
+value is checked in tests/test_cli.py.
 """
 
 from cfinite import corpus, dimers, factor, guess, roots

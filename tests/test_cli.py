@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 import cfinite
 from cfinite import cli, corpus, guess
 
-from cfinite.cli import MAX_IDENTITY_TERMS, main
+from cfinite.cli import main
 from cfinite.core import CFiniteSeq, format_seq, parse_seq
 from cfinite.dimers import dimer_seq
 from cfinite.guess import mul
@@ -420,23 +420,16 @@ class TestVerifyIdentity:
         assert code == 0
         assert "VERIFIED" in out
 
-    @pytest.mark.parametrize("terms", ["0", "-2"])
-    def test_no_terms_exit_2(self, capsys, terms):
-        code, out, err = run(capsys, "verify-identity", "shapiro", "--terms", terms)
-        assert code == 2
-        assert out == ""
-        assert "series_terms must be >= 1" in err
-
-    def test_terms_cap(self, capsys):
-        cap = str(MAX_IDENTITY_TERMS)
-        code, out, _ = run(capsys, "verify-identity", "ekhad", "--terms", cap)
-        assert code == 0
-        assert "VERIFIED" in out and f"{cap} terms checked" in out
-        over = str(MAX_IDENTITY_TERMS + 1)
-        code, out, err = run(capsys, "verify-identity", "ekhad", "--terms", over)
-        assert code == 2
-        assert out == ""
-        assert f"--terms must be <= {cap}" in err
+    @pytest.mark.parametrize("terms", [None, "0", "-2", "12", "33", "100"])
+    @pytest.mark.parametrize("name, golden", [("shapiro", "8"), ("ekhad", "6")])
+    def test_terms_ignored(self, capsys, name, golden, terms):
+        # every --terms prints the certificate of exactly M coefficients, the
+        # bytes of the golden --terms row, text and --json
+        extra = [] if terms is None else ["--terms", terms]
+        for flag in ([], ["--json"]):
+            want = run(capsys, *flag, "verify-identity", name, "--terms", golden)
+            assert run(capsys, *flag, "verify-identity", name, *extra) == want
+            assert want[0] == 0
 
 
 class TestBadInput:

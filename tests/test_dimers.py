@@ -5,8 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cfinite import guess
-from cfinite.core import CFiniteSeq, Polynomial, _clear_denominators, _shiftmod, eval_terms
+from cfinite import dimers, guess
+from cfinite.core import (
+    CFiniteSeq, Polynomial, _clear_denominators, _power_sums, _shiftmod, eval_terms,
+)
 from cfinite.dimers import (
     dimer_product_report,
     dimer_seq,
@@ -352,7 +354,7 @@ def resultant(f, g):
     for c in reversed(g):
         r = _shiftmod(r, w)
         r[0] += c
-    return _norm(w, r)
+    return _norm(w, r, _power_sums(w, len(w) - 1))
 
 
 class TestResultant:
@@ -425,6 +427,14 @@ class TestProductReport:
         assert report.factor_orders == (2,) * (m // 2)
         assert report.verdict.is_product
         assert report.verdict.observed == report.verdict.expected
+
+    @pytest.mark.parametrize("order", [3, 6, 12])
+    def test_order_not_a_power_of_two_inapplicable(self, monkeypatch, order):
+        seq = CFiniteSeq([0] * (order - 1) + [1], [0] * (order - 1) + [1])
+        monkeypatch.setattr(dimers, "dimer_seq", lambda m, weights: seq)
+        report = dimer_product_report(4)
+        assert (report.minimal_order, report.applicable) == (order, False)
+        assert report.note == f"minimal order {order} is not a power of 2"
 
     def test_report_rendering(self):
         text = str(dimer_product_report(4))

@@ -640,12 +640,13 @@ class TestParametricIdentities:
     @pytest.mark.parametrize(
         "builders, bound", [(SHAPIRO, 8), (EKHAD, 16)], ids=["shapiro", "ekhad"]
     )
-    @pytest.mark.parametrize("terms", [1, 8, 20])
+    @pytest.mark.parametrize("terms", [-3, 0, 1, 8, 20, 100])
     def test_named_identity(self, builders, bound, terms):
+        # series_terms is accepted and ignored: exactly M coefficients are read
         lhs, rhs = (b.symbolic for b in builders)
         cert = verify_parametric_identity(lhs, rhs, series_terms=terms)
         assert cert.verified
-        assert (cert.order_bound, cert.terms_checked) == (bound, max(bound, terms))
+        assert (cert.order_bound, cert.terms_checked) == (bound, bound)
         assert f"M = K1 + max(K2, deg N + 1) = {bound}" in cert.statement
 
     def test_point_builders_carry_their_form(self):
@@ -667,9 +668,7 @@ class TestParametricIdentities:
             point = RationalGF(*(Polynomial(mpoly_eval(c, (a, b)) for c in f)
                                  for f in (planted, den)))
             assert taylor(point, 20) == eval_terms(corpus.shapiro_product_lhs(a, b), 20)
-        cert = verify_parametric_identity(
-            corpus.shapiro_product_lhs.symbolic, (planted, den), None, 20
-        )
+        cert = verify_parametric_identity(corpus.shapiro_product_lhs.symbolic, (planted, den))
         assert not cert.verified
         assert cert.statement == (
             "D*LHS - N has the coefficient -4*a^5 + 20*a^4 - 35*a^3 + 25*a^2 - 6*a "
@@ -683,40 +682,75 @@ class TestParametricIdentities:
         d3 = dict(den[3])
         d3[(1, 1, 1)] += 1  # the abc coefficient of t^3: 40 -> 41
         cert = verify_parametric_identity(
-            corpus.ekhad_product_lhs, (num, [*den[:3], d3, *den[4:]]), None, 20
+            corpus.ekhad_product_lhs, (num, [*den[:3], d3, *den[4:]])
         )
         assert not cert.verified
         # D*LHS - N gains abc t^3 times LHS(0) = 1
         assert "the coefficient a*b*c at t^3" in cert.statement
 
-    @pytest.mark.parametrize("terms", [0, -3])
-    def test_no_terms_rejected(self, terms):
-        with pytest.raises(ValueError, match="series_terms"):
-            verify_parametric_identity(*SHAPIRO, [2, 2], terms)
-
-    @pytest.mark.parametrize(
-        "terms, d0, match",
-        [(0, {(0, 0): 1}, "series_terms"), (8, {}, "D\\(0\\)"), (8, None, "D\\(0\\)")],
-        ids=["no_terms", "zero_d0", "zero_d"],
-    )
-    def test_bad_input_rejected(self, terms, d0, match):
-        # series_terms < 1 proves nothing; D(0) = 0 (None: D = 0) has no series
+    @pytest.mark.parametrize("d0", [{}, None], ids=["zero_d0", "zero_d"])
+    def test_bad_input_rejected(self, d0):
+        # D(0) = 0 (None: D = 0) has no series
         num, den = corpus.shapiro_product_gf.symbolic
         den = [] if d0 is None else [d0, *den[1:]]
-        with pytest.raises(ValueError, match=match):
-            verify_parametric_identity(corpus.shapiro_product_lhs, (num, den), None, terms)
+        with pytest.raises(ValueError, match="D\\(0\\)"):
+            verify_parametric_identity(corpus.shapiro_product_lhs, (num, den))
 
     def test_mismatch_reported(self):
         # 2 U_n(a), wrong by a factor 2, against the GF 1 / (1 - 2at + t^2) of U_n(a)
         two_u = ([{(0,): 2}, {(1,): 4}], [{(1,): 2}, {(0,): -1}])
         gf_u = ([{(0,): 1}], [{(0,): 1}, {(1,): -2}, {(0,): 1}])
-        cert = verify_parametric_identity([two_u], gf_u, None, 8)
+        cert = verify_parametric_identity([two_u], gf_u)
         assert not cert.verified
         assert cert.statement == (
             "D*LHS - N has the coefficient 1 at t^0, so the series differ first "
             "at coefficient 0"
         )
         assert (cert.order_bound, cert.terms_checked) == (4, 1)
+
+    @pytest.mark.parametrize(
+        "builders, points",
+        [
+            (SHAPIRO, [(Fraction(1, 2), Fraction(3, 5)), (2, Fraction(-7, 3)),
+                       (Fraction(5, 4), Fraction(1, 7))]),
+            (EKHAD, [(Fraction(1, 2), Fraction(3, 5), 2), (2, Fraction(-7, 3), Fraction(1, 3)),
+                     (Fraction(5, 4), Fraction(1, 7), Fraction(-3, 2))]),
+        ],
+        ids=["shapiro", "ekhad"],
+    )
+    def test_order_bound_finds_every_perturbation(self, builders, points):
+        # add 1 to one coefficient of N or of D, up to one index past its
+        # degree: the check must refuse, at the first coefficient where the
+        # two sides' series differ at one of the points, looked for out to 3M
+        lhs, (num, den) = (b.symbolic for b in builders)
+        const = (0,) * len(points[0])
+        for side in (0, 1):
+            for i in range(len((num, den)[side]) + 1):
+                sides = [list(num), list(den)]
+                coeffs = sides[side]
+                coeffs += [{}] * (i + 1 - len(coeffs))
+                c = {**coeffs[i], const: coeffs[i].get(const, 0) + 1}
+                coeffs[i] = {e: v for e, v in c.items() if v}
+                cert = verify_parametric_identity(lhs, tuple(sides))
+                assert not cert.verified, (side, i)
+                first = min(
+                    self._first_difference(lhs, sides, pt, 3 * cert.order_bound) for pt in points
+                )
+                assert cert.terms_checked - 1 == first < cert.order_bound, (side, i)
+
+    @staticmethod
+    def _first_difference(factors, sides, point, T):
+        """The first index below T where N/D and the product of the factors'
+        terms differ at the point, by the oracles; T when none does."""
+        def at(coeffs):
+            return [mpoly_eval(c, point) for c in coeffs]
+
+        left = [1] * T
+        for init, rec in factors:
+            terms = oracles.recurrence_terms(at(init), at(rec), T)
+            left = [x * y for x, y in zip(left, terms)]
+        right = oracles.series_of_rational(*map(at, sides), T)
+        return next((n for n, (x, y) in enumerate(zip(left, right)) if x != y), T)
 
     @pytest.mark.parametrize("builders, T", [(SHAPIRO, 20), (EKHAD, 16)], ids=["shapiro", "ekhad"])
     def test_symbolic_sides_match_the_point_builders(self, builders, T):

@@ -377,6 +377,38 @@ def imported_modules(tree):
     return names
 
 
+# the integer functions of math the package uses; the floating ones
+# (log2, sqrt, floor, ...) stay out with floating point itself
+MATH_ALLOWED = {"comb", "factorial", "gcd", "isqrt", "lcm", "prod"}
+
+
+def math_names(tree):
+    """Every name the tree takes from math: ``from math import x`` and
+    ``math.x`` after ``import math``."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "math":
+            names |= {alias.name for alias in node.names}
+        elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+              and node.value.id == "math"):
+            names.add(node.attr)
+    return names
+
+
+def test_checker_finds_math_names():
+    tree = ast.parse("from math import gcd, log2 as lg\nimport math\nmath.sqrt(2)\n")
+    assert math_names(tree) == {"gcd", "log2", "sqrt"}
+
+
+def test_package_takes_only_integer_functions_from_math():
+    used = {
+        path.name: names
+        for path in sorted(SRC.glob("*.py"))
+        if (names := math_names(ast.parse(path.read_text())) - MATH_ALLOWED)
+    }
+    assert used == {}
+
+
 def test_checker_finds_imported_modules():
     tree = ast.parse(
         "import os.path, random as r\n"
@@ -626,9 +658,7 @@ def test_package_runs_no_polynomial_arithmetic(monkeypatch, capsys):
     # 2^n at order 2: the GF normal form cancels 1 - z
     assert gf.r_to_c(gf.c_to_r(CFiniteSeq([1, 2], [3, -2]))) == CFiniteSeq([1], [2])
     assert kasteleyn_count(8, 8) == 12988816
-    cert = verify_parametric_identity(
-        corpus.shapiro_product_lhs, corpus.shapiro_product_gf, series_terms=20
-    )
+    cert = verify_parametric_identity(corpus.shapiro_product_lhs, corpus.shapiro_product_gf)
     assert cert.verified
     assert main(["gf", "(2 - 2*z)/(2 - 6*z + 4*z^2)"]) == 0
     assert capsys.readouterr().out.strip() == "[[1], [2]]"
