@@ -11,19 +11,20 @@ floating point.  The term kernels do not step over Fractions, though:
 with D the scale of the recurrence (den c_k | D^k, _rec_scale) and E the
 lcm of the initial-term denominators, x(n) = E D^n a(n) is an integer
 sequence with the integer recurrence w_k = c_k D^k (_integer_image).
-_image steps it on Python ints and returns (E, D, x); the closure ops
-and dimer_seq fit their recurrences on such images and build no Fraction
-per term (guess._fit).  minimize fits nothing: it puts the image's
-generating function in lowest terms with int_poly_gcd and reads the
-minimal order off it.  eval_terms
-wraps _image with one Fraction per output term, and eval_at computes one
-term of the image.  The same w scales the characteristic roots of the
-product test in roots.py.
+_image steps it on Python ints and returns (E, D, x).  The closure ops
+build their results' integer recurrences from their operands' w and
+build no Fraction per term; dimer_seq fits its recurrence on such an
+image (guess._fit).  _lowest_terms puts an image's generating function in
+lowest terms with int_poly_gcd and reads the minimal order off it, for
+minimize and the closure ops.  eval_terms wraps _image with one Fraction
+per output term, and eval_at computes one term of the image.  The same w
+scales the characteristic roots of the product test in roots.py.
 
 Polynomial is the value type of generating functions.  Polynomial arithmetic
 runs on ascending integer lists, and all of its kernels live here: the gcd with
-its cofactors (one integer gcd at 2^k), exact division, Yun's square-free parts,
-Horner evaluation, power sums, _mulmod, _zpow and factor.py's Euclid over Z/p.
+its cofactors (one integer gcd at 2^k), exact division, products, the Taylor
+shift, Yun's square-free parts, Horner evaluation, power sums, _mulmod, _zpow
+and factor.py's Euclid over Z/p.
 Polynomials in several parameters, over Z, are dicts from exponent tuples to
 ints (mpoly_dot, mpoly_eval): guess.verify_parametric_identity works on them.
 This module imports no other module of the package.
@@ -218,6 +219,27 @@ def int_poly_quo(a: list, b: list, bound: int = 0):
         if c:
             rem[k : k + db] = [x - c * y for x, y in zip(rem[k : k + db], b)]
     return None if any(rem[:db]) else quo
+
+
+def int_poly_mul(f: list, g: list) -> list:
+    """f g for nonempty integer coefficient lists (ascending), of length
+    len(f) + len(g) - 1: trailing zeros are kept, not stripped."""
+    prod = [0] * (len(f) + len(g) - 1)
+    for i, x in enumerate(f):
+        if x:
+            for j, y in enumerate(g):
+                prod[i + j] += x * y
+    return prod
+
+
+def _taylor_shift(f: list, a: int) -> list:
+    """f(z + a) for the integer coefficient list f (ascending), by the
+    classical O(n^2) repeated synthetic division."""
+    f = list(f)
+    for i in range(len(f) - 1):
+        for j in range(len(f) - 2, i - 1, -1):
+            f[j] += a * f[j + 1]
+    return f
 
 
 def int_poly_gcd(a: list, b: list):
@@ -521,12 +543,7 @@ def eval_terms(seq: CFiniteSeq, N: int) -> list:
 def _mulmod(f: list, g: list, w: list) -> list:
     """f g modulo the monic z^L - w_1 z^(L-1) - ... - w_L, on int lists
     (ascending, length L)."""
-    L = len(w)
-    prod = [0] * (2 * L - 1)
-    for i, x in enumerate(f):
-        if x:
-            for j, y in enumerate(g):
-                prod[i + j] += x * y
+    L, prod = len(w), int_poly_mul(f, g)
     for k in range(2 * L - 2, L - 1, -1):
         x = prod.pop()
         if x:
@@ -650,39 +667,54 @@ def scale(seq: CFiniteSeq, r) -> CFiniteSeq:
     return CFiniteSeq([r * d for d in seq.init], seq.rec)
 
 
-def minimize(seq: CFiniteSeq) -> CFiniteSeq:
-    """Unique minimal-order representation of the same sequence, read off
-    its generating function in lowest terms.
+def _lowest_terms(E, D, w, b):
+    """The sequence a(n) = b(n) / (E D^n) at its minimal order, read off the
+    generating function of its integer image b in lowest terms; None when
+    the image's recurrence w already has that order.
 
-    A sequence is C-finite exactly when its generating function is
-    rational, and with N/Q in lowest terms, Q(0) = 1, its minimal order is
-    M = max(deg Q, deg N + 1) (Stanley 1986, EC I, Thm 4.1.1).  The integer
-    image b(n) = E D^n a(n) (_integer_image) has the generating function
-    N/Q with Q = 1 - w_1 z - ... - w_L z^L and N = b Q mod z^L, and
-    int_poly_gcd cancels their gcd exactly; its evaluation points only
-    decide how soon it finishes.  The test is M = L, not a trivial gcd: c_L = 0 with
-    a gcd of 1 has M < L.  M = L returns the input itself, and otherwise
-    the first M initial terms go with c_k = -Q_k / (Q_0 D^k), Q padded to
-    degree M; Q_0 = +-1, since Q times the gcd is the Q above.  The zero
-    sequence gives [[0], [0]].
+    b holds at least L = len(w) terms of an integer sequence with the
+    recurrence w.  A sequence is C-finite exactly when its generating
+    function is rational, and with N/Q in lowest terms, Q(0) = 1, its
+    minimal order is M = max(deg Q, deg N + 1) (Stanley 1986, EC I,
+    Thm 4.1.1).  b has the generating function N/Q with
+    Q = 1 - w_1 z - ... - w_L z^L and N = b Q mod z^L, and int_poly_gcd
+    cancels their gcd exactly; its evaluation points only decide how soon
+    it finishes.  The test is M = L, not a trivial gcd: w_L = 0 with a gcd
+    of 1 has M < L.  Otherwise the first M terms go with
+    c_k = -Q_k / (Q_0 D^k), Q padded to degree M; Q_0 = +-1, since Q times
+    the gcd is the Q above.  The zero sequence gives [[0], [0]] (None when
+    w = [0]).
     """
-    _, D, w, b = _integer_image(seq)
     L = len(w)
     Q = _sub([1], [0, *w])
     N = [sum(map(mul, Q[: k + 1], reversed(b[: k + 1]))) for k in range(L)]
     while N and not N[-1]:
         N.pop()
     if not N:
-        return seq if seq.rec == (0,) else CFiniteSeq([0], [0])
+        return None if w == [0] else CFiniteSeq([0], [0])
     _, N, Q = int_poly_gcd(N, Q)
     M = max(len(Q) - 1, len(N))
     if M == L:
-        return seq
-    rec, den = [], Q[0]
+        return None
+    init, rec, den = [], [], Q[0]
+    for x in b[:M]:
+        init.append(Fraction(x, E))
+        E *= D
     for q in Q[1:] + [0] * (M + 1 - len(Q)):
         den *= D
         rec.append(Fraction(-q, den))
-    return CFiniteSeq(seq.init[:M], rec)
+    return CFiniteSeq(init, rec)
+
+
+def minimize(seq: CFiniteSeq) -> CFiniteSeq:
+    """Unique minimal-order representation of the same sequence: the
+    integer image's generating function in lowest terms (_lowest_terms).
+
+    An input already of minimal order is returned itself; the zero
+    sequence gives [[0], [0]].
+    """
+    found = _lowest_terms(*_integer_image(seq))
+    return seq if found is None else found
 
 
 # --- canonical text encoding ------------------------------------------------

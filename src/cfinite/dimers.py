@@ -108,6 +108,22 @@ def dimer_terms(m: int, N: int, weights=(1, 1)) -> list:
     return [Fraction(c, d ** (m * n // 2)) for n, c in enumerate(islice(counts, N), start=1)]
 
 
+def _close(what: str, bound: int, make) -> CFiniteSeq:
+    """dimer_seq's fit: the recurrence of order <= bound fitted (guess._fit)
+    to the image (E, D, x) that make(2 * bound + SAFETY_TERMS) returns,
+    x(n) = E D^n a(n) in ints.
+
+    Theory guarantees a fit, so finding none raises InvariantViolation.
+    """
+    found = guess._fit(*make(2 * bound + guess.SAFETY_TERMS), bound)
+    if found is None:
+        raise guess.InvariantViolation(
+            f"{what}: no recurrence of order <= {bound} fits, "
+            "which contradicts the closure bound"
+        )
+    return found
+
+
 def dimer_seq(m: int, weights=(1, 1)) -> CFiniteSeq:
     """Minimal recurrence for the width-m strip counts.
 
@@ -129,7 +145,7 @@ def dimer_seq(m: int, weights=(1, 1)) -> CFiniteSeq:
             return d ** (m // 2), d ** (m // 2), list(islice(counts, n))
         return d**m, d**m, list(islice(counts, 2 * n))[1::2]
 
-    return guess._close(f"width-{m} strip counts", 1 << (m // 2), make)
+    return _close(f"width-{m} strip counts", 1 << (m // 2), make)
 
 
 def kasteleyn_count(m: int, n: int) -> int:

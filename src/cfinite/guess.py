@@ -1,4 +1,4 @@
-"""Recurrence guessing and everything built on top of it.
+"""Recurrence guessing, closure operations and equality proofs.
 
 guess_rec finds the shortest recurrence of the supplied terms with one
 exact Berlekamp-Massey pass (Massey 1969): O(N L) operations for N terms
@@ -8,19 +8,23 @@ connection polynomial as the pass over Q.
 The order is capped so that N >= 2L + SAFETY_TERMS, a module constant of
 4; with N >= 2L the shortest recurrence of N terms is unique, so the
 answer does not depend on the algorithm that finds it.  Every supplied
-term is re-checked against the result before it is returned.  Closure
-operations (sum, Hadamard product, binomial transform, partial sums,
-subsequences) generate enough terms for their theoretical order bound and
-then guess; a guessing failure at the bound means an arithmetic bug, never
-a mathematical possibility, and raises InvariantViolation.
+term is re-checked against the result before it is returned.  The pass
+runs on an integer image x(n) = E D^n a(n) (_fit): guess_rec fits its
+terms cleared to integers (D = 1), and dimers.dimer_seq fits its strip
+counts the same way.  The map n -> D^n is geometric, so x has a's linear
+complexity and its recurrence is c_k D^k.
 
-Every fit runs on an integer image x(n) = E D^n a(n) (_fit): the closure
-ops build the image of their result from their operands' images
-(core._image) on Python ints, the pass and its check run there, and only
-the L initial terms and L coefficients of the answer become Fractions.
-The map n -> D^n is geometric, so x has a's linear complexity and its
-recurrence is c_k D^k.  dimers.dimer_seq fits the same way, and guess_rec
-fits its terms cleared to integers (D = 1).
+The closure operations (sum, Hadamard product, binomial transform,
+partial sums, subsequences) guess nothing.  Each builds the integer
+recurrence of its result's image from its operands' integer recurrences
+(core._integer_image), as the closure theorems do: the product of the
+scaled reciprocal polynomials for a sum, power sums for a product and a
+subsequence (Bostan, Flajolet, Salvy and Schost 2006), the Taylor shift
+for the binomial transform.  The built recurrence is checked on
+SAFETY_TERMS image terms past its order, computed from the operands; a
+mismatch is a bug and raises InvariantViolation.  The generating function
+is then put in lowest terms as minimize does (core._lowest_terms), which
+gives the unique minimal encoding, the one a fit would find.
 
 Equality of two sequences is decidable by a finite check: the difference
 satisfies a recurrence of order at most L1 + L2, so that many matching
@@ -39,7 +43,8 @@ from fractions import Fraction
 from math import gcd, prod
 
 from . import linalg
-from .core import CFiniteSeq, _as_fraction, _clear_denominators, _image
+from .core import CFiniteSeq, _as_fraction, _clear_denominators, _from_power_sums, _image
+from .core import _integer_image, _lowest_terms, _power_sums, _step, _taylor_shift, int_poly_mul
 from .core import format_mpoly, format_rational, format_signed_sum, mpoly_dot
 
 
@@ -48,7 +53,8 @@ class InvariantViolation(AssertionError):
 
 
 # equations guess_rec keeps beyond the 2L terms that barely determine an
-# order-L fit
+# order-L fit; the closure ops check their built order-L recurrences on
+# this many terms past L
 SAFETY_TERMS = 4
 
 
@@ -177,85 +183,119 @@ def guess_rec(terms, cfg: GuessConfig):
     return _fit(E, 1, ints, max_l)
 
 
-def _close(what: str, bound: int, make) -> CFiniteSeq:
-    """Closure-op driver: fit at order <= bound to the image (E, D, x) that
-    make(2 * bound + SAFETY_TERMS) returns, x(n) = E D^n a(n) in ints.
+def _built(what: str, E, D, w, x) -> CFiniteSeq:
+    """The closure op's answer a(n) = x(n) / (E D^n) at its minimal order.
 
-    Theory guarantees a fit, so finding none raises InvariantViolation.
+    w is the recurrence the op built for the integer image x, and x holds
+    len(w) + SAFETY_TERMS terms computed from the operands' own images.
+    The built recurrence must hold on every term past its order, else the
+    construction has a bug and InvariantViolation names the op; then the
+    generating function is put in lowest terms (core._lowest_terms).
     """
-    found = _fit(*make(2 * bound + SAFETY_TERMS), bound)
-    if found is None:
-        raise InvariantViolation(
-            f"{what}: no recurrence of order <= {bound} fits, "
-            "which contradicts the closure bound"
+    L, wr = len(w), w[::-1]
+    for n in range(L, len(x)):
+        if sum(map(operator.mul, wr, x[n - L : n])) != x[n]:
+            raise InvariantViolation(
+                f"{what}: the built recurrence of order {L} fails at term {n}"
+            )
+    found = _lowest_terms(E, D, w, x)
+    if found is None:  # w is minimal: c_k = w_k / D^k
+        found = CFiniteSeq(
+            [Fraction(v, E * D**i) for i, v in enumerate(x[:L])],
+            [Fraction(c, D**k) for k, c in enumerate(w, start=1)],
         )
     return found
 
 
+def _reciprocal(w, d) -> list:
+    """1 - w_1 d z - ... - w_L d^L z^L: the reciprocal characteristic
+    polynomial of w with its roots scaled by d.  Trailing zeros are kept:
+    they stand for w's zero roots, which the built recurrence needs."""
+    Q, scale = [1], 1
+    for c in w:
+        scale *= d
+        Q.append(-c * scale)
+    return Q
+
+
 def add(s1: CFiniteSeq, s2: CFiniteSeq) -> CFiniteSeq:
-    """Termwise sum; order at most L1 + L2."""
+    """Termwise sum; order at most L1 + L2.
 
-    def make(n):
-        (E1, D1, x1), (E2, D2, x2) = _image(s1, n), _image(s2, n)
-        x, p1, p2 = [], E2, E1  # E2 D2^k and E1 D1^k
-        for u, v in zip(x1, x2):
-            x.append(p1 * u + p2 * v)
-            p1, p2 = p1 * D2, p2 * D1
-        return E1 * E2, D1 * D2, x
-
-    return _close("add", s1.order + s2.order, make)
+    On the common scale, x(n) = E_2 D_2^n x_1(n) + E_1 D_1^n x_2(n) over
+    E_1 E_2 (D_1 D_2)^n; D_2^n x_1(n) has x_1's roots times D_2, so x has
+    the product of the two scaled reciprocal polynomials.
+    """
+    E1, D1, w1, x1 = _integer_image(s1)
+    E2, D2, w2, x2 = _integer_image(s2)
+    built = [-q for q in int_poly_mul(_reciprocal(w1, D2), _reciprocal(w2, D1))[1:]]
+    N = len(built) + SAFETY_TERMS
+    x, p1, p2 = [], E2, E1  # E2 D2^k and E1 D1^k
+    for u, v in zip(_step(w1, x1, N), _step(w2, x2, N)):
+        x.append(p1 * u + p2 * v)
+        p1, p2 = p1 * D2, p2 * D1
+    return _built("add", E1 * E2, D1 * D2, built, x)
 
 
 def mul(s1: CFiniteSeq, s2: CFiniteSeq) -> CFiniteSeq:
-    """Hadamard (termwise) product; order at most L1 * L2."""
+    """Hadamard (termwise) product; order at most L1 * L2.
 
-    def make(n):
-        (E1, D1, x1), (E2, D2, x2) = _image(s1, n), _image(s2, n)
-        return E1 * E2, D1 * D2, list(map(operator.mul, x1, x2))
-
-    return _close("mul", s1.order * s2.order, make)
+    The image x_1 x_2 has the products of the operands' scaled roots as
+    its roots, whose power sums are p_k(w_1) p_k(w_2).
+    """
+    E1, D1, w1, x1 = _integer_image(s1)
+    E2, D2, w2, x2 = _integer_image(s2)
+    L = len(w1) * len(w2)
+    p = list(map(operator.mul, _power_sums(w1, L), _power_sums(w2, L)))
+    N = L + SAFETY_TERMS
+    x = list(map(operator.mul, _step(w1, x1, N), _step(w2, x2, N)))
+    return _built("mul", E1 * E2, D1 * D2, _from_power_sums(p, L), x)
 
 
 def binomial_transform(s: CFiniteSeq) -> CFiniteSeq:
     """n -> sum_k C(n,k) s(k); preserves the order bound L.
 
     On the image, x'(m) = sum_k C(m,k) D^(m-k) x(k) = ((D + shift)^m x)(0),
-    read off one difference-table row at a time.
+    read off one difference-table row at a time; its roots are the
+    scaled roots plus D, the characteristic polynomial P(z - D).
     """
-
-    def make(n):
-        E, D, row = _image(s, n)
-        x = []
-        while row:
-            x.append(row[0])
-            row = [D * u + v for u, v in zip(row, row[1:])]
-        return E, D, x
-
-    return _close("binomial_transform", s.order, make)
+    E, D, w, row = _integer_image(s)
+    P = _taylor_shift([-c for c in reversed(w)] + [1], -D)  # ascending
+    built = [-c for c in reversed(P[:-1])]
+    row, x = _step(w, row, len(w) + SAFETY_TERMS), []
+    while row:
+        x.append(row[0])
+        row = [D * u + v for u, v in zip(row, row[1:])]
+    return _built("binomial_transform", E, D, built, x)
 
 
 def partial_sums(s: CFiniteSeq) -> CFiniteSeq:
-    """n -> sum_{k<=n} s(k); order at most L + 1."""
+    """n -> sum_{k<=n} s(k); order at most L + 1.
 
-    def make(n):
-        E, D, x = _image(s, n)
-        return E, D, list(itertools.accumulate(x, lambda acc, v: D * acc + v))
-
-    return _close("partial_sums", s.order + 1, make)
+    The image x'(n) = D x'(n-1) + x(n) has the generating function
+    X / (1 - D z), and so the reciprocal polynomial times 1 - D z.
+    """
+    E, D, w, x = _integer_image(s)
+    built = [-q for q in int_poly_mul(_reciprocal(w, 1), [1, -D])[1:]]
+    x = _step(w, x, len(built) + SAFETY_TERMS)
+    x = list(itertools.accumulate(x, lambda acc, v: D * acc + v))
+    return _built("partial_sums", E, D, built, x)
 
 
 def subsequence(s: CFiniteSeq, step: int, offset: int = 0) -> CFiniteSeq:
-    """n -> s(step * n + offset); order at most L."""
+    """n -> s(step * n + offset); order at most L.
+
+    The image x(step n + offset) over E D^offset (D^step)^n has the scaled
+    roots to the power step, whose power sums are p_(j step).
+    """
     if step < 1:
         raise ValueError("step must be >= 1")
     if offset < 0:
         raise ValueError("offset must be >= 0")
-
-    def make(n):
-        E, D, x = _image(s, step * (n - 1) + offset + 1)
-        return E * D**offset, D**step, x[offset::step]
-
-    return _close("subsequence", s.order, make)
+    E, D, w, x = _integer_image(s)
+    L = len(w)
+    x = _step(w, x, step * (L + SAFETY_TERMS - 1) + offset + 1)
+    built = _from_power_sums(_power_sums(w, step * L)[::step], L)
+    return _built("subsequence", E * D**offset, D**step, built, x[offset::step])
 
 
 _VERIFY_EXTRA = 10  # terms prove_equal compares past the order bound

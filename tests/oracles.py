@@ -232,6 +232,19 @@ def berlekamp_massey_q(terms, max_l):
     return L, C
 
 
+def berlekamp_massey_fit(terms, max_l):
+    """(init, rec) of the shortest recurrence of the terms at order
+    <= max_l, by berlekamp_massey_q, or None: c_L = 0 is kept, and
+    all-zero terms give ([0], [0])."""
+    found = berlekamp_massey_q(terms, max_l)
+    if found is None:
+        return None
+    L, C = found
+    L = max(1, L)
+    rec = [-c for c in C[1 : L + 1]]
+    return [Fraction(t) for t in terms[:L]], rec + [Fraction(0)] * (L - len(rec))
+
+
 def binomial_transform_terms(terms):
     return [
         sum(comb(n, k) * terms[k] for k in range(n + 1)) for n in range(len(terms))

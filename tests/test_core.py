@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from cfinite import core, guess
 from cfinite.core import (
     _clear_denominators,
-    _image,
     _is_prime,
     _primitive,
     _rec_scale,
@@ -487,7 +486,8 @@ class TestCFiniteSeq:
     @given(st.lists(st.tuples(tiny_fracs, tiny_fracs), min_size=1, max_size=6))
     def test_minimize_equals_the_fit(self, pairs):
         s = CFiniteSeq(*zip(*pairs))
-        assert minimize(s) == guess._close("minimize", s.order, lambda n: _image(s, n))
+        terms = eval_terms(s, 2 * s.order + guess.SAFETY_TERMS)
+        assert minimize(s) == CFiniteSeq(*oracles.berlekamp_massey_fit(terms, s.order))
 
     def test_minimize_zero_sequence(self):
         z = minimize(CFiniteSeq([0, 0], [3, -2]))

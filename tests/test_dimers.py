@@ -158,7 +158,7 @@ def guessed_at_matrix_size(m, weights):
         E, ints = _clear_denominators(strip_terms(m, n, weights))
         return E, 1, ints
 
-    return guess._close("strip", 1 << m, make)
+    return dimers._close("strip", 1 << m, make)
 
 
 small_fractions = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 9))

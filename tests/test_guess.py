@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from cfinite.core import CFiniteSeq, Polynomial, _clear_denominators, _image, eval_terms, minimize
 from cfinite.core import mpoly_dot, mpoly_eval, scale, shift
 from cfinite.gf import RationalGF, taylor
-from cfinite import guess, linalg
+from cfinite import dimers, guess, linalg
 from cfinite.guess import (
     SAFETY_TERMS,
     GuessConfig,
@@ -262,7 +262,7 @@ class TestClosureOps:
             asked.append(n)
             return _image(FIB, n)
 
-        assert guess._close("fibonacci", 4, make) == FIB
+        assert dimers._close("fibonacci", 4, make) == FIB
         assert asked == [2 * 4 + 6]
 
     def test_order_bounds_hold(self):
@@ -326,10 +326,7 @@ class TestClosureOps:
 
 def bm_minimal(terms, max_l):
     """The minimal encoding of the terms by Berlekamp-Massey over Q."""
-    L, C = oracles.berlekamp_massey_q(terms, max_l)
-    L = max(1, L)
-    rec = [-c for c in C[1 : L + 1]]
-    return CFiniteSeq(terms[:L], rec + [0] * (L - len(rec)))
+    return CFiniteSeq(*oracles.berlekamp_massey_fit(terms, max_l))
 
 
 def assert_closure(found, terms, bound):
@@ -469,7 +466,121 @@ class TestImageClosuresAgainstOracles:
             return E, D, x
 
         with pytest.raises(InvariantViolation, match="contradicts the closure bound"):
-            guess._close("corrupted", PELL.order, make)
+            dimers._close("corrupted", PELL.order, make)
+
+
+def differential_operand(rng):
+    """(init, rec, kinds) for the differential battery, kinds naming the
+    edge cases the draw hit: orders 1-5, rational entries 40% of the time,
+    repeated characteristic roots (a product of linear factors from a small
+    pool, 0 among them), c_L = 0 and the zero sequence."""
+    L = rng.randint(1, 5)
+    rational = rng.random() < 0.4
+
+    def coef():
+        return Fraction(rng.randint(-4, 4), rng.randint(1, 4) if rational else 1)
+
+    kinds = {"rational"} if rational else set()
+    if rng.random() < 0.3:
+        pool = [Fraction(0), Fraction(1), Fraction(-1), Fraction(2), Fraction(-1, 2)]
+        roots = [rng.choice(pool) for _ in range(L)]
+        if L > 1:
+            roots[-1] = roots[0]
+            kinds.add("repeated roots")
+        P = [Fraction(1)]  # z^L - c_1 z^(L-1) - ... - c_L, descending
+        for r in roots:
+            P = [a - r * b for a, b in zip(P + [0], [0] + P)]
+        rec = [-c for c in P[1:]]
+    else:
+        rec = [coef() for _ in range(L)]
+        if rng.random() < 0.2:
+            rec[-1] = Fraction(0)
+    init = [coef() for _ in range(L)]
+    if rng.random() < 0.1:
+        init = [Fraction(0)] * L
+    kinds |= {k for k, hit in [
+        ("order 1", L == 1), ("c_L = 0", not rec[-1]), ("zero", not any(init)),
+    ] if hit}
+    return init, rec, kinds
+
+
+def oracle_fit_case(rng, op):
+    """One differential case: the op on drawn operands and the oracle fit of
+    its first 2 bound + SAFETY_TERMS terms; the kinds of its operands."""
+    (i1, r1, k1), (i2, r2, k2) = differential_operand(rng), differential_operand(rng)
+    s1, s2 = CFiniteSeq(i1, r1), CFiniteSeq(i2, r2)
+    L1, L2 = len(r1), len(r2)
+    if op == "add":
+        bound = L1 + L2
+        n = 2 * bound + SAFETY_TERMS
+        t1, t2 = oracles.recurrence_terms(i1, r1, n), oracles.recurrence_terms(i2, r2, n)
+        found, terms = add(s1, s2), [a + b for a, b in zip(t1, t2)]
+    elif op == "mul":
+        bound = L1 * L2
+        n = 2 * bound + SAFETY_TERMS
+        t1, t2 = oracles.recurrence_terms(i1, r1, n), oracles.recurrence_terms(i2, r2, n)
+        found, terms = mul(s1, s2), [a * b for a, b in zip(t1, t2)]
+    else:
+        k2 = set()
+        bound = L1 + (op == "partial_sums")
+        n = 2 * bound + SAFETY_TERMS
+        if op == "subsequence":
+            step, offset = rng.randint(1, 4), rng.randint(0, 3)
+            long = oracles.recurrence_terms(i1, r1, step * (n - 1) + offset + 1)
+            found, terms = subsequence(s1, step, offset), long[offset::step]
+        else:
+            t1 = oracles.recurrence_terms(i1, r1, n)
+            if op == "partial_sums":
+                found, terms = partial_sums(s1), list(itertools.accumulate(t1))
+            else:
+                found, terms = binomial_transform(s1), oracles.binomial_transform_terms(t1)
+    return found, CFiniteSeq(*oracles.berlekamp_massey_fit(terms, bound)), k1 | k2
+
+
+CLOSURE_OPS = ["add", "mul", "binomial_transform", "partial_sums", "subsequence"]
+
+
+class TestBuiltAgainstTheOracleFit:
+    """Every closure op builds its recurrence; the answer (init and rec)
+    is the one a Berlekamp-Massey fit over Q of the op's terms gives."""
+
+    def test_seeded_cases(self):
+        rng, seen = random.Random(2718), dict.fromkeys(CLOSURE_OPS, 0)
+        kinds = dict.fromkeys(["rational", "repeated roots", "c_L = 0", "zero", "order 1"], 0)
+        for k in range(2000):
+            op = CLOSURE_OPS[k % len(CLOSURE_OPS)]
+            found, want, hit = oracle_fit_case(rng, op)
+            assert found == want, (k, op)
+            seen[op] += 1
+            for kind in hit:
+                kinds[kind] += 1
+        assert min(seen.values()) == 400
+        # each edge case comes up in at least a tenth of the cases
+        assert min(kinds.values()) >= 200, kinds
+
+    @given(st.randoms(use_true_random=False), st.sampled_from(CLOSURE_OPS))
+    @settings(max_examples=150, deadline=None)
+    def test_drawn_cases(self, rng, op):
+        found, want, _ = oracle_fit_case(rng, op)
+        assert found == want
+
+    @pytest.mark.parametrize("op", CLOSURE_OPS)
+    def test_built_recurrence_is_checked_past_its_order(self, op, monkeypatch):
+        # one stepped operand term off by one reaches a term of the op's
+        # image past the built order, which the built recurrence then misses
+        step, calls = guess._step, []
+
+        def corrupted(w, x, N):
+            x = step(w, x, N)
+            if not calls:
+                x[-1] += 1
+            calls.append(N)
+            return x
+
+        monkeypatch.setattr(guess, "_step", corrupted)
+        args = {"add": (FIB, PELL), "mul": (FIB, PELL), "subsequence": (PELL, 2, 1)}
+        with pytest.raises(InvariantViolation, match=f"^{op}: the built recurrence"):
+            getattr(guess, op)(*args.get(op, (PELL,)))
 
 
 class TestProveEqual:

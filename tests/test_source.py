@@ -231,8 +231,8 @@ def test_pipeline_steps_run_only_in_their_home():
     assert {key: calls for key, calls in found.items() if calls} == {}
 
 
-# the factorisers propose recurrences exactly and call no guesser; only the
-# closure guess.mul that _pair's proof runs guesses, inside guess.py
+# the factorisers propose recurrences exactly and call no guesser; the
+# guess.mul that _pair's proof runs builds its recurrence and fits nothing
 GUESSERS = {"guess_rec", "guess_nlr", "_berlekamp_massey", "_fit", "_close"}
 
 
@@ -272,16 +272,26 @@ def test_checker_follows_calls_within_the_module():
     assert calls_reached(tree, "home") == {"_step", "len", "deep"}
 
 
-# the closure ops fit on integer images: no term list of Fractions, no
-# guess from Fractions and no denominator clearing on the way to the fit
+# the closure ops build their recurrences from the operands' integer
+# recurrences (one image each, stepped by _step), by power sums or an
+# integer polynomial kernel, and cancel with minimize's lowest-terms
+# helper; nothing on the way fits, rebuilds an image, builds a term list
+# of Fractions or clears denominators
 CLOSURE_OPS = ("add", "mul", "binomial_transform", "partial_sums", "subsequence")
-CLOSURES_AVOID = {"eval_terms", "guess_rec", "_clear_denominators"}
+CLOSURE_KERNELS = {"_from_power_sums", "int_poly_mul", "_taylor_shift"}
+CLOSURES_AVOID = {
+    "_fit", "_close", "_berlekamp_massey", "eval_terms", "guess_rec", "_clear_denominators",
+    "_image",
+}
 
 
-def test_closure_ops_fit_on_integer_images():
+def test_closure_ops_build_on_integer_images():
     tree = ast.parse((SRC / "guess.py").read_text())
     reached = {op: calls_reached(tree, op) for op in CLOSURE_OPS}
-    assert all({"_image", "_close", "_fit"} <= names for names in reached.values())
+    assert all(
+        {"_integer_image", "_step", "_lowest_terms"} <= names and names & CLOSURE_KERNELS
+        for names in reached.values()
+    )
     assert {op: names & CLOSURES_AVOID for op, names in reached.items()} == {
         op: set() for op in CLOSURE_OPS
     }
@@ -587,7 +597,7 @@ def test_integer_modules_leave_the_fraction_polynomial_alone():
 INTEGER_KERNELS = {
     "int_poly_gcd", "int_poly_quo", "_gcd_mod", "_mulmod", "_shiftmod", "_zpow",
     "_primitive", "_derivative", "_sub", "_power_sums", "_from_power_sums",
-    "_square_free",
+    "_square_free", "int_poly_mul", "_taylor_shift",
 }
 # factor.py takes only the product test's front from roots.py
 ROOTS_FRONT = {
