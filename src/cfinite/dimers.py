@@ -3,13 +3,16 @@
 Kasteleyn (1961) and Temperley-Fisher (1961) write the tiling count of the
 m x n grid as a product over the roots of the Chebyshev factor Q_m, whose
 roots are y_j = 4cos^2(j pi/(m+1)).  Every count here is therefore a norm:
-the product of the values of one element of Z[Y]/Q_m at those roots, read
-off its traces by Newton's identities on integer coefficient lists (_norm).
+the product of the values of one element of Z[Y]/Q'_m at the roots of Q'_m,
+read off its traces by Newton's identities on integer coefficient lists
+(_norm), where Q'_m is Q_m with its root 0 divided out for odd m, of degree
+floor(m/2).  The constants of Z[Y]/Q'_m are built once per width and cached
+(_algebra); the cache holds no counts.
 
-kasteleyn_count takes the norm of Q_n(-Y) mod Q_m.  The weighted strip
-counts of dimer_terms and dimer_seq take the norms of one element G_n of
-Z[Y]/Q'_m, stepped in n (_strip_counts), where Q'_m is Q_m with its root 0
-divided out for odd m, of degree floor(m/2).  Each root contributes an
+kasteleyn_count takes the norm of Q_n(-Y) mod Q'_m: for odd m, n is even and
+Q_n(0) = +-1, so the root 0 of Q_m changes no absolute value.  The weighted
+strip counts of dimer_terms and dimer_seq take the norms of one element G_n
+of Z[Y]/Q'_m, stepped in n (_strip_counts).  Each root contributes an
 order-2 sequence in n, so the strip counts have order at most
 2^floor(m/2); dimer_seq fits its recurrence at that bound, and dimer_terms
 evaluates the recurrence past the fitted terms.
@@ -19,6 +22,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
+from functools import lru_cache
 from itertools import count, islice
 from math import comb
 from operator import mul
@@ -59,6 +63,24 @@ def _norm(w: list, r: list, p: list) -> int:
     return (-1) ** (k + 1) * _from_power_sums(traces, k)[-1]
 
 
+@lru_cache(maxsize=None)
+def _algebra(m: int) -> tuple:
+    """The record (w, p, cols, g) of one integer m <= 32, as tuples, that every
+    count reads; keyed by m alone, it holds no counts.  As a width: Q'_m =
+    y^k - w_1 y^(k-1) - ... - w_k, its power sums p = _power_sums(w, k - 1) for
+    _norm, and cols[i] the i-th coordinates of y^j mod Q'_m for j <= 16, so
+    that a polynomial with at most 17 coefficients reduces by one dot product
+    per coordinate.  As a height: g = +-Q_m(-y), at most 17 coefficients, the
+    absolute values of those of Q_m, whose signs alternate."""
+    q = _chebyshev_q(m)
+    w = [-c for c in reversed(q[m % 2 : -1])]
+    k, rows, y = len(w), [], [1] + [0] * (len(w) - 1)
+    for _ in range(17):
+        rows.append(y[:k])
+        y = _shiftmod(y, w) if k else y
+    return tuple(w), tuple(_power_sums(w, k - 1)), tuple(zip(*rows)), tuple(map(abs, q))
+
+
 def _strip_counts(m: int, weights):
     """(d, counts): counts yields the ints d^(m n/2) count(m, n) for
     n = 1, 2, ..., count(m, n) the weighted tiling count of the m x n grid.
@@ -70,9 +92,8 @@ def _strip_counts(m: int, weights):
     odd m n.
     """
     d, (H, V) = _clear_denominators([Fraction(x) for x in weights])
-    q = _chebyshev_q(m)[m % 2 :]
-    w = [-c for c in reversed(q[:-1])]  # Q'_m = y^k - w_1 y^(k-1) - ... - w_k
-    k, V2, p = len(w), V * V, _power_sums(w, len(w) - 1)
+    w, p, _, _ = _algebra(m)
+    k, V2 = len(w), V * V
 
     def counts():
         prev, g = [1] + [0] * (k - 1), [H] + [0] * (k - 1)
@@ -153,8 +174,11 @@ def kasteleyn_count(m: int, n: int) -> int:
 
     Q_k(x^2) = x^(k mod 2) U_k(x/2) is monic over Z with roots 4cos^2(j pi/(k+1)),
     j <= ceil(k/2).  Kasteleyn's halved double product of their pairwise sums is
-    |Res_y(Q_m(y), Q_n(-y))|, never 0: roots >= 0 and <= 0 meet only at 0 (odd m, n).
-    The resultant is the norm of Q_n(-y) mod Q_m, reduced by Horner.
+    |Res_y(Q_m(y), Q_n(-y))|.  For odd m, n is even, Q_m = y Q'_m and
+    Q_n(0) = +-1, so this is |Res_y(Q'_m(y), Q_n(-y))| at every width: the norm
+    of +-Q_n(-y) mod Q'_m, reduced with one dot product per coordinate, both
+    read from the cached records (_algebra) of m and of n, which hold no
+    counts.  It is never 0: the roots of Q'_m are > 0, those of Q_n(-y) <= 0.
     """
     if m < 1 or n < 1:
         raise ValueError("grid sides must be >= 1")
@@ -162,13 +186,8 @@ def kasteleyn_count(m: int, n: int) -> int:
         raise ValueError("m * n must be even (odd-area grids have no tilings)")
     if m > 32 or n > 32:
         raise ValueError("grid sides limited to 32")
-    q_m = _chebyshev_q(m)
-    w = [-c for c in reversed(q_m[:-1])]  # Q_m = y^k - w_1 y^(k-1) - ... - w_k
-    r = [0] * len(w)
-    for c in reversed([c * (-1) ** i for i, c in enumerate(_chebyshev_q(n))]):
-        r = _shiftmod(r, w)
-        r[0] += c
-    return abs(_norm(w, r, _power_sums(w, len(w) - 1)))
+    (w, p, cols, _), g = _algebra(m), _algebra(n)[3]
+    return abs(_norm(w, [sum(map(mul, g, col)) for col in cols], p))
 
 
 class DimerProductReport(

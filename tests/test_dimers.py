@@ -274,12 +274,49 @@ class TestKasteleyn:
         assert kasteleyn_count(4, 4) == 36
 
     def test_matches_transfer_matrix(self):
-        for m in range(1, 7):
-            counts = oracles.transfer_matrix_counts(m, 10)
-            for n in range(1, 11):
+        # widths 8-10 are test_strips_up_to_height_32
+        for m in range(1, 8):
+            counts = oracles.transfer_matrix_counts(m, 32)
+            for n in range(1, 33):
                 if (m * n) % 2:
                     continue
                 assert kasteleyn_count(m, n) == counts[n - 1], (m, n)
+
+    @pytest.mark.parametrize("m, n", [(2, 2.0), (2.0, 2), (Fraction(2), 2), (2, Fraction(2))])
+    def test_non_int_sides_raise_type_error_cold_and_warm(self, m, n):
+        # the per-width cache must not answer a float or Fraction side from
+        # the entry of the int equal to it
+        dimers._algebra.cache_clear()
+        with pytest.raises(TypeError):
+            kasteleyn_count(m, n)
+        assert kasteleyn_count(2, 2) == 2
+        with pytest.raises(TypeError):
+            kasteleyn_count(m, n)
+
+    def test_cached_records_are_tuples_of_ints(self):
+        # every caller shares one record per integer, so none may mutate it
+        def immutable(x):
+            return isinstance(x, int) or isinstance(x, tuple) and all(map(immutable, x))
+
+        for k in range(1, 33):
+            assert isinstance(dimers._algebra(k), tuple) and immutable(dimers._algebra(k)), k
+
+    def test_against_the_horner_resultant_in_two_call_orders(self):
+        # |Res(Q_m(y), Q_n(-y))| with Q_m itself as the modulus (the root 0
+        # kept for odd m) and Horner's reduction, on every even-area grid up
+        # to 32 x 32; the second, reversed order starts from a cold cache
+        pairs = [(m, n) for m in range(1, 33) for n in range(1, 33) if m * n % 2 == 0]
+        assert len(pairs) == 768
+        want = {
+            (m, n): abs(resultant(
+                oracles.chebyshev_q(m),
+                [c * (-1) ** i for i, c in enumerate(oracles.chebyshev_q(n))],
+            ))
+            for m, n in pairs
+        }
+        for order in (pairs, pairs[::-1]):
+            dimers._algebra.cache_clear()
+            assert {(m, n): kasteleyn_count(m, n) for m, n in order} == want
 
     def test_odd_area_rejected(self):
         with pytest.raises(ValueError, match="m \\* n must be even"):
@@ -348,7 +385,11 @@ def monic_polys(low, high):
 
 def resultant(f, g):
     """Res(f, g), f monic of degree >= 1: the norm of g reduced mod f by
-    Horner, the way kasteleyn_count reduces Q_n(-y) mod Q_m."""
+    Horner.  Fed Q_m and Q_n(-y) it is an oracle for kasteleyn_count, which
+    reduces +-Q_n(-y) mod Q'_m instead (Q_m with its root 0 divided out for
+    odd m, where n is even and Q_n(0) = +-1 changes no absolute value), by
+    dot products with the cached per-width record dimers._algebra, which
+    holds no counts."""
     w = [-c for c in reversed(f[:-1])]
     r = [0] * len(w)
     for c in reversed(g):

@@ -357,12 +357,22 @@ def test_one_polynomial_gcd_engine():
     assert elsewhere == {}
 
 
-# one strip-count engine: every count is a norm in Z[Y]/Q_m (dimers._norm);
-# the transfer matrix lives in the test oracles only
+# one strip-count engine: every count is a norm in Z[Y]/Q'_m (dimers._norm),
+# Q'_m being Q_m with its root 0 divided out for odd m, read through one
+# cached record per width (dimers._algebra), the only place the Chebyshev
+# factors are built; the transfer matrix lives in the test oracles only
 def test_one_strip_count_engine():
     trees = {path.name: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
     for home in ("dimer_terms", "dimer_seq", "kasteleyn_count"):
-        assert "_norm" in calls_reached(trees["dimers.py"], home), home
+        reached = calls_reached(trees["dimers.py"], home)
+        assert {"_norm", "_algebra"} <= reached, home
+    builders = [
+        node for node in trees["dimers.py"].body
+        if isinstance(node, ast.FunctionDef) and node.name == "_algebra"
+    ]
+    assert len(builders) == 1 and len(builders[0].args.args) == 1
+    assert {module: found for module, tree in trees.items()
+            if (found := calls_outside(tree, {"_chebyshev_q"}, "_algebra"))} == {}
     defined = {
         (module, node.name)
         for module, tree in trees.items()
