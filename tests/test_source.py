@@ -366,11 +366,11 @@ def test_one_strip_count_engine():
     for home in ("dimer_terms", "dimer_seq", "kasteleyn_count"):
         reached = calls_reached(trees["dimers.py"], home)
         assert {"_norm", "_algebra"} <= reached, home
-    builders = [
+    defs = [
         node for node in trees["dimers.py"].body
         if isinstance(node, ast.FunctionDef) and node.name == "_algebra"
     ]
-    assert len(builders) == 1 and len(builders[0].args.args) == 1
+    assert len(defs) == 1 and len(defs[0].args.args) == 1
     assert {module: found for module, tree in trees.items()
             if (found := calls_outside(tree, {"_chebyshev_q"}, "_algebra"))} == {}
     defined = {
