@@ -13,10 +13,10 @@ lcm of the initial-term denominators, x(n) = E D^n a(n) is an integer
 sequence with the integer recurrence w_k = c_k D^k (_integer_image).
 _image steps it on Python ints and returns (E, D, x).  The closure ops
 build their results' integer recurrences from their operands' w and
-build no Fraction per term; dimer_seq fits its recurrence on such an
-image (guess._fit).  _lowest_terms puts an image's generating function in
-lowest terms with int_poly_gcd and reads the minimal order off it, for
-minimize and the closure ops.  eval_terms wraps _image with one Fraction
+build no Fraction per term; dimer_seq builds its own from power sums.
+_lowest_terms puts an image's generating function in lowest terms with
+int_poly_gcd and reads the minimal order off it, for minimize, the
+closure ops and dimer_seq.  eval_terms wraps _image with one Fraction
 per output term, and eval_at computes one term of the image.  The same w
 scales the characteristic roots of the product test in roots.py.
 

@@ -14,8 +14,9 @@ Q_n(0) = +-1, so the root 0 of Q_m changes no absolute value.  The weighted
 strip counts of dimer_terms and dimer_seq take the norms of one element G_n
 of Z[Y]/Q'_m, stepped in n (_strip_counts).  Each root contributes an
 order-2 sequence in n, so the strip counts have order at most
-2^floor(m/2); dimer_seq fits its recurrence at that bound, and dimer_terms
-evaluates the recurrence past the fitted terms.
+B = 2^floor(m/2).  dimer_seq constructs that recurrence from the power sums
+of its B roots, the norms of the same steps started at G_0 = 2, and
+dimer_terms evaluates the recurrence past the norms dimer_seq takes.
 """
 
 from __future__ import annotations
@@ -81,7 +82,7 @@ def _algebra(m: int) -> tuple:
     return tuple(w), tuple(_power_sums(w, k - 1)), tuple(zip(*rows)), tuple(map(abs, q))
 
 
-def _strip_counts(m: int, weights):
+def _strip_counts(m: int, weights, g0: int = 1):
     """(d, counts): counts yields the ints d^(m n/2) count(m, n) for
     n = 1, 2, ..., count(m, n) the weighted tiling count of the m x n grid.
 
@@ -89,14 +90,15 @@ def _strip_counts(m: int, weights):
     Z[Y]/Q'_m, G_n = H Y G_(n-1) + V^2 G_(n-2) at even n and
     G_n = H G_(n-1) + V^2 G_(n-2) at odd n.  The scaled count is the norm
     N(G_n) for even m, V^(n/2) N(G_n) for odd m and even n, and 0 for
-    odd m n.
+    odd m n.  Started at G_0 = g0 = 2, the same norms are power sums
+    (dimer_seq).
     """
     d, (H, V) = _clear_denominators([Fraction(x) for x in weights])
     w, p, _, _ = _algebra(m)
     k, V2 = len(w), V * V
 
     def counts():
-        prev, g = [1] + [0] * (k - 1), [H] + [0] * (k - 1)
+        prev, g = [g0] + [0] * (k - 1), [H] + [0] * (k - 1)
         for n in count(1):
             if m % 2 == 0:
                 yield _norm(w, g, p)
@@ -112,61 +114,52 @@ def _strip_counts(m: int, weights):
 def dimer_terms(m: int, N: int, weights=(1, 1)) -> list:
     """Weighted tiling counts of the m x n grid for n = 1..N, exactly.
 
-    Up to the lengths dimer_seq fits on, one norm per term; past them, the
-    terms of dimer_seq's recurrence (0 at odd lengths for odd m)."""
+    Up to as many lengths as dimer_seq takes norms, one norm per term; past
+    them, the terms of dimer_seq's recurrence (0 at odd lengths for odd m)."""
     _check_width(m)
     if N < 1:
         raise ValueError("N must be >= 1")
-    # dimer_seq fits 2 * 2^floor(m/2) + SAFETY_TERMS terms, at even lengths for odd m
-    if N > ((2 << m // 2) + guess.SAFETY_TERMS) * (1 + m % 2):
-        terms = eval_terms(dimer_seq(m, weights), N // (1 + m % 2))
-        if m % 2 == 0:
-            return terms
+    # dimer_seq takes 2^floor(m/2) power sums and 2^floor(m/2) + SAFETY_TERMS
+    # counts, one norm per length, at even lengths for odd m
+    step = 1 + m % 2
+    if N > ((2 << m // 2) + guess.SAFETY_TERMS) * step:
         out = [Fraction(0)] * N
-        out[1::2] = terms
+        out[step - 1 :: step] = eval_terms(dimer_seq(m, weights), N // step)
         return out
     d, counts = _strip_counts(m, weights)
     return [Fraction(c, d ** (m * n // 2)) for n, c in enumerate(islice(counts, N), start=1)]
 
 
-def _close(what: str, bound: int, make) -> CFiniteSeq:
-    """dimer_seq's fit: the recurrence of order <= bound fitted (guess._fit)
-    to the image (E, D, x) that make(2 * bound + SAFETY_TERMS) returns,
-    x(n) = E D^n a(n) in ints.
-
-    Theory guarantees a fit, so finding none raises InvariantViolation.
-    """
-    found = guess._fit(*make(2 * bound + guess.SAFETY_TERMS), bound)
-    if found is None:
-        raise guess.InvariantViolation(
-            f"{what}: no recurrence of order <= {bound} fits, "
-            "which contradicts the closure bound"
-        )
-    return found
-
-
 def dimer_seq(m: int, weights=(1, 1)) -> CFiniteSeq:
-    """Minimal recurrence for the width-m strip counts.
+    """Minimal recurrence for the width-m strip counts, constructed.
 
     Even widths index straight: a(n) = count(m, n+1).  Odd widths have
     every odd-area count equal to 0, so the even-index subsequence
     a(n) = count(m, 2n+2) is returned instead, keeping the minimality
-    analysis meaningful.  Either sequence has order at most B = 2^floor(m/2)
-    by Kasteleyn's product (Kasteleyn 1961; Temperley-Fisher 1961).  The
-    recurrence is guessed at order <= B from 2B + 4 counts and checked on
-    all of them; two sequences of order <= B that agree on 2B terms are
-    equal.  The counts go to the guesser as integers x(n): a(n) = x(n) /
-    s^(n+1), s = d^(m/2) for even m and d^m for odd m (_strip_counts).
+    analysis meaningful.
+
+    At a root y = x^2 of Q'_m, x > 0, h_n = x^(n mod 2) G_n(y) (_strip_counts)
+    has h_n = H x h_(n-1) + V^2 h_(n-2), with roots alpha, beta: G_0 = 1
+    gives h_n = (alpha^(n+1) - beta^(n+1)) / (alpha - beta), and G_0 = 2 the
+    Lucas sequence h_n = alpha^n + beta^n.  A count is the product of the
+    k = floor(m/2) values h_n over (prod x)^(n mod 2), and for even m,
+    prod x = prod_j 2cos(j pi/(m+1)) = 1: a has the B = 2^k roots
+    prod_j (alpha_j or beta_j), whose power sums prod_j (alpha_j^s + beta_j^s)
+    are the norms started at 2 at n = s.  For odd m, V^(n/2) makes the roots
+    V prod_j (alpha_j^2 or beta_j^2), the norms at n = 2s.  Newton's
+    identities give the recurrence of order B (_from_power_sums), checked on
+    B + SAFETY_TERMS counts and put in lowest terms (guess._built).  The
+    counts enter as integers x(n): a(n) = x(n) / e^(n+1), e = d^(m/2) for
+    even m and d^m for odd m.
     """
     _check_width(m)
-
-    def make(n):
-        d, counts = _strip_counts(m, weights)
-        if m % 2 == 0:
-            return d ** (m // 2), d ** (m // 2), list(islice(counts, n))
-        return d**m, d**m, list(islice(counts, 2 * n))[1::2]
-
-    return _close(f"width-{m} strip counts", 1 << (m // 2), make)
+    B, step = 1 << (m // 2), 1 + m % 2
+    d, sums = _strip_counts(m, weights, 2)
+    _, counts = _strip_counts(m, weights)
+    p = [B, *islice(sums, step - 1, step * B, step)]
+    x = list(islice(counts, step - 1, step * (B + guess.SAFETY_TERMS), step))
+    e = d ** (m * step // 2)
+    return guess._built(f"width-{m} strip counts", e, e, _from_power_sums(p, B), x)
 
 
 def kasteleyn_count(m: int, n: int) -> int:

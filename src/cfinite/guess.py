@@ -9,10 +9,9 @@ The order is capped so that N >= 2L + SAFETY_TERMS, a module constant of
 4; with N >= 2L the shortest recurrence of N terms is unique, so the
 answer does not depend on the algorithm that finds it.  Every supplied
 term is re-checked against the result before it is returned.  The pass
-runs on an integer image x(n) = E D^n a(n) (_fit): guess_rec fits its
-terms cleared to integers (D = 1), and dimers.dimer_seq fits its strip
-counts the same way.  The map n -> D^n is geometric, so x has a's linear
-complexity and its recurrence is c_k D^k.
+runs on the terms cleared to integers, which have the terms' recurrence.
+No other code fits a linear recurrence: the closure operations and
+dimers.dimer_seq construct theirs.
 
 The closure operations (sum, Hadamard product, binomial transform,
 partial sums, subsequences) guess nothing.  Each builds the integer
@@ -53,8 +52,8 @@ class InvariantViolation(AssertionError):
 
 
 # equations guess_rec keeps beyond the 2L terms that barely determine an
-# order-L fit; the closure ops check their built order-L recurrences on
-# this many terms past L
+# order-L fit; the closure ops and dimers.dimer_seq check their built
+# order-L recurrences on this many terms past L
 SAFETY_TERMS = 4
 
 
@@ -120,39 +119,6 @@ def _berlekamp_massey(s, max_l):
     return L, C
 
 
-def _fit(E, D, x, max_l):
-    """Shortest recurrence of a(n) = x(n) / (E D^n), n < N = len(x), at order
-    <= max_l, or None; x is a list of ints and E, D are positive ints.
-
-    The map n -> D^n is geometric, so x and a have the same linear
-    complexity L, and a connection polynomial C of x gives a's recurrence
-    c_k = -C_k / (C_0 D^k).  C is checked in ints against every supplied
-    term, sum_{i<=L} C_i x(n - i) = 0 for L <= n < N, which is the same as
-    checking the recurrence with the initial terms x(i) / (E D^i), i < L,
-    term by term; a mismatch is a bug and raises InvariantViolation.  Only
-    those L terms and L coefficients become Fractions.  c_L = 0 is kept,
-    and all-zero terms give [[0], [0]].
-    """
-    found = _berlekamp_massey(x, max_l)
-    if found is None:
-        return None
-    L, C = found
-    L = max(1, L)
-    C = C[: L + 1] + [0] * (L + 1 - len(C))
-    Cr = C[::-1]
-    if any(sum(map(operator.mul, Cr, x[n - L : n + 1])) for n in range(L, len(x))):
-        raise InvariantViolation("Berlekamp-Massey recurrence failed verification")
-    init, rec = [], []
-    for i in range(L):
-        init.append(Fraction(x[i], E))
-        E *= D
-    scale = C[0]
-    for k in range(1, L + 1):
-        scale *= D
-        rec.append(Fraction(-C[k], scale))
-    return CFiniteSeq(init, rec)
-
-
 def guess_rec(terms, cfg: GuessConfig):
     """Shortest recurrence fitting every supplied term, or None.
 
@@ -166,8 +132,9 @@ def guess_rec(terms, cfg: GuessConfig):
     search of the full linear systems would find first.  c_L = 0 is kept,
     and all-zero terms give [[0], [0]].  The result is checked against
     every supplied term, and a mismatch is a bug that raises
-    InvariantViolation; the pass and its check run on the terms times the
-    lcm of their denominators (_fit).
+    InvariantViolation.  The pass and its check run in ints, on the terms
+    times the lcm of their denominators, which have the terms' recurrence;
+    only the L initial terms and L coefficients become Fractions.
 
     The fit is already what `minimize` would return: a lower-order form of
     the same sequence (after cancelling a generating-function gcd) would
@@ -179,18 +146,27 @@ def guess_rec(terms, cfg: GuessConfig):
     max_l = min(cfg.max_order, (len(terms) - SAFETY_TERMS) // 2)
     if max_l < 1:
         return None
-    E, ints = _clear_denominators(terms)
-    return _fit(E, 1, ints, max_l)
+    E, x = _clear_denominators(terms)
+    found = _berlekamp_massey(x, max_l)
+    if found is None:
+        return None
+    L, C = found
+    L = max(1, L)
+    C = C[: L + 1] + [0] * (L + 1 - len(C))
+    Cr = C[::-1]
+    if any(sum(map(operator.mul, Cr, x[n - L : n + 1])) for n in range(L, len(x))):
+        raise InvariantViolation("Berlekamp-Massey recurrence failed verification")
+    return CFiniteSeq([Fraction(v, E) for v in x[:L]], [Fraction(-c, C[0]) for c in C[1:]])
 
 
 def _built(what: str, E, D, w, x) -> CFiniteSeq:
-    """The closure op's answer a(n) = x(n) / (E D^n) at its minimal order.
+    """A closure op's or dimer_seq's answer a(n) = x(n) / (E D^n), minimal.
 
-    w is the recurrence the op built for the integer image x, and x holds
-    len(w) + SAFETY_TERMS terms computed from the operands' own images.
-    The built recurrence must hold on every term past its order, else the
-    construction has a bug and InvariantViolation names the op; then the
-    generating function is put in lowest terms (core._lowest_terms).
+    w is the recurrence built for the integer image x, and x holds
+    len(w) + SAFETY_TERMS terms computed without w.  The built recurrence
+    must hold on every term past its order, else the construction has a
+    bug and InvariantViolation names what built it; then the generating
+    function is put in lowest terms (core._lowest_terms).
     """
     L, wr = len(w), w[::-1]
     for n in range(L, len(x)):

@@ -6,9 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cfinite import dimers, guess
-from cfinite.core import (
-    CFiniteSeq, Polynomial, _clear_denominators, _power_sums, _shiftmod, eval_terms,
-)
+from cfinite.core import CFiniteSeq, Polynomial, _power_sums, _shiftmod, eval_terms
+from cfinite.guess import GuessConfig, InvariantViolation, guess_rec
 from cfinite.dimers import (
     dimer_product_report,
     dimer_seq,
@@ -151,40 +150,37 @@ def strip_terms(m, N, weights=(1, 1)):
 
 
 def guessed_at_matrix_size(m, weights):
-    """The strip recurrence guessed at the transfer-matrix size 2^m, from
-    the exact terms cleared to integers (scale E, D = 1)."""
-
-    def make(n):
-        E, ints = _clear_denominators(strip_terms(m, n, weights))
-        return E, 1, ints
-
-    return dimers._close("strip", 1 << m, make)
+    """The strip recurrence fitted by guess_rec at the transfer-matrix size
+    2^m, from the oracles' exact terms."""
+    bound = 1 << m
+    return guess_rec(strip_terms(m, 2 * bound + guess.SAFETY_TERMS, weights), GuessConfig(bound))
 
 
 small_fractions = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 9))
 
 
-def fit_window(m):
-    """The lengths whose counts dimer_seq fits on: 2 * 2^(m // 2) +
-    SAFETY_TERMS terms, at even lengths only for odd m."""
+def norm_window(m):
+    """The lengths up to which dimer_terms takes one norm per term: as many
+    as dimer_seq takes norms, 2 * 2^(m // 2) + SAFETY_TERMS, at even
+    lengths only for odd m."""
     return ((2 << m // 2) + guess.SAFETY_TERMS) << m % 2
 
 
 class TestTermsAgainstTransferMatrix:
-    """dimer_terms takes one norm per term up to the fit window and the
+    """dimer_terms takes one norm per term up to the norm window and the
     terms of dimer_seq past it; both sides against the oracles' matrix."""
 
     @settings(max_examples=80, deadline=None)
     @given(st.data(), st.integers(1, 8), small_fractions, small_fractions)
     def test_random_weights_and_lengths(self, data, m, h, v):
         # odd widths also exercise the factor V^(n/2) of the norms
-        N = data.draw(st.integers(1, 3 * fit_window(m)))
+        N = data.draw(st.integers(1, 3 * norm_window(m)))
         assert dimer_terms(m, N, (h, v)) == oracles.transfer_matrix_counts(m, N, h, v)
 
     @pytest.mark.parametrize("m", range(1, 11))
     def test_both_sides_of_the_window(self, m):
         h, v = Fraction(2, 3), Fraction(-5, 7)
-        N = fit_window(m) + 2
+        N = norm_window(m) + 2
         want = oracles.transfer_matrix_counts(m, N, h, v)
         for n in (N - 3, N - 2, N - 1, N):
             assert dimer_terms(m, n, (h, v)) == want[:n], (m, n)
@@ -267,6 +263,59 @@ class TestDimerSeq:
     @given(st.integers(1, 6), small_fractions, small_fractions)
     def test_same_as_transfer_matrix_bound_random_weights(self, m, h, v):
         assert dimer_seq(m, (h, v)) == guessed_at_matrix_size(m, (h, v))
+
+    @pytest.mark.parametrize("m", [9, 10])
+    @pytest.mark.parametrize("weights", [(1, 1), (Fraction(2, 3), Fraction(5, 7))])
+    def test_same_as_the_fit_of_the_norms(self, m, weights):
+        # up to the norm window dimer_terms builds no recurrence, so guess_rec
+        # at the bound 2^(m // 2) fits its terms independently
+        bound = 1 << m // 2
+        norms = dimer_terms(m, norm_window(m), weights)[m % 2 :: 1 + m % 2]
+        assert len(norms) == 2 * bound + guess.SAFETY_TERMS
+        assert dimer_seq(m, weights) == guess_rec(norms, GuessConfig(bound))
+
+    @pytest.mark.parametrize("m", [3, 4, 7, 8])
+    @pytest.mark.parametrize("start", [2, 1], ids=["first_power_sum", "first_count_past_order"])
+    def test_rejects_an_off_by_one_norm(self, monkeypatch, m, start):
+        # the recurrence built from the power sums is checked on the counts
+        # past its order, so one norm off by one, of either, fails it
+        real, step, bound = dimers._strip_counts, 1 + m % 2, 1 << m // 2
+        at = step - 1 if start == 2 else step * (bound + 1) - 1  # its index among the norms
+
+        def off_by_one(m, weights, g0=1):
+            d, norms = real(m, weights, g0)
+            if g0 == start:
+                norms = (v + (i == at) for i, v in enumerate(norms))
+            return d, norms
+
+        monkeypatch.setattr(dimers, "_strip_counts", off_by_one)
+        with pytest.raises(InvariantViolation, match=f"width-{m} strip counts"):
+            dimer_seq(m)
+
+    @pytest.mark.parametrize("m", [1, 2, 5, 8])
+    @pytest.mark.parametrize("safety", [guess.SAFETY_TERMS, 6])
+    def test_takes_bound_power_sums_and_bound_plus_safety_counts(self, monkeypatch, m, safety):
+        # B power sums and B + SAFETY_TERMS counts, whatever the margin; the
+        # steps yield one norm per length, so odd widths, read at even
+        # lengths only, take twice as many
+        want, real, taken = dimer_seq(m), dimers._strip_counts, {}
+
+        def tallied(m, weights, g0=1):
+            d, norms = real(m, weights, g0)
+            taken[g0] = 0
+
+            def tally():
+                for v in norms:
+                    taken[g0] += 1
+                    yield v
+
+            return d, tally()
+
+        monkeypatch.setattr(guess, "SAFETY_TERMS", safety)
+        monkeypatch.setattr(dimers, "_strip_counts", tallied)
+        assert dimer_seq(m) == want
+        step, bound = 1 + m % 2, 1 << m // 2
+        assert taken == {2: step * bound, 1: step * (bound + safety)}
 
 
 class TestKasteleyn:

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from cfinite.core import CFiniteSeq, Polynomial, _clear_denominators, _image, eval_terms, minimize
 from cfinite.core import mpoly_dot, mpoly_eval, scale, shift
 from cfinite.gf import RationalGF, taylor
-from cfinite import dimers, guess, linalg
+from cfinite import guess, linalg
 from cfinite.guess import (
     SAFETY_TERMS,
     GuessConfig,
@@ -79,6 +79,16 @@ class TestGuessRec:
         # 10 terms, 4 safety -> orders above (10-4)//2 = 3 are not tried
         terms = eval_terms(CFiniteSeq([1, 0, 0, 1], [0, 0, 0, 2]), 10)
         assert guess_rec(terms, GuessConfig(max_order=8)) is None
+
+    def test_rejects_a_corrupted_term(self, monkeypatch):
+        # a connection polynomial that misses one term fails the integer
+        # check, as a wrong Berlekamp-Massey pass would
+        terms = eval_terms(CFiniteSeq([1, Fraction(1, 2)], [Fraction(1, 3), Fraction(2, 9)]), 12)
+        clean = guess._berlekamp_massey(_clear_denominators(terms)[1], 4)
+        terms[9] += 1
+        monkeypatch.setattr(guess, "_berlekamp_massey", lambda s, max_l: clean)
+        with pytest.raises(InvariantViolation, match="failed verification"):
+            guess_rec(terms, GuessConfig(max_order=4))
 
     def test_rational_terms(self):
         s = CFiniteSeq([Fraction(1, 2), Fraction(1, 3)], [1, Fraction(1, 6)])
@@ -251,19 +261,6 @@ class TestClosureOps:
             subsequence(FIB, 0)
         with pytest.raises(ValueError):
             subsequence(FIB, 2, -1)
-
-    def test_close_asks_for_guess_recs_margin(self, monkeypatch):
-        # the driver requests 2 bound + SAFETY_TERMS terms, the count at which
-        # guess_rec's cap reaches the bound, whatever the margin
-        monkeypatch.setattr(guess, "SAFETY_TERMS", 6)
-        asked = []
-
-        def make(n):
-            asked.append(n)
-            return _image(FIB, n)
-
-        assert dimers._close("fibonacci", 4, make) == FIB
-        assert asked == [2 * 4 + 6]
 
     def test_order_bounds_hold(self):
         assert add(FIB, PELL).order <= 4
@@ -448,25 +445,6 @@ class TestImageClosuresAgainstOracles:
             (subsequence(seq, 1, 1), terms[1:] + eval_terms(seq, self.N + 1)[-1:], L),
         ]:
             assert_closure(found, want, bound)
-
-    def test_fit_rejects_a_corrupted_image_term(self, monkeypatch):
-        # a connection polynomial that misses one term of the image fails the
-        # integer check, as a wrong Berlekamp-Massey pass would
-        E, D, x = _image(CFiniteSeq([1, Fraction(1, 2)], [Fraction(1, 3), Fraction(2, 9)]), 12)
-        clean = guess._berlekamp_massey(x, 4)
-        x[9] += 1
-        monkeypatch.setattr(guess, "_berlekamp_massey", lambda s, max_l: clean)
-        with pytest.raises(InvariantViolation, match="failed verification"):
-            guess._fit(E, D, x, 4)
-
-    def test_close_rejects_a_corrupted_image_term(self):
-        def make(n):
-            E, D, x = _image(PELL, n)
-            x[-1] += 1
-            return E, D, x
-
-        with pytest.raises(InvariantViolation, match="contradicts the closure bound"):
-            dimers._close("corrupted", PELL.order, make)
 
 
 def differential_operand(rng):

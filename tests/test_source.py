@@ -215,11 +215,13 @@ def test_checker_flags_calls_outside_home():
 # each step of the product test's and the factorisers' pipeline has one
 # home: the front minimises and checks the orders, the back splits,
 # normalises and proves, and the routes between them only propose
-# recurrences
+# recurrences; the package's one fit, the Berlekamp-Massey pass, runs
+# under guess_rec alone
 ONE_HOME = [
     ("factor.py", {"_split", "_normal_form", "prove_equal", "FactorPair"}, "_pair"),
     ("factor.py", {"minimize"}, "_minimal"),
     ("roots.py", {"minimize"}, "_minimal"),
+    ("guess.py", {"_berlekamp_massey"}, "guess_rec"),
 ]
 
 
@@ -239,6 +241,14 @@ GUESSERS = {"guess_rec", "guess_nlr", "_berlekamp_massey", "_fit", "_close"}
 def test_factorisers_call_no_guesser():
     tree = ast.parse((SRC / "factor.py").read_text())
     assert calls_outside(tree, GUESSERS, None) == []
+
+
+# dimer_seq constructs its recurrence: Newton's identities on the power
+# sums of the strip steps started at 2, cancelled by the closure ops' engine
+def test_dimers_call_no_guesser():
+    tree = ast.parse((SRC / "dimers.py").read_text())
+    assert calls_outside(tree, GUESSERS, None) == []
+    assert {"_strip_counts", "_from_power_sums", "_built"} <= calls_reached(tree, "dimer_seq")
 
 
 def calls_reached(tree, home):
