@@ -14,11 +14,12 @@ sequence with the integer recurrence w_k = c_k D^k (_integer_image).
 _image steps it on Python ints and returns (E, D, x).  The closure ops
 build their results' integer recurrences from their operands' w and
 build no Fraction per term; dimer_seq builds its own from power sums.
-_lowest_terms puts an image's generating function in lowest terms with
-int_poly_gcd and reads the minimal order off it, for minimize, the
-closure ops and dimer_seq.  eval_terms wraps _image with one Fraction
-per output term, and eval_at computes one term of the image.  The same w
-scales the characteristic roots of the product test in roots.py.
+_lowest_terms reads an image's minimal integer recurrence off its
+generating function in lowest terms (int_poly_gcd), and _encoding, the one
+encoder, turns the image into a CFiniteSeq, for minimize, the closure ops
+and dimer_seq.  eval_terms wraps _image with one Fraction per output term,
+and eval_at computes one term of the image.  The same w scales the
+characteristic roots of the product test in roots.py.
 
 Polynomial is the value type of generating functions.  Polynomial arithmetic
 runs on ascending integer lists, and all of its kernels live here: the gcd with
@@ -667,10 +668,10 @@ def scale(seq: CFiniteSeq, r) -> CFiniteSeq:
     return CFiniteSeq([r * d for d in seq.init], seq.rec)
 
 
-def _lowest_terms(E, D, w, b):
-    """The sequence a(n) = b(n) / (E D^n) at its minimal order, read off the
-    generating function of its integer image b in lowest terms; None when
-    the image's recurrence w already has that order.
+def _lowest_terms(w: list, b: list) -> list:
+    """The minimal integer recurrence of the integer sequence b, read off
+    its generating function in lowest terms: w itself when w already has
+    the minimal order, [0] for the zero sequence.
 
     b holds at least L = len(w) terms of an integer sequence with the
     recurrence w.  A sequence is C-finite exactly when its generating
@@ -680,10 +681,8 @@ def _lowest_terms(E, D, w, b):
     Q = 1 - w_1 z - ... - w_L z^L and N = b Q mod z^L, and int_poly_gcd
     cancels their gcd exactly; its evaluation points only decide how soon
     it finishes.  The test is M = L, not a trivial gcd: w_L = 0 with a gcd
-    of 1 has M < L.  Otherwise the first M terms go with
-    c_k = -Q_k / (Q_0 D^k), Q padded to degree M; Q_0 = +-1, since Q times
-    the gcd is the Q above.  The zero sequence gives [[0], [0]] (None when
-    w = [0]).
+    of 1 has M < L.  Otherwise the recurrence is -Q_k / Q_0 = -Q_k Q_0,
+    Q padded to degree M; Q_0 = +-1, since Q times the gcd is the Q above.
     """
     L = len(w)
     Q = _sub([1], [0, *w])
@@ -691,30 +690,33 @@ def _lowest_terms(E, D, w, b):
     while N and not N[-1]:
         N.pop()
     if not N:
-        return None if w == [0] else CFiniteSeq([0], [0])
+        return w if w == [0] else [0]
     _, N, Q = int_poly_gcd(N, Q)
     M = max(len(Q) - 1, len(N))
     if M == L:
-        return None
-    init, rec, den = [], [], Q[0]
-    for x in b[:M]:
-        init.append(Fraction(x, E))
-        E *= D
-    for q in Q[1:] + [0] * (M + 1 - len(Q)):
-        den *= D
-        rec.append(Fraction(-q, den))
-    return CFiniteSeq(init, rec)
+        return w
+    return [-q * Q[0] for q in Q[1:]] + [0] * (M + 1 - len(Q))
+
+
+def _encoding(E, D, w, b) -> CFiniteSeq:
+    """The one encoder: a(n) = b(n) / (E D^n) for the integer image b with
+    the recurrence w, as its first len(w) terms and c_k = w_k / D^k."""
+    return CFiniteSeq(
+        [Fraction(x, E * D**n) for n, x in enumerate(b[: len(w)])],
+        [Fraction(c, D**k) for k, c in enumerate(w, start=1)],
+    )
 
 
 def minimize(seq: CFiniteSeq) -> CFiniteSeq:
     """Unique minimal-order representation of the same sequence: the
-    integer image's generating function in lowest terms (_lowest_terms).
+    integer image's recurrence in lowest terms (_lowest_terms), encoded.
 
     An input already of minimal order is returned itself; the zero
     sequence gives [[0], [0]].
     """
-    found = _lowest_terms(*_integer_image(seq))
-    return seq if found is None else found
+    E, D, w, b = _integer_image(seq)
+    found = _lowest_terms(w, b)
+    return seq if found is w else _encoding(E, D, found, b)
 
 
 # --- canonical text encoding ------------------------------------------------

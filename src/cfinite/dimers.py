@@ -15,8 +15,8 @@ strip counts of dimer_terms and dimer_seq take the norms of one element G_n
 of Z[Y]/Q'_m, stepped in n (_strip_counts).  Each root contributes an
 order-2 sequence in n, so the strip counts have order at most
 B = 2^floor(m/2).  dimer_seq constructs that recurrence from the power sums
-of its B roots, the norms of the same steps started at G_0 = 2, and
-dimer_terms evaluates the recurrence past the norms dimer_seq takes.
+of its B roots, the norms of the same steps started at G_0 = 2, for the one
+encoder (guess._built); dimer_terms evaluates it past dimer_seq's norms.
 """
 
 from __future__ import annotations
@@ -148,9 +148,9 @@ def dimer_seq(m: int, weights=(1, 1)) -> CFiniteSeq:
     are the norms started at 2 at n = s.  For odd m, V^(n/2) makes the roots
     V prod_j (alpha_j^2 or beta_j^2), the norms at n = 2s.  Newton's
     identities give the recurrence of order B (_from_power_sums), checked on
-    B + SAFETY_TERMS counts and put in lowest terms (guess._built).  The
-    counts enter as integers x(n): a(n) = x(n) / e^(n+1), e = d^(m/2) for
-    even m and d^m for odd m.
+    B + SAFETY_TERMS counts, put in lowest terms and encoded by the one
+    encoder (guess._built).  The counts enter as integers x(n):
+    a(n) = x(n) / e^(n+1), e = d^(m/2) for even m and d^m for odd m.
     """
     _check_width(m)
     B, step = 1 << (m // 2), 1 + m % 2

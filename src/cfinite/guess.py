@@ -21,9 +21,9 @@ scaled reciprocal polynomials for a sum, power sums for a product and a
 subsequence (Bostan, Flajolet, Salvy and Schost 2006), the Taylor shift
 for the binomial transform.  The built recurrence is checked on
 SAFETY_TERMS image terms past its order, computed from the operands; a
-mismatch is a bug and raises InvariantViolation.  The generating function
-is then put in lowest terms as minimize does (core._lowest_terms), which
-gives the unique minimal encoding, the one a fit would find.
+mismatch is a bug and raises InvariantViolation.  As in minimize, the
+recurrence is then put in lowest terms (core._lowest_terms), the unique
+minimal one a fit would find, and the one encoder encodes it (_built).
 
 Equality of two sequences is decidable by a finite check: the difference
 satisfies a recurrence of order at most L1 + L2, so that many matching
@@ -42,9 +42,9 @@ from fractions import Fraction
 from math import gcd, prod
 
 from . import linalg
-from .core import CFiniteSeq, _as_fraction, _clear_denominators, _from_power_sums, _image
-from .core import _integer_image, _lowest_terms, _power_sums, _step, _taylor_shift, int_poly_mul
-from .core import format_mpoly, format_rational, format_signed_sum, mpoly_dot
+from .core import CFiniteSeq, _as_fraction, _clear_denominators, _encoding, _from_power_sums
+from .core import _image, _integer_image, _lowest_terms, _power_sums, _step, _taylor_shift
+from .core import format_mpoly, format_rational, format_signed_sum, int_poly_mul, mpoly_dot
 
 
 class InvariantViolation(AssertionError):
@@ -165,8 +165,8 @@ def _built(what: str, E, D, w, x) -> CFiniteSeq:
     w is the recurrence built for the integer image x, and x holds
     len(w) + SAFETY_TERMS terms computed without w.  The built recurrence
     must hold on every term past its order, else the construction has a
-    bug and InvariantViolation names what built it; then the generating
-    function is put in lowest terms (core._lowest_terms).
+    bug and InvariantViolation names what built it; then the recurrence is
+    put in lowest terms (core._lowest_terms) and goes to the one encoder.
     """
     L, wr = len(w), w[::-1]
     for n in range(L, len(x)):
@@ -174,13 +174,7 @@ def _built(what: str, E, D, w, x) -> CFiniteSeq:
             raise InvariantViolation(
                 f"{what}: the built recurrence of order {L} fails at term {n}"
             )
-    found = _lowest_terms(E, D, w, x)
-    if found is None:  # w is minimal: c_k = w_k / D^k
-        found = CFiniteSeq(
-            [Fraction(v, E * D**i) for i, v in enumerate(x[:L])],
-            [Fraction(c, D**k) for k, c in enumerate(w, start=1)],
-        )
-    return found
+    return _encoding(E, D, _lowest_terms(w, x), x)
 
 
 def _reciprocal(w, d) -> list:

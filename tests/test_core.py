@@ -92,6 +92,18 @@ class TestPolynomial:
         assert (p * q).coeffs == (-1, 0, 1)
         assert (p + q).coeffs == (0, 2)
 
+    def test_value_type(self):
+        p = Polynomial([1, Fraction(-1, 2), 0])
+        with pytest.raises(AttributeError, match="immutable"):
+            p.coeffs = (2,)
+        assert hash(p) == hash(Polynomial([1, Fraction(-1, 2)]))
+        assert repr(p) == "Polynomial([Fraction(1, 1), Fraction(-1, 2)])"
+        assert str(Polynomial([1, -1, -1])) == "1 - z - z^2"
+
+    def test_divmod_by_zero(self):
+        with pytest.raises(ZeroDivisionError, match="by zero"):
+            divmod(Polynomial([1, 1]), Polynomial([0]))
+
     def test_divmod(self):
         # z^2 - 1 = (z + 1)(z - 1) + 0
         num = Polynomial([-1, 0, 1])
@@ -200,6 +212,12 @@ class TestPolyGcd:
         half = Fraction(1, 2)
         assert poly_gcd(Polynomial([0, 2, 4]), Polynomial()) == Polynomial([0, half, 1])
         assert poly_gcd(Polynomial([Fraction(-3, 4)]), Polynomial()) == Polynomial([1])
+
+    def test_gcd_mod_takes_its_operands_in_either_order(self):
+        # z + 1 and z^2 - 1 over Z/7: the shorter first is swapped
+        assert core._gcd_mod([1, 1], [-1, 0, 1], 7) == [1, 1]
+        assert core._gcd_mod([-1, 0, 1], [1, 1], 7) == [1, 1]
+        assert core._gcd_mod([1, 1], [2, 0, 1], 7) == [1]
 
     @settings(max_examples=80, deadline=None)
     @given(
@@ -400,6 +418,14 @@ class TestCFiniteSeq:
     def test_fibonacci_terms(self):
         assert eval_terms(FIB, 10) == [0, 1, 1, 2, 3, 5, 8, 13, 21, 34]
 
+    def test_negative_arguments_rejected(self):
+        with pytest.raises(ValueError, match="N must be >= 0"):
+            eval_terms(FIB, -1)
+        with pytest.raises(ValueError, match="n must be >= 0"):
+            eval_at(FIB, -1)
+        with pytest.raises(ValueError, match="k must be >= 0"):
+            shift(FIB, -1)
+
     def test_eval_terms_shorter_than_order(self):
         s = CFiniteSeq([7, 8, 9], [1, 0, 0])
         assert eval_terms(s, 2) == [7, 8]
@@ -595,6 +621,67 @@ class TestTermKernels:
 
     def test_fibonacci_far(self):
         assert eval_at(FIB, 10_000) == eval_terms(FIB, 10_001)[-1]
+
+
+class TestLowestTermsAndEncoding:
+    """_lowest_terms is an integer kernel: the minimal integer recurrence of
+    an integer image, its input w itself when w is minimal; _encoding, the
+    one encoder, turns an image back into its sequence."""
+
+    def test_a_minimal_recurrence_comes_back_itself(self):
+        rng, kept = random.Random(4242), 0
+        for _ in range(300):
+            init, rec = oracles.random_sequence(rng, max_order=5, rational=True)
+            terms = oracles.recurrence_terms(init, rec, 2 * len(rec) + guess.SAFETY_TERMS)
+            # minimal exactly when the fit of order <= L is the input
+            if oracles.berlekamp_massey_fit(terms, len(rec)) != (init, rec):
+                continue
+            _, _, w, b = core._integer_image(CFiniteSeq(init, rec))
+            assert core._lowest_terms(w, b) is w
+            kept += 1
+        assert kept >= 200
+
+    @pytest.mark.parametrize(
+        "w, b, want",
+        [
+            # Fibonacci's characteristic polynomial times (z - 3); the gcd
+            # 3z - 1 leaves Q_0 = -1
+            ([4, -2, -3], [0, 1, 1], [1, 1]),
+            # 2^n times (z - 1)(z + 1)
+            ([2, 1, -2], [1, 2, 4], [2]),
+            # Fibonacci padded with c_3 = 0
+            ([1, 1, 0], [0, 1, 1], [1, 1]),
+            # the transient 5, then 2^(n-1): z (z - 2) times (z - 1), padded
+            # back to order M = 2 with c_2 = 0
+            ([3, -2, 0], [5, 1, 2], [2, 0]),
+            # a trivial gcd with deg N + 1 below L
+            ([0, 0], [1, 0], [0]),
+            # (1/2)^n times (z - 1), scaled by D = 2: the image 1, 1, ...
+            ([3, -2], [1, 1], [1]),
+        ],
+    )
+    def test_reduces_a_padded_image(self, w, b, want):
+        got = core._lowest_terms(w, b)
+        assert got == want and all(type(c) is int for c in got)
+
+    def test_zero_image(self):
+        assert core._lowest_terms([3, -2], [0, 0]) == [0]
+        assert core._lowest_terms([5, 0, 1], [0, 0, 0]) == [0]
+        w = [0]
+        assert core._lowest_terms(w, [0]) is w
+
+    def test_encoding_inverts_the_image(self):
+        rng, kinds = random.Random(1618), {"rational": 0, "c_L = 0": 0}
+        for k in range(300):
+            init, rec = oracles.random_sequence(rng, max_order=5, rational=True)
+            if k % 3 == 0:
+                rec[-1] = Fraction(0)
+                kinds["c_L = 0"] += 1
+            if any(x.denominator > 1 for x in init + rec):
+                kinds["rational"] += 1
+            s = CFiniteSeq(init, rec)
+            assert core._encoding(*core._integer_image(s)) == s
+        assert min(kinds.values()) >= 80, kinds
 
 
 # integer polynomials in two parameters, as dicts from exponent tuples

@@ -59,6 +59,13 @@ def test_lookup_arity_enforced():
         lookup("tribonacci")
 
 
+def test_register_refuses_a_taken_name():
+    before = describe("fibonacci")
+    with pytest.raises(ValueError, match="duplicate sequence name 'fibonacci'"):
+        corpus._register("fibonacci", 0, lambda: CFiniteSeq([1], [1]), "not Fibonacci")
+    assert describe("fibonacci") is before
+
+
 def test_describe():
     entry = describe("pell")
     assert entry.arity == 0

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cfinite import dimers, guess
+from cfinite import dimers, guess, roots
 from cfinite.core import CFiniteSeq, Polynomial, _power_sums, _shiftmod, eval_terms
 from cfinite.guess import GuessConfig, InvariantViolation, guess_rec
 from cfinite.dimers import (
@@ -65,6 +65,11 @@ class TestDimerTerms:
         assert dimer_terms(2, 5, weights=(1, 0)) == [1, 1, 1, 1, 1]
         # h = 0 similarly forces even lengths
         assert dimer_terms(2, 5, weights=(0, 1)) == [0, 1, 0, 1, 0]
+
+    def test_needs_a_positive_length(self):
+        for N in (0, -3):
+            with pytest.raises(ValueError, match="N must be >= 1"):
+                dimer_terms(2, N)
 
     def test_symmetry_m_n(self):
         # counting is symmetric in the two grid dimensions
@@ -525,6 +530,19 @@ class TestProductReport:
         report = dimer_product_report(4)
         assert (report.minimal_order, report.applicable) == (order, False)
         assert report.note == f"minimal order {order} is not a power of 2"
+
+    def test_multiple_roots_inapplicable(self, monkeypatch):
+        # rational weights cannot reach this branch: a strip count is a sum
+        # of exponentials in n, so its minimal recurrence has simple roots;
+        # the product test's refusal is stood in for here
+        def degenerate(seq, orders):
+            raise roots.DegenerateRootsError("multiple characteristic roots")
+
+        monkeypatch.setattr(roots, "is_prod_g", degenerate)
+        report = dimer_product_report(4)
+        assert (report.minimal_order, report.factor_orders) == (4, (2, 2))
+        assert (report.verdict, report.applicable) == (None, False)
+        assert report.note == "multiple characteristic roots"
 
     def test_report_rendering(self):
         text = str(dimer_product_report(4))

@@ -315,6 +315,26 @@ def _random_factor(rng, order):
 
 
 class TestSplit:
+    def test_zero_sequence_has_no_split(self):
+        # the zero sequence solves to the zero vector, which leaves no
+        # initial terms to split
+        zero = CFiniteSeq([0, 0], [1, 1])
+        assert _split(zero, [Fraction(1)], [Fraction(2), Fraction(-1)]) is False
+
+    def test_split_prime_skips_a_prime_dividing_c_L(self):
+        # 1048583 is the first prime past 2^20, the first one _split_prime
+        # tries; it divides c_L, so P(0) = 0 there and the next prime serves
+        assert [p for p in range(1 << 20, 1048584) if core._is_prime(p)] == [1048583]
+        p, found = factor._split_prime([Fraction(0), Fraction(1048583)], 1, 2)
+        assert p > 1048583 and len(found) == 2
+        assert all((r * r - 1048583) % p == 0 for r in found)
+
+    def test_split_prime_gives_up_past_its_budget(self, monkeypatch):
+        # the budget is 20 L1! L2! good primes; none at all here
+        monkeypatch.setattr(factor, "factorial", lambda n: 0)
+        with pytest.raises(PrecisionError, match="none of the first 0 good primes"):
+            factor._split_prime([Fraction(1), Fraction(1)], 1, 2)
+
     def test_random_products_split_exactly(self):
         rng = random.Random(161803)
         done = 0

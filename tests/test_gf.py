@@ -88,6 +88,24 @@ def test_zero_denominator_rejected():
         RationalGF(Polynomial([1]), Polynomial([0, 1]))
 
 
+def test_value_type():
+    g = parse_gf("(1)/(1 - z)")
+    with pytest.raises(AttributeError, match="immutable"):
+        g.num = Polynomial([2])
+    # equal normal forms hash alike
+    assert hash(g) == hash(parse_gf("(2)/(2 - 2*z)"))
+    assert repr(g) == (
+        "RationalGF(Polynomial([Fraction(1, 1)]), "
+        "Polynomial([Fraction(1, 1), Fraction(-1, 1)]))"
+    )
+
+
+def test_taylor_of_negative_length_rejected():
+    with pytest.raises(ValueError, match="N must be >= 0"):
+        taylor(c_to_r(FIB), -1)
+    assert taylor(c_to_r(FIB), 0) == []
+
+
 def test_taylor_equals_sequence_terms():
     assert taylor(c_to_r(FIB), 10) == eval_terms(FIB, 10)
 
@@ -141,6 +159,11 @@ class TestTextFormats:
     def test_parse_poly_rejects(self):
         for bad in ("", "z**2", "1 +", "q^2", "1 - 1/0*z"):
             with pytest.raises(ValueError):
+                parse_poly(bad)
+
+    def test_parse_poly_rejects_mixed_variables(self):
+        for bad in ("z + t", "1 - t^2 + 3*z"):
+            with pytest.raises(ValueError, match="mixed variables"):
                 parse_poly(bad)
 
     def test_parse_poly_exponent_limit(self):

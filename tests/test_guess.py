@@ -582,6 +582,23 @@ class TestProveEqual:
         cert = prove_equal(minimize(a), b)
         assert not cert.verified
 
+    def test_difference_past_the_bound_is_a_bug(self, monkeypatch):
+        # two sequences that agree on L1 + L2 terms are equal, so a
+        # difference in the margin past the bound can only be a bug: one
+        # image term past it, corrupted, raises
+        image, calls = guess._image, []
+
+        def corrupted(seq, N):
+            E, D, x = image(seq, N)
+            if calls:
+                x[-1] += 1
+            calls.append(N)
+            return E, D, x
+
+        monkeypatch.setattr(guess, "_image", corrupted)
+        with pytest.raises(InvariantViolation, match="order bound 4 but differ at n=13"):
+            prove_equal(FIB, FIB)
+
     def test_different_representations_same_sequence(self):
         padded = CFiniteSeq([0, 1, 1, 2], [1, 1, 0, 0])
         cert = prove_equal(FIB, padded)
@@ -691,6 +708,10 @@ class TestGuessNLR:
         assert _monomial_count(MAX_MONOMIALS - 1, 1) == MAX_MONOMIALS
         assert _monomial_count(MAX_MONOMIALS, 1) is None
         assert _monomial_count(10**6 + 1, 10**6) is None
+
+    def test_monomial_cap_refuses_before_any_term_is_read(self):
+        with pytest.raises(ValueError, match=f"more than {MAX_MONOMIALS} monomials"):
+            guess_nlr([1] * 10, 10**6, 10**6)
 
     @pytest.mark.parametrize("nvars", range(1, 5))
     @pytest.mark.parametrize("degree", range(5))

@@ -77,6 +77,13 @@ class TestRref:
         assert all(type(x) is int for row in rows for x in row)
 
 
+def test_empty_systems():
+    # no rows: rref has no pivots and d = 1, solve and nullspace give []
+    assert linalg.rref([]) == ([], [], 1)
+    assert linalg.solve([], []) == []
+    assert linalg.nullspace([]) == []
+
+
 def mat_vec(A, x):
     return [sum(a * v for a, v in zip(row, x)) for row in A]
 

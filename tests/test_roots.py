@@ -478,7 +478,8 @@ class TestRepeatedRoots:
 class TestIsProd:
     def test_small_product_test_runs_no_second_pass(self, monkeypatch):
         # no gcd(P, P') (repeated roots are read off T) and no fit in
-        # minimize (its Hankel determinant certifies the order)
+        # minimize (it reads the order off the generating function in
+        # lowest terms)
         prod = mul(FIB, PELL)
         monkeypatch.setattr(roots, "_require_simple_roots", _no_second_pass)
         monkeypatch.setattr(guess, "_berlekamp_massey", _no_second_pass)

@@ -307,6 +307,28 @@ def test_closure_ops_build_on_integer_images():
     }
 
 
+# one encoder: the closure ops, dimer_seq and minimize put their integer
+# images' recurrences in lowest terms on integers (_lowest_terms, which
+# makes no Fraction) and turn the image into a CFiniteSeq in core._encoding
+# alone; none of the builders makes a CFiniteSeq itself
+ENCODER_MODULES = ("core.py", "guess.py", "dimers.py")
+ENCODER_AVOIDS = {"CFiniteSeq", "Fraction"}
+
+
+def test_one_encoder_for_integer_images():
+    trees = {name: ast.parse((SRC / name).read_text()) for name in ENCODER_MODULES}
+    reached = {op: calls_reached(trees["guess.py"], op) for op in (*CLOSURE_OPS, "_built")}
+    reached["dimer_seq"] = calls_reached(trees["dimers.py"], "dimer_seq")
+    assert "_built" in reached["dimer_seq"]
+    assert all("_encoding" in names for op, names in reached.items() if op != "dimer_seq")
+    assert {op: names & {"CFiniteSeq"} for op, names in reached.items()} == {
+        op: set() for op in reached
+    }
+    assert {"_lowest_terms", "_encoding"} <= calls_reached(trees["core.py"], "minimize")
+    assert calls_reached(trees["core.py"], "_lowest_terms") & ENCODER_AVOIDS == set()
+    assert "CFiniteSeq" in calls_reached(trees["core.py"], "_encoding")
+
+
 # the identity check is one computation in Z[params]: no closure by
 # guessing, no point evaluation and no generating-function expansion
 IDENTITY_CHECK_AVOIDS = {"mul", "guess_rec", "_close", "taylor", "eval_terms"}
@@ -617,7 +639,7 @@ def test_integer_modules_leave_the_fraction_polynomial_alone():
 INTEGER_KERNELS = {
     "int_poly_gcd", "int_poly_quo", "_gcd_mod", "_mulmod", "_shiftmod", "_zpow",
     "_primitive", "_derivative", "_sub", "_power_sums", "_from_power_sums",
-    "_square_free", "int_poly_mul", "_taylor_shift",
+    "_square_free", "int_poly_mul", "_taylor_shift", "_lowest_terms",
 }
 # factor.py takes only the product test's front from roots.py
 ROOTS_FRONT = {
