@@ -24,8 +24,9 @@ characteristic roots of the product test in roots.py.
 Polynomial is the value type of generating functions.  Polynomial arithmetic
 runs on ascending integer lists, and all of its kernels live here: the gcd with
 its cofactors (one integer gcd at 2^k), exact division, products, the Taylor
-shift, Yun's square-free parts, Horner evaluation, power sums, _mulmod, _zpow
-and factor.py's Euclid over Z/p.
+shift, Yun's square-free parts, Horner evaluation, power sums, _mulmod, _zpow,
+the fraction-free determinant _det (dimers' norms) and factor.py's Euclid
+over Z/p.
 Polynomials in several parameters, over Z, are dicts from exponent tuples to
 ints (mpoly_dot, mpoly_eval): guess.verify_parametric_identity works on them.
 This module imports no other module of the package.
@@ -531,14 +532,18 @@ def eval_terms(seq: CFiniteSeq, N: int) -> list:
     if N <= L:
         return terms
     E, D, x = _image(seq, N)
-    if E == D == 1:
-        terms += map(Fraction, x[L:])
-    else:
-        den = E * D**L
-        for v in x[L:]:
-            terms.append(Fraction(v, den))
-            den *= D
-    return terms
+    return terms + _over(x[L:], E * D**L, D)
+
+
+def _over(x: list, den: int, D: int) -> list:
+    """The Fractions x(n) / (den D^n), n = 0, 1, ..., of the ints x."""
+    if den == D == 1:
+        return list(map(Fraction, x))
+    out = []
+    for v in x:
+        out.append(Fraction(v, den))
+        den *= D
+    return out
 
 
 def _mulmod(f: list, g: list, w: list) -> list:
@@ -557,6 +562,28 @@ def _shiftmod(f: list, w: list) -> list:
     """z f modulo the same monic polynomial as _mulmod."""
     x, out = f[-1], [0] + f[:-1]
     return [u + x * v for u, v in zip(out, reversed(w))] if x else out
+
+
+def _det(rows) -> int:
+    """The determinant of a square int matrix, given as its rows, by
+    Bareiss's fraction-free elimination: each step's entries are minors of
+    the matrix, so the division by the previous pivot is exact.  A row swap
+    flips the sign, a column with no pivot gives 0, and k = 0 gives 1."""
+    a, k, sign, prev = [list(row) for row in rows], len(rows), 1, 1
+    for c in range(k):
+        if not a[c][c]:
+            i = next((i for i in range(c + 1, k) if a[i][c]), None)
+            if i is None:
+                return 0
+            a[c], a[i], sign = a[i], a[c], -sign
+        top = a[c]
+        p = top[c]
+        for row in a[c + 1 :]:
+            f = row[c]
+            for j in range(c + 1, k):
+                row[j] = (p * row[j] - f * top[j]) // prev
+        prev = p
+    return sign * prev
 
 
 def _zpow(n: int, w: list, mulmod=_mulmod, shiftmod=_shiftmod) -> list:

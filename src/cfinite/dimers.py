@@ -4,19 +4,20 @@ Kasteleyn (1961) and Temperley-Fisher (1961) write the tiling count of the
 m x n grid as a product over the roots of the Chebyshev factor Q_m, whose
 roots are y_j = 4cos^2(j pi/(m+1)).  Every count here is therefore a norm:
 the product of the values of one element of Z[Y]/Q'_m at the roots of Q'_m,
-read off its traces by Newton's identities on integer coefficient lists
-(_norm), where Q'_m is Q_m with its root 0 divided out for odd m, of degree
-floor(m/2).  The constants of Z[Y]/Q'_m are built once per width and cached
-(_algebra); the cache holds no counts.
+the determinant of multiplication by it, taken by fraction-free elimination
+on integer rows (_norm, core._det), where Q'_m is Q_m with its root 0
+divided out for odd m, of degree floor(m/2).  The constants of Z[Y]/Q'_m
+are built once per width and cached (_algebra); the cache holds no counts.
 
-kasteleyn_count takes the norm of Q_n(-Y) mod Q'_m: for odd m, n is even and
-Q_n(0) = +-1, so the root 0 of Q_m changes no absolute value.  The weighted
-strip counts of dimer_terms and dimer_seq take the norms of one element G_n
-of Z[Y]/Q'_m, stepped in n (_strip_counts).  Each root contributes an
-order-2 sequence in n, so the strip counts have order at most
-B = 2^floor(m/2).  dimer_seq constructs that recurrence from the power sums
-of its B roots, the norms of the same steps started at G_0 = 2, for the one
-encoder (guess._built); dimer_terms evaluates it past dimer_seq's norms.
+kasteleyn_count takes the norm of Q_n(-Y) mod Q'_m, m the shorter side: for
+odd m, n is even and Q_n(0) = +-1, so the root 0 of Q_m changes no absolute
+value.  The weighted strip counts of dimer_terms and dimer_seq take the
+norms of one element G_n of Z[Y]/Q'_m, stepped in n (_strip_counts).  Each
+root contributes an order-2 sequence in n, so the strip counts have order
+at most B = 2^floor(m/2).  _construction builds that recurrence from the
+power sums of its B roots, the norms of the same steps started at G_0 = 2;
+dimer_seq hands it to the one encoder (guess._built), and dimer_terms steps
+it on the integer counts past the norms it takes.
 """
 
 from __future__ import annotations
@@ -24,13 +25,13 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
-from itertools import count, islice
+from itertools import accumulate, count, islice, repeat
 from math import comb
 from operator import mul
 
 from . import guess, roots
-from .core import CFiniteSeq, _clear_denominators, _from_power_sums, _mulmod, _power_sums
-from .core import _shiftmod, eval_terms
+from .core import CFiniteSeq, _clear_denominators, _det, _from_power_sums, _over, _shiftmod
+from .core import _step
 
 PRACTICAL_WIDTH_LIMIT = 10
 
@@ -47,39 +48,30 @@ def _chebyshev_q(k: int) -> list:
     return [0] * (k % 2) + [(-1) ** j * comb(k - j, j) for j in range(k // 2, -1, -1)]
 
 
-def _norm(w: list, r: list, p: list) -> int:
+def _norm(w: list, r: list) -> int:
     """The norm of r in Z[y]/f, f = y^k - w_1 y^(k-1) - ... - w_k: the
-    product of the values of r at the roots of f, which is Res(f, r).
-    Newton's identities turn the traces of r^i, i <= k, into it, with exact
-    divisions, the values being algebraic integers; p = _power_sums(w, k - 1)
-    reads off each trace, and k = 0 gives 1."""
-    k = len(w)
-    if not k:
-        return 1
-    h = r
-    traces = [k, sum(map(mul, r, p))]
-    for _ in range(k - 1):
-        h = _mulmod(h, r, w)
-        traces.append(sum(map(mul, h, p)))
-    return (-1) ** (k + 1) * _from_power_sums(traces, k)[-1]
+    product of the values of r at the roots of f, which is Res(f, r) and
+    the determinant of multiplication by r, whose rows r, r y, ...,
+    r y^(k-1) mod f are exact integer lists (core._det); k = 0 gives 1."""
+    return _det(list(islice(accumulate(repeat(w), _shiftmod, initial=r), len(w))))
 
 
 @lru_cache(maxsize=None)
 def _algebra(m: int) -> tuple:
-    """The record (w, p, cols, g) of one integer m <= 32, as tuples, that every
+    """The record (w, cols, g) of one integer m <= 32, as tuples, that every
     count reads; keyed by m alone, it holds no counts.  As a width: Q'_m =
-    y^k - w_1 y^(k-1) - ... - w_k, its power sums p = _power_sums(w, k - 1) for
-    _norm, and cols[i] the i-th coordinates of y^j mod Q'_m for j <= 16, so
-    that a polynomial with at most 17 coefficients reduces by one dot product
-    per coordinate.  As a height: g = +-Q_m(-y), at most 17 coefficients, the
-    absolute values of those of Q_m, whose signs alternate."""
+    y^k - w_1 y^(k-1) - ... - w_k, the modulus of _norm, and cols[i] the i-th
+    coordinates of y^j mod Q'_m for j <= 16, so that a polynomial with at
+    most 17 coefficients reduces by one dot product per coordinate.  As a
+    height: g = +-Q_m(-y), at most 17 coefficients, the absolute values of
+    those of Q_m, whose signs alternate."""
     q = _chebyshev_q(m)
     w = [-c for c in reversed(q[m % 2 : -1])]
     k, rows, y = len(w), [], [1] + [0] * (len(w) - 1)
     for _ in range(17):
         rows.append(y[:k])
         y = _shiftmod(y, w) if k else y
-    return tuple(w), tuple(_power_sums(w, k - 1)), tuple(zip(*rows)), tuple(map(abs, q))
+    return tuple(w), tuple(zip(*rows)), tuple(map(abs, q))
 
 
 def _strip_counts(m: int, weights, g0: int = 1):
@@ -91,19 +83,19 @@ def _strip_counts(m: int, weights, g0: int = 1):
     G_n = H G_(n-1) + V^2 G_(n-2) at odd n.  The scaled count is the norm
     N(G_n) for even m, V^(n/2) N(G_n) for odd m and even n, and 0 for
     odd m n.  Started at G_0 = g0 = 2, the same norms are power sums
-    (dimer_seq).
+    (_construction).
     """
     d, (H, V) = _clear_denominators([Fraction(x) for x in weights])
-    w, p, _, _ = _algebra(m)
+    w, _, _ = _algebra(m)
     k, V2 = len(w), V * V
 
     def counts():
         prev, g = [g0] + [0] * (k - 1), [H] + [0] * (k - 1)
         for n in count(1):
             if m % 2 == 0:
-                yield _norm(w, g, p)
+                yield _norm(w, g)
             else:
-                yield V ** (n // 2) * _norm(w, g, p) if n % 2 == 0 else 0
+                yield V ** (n // 2) * _norm(w, g) if n % 2 == 0 else 0
             # G_(n+1); with k = 0 (m = 1) every norm is 1 and G is not read
             y = _shiftmod(g, w) if n % 2 and k else g
             prev, g = g, [H * a + V2 * b for a, b in zip(y, prev)]
@@ -114,20 +106,35 @@ def _strip_counts(m: int, weights, g0: int = 1):
 def dimer_terms(m: int, N: int, weights=(1, 1)) -> list:
     """Weighted tiling counts of the m x n grid for n = 1..N, exactly.
 
-    Up to as many lengths as dimer_seq takes norms, one norm per term; past
-    them, the terms of dimer_seq's recurrence (0 at odd lengths for odd m)."""
+    Up to as many lengths as _construction takes norms, one norm per term;
+    past them, its checked recurrence stepped on the integer counts (0 at
+    odd lengths for odd m)."""
     _check_width(m)
     if N < 1:
         raise ValueError("N must be >= 1")
-    # dimer_seq takes 2^floor(m/2) power sums and 2^floor(m/2) + SAFETY_TERMS
-    # counts, one norm per length, at even lengths for odd m
+    # _construction takes 2^floor(m/2) power sums and 2^floor(m/2) +
+    # SAFETY_TERMS counts, one norm per length, at even lengths for odd m
     step = 1 + m % 2
     if N > ((2 << m // 2) + guess.SAFETY_TERMS) * step:
+        e, w, x = _construction(m, weights)
+        guess._check_built(f"width-{m} strip counts", w, x)
         out = [Fraction(0)] * N
-        out[step - 1 :: step] = eval_terms(dimer_seq(m, weights), N // step)
+        out[step - 1 :: step] = _over(_step(w, x[: len(w)], N // step), e, e)
         return out
     d, counts = _strip_counts(m, weights)
     return [Fraction(c, d ** (m * n // 2)) for n, c in enumerate(islice(counts, N), start=1)]
+
+
+def _construction(m: int, weights) -> tuple:
+    """(e, w, x): the strip recurrence w of order B = 2^floor(m/2) built from
+    B power sums, and the B + SAFETY_TERMS integer counts x that check it,
+    a(n) = x(n) / e^(n+1) (dimer_seq)."""
+    B, step = 1 << (m // 2), 1 + m % 2
+    d, sums = _strip_counts(m, weights, 2)
+    _, counts = _strip_counts(m, weights)
+    p = [B, *islice(sums, step - 1, step * B, step)]
+    x = list(islice(counts, step - 1, step * (B + guess.SAFETY_TERMS), step))
+    return d ** (m * step // 2), _from_power_sums(p, B), x
 
 
 def dimer_seq(m: int, weights=(1, 1)) -> CFiniteSeq:
@@ -147,19 +154,14 @@ def dimer_seq(m: int, weights=(1, 1)) -> CFiniteSeq:
     prod_j (alpha_j or beta_j), whose power sums prod_j (alpha_j^s + beta_j^s)
     are the norms started at 2 at n = s.  For odd m, V^(n/2) makes the roots
     V prod_j (alpha_j^2 or beta_j^2), the norms at n = 2s.  Newton's
-    identities give the recurrence of order B (_from_power_sums), checked on
+    identities give the recurrence of order B (_construction), checked on
     B + SAFETY_TERMS counts, put in lowest terms and encoded by the one
     encoder (guess._built).  The counts enter as integers x(n):
     a(n) = x(n) / e^(n+1), e = d^(m/2) for even m and d^m for odd m.
     """
     _check_width(m)
-    B, step = 1 << (m // 2), 1 + m % 2
-    d, sums = _strip_counts(m, weights, 2)
-    _, counts = _strip_counts(m, weights)
-    p = [B, *islice(sums, step - 1, step * B, step)]
-    x = list(islice(counts, step - 1, step * (B + guess.SAFETY_TERMS), step))
-    e = d ** (m * step // 2)
-    return guess._built(f"width-{m} strip counts", e, e, _from_power_sums(p, B), x)
+    e, w, x = _construction(m, weights)
+    return guess._built(f"width-{m} strip counts", e, e, w, x)
 
 
 def kasteleyn_count(m: int, n: int) -> int:
@@ -167,11 +169,13 @@ def kasteleyn_count(m: int, n: int) -> int:
 
     Q_k(x^2) = x^(k mod 2) U_k(x/2) is monic over Z with roots 4cos^2(j pi/(k+1)),
     j <= ceil(k/2).  Kasteleyn's halved double product of their pairwise sums is
-    |Res_y(Q_m(y), Q_n(-y))|.  For odd m, n is even, Q_m = y Q'_m and
-    Q_n(0) = +-1, so this is |Res_y(Q'_m(y), Q_n(-y))| at every width: the norm
-    of +-Q_n(-y) mod Q'_m, reduced with one dot product per coordinate, both
-    read from the cached records (_algebra) of m and of n, which hold no
-    counts.  It is never 0: the roots of Q'_m are > 0, those of Q_n(-y) <= 0.
+    |Res_y(Q_m(y), Q_n(-y))|, symmetric in m and n, so the shorter side is
+    taken as m, the width, whose algebra is the smaller.  For odd m, n is even,
+    Q_m = y Q'_m and Q_n(0) = +-1, so this is |Res_y(Q'_m(y), Q_n(-y))| at
+    every width: the norm of +-Q_n(-y) mod Q'_m, reduced with one dot product
+    per coordinate, both read from the cached records (_algebra) of m and of
+    n, which hold no counts.  It is never 0: the roots of Q'_m are > 0, those
+    of Q_n(-y) <= 0.
     """
     if m < 1 or n < 1:
         raise ValueError("grid sides must be >= 1")
@@ -179,8 +183,10 @@ def kasteleyn_count(m: int, n: int) -> int:
         raise ValueError("m * n must be even (odd-area grids have no tilings)")
     if m > 32 or n > 32:
         raise ValueError("grid sides limited to 32")
-    (w, p, cols, _), g = _algebra(m), _algebra(n)[3]
-    return abs(_norm(w, [sum(map(mul, g, col)) for col in cols], p))
+    if n < m:
+        m, n = n, m
+    (w, cols, _), g = _algebra(m), _algebra(n)[2]
+    return abs(_norm(w, [sum(map(mul, g, col)) for col in cols]))
 
 
 class DimerProductReport(

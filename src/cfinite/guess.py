@@ -159,21 +159,27 @@ def guess_rec(terms, cfg: GuessConfig):
     return CFiniteSeq([Fraction(v, E) for v in x[:L]], [Fraction(-c, C[0]) for c in C[1:]])
 
 
-def _built(what: str, E, D, w, x) -> CFiniteSeq:
-    """A closure op's or dimer_seq's answer a(n) = x(n) / (E D^n), minimal.
-
-    w is the recurrence built for the integer image x, and x holds
-    len(w) + SAFETY_TERMS terms computed without w.  The built recurrence
-    must hold on every term past its order, else the construction has a
-    bug and InvariantViolation names what built it; then the recurrence is
-    put in lowest terms (core._lowest_terms) and goes to the one encoder.
-    """
+def _check_built(what: str, w, x):
+    """The built recurrence w must hold on every term of the integer image x
+    past its order, else the construction has a bug and InvariantViolation
+    names what built it."""
     L, wr = len(w), w[::-1]
     for n in range(L, len(x)):
         if sum(map(operator.mul, wr, x[n - L : n])) != x[n]:
             raise InvariantViolation(
                 f"{what}: the built recurrence of order {L} fails at term {n}"
             )
+
+
+def _built(what: str, E, D, w, x) -> CFiniteSeq:
+    """A closure op's or dimer_seq's answer a(n) = x(n) / (E D^n), minimal.
+
+    w is the recurrence built for the integer image x, and x holds
+    len(w) + SAFETY_TERMS terms computed without w.  The built recurrence
+    is checked on them (_check_built), then put in lowest terms
+    (core._lowest_terms) and handed to the one encoder.
+    """
+    _check_built(what, w, x)
     return _encoding(E, D, _lowest_terms(w, x), x)
 
 

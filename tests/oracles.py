@@ -157,16 +157,21 @@ def sylvester_resultant(f, g):
     """Res(f, g) of two ascending coefficient lists with nonzero leading terms.
 
     The determinant of the Sylvester matrix (deg g shifted rows of f, then
-    deg f shifted rows of g, coefficients from the top), by dense Fraction
-    elimination with row swaps counted; the package's norm-based resultant
-    shares none of it.
+    deg f shifted rows of g, coefficients from the top), by fraction_det;
+    the package's norm-based resultant shares none of it.
     """
     p, q = len(f) - 1, len(g) - 1
-    size = p + q
     rows = [[0] * i + list(reversed(f)) + [0] * (q - 1 - i) for i in range(q)]
     rows += [[0] * i + list(reversed(g)) + [0] * (p - 1 - i) for i in range(p)]
+    return fraction_det(rows)
+
+
+def fraction_det(rows):
+    """The determinant of a square matrix by dense Fraction elimination with
+    row swaps counted; the package's fraction-free core._det shares none of
+    it."""
     m = [[Fraction(v) for v in row] for row in rows]
-    det = Fraction(1)
+    size, det = len(m), Fraction(1)
     for c in range(size):
         pr = next((i for i in range(c, size) if m[i][c] != 0), None)
         if pr is None:
@@ -179,6 +184,7 @@ def sylvester_resultant(f, g):
             k = m[i][c] / m[c][c]
             m[i] = [a - k * b for a, b in zip(m[i], m[c])]
     return det
+
 
 def brute_force_guess(terms, max_order):
     """Smallest-order recurrence fitting all terms, or None.

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from cfinite import core, guess
 from cfinite.core import (
     _clear_denominators,
+    _det,
     _is_prime,
     _primitive,
     _rec_scale,
@@ -682,6 +683,30 @@ class TestLowestTermsAndEncoding:
             s = CFiniteSeq(init, rec)
             assert core._encoding(*core._integer_image(s)) == s
         assert min(kinds.values()) >= 80, kinds
+
+
+class TestDet:
+    """core._det, Bareiss's fraction-free elimination, against the Fraction
+    elimination of the oracles."""
+
+    def test_against_fraction_elimination(self):
+        # zero-heavy entries make pivots vanish mid-elimination (row swaps)
+        # and whole columns vanish (0); the rows are left as they were
+        rng = random.Random(8)
+        for _ in range(400):
+            k = rng.randint(0, 8)
+            rows = [[rng.choice([0, 0, 0, 1, -1, rng.randint(-30, 30)]) for _ in range(k)]
+                    for _ in range(k)]
+            before = [row[:] for row in rows]
+            assert _det(rows) == oracles.fraction_det(rows), rows
+            assert rows == before
+
+    def test_swaps_flip_the_sign(self):
+        assert _det([]) == 1
+        assert _det([[0, 1], [1, 0]]) == -1
+        assert _det([[0, 0, 1], [0, 1, 0], [1, 0, 0]]) == -1
+        assert _det([[1, 2, 3], [2, 4, 7], [0, 1, 5]]) == -1
+        assert _det([[0, 2], [0, 3]]) == 0
 
 
 # integer polynomials in two parameters, as dicts from exponent tuples

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cfinite import dimers, guess, roots
-from cfinite.core import CFiniteSeq, Polynomial, _power_sums, _shiftmod, eval_terms
+from cfinite.core import CFiniteSeq, Polynomial, _shiftmod, eval_terms
 from cfinite.guess import GuessConfig, InvariantViolation, guess_rec
 from cfinite.dimers import (
     dimer_product_report,
@@ -172,8 +172,9 @@ def norm_window(m):
 
 
 class TestTermsAgainstTransferMatrix:
-    """dimer_terms takes one norm per term up to the norm window and the
-    terms of dimer_seq past it; both sides against the oracles' matrix."""
+    """dimer_terms takes one norm per term up to the norm window and steps
+    dimer_seq's constructed recurrence past it; both sides against the
+    oracles' matrix."""
 
     @settings(max_examples=80, deadline=None)
     @given(st.data(), st.integers(1, 8), small_fractions, small_fractions)
@@ -181,6 +182,18 @@ class TestTermsAgainstTransferMatrix:
         # odd widths also exercise the factor V^(n/2) of the norms
         N = data.draw(st.integers(1, 3 * norm_window(m)))
         assert dimer_terms(m, N, (h, v)) == oracles.transfer_matrix_counts(m, N, h, v)
+
+    @pytest.mark.parametrize(
+        "weights", [(-1, 1), (1, -1), (-2, -3), (Fraction(-1, 2), Fraction(-4, 3)), (0, -1), (-1, 0), (0, 0)]
+    )
+    def test_signed_and_zero_weights(self, weights):
+        # signed weights give signed norms, and zero weights zero H or V;
+        # past the window dimer_terms steps the constructed recurrence
+        for m in range(1, 9):
+            step, N = 1 + m % 2, norm_window(m) + 3
+            want = oracles.transfer_matrix_counts(m, N, *weights)
+            assert dimer_terms(m, N, weights) == want, m
+            assert eval_terms(dimer_seq(m, weights), N // step) == want[step - 1 :: step], m
 
     @pytest.mark.parametrize("m", range(1, 11))
     def test_both_sides_of_the_window(self, m):
@@ -283,7 +296,8 @@ class TestDimerSeq:
     @pytest.mark.parametrize("start", [2, 1], ids=["first_power_sum", "first_count_past_order"])
     def test_rejects_an_off_by_one_norm(self, monkeypatch, m, start):
         # the recurrence built from the power sums is checked on the counts
-        # past its order, so one norm off by one, of either, fails it
+        # past its order, so one norm off by one, of either, fails it, in
+        # dimer_seq and in dimer_terms past its window, which steps it
         real, step, bound = dimers._strip_counts, 1 + m % 2, 1 << m // 2
         at = step - 1 if start == 2 else step * (bound + 1) - 1  # its index among the norms
 
@@ -296,6 +310,8 @@ class TestDimerSeq:
         monkeypatch.setattr(dimers, "_strip_counts", off_by_one)
         with pytest.raises(InvariantViolation, match=f"width-{m} strip counts"):
             dimer_seq(m)
+        with pytest.raises(InvariantViolation, match=f"width-{m} strip counts"):
+            dimer_terms(m, norm_window(m) + 1)
 
     @pytest.mark.parametrize("m", [1, 2, 5, 8])
     @pytest.mark.parametrize("safety", [guess.SAFETY_TERMS, 6])
@@ -449,7 +465,7 @@ def resultant(f, g):
     for c in reversed(g):
         r = _shiftmod(r, w)
         r[0] += c
-    return _norm(w, r, _power_sums(w, len(w) - 1))
+    return _norm(w, r)
 
 
 class TestResultant:
@@ -468,6 +484,30 @@ class TestResultant:
         f, g = Polynomial(h) * Polynomial(u), Polynomial(h) * Polynomial(v)
         assert oracles.sylvester_resultant(f.coeffs, g.coeffs) == 0
         assert resultant([int(c) for c in f.coeffs], [int(c) for c in g.coeffs]) == 0
+
+    def test_against_sylvester_up_to_degree_16(self):
+        # moduli of degree 1..16, those of kasteleyn_count's widths <= 32; a
+        # multiple of y below the modulus's degree is its own reduction, with
+        # leading coordinate 0, so the first column's pivot needs a row swap;
+        # dense reductions at the two largest degrees
+        rng = random.Random(32)
+        for k in range(1, 17):
+            f = [rng.randint(-9, 9) for _ in range(k)] + [1]
+            cases = [[0] + [rng.randint(-9, 9) for _ in range(min(2, max(k - 2, 0)))] + [1]]
+            if k in (12, 16):
+                cases.append([rng.randint(-9, 9) for _ in range(k - 1)] + [rng.choice([-1, 1])])
+            for g in cases:
+                assert resultant(f, g) == oracles.sylvester_resultant(f, g), (f, g)
+
+    def test_planted_common_roots_up_to_degree_16_give_zero(self):
+        rng = random.Random(17)
+        for k in range(2, 17):
+            h = [rng.randint(-9, 9) for _ in range(rng.randint(1, min(k, 4)))] + [1]
+            u = [rng.randint(-9, 9) for _ in range(k - len(h) + 1)] + [1]
+            v = [rng.randint(-9, 9) for _ in range(rng.randint(0, 4))] + [1]
+            f, g = Polynomial(h) * Polynomial(u), Polynomial(h) * Polynomial(v)
+            assert len(f.coeffs) == k + 1
+            assert resultant([int(c) for c in f.coeffs], [int(c) for c in g.coeffs]) == 0, (h, u, v)
 
 
 class TestProductReport:

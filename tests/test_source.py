@@ -244,11 +244,16 @@ def test_factorisers_call_no_guesser():
 
 
 # dimer_seq constructs its recurrence: Newton's identities on the power
-# sums of the strip steps started at 2, cancelled by the closure ops' engine
+# sums of the strip steps started at 2, cancelled by the closure ops' engine;
+# dimer_terms steps the same construction past its window, checked as
+# _built checks it, and neither re-images nor encodes dimer_seq's answer
 def test_dimers_call_no_guesser():
     tree = ast.parse((SRC / "dimers.py").read_text())
     assert calls_outside(tree, GUESSERS, None) == []
     assert {"_strip_counts", "_from_power_sums", "_built"} <= calls_reached(tree, "dimer_seq")
+    terms = calls_reached(tree, "dimer_terms")
+    assert {"_construction", "_check_built", "_step"} <= terms
+    assert not {"dimer_seq", "eval_terms", "_built"} & terms
 
 
 def calls_reached(tree, home):
@@ -398,11 +403,17 @@ def test_one_strip_count_engine():
     for home in ("dimer_terms", "dimer_seq", "kasteleyn_count"):
         reached = calls_reached(trees["dimers.py"], home)
         assert {"_norm", "_algebra"} <= reached, home
+    # every norm is one determinant, and the per-width record holds no power
+    # sums: (w, cols, g)
+    assert "_det" in calls_reached(trees["dimers.py"], "_norm")
+    assert names_taken(trees["dimers.py"], {"_mulmod", "_power_sums"}) == []
     defs = [
         node for node in trees["dimers.py"].body
         if isinstance(node, ast.FunctionDef) and node.name == "_algebra"
     ]
     assert len(defs) == 1 and len(defs[0].args.args) == 1
+    returns = [node.value for node in ast.walk(defs[0]) if isinstance(node, ast.Return)]
+    assert len(returns) == 1 and isinstance(returns[0], ast.Tuple) and len(returns[0].elts) == 3
     assert {module: found for module, tree in trees.items()
             if (found := calls_outside(tree, {"_chebyshev_q"}, "_algebra"))} == {}
     defined = {
@@ -639,7 +650,7 @@ def test_integer_modules_leave_the_fraction_polynomial_alone():
 INTEGER_KERNELS = {
     "int_poly_gcd", "int_poly_quo", "_gcd_mod", "_mulmod", "_shiftmod", "_zpow",
     "_primitive", "_derivative", "_sub", "_power_sums", "_from_power_sums",
-    "_square_free", "int_poly_mul", "_taylor_shift", "_lowest_terms",
+    "_square_free", "int_poly_mul", "_taylor_shift", "_lowest_terms", "_det",
 }
 # factor.py takes only the product test's front from roots.py
 ROOTS_FRONT = {
