@@ -110,16 +110,6 @@ def _emit_cert(args, cert: guess.ProofCertificate) -> int:
     return _emit(args, str(cert), payload, 0 if cert.verified else NEGATIVE)
 
 
-def _profiles(verdict) -> dict:
-    """The expected and observed repetition profiles of a product verdict."""
-    if verdict is None:
-        return {"expected": None, "observed": None}
-    return {
-        "expected": list(verdict.expected.multiplicities),
-        "observed": list(verdict.observed.multiplicities),
-    }
-
-
 # --- verb implementations ----------------------------------------------------
 
 def _cmd_guess(args) -> int:
@@ -173,7 +163,8 @@ def _cmd_isprod(args) -> int:
     payload = {
         "is_product": verdict.is_product,
         "orders": list(verdict.orders),
-        **_profiles(verdict),
+        "expected": list(verdict.expected.multiplicities),
+        "observed": list(verdict.observed.multiplicities),
     }
     return _emit(args, str(verdict), payload, 0 if verdict.is_product else NEGATIVE)
 
@@ -205,22 +196,19 @@ def _cmd_dimer(args) -> int:
     if not args.report_product:
         return _emit_values(args, dimers.dimer_terms(args.width, args.terms, weights))
     report = dimers.dimer_product_report(args.width, weights=weights)
-    verdict = report.verdict
     payload = {
         "width": report.width,
         "minimal_order": report.minimal_order,
         "sequence": _seq_json(report.seq),
         "applicable": report.applicable,
-        "is_product": verdict.is_product if verdict else None,
+        "is_product": report.verdict.is_product if report.verdict else None,
         "factor_orders": list(report.factor_orders),
-        **_profiles(verdict),
+        # the split is read off Kasteleyn's product; no profile is measured
+        "expected": None,
+        "observed": None,
         "note": report.note,
     }
-    if not report.applicable:
-        code = USAGE
-    else:
-        code = 0 if verdict.is_product else NEGATIVE
-    return _emit(args, str(report), payload, code)
+    return _emit(args, str(report), payload, 0 if report.applicable else USAGE)
 
 
 def _cmd_seq(args) -> int:

@@ -18,6 +18,13 @@ at most B = 2^floor(m/2).  _construction builds that recurrence from the
 power sums of its B roots, the norms of the same steps started at G_0 = 2;
 dimer_seq hands it to the one encoder (guess._built), and dimer_terms steps
 it on the integer counts past the norms it takes.
+
+The same product makes the strip sequence, up to a geometric factor, the
+termwise product of floor(m/2) order-2 sequences.  dimer_product_report
+reads that split off the construction: when the minimal order is B, the B
+root products are distinct and each factor has order exactly 2, so the
+split holds by construction; it measures no ratio profile and imports
+nothing from roots.py.
 """
 
 from __future__ import annotations
@@ -29,7 +36,7 @@ from itertools import accumulate, count, islice, repeat
 from math import comb
 from operator import mul
 
-from . import guess, roots
+from . import guess
 from .core import CFiniteSeq, _clear_denominators, _det, _from_power_sums, _over, _shiftmod
 from .core import _step
 
@@ -189,12 +196,29 @@ def kasteleyn_count(m: int, n: int) -> int:
     return abs(_norm(w, [sum(map(mul, g, col)) for col in cols]))
 
 
+class StripSplit(namedtuple("StripSplit", "orders field")):
+    """A split of a strip sequence into factors of the given orders over a
+    number field given by its name, read off Kasteleyn's product
+    (dimer_product_report): a theorem, so it is always a product."""
+
+    __slots__ = ()
+    is_product = True
+
+    def __str__(self):
+        return f"YES: product of orders {'x'.join(map(str, self.orders))} over {self.field}"
+
+
 class DimerProductReport(
     namedtuple(
         "DimerProductReport",
         "width weights seq minimal_order factor_orders verdict applicable note",
     )
 ):
+    """The width-m strip sequence seq, its minimal order and, when the report
+    applies, the factor orders and the StripSplit that Kasteleyn's product
+    gives, with the note naming that construction; otherwise verdict None
+    and the note saying why the report does not apply."""
+
     __slots__ = ()
 
     def __str__(self):
@@ -205,18 +229,35 @@ class DimerProductReport(
         )
         if not self.applicable:
             return f"{head}; product test inapplicable: {self.note}"
-        return f"{head}; {self.verdict}"
+        return f"{head}; {self.verdict}, by {self.note}"
+
+
+def _split_field(m: int) -> str:
+    """The field of the width-m factors' recurrences: Q(2cos(pi/N)), N = m + 1
+    for even m and (m + 1)/2 for odd m, whose factors read only the squares
+    4cos^2(j pi/(m+1)) = 2 + 2cos(2j pi/(m+1)); Q for N <= 3."""
+    N = (m + 1) >> (m % 2)
+    return "Q" if N <= 3 else f"Q(2cos(pi/{N}))"
 
 
 def dimer_product_report(m: int, digits=None, weights=(1, 1)) -> DimerProductReport:
-    """Test whether the width-m strip sequence is a product of order-2 parts.
+    """The split of the width-m strip sequence into order-2 factors that
+    Kasteleyn's product gives, checked against its minimal order.
 
-    The minimal order must be a power of 2 for the all-order-2 hypothesis
-    to make sense; as many order-2 factors as its base-2 logarithm are then
-    tested, so the product of the hypothesized orders equals the minimal
-    order, which is at most 2^floor(m/2) (see dimer_seq).  `digits` is
-    accepted and ignored: it is kept for a benchmark caller (perfbench's
-    primer passes digits=30) and goes with the next benchmark change.
+    With h, v the weights, k = floor(m/2) and x_j = 2cos(j pi/(m+1)), the
+    count is a geometric factor times the product of the k sequences h_j of
+    recurrence [h x_j, v^2] (see dimer_seq): a(n) = prod_j h_j(n+1) for even
+    m, and v^(n+1) prod_j h_j(2n+2), of roots alpha_j^2 and beta_j^2, for
+    odd m.  Its B = 2^k roots are the products of one root per factor, so
+    when the minimal order is B they are distinct, every factor has two
+    distinct nonzero roots, and the split into k factors of order 2 is a
+    theorem over the field of their recurrences (_split_field); no profile
+    is measured.  Minimal order 2 (h = 0 for k >= 2) is its own order-2
+    factor, over Q.  Order 1, an order that is not a power of 2, and one
+    strictly between 2 and B, where root products coincide, are
+    inapplicable.  `digits` is accepted and ignored: it is kept for a
+    benchmark caller (perfbench's primer passes digits=30) and goes with
+    the next benchmark change.
     """
     seq = dimer_seq(m, weights)
     order = seq.order
@@ -228,9 +269,9 @@ def dimer_product_report(m: int, digits=None, weights=(1, 1)) -> DimerProductRep
         return report((), None, False, "order 1; nothing to factor")
     if order & (order - 1):
         return report((), None, False, f"minimal order {order} is not a power of 2")
-    factor_orders = (2,) * (order.bit_length() - 1)
-    try:
-        verdict = roots.is_prod_g(seq, factor_orders)
-    except roots.DegenerateRootsError as exc:
-        return report(factor_orders, None, False, str(exc))
-    return report(factor_orders, verdict, True, "")
+    k = order.bit_length() - 1
+    if order != 2 and k != m // 2:
+        note = f"minimal order {order} < {1 << m // 2}: root products coincide"
+        return report((), None, False, note)
+    field = "Q" if order == 2 else _split_field(m)
+    return report((2,) * k, StripSplit((2,) * k, field), True, "Kasteleyn's product")

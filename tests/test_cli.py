@@ -665,9 +665,10 @@ def test_exponent_notation_is_refused_quickly():
 # Random literals, verbs and flags; every draw is small enough that no case
 # can run long: orders <= 6, or 9 for 3 x 3 products and random order-9
 # recurrences factored at 3 x 3 (the root grid's split-prime search and
-# lift), widths <= 12 (product reports up to width 6 and above the width limit),
-# --digits <= 200, and integer factoring with --bound <= 10^6 (the gauges it
-# tries are read off the factors, not counted up to the bound).
+# lift), widths <= 12 (product reports at every width: each is read off
+# Kasteleyn's product, with no profile measured), --digits <= 200, and
+# integer factoring with --bound <= 10^6 (the gauges it tries are read off
+# the factors, not counted up to the bound).
 
 _number = st.fractions(min_value=-20, max_value=20, max_denominator=5).map(str)
 _junk = st.text(alphabet="[],/-+*0123456789 zt", max_size=10)
@@ -764,8 +765,7 @@ def _argv(draw):
         width = draw(st.integers(-1, 12))
         opts += ["--width", str(width), "--terms", str(draw(st.integers(-2, 30)))]
         opts += ["--hweight", draw(_term), "--vweight", draw(_term)]
-        # the product test of weighted widths 7-10 takes seconds; not drawn
-        if (width <= 6 or width > 10) and draw(st.booleans()):
+        if draw(st.booleans()):
             opts += ["--report-product"]
     elif verb == "seq":
         pos += [draw(st.sampled_from(corpus.names()))]

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -510,12 +511,41 @@ class TestResultant:
             assert resultant([int(c) for c in f.coeffs], [int(c) for c in g.coeffs]) == 0, (h, u, v)
 
 
+def kasteleyn_factor_product(m, weights, N):
+    """The first N terms of the geometric factor times the product of the
+    floor(m/2) order-2 factors h_j of recurrence [h 2cos(j pi/(m+1)), v^2],
+    h_0 = 1, as floats: n -> prod_j h_j(n+1) for even m and
+    n -> v^(n+1) prod_j h_j(2n+2) for odd m."""
+    h, v = map(float, weights)
+    step = 1 + m % 2
+    terms = [v ** (n + 1) if m % 2 else 1.0 for n in range(N)]
+    for j in range(1, m // 2 + 1):
+        a = h * 2 * math.cos(j * math.pi / (m + 1))
+        seq = [1.0, a]
+        while len(seq) <= step * N:
+            seq.append(a * seq[-1] + v * v * seq[-2])
+        terms = [t * seq[step * (n + 1)] for n, t in enumerate(terms)]
+    return terms
+
+
+def sign_weights(rng):
+    """Fixed weight pairs with negative values, h = 0 and v = 0, and two
+    seeded signed rational pairs."""
+    drawn = [
+        tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in "hv")
+        for _ in range(2)
+    ]
+    return [(1, 1), (-1, 1), (1, -1), (0, 1), (1, 0), (Fraction(-2, 3), Fraction(5, 7))] + drawn
+
+
 class TestProductReport:
     def test_width_four_yes(self):
         report = dimer_product_report(4)
         assert report.applicable
         assert report.factor_orders == (2, 2)
         assert report.verdict.is_product
+        assert report.verdict == ((2, 2), "Q(2cos(pi/5))")
+        assert report.note == "Kasteleyn's product"
 
     def test_width_six_yes_via_coarsening(self):
         report = dimer_product_report(6)
@@ -523,8 +553,11 @@ class TestProductReport:
         assert report.factor_orders == (2, 2, 2)
         assert report.verdict.is_product
         # width 6 has +1 and -1 among its characteristic roots, so the
-        # observed profile is a strict coarsening of the generic one
-        assert report.verdict.note != ""
+        # product test's observed profile is a strict coarsening of the
+        # generic one
+        verdict = roots.is_prod_g(report.seq, (2, 2, 2))
+        assert verdict.is_product
+        assert verdict.note != ""
 
     def test_width_eight_yes(self):
         report = dimer_product_report(8)
@@ -561,7 +594,45 @@ class TestProductReport:
         assert report.applicable
         assert report.factor_orders == (2,) * (m // 2)
         assert report.verdict.is_product
-        assert report.verdict.observed == report.verdict.expected
+        verdict = roots.is_prod_g(dimer_seq(m, weights), (2,) * (m // 2))
+        assert verdict.is_product
+        assert verdict.observed == verdict.expected
+
+    @pytest.mark.parametrize("m", range(1, 9))
+    def test_agrees_with_the_product_test(self, m):
+        # the report reads its split off the minimal order; the product test
+        # measures the ratio profile of the same sequence
+        for weights in sign_weights(random.Random(47 + m)):
+            report = dimer_product_report(m, weights=weights)
+            order = report.minimal_order
+            if order == 1 or order & (order - 1):
+                assert not report.applicable, (m, weights)
+                continue
+            orders = (2,) * (order.bit_length() - 1)
+            verdict = roots.is_prod_g(report.seq, orders)
+            assert report.applicable, (m, weights)
+            assert report.factor_orders == orders, (m, weights)
+            assert report.verdict.is_product == verdict.is_product, (m, weights)
+
+    @pytest.mark.parametrize("m", range(2, 11))
+    def test_factors_multiply_back_to_the_strip_sequence(self, m):
+        for weights in [(1, 1), (Fraction(2, 3), Fraction(5, 7)), (-1, 1)]:
+            report = dimer_product_report(m, weights=weights)
+            assert report.factor_orders == (2,) * (m // 2)
+            want = [float(x) for x in eval_terms(report.seq, 12)]
+            got = kasteleyn_factor_product(m, weights, 12)
+            assert got == pytest.approx(want, rel=1e-9), (m, weights)
+
+    def test_fields_of_the_split(self):
+        fields = [dimer_product_report(m).verdict.field for m in range(2, 11)]
+        assert fields == [
+            "Q", "Q", "Q(2cos(pi/5))", "Q", "Q(2cos(pi/7))", "Q(2cos(pi/4))",
+            "Q(2cos(pi/9))", "Q(2cos(pi/5))", "Q(2cos(pi/11))",
+        ]
+        # h = 0: the sequence is its own order-2 factor
+        report = dimer_product_report(6, weights=(0, 1))
+        assert (report.minimal_order, report.factor_orders) == (2, (2,))
+        assert report.verdict.field == "Q"
 
     @pytest.mark.parametrize("order", [3, 6, 12])
     def test_order_not_a_power_of_two_inapplicable(self, monkeypatch, order):
@@ -571,20 +642,17 @@ class TestProductReport:
         assert (report.minimal_order, report.applicable) == (order, False)
         assert report.note == f"minimal order {order} is not a power of 2"
 
-    def test_multiple_roots_inapplicable(self, monkeypatch):
-        # rational weights cannot reach this branch: a strip count is a sum
-        # of exponentials in n, so its minimal recurrence has simple roots;
-        # the product test's refusal is stood in for here
-        def degenerate(seq, orders):
-            raise roots.DegenerateRootsError("multiple characteristic roots")
-
-        monkeypatch.setattr(roots, "is_prod_g", degenerate)
-        report = dimer_product_report(4)
-        assert (report.minimal_order, report.factor_orders) == (4, (2, 2))
-        assert (report.verdict, report.applicable) == (None, False)
-        assert report.note == "multiple characteristic roots"
+    @pytest.mark.parametrize("m, order", [(6, 4), (8, 4), (8, 8), (10, 16)])
+    def test_coinciding_root_products_inapplicable(self, monkeypatch, m, order):
+        seq = CFiniteSeq([0] * (order - 1) + [1], [0] * (order - 1) + [1])
+        monkeypatch.setattr(dimers, "dimer_seq", lambda m, weights: seq)
+        report = dimer_product_report(m)
+        assert (report.minimal_order, report.applicable) == (order, False)
+        assert (report.factor_orders, report.verdict) == ((), None)
+        assert report.note == f"minimal order {order} < {1 << m // 2}: root products coincide"
 
     def test_report_rendering(self):
         text = str(dimer_product_report(4))
         assert "width 4" in text
         assert "YES" in text
+        assert text.endswith("2x2 over Q(2cos(pi/5)), by Kasteleyn's product")

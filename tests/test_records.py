@@ -1,4 +1,4 @@
-"""The eight result types: fields, construction, repr, equality, immutability."""
+"""The nine result types: fields, construction, repr, equality, immutability."""
 
 import inspect
 
@@ -6,7 +6,7 @@ import pytest
 
 from cfinite.core import CFiniteSeq
 from cfinite.corpus import NamedSequence
-from cfinite.dimers import DimerProductReport
+from cfinite.dimers import DimerProductReport, StripSplit
 from cfinite.factor import FactorPair
 from cfinite.guess import GuessConfig, PolyRelation, ProofCertificate
 from cfinite.roots import ProductVerdict, RepetitionProfile
@@ -16,6 +16,7 @@ PELL = CFiniteSeq([0, 1], [2, 1])
 CERT = ProofCertificate(4, 8, "equal", True)
 PROFILE = RepetitionProfile((1, 1, 2))
 VERDICT = ProductVerdict(True, (2, 2), PROFILE, PROFILE, "")
+SPLIT = StripSplit((2, 2), "Q(2cos(pi/5))")
 
 # (type, fields in order, positional arguments, repr)
 RECORDS = [
@@ -65,12 +66,17 @@ RECORDS = [
             "applicable",
             "note",
         ),
-        (4, (1, 1), FIB, 2, (2,), VERDICT, True, ""),
+        (4, (1, 1), FIB, 2, (2,), SPLIT, True, "Kasteleyn's product"),
         f"DimerProductReport(width=4, weights=(1, 1), seq={FIB!r}, "
-        "minimal_order=2, factor_orders=(2,), verdict=ProductVerdict("
-        "is_product=True, orders=(2, 2), expected=RepetitionProfile(multiplicities="
-        "(1, 1, 2)), observed=RepetitionProfile(multiplicities=(1, 1, 2)), note=''), "
-        "applicable=True, note='')",
+        "minimal_order=2, factor_orders=(2,), verdict=StripSplit("
+        "orders=(2, 2), field='Q(2cos(pi/5))'), "
+        "applicable=True, note=\"Kasteleyn's product\")",
+    ),
+    (
+        StripSplit,
+        ("orders", "field"),
+        ((2, 2), "Q(2cos(pi/5))"),
+        "StripSplit(orders=(2, 2), field='Q(2cos(pi/5))')",
     ),
     (
         NamedSequence,

@@ -275,6 +275,46 @@ def calls_reached(tree, home):
     return names
 
 
+# the strip report reads its split off Kasteleyn's product: dimers.py takes
+# no name from the product test, and the report reaches no ratio polynomial
+RATIO_PROFILE = {"is_prod_g", "_ratio_poly", "_ratio_quotient"}
+
+
+def names_from_module(tree, module):
+    """(line, name) of every name the tree takes from the sibling module:
+    from-imports of it or of its names, and attribute reads module.x."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            if node.module == module:
+                found += [(node.lineno, a.name) for a in node.names]
+            elif node.module is None:
+                found += [(node.lineno, a.name) for a in node.names if a.name == module]
+        elif isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == module:
+            found.append((node.lineno, node.attr))
+    return sorted(found)
+
+
+def test_checker_flags_names_from_a_module():
+    tree = ast.parse(
+        "from . import guess, roots as r\n"
+        "from .roots import is_prod_g\n"
+        "from .core import roots\n"
+        "def f(s):\n"
+        "    return roots.prod_indicator(s), guess.mul(s, s)\n"
+    )
+    assert names_from_module(tree, "roots") == [
+        (1, "roots"), (2, "is_prod_g"), (5, "prod_indicator")
+    ]
+
+
+def test_strip_report_measures_no_ratio_profile():
+    tree = ast.parse((SRC / "dimers.py").read_text())
+    assert names_from_module(tree, "roots") == []
+    assert not RATIO_PROFILE & calls_reached(tree, "dimer_product_report")
+    assert "dimer_seq" in calls_reached(tree, "dimer_product_report")
+
+
 def test_checker_follows_calls_within_the_module():
     tree = ast.parse(
         "def home(x):\n"
