@@ -728,10 +728,7 @@ def _lowest_terms(w: list, b: list) -> list:
 def _encoding(E, D, w, b) -> CFiniteSeq:
     """The one encoder: a(n) = b(n) / (E D^n) for the integer image b with
     the recurrence w, as its first len(w) terms and c_k = w_k / D^k."""
-    return CFiniteSeq(
-        [Fraction(x, E * D**n) for n, x in enumerate(b[: len(w)])],
-        [Fraction(c, D**k) for k, c in enumerate(w, start=1)],
-    )
+    return CFiniteSeq(_over(b[: len(w)], E, D), _over(w, D, D))
 
 
 def minimize(seq: CFiniteSeq) -> CFiniteSeq:

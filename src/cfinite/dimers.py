@@ -12,12 +12,12 @@ are built once per width and cached (_algebra); the cache holds no counts.
 kasteleyn_count takes the norm of Q_n(-Y) mod Q'_m, m the shorter side: for
 odd m, n is even and Q_n(0) = +-1, so the root 0 of Q_m changes no absolute
 value.  The weighted strip counts of dimer_terms and dimer_seq take the
-norms of one element G_n of Z[Y]/Q'_m, stepped in n (_strip_counts).  Each
-root contributes an order-2 sequence in n, so the strip counts have order
-at most B = 2^floor(m/2).  _construction builds that recurrence from the
-power sums of its B roots, the norms of the same steps started at G_0 = 2;
-dimer_seq hands it to the one encoder (guess._built), and dimer_terms steps
-it on the integer counts past the norms it takes.
+norms of one element G_n of Z[Y]/Q'_m, stepped once in n (_strip_steps).
+Each root contributes an order-2 sequence in n, so the strip counts have
+order at most B = 2^floor(m/2).  _construction builds that recurrence from
+the power sums of its B roots, the norms of L_n = G_n + V^2 G_(n-2) read
+off the same steps; dimer_seq hands it to the one encoder (guess._built),
+and dimer_terms steps it on the integer counts past the norms it takes.
 
 The same product makes the strip sequence, up to a geometric factor, the
 termwise product of floor(m/2) order-2 sequences.  dimer_product_report
@@ -81,67 +81,73 @@ def _algebra(m: int) -> tuple:
     return tuple(w), tuple(zip(*rows)), tuple(map(abs, q))
 
 
-def _strip_counts(m: int, weights, g0: int = 1):
-    """(d, counts): counts yields the ints d^(m n/2) count(m, n) for
-    n = 1, 2, ..., count(m, n) the weighted tiling count of the m x n grid.
-
-    With the weights h = H/d and v = V/d, G_0 = 1, G_1 = H and, in
-    Z[Y]/Q'_m, G_n = H Y G_(n-1) + V^2 G_(n-2) at even n and
-    G_n = H G_(n-1) + V^2 G_(n-2) at odd n.  The scaled count is the norm
-    N(G_n) for even m, V^(n/2) N(G_n) for odd m and even n, and 0 for
-    odd m n.  Started at G_0 = g0 = 2, the same norms are power sums
+def _strip_steps(m: int, weights) -> tuple:
+    """(e, q, steps): steps yields, for each length n the strip sequence
+    reads (every n for even m, even n for odd m, whose odd-area counts are
+    0), the scale s and the integer elements G_n and L_n of Z[Y]/Q'_m,
+    Q'_m = Y^k - q_1 Y^(k-1) - ... - q_k, so that s N(G_n) = e^(n/step)
+    count(m, n), step = 1 + m mod 2, and s N(L_n) is a power sum
     (_construction).
+
+    With the weights h = H/d and v = V/d, G_0 = 1, G_1 = H and
+    G_n = H Y G_(n-1) + V^2 G_(n-2) at even n, G_n = H G_(n-1) + V^2 G_(n-2)
+    at odd n.  L_n = G_n + V^2 G_(n-2), with G_(-1) = 0, is the same
+    recurrence started at L_0 = 2, L_1 = H, as the Lucas numbers are
+    F_(n+1) + F_(n-1).  The scale is 1 for even m and V^(n/2) for odd m,
+    and e = d^(m step/2).
     """
     d, (H, V) = _clear_denominators([Fraction(x) for x in weights])
-    w, _, _ = _algebra(m)
-    k, V2 = len(w), V * V
+    q, _, _ = _algebra(m)
+    k, V2, step = len(q), V * V, 1 + m % 2
 
-    def counts():
-        prev, g = [g0] + [0] * (k - 1), [H] + [0] * (k - 1)
+    def steps():
+        before, prev, g = [0] * k, [1] + [0] * (k - 1), [H] + [0] * (k - 1)
         for n in count(1):
-            if m % 2 == 0:
-                yield _norm(w, g)
-            else:
-                yield V ** (n // 2) * _norm(w, g) if n % 2 == 0 else 0
+            if n % step == 0:
+                s = V ** (n // 2) if step == 2 else 1
+                yield s, g, [a + V2 * b for a, b in zip(g, before)]
             # G_(n+1); with k = 0 (m = 1) every norm is 1 and G is not read
-            y = _shiftmod(g, w) if n % 2 and k else g
-            prev, g = g, [H * a + V2 * b for a, b in zip(y, prev)]
+            y = _shiftmod(g, q) if n % 2 and k else g
+            before, prev, g = prev, g, [H * a + V2 * b for a, b in zip(y, prev)]
 
-    return d, counts()
+    return d ** (m * step // 2), q, steps()
 
 
 def dimer_terms(m: int, N: int, weights=(1, 1)) -> list:
     """Weighted tiling counts of the m x n grid for n = 1..N, exactly.
 
-    Up to as many lengths as _construction takes norms, one norm per term;
-    past them, its checked recurrence stepped on the integer counts (0 at
-    odd lengths for odd m)."""
+    The integer image x of the lengths the strip sequence reads: up to as
+    many as _construction takes norms, one count norm per term; past them,
+    its checked recurrence stepped on the integer counts.  Interleaved with
+    0 at odd lengths for odd m."""
     _check_width(m)
     if N < 1:
         raise ValueError("N must be >= 1")
     # _construction takes 2^floor(m/2) power sums and 2^floor(m/2) +
-    # SAFETY_TERMS counts, one norm per length, at even lengths for odd m
+    # SAFETY_TERMS counts, one norm per length it reads
     step = 1 + m % 2
     if N > ((2 << m // 2) + guess.SAFETY_TERMS) * step:
         e, w, x = _construction(m, weights)
         guess._check_built(f"width-{m} strip counts", w, x)
-        out = [Fraction(0)] * N
-        out[step - 1 :: step] = _over(_step(w, x[: len(w)], N // step), e, e)
-        return out
-    d, counts = _strip_counts(m, weights)
-    return [Fraction(c, d ** (m * n // 2)) for n, c in enumerate(islice(counts, N), start=1)]
+        x = _step(w, x[: len(w)], N // step)
+    else:
+        e, q, steps = _strip_steps(m, weights)
+        x = [s * _norm(q, g) for s, g, _ in islice(steps, N // step)]
+    out = [Fraction(0)] * N
+    out[step - 1 :: step] = _over(x, e, e)
+    return out
 
 
 def _construction(m: int, weights) -> tuple:
     """(e, w, x): the strip recurrence w of order B = 2^floor(m/2) built from
-    B power sums, and the B + SAFETY_TERMS integer counts x that check it,
+    the B power sums read off the first B steps of _strip_steps, and the
+    integer counts x of its first B + SAFETY_TERMS steps that check it,
     a(n) = x(n) / e^(n+1) (dimer_seq)."""
-    B, step = 1 << (m // 2), 1 + m % 2
-    d, sums = _strip_counts(m, weights, 2)
-    _, counts = _strip_counts(m, weights)
-    p = [B, *islice(sums, step - 1, step * B, step)]
-    x = list(islice(counts, step - 1, step * (B + guess.SAFETY_TERMS), step))
-    return d ** (m * step // 2), _from_power_sums(p, B), x
+    B = 1 << m // 2
+    e, q, steps = _strip_steps(m, weights)
+    taken = list(islice(steps, B + guess.SAFETY_TERMS))
+    p = [B, *(s * _norm(q, L) for s, _, L in taken[:B])]
+    return e, _from_power_sums(p, B), [s * _norm(q, G) for s, G, _ in taken]
 
 
 def dimer_seq(m: int, weights=(1, 1)) -> CFiniteSeq:
@@ -152,15 +158,16 @@ def dimer_seq(m: int, weights=(1, 1)) -> CFiniteSeq:
     a(n) = count(m, 2n+2) is returned instead, keeping the minimality
     analysis meaningful.
 
-    At a root y = x^2 of Q'_m, x > 0, h_n = x^(n mod 2) G_n(y) (_strip_counts)
-    has h_n = H x h_(n-1) + V^2 h_(n-2), with roots alpha, beta: G_0 = 1
-    gives h_n = (alpha^(n+1) - beta^(n+1)) / (alpha - beta), and G_0 = 2 the
-    Lucas sequence h_n = alpha^n + beta^n.  A count is the product of the
-    k = floor(m/2) values h_n over (prod x)^(n mod 2), and for even m,
+    At a root y = x^2 of Q'_m, x > 0, h_n = x^(n mod 2) G_n(y) (_strip_steps)
+    has h_n = H x h_(n-1) + V^2 h_(n-2), with roots alpha, beta, and
+    h_n = (alpha^(n+1) - beta^(n+1)) / (alpha - beta); as alpha beta = -V^2,
+    L_n = G_n + V^2 G_(n-2) gives the Lucas sequence alpha^n + beta^n.
+    A count is the product of the k = floor(m/2) values h_n over
+    (prod x)^(n mod 2), and for even m,
     prod x = prod_j 2cos(j pi/(m+1)) = 1: a has the B = 2^k roots
     prod_j (alpha_j or beta_j), whose power sums prod_j (alpha_j^s + beta_j^s)
-    are the norms started at 2 at n = s.  For odd m, V^(n/2) makes the roots
-    V prod_j (alpha_j^2 or beta_j^2), the norms at n = 2s.  Newton's
+    are the norms of L_s.  For odd m, V^(n/2) makes the roots
+    V prod_j (alpha_j^2 or beta_j^2), the scaled norms of L_2s.  Newton's
     identities give the recurrence of order B (_construction), checked on
     B + SAFETY_TERMS counts, put in lowest terms and encoded by the one
     encoder (guess._built).  The counts enter as integers x(n):

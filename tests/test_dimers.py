@@ -1,13 +1,14 @@
 import math
 import random
 from fractions import Fraction
+from itertools import count, islice
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cfinite import dimers, guess, roots
-from cfinite.core import CFiniteSeq, Polynomial, _shiftmod, eval_terms
+from cfinite.core import CFiniteSeq, Polynomial, _clear_denominators, _shiftmod, eval_terms
 from cfinite.guess import GuessConfig, InvariantViolation, guess_rec
 from cfinite.dimers import (
     dimer_product_report,
@@ -204,6 +205,14 @@ class TestTermsAgainstTransferMatrix:
         for n in (N - 3, N - 2, N - 1, N):
             assert dimer_terms(m, n, (h, v)) == want[:n], (m, n)
 
+    @pytest.mark.parametrize("m", [1, 3, 5, 7, 9])
+    def test_odd_width_odd_length_ends_in_zero(self, m):
+        # the interleave puts a Fraction 0 at every odd length of an odd
+        # width, below the norm window and past it
+        for N in (norm_window(m) - 1, norm_window(m) + 3):
+            *_, last, end = dimer_terms(m, N, (Fraction(2, 3), -1))
+            assert N % 2 and last != 0 and end == 0 and type(end) is Fraction, (m, N)
+
 
 class TestDimerSeq:
     def test_width_two_recurrence(self):
@@ -298,46 +307,110 @@ class TestDimerSeq:
     def test_rejects_an_off_by_one_norm(self, monkeypatch, m, start):
         # the recurrence built from the power sums is checked on the counts
         # past its order, so one norm off by one, of either, fails it, in
-        # dimer_seq and in dimer_terms past its window, which steps it
-        real, step, bound = dimers._strip_counts, 1 + m % 2, 1 << m // 2
-        at = step - 1 if start == 2 else step * (bound + 1) - 1  # its index among the norms
-
-        def off_by_one(m, weights, g0=1):
-            d, norms = real(m, weights, g0)
-            if g0 == start:
-                norms = (v + (i == at) for i, v in enumerate(norms))
-            return d, norms
-
-        monkeypatch.setattr(dimers, "_strip_counts", off_by_one)
+        # dimer_seq and in dimer_terms past its window, which steps it; at
+        # unit weights every scale is 1, so the count or power sum is off by
+        # one too
+        at = 0 if start == 2 else 1 << m // 2  # its step
+        norms, _ = tallied_norms(monkeypatch, at, "L" if start == 2 else "G")
         with pytest.raises(InvariantViolation, match=f"width-{m} strip counts"):
             dimer_seq(m)
+        assert norms["bumped"] == 1
         with pytest.raises(InvariantViolation, match=f"width-{m} strip counts"):
             dimer_terms(m, norm_window(m) + 1)
+        assert norms["bumped"] == 2
 
     @pytest.mark.parametrize("m", [1, 2, 5, 8])
     @pytest.mark.parametrize("safety", [guess.SAFETY_TERMS, 6])
     def test_takes_bound_power_sums_and_bound_plus_safety_counts(self, monkeypatch, m, safety):
-        # B power sums and B + SAFETY_TERMS counts, whatever the margin; the
-        # steps yield one norm per length, so odd widths, read at even
-        # lengths only, take twice as many
-        want, real, taken = dimer_seq(m), dimers._strip_counts, {}
-
-        def tallied(m, weights, g0=1):
-            d, norms = real(m, weights, g0)
-            taken[g0] = 0
-
-            def tally():
-                for v in norms:
-                    taken[g0] += 1
-                    yield v
-
-            return d, tally()
-
+        # B power sums and B + SAFETY_TERMS counts, whatever the margin, off
+        # one pass of B + SAFETY_TERMS steps; odd widths are read at even
+        # lengths only, and the steps skip the odd ones
+        want = dimer_seq(m)
         monkeypatch.setattr(guess, "SAFETY_TERMS", safety)
-        monkeypatch.setattr(dimers, "_strip_counts", tallied)
+        norms, steps = tallied_norms(monkeypatch)
         assert dimer_seq(m) == want
-        step, bound = 1 + m % 2, 1 << m // 2
-        assert taken == {2: step * bound, 1: step * (bound + safety)}
+        bound = 1 << m // 2
+        assert steps == [bound + safety]
+        assert norms == {"G": bound + safety, "L": bound, "bumped": 0}
+
+    @pytest.mark.parametrize("m", range(1, 11))
+    @pytest.mark.parametrize(
+        "weights",
+        [(1, 1), (-1, 1), (2, -3), (0, 1), (1, 0), (0, 0), (Fraction(2, 3), Fraction(-5, 7))],
+    )
+    def test_one_pass_gives_the_two_pass_norms(self, m, weights):
+        # the Lucas norms of the one pass, L_n = G_n + V^2 G_(n-2), are the
+        # norms of the same steps started at G_0 = 2, and its count norms
+        # those started at 1, at each length the strip sequence reads
+        step, N = 1 + m % 2, (1 << m // 2) + 8
+        e, q, steps = dimers._strip_steps(m, weights)
+        d, counts = two_pass_norms(m, weights, 1)
+        _, sums = two_pass_norms(m, weights, 2)
+        assert e == d ** (m * step // 2)
+        got = [(s * _norm(q, G), s * _norm(q, L)) for s, G, L in islice(steps, N)]
+        want = zip(islice(counts, step - 1, None, step), islice(sums, step - 1, None, step))
+        assert got == list(islice(want, N))
+
+
+def two_pass_norms(m, weights, g0):
+    """(d, norms): the reference stepping of the strip counts, one pass per
+    start.  norms yields d^(m n/2) count(m, n) for n = 1, 2, ... at G_0 = 1,
+    0 at the odd-area lengths of odd widths, and the power sums at G_0 = 2:
+    G_1 = H, G_n = H Y G_(n-1) + V^2 G_(n-2) at even n and
+    H G_(n-1) + V^2 G_(n-2) at odd n, normed in Z[Y]/Q'_m, times V^(n/2) for
+    odd m."""
+    d, (H, V) = _clear_denominators([Fraction(x) for x in weights])
+    w, _, _ = dimers._algebra(m)
+    k = len(w)
+
+    def norms():
+        prev, g = [g0] + [0] * (k - 1), [H] + [0] * (k - 1)
+        for n in count(1):
+            if m % 2 == 0:
+                yield _norm(w, g)
+            else:
+                yield V ** (n // 2) * _norm(w, g) if n % 2 == 0 else 0
+            y = _shiftmod(g, w) if n % 2 and k else g
+            prev, g = g, [H * a + V * V * b for a, b in zip(y, prev)]
+
+    return d, norms()
+
+
+class Element(list):
+    """A step element of Z[Y]/Q'_m tagged with its kind, count ("G") or
+    Lucas ("L"), and whether tallied_norms takes its norm off by one."""
+
+    def __init__(self, r, kind, bump):
+        super().__init__(r)
+        self.kind, self.bump = kind, bump
+
+
+def tallied_norms(monkeypatch, at=None, kind=None):
+    """Wrap dimers._strip_steps and dimers._norm, so that the norm of the
+    element of the given kind at step `at` comes out one too large.
+    Returns ({"G", "L", "bumped"}: norms taken, [steps drawn per pass])."""
+    real_steps, real_norm = dimers._strip_steps, dimers._norm
+    norms, drawn = {"G": 0, "L": 0, "bumped": 0}, []
+
+    def steps(m, weights):
+        e, q, inner = real_steps(m, weights)
+
+        def tallied():
+            drawn.append(0)
+            for i, (s, G, L) in enumerate(inner):
+                drawn[-1] += 1
+                yield s, Element(G, "G", (i, "G") == (at, kind)), Element(L, "L", (i, "L") == (at, kind))
+
+        return e, q, tallied()
+
+    def norm(w, r):
+        norms[r.kind] += 1
+        norms["bumped"] += r.bump
+        return real_norm(w, r) + r.bump
+
+    monkeypatch.setattr(dimers, "_strip_steps", steps)
+    monkeypatch.setattr(dimers, "_norm", norm)
+    return norms, drawn
 
 
 class TestKasteleyn:

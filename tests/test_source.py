@@ -2,6 +2,7 @@
 
 import ast
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -244,16 +245,65 @@ def test_factorisers_call_no_guesser():
 
 
 # dimer_seq constructs its recurrence: Newton's identities on the power
-# sums of the strip steps started at 2, cancelled by the closure ops' engine;
-# dimer_terms steps the same construction past its window, checked as
-# _built checks it, and neither re-images nor encodes dimer_seq's answer
+# sums of the strip steps' Lucas elements, cancelled by the closure ops'
+# engine; dimer_terms steps the same construction past its window, checked
+# as _built checks it, and neither re-images nor encodes dimer_seq's answer
 def test_dimers_call_no_guesser():
     tree = ast.parse((SRC / "dimers.py").read_text())
     assert calls_outside(tree, GUESSERS, None) == []
-    assert {"_strip_counts", "_from_power_sums", "_built"} <= calls_reached(tree, "dimer_seq")
+    assert {"_strip_steps", "_from_power_sums", "_built"} <= calls_reached(tree, "dimer_seq")
     terms = calls_reached(tree, "dimer_terms")
     assert {"_construction", "_check_built", "_step"} <= terms
     assert not {"dimer_seq", "eval_terms", "_built"} & terms
+
+
+def direct_calls(tree, home):
+    """Names of the calls made in the body of the module-level function
+    home, one entry per call site."""
+    (node,) = [n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == home]
+    return [
+        call.func.id if isinstance(call.func, ast.Name) else getattr(call.func, "attr", None)
+        for call in ast.walk(node)
+        if isinstance(call, ast.Call)
+    ]
+
+
+# the strip algebra is stepped once per call: one generator, of the width
+# and weights alone, yields each step's count and Lucas elements, so there
+# is no second pass started at G_0 = 2 and no argument that selects it; and
+# dimer_terms makes its Fractions through core._over, the interleave's
+# constant 0 aside, on both sides of its window
+def test_strip_algebra_stepped_once():
+    source = (SRC / "dimers.py").read_text()
+    tree = ast.parse(source)
+    assert re.findall(r"\b(?:_strip_counts|g0)\b", source) == []
+    (steps,) = [n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "_strip_steps"]
+    args = steps.args
+    assert [a.arg for a in args.args] == ["m", "weights"]
+    assert not (args.defaults or args.kwonlyargs or args.vararg or args.kwarg)
+    for home in ("_construction", "dimer_terms"):
+        assert direct_calls(tree, home).count("_strip_steps") == 1, home
+    assert direct_calls(tree, "dimer_seq").count("_strip_steps") == 0
+    terms = direct_calls(tree, "dimer_terms")
+    assert terms.count("_over") == 1
+    (home,) = [n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "dimer_terms"]
+    fractions = [
+        call for call in ast.walk(home)
+        if isinstance(call, ast.Call) and getattr(call.func, "id", None) == "Fraction"
+    ]
+    assert all(isinstance(a, ast.Constant) for call in fractions for a in call.args)
+    assert not [n for n in ast.walk(home) if isinstance(n, ast.BinOp) and isinstance(n.op, ast.Div)]
+
+
+def test_checker_lists_direct_calls():
+    tree = ast.parse(
+        "def f():\n"
+        "    g(h(1))\n"
+        "    m.g()\n"
+        "def h(x): return k()\n"
+    )
+    assert sorted(direct_calls(tree, "f")) == ["g", "g", "h"]
+    assert direct_calls(tree, "h") == ["k"]
 
 
 def calls_reached(tree, home):
