@@ -1,7 +1,9 @@
 """Actual factorization of C-finite sequences into termwise products.
 
-After one front (roots._minimal), the routes only propose pairs of
-factor recurrences.  The pair (1, m) comes first when an order is 1 (m
+After one front (roots._minimal, which refuses bad orders, a minimal
+order other than L1 L2 and a root z = 0) and the repeated-root check
+(roots._require_simple_roots, gcd(P, P')), the routes only propose pairs
+of factor recurrences.  The pair (1, m) comes first when an order is 1 (m
 = 1^n m) and, when one is 2, an exact route (_order_2_candidates): the
 order-2 factor's root ratio is a rational root of the folded ratio
 polynomial of roots.py, and the cofactor's power sums are the product's
@@ -33,7 +35,7 @@ from fractions import Fraction
 from math import factorial, gcd, isqrt
 
 from . import guess
-from .core import CFiniteSeq, _coprime_base, _image, _integer_image, _step, _valuation
+from .core import CFiniteSeq, _coprime_base, _image, _integral_rec, _rec_scale, _step, _valuation
 from .core import content, scale
 from .core import _derivative, _from_power_sums, _power_sums, _square_free, _sub
 from .core import _gcd_mod, _is_prime, _mulmod, _shiftmod, _zpow
@@ -76,10 +78,12 @@ def _split(m, left_rec, right_rec):
     The system is built on integer images (core._image): u_k(n) = X_k(n) /
     D1^n, v_l(n) = Y_l(n) / D2^n and m(n) = Z(n) / (E D^n), so equation n
     times E D^n (D1 D2)^n has the int row E D^n X_k(n) Y_l(n) and the
-    right side (D1 D2)^n Z(n), with the same solution.
+    right side (D1 D2)^n Z(n), with the same solution.  It has
+    2 L1 L2 + guess.SAFETY_TERMS rows, the margin of the closure ops and
+    dimer_seq past the 2 L1 L2 terms that determine m.
     """
     L1, L2 = len(left_rec), len(right_rec)
-    n_terms = 2 * L1 * L2 + 4
+    n_terms = 2 * L1 * L2 + guess.SAFETY_TERMS
     (D1, us), (D2, vs) = (_unit_images(rec, n_terms) for rec in (left_rec, right_rec))
     E, D, z = _image(m, n_terms)
     rows, rhs, left, right = [], [], E, 1
@@ -105,11 +109,10 @@ def _unit_images(rec, N):
     """(D, images): images[j] the first N terms of D^n u_j(n), u_j the
     sequence with the recurrence rec and the unit initial terms e_j.
 
-    One integer image (core._integer_image, whose E is 1 here) gives D and
-    the integer recurrence w; each D^n u_j starts at D^j e_j and is stepped
-    on that w."""
-    L = len(rec)
-    _, D, w, _ = _integer_image(CFiniteSeq([1] + [0] * (L - 1), rec))
+    D is core._rec_scale(rec) and w = core._integral_rec(rec, D) the
+    recurrence of D^n u_j, which starts at D^j e_j and is stepped on w."""
+    L, D = len(rec), _rec_scale(rec)
+    w = _integral_rec(rec, D)
     return D, [_step(w, [0] * j + [D**j] + [0] * (L - 1 - j), N) for j in range(L)]
 
 
@@ -480,8 +483,9 @@ def factorize_integer(
     "candidates", the gauges lambda tried (>= 1 when a pair is returned),
     and "screened", those accepted.  `budget` is accepted and ignored: it
     is kept for a benchmark caller (perfbench's integer factor job) and
-    goes with the next benchmark change.  ValueError for bound < 1 or a
-    sequence that is not integral.
+    goes with the next benchmark change.  ValueError for bound < 1, and
+    after the front (roots._minimal, which refuses a root z = 0 first) for
+    a sequence that is not integral.
     """
     if bound < 1:
         raise ValueError(f"bound must be >= 1, got {bound}")

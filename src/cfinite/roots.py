@@ -22,15 +22,19 @@ into two ratios of multiplicity k.  The one exception is u = -2 sign(c)
 (w = -2c, gamma_i = -gamma_j), which unfolds into the single ratio -c of
 multiplicity 2k.
 
-The product test and both factorisers share one front, _minimal.
+The product test and both factorisers share one front, _minimal: it
+checks the orders, minimises, and refuses a minimal order other than
+their product (OrderMismatchError) and a root z = 0 (ValueError), so
+nothing past it meets either.
 
 A "yes" means the observed profile matches or coarsens the generic one;
 only a factor certificate (factorize_roots, factorize_integer) proves
 that the sequence is a product.  A "no" is definitive only generically.
-Diagnostics always carry both profiles.  Repeated roots are detected
-exactly: the product test reads them off T, whose root u = 2 sign(c)
-(w = 2c) means gamma_i = gamma_j, and the factorisers, whose root grid
-builds no T, test gcd(P, P') (_require_simple_roots).  Nothing here finds
+Diagnostics always carry both profiles.  Repeated roots are refused
+after the front, where each method finds them cheapest: the product test
+reads them off T, whose root u = 2 sign(c) (w = 2c) means gamma_i =
+gamma_j, and the factorisers, whose root grid builds no T, test
+gcd(P, P') (_require_simple_roots) before any route.  Nothing here finds
 a root: the root grid of factorize_roots, over Z/p^N, is in factor.py, and
 the integer kernels (power sums, Yun's decomposition, the integer gcd) are
 core's.  The exact order-2 route of factorize_roots reads the u-polynomial
@@ -82,20 +86,8 @@ class RepetitionProfile(namedtuple("RepetitionProfile", "multiplicities")):
         return "[" + ", ".join(str(m) for m in self.multiplicities) + "]"
 
 
-def _require_nonzero_roots(m: CFiniteSeq):
-    """ValueError for a root z = 0."""
-    if m.rec[-1] == 0:
-        raise ValueError(
-            "trailing recurrence coefficient is 0, so z = 0 is a "
-            "characteristic root, which root-based methods cannot handle; "
-            "minimizing removes it unless the sequence has a transient start "
-            "(e.g. it is eventually 0)"
-        )
-
-
 def _require_simple_roots(m: CFiniteSeq):
-    """ValueError for a root z = 0; DegenerateRootsError for a repeated root."""
-    _require_nonzero_roots(m)
+    """DegenerateRootsError for a repeated root."""
     # the characteristic polynomial of _integral_rec(m.rec), with the roots
     # D gamma_i: repeated exactly when the gamma_i are
     P = [-w for w in reversed(_integral_rec(m.rec))] + [1]
@@ -113,11 +105,18 @@ def _check_orders(orders) -> tuple:
 
 def _minimal(seq: CFiniteSeq, orders) -> CFiniteSeq:
     """minimize(seq) after _check_orders; OrderMismatchError unless its
-    order is the product of the orders."""
+    order is the product of the orders, ValueError for a root z = 0."""
     L = math.prod(_check_orders(orders))
     m = minimize(seq)
     if m.order != L:
         raise OrderMismatchError(f"minimal order {m.order} != product of orders {L}")
+    if m.rec[-1] == 0:
+        raise ValueError(
+            "trailing recurrence coefficient is 0, so z = 0 is a "
+            "characteristic root, which root-based methods cannot handle; "
+            "minimizing removes it unless the sequence has a transient start "
+            "(e.g. it is eventually 0)"
+        )
     return m
 
 
@@ -291,7 +290,6 @@ def is_prod_g(seq: CFiniteSeq, orders, digits=None) -> ProductVerdict:
     orders = tuple(orders)
     expected = prod_indicator(orders)
     m = _minimal(seq, orders)
-    _require_nonzero_roots(m)
     # the L diagonal ratios are 1, and no other ratio is, the roots being distinct
     observed = RepetitionProfile((m.order, *_ratio_multiplicities(m.rec)))
     is_product = _is_coarsening(observed.multiplicities, expected.multiplicities)

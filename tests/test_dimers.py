@@ -515,6 +515,21 @@ class TestKasteleyn:
                 if m * n % 2 == 0:
                     assert kasteleyn_count(m, n) == counts[n - 1], (m, n)
 
+    def test_stepped_norms_past_the_width_limit(self):
+        # widths 11-16, past PRACTICAL_WIDTH_LIMIT, on the records that
+        # _algebra caches up to 32: every length n <= 32 the strip reads
+        # (even n for odd m), 144 counts; at unit weights e = 1
+        assert dimers.PRACTICAL_WIDTH_LIMIT < 11
+        checked = 0
+        for m in range(11, 17):
+            step = 1 + m % 2
+            e, q, steps = dimers._strip_steps(m, (1, 1))
+            assert e == 1
+            for n, (s, G, _) in zip(range(step, 33, step), steps):
+                assert s * _norm(q, G) == kasteleyn_count(m, n), (m, n)
+                checked += 1
+        assert checked == 144
+
 
 def int_polys(low, high):
     """Integer coefficient lists, ascending, of degree low..high."""

@@ -21,7 +21,7 @@ from cfinite.factor import (
 )
 from cfinite.guess import add, mul, prove_equal
 from cfinite import roots
-from cfinite.roots import DegenerateRootsError, OrderMismatchError
+from cfinite.roots import DegenerateRootsError, OrderMismatchError, is_prod_g
 from cfinite import corpus
 
 import oracles
@@ -387,6 +387,7 @@ class TestSplit:
         # the unit vectors of a recurrence are stepped on one integer image:
         # solve gets the rows of one core._image per unit vector, and
         # _rec_scale runs once each for the left, right and product recurrence
+        # (_unit_images calls it from factor.py, core._image from core.py)
         systems, scaled = [], []
         rec_scale = core._rec_scale
 
@@ -400,6 +401,7 @@ class TestSplit:
 
         monkeypatch.setattr(factor, "solve", recording_solve)
         monkeypatch.setattr(core, "_rec_scale", counting_rec_scale)
+        monkeypatch.setattr(factor, "_rec_scale", counting_rec_scale)
         rng = random.Random(141421)
         done = 0
         while done < 10:
@@ -424,6 +426,22 @@ class TestSplit:
             rows = [[E * D**k * u[k] * v[k] for u in us for v in vs] for k in range(n)]
             assert systems[-1] == (rows, [(D1 * D2) ** k * z[k] for k in range(n)])
             done += 1
+
+    def test_rows_are_2_l1_l2_plus_safety_terms(self, monkeypatch):
+        # the margin past 2 L1 L2 rows is guess.SAFETY_TERMS, not a literal
+        heights = []
+
+        def recording_solve(A, b):
+            heights.append((len(A), len(b)))
+            return linalg.solve(A, b)
+
+        monkeypatch.setattr(factor, "solve", recording_solve)
+        monkeypatch.setattr(guess, "SAFETY_TERMS", 6)
+        right = CFiniteSeq([2, 0, 1], [0, 1, 1])
+        for a, b in [(FIB, PELL), (FIB, right), (CFiniteSeq([3], [2]), right)]:
+            assert _split(mul(a, b), a.rec, b.rec)
+            n = 2 * a.order * b.order + 6
+            assert heights[-1] == (n, n)
 
     def test_rank_two_grid_is_no_product(self):
         # the roots form a 2x2 grid, but the coefficient matrix has rank 2
@@ -640,6 +658,48 @@ class TestFront:
     def test_order_mismatch_names_both_orders(self, factorize):
         with pytest.raises(OrderMismatchError, match="minimal order 2 != product of orders 4"):
             factorize(FIB, 2, 2)
+
+
+ZERO_ROOT = (
+    "trailing recurrence coefficient is 0, so z = 0 is a characteristic root, "
+    "which root-based methods cannot handle; minimizing removes it unless the "
+    "sequence has a transient start (e.g. it is eventually 0)"
+)
+
+
+def _past_the_front(*args):
+    raise AssertionError("a step past the front ran on a refused input")
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [lambda seq, L1, L2: is_prod_g(seq, (L1, L2)), factorize_roots, _integer],
+    ids=["is_prod_g", "roots", "integer"],
+)
+@pytest.mark.parametrize(
+    "seq, orders, error, message",
+    [
+        (mul(FIB, PELL), (0, 2), ValueError, "orders must be a nonempty list of counts >= 1"),
+        (mul(FIB, PELL), (2, -1), ValueError, "orders must be a nonempty list of counts >= 1"),
+        (FIB, (2, 2), OrderMismatchError, "minimal order 2 != product of orders 4"),
+        (mul(FIB, PELL), (1, 2), OrderMismatchError, "minimal order 4 != product of orders 2"),
+        (CFiniteSeq([1], [0]), (1, 1), ValueError, ZERO_ROOT),
+        # 1, 2, 3, 1, 0, 0, ...: already minimal, z = 0 stays a root
+        (CFiniteSeq([1, 2, 3, 1], [0, 0, 0, 0]), (2, 2), ValueError, ZERO_ROOT),
+        # not integral: the front refuses z = 0 before factorize_integer's check
+        (CFiniteSeq([Fraction(1, 2)], [0]), (1, 1), ValueError, ZERO_ROOT),
+    ],
+    ids=["zero_order", "negative_order", "mismatch_below", "mismatch_above",
+         "zero_root", "zero_root_transient", "zero_root_not_integral"],
+)
+def test_one_front_refuses_for_every_entry_point(entry, seq, orders, error, message, monkeypatch):
+    for module, name in [(roots, "_ratio_quotient"), (factor, "_ratio_quotient"),
+                         (factor, "_require_simple_roots"), (factor, "_split_prime"),
+                         (factor, "_pair")]:
+        monkeypatch.setattr(module, name, _past_the_front)
+    with pytest.raises(error) as info:
+        entry(seq, *orders)
+    assert type(info.value) is error and str(info.value) == message
 
 
 def _swap_products():

@@ -234,6 +234,51 @@ def test_pipeline_steps_run_only_in_their_home():
     assert {key: calls for key, calls in found.items() if calls} == {}
 
 
+def strings_containing(tree, text):
+    """(line, enclosing module-level function or None) of every string
+    constant that contains text."""
+    homes = {
+        id(node): top.name
+        for top in tree.body
+        if isinstance(top, ast.FunctionDef)
+        for node in ast.walk(top)
+    }
+    return sorted(
+        (node.lineno, homes.get(id(node)))
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Constant) and isinstance(node.value, str) and text in node.value
+    )
+
+
+def test_checker_finds_strings_and_their_function():
+    tree = ast.parse(
+        "x = 'a z = 0 b'\n"
+        "def f():\n"
+        "    '''z = 0'''\n"
+        "    return 'no' + ('z = ' '0')\n"
+    )
+    assert strings_containing(tree, "z = 0") == [(1, None), (3, "f"), (4, "f")]
+
+
+# the product test and both factorisers refuse a root z = 0 in one place,
+# their front, roots._minimal
+def test_zero_root_refused_only_by_the_front():
+    text = "z = 0 is a characteristic root"
+    found = [
+        (path.name, home)
+        for path in sorted(SRC.glob("*.py"))
+        for _, home in strings_containing(ast.parse(path.read_text()), text)
+    ]
+    assert found == [("roots.py", "_minimal")]
+    defined = {
+        node.name
+        for path in SRC.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+    }
+    assert "_require_nonzero_roots" not in defined
+
+
 # the factorisers propose recurrences exactly and call no guesser; the
 # guess.mul that _pair's proof runs builds its recurrence and fits nothing
 GUESSERS = {"guess_rec", "guess_nlr", "_berlekamp_massey", "_fit", "_close"}
